@@ -1,9 +1,12 @@
 """Executable acceptance criteria.
 
 Each criterion is a function returning a :class:`CriterionResult`; the
-pytest suite asserts on them one by one and the ``selftest`` CLI
-subcommand runs the lot, printing one line per criterion.  Tolerances
-are pinned here, next to the oracle that justifies them.
+``selftest`` CLI subcommand runs the lot, printing one line per
+criterion.  The pytest suite (``tests/test_acceptance.py``) asserts on
+criteria 1-5, 8 and 10 one by one, runtime limits included; 6, 7 and 9
+take tens of seconds one path at a time and run only under ``selftest``
+until paths are stepped in batches.  Tolerances are pinned here, next
+to the oracle that justifies them.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .dynamics import ModelParams, SchemeConfig
 from .functionals import DEFAULT_P, FunctionalConfig
 from .noise import NoiseSpec
-from .spectral import DomainSpec
+from .spectral import DomainSpec, mode_list
 
 
 class ConfigError(ValueError):
@@ -272,12 +272,10 @@ def _assemble(raw) -> RunConfig:
                     f"[noise] gamma{j} = {g:g} <= d = {domain.dim}: below the "
                     "trace-class margin; run proceeds"
                 )
-        if domain.dim == 1 and nspec.mode_count - 1 >= domain.grid_points_per_axis // 2:
-            problems.append(
-                f"[noise] modes = {nspec.mode_count} alias on "
-                f"grid_points = {domain.grid_points_per_axis}; need "
-                f"grid_points >= {2 * nspec.mode_count}"
-            )
+        try:
+            mode_list(domain, nspec.mode_count)
+        except ValueError as exc:
+            problems.append(f"[noise] modes = {nspec.mode_count}: {exc}")
 
     if raw["run"]["paths"] < 1:
         problems.append("[run] paths must be >= 1")

@@ -19,6 +19,13 @@ steady states exact fixed points of the discrete map and reproduces
 pure exponential decay to rounding error; the plain Euler bracket
 cannot do both at once.
 
+The update rule lives in one place, :meth:`Stepper.step_field`, which
+advances a single field given its nodal source term.  Each field's
+noise coefficient depends on that field alone, so the coupled step
+(:meth:`Stepper.advance`, driven by :func:`run`) and the two decoupled
+passes of the Picard map T (``experiments.apply_T``) are the same rule
+fed different sources.
+
 Nonlinear and noise products are formed nodally and projected back to
 the truncation with a 2/3-rule guard.
 """
@@ -160,23 +167,30 @@ class Stepper:
         fold = scheme.exact_scalar_decay
         c_u = params.r_u * lam + (params.mu_u if fold else 0.0)
         c_v = params.r_v * lam + (params.mu_v if fold else 0.0)
-        self.exp_u = np.exp(-c_u * dt)
-        self.exp_v = np.exp(-c_v * dt)
-        self.gain_u = dt * _phi1(c_u * dt)
-        self.gain_v = dt * _phi1(c_v * dt)
+        self._heun = scheme.scheme == "stratonovich_heun"
         # leftover diagonal drift once the exponential absorbed r*lambda (+mu)
-        smooth1 = (1.0 + lam) ** (-noise_spec.gamma1)
-        smooth2 = (1.0 + lam) ** (-noise_spec.gamma2)
-        if fold:
-            self.ito_lin_u = params.sigma_u * smooth1
-            self.ito_lin_v = params.sigma_v * smooth2
-            self.strat_lin_u = np.zeros_like(lam)
-            self.strat_lin_v = np.zeros_like(lam)
+        if not self._heun:
+            smooth1 = (1.0 + lam) ** (-noise_spec.gamma1)
+            smooth2 = (1.0 + lam) ** (-noise_spec.gamma2)
+            if fold:
+                lin_u = params.sigma_u * smooth1
+                lin_v = params.sigma_v * smooth2
+            else:
+                lin_u = -(params.mu_u - params.sigma_u * smooth1)
+                lin_v = -(params.mu_v - params.sigma_v * smooth2)
+        elif fold:
+            lin_u = np.zeros_like(lam)
+            lin_v = np.zeros_like(lam)
         else:
-            self.ito_lin_u = -(params.mu_u - params.sigma_u * smooth1)
-            self.ito_lin_v = -(params.mu_v - params.sigma_v * smooth2)
-            self.strat_lin_u = np.full_like(lam, -params.mu_u)
-            self.strat_lin_v = np.full_like(lam, -params.mu_v)
+            lin_u = np.full_like(lam, -params.mu_u)
+            lin_v = np.full_like(lam, -params.mu_v)
+        # per field: source constant, noise intensity, drift, decay, gain
+        self._coefficients = {
+            "u": (params.kappa_u, params.sigma_u, lin_u,
+                  np.exp(-c_u * dt), dt * _phi1(c_u * dt)),
+            "v": (params.kappa_v, params.sigma_v, lin_v,
+                  np.exp(-c_v * dt), dt * _phi1(c_v * dt)),
+        }
         self.damp1 = (1.0 + lam) ** (-0.5 * noise_spec.gamma1)
         self.damp2 = (1.0 + lam) ** (-0.5 * noise_spec.gamma2)
         if scheme.dealias:
@@ -229,17 +243,32 @@ class Stepper:
             )
         return q_nodal
 
-    def _forcing(self, raw, q_nodal, lin_u, lin_v):
-        p = self.params
-        f_u = p.kappa_u * self._project(q_nodal) + lin_u * raw.u_modal
-        f_v = p.kappa_v * self._project(raw.u_nodal * raw.u_nodal) + lin_v * raw.v_modal
-        return f_u, f_v
+    def step_field(self, name, modal, nodal, source_nodal, dw_modal):
+        """One step of field ``name`` ("u" or "v") under the configured scheme.
 
-    def _noise_modal(self, u_nodal, v_nodal, dw1_modal, dw2_modal):
-        p = self.params
-        n_u = self._project(p.sigma_u * u_nodal * self.basis.synthesize(dw1_modal))
-        n_v = self._project(p.sigma_v * v_nodal * self.basis.synthesize(dw2_modal))
-        return n_u, n_v
+        ``modal``/``nodal`` are the field's state, ``source_nodal`` the
+        nodal source multiplying kappa (u^2/v for u and u^2 for v in the
+        coupled system), ``dw_modal`` the damped increment of the field's
+        own Wiener process.  Returns the new modal coefficients.
+        """
+        kappa, sigma, lin, decay, gain = self._coefficients[name]
+        forcing = kappa * self._project(source_nodal) + lin * modal
+        dw_nodal = self.basis.synthesize(dw_modal)
+        noise = self._project(sigma * nodal * dw_nodal)
+        if not self._heun:
+            return decay * (modal + noise) + gain * forcing
+        deterministic = decay * modal + gain * forcing
+        predicted = self.basis.synthesize(deterministic + decay * noise)
+        corrector = self._project(sigma * predicted * dw_nodal)
+        return deterministic + decay * 0.5 * (noise + corrector)
+
+    def advance(self, raw: _RawState, dw1_modal, dw2_modal):
+        """One coupled step of (u, v) in place."""
+        q = self._reaction(raw)
+        u_new = self.step_field("u", raw.u_modal, raw.u_nodal, q, dw1_modal)
+        v_new = self.step_field("v", raw.v_modal, raw.v_nodal,
+                                raw.u_nodal * raw.u_nodal, dw2_modal)
+        self._finish(raw, u_new, v_new)
 
     def _finish(self, raw, u_new, v_new):
         if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
@@ -252,60 +281,6 @@ class Stepper:
         raw.v_nodal = self.basis.synthesize(v_new)
         raw.step_index += 1
         raw.t = raw.step_index * self.scheme.dt
-
-    def advance_ito(self, raw: _RawState, dw1_modal, dw2_modal):
-        q = self._reaction(raw)
-        f_u, f_v = self._forcing(raw, q, self.ito_lin_u, self.ito_lin_v)
-        n_u, n_v = self._noise_modal(raw.u_nodal, raw.v_nodal, dw1_modal, dw2_modal)
-        u_new = self.exp_u * (raw.u_modal + n_u) + self.gain_u * f_u
-        v_new = self.exp_v * (raw.v_modal + n_v) + self.gain_v * f_v
-        self._finish(raw, u_new, v_new)
-
-    def advance_stratonovich(self, raw: _RawState, dw1_modal, dw2_modal):
-        q = self._reaction(raw)
-        f_u, f_v = self._forcing(raw, q, self.strat_lin_u, self.strat_lin_v)
-        n_u, n_v = self._noise_modal(raw.u_nodal, raw.v_nodal, dw1_modal, dw2_modal)
-        det_u = self.exp_u * raw.u_modal + self.gain_u * f_u
-        det_v = self.exp_v * raw.v_modal + self.gain_v * f_v
-        pred_u = det_u + self.exp_u * n_u
-        pred_v = det_v + self.exp_v * n_v
-        pn_u, pn_v = self._noise_modal(
-            self.basis.synthesize(pred_u), self.basis.synthesize(pred_v),
-            dw1_modal, dw2_modal,
-        )
-        u_new = det_u + self.exp_u * 0.5 * (n_u + pn_u)
-        v_new = det_v + self.exp_v * 0.5 * (n_v + pn_v)
-        self._finish(raw, u_new, v_new)
-
-    def advance(self, raw, dw1_modal, dw2_modal):
-        if self.scheme.scheme == "ito_imex":
-            self.advance_ito(raw, dw1_modal, dw2_modal)
-        else:
-            self.advance_stratonovich(raw, dw1_modal, dw2_modal)
-
-
-def _single_step(state, params, scheme, basis, noise_spec, dw1, dw2, method):
-    stepper = Stepper(basis, params, scheme, noise_spec)
-    raw = stepper.raw_state(state.pair, t=state.t, step_index=state.step_index,
-                            floor_activations=state.floor_activations)
-    getattr(stepper, method)(raw, dw1.modal, dw2.modal)
-    out = stepper.to_state(raw)
-    out.t = state.t + scheme.dt
-    return out
-
-
-def step_ito(state: SimState, params, scheme, basis, noise_spec,
-             dw1: Field, dw2: Field) -> SimState:
-    """One Ito IMEX step driven by the given increment fields."""
-    return _single_step(state, params, scheme, basis, noise_spec, dw1, dw2,
-                        "advance_ito")
-
-
-def step_stratonovich(state: SimState, params, scheme, basis, noise_spec,
-                      dw1: Field, dw2: Field) -> SimState:
-    """One Stratonovich Heun step driven by the given increment fields."""
-    return _single_step(state, params, scheme, basis, noise_spec, dw1, dw2,
-                        "advance_stratonovich")
 
 
 @dataclass

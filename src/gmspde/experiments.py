@@ -11,8 +11,9 @@
   tracked along the way.
 * Monte Carlo ensembles feeding the functional monitors.
 
-Everything is deterministic given the master seed; ensemble members are
-keyed by path index and reduced in index order.
+Everything is deterministic given the master seed; ensemble and Picard
+members are keyed by path index, run serially in index order and reduced
+in that order.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import noise as noise_mod
-from ._parallel import map_indexed
 from .dynamics import (
     ModelParams,
     SchemeConfig,
     SimulationError,
+    StateView,
     Stepper,
     run,
 )
@@ -168,9 +168,9 @@ def apply_T(traj: PairTrajectory, init: FieldPair, params: ModelParams,
     """One application of the decoupling map on frozen noise.
 
     Solves the inhibitor equation with source kappa_v chi^2(t), then the
-    activator equation with source kappa_u chi^2(t)/v(t); eta enters
-    only through the admissibility check.  Returns the output
-    trajectory and diagnostics.
+    activator equation with source kappa_u chi^2(t)/v(t), each by the
+    configured scheme's per-field step; eta enters only through the
+    admissibility check.  Returns the output trajectory and diagnostics.
     """
     n_steps = scheme.n_steps()
     if traj.n_steps != n_steps:
@@ -194,7 +194,6 @@ def apply_T(traj: PairTrajectory, init: FieldPair, params: ModelParams,
     v_modal = init.v.modal.copy()
     v_nodal = basis.synthesize(v_modal)
     v_store[0] = v_modal
-    p = params
     for n in range(n_steps):
         diag.min_v = min(diag.min_v, float(v_nodal.min()))
         try:
@@ -206,11 +205,8 @@ def apply_T(traj: PairTrajectory, init: FieldPair, params: ModelParams,
             ) from exc
         diag.floor_activations += act
         xi_store[n] = xi
-        f_v = p.kappa_v * stepper._project(chi_nodal[n] ** 2) \
-            + stepper.ito_lin_v * v_modal
-        dw2 = stepper.damp2 * inc[1, :, n]
-        n_v = stepper._project(p.sigma_v * v_nodal * basis.synthesize(dw2))
-        v_modal = stepper.exp_v * (v_modal + n_v) + stepper.gain_v * f_v
+        v_modal = stepper.step_field("v", v_modal, v_nodal, chi_nodal[n] ** 2,
+                                     stepper.damp2 * inc[1, :, n])
         if not np.all(np.isfinite(v_modal)):
             raise SimulationError(f"inhibitor became non-finite at step {n}")
         v_nodal = basis.synthesize(v_modal)
@@ -224,16 +220,14 @@ def apply_T(traj: PairTrajectory, init: FieldPair, params: ModelParams,
     u_store[0] = u_modal
     for n in range(n_steps):
         q = chi_nodal[n] ** 2 * xi_store[n]
-        peak = p.kappa_u * float(q.max(initial=0.0)) * scheme.dt
+        peak = params.kappa_u * float(q.max(initial=0.0)) * scheme.dt
         if peak >= scheme.reaction_cfl_limit:
             raise SimulationError(
                 f"reaction CFL violated in the activator pass at step {n}: "
                 f"{peak:g} >= {scheme.reaction_cfl_limit:g}"
             )
-        f_u = p.kappa_u * stepper._project(q) + stepper.ito_lin_u * u_modal
-        dw1 = stepper.damp1 * inc[0, :, n]
-        n_u = stepper._project(p.sigma_u * u_nodal * basis.synthesize(dw1))
-        u_modal = stepper.exp_u * (u_modal + n_u) + stepper.gain_u * f_u
+        u_modal = stepper.step_field("u", u_modal, u_nodal, q,
+                                     stepper.damp1 * inc[0, :, n])
         if not np.all(np.isfinite(u_modal)):
             raise SimulationError(f"activator became non-finite at step {n}")
         u_nodal = basis.synthesize(u_modal)
@@ -254,20 +248,14 @@ def replay_trace(traj: PairTrajectory, basis, fconfig: FunctionalConfig,
     times = traj.times
     n = traj.n_steps
 
-    class _View:
-        __slots__ = ("t", "step_index", "u_modal", "v_modal", "u_nodal",
-                     "v_nodal", "floor_activations")
-
     def view(i):
-        v = _View()
-        v.t = float(times[i])
-        v.step_index = i
-        v.u_modal = traj.chi_modal[i]
-        v.v_modal = traj.eta_modal[i]
-        v.u_nodal = basis.synthesize(traj.chi_modal[i])
-        v.v_nodal = basis.synthesize(traj.eta_modal[i])
-        v.floor_activations = 0
-        return v
+        return StateView(
+            t=float(times[i]), step_index=i,
+            u_modal=traj.chi_modal[i], v_modal=traj.eta_modal[i],
+            u_nodal=basis.synthesize(traj.chi_modal[i]),
+            v_nodal=basis.synthesize(traj.eta_modal[i]),
+            floor_activations=0,
+        )
 
     rec.record(view(0))
     dt = float(times[1] - times[0]) if n else 0.0
@@ -344,13 +332,12 @@ def picard_iterate(start: PairTrajectory, init: FieldPair,
     converged = False
     iterations = 0
 
-    def one(i):
-        out, _ = apply_T(current[i], init, params, scheme, basis,
-                         noise_spec, paths[i], check_positivity=False)
-        return out
-
     for it in range(config.max_iterations):
-        new = map_indexed(one, range(m))
+        new = [
+            apply_T(traj, init, params, scheme, basis, noise_spec, pth,
+                    check_positivity=False)[0]
+            for traj, pth in zip(current, paths)
+        ]
         d = seminorm_m(new, current, basis, fconfig.rho)
         distances.append(d)
         traces = [
@@ -365,12 +352,12 @@ def picard_iterate(start: PairTrajectory, init: FieldPair,
             break
 
     # residual against the directly coupled solve on the same noise
-    def coupled(i):
+    def coupled(pth):
         rec = TrajectoryRecorder()
-        run(init, params, scheme, basis, noise_spec, paths[i], observers=[rec])
+        run(init, params, scheme, basis, noise_spec, pth, observers=[rec])
         return rec.trajectory()
 
-    coupled_trajs = map_indexed(coupled, range(m))
+    coupled_trajs = [coupled(pth) for pth in paths]
     residual = seminorm_m(current, coupled_trajs, basis, fconfig.rho)
 
     ratios = [
@@ -539,8 +526,7 @@ def ensemble(init: FieldPair, params: ModelParams, scheme: SchemeConfig,
         raise ValueError("an ensemble needs at least two paths")
     grid = np.linspace(0.0, scheme.T, scheme.n_steps() + 1)
 
-    def one(i):
-        idx = path_indices[i]
+    def one(idx):
         try:
             pth = sample_path(noise_spec, grid, idx)
             rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
@@ -550,7 +536,7 @@ def ensemble(init: FieldPair, params: ModelParams, scheme: SchemeConfig,
         except (SimulationError, FloorViolation, ValueError) as exc:
             return (idx, f"{type(exc).__name__}: {exc}")
 
-    results = map_indexed(one, range(n_paths))
+    results = [one(idx) for idx in path_indices]
     traces = [r for r in results if not isinstance(r, tuple)]
     failures = [r for r in results if isinstance(r, tuple)]
     if not traces:
@@ -564,7 +550,8 @@ def ensemble(init: FieldPair, params: ModelParams, scheme: SchemeConfig,
     for name in traces[0].data:
         stack = np.vstack([t.data[name] for t in traces])
         means[name] = stack.mean(axis=0)
-        ses[name] = (stack.std(axis=0, ddof=1) / np.sqrt(m)
+        # shifted by the first survivor: identical samples give exactly 0
+        ses[name] = ((stack - stack[0]).std(axis=0, ddof=1) / np.sqrt(m)
                      if m > 1 else np.zeros(stack.shape[1]))
     monitors = energy_monitors(traces, params, fconfig, horizons=horizons)
     return EnsembleReport(

@@ -22,7 +22,6 @@ import numpy as np
 from .fields import Field, quotient_nodal
 
 DEFAULT_P = 31.0 / 7.0
-ALTERNATE_P = 20.0
 
 TRACE_COLUMNS = (
     "time",

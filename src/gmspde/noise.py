@@ -183,8 +183,3 @@ def covariance_multipliers(basis: SpectralBasis, spec: NoiseSpec, j: int):
 def trace_of_Q(basis: SpectralBasis, spec: NoiseSpec, j: int) -> float:
     """Partial trace of the covariance over the truncation."""
     return float(np.sum(covariance_multipliers(basis, spec, j)))
-
-
-def dump_increments(path: NoisePath, file) -> None:
-    """Raw float64 little-endian dump of the (2, K, N) table (row-major)."""
-    path.increments.astype("<f8").tofile(file)

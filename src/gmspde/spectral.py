@@ -12,9 +12,9 @@ with lambda_{l,m} = (l pi / a)^2 + (m pi / b)^2, sorted by eigenvalue
 with a lexicographic tie-break on (l, m).
 
 Quadrature is the trapezoidal rule on the uniform tensor grid with N
-panels per axis (N+1 nodes).  For cosine products with mode indices
-below N/2 the rule is exact, so the stored basis is orthonormal to
-rounding error.
+panels per axis (N+1 nodes).  For cosine products with grid frequencies
+(the index k, or 2k under ``paper_1d``) below N/2 the rule is exact, so
+the stored basis is orthonormal to rounding error.
 """
 
 from __future__ import annotations
@@ -123,38 +123,45 @@ def _mode_list_1d(domain, count):
 
 def _mode_list_2d(domain, count):
     a, b = domain.lengths
-    cand = []
-    for l in range(count):
-        for m in range(count):
-            lam = (l * np.pi / a) ** 2 + (m * np.pi / b) ** 2
-            cand.append((lam, l, m))
-    cand.sort(key=lambda t: (t[0], t[1], t[2]))
-    cand = cand[:count]
-    lam = np.array([c[0] for c in cand])
-    idx = np.array([[c[1], c[2]] for c in cand], dtype=int)
+    l, m = np.divmod(np.arange(count * count), count)
+    lam = (l * np.pi / a) ** 2 + (m * np.pi / b) ** 2
+    order = np.lexsort((m, l, lam))[:count]
+    return lam[order], np.column_stack((l[order], m[order]))
+
+
+def mode_list(domain: DomainSpec, mode_count: int):
+    """Eigenvalues and index tuples of the first ``mode_count`` modes.
+
+    Rejects mode counts that would alias on the grid: on every axis the
+    grid frequency of every mode, the number of half periods of its
+    cosine across the axis (2k under ``paper_1d``, the index k
+    otherwise), must stay below N/2.  The error reports the minimum N
+    that works.
+    """
+    if mode_count < 1:
+        raise ValueError("mode_count must be >= 1")
+    if domain.dim == 1:
+        lam, idx = _mode_list_1d(domain, mode_count)
+    else:
+        lam, idx = _mode_list_2d(domain, mode_count)
+    half_periods = 2 if domain.eigenvalue_convention == "paper_1d" else 1
+    top = half_periods * int(idx.max())
+    n = domain.grid_points_per_axis
+    if top >= n // 2:
+        raise ValueError(
+            f"grid frequency {top} aliases on a grid with {n} points per "
+            f"axis; need grid_points_per_axis >= {2 * (top + 1)}"
+        )
     return lam, idx
 
 
 def build_basis(domain: DomainSpec, mode_count: int) -> SpectralBasis:
     """Construct the first ``mode_count`` eigenpairs on the domain grid.
 
-    Rejects mode counts whose highest index would alias on the grid
-    (index must stay below N/2), reporting the minimum N that works.
+    Mode counts that alias on the grid are rejected by :func:`mode_list`.
     """
-    if mode_count < 1:
-        raise ValueError("mode_count must be >= 1")
+    lam, idx = mode_list(domain, mode_count)
     n = domain.grid_points_per_axis
-    if domain.dim == 1:
-        lam, idx = _mode_list_1d(domain, mode_count)
-    else:
-        lam, idx = _mode_list_2d(domain, mode_count)
-    max_idx = int(idx.max())
-    if max_idx >= n // 2:
-        n_min = 2 * (max_idx + 1)
-        raise ValueError(
-            f"mode index {max_idx} aliases on a grid with {n} points per axis; "
-            f"need grid_points_per_axis >= {n_min}"
-        )
 
     axes = tuple(
         np.linspace(0.0, length, n + 1) for length in domain.lengths

@@ -4,14 +4,11 @@ import pytest
 from gmspde.dynamics import (
     ModelParams,
     SchemeConfig,
-    SimState,
     SimulationError,
     Stepper,
     default_initial_pair,
     run,
     steady_state,
-    step_ito,
-    step_stratonovich,
     upsilon_apply,
 )
 from gmspde.fields import Field, FieldPair
@@ -75,12 +72,10 @@ def test_constant_decay_is_exact_per_step():
     mu = 0.7
     params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
                          mu_u=mu, mu_v=1.0, sigma_u=0.0, sigma_v=0.0)
-    sch = SchemeConfig(dt=0.01, T=1.0)
+    sch = SchemeConfig(dt=0.01, T=0.01)  # one step
     pair = FieldPair(Field.from_constant(basis, 3.0),
                      Field.from_constant(basis, 1.0))
-    state = SimState(t=0.0, pair=pair)
-    zero = Field(basis, modal=np.zeros(16))
-    out = step_ito(state, params, sch, basis, spec, zero, zero)
+    out = run(pair, params, sch, basis, spec, None).final
     assert out.pair.u.modal[0] == pytest.approx(
         3.0 * np.exp(-mu * 0.01), rel=1e-15)
     assert out.t == pytest.approx(0.01)
@@ -96,12 +91,10 @@ def test_homogeneous_steady_state_is_discrete_fixed_point():
         pytest.approx(0.0, abs=1e-14)
     assert params.kappa_v * u_star**2 - params.mu_v * v_star == \
         pytest.approx(0.0, abs=1e-14)
-    sch = SchemeConfig(dt=1e-2, T=1.0)
+    sch = SchemeConfig(dt=1e-2, T=1e-2)  # one step
     pair = FieldPair(Field.from_constant(basis, u_star),
                      Field.from_constant(basis, v_star))
-    state = SimState(t=0.0, pair=pair)
-    zero = Field(basis, modal=np.zeros(16))
-    out = step_ito(state, params, sch, basis, spec, zero, zero)
+    out = run(pair, params, sch, basis, spec, None).final
     assert abs(out.pair.u.modal[0] - pair.u.modal[0]) < 1e-13
     assert abs(out.pair.v.modal[0] - pair.v.modal[0]) < 1e-13
 
@@ -128,16 +121,16 @@ def test_single_step_ops_match_run():
     init = default_initial_pair(basis, params)
     grid = uniform_grid(2e-3, 2)
     path = sample_path(spec, grid, 1)
-    sch = SchemeConfig(dt=1e-3, T=2e-3)
-
-    state = SimState(t=0.0, pair=init)
+    stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=2e-3), spec)
+    raw = stepper.raw_state(init)
     for n in range(2):
         dw1 = increment_field(path, n, 1, basis)
         dw2 = increment_field(path, n, 2, basis)
-        state = step_ito(state, params, sch, basis, spec, dw1, dw2)
-    res = run(init, params, sch, basis, spec, path)
-    assert np.allclose(state.pair.u.modal, res.final.pair.u.modal,
-                       rtol=0, atol=0)
+        stepper.advance(raw, dw1.modal, dw2.modal)
+        sch = SchemeConfig(dt=1e-3, T=(n + 1) * 1e-3)
+        res = run(init, params, sch, basis, spec, path)
+        assert np.allclose(raw.u_modal, res.final.pair.u.modal,
+                           rtol=0, atol=0)
 
 
 def test_stratonovich_pathwise_matches_closed_form():

@@ -75,7 +75,7 @@ def test_apply_T_zero_source_decays(basis, nspec):
     zero_chi = FieldPair(Field.from_constant(basis, 0.0), pair.v.copy())
     traj = constant_trajectory(zero_chi, sch)
     path = sample_path(nspec, uniform_grid(0.2, 200), 0)
-    out, _ = apply_T(traj, zero_chi, params, sch, basis, nspec, path)
+    out, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
     v_norms = np.sqrt(np.sum(out.eta_modal**2, axis=1))
     assert np.all(np.diff(v_norms) < 0)
     u_norms = np.sqrt(np.sum(out.chi_modal**2, axis=1))
@@ -146,6 +146,18 @@ def test_picard_contracts_on_desk_problem(basis, nspec):
     assert all(r < 1.0 for r in report.ratios)
     assert report.residual_vs_coupled < 1e-6
     assert report.all_members
+
+
+def test_picard_under_stratonovich_matches_coupled_solve(basis, nspec):
+    # T applies the configured scheme, so its fixed point is the Heun solve
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.05, scheme="stratonovich_heun")
+    init = default_initial_pair(basis, params)
+    start = constant_trajectory(init, sch)
+    report = picard_iterate(start, init, params, sch, basis, nspec,
+                            FixedPointConfig(ensemble_size=4))
+    assert report.converged
+    assert report.residual_vs_coupled < 1e-6
 
 
 def test_uniqueness_zero_delta_bitwise(basis, nspec):
