@@ -20,7 +20,6 @@ from . import noise as noise_mod
 from .dynamics import (
     ModelParams,
     SchemeConfig,
-    Stepper,
     default_initial_pair,
     run,
     steady_state,
@@ -221,21 +220,13 @@ def _gbm_batch(scheme_name, params, spec, basis, n_paths, n_steps, horizon,
                u0, first_path):
     """Single-mode runs through the production stepper, one path at a time."""
     sch = SchemeConfig(dt=horizon / n_steps, T=horizon, scheme=scheme_name)
-    stepper = Stepper(basis, params, sch, spec)
     pair = FieldPair(Field.from_constant(basis, u0), Field.from_constant(basis, 1.0))
     grid = uniform_grid(horizon, n_steps)
     out = np.empty(n_paths)
-    sqrt_vol = np.sqrt(basis.volume)
     for i in range(n_paths):
         path = sample_path(spec, grid, first_path + i)
-        raw = stepper.raw_state(pair)
-        inc = path.increments
-        for n in range(n_steps):
-            dw1 = stepper.damp1 * inc[0, :, n]
-            dw2 = stepper.damp2 * inc[1, :, n]
-            stepper.advance(raw, dw1, dw2)
-        out[i] = raw.u_modal[0] / sqrt_vol
-    return out
+        out[i] = run(pair, params, sch, basis, spec, path).final.pair.u.modal[0]
+    return out / np.sqrt(basis.volume)
 
 
 def criterion_6_scheme_consistency():

@@ -66,6 +66,13 @@ def _build_parser():
     return parser
 
 
+# the config value --paths overrides, per subcommand that uses it
+_PATHS_KEY = {
+    "ensemble": ("run", "paths"),
+    "fixedpoint": ("fixedpoint", "ensemble_size"),
+}
+
+
 def _load(args):
     if args.config:
         cfg = config_mod.load_config(args.config)
@@ -73,6 +80,8 @@ def _load(args):
         cfg = config_mod.default_config()
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
+    if args.paths is not None and args.command in _PATHS_KEY:
+        cfg = cfg.with_value(*_PATHS_KEY[args.command], args.paths)
     return cfg
 
 
@@ -102,7 +111,7 @@ def _cmd_simulate(args):
     rec = FunctionalRecorder(basis, cfg.functionals, cfg.scheme.v_floor,
                              path_index=cfg.run_opts["path_index"])
     result = run(init, cfg.params, cfg.scheme, basis, cfg.noise, path,
-                 observers=[rec])
+                 observer=rec)
     io_mod.write_trace(rec.trace(), os.path.join(args.out_dir, "trace.csv"))
     final = result.final
     header = io_mod.SnapshotHeader(dim=cfg.domain.dim, shape=basis.grid_shape,
@@ -155,7 +164,7 @@ def _cmd_uniqueness(args):
 
 def _cmd_ensemble(args):
     cfg, basis = _prepare(args)
-    n_paths = args.paths if args.paths is not None else cfg.run_opts["paths"]
+    n_paths = cfg.run_opts["paths"]
     horizons = cfg.ensemble_opts["horizons"] or None
     init = default_initial_pair(basis, cfg.params,
                                 amplitude=cfg.run_opts["initial_amplitude"])
@@ -177,14 +186,7 @@ def _cmd_ensemble(args):
 
 def _cmd_fixedpoint(args):
     cfg, basis = _prepare(args)
-    opts = cfg.fixedpoint_opts
-    fp = FixedPointConfig(
-        max_iterations=opts["max_iterations"],
-        tolerance=opts["tolerance"],
-        ensemble_size=(args.paths if args.paths is not None
-                       else opts["ensemble_size"]),
-        bound_margin=opts["bound_margin"],
-    )
+    fp = FixedPointConfig(**cfg.fixedpoint_opts)
     init = default_initial_pair(basis, cfg.params,
                                 amplitude=cfg.run_opts["initial_amplitude"])
     start = constant_trajectory(init, cfg.scheme)

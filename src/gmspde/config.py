@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dynamics import ModelParams, SchemeConfig
+from .experiments import FixedPointConfig
 from .functionals import DEFAULT_P, FunctionalConfig
 from .noise import NoiseSpec
 from .spectral import DomainSpec, mode_list
@@ -30,22 +31,11 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.problems))
 
 
-def _bool(text):
-    t = text.strip().lower()
-    if t in ("true", "yes", "on", "1"):
-        return True
-    if t in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _float_list(text):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -77,8 +67,6 @@ SCHEMA = {
         "horizon": (float, 1.0),
         "scheme": (str, "ito_imex"),
         "v_floor": (float, 1e-8),
-        "dealias": (_bool, True),
-        "exact_scalar_decay": (_bool, True),
         "reaction_cfl_limit": (float, 1.0),
     },
     "noise": {
@@ -143,8 +131,12 @@ class RunConfig:
         return self.raw["ensemble"]
 
     def with_seed(self, seed):
+        return self.with_value("noise", "master_seed", int(seed))
+
+    def with_value(self, section, key, value):
+        """Copy with one raw value replaced, validated as a loaded file is."""
         raw = {sec: dict(vals) for sec, vals in self.raw.items()}
-        raw["noise"]["master_seed"] = int(seed)
+        raw[section][key] = value
         return _assemble(raw)
 
 
@@ -237,9 +229,7 @@ def _assemble(raw) -> RunConfig:
         sc = raw["scheme"]
         scheme = SchemeConfig(
             dt=sc["dt"], T=sc["horizon"], scheme=sc["scheme"],
-            v_floor=sc["v_floor"], dealias=sc["dealias"],
-            exact_scalar_decay=sc["exact_scalar_decay"],
-            reaction_cfl_limit=sc["reaction_cfl_limit"],
+            v_floor=sc["v_floor"], reaction_cfl_limit=sc["reaction_cfl_limit"],
         )
         scheme.n_steps()
     except ValueError as exc:
@@ -277,10 +267,14 @@ def _assemble(raw) -> RunConfig:
         except ValueError as exc:
             problems.append(f"[noise] modes = {nspec.mode_count}: {exc}")
 
-    if raw["run"]["paths"] < 1:
-        problems.append("[run] paths must be >= 1")
+    if raw["run"]["paths"] < 2:
+        problems.append("[run] paths must be >= 2 (an ensemble needs two)")
     if raw["run"]["path_index"] < 0:
         problems.append("[run] path_index must be >= 0")
+    try:
+        FixedPointConfig(**raw["fixedpoint"])
+    except ValueError as exc:
+        problems.append(f"[fixedpoint] {exc}")
     try:
         levels = raw["uniqueness"]["stopping_levels"]
         if any(b <= a for a, b in zip(levels, levels[1:])) or not levels:

@@ -9,8 +9,8 @@ Two schemes share one exponential core:
 * ``stratonovich_heun``: the Stratonovich form with plain scalar decay
   and a midpoint (Heun) predictor-corrector on the noise coefficient.
 
-Per mode, the stiff linear part c_k = r*lambda_k (+ mu when the scalar
-decay is folded in, the default) is integrated exactly:
+Per mode, the stiff linear part c_k = r*lambda_k + mu is integrated
+exactly:
 
     x <- exp(-c dt) x + dt phi1(c dt) F + exp(-c dt) noise,
 
@@ -25,6 +25,12 @@ noise coefficient depends on that field alone, so the coupled step
 (:meth:`Stepper.advance`, driven by :func:`run`) and the two decoupled
 passes of the Picard map T (``experiments.apply_T``) are the same rule
 fed different sources.
+
+A trajectory has one state object, :class:`StateView`, which the
+stepper advances in place.  :func:`run` feeds it to a single observer
+through :func:`observe`, the one walk over a trajectory's states;
+``experiments.replay_trace`` feeds stored trajectories through the same
+walk, so live and replayed functionals are the same computation.
 
 Nonlinear and noise products are formed nodally and projected back to
 the truncation with a 2/3-rule guard.
@@ -81,14 +87,16 @@ def steady_state(params: ModelParams):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Solver decisions: step size, scheme, floors, guards."""
+    """Solver decisions: step size, scheme, floor, reaction CFL guard.
+
+    The scalar decay mu is always integrated exactly with the diffusion,
+    and the 2/3-rule guard is always applied to projected products.
+    """
 
     dt: float
     T: float
     scheme: str = "ito_imex"
     v_floor: float = 1e-8
-    dealias: bool = True
-    exact_scalar_decay: bool = True
     reaction_cfl_limit: float = 1.0
 
     def __post_init__(self):
@@ -141,13 +149,19 @@ def _phi1(z):
 
 
 @dataclass
-class _RawState:
+class StateView:
+    """The live state of one trajectory, handed to its observer.
+
+    :meth:`Stepper.advance` updates it in place, so an observer that
+    keeps values across steps must copy them.  Nodal arrays are flat.
+    """
+
     t: float
     step_index: int
     u_modal: np.ndarray
     v_modal: np.ndarray
-    u_nodal: np.ndarray    # flat
-    v_nodal: np.ndarray    # flat
+    u_nodal: np.ndarray
+    v_nodal: np.ndarray
     floor_activations: int
 
 
@@ -164,26 +178,16 @@ class Stepper:
         self.noise_spec = noise_spec
         lam = basis.eigenvalues
         dt = scheme.dt
-        fold = scheme.exact_scalar_decay
-        c_u = params.r_u * lam + (params.mu_u if fold else 0.0)
-        c_v = params.r_v * lam + (params.mu_v if fold else 0.0)
+        c_u = params.r_u * lam + params.mu_u
+        c_v = params.r_v * lam + params.mu_v
         self._heun = scheme.scheme == "stratonovich_heun"
-        # leftover diagonal drift once the exponential absorbed r*lambda (+mu)
-        if not self._heun:
-            smooth1 = (1.0 + lam) ** (-noise_spec.gamma1)
-            smooth2 = (1.0 + lam) ** (-noise_spec.gamma2)
-            if fold:
-                lin_u = params.sigma_u * smooth1
-                lin_v = params.sigma_v * smooth2
-            else:
-                lin_u = -(params.mu_u - params.sigma_u * smooth1)
-                lin_v = -(params.mu_v - params.sigma_v * smooth2)
-        elif fold:
-            lin_u = np.zeros_like(lam)
-            lin_v = np.zeros_like(lam)
+        # leftover diagonal drift once the exponential absorbed r*lambda + mu:
+        # the Ito correction sigma*(Id+A)^(-gamma), nothing under Heun
+        if self._heun:
+            lin_u = lin_v = np.zeros_like(lam)
         else:
-            lin_u = np.full_like(lam, -params.mu_u)
-            lin_v = np.full_like(lam, -params.mu_v)
+            lin_u = params.sigma_u * (1.0 + lam) ** (-noise_spec.gamma1)
+            lin_v = params.sigma_v * (1.0 + lam) ** (-noise_spec.gamma2)
         # per field: source constant, noise intensity, drift, decay, gain
         self._coefficients = {
             "u": (params.kappa_u, params.sigma_u, lin_u,
@@ -193,52 +197,46 @@ class Stepper:
         }
         self.damp1 = (1.0 + lam) ** (-0.5 * noise_spec.gamma1)
         self.damp2 = (1.0 + lam) ** (-0.5 * noise_spec.gamma2)
-        if scheme.dealias:
-            self._keep = dealias_modal(basis, np.ones(basis.mode_count)) != 0.0
-        else:
-            self._keep = None
+        self._keep = dealias_modal(basis, np.ones(basis.mode_count)) != 0.0
 
     def _project(self, nodal_flat):
-        modal = self.basis.project(nodal_flat)
-        if self._keep is not None:
-            modal = np.where(self._keep, modal, 0.0)
-        return modal
+        return np.where(self._keep, self.basis.project(nodal_flat), 0.0)
 
-    def raw_state(self, pair: FieldPair, t=0.0, step_index=0,
-                  floor_activations=0) -> _RawState:
+    def raw_state(self, pair: FieldPair) -> StateView:
+        """State 0 of a trajectory starting from ``pair`` (copied)."""
         u_modal = pair.u.modal.copy()
         v_modal = pair.v.modal.copy()
-        return _RawState(
-            t=t, step_index=step_index,
+        return StateView(
+            t=0.0, step_index=0,
             u_modal=u_modal, v_modal=v_modal,
             u_nodal=self.basis.synthesize(u_modal),
             v_nodal=self.basis.synthesize(v_modal),
-            floor_activations=floor_activations,
+            floor_activations=0,
         )
 
-    def to_state(self, raw: _RawState) -> SimState:
+    def to_state(self, state: StateView) -> SimState:
         shape = self.basis.grid_shape
         pair = FieldPair(
-            Field(self.basis, nodal=raw.u_nodal.reshape(shape).copy(),
-                  modal=raw.u_modal.copy()),
-            Field(self.basis, nodal=raw.v_nodal.reshape(shape).copy(),
-                  modal=raw.v_modal.copy()),
+            Field(self.basis, nodal=state.u_nodal.reshape(shape).copy(),
+                  modal=state.u_modal.copy()),
+            Field(self.basis, nodal=state.v_nodal.reshape(shape).copy(),
+                  modal=state.v_modal.copy()),
         )
-        return SimState(t=raw.t, pair=pair, step_index=raw.step_index,
-                        floor_activations=raw.floor_activations)
+        return SimState(t=state.t, pair=pair, step_index=state.step_index,
+                        floor_activations=state.floor_activations)
 
-    def _reaction(self, raw):
+    def _reaction(self, state):
         """Quotient and squared source with the CFL guard."""
         p = self.params
         dt = self.scheme.dt
         q_nodal, activations = quotient_nodal(
-            raw.u_nodal, raw.v_nodal, self.scheme.v_floor
+            state.u_nodal, state.v_nodal, self.scheme.v_floor
         )
-        raw.floor_activations += activations
+        state.floor_activations += activations
         peak = p.kappa_u * float(q_nodal.max(initial=0.0)) * dt
         if peak >= self.scheme.reaction_cfl_limit:
             raise SimulationError(
-                f"reaction CFL violated at step {raw.step_index}: "
+                f"reaction CFL violated at step {state.step_index}: "
                 f"kappa_u*max(u^2/v)*dt = {peak:g} >= {self.scheme.reaction_cfl_limit:g}"
             )
         return q_nodal
@@ -262,65 +260,61 @@ class Stepper:
         corrector = self._project(sigma * predicted * dw_nodal)
         return deterministic + decay * 0.5 * (noise + corrector)
 
-    def advance(self, raw: _RawState, dw1_modal, dw2_modal):
+    def advance(self, state: StateView, dw1_modal, dw2_modal):
         """One coupled step of (u, v) in place."""
-        q = self._reaction(raw)
-        u_new = self.step_field("u", raw.u_modal, raw.u_nodal, q, dw1_modal)
-        v_new = self.step_field("v", raw.v_modal, raw.v_nodal,
-                                raw.u_nodal * raw.u_nodal, dw2_modal)
-        self._finish(raw, u_new, v_new)
-
-    def _finish(self, raw, u_new, v_new):
+        q = self._reaction(state)
+        u_new = self.step_field("u", state.u_modal, state.u_nodal, q, dw1_modal)
+        v_new = self.step_field("v", state.v_modal, state.v_nodal,
+                                state.u_nodal * state.u_nodal, dw2_modal)
         if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
             raise SimulationError(
-                f"non-finite state after step {raw.step_index}"
+                f"non-finite state after step {state.step_index}"
             )
-        raw.u_modal = u_new
-        raw.v_modal = v_new
-        raw.u_nodal = self.basis.synthesize(u_new)
-        raw.v_nodal = self.basis.synthesize(v_new)
-        raw.step_index += 1
-        raw.t = raw.step_index * self.scheme.dt
+        state.u_modal = u_new
+        state.v_modal = v_new
+        state.u_nodal = self.basis.synthesize(u_new)
+        state.v_nodal = self.basis.synthesize(v_new)
+        state.step_index += 1
+        state.t = state.step_index * self.scheme.dt
 
 
-@dataclass
-class StateView:
-    """Read-only view handed to observers each step (buffers are live)."""
+def observe(observer, states, n_steps, dt):
+    """Feed states 0..n_steps of one trajectory to ``observer``.
 
-    t: float
-    step_index: int
-    u_modal: np.ndarray
-    v_modal: np.ndarray
-    u_nodal: np.ndarray
-    v_nodal: np.ndarray
-    floor_activations: int
+    State 0 is recorded, every pre-step state is accumulated over ``dt``,
+    and every ``observer.stride``-th state and the last one are recorded.
+    ``states`` yields the n_steps + 1 states in time order (they may be
+    one object updated in place between yields); ``observer`` may be
+    None.  Returns the last state.
+    """
+    states = iter(states)
+    state = next(states)
+    if observer is not None:
+        observer.record(state)
+    for n in range(1, n_steps + 1):
+        if observer is not None:
+            observer.accumulate(state, dt)
+        state = next(states)
+        if observer is not None and (n % observer.stride == 0 or n == n_steps):
+            observer.record(state)
+    return state
 
 
 @dataclass
 class RunResult:
     final: SimState
     n_steps: int
-    observers: tuple
-
-
-def _view(raw):
-    return StateView(
-        t=raw.t, step_index=raw.step_index,
-        u_modal=raw.u_modal, v_modal=raw.v_modal,
-        u_nodal=raw.u_nodal, v_nodal=raw.v_nodal,
-        floor_activations=raw.floor_activations,
-    )
 
 
 def run(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
         basis: SpectralBasis, noise_spec: NoiseSpec,
-        path: NoisePath | None, observers=()) -> RunResult:
-    """Drive a full trajectory, invoking observers along the way.
+        path: NoisePath | None, observer=None) -> RunResult:
+    """Drive a full trajectory, feeding its states to ``observer``.
 
-    Observers may define ``begin(view)``, ``accumulate(view, dt)``
-    (called with the pre-step state before every step), and
-    ``record(view)`` (called every ``observer.stride`` steps and at the
-    final time).  The trajectory is a pure function of its arguments.
+    An observer has a ``stride``, ``accumulate(state, dt)`` (called with
+    the pre-step state before every step) and ``record(state)`` (called
+    at t = 0, every ``stride`` steps and at the final time); see
+    :func:`observe`.  The trajectory is a pure function of its arguments.
 
     ``path`` may be None only for noiseless runs (sigma_u = sigma_v = 0).
     """
@@ -328,8 +322,6 @@ def run(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
     if path is None:
         if params.sigma_u != 0.0 or params.sigma_v != 0.0:
             raise ValueError("a noise path is required when sigma > 0")
-        zeros = np.zeros(basis.mode_count)
-        increments = None
     else:
         if path.n_steps < n_steps:
             raise ValueError(
@@ -338,36 +330,24 @@ def run(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
         dts = path.dts[:n_steps]
         if n_steps and np.max(np.abs(dts - scheme.dt)) > 1e-12 * max(1.0, scheme.dt):
             raise ValueError("noise path time grid does not match scheme dt")
-        increments = path.increments
 
     stepper = Stepper(basis, params, scheme, noise_spec)
-    raw = stepper.raw_state(initial)
 
-    for obs in observers:
-        if hasattr(obs, "begin"):
-            obs.begin(_view(raw))
-        if hasattr(obs, "record"):
-            obs.record(_view(raw))
+    def states():
+        state = stepper.raw_state(initial)
+        zeros = np.zeros(basis.mode_count)
+        yield state
+        for n in range(n_steps):
+            if path is None:
+                dw1 = dw2 = zeros
+            else:
+                dw1 = stepper.damp1 * path.increments[0, :, n]
+                dw2 = stepper.damp2 * path.increments[1, :, n]
+            stepper.advance(state, dw1, dw2)
+            yield state
 
-    for n in range(n_steps):
-        view = _view(raw)
-        for obs in observers:
-            if hasattr(obs, "accumulate"):
-                obs.accumulate(view, scheme.dt)
-        if increments is None:
-            dw1 = dw2 = zeros
-        else:
-            dw1 = stepper.damp1 * increments[0, :, n]
-            dw2 = stepper.damp2 * increments[1, :, n]
-        stepper.advance(raw, dw1, dw2)
-        at_end = (n + 1) == n_steps
-        for obs in observers:
-            stride = getattr(obs, "stride", 1)
-            if hasattr(obs, "record") and (at_end or (n + 1) % stride == 0):
-                obs.record(_view(raw))
-
-    return RunResult(final=stepper.to_state(raw), n_steps=n_steps,
-                     observers=tuple(observers))
+    final = observe(observer, states(), n_steps, scheme.dt)
+    return RunResult(final=stepper.to_state(final), n_steps=n_steps)
 
 
 def default_initial_pair(basis: SpectralBasis, params: ModelParams,

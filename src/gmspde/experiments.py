@@ -28,6 +28,7 @@ from .dynamics import (
     SimulationError,
     StateView,
     Stepper,
+    observe,
     run,
 )
 from .fields import Field, FieldPair, FloorViolation, quotient_nodal
@@ -59,6 +60,8 @@ class FixedPointConfig:
             raise ValueError("ensemble_size must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.bound_margin <= 0:
+            raise ValueError("bound_margin must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,9 @@ class TrajectoryRecorder:
         self._chi = []
         self._eta = []
 
+    def accumulate(self, view, dt):
+        pass
+
     def record(self, view):
         self._times.append(view.t)
         self._chi.append(view.u_modal.copy())
@@ -145,21 +151,21 @@ class ApplyTDiagnostics:
 
 
 def _check_input_positivity(traj, basis):
-    for n in range(traj.times.size):
-        chi = basis.synthesize(traj.chi_modal[n])
-        if np.any(chi < 0.0):
-            loc = int(np.argmin(chi))
-            raise ValueError(
-                f"input chi negative at t = {traj.times[n]:g}, node {loc} "
-                f"(value {chi[loc]:g}): outside the admissible set"
-            )
-        eta = basis.synthesize(traj.eta_modal[n])
-        if np.any(eta <= 0.0):
-            loc = int(np.argmin(eta))
-            raise ValueError(
-                f"input eta nonpositive at t = {traj.times[n]:g}, node {loc} "
-                f"(value {eta[loc]:g}): outside the admissible set"
-            )
+    chi = basis.synthesize(traj.chi_modal)
+    eta = basis.synthesize(traj.eta_modal)
+    bad = np.flatnonzero(np.any(chi < 0.0, axis=1) | np.any(eta <= 0.0, axis=1))
+    if bad.size == 0:
+        return
+    n = int(bad[0])
+    if np.any(chi[n] < 0.0):
+        label, values = "chi negative", chi[n]
+    else:
+        label, values = "eta nonpositive", eta[n]
+    loc = int(np.argmin(values))
+    raise ValueError(
+        f"input {label} at t = {traj.times[n]:g}, node {loc} "
+        f"(value {values[loc]:g}): outside the admissible set"
+    )
 
 
 def apply_T(traj: PairTrajectory, init: FieldPair, params: ModelParams,
@@ -184,9 +190,7 @@ def apply_T(traj: PairTrajectory, init: FieldPair, params: ModelParams,
     k = basis.mode_count
     inc = path.increments
 
-    chi_nodal = np.empty((n_steps, basis.n_nodes))
-    for n in range(n_steps):
-        chi_nodal[n] = basis.synthesize(traj.chi_modal[n])
+    chi_nodal = basis.synthesize(traj.chi_modal[:n_steps])
 
     # inhibitor pass: v driven by chi^2
     v_store = np.empty((n_steps + 1, k))
@@ -243,26 +247,26 @@ def apply_T(traj: PairTrajectory, init: FieldPair, params: ModelParams,
 
 def replay_trace(traj: PairTrajectory, basis, fconfig: FunctionalConfig,
                  v_floor: float, path_index: int = -1):
-    """Functional trace of a stored trajectory (same math as live runs)."""
+    """Functional trace of a stored trajectory.
+
+    The stored states go through the same walk as a live run
+    (:func:`~gmspde.dynamics.observe`), so the trace equals the live
+    recorder's on the same trajectory up to the rounding of one stacked
+    synthesis against one per step.
+    """
     rec = FunctionalRecorder(basis, fconfig, v_floor, path_index=path_index)
     times = traj.times
     n = traj.n_steps
-
-    def view(i):
-        return StateView(
-            t=float(times[i]), step_index=i,
-            u_modal=traj.chi_modal[i], v_modal=traj.eta_modal[i],
-            u_nodal=basis.synthesize(traj.chi_modal[i]),
-            v_nodal=basis.synthesize(traj.eta_modal[i]),
-            floor_activations=0,
-        )
-
-    rec.record(view(0))
+    u_nodal = basis.synthesize(traj.chi_modal)
+    v_nodal = basis.synthesize(traj.eta_modal)
+    states = (
+        StateView(t=float(times[i]), step_index=i,
+                  u_modal=traj.chi_modal[i], v_modal=traj.eta_modal[i],
+                  u_nodal=u_nodal[i], v_nodal=v_nodal[i], floor_activations=0)
+        for i in range(n + 1)
+    )
     dt = float(times[1] - times[0]) if n else 0.0
-    for i in range(n):
-        rec.accumulate(view(i), dt)
-        if (i + 1) % rec.stride == 0 or (i + 1) == n:
-            rec.record(view(i + 1))
+    observe(rec, states, n, dt)
     return rec.trace()
 
 
@@ -354,7 +358,7 @@ def picard_iterate(start: PairTrajectory, init: FieldPair,
     # residual against the directly coupled solve on the same noise
     def coupled(pth):
         rec = TrajectoryRecorder()
-        run(init, params, scheme, basis, noise_spec, pth, observers=[rec])
+        run(init, params, scheme, basis, noise_spec, pth, observer=rec)
         return rec.trajectory()
 
     coupled_trajs = [coupled(pth) for pth in paths]
@@ -407,30 +411,23 @@ class UniquenessReport:
 
 def _stopping_scan(traj: PairTrajectory, basis, scheme, levels):
     """First-hitting steps of the two stopping-time families."""
-    n = traj.n_steps
-    lam = basis.eigenvalues
-    w = basis.weights
-    sup_xi8 = -np.inf
-    h1_running = 0.0
-    sup_u2 = -np.inf
-    tau1 = {m: None for m in levels}
-    tau2 = {m: None for m in levels}
-    for i in range(n + 1):
-        v_nodal = basis.synthesize(traj.eta_modal[i])
-        xi, _ = quotient_nodal(np.ones_like(v_nodal), v_nodal, scheme.v_floor)
-        xi8 = float((w @ xi**8) ** (1.0 / 8.0))
-        sup_xi8 = max(sup_xi8, xi8)
-        u_modal = traj.chi_modal[i]
-        u2 = float(np.sum(u_modal**2))
-        sup_u2 = max(sup_u2, u2)
-        h1 = float(np.sum((1.0 + lam) * u_modal**2))
-        for m in levels:
-            if tau1[m] is None and sup_xi8 >= m:
-                tau1[m] = i
-            if tau2[m] is None and h1_running + sup_u2 >= m:
-                tau2[m] = i
-        if i < n:
-            h1_running += h1 * scheme.dt
+    v_nodal = basis.synthesize(traj.eta_modal)
+    xi, _ = quotient_nodal(np.ones_like(v_nodal), v_nodal, scheme.v_floor)
+    # the running sup of |xi|_L8 first reaches m where |xi|_L8 does
+    xi8 = (xi**8 @ basis.weights) ** (1.0 / 8.0)
+    u_sq = traj.chi_modal**2
+    sup_u2 = np.maximum.accumulate(np.sum(u_sq, axis=1))
+    h1 = np.sum((1.0 + basis.eigenvalues) * u_sq, axis=1)
+    # left-point rule for int_0^t |u|_H1^2 ds, summed in step order
+    h1_running = np.concatenate(([0.0], np.cumsum(h1[:-1] * scheme.dt)))
+    energy = h1_running + sup_u2
+
+    def first_hit(series, m):
+        hits = np.flatnonzero(series >= m)
+        return int(hits[0]) if hits.size else None
+
+    tau1 = {m: first_hit(xi8, m) for m in levels}
+    tau2 = {m: first_hit(energy, m) for m in levels}
     return tau1, tau2
 
 
@@ -455,7 +452,7 @@ def uniqueness_study(init: FieldPair, delta: float, params: ModelParams,
 
     def solve(pair):
         rec = TrajectoryRecorder()
-        run(pair, params, scheme, basis, noise_spec, path, observers=[rec])
+        run(pair, params, scheme, basis, noise_spec, path, observer=rec)
         return rec.trajectory()
 
     t1 = solve(init)
@@ -531,7 +528,7 @@ def ensemble(init: FieldPair, params: ModelParams, scheme: SchemeConfig,
             pth = sample_path(noise_spec, grid, idx)
             rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
                                      path_index=idx)
-            run(init, params, scheme, basis, noise_spec, pth, observers=[rec])
+            run(init, params, scheme, basis, noise_spec, pth, observer=rec)
             return rec.trace()
         except (SimulationError, FloorViolation, ValueError) as exc:
             return (idx, f"{type(exc).__name__}: {exc}")

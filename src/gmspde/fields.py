@@ -214,7 +214,7 @@ def gradient_nodal(f: Field):
     basis = f.basis
     modal = f.modal
     return [
-        (basis.gradient_table(ax).T @ modal).reshape(basis.grid_shape)
+        (modal @ basis.gradient_table(ax)).reshape(basis.grid_shape)
         for ax in range(basis.domain.dim)
     ]
 

@@ -121,7 +121,13 @@ def _xi_nodal(v_nodal, floor):
 
 
 class FunctionalRecorder:
-    """Observer accumulating the functional trace of one trajectory."""
+    """Observer accumulating the functional trace of one trajectory.
+
+    Floor activations of xi = 1/max(v, floor) are counted in
+    :meth:`accumulate` only, on the pre-step states the stepper floors,
+    so the ``floor_activations`` column equals the stepper's own count
+    and a replayed trajectory reports the same number as the live run.
+    """
 
     def __init__(self, basis, config: FunctionalConfig, v_floor: float,
                  path_index: int = -1):
@@ -137,26 +143,22 @@ class FunctionalRecorder:
         self._int_xi2_chi2 = 0.0
         self._int_xi_p2_gv = 0.0
         self._int_u_chi2_xi = 0.0
-        self.xi_floor_activations = 0
+        self.floor_activations = 0
         s = 1.0 - config.rho
         self._h_weights = (1.0 + basis.eigenvalues) ** s
-
-    def _xi(self, view):
-        xi, act = _xi_nodal(view.v_nodal, self.v_floor)
-        self.xi_floor_activations += act
-        return xi
 
     def _grad_v_sq(self, view):
         basis = self.basis
         out = np.zeros(basis.n_nodes)
         for ax in range(basis.domain.dim):
-            g = basis.gradient_table(ax).T @ view.v_modal
+            g = view.v_modal @ basis.gradient_table(ax)
             out += g * g
         return out
 
     def accumulate(self, view, dt):
         w = self.basis.weights
-        xi = self._xi(view)
+        xi, activations = _xi_nodal(view.v_nodal, self.v_floor)
+        self.floor_activations += activations
         u = view.u_nodal
         chi2xi = u * u * xi
         self._int_grad_chi += dt * float(
@@ -173,7 +175,7 @@ class FunctionalRecorder:
     def record(self, view):
         basis = self.basis
         w = basis.weights
-        xi = self._xi(view)
+        xi, _ = _xi_nodal(view.v_nodal, self.v_floor)
         u = view.u_nodal
         v = view.v_nodal
         p = self.config.p
@@ -197,8 +199,7 @@ class FunctionalRecorder:
             "chi_argmin": float(np.argmin(u)),
             "eta_min": float(v.min()),
             "eta_argmin": float(np.argmin(v)),
-            "floor_activations": float(view.floor_activations
-                                       + self.xi_floor_activations),
+            "floor_activations": float(self.floor_activations),
         }
         for name, value in row.items():
             self._rows[name].append(value)

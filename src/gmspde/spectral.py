@@ -65,7 +65,9 @@ class SpectralBasis:
     """Truncated orthonormal eigenbasis with its quadrature grid.
 
     ``eval_table`` holds e_k at every grid node (flattened row-major),
-    one row per mode, so projection and synthesis are plain mat-vecs.
+    one row per mode.  Projection and synthesis act on the last axis, so
+    a single vector is one mat-vec and a stack of rows (one per time
+    step or path) is one mat-mat product.
     """
 
     domain: DomainSpec
@@ -92,12 +94,12 @@ class SpectralBasis:
         return self.domain.volume
 
     def project(self, nodal_flat):
-        """Quadrature inner products <f, e_k> for all modes."""
-        return self.eval_table @ (self.weights * nodal_flat)
+        """Quadrature inner products <f, e_k> for all modes (last axis)."""
+        return (self.weights * nodal_flat) @ self.eval_table.T
 
     def synthesize(self, modal):
-        """Nodal samples of sum_k modal_k e_k (flattened)."""
-        return self.eval_table.T @ modal
+        """Nodal samples of sum_k modal_k e_k, flattened (last axis)."""
+        return modal @ self.eval_table
 
     def gradient_table(self, axis):
         """Nodal samples of d(e_k)/dx_axis, cached on first use."""

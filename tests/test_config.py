@@ -1,7 +1,7 @@
 import pytest
 
 from gmspde import cli
-from gmspde.config import ConfigError, loads
+from gmspde.config import ConfigError, dumps, loads
 
 # grid frequency 2k = 62 >= N/2 on paper_1d; 2-D modes up to index 8 on N=16
 ALIASING = {
@@ -21,3 +21,82 @@ def test_aliasing_modes_are_config_errors(name, tmp_path):
     argv = ["spectrum", "--config", str(path), "--out-dir",
             str(tmp_path / "out"), "--quiet"]
     assert cli.main(argv) == 1
+
+
+# each bad size must fail as a config error before any file is written
+BAD_SIZES = {
+    "ensemble --paths 1": (["ensemble", "--paths", "1"], ""),
+    "ensemble --paths 0": (["ensemble", "--paths", "0"], ""),
+    "ensemble --paths -3": (["ensemble", "--paths", "-3"], ""),
+    "[run] paths = 1": (["ensemble"], "[run]\npaths = 1\n"),
+    "fixedpoint --paths 0": (["fixedpoint", "--paths", "0"], ""),
+    "ensemble_size = 0": (["fixedpoint"], "[fixedpoint]\nensemble_size = 0\n"),
+    "max_iterations = 0": (["fixedpoint"], "[fixedpoint]\nmax_iterations = 0\n"),
+    "tolerance = -1": (["fixedpoint"], "[fixedpoint]\ntolerance = -1\n"),
+    "bound_margin = 0": (["fixedpoint"], "[fixedpoint]\nbound_margin = 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIZES))
+def test_bad_sizes_are_config_errors_before_any_output(case, tmp_path):
+    argv, text = BAD_SIZES[case]
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = argv + ["--config", str(path), "--out-dir", str(out), "--quiet"]
+    assert cli.main(argv) == 1
+    assert not (out / "config.echo.txt").exists()
+
+
+@pytest.mark.parametrize("key", ["dealias", "exact_scalar_decay"])
+def test_removed_scheme_keys_are_unknown(key, tmp_path):
+    text = f"[scheme]\n{key} = true\n"
+    with pytest.raises(ConfigError, match="unknown key"):
+        loads(text)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    argv = ["spectrum", "--config", str(path), "--out-dir",
+            str(tmp_path / "out"), "--quiet"]
+    assert cli.main(argv) == 1
+
+
+NON_DEFAULT = """\
+[domain]
+dim = 2
+length_x = 1.5
+length_y = 0.75
+grid_points = 32
+[model]
+sigma_u = 0.25
+[scheme]
+dt = 0.0005
+horizon = 0.25
+scheme = stratonovich_heun
+v_floor = 0.001
+[noise]
+modes = 24
+master_seed = 17
+[functionals]
+p = 3.5
+rho = 1.05
+[uniqueness]
+stopping_levels = 1, 3.5, 9
+[ensemble]
+horizons = 0.125, 0.25
+"""
+
+
+@pytest.mark.parametrize("text", ["", NON_DEFAULT], ids=["default", "non_default"])
+def test_dumps_loads_round_trip_is_byte_identical(text):
+    echo = dumps(loads(text))
+    assert dumps(loads(echo)) == echo
+    assert "dealias" not in echo and "exact_scalar_decay" not in echo
+
+
+def test_non_default_values_survive_the_echo():
+    cfg = loads(dumps(loads(NON_DEFAULT)))
+    assert cfg.domain.lengths == (1.5, 0.75)
+    assert cfg.scheme.scheme == "stratonovich_heun"
+    assert cfg.noise.master_seed == 17
+    assert cfg.uniqueness_opts["stopping_levels"] == (1.0, 3.5, 9.0)
+    assert cfg.ensemble_opts["horizons"] == (0.125, 0.25)

@@ -12,6 +12,7 @@ from gmspde.experiments import (
     FixedPointConfig,
     StoppingSpec,
     TrajectoryRecorder,
+    _stopping_scan,
     apply_T,
     constant_trajectory,
     ensemble,
@@ -252,8 +253,49 @@ def test_trajectory_recorder_matches_run_output(basis, nspec):
     init = default_initial_pair(basis, params)
     path = sample_path(nspec, uniform_grid(0.01, 10), 0)
     rec = TrajectoryRecorder()
-    res = run(init, params, sch, basis, nspec, path, observers=[rec])
+    res = run(init, params, sch, basis, nspec, path, observer=rec)
     traj = rec.trajectory()
     assert traj.n_steps == 10
     assert np.array_equal(traj.chi_modal[0], init.u.modal)
     assert np.array_equal(traj.chi_modal[-1], res.final.pair.u.modal)
+
+
+def _stopping_scan_per_step(traj, basis, scheme, levels):
+    """The stopping scan written as a loop over steps, as a reference."""
+    lam, w = basis.eigenvalues, basis.weights
+    sup_xi8 = sup_u2 = -np.inf
+    h1_running = 0.0
+    tau1 = dict.fromkeys(levels)
+    tau2 = dict.fromkeys(levels)
+    for i in range(traj.n_steps + 1):
+        v = basis.synthesize(traj.eta_modal[i])
+        xi = 1.0 / np.maximum(v, scheme.v_floor)
+        sup_xi8 = max(sup_xi8, float((w @ xi**8) ** (1.0 / 8.0)))
+        u = traj.chi_modal[i]
+        sup_u2 = max(sup_u2, float(np.sum(u**2)))
+        for m in levels:
+            if tau1[m] is None and sup_xi8 >= m:
+                tau1[m] = i
+            if tau2[m] is None and h1_running + sup_u2 >= m:
+                tau2[m] = i
+        h1_running += float(np.sum((1.0 + lam) * u**2)) * scheme.dt
+    return tau1, tau2
+
+
+def test_stopping_scan_hits_levels_mid_run(basis, nspec):
+    # strong noise lifts |xi|_L8 from 0.5 to ~0.68 and the H1 energy from
+    # 4 to ~180 over the run, so these levels are first reached mid-run
+    params = desk_params(sigma=1.5)
+    sch = SchemeConfig(dt=1e-3, T=0.6)
+    path = sample_path(nspec, uniform_grid(0.6, 600), 5)
+    rec = TrajectoryRecorder()
+    run(default_initial_pair(basis, params), params, sch, basis, nspec, path,
+        observer=rec)
+    traj = rec.trajectory()
+    levels = tuple(np.round(np.concatenate((np.linspace(0.51, 0.68, 18),
+                                            np.geomspace(4.5, 180.0, 50))), 6))
+    got = _stopping_scan(traj, basis, sch, levels)
+    assert got == _stopping_scan_per_step(traj, basis, sch, levels)
+    steps = [s for tau in got for s in tau.values() if s is not None]
+    assert sum(0 < s < traj.n_steps // 2 for s in steps) >= 10
+    assert sum(s >= traj.n_steps // 2 for s in steps) >= 10

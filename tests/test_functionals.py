@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair
-from gmspde.experiments import PairTrajectory, constant_trajectory, ensemble, replay_trace
+from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair, run
+from gmspde.experiments import (
+    PairTrajectory,
+    TrajectoryRecorder,
+    constant_trajectory,
+    ensemble,
+    replay_trace,
+)
 from gmspde.fields import Field, FieldPair, FloorViolation
 from gmspde.functionals import (
+    TRACE_COLUMNS,
     AdmissibleSetSpec,
     FunctionalConfig,
+    FunctionalRecorder,
     energy_monitors,
     fit_growth_envelope,
     lyapunov_L1,
@@ -15,7 +23,7 @@ from gmspde.functionals import (
     membership,
     xi_field,
 )
-from gmspde.noise import NoiseSpec
+from gmspde.noise import NoiseSpec, sample_path, uniform_grid
 from gmspde.spectral import DomainSpec, build_basis
 
 K = 8
@@ -249,3 +257,54 @@ def test_monitor_envelope_holds_on_stochastic_ensemble(basis):
         mask = fit.lhs > 0
         bound = fit.C * np.exp(fit.delta * fit.horizons) * fit.init
         assert np.all(fit.lhs[mask] <= bound[mask] * (1 + 1e-10)), name
+
+
+def test_floor_activations_counted_once_live_and_replayed():
+    # v = 0.25 < v_floor on all 17 nodes: the stepper floors 17 per step
+    basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
+                                   grid_points_per_axis=16), 4)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=4)
+    params = desk_params(sigma=0.0)
+    sch = SchemeConfig(dt=1e-3, T=4e-3, v_floor=0.5)
+    pair = FieldPair(Field.from_constant(basis, 0.1),
+                     Field.from_constant(basis, 0.25))
+    fcfg = FunctionalConfig(observation_stride=1)
+    live = FunctionalRecorder(basis, fcfg, sch.v_floor)
+    res = run(pair, params, sch, basis, spec, None, observer=live)
+    assert res.final.floor_activations == 4 * 17
+    column = live.trace().data["floor_activations"]
+    assert column[-1] == res.final.floor_activations
+    assert column[0] == 0.0
+    traj = TrajectoryRecorder()
+    run(pair, params, sch, basis, spec, None, observer=traj)
+    replayed = replay_trace(traj.trajectory(), basis, fcfg, sch.v_floor)
+    assert np.array_equal(replayed.data["floor_activations"], column)
+
+
+@pytest.mark.parametrize("v_floor", [1e-8, 2.0])
+def test_replay_trace_matches_live_trace(v_floor):
+    # same trajectory through the live recorder and through replay_trace;
+    # v_floor = v* = 2 floors about half the nodes at every step
+    basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
+                                   grid_points_per_axis=64), 16)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=9)
+    params = desk_params(sigma=0.3)
+    sch = SchemeConfig(dt=1e-3, T=0.05, v_floor=v_floor)
+    init = default_initial_pair(basis, params)
+    path = sample_path(spec, uniform_grid(0.05, 50), 1)
+    fcfg = FunctionalConfig(observation_stride=7)
+    live = FunctionalRecorder(basis, fcfg, v_floor)
+    res = run(init, params, sch, basis, spec, path, observer=live)
+    traj = TrajectoryRecorder()
+    run(init, params, sch, basis, spec, path, observer=traj)
+    expected = live.trace()
+    got = replay_trace(traj.trajectory(), basis, fcfg, v_floor)
+    assert np.array_equal(got.times, expected.times)
+    for name in TRACE_COLUMNS[1:]:
+        want = expected.data[name]
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got.data[name], want, rtol=1e-12,
+                                   atol=1e-12 * scale, err_msg=name)
+    activations = expected.data["floor_activations"][-1]
+    assert activations == res.final.floor_activations
+    assert (activations > 0) == (v_floor > 1.0)

@@ -1,0 +1,74 @@
+import numpy as np
+import pytest
+
+from gmspde import io as io_mod
+from gmspde.functionals import TRACE_COLUMNS, FunctionalTrace
+
+
+def make_trace(rows=5):
+    rng = np.random.default_rng(3)
+    data = {name: rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300)
+            for name in TRACE_COLUMNS[1:]}
+    data["chi_min"][0] = -0.0
+    data["xi_lp_p"][1] = np.inf
+    return FunctionalTrace(times=np.linspace(0.0, 1.0, rows) / 3.0, data=data,
+                           p=31.0 / 7.0, rho=1.1)
+
+
+def test_trace_csv_round_trip_is_bitwise(tmp_path):
+    trace = make_trace()
+    path = tmp_path / "trace.csv"
+    io_mod.write_trace(trace, path)
+    back = io_mod.read_trace_csv(path)
+    assert list(back) == list(TRACE_COLUMNS)
+    for name in TRACE_COLUMNS:
+        want = trace.column(name)
+        assert back[name].tobytes() == want.tobytes(), name
+
+
+def snapshot(dim):
+    shape = (5,) if dim == 1 else (5, 3)
+    rng = np.random.default_rng(dim)
+    fields = [rng.standard_normal(shape), rng.standard_normal(shape)]
+    header = io_mod.SnapshotHeader(dim=dim, shape=shape, field_count=2,
+                                   time=0.1 + 0.2)
+    return fields, header
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_snapshot_round_trip(dim, tmp_path):
+    fields, header = snapshot(dim)
+    path = tmp_path / "final.gmsp"
+    io_mod.write_snapshot(fields, header, path)
+    got_header, got = io_mod.read_snapshot(path)
+    assert got_header == header
+    assert len(got) == 2
+    for a, b in zip(got, fields):
+        assert np.array_equal(a, b)
+
+
+def corrupt(blob, how):
+    if how == "magic":
+        return b"XXXX" + blob[4:]
+    if how == "version":
+        return blob[:4] + (2).to_bytes(4, "little") + blob[8:]
+    if how == "header":
+        return blob[:20]
+    if how == "payload":
+        return blob[:-8]
+    raise AssertionError(how)
+
+
+@pytest.mark.parametrize("how,message", [
+    ("magic", "bad magic"),
+    ("version", "unsupported version"),
+    ("header", "truncated snapshot header"),
+    ("payload", "payload has"),
+])
+def test_snapshot_reader_rejects_damage(how, message, tmp_path):
+    fields, header = snapshot(2)
+    path = tmp_path / "final.gmsp"
+    io_mod.write_snapshot(fields, header, path)
+    path.write_bytes(corrupt(path.read_bytes(), how))
+    with pytest.raises(ValueError, match=message):
+        io_mod.read_snapshot(path)

@@ -219,3 +219,21 @@ def test_build_is_deterministic():
     assert np.array_equal(b1.eigenvalues, b2.eigenvalues)
     assert np.array_equal(b1.mode_indices, b2.mode_indices)
     assert np.array_equal(b1.eval_table, b2.eval_table)
+
+
+@pytest.mark.parametrize("dom,k", [
+    (unit_interval(), 16),
+    (DomainSpec(dim=2, lengths=(1.0, 2.0), grid_points_per_axis=16), 16),
+])
+def test_stacked_transforms_match_per_row_calls(dom, k):
+    basis = build_basis(dom, k)
+    rng = np.random.default_rng(5)
+    modal = rng.standard_normal((7, k))
+    nodal = rng.standard_normal((7, basis.n_nodes))
+    for stacked, rows in (
+        (basis.synthesize(modal), [basis.synthesize(m) for m in modal]),
+        (basis.project(nodal), [basis.project(f) for f in nodal]),
+    ):
+        rows = np.vstack(rows)
+        assert stacked.shape == rows.shape
+        assert np.abs(stacked - rows).max() <= 1e-13 * np.abs(rows).max()

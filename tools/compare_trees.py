@@ -1,0 +1,189 @@
+"""Compare the numbers of two gmspde source trees, case by case.
+
+    python tools/compare_trees.py OLD_SRC [NEW_SRC]
+
+OLD_SRC and NEW_SRC are directories holding a ``gmspde`` package
+(NEW_SRC defaults to this checkout's ``src``); make OLD_SRC with
+``git archive <commit> | tar -x -C <dir>``.  Each tree runs the same
+cases in its own interpreter, and the outputs are compared:
+
+* bitwise: ``run`` final u, v and the live functional trace for both
+  schemes in 1-D (N=64, K=16) and 2-D (N=16, K=16); criterion 6's
+  single-mode ``_gbm_batch`` outputs for both schemes; the delta = 0
+  uniqueness study (which must also report bitwise-identical runs); the
+  stopping-scan first-hit steps on a trajectory that crosses its levels
+  mid-run;
+* to 1e-13 relative (one stacked product against one per row):
+  ``apply_T`` on a coupled-solve input and ``replay_trace`` of a stored
+  trajectory.
+
+Exits 1 if any comparison fails.
+"""
+
+from __future__ import annotations
+
+import inspect
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+RTOL = 1e-13
+
+
+def _run_with(run, observer):
+    """Keyword for one observer under either ``run`` signature."""
+    if "observer" in inspect.signature(run).parameters:
+        return {"observer": observer}
+    return {"observers": [observer]}
+
+
+def _cases():
+    from gmspde import acceptance
+    from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair, run
+    from gmspde.experiments import (
+        StoppingSpec,
+        TrajectoryRecorder,
+        _stopping_scan,
+        apply_T,
+        replay_trace,
+        uniqueness_study,
+    )
+    from gmspde.functionals import FunctionalConfig, FunctionalRecorder
+    from gmspde.noise import NoiseSpec, sample_path, uniform_grid
+    from gmspde.spectral import DomainSpec, build_basis
+
+    params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
+                         mu_u=1.0, mu_v=2.0, sigma_u=0.3, sigma_v=0.3)
+    fcfg = FunctionalConfig(observation_stride=7)
+    out = {"bitwise": {}, "close": {}}
+
+    def basis_of(dim, n, k):
+        return build_basis(DomainSpec(dim=dim, lengths=(1.0,) * dim,
+                                      grid_points_per_axis=n), k)
+
+    for dim, n in ((1, 64), (2, 16)):
+        basis = basis_of(dim, n, 16)
+        spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=11)
+        init = default_initial_pair(basis, params)
+        path = sample_path(spec, uniform_grid(0.1, 100), 3)
+        for scheme in ("ito_imex", "stratonovich_heun"):
+            sch = SchemeConfig(dt=1e-3, T=0.1, scheme=scheme)
+            rec = FunctionalRecorder(basis, fcfg, sch.v_floor)
+            res = run(init, params, sch, basis, spec, path,
+                      **_run_with(run, rec))
+            key = f"run {dim}d {scheme}"
+            out["bitwise"][key + " u"] = res.final.pair.u.modal
+            out["bitwise"][key + " v"] = res.final.pair.v.modal
+            trace = rec.trace()
+            for name, column in trace.data.items():
+                out["bitwise"][f"{key} trace {name}"] = column
+
+    basis1 = basis_of(1, 4, 1)
+    spec1 = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=1, master_seed=606)
+    gbm = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
+                      mu_u=3.0, mu_v=2.0, sigma_u=2.0, sigma_v=0.1)
+    for scheme in ("ito_imex", "stratonovich_heun"):
+        out["bitwise"][f"_gbm_batch {scheme}"] = acceptance._gbm_batch(
+            scheme, gbm, spec1, basis1, 300, 32, 0.25, 1.0, first_path=0)
+
+    basis = basis_of(1, 64, 16)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=808)
+    init = default_initial_pair(basis, params)
+    sch = SchemeConfig(dt=1e-3, T=0.2)
+    path = sample_path(spec, uniform_grid(0.2, 200), 0)
+    report = uniqueness_study(init, 0.0, params, sch, basis, spec,
+                              StoppingSpec(), path)
+    out["bitwise"]["uniqueness delta=0 du"] = report.du_l2
+    out["bitwise"]["uniqueness delta=0 bitwise_identical"] = np.array(
+        [report.bitwise_identical])
+
+    # a strongly driven run whose stopping quantities grow mid-run
+    loud = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
+                       mu_u=1.0, mu_v=2.0, sigma_u=1.5, sigma_v=1.5)
+    sch = SchemeConfig(dt=1e-3, T=0.6)
+    path = sample_path(spec, uniform_grid(0.6, 600), 5)
+    rec = TrajectoryRecorder()
+    run(init, loud, sch, basis, spec, path, **_run_with(run, rec))
+    traj = rec.trajectory()
+    levels = tuple(np.round(np.concatenate((np.linspace(0.51, 0.68, 18),
+                                            np.geomspace(4.5, 180.0, 50))), 6))
+    tau1, tau2 = _stopping_scan(traj, basis, sch, levels)
+    out["bitwise"]["stopping tau1"] = np.array(
+        [-1 if tau1[m] is None else tau1[m] for m in levels])
+    out["bitwise"]["stopping tau2"] = np.array(
+        [-1 if tau2[m] is None else tau2[m] for m in levels])
+
+    sch = SchemeConfig(dt=1e-3, T=0.1)
+    path = sample_path(spec, uniform_grid(0.1, 100), 2)
+    rec = TrajectoryRecorder()
+    run(init, params, sch, basis, spec, path, **_run_with(run, rec))
+    coupled = rec.trajectory()
+    t_out, _ = apply_T(coupled, init, params, sch, basis, spec, path)
+    out["close"]["apply_T chi"] = t_out.chi_modal
+    out["close"]["apply_T eta"] = t_out.eta_modal
+    trace = replay_trace(coupled, basis, fcfg, sch.v_floor)
+    for name, column in trace.data.items():
+        out["close"][f"replay_trace {name}"] = column
+    return out
+
+
+def _child(dest):
+    with open(dest, "wb") as fh:
+        pickle.dump(_cases(), fh)
+
+
+def _collect(src, dest):
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, __file__, "--child", dest],
+                   env=env, check=True)
+    with open(dest, "rb") as fh:
+        return pickle.load(fh)
+
+
+def _tally(stepped):
+    steps = stepped["bitwise"]
+    tau = np.concatenate((steps["stopping tau1"], steps["stopping tau2"]))
+    mid = int(np.count_nonzero(tau > 0))
+    lo, hi = int(tau[tau > 0].min()), int(tau.max())
+    return f"{mid} levels first hit mid-run (steps {lo}-{hi})"
+
+
+def main(argv):
+    if len(argv) >= 2 and argv[0] == "--child":
+        _child(argv[1])
+        return 0
+    if not 1 <= len(argv) <= 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old_src = os.path.abspath(argv[0])
+    new_src = os.path.abspath(argv[1] if len(argv) == 2
+                              else os.path.join(HERE, "..", "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        old = _collect(old_src, os.path.join(tmp, "old.pkl"))
+        new = _collect(new_src, os.path.join(tmp, "new.pkl"))
+    failed = 0
+    for key, a in old["bitwise"].items():
+        b = new["bitwise"][key]
+        same = a.shape == b.shape and np.array_equal(a, b)
+        failed += not same
+        print(f"{'bitwise' if same else 'DIFFERS'}  {key}")
+    for key, a in old["close"].items():
+        b = new["close"][key]
+        scale = float(np.max(np.abs(a))) or 1.0
+        gap = float(np.max(np.abs(a - b))) / scale
+        ok = a.shape == b.shape and gap <= RTOL
+        failed += not ok
+        print(f"{'close  ' if ok else 'DIFFERS'}  {key}: max gap {gap:.2e} "
+              f"x max|value| (limit {RTOL:g})")
+    print(_tally(new))
+    print(f"{failed} comparison(s) failed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
