@@ -3,10 +3,8 @@
 Each criterion is a function returning a :class:`CriterionResult`; the
 ``selftest`` CLI subcommand runs the lot, printing one line per
 criterion.  The pytest suite (``tests/test_acceptance.py``) asserts on
-criteria 1-5, 8 and 10 one by one, runtime limits included; 6, 7 and 9
-take tens of seconds one path at a time and run only under ``selftest``
-until paths are stepped in batches.  Tolerances are pinned here, next
-to the oracle that justifies them.
+every criterion one by one, runtime limits included.  Tolerances are
+pinned here, next to the oracle that justifies them.
 """
 
 from __future__ import annotations
@@ -16,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import noise as noise_mod
 from .dynamics import (
     ModelParams,
     SchemeConfig,
     default_initial_pair,
     run,
+    run_batch,
     steady_state,
 )
 from .experiments import (
@@ -34,7 +32,13 @@ from .experiments import (
 )
 from .fields import Field, FieldPair
 from .functionals import FunctionalConfig
-from .noise import NoiseSpec, coupled_path_hierarchy, sample_path, uniform_grid
+from .noise import (
+    NoiseSpec,
+    coupled_path_hierarchy,
+    sample_path,
+    sample_paths,
+    uniform_grid,
+)
 from .spectral import DomainSpec, build_basis
 
 
@@ -105,25 +109,30 @@ def criterion_2_noise_covariance():
     basis = _basis_1d(n=256, k=64, convention="paper_1d")
     spec = NoiseSpec(gamma1=gamma, gamma2=gamma, mode_count=64, master_seed=202)
     grid = uniform_grid(1.0, n_steps)
-    dt = 1.0 / n_steps
-    paths = np.arange(n_paths)
 
     # batched draws are the same numbers sample_path would store
     probe = sample_path(spec, grid, 17)
-    batch = noise_mod.mode_increment_batch(spec, np.array([17]), 1, 3, 2, dt)
-    if not np.array_equal(probe.increments[0, 3, 2], batch[0]):
+    batch = sample_paths(spec, grid, [3, 17, 17])
+    if not (np.array_equal(probe.increments, batch[1])
+            and np.array_equal(probe.increments, batch[2])):
         return _result(2, "noise covariance", False,
                        "batched draws disagree with sample_path", t0, limit=60.0)
 
+    # W_j(1) per path for modes 0..10; a mode's draws do not depend on the
+    # mode count, so an 11-mode spec draws the same numbers in chunks
+    spec_11 = NoiseSpec(gamma1=gamma, gamma2=gamma, mode_count=11,
+                        master_seed=spec.master_seed)
+    chunk = 2_500
+    w_end = np.concatenate([
+        sample_paths(spec_11, grid, np.arange(i, i + chunk)).sum(axis=-1)
+        for i in range(0, n_paths, chunk)
+    ])
     worst_rel = 0.0
     sums = {1: [], 2: []}
     for k in range(11):
         damp = (1.0 + basis.eigenvalues[k]) ** (-gamma / 2.0)
         for j in (1, 2):
-            total = np.zeros(n_paths)
-            for n in range(n_steps):
-                total += noise_mod.mode_increment_batch(spec, paths, j, k, n, dt)
-            sums[j].append(total)
+            sums[j].append(w_end[:, j - 1, k])
         coeff = damp * sums[1][-1]
         var = float(np.var(coeff, ddof=1))
         target = (1.0 + basis.eigenvalues[k]) ** (-gamma)
@@ -216,17 +225,28 @@ def criterion_5_strong_convergence():
                    f"(need >= 0.4)", t0, limit=120.0)
 
 
+def _final_u_modal(init, params, scheme, basis, spec, first_path, n_paths):
+    """Final activator coefficients of paths first_path.. as one stack.
+
+    Raises the first failure: the criteria using it expect every path to
+    survive.
+    """
+    grid = uniform_grid(scheme.T, scheme.n_steps())
+    increments = sample_paths(spec, grid,
+                              np.arange(first_path, first_path + n_paths))
+    final = run_batch(init, params, scheme, basis, spec, increments)
+    if final.failures:
+        raise next(iter(final.failures.values()))
+    return final.u_modal
+
+
 def _gbm_batch(scheme_name, params, spec, basis, n_paths, n_steps, horizon,
                u0, first_path):
-    """Single-mode runs through the production stepper, one path at a time."""
+    """Single-mode runs through the production stepper, all paths at once."""
     sch = SchemeConfig(dt=horizon / n_steps, T=horizon, scheme=scheme_name)
     pair = FieldPair(Field.from_constant(basis, u0), Field.from_constant(basis, 1.0))
-    grid = uniform_grid(horizon, n_steps)
-    out = np.empty(n_paths)
-    for i in range(n_paths):
-        path = sample_path(spec, grid, first_path + i)
-        out[i] = run(pair, params, sch, basis, spec, path).final.pair.u.modal[0]
-    return out / np.sqrt(basis.volume)
+    out = _final_u_modal(pair, params, sch, basis, spec, first_path, n_paths)
+    return out[:, 0] / np.sqrt(basis.volume)
 
 
 def criterion_6_scheme_consistency():
@@ -263,17 +283,12 @@ def criterion_6_scheme_consistency():
     spec_f = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=8, master_seed=616)
     params_f = _desk_params(sigma=0.2)
     init = default_initial_pair(basis_f, params_f)
-    grid = uniform_grid(1.0, 400)
     m = 100
 
     def mean_mode0(scheme_name, first):
         sch = SchemeConfig(dt=2.5e-3, T=1.0, scheme=scheme_name)
-        vals = np.empty(m)
-        for i in range(m):
-            path = sample_path(spec_f, grid, first + i)
-            res = run(init, params_f, sch, basis_f, spec_f, path)
-            vals[i] = res.final.pair.u.modal[0]
-        return vals
+        return _final_u_modal(init, params_f, sch, basis_f, spec_f, first,
+                              m)[:, 0]
 
     full_ito = mean_mode0("ito_imex", 0)
     full_heun = mean_mode0("stratonovich_heun", 5000)

@@ -41,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# the config value --paths overrides, per subcommand that has the option
+_PATHS_KEY = {
+    "ensemble": ("run", "paths"),
+    "fixedpoint": ("fixedpoint", "ensemble_size"),
+}
+
+
 def _build_parser():
     parser = _Parser(prog="gmspde", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -57,20 +64,14 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides the config file)")
         p.add_argument("--out-dir", default="gmspde-out")
-        p.add_argument("--paths", type=int, default=None,
-                       help="ensemble size (overrides the config file)")
+        if name in _PATHS_KEY:
+            p.add_argument("--paths", type=int, default=None,
+                           help="ensemble size (overrides the config file)")
         p.add_argument("--quiet", action="store_true")
         if name == "selftest":
             p.add_argument("--criteria", default=None,
                            help="comma-separated criterion numbers (default all)")
     return parser
-
-
-# the config value --paths overrides, per subcommand that uses it
-_PATHS_KEY = {
-    "ensemble": ("run", "paths"),
-    "fixedpoint": ("fixedpoint", "ensemble_size"),
-}
 
 
 def _load(args):
@@ -80,7 +81,7 @@ def _load(args):
         cfg = config_mod.default_config()
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-    if args.paths is not None and args.command in _PATHS_KEY:
+    if args.command in _PATHS_KEY and args.paths is not None:
         cfg = cfg.with_value(*_PATHS_KEY[args.command], args.paths)
     return cfg
 

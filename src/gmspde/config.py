@@ -186,6 +186,11 @@ def parse_table(text):
     return table, problems
 
 
+def _problems(section, exc, suffix=""):
+    """One problem line per violated invariant listed in ``exc``."""
+    return [f"[{section}] {line}{suffix}" for line in str(exc).splitlines()]
+
+
 def _filled(table):
     out = {}
     for sec, keys in SCHEMA.items():
@@ -210,7 +215,7 @@ def _assemble(raw) -> RunConfig:
             grid_points_per_axis=dom["grid_points"],
         )
     except ValueError as exc:
-        problems.append(f"[domain] {exc}")
+        problems.extend(_problems("domain", exc))
 
     params = None
     try:
@@ -222,7 +227,7 @@ def _assemble(raw) -> RunConfig:
                 "positive constants; zero is accepted for analytic-limit runs"
             )
     except ValueError as exc:
-        problems.append(f"[model] {exc} (constants must be positive)")
+        problems.extend(_problems("model", exc, " (constants must be positive)"))
 
     scheme = None
     try:
@@ -233,7 +238,7 @@ def _assemble(raw) -> RunConfig:
         )
         scheme.n_steps()
     except ValueError as exc:
-        problems.append(f"[scheme] {exc}")
+        problems.extend(_problems("scheme", exc))
 
     nspec = None
     try:
@@ -242,7 +247,7 @@ def _assemble(raw) -> RunConfig:
                           mode_count=ns["modes"],
                           master_seed=ns["master_seed"])
     except ValueError as exc:
-        problems.append(f"[noise] {exc}")
+        problems.extend(_problems("noise", exc))
 
     fcfg = None
     try:
@@ -252,7 +257,7 @@ def _assemble(raw) -> RunConfig:
         if domain is not None:
             fcfg.validate_for_dim(domain.dim)
     except ValueError as exc:
-        problems.append(f"[functionals] {exc}")
+        problems.extend(_problems("functionals", exc))
 
     if domain is not None and nspec is not None:
         for j in (1, 2):
@@ -274,7 +279,7 @@ def _assemble(raw) -> RunConfig:
     try:
         FixedPointConfig(**raw["fixedpoint"])
     except ValueError as exc:
-        problems.append(f"[fixedpoint] {exc}")
+        problems.extend(_problems("fixedpoint", exc))
     try:
         levels = raw["uniqueness"]["stopping_levels"]
         if any(b <= a for a, b in zip(levels, levels[1:])) or not levels:

@@ -26,11 +26,24 @@ noise coefficient depends on that field alone, so the coupled step
 passes of the Picard map T (``experiments.apply_T``) are the same rule
 fed different sources.
 
-A trajectory has one state object, :class:`StateView`, which the
-stepper advances in place.  :func:`run` feeds it to a single observer
-through :func:`observe`, the one walk over a trajectory's states;
+Paths are stepped as stacks: one state object, :class:`StateView`,
+holds B trajectories as rows (modal (B, K), nodal (B, n_nodes)), and
+the stepper advances every row at once, so each transform is one
+product for the whole stack.  :func:`run_batch` drives such a stack and
+:func:`run` is its one-row case; there is no second stepping path.
+Each row is checked on its own (reaction CFL, finiteness, the zero-floor
+positivity of v): a failed row stops with the error its solo run raises
+and the other rows go on.  Observers see the stack through
+:func:`observe`, the one walk over a trajectory's states;
 ``experiments.replay_trace`` feeds stored trajectories through the same
 walk, so live and replayed functionals are the same computation.
+
+Numbers.  A row of a one-row stack is bitwise the single-path product
+(numpy's (1, K) @ (K, n) is the 1-D product), so :func:`run` is
+reproducible bit for bit.  In a stack of B > 1 rows the BLAS kernel may
+sum a row in another order; a row then agrees with its solo run to
+rounding (pinned at 1e-13 x max|value| by the tests), and a given
+stacking of the same paths is reproducible bit for bit.
 
 Nonlinear and noise products are formed nodally and projected back to
 the truncation with a 2/3-rule guard.
@@ -38,11 +51,18 @@ the truncation with a 2/3-rule guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Field, FieldPair, dealias_modal, quotient_nodal
+from .fields import (
+    Field,
+    FieldPair,
+    dealias_modal,
+    floor_counts,
+    floor_violation,
+    quotient_nodal,
+)
 from .noise import NoisePath, NoiseSpec
 from .spectral import SpectralBasis
 
@@ -67,9 +87,10 @@ class ModelParams:
     sigma_v: float
 
     def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if value < 0:
-                raise ValueError(f"{name} = {value:g} violates positivity")
+        problems = [f"{name} = {value:g} violates positivity"
+                    for name, value in self.__dict__.items() if value < 0]
+        if problems:
+            raise ValueError("\n".join(problems))
 
     def validate_strict(self):
         """All-positive check; zeros are reserved for analytic-limit runs."""
@@ -100,16 +121,19 @@ class SchemeConfig:
     reaction_cfl_limit: float = 1.0
 
     def __post_init__(self):
+        problems = []
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            problems.append("dt must be positive")
         if self.T < 0:
-            raise ValueError("horizon must be nonnegative")
+            problems.append("horizon must be nonnegative")
         if self.T > 0 and self.dt >= self.T + 1e-15:
-            raise ValueError("dt must be smaller than the horizon")
+            problems.append("dt must be smaller than the horizon")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+            problems.append(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.v_floor < 0:
-            raise ValueError("v_floor must be >= 0")
+            problems.append("v_floor must be >= 0")
+        if problems:
+            raise ValueError("\n".join(problems))
 
     def n_steps(self):
         if self.T == 0:
@@ -150,10 +174,14 @@ def _phi1(z):
 
 @dataclass
 class StateView:
-    """The live state of one trajectory, handed to its observer.
+    """The live state of a stack of B trajectories, handed to their observer.
 
-    :meth:`Stepper.advance` updates it in place, so an observer that
-    keeps values across steps must copy them.  Nodal arrays are flat.
+    Row b of each array belongs to trajectory b: modal (B, K), flat nodal
+    (B, n_nodes), ``floor_activations`` and ``alive`` (B,); the rows
+    share ``t`` and ``step_index``.  :meth:`Stepper.advance` updates it
+    in place, so an observer that keeps values across steps must copy
+    them.  A failed row keeps its last good state, ``alive`` is False
+    there and ``failures`` maps the row to the error that stopped it.
     """
 
     t: float
@@ -162,7 +190,9 @@ class StateView:
     v_modal: np.ndarray
     u_nodal: np.ndarray
     v_nodal: np.ndarray
-    floor_activations: int
+    floor_activations: np.ndarray
+    alive: np.ndarray
+    failures: dict = field(default_factory=dict)
 
 
 class Stepper:
@@ -176,7 +206,9 @@ class Stepper:
         self.params = params
         self.scheme = scheme
         self.noise_spec = noise_spec
-        lam = basis.eigenvalues
+        # per-mode factors as (1, K) rows: same-shape products with a
+        # one-row stack skip numpy's (slower) broadcasting loop
+        lam = basis.eigenvalues[None]
         dt = scheme.dt
         c_u = params.r_u * lam + params.mu_u
         c_v = params.r_v * lam + params.mu_v
@@ -197,49 +229,34 @@ class Stepper:
         }
         self.damp1 = (1.0 + lam) ** (-0.5 * noise_spec.gamma1)
         self.damp2 = (1.0 + lam) ** (-0.5 * noise_spec.gamma2)
-        self._keep = dealias_modal(basis, np.ones(basis.mode_count)) != 0.0
+        self._keep = dealias_modal(basis, np.ones(basis.mode_count))[None] != 0.0
 
     def _project(self, nodal_flat):
         return np.where(self._keep, self.basis.project(nodal_flat), 0.0)
 
-    def raw_state(self, pair: FieldPair) -> StateView:
-        """State 0 of a trajectory starting from ``pair`` (copied)."""
-        u_modal = pair.u.modal.copy()
-        v_modal = pair.v.modal.copy()
+    def raw_state(self, pair: FieldPair, n_rows: int = 1) -> StateView:
+        """State 0 of ``n_rows`` trajectories starting from ``pair`` (copied)."""
+        u_modal = np.tile(pair.u.modal, (n_rows, 1))
+        v_modal = np.tile(pair.v.modal, (n_rows, 1))
         return StateView(
             t=0.0, step_index=0,
             u_modal=u_modal, v_modal=v_modal,
             u_nodal=self.basis.synthesize(u_modal),
             v_nodal=self.basis.synthesize(v_modal),
-            floor_activations=0,
+            floor_activations=np.zeros(n_rows, dtype=int),
+            alive=np.ones(n_rows, dtype=bool),
         )
-
-    def to_state(self, state: StateView) -> SimState:
-        shape = self.basis.grid_shape
-        pair = FieldPair(
-            Field(self.basis, nodal=state.u_nodal.reshape(shape).copy(),
-                  modal=state.u_modal.copy()),
-            Field(self.basis, nodal=state.v_nodal.reshape(shape).copy(),
-                  modal=state.v_modal.copy()),
-        )
-        return SimState(t=state.t, pair=pair, step_index=state.step_index,
-                        floor_activations=state.floor_activations)
 
     def _reaction(self, state):
-        """Quotient and squared source with the CFL guard."""
-        p = self.params
-        dt = self.scheme.dt
-        q_nodal, activations = quotient_nodal(
-            state.u_nodal, state.v_nodal, self.scheme.v_floor
-        )
-        state.floor_activations += activations
-        peak = p.kappa_u * float(q_nodal.max(initial=0.0)) * dt
-        if peak >= self.scheme.reaction_cfl_limit:
-            raise SimulationError(
-                f"reaction CFL violated at step {state.step_index}: "
-                f"kappa_u*max(u^2/v)*dt = {peak:g} >= {self.scheme.reaction_cfl_limit:g}"
-            )
-        return q_nodal
+        """Quotient u^2/max(v, floor) and each row's kappa_u*max(u^2/v)*dt."""
+        v_floor = self.scheme.v_floor
+        q_nodal, activations = quotient_nodal(state.u_nodal, state.v_nodal,
+                                              v_floor)
+        if activations:
+            state.floor_activations += state.alive * floor_counts(
+                state.v_nodal, v_floor)
+        peak = self.params.kappa_u * q_nodal.max(axis=-1, initial=0.0)
+        return q_nodal, peak * self.scheme.dt
 
     def step_field(self, name, modal, nodal, source_nodal, dw_modal):
         """One step of field ``name`` ("u" or "v") under the configured scheme.
@@ -261,31 +278,59 @@ class Stepper:
         return deterministic + decay * 0.5 * (noise + corrector)
 
     def advance(self, state: StateView, dw1_modal, dw2_modal):
-        """One coupled step of (u, v) in place."""
-        q = self._reaction(state)
+        """One coupled step of (u, v) for every row of ``state``, in place.
+
+        A live row fails the step on a reaction CFL violation, a
+        non-finite result or, under a zero floor, a nonpositive inhibitor
+        (checked in that order).  It then keeps its pre-step values and
+        leaves ``state.alive``, and ``state.failures`` holds the error a
+        solo :func:`run` of that path raises.  Failed rows stay in the
+        stack, so the other rows' bits do not depend on which rows fail.
+        """
+        step = state.step_index
+        limit = self.scheme.reaction_cfl_limit
+        q, peak = self._reaction(state)
         u_new = self.step_field("u", state.u_modal, state.u_nodal, q, dw1_modal)
         v_new = self.step_field("v", state.v_modal, state.v_nodal,
                                 state.u_nodal * state.u_nodal, dw2_modal)
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-            raise SimulationError(
-                f"non-finite state after step {state.step_index}"
-            )
-        state.u_modal = u_new
-        state.v_modal = v_new
-        state.u_nodal = self.basis.synthesize(u_new)
-        state.v_nodal = self.basis.synthesize(v_new)
+        finite = np.isfinite(u_new).all(axis=-1) & np.isfinite(v_new).all(axis=-1)
+        ok = state.alive & (peak < limit) & finite
+        failed = {}
+        if not ok.all():
+            for r in np.flatnonzero(state.alive & ~ok):
+                if peak[r] >= limit:
+                    message = (f"reaction CFL violated at step {step}: "
+                               f"kappa_u*max(u^2/v)*dt = {peak[r]:g} >= {limit:g}")
+                else:
+                    message = f"non-finite state after step {step}"
+                failed[int(r)] = SimulationError(message)
+            u_new[~ok] = state.u_modal[~ok]
+            v_new[~ok] = state.v_modal[~ok]
+        u_nodal = self.basis.synthesize(u_new)
+        v_nodal = self.basis.synthesize(v_new)
+        if self.scheme.v_floor == 0.0:
+            for r in np.flatnonzero(ok & np.any(v_nodal <= 0.0, axis=-1)):
+                failed[int(r)] = floor_violation(v_nodal[r])
+                u_new[r], v_new[r] = state.u_modal[r], state.v_modal[r]
+                u_nodal[r], v_nodal[r] = state.u_nodal[r], state.v_nodal[r]
+        state.u_modal, state.v_modal = u_new, v_new
+        state.u_nodal, state.v_nodal = u_nodal, v_nodal
+        for r, exc in failed.items():
+            state.alive[r] = False
+            state.failures[r] = exc
         state.step_index += 1
         state.t = state.step_index * self.scheme.dt
 
 
 def observe(observer, states, n_steps, dt):
-    """Feed states 0..n_steps of one trajectory to ``observer``.
+    """Feed states 0..n_steps of one trajectory (or stack) to ``observer``.
 
     State 0 is recorded, every pre-step state is accumulated over ``dt``,
     and every ``observer.stride``-th state and the last one are recorded.
     ``states`` yields the n_steps + 1 states in time order (they may be
-    one object updated in place between yields); ``observer`` may be
-    None.  Returns the last state.
+    one object updated in place between yields); it may stop early, when
+    every row of a stack has failed.  ``observer`` may be None.  Returns
+    the last state.
     """
     states = iter(states)
     state = next(states)
@@ -294,7 +339,10 @@ def observe(observer, states, n_steps, dt):
     for n in range(1, n_steps + 1):
         if observer is not None:
             observer.accumulate(state, dt)
-        state = next(states)
+        following = next(states, None)
+        if following is None:
+            break
+        state = following
         if observer is not None and (n % observer.stride == 0 or n == n_steps):
             observer.record(state)
     return state
@@ -306,15 +354,61 @@ class RunResult:
     n_steps: int
 
 
+def run_batch(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
+              basis: SpectralBasis, noise_spec: NoiseSpec, increments,
+              observer=None) -> StateView:
+    """Drive B trajectories from ``initial`` as one stack, one row per path.
+
+    ``increments`` holds the raw Brownian increments of the B paths,
+    shape (B, 2, K, >= n_steps), as :func:`~gmspde.noise.sample_paths`
+    returns them.  ``observer`` sees the whole stack (see :func:`run`).
+    A row that fails a step stops there, its error in the returned
+    state's ``failures``, and the other rows go on; the walk ends early
+    once every row has failed.  Returns the final state.
+    """
+    n_steps = scheme.n_steps()
+    if increments.shape[-1] < n_steps:
+        raise ValueError(
+            f"noise path has {increments.shape[-1]} steps, run needs {n_steps}"
+        )
+    stepper = Stepper(basis, params, scheme, noise_spec)
+    state = stepper.raw_state(initial, increments.shape[0])
+
+    def states():
+        yield state
+        for n in range(n_steps):
+            stepper.advance(state, stepper.damp1 * increments[:, 0, :, n],
+                            stepper.damp2 * increments[:, 1, :, n])
+            if not state.alive.any():
+                return
+            yield state
+
+    return observe(observer, states(), n_steps, scheme.dt)
+
+
+def _row_state(basis: SpectralBasis, state: StateView, row: int) -> SimState:
+    shape = basis.grid_shape
+    pair = FieldPair(
+        Field(basis, nodal=state.u_nodal[row].reshape(shape).copy(),
+              modal=state.u_modal[row].copy()),
+        Field(basis, nodal=state.v_nodal[row].reshape(shape).copy(),
+              modal=state.v_modal[row].copy()),
+    )
+    return SimState(t=state.t, pair=pair, step_index=state.step_index,
+                    floor_activations=int(state.floor_activations[row]))
+
+
 def run(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
         basis: SpectralBasis, noise_spec: NoiseSpec,
         path: NoisePath | None, observer=None) -> RunResult:
-    """Drive a full trajectory, feeding its states to ``observer``.
+    """Drive one trajectory, feeding its states to ``observer``.
 
-    An observer has a ``stride``, ``accumulate(state, dt)`` (called with
-    the pre-step state before every step) and ``record(state)`` (called
-    at t = 0, every ``stride`` steps and at the final time); see
-    :func:`observe`.  The trajectory is a pure function of its arguments.
+    This is :func:`run_batch` with one row; a failed step raises its
+    error.  An observer has a ``stride``, ``accumulate(state, dt)``
+    (called with the pre-step state before every step) and
+    ``record(state)`` (called at t = 0, every ``stride`` steps and at the
+    final time); see :func:`observe`.  The trajectory is a pure function
+    of its arguments.
 
     ``path`` may be None only for noiseless runs (sigma_u = sigma_v = 0).
     """
@@ -322,6 +416,7 @@ def run(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
     if path is None:
         if params.sigma_u != 0.0 or params.sigma_v != 0.0:
             raise ValueError("a noise path is required when sigma > 0")
+        increments = np.broadcast_to(0.0, (1, 2, basis.mode_count, n_steps))
     else:
         if path.n_steps < n_steps:
             raise ValueError(
@@ -330,24 +425,13 @@ def run(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
         dts = path.dts[:n_steps]
         if n_steps and np.max(np.abs(dts - scheme.dt)) > 1e-12 * max(1.0, scheme.dt):
             raise ValueError("noise path time grid does not match scheme dt")
+        increments = path.increments[None]
 
-    stepper = Stepper(basis, params, scheme, noise_spec)
-
-    def states():
-        state = stepper.raw_state(initial)
-        zeros = np.zeros(basis.mode_count)
-        yield state
-        for n in range(n_steps):
-            if path is None:
-                dw1 = dw2 = zeros
-            else:
-                dw1 = stepper.damp1 * path.increments[0, :, n]
-                dw2 = stepper.damp2 * path.increments[1, :, n]
-            stepper.advance(state, dw1, dw2)
-            yield state
-
-    final = observe(observer, states(), n_steps, scheme.dt)
-    return RunResult(final=stepper.to_state(final), n_steps=n_steps)
+    final = run_batch(initial, params, scheme, basis, noise_spec, increments,
+                      observer)
+    if final.failures:
+        raise final.failures[0]
+    return RunResult(final=_row_state(basis, final, 0), n_steps=n_steps)
 
 
 def default_initial_pair(basis: SpectralBasis, params: ModelParams,

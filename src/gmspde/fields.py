@@ -177,22 +177,43 @@ def dealias_modal(basis: SpectralBasis, modal, fraction=2.0 / 3.0):
     return out
 
 
+def floor_violation(v_nodal):
+    """The :class:`FloorViolation` a zero floor meets on one row.
+
+    Reports the first nonpositive node of ``v_nodal`` (which must have
+    one), its index relative to the row.
+    """
+    v = np.ravel(v_nodal)
+    loc = int(np.flatnonzero(v <= 0.0)[0])
+    return FloorViolation(
+        f"inhibitor is nonpositive at flat node {loc} "
+        f"(value {v[loc]:g}) and no floor is set",
+        node_index=loc,
+    )
+
+
+def floor_counts(v_nodal, v_floor):
+    """Per-row number of nodes below ``v_floor`` (last axis)."""
+    return np.count_nonzero(v_nodal < v_floor, axis=-1)
+
+
 def quotient_nodal(u_nodal, v_nodal, v_floor):
-    """Array form of u^2 / max(v, floor); returns (values, activations)."""
+    """Array form of u^2 / max(v, floor); returns (values, activations).
+
+    Acts on the last axis; leading axes are independent rows, and
+    ``activations`` is the total over all of them (:func:`floor_counts`
+    gives it per row).  A zero floor raises the :class:`FloorViolation`
+    of the first row holding a nonpositive v.
+    """
     if v_floor < 0:
         raise ValueError("v_floor must be >= 0")
     if v_floor == 0.0:
-        bad = v_nodal <= 0.0
-        if np.any(bad):
-            loc = int(np.flatnonzero(bad.ravel())[0])
-            raise FloorViolation(
-                f"inhibitor is nonpositive at flat node {loc} "
-                f"(value {v_nodal.ravel()[loc]:g}) and no floor is set",
-                node_index=loc,
-            )
+        rows = np.reshape(v_nodal, (-1, np.shape(v_nodal)[-1]))
+        bad = np.flatnonzero(np.any(rows <= 0.0, axis=-1))
+        if bad.size:
+            raise floor_violation(rows[bad[0]])
         return u_nodal * u_nodal / v_nodal, 0
-    low = v_nodal < v_floor
-    activations = int(np.count_nonzero(low))
+    activations = int(np.count_nonzero(v_nodal < v_floor))
     denom = np.maximum(v_nodal, v_floor)
     return u_nodal * u_nodal / denom, activations
 
@@ -205,7 +226,8 @@ def reaction_quotient(u: Field, v: Field, v_floor: float):
     """
     if u.basis is not v.basis:
         raise ValueError("fields live on different bases")
-    values, activations = quotient_nodal(u.nodal, v.nodal, v_floor)
+    values, activations = quotient_nodal(u.nodal.ravel(), v.nodal.ravel(),
+                                         v_floor)
     return Field(u.basis, nodal=values), activations
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, quotient_nodal
+from .fields import Field, floor_counts, quotient_nodal
 
 DEFAULT_P = 31.0 / 7.0
 
@@ -56,10 +56,13 @@ class FunctionalConfig:
     observation_stride: int = 10
 
     def __post_init__(self):
+        problems = []
         if self.p < 1:
-            raise ValueError("p must be >= 1")
+            problems.append("p must be >= 1")
         if self.observation_stride < 1:
-            raise ValueError("observation_stride must be >= 1")
+            problems.append("observation_stride must be >= 1")
+        if problems:
+            raise ValueError("\n".join(problems))
 
     def validate_for_dim(self, dim):
         lo_open = dim == 2
@@ -109,8 +112,18 @@ class FunctionalTrace:
 
 def xi_field(v: Field, floor: float):
     """Inverse inhibitor 1/max(v, floor); returns (field, activations)."""
-    inv, activations = _xi_nodal(v.nodal, floor)
+    inv, activations = _xi_nodal(v.nodal.ravel(), floor)
     return Field(v.basis, nodal=inv), activations
+
+
+def _quadrature(nodal, weights):
+    """Integral of each row of ``nodal`` (last axis).
+
+    Summed by ``einsum`` rather than a BLAS matrix-vector product, which
+    sums some rows of a stack in another order: identical rows must give
+    identical integrals wherever they sit in the stack.
+    """
+    return np.einsum("...n,n->...", nodal, weights)
 
 
 def _xi_nodal(v_nodal, floor):
@@ -121,7 +134,13 @@ def _xi_nodal(v_nodal, floor):
 
 
 class FunctionalRecorder:
-    """Observer accumulating the functional trace of one trajectory.
+    """Observer accumulating the functional traces of a stack of trajectories.
+
+    Every reduction runs over the last (node or mode) axis, so the rows
+    of the observed :class:`~gmspde.dynamics.StateView` are recorded
+    side by side; ``path_index`` is one index (one row) or one per row.
+    :meth:`traces` returns one :class:`FunctionalTrace` per row,
+    :meth:`trace` the trace of a one-row recorder.
 
     Floor activations of xi = 1/max(v, floor) are counted in
     :meth:`accumulate` only, on the pre-step states the stepper floors,
@@ -130,46 +149,48 @@ class FunctionalRecorder:
     """
 
     def __init__(self, basis, config: FunctionalConfig, v_floor: float,
-                 path_index: int = -1):
+                 path_index=-1):
         self.basis = basis
         self.config = config
         self.v_floor = v_floor
         self.stride = config.observation_stride
-        self.path_index = path_index
+        self.path_indices = [int(i) for i in np.atleast_1d(path_index)]
+        rows = len(self.path_indices)
         self._rows = {name: [] for name in TRACE_COLUMNS if name != "time"}
         self._times = []
-        self._int_grad_chi = 0.0
-        self._int_chi2_xi = 0.0
-        self._int_xi2_chi2 = 0.0
-        self._int_xi_p2_gv = 0.0
-        self._int_u_chi2_xi = 0.0
-        self.floor_activations = 0
+        self._int_grad_chi = np.zeros(rows)
+        self._int_chi2_xi = np.zeros(rows)
+        self._int_xi2_chi2 = np.zeros(rows)
+        self._int_xi_p2_gv = np.zeros(rows)
+        self._int_u_chi2_xi = np.zeros(rows)
+        self.floor_activations = np.zeros(rows, dtype=int)
         s = 1.0 - config.rho
         self._h_weights = (1.0 + basis.eigenvalues) ** s
 
     def _grad_v_sq(self, view):
         basis = self.basis
-        out = np.zeros(basis.n_nodes)
+        out = 0.0
         for ax in range(basis.domain.dim):
             g = view.v_modal @ basis.gradient_table(ax)
-            out += g * g
+            out = out + g * g
         return out
 
     def accumulate(self, view, dt):
         w = self.basis.weights
         xi, activations = _xi_nodal(view.v_nodal, self.v_floor)
-        self.floor_activations += activations
+        if activations:
+            self.floor_activations += floor_counts(view.v_nodal, self.v_floor)
         u = view.u_nodal
         chi2xi = u * u * xi
-        self._int_grad_chi += dt * float(
-            np.sum(self.basis.eigenvalues * view.u_modal**2)
+        self._int_grad_chi += dt * np.sum(
+            self.basis.eigenvalues * view.u_modal**2, axis=-1
         )
-        self._int_chi2_xi += dt * float(w @ chi2xi)
-        self._int_xi2_chi2 += dt * float(w @ (chi2xi * xi))
-        self._int_u_chi2_xi += dt * float(w @ (chi2xi * u))
+        self._int_chi2_xi += dt * _quadrature(chi2xi, w)
+        self._int_xi2_chi2 += dt * _quadrature(chi2xi * xi, w)
+        self._int_u_chi2_xi += dt * _quadrature(chi2xi * u, w)
         p = self.config.p
-        self._int_xi_p2_gv += dt * float(
-            w @ (xi ** (p + 2.0) * self._grad_v_sq(view))
+        self._int_xi_p2_gv += dt * _quadrature(
+            xi ** (p + 2.0) * self._grad_v_sq(view), w
         )
 
     def record(self, view):
@@ -181,38 +202,53 @@ class FunctionalRecorder:
         p = self.config.p
         ln_xi = np.log(xi)
         row = {
-            "chi_l2_sq": float(np.sum(view.u_modal**2)),
-            "int_grad_chi_sq": self._int_grad_chi,
-            "xi_lp_p": float(w @ xi**p),
-            "xi_l1": float(w @ xi),
-            "int_ln_xi": float(w @ ln_xi),
-            "abs_ln_xi_l1": float(w @ np.abs(ln_xi)),
-            "int_chi2_xi": self._int_chi2_xi,
-            "int_xi2_chi2": self._int_xi2_chi2,
-            "int_xi_p2_grad_v_sq": self._int_xi_p2_gv,
-            "int_u_chi2_xi": self._int_u_chi2_xi,
-            "lnxi_dot_u": float(w @ (ln_xi * u)),
-            "chi_h1mrho_sq": float(np.sum(self._h_weights * view.u_modal**2)),
-            "eta_l2": float(np.sqrt(np.sum(view.v_modal**2))),
-            "eta_l1": float(w @ np.abs(v)),
-            "chi_min": float(u.min()),
-            "chi_argmin": float(np.argmin(u)),
-            "eta_min": float(v.min()),
-            "eta_argmin": float(np.argmin(v)),
-            "floor_activations": float(self.floor_activations),
+            "chi_l2_sq": np.sum(view.u_modal**2, axis=-1),
+            "int_grad_chi_sq": self._int_grad_chi.copy(),
+            "xi_lp_p": _quadrature(xi**p, w),
+            "xi_l1": _quadrature(xi, w),
+            "int_ln_xi": _quadrature(ln_xi, w),
+            "abs_ln_xi_l1": _quadrature(np.abs(ln_xi), w),
+            "int_chi2_xi": self._int_chi2_xi.copy(),
+            "int_xi2_chi2": self._int_xi2_chi2.copy(),
+            "int_xi_p2_grad_v_sq": self._int_xi_p2_gv.copy(),
+            "int_u_chi2_xi": self._int_u_chi2_xi.copy(),
+            "lnxi_dot_u": _quadrature(ln_xi * u, w),
+            "chi_h1mrho_sq": np.sum(self._h_weights * view.u_modal**2, axis=-1),
+            "eta_l2": np.sqrt(np.sum(view.v_modal**2, axis=-1)),
+            "eta_l1": _quadrature(np.abs(v), w),
+            "chi_min": u.min(axis=-1),
+            "chi_argmin": np.argmin(u, axis=-1).astype(float),
+            "eta_min": v.min(axis=-1),
+            "eta_argmin": np.argmin(v, axis=-1).astype(float),
+            "floor_activations": self.floor_activations.astype(float),
         }
         for name, value in row.items():
             self._rows[name].append(value)
         self._times.append(view.t)
 
+    def traces(self) -> list[FunctionalTrace]:
+        """One trace per row, in row order."""
+        times = np.asarray(self._times)
+        # (rows, observations) per column
+        columns = {k: np.array(v).T.copy() for k, v in self._rows.items()}
+        return [
+            FunctionalTrace(
+                times=times,
+                data={k: col[r] for k, col in columns.items()},
+                p=self.config.p,
+                rho=self.config.rho,
+                path_index=idx,
+            )
+            for r, idx in enumerate(self.path_indices)
+        ]
+
     def trace(self) -> FunctionalTrace:
-        return FunctionalTrace(
-            times=np.asarray(self._times),
-            data={k: np.asarray(v) for k, v in self._rows.items()},
-            p=self.config.p,
-            rho=self.config.rho,
-            path_index=self.path_index,
-        )
+        """The trace of a one-row recorder."""
+        if len(self.path_indices) != 1:
+            raise ValueError(
+                f"recorder holds {len(self.path_indices)} rows; use traces()"
+            )
+        return self.traces()[0]
 
 
 def lyapunov_L1(trace: FunctionalTrace, upto: int | None = None) -> float:

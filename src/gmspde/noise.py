@@ -36,10 +36,13 @@ class NoiseSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        problems = []
         if self.mode_count < 1:
-            raise ValueError("mode_count must be >= 1")
+            problems.append("mode_count must be >= 1")
         if self.master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
+            problems.append("master_seed must be a nonnegative integer")
+        if problems:
+            raise ValueError("\n".join(problems))
 
     def gamma(self, j):
         if j == 1:
@@ -87,11 +90,13 @@ def uniform_grid(horizon, n_steps):
     return np.linspace(0.0, horizon, n_steps + 1)
 
 
-def sample_path(spec: NoiseSpec, time_grid, path_index: int) -> NoisePath:
-    """Draw the full increment table for one path.
+def sample_paths(spec: NoiseSpec, time_grid, path_indices) -> np.ndarray:
+    """Increment tables of several paths, stacked: shape (B, 2, K, N).
 
-    Entry (j, k, n) is sqrt(dt_n) times a standard normal that depends
-    only on (master_seed, path_index, j, k, n).
+    Row b is the table ``sample_path(spec, time_grid, path_indices[b])``
+    stores, bit for bit: entry (b, j, k, n) is sqrt(dt_n) times a
+    standard normal that depends only on (master_seed, path_indices[b],
+    j, k, n).  Indices may repeat and need not be consecutive.
     """
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid.ndim != 1 or time_grid.size < 2:
@@ -101,25 +106,23 @@ def sample_path(spec: NoiseSpec, time_grid, path_index: int) -> NoisePath:
         raise ValueError("time grid must be strictly increasing")
     if time_grid[0] != 0.0:
         raise ValueError("time grid must start at t = 0")
+    path_indices = np.asarray(path_indices, dtype=np.uint64).reshape(-1)
     k_ids = np.arange(spec.mode_count)
     n_ids = np.arange(dts.size)
-    table = np.empty((2, spec.mode_count, dts.size))
+    table = np.empty((path_indices.size, 2, spec.mode_count, dts.size))
     scale = np.sqrt(dts)
     for j in (1, 2):
-        z = rng.normal_table(spec.master_seed, path_index, j, k_ids, n_ids)
-        table[j - 1] = z * scale
+        z = rng.normal_table(spec.master_seed, path_indices, j, k_ids, n_ids)
+        table[:, j - 1] = z * scale
+    return table
+
+
+def sample_path(spec: NoiseSpec, time_grid, path_index: int) -> NoisePath:
+    """Draw the full increment table for one path (see :func:`sample_paths`)."""
+    time_grid = np.asarray(time_grid, dtype=float)
+    table = sample_paths(spec, time_grid, [path_index])[0]
     return NoisePath(spec=spec, time_grid=time_grid, increments=table,
                      path_index=path_index)
-
-
-def mode_increment_batch(spec: NoiseSpec, path_indices, j, k, n, dt):
-    """The (j, k, n) increment of many paths at once.
-
-    Vectorized counterpart of indexing ``sample_path(...).increments``;
-    the numbers are identical by the counter keying.
-    """
-    z = rng.normal_batch(spec.master_seed, path_indices, j, k, n)
-    return z * np.sqrt(dt)
 
 
 def coarsen_path(path: NoisePath) -> NoisePath:

@@ -76,49 +76,49 @@ def _bits_to_uniform(bits):
     return ((bits >> _S11).astype(np.float64) + 0.5) * _U53
 
 
-def normal_table(master_seed, path_index, stream, modes, steps):
-    """Standard-normal draws for a (stream, mode, step) index box.
+# draws per cipher call inside normal_table: bounds the working set of
+# the vectorized cipher (~250 B per draw) whatever the size of the box
+_DRAWS_PER_BLOCK = 4096
 
-    Draw (k, n) is a pure function of (master_seed, path_index, stream,
-    modes[k], steps[n]); the same indices always return the same value.
+
+def normal_table(master_seed, path_index, stream, modes, steps):
+    """Standard-normal draws for a (path, stream, mode, step) index box.
+
+    Draw (k, n) of path b is a pure function of (master_seed,
+    path_index[b], stream, modes[k], steps[n]); the same indices always
+    return the same value, whichever other paths share the call.
 
     Parameters
     ----------
-    master_seed, path_index : nonnegative ints (< 2**64)
+    master_seed : nonnegative int (< 2**64)
+    path_index : nonnegative int, or 1-d array of them (the key varies
+        along the leading axis of the result)
     stream : small nonnegative int distinguishing independent noise uses
     modes, steps : 1-d integer arrays of indices
 
     Returns
     -------
-    float64 array of shape (len(modes), len(steps)).
+    float64 array of shape (len(modes), len(steps)) for one path index,
+    (len(path_index), len(modes), len(steps)) for an array of them.
     """
+    path_index = np.asarray(path_index, dtype=np.uint64)
     modes = np.asarray(modes, dtype=np.uint64)
     steps = np.asarray(steps, dtype=np.uint64)
-    km, kn = np.meshgrid(modes, steps, indexing="ij")
-    counter = np.empty(km.shape + (4,), dtype=np.uint64)
-    counter[..., 0] = kn
-    counter[..., 1] = km
-    counter[..., 2] = np.uint64(stream)
-    counter[..., 3] = np.uint64(0)
-    key = np.array([master_seed, path_index], dtype=np.uint64)
-    blocks = philox4x64(counter, key)
-    return ndtri(_bits_to_uniform(blocks[..., 0]))
-
-
-def normal_batch(master_seed, path_indices, stream, mode, step):
-    """One draw per path index, for vectorized moment checks.
-
-    Returns the same numbers ``normal_table`` would produce one path at a
-    time, in one call over ``path_indices``.
-    """
-    path_indices = np.asarray(path_indices, dtype=np.uint64)
-    counter = np.empty(path_indices.shape + (4,), dtype=np.uint64)
-    counter[..., 0] = np.uint64(step)
-    counter[..., 1] = np.uint64(mode)
-    counter[..., 2] = np.uint64(stream)
-    counter[..., 3] = np.uint64(0)
-    key = np.empty(path_indices.shape + (2,), dtype=np.uint64)
-    key[..., 0] = np.uint64(master_seed)
-    key[..., 1] = path_indices
-    blocks = philox4x64(counter, key)
-    return ndtri(_bits_to_uniform(blocks[..., 0]))
+    # one row per (path, mode), steps along the row
+    row_path = np.repeat(path_index.reshape(-1), modes.size)
+    row_mode = np.tile(modes, path_index.size)
+    out = np.empty((row_path.size, steps.size))
+    rows_per_block = max(1, _DRAWS_PER_BLOCK // max(1, steps.size))
+    for lo in range(0, row_path.size, rows_per_block):
+        hi = min(lo + rows_per_block, row_path.size)
+        counter = np.empty((hi - lo, steps.size, 4), dtype=np.uint64)
+        counter[..., 0] = steps
+        counter[..., 1] = row_mode[lo:hi, None]
+        counter[..., 2] = np.uint64(stream)
+        counter[..., 3] = np.uint64(0)
+        key = np.empty((hi - lo, 1, 2), dtype=np.uint64)
+        key[..., 0] = np.uint64(master_seed)
+        key[..., 1] = row_path[lo:hi, None]
+        blocks = philox4x64(counter, key)
+        out[lo:hi] = ndtri(_bits_to_uniform(blocks[..., 0]))
+    return out.reshape(path_index.shape + (modes.size, steps.size))

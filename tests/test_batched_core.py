@@ -1,0 +1,203 @@
+"""Contract of the path-batched stepping core.
+
+A row of a stack agrees with the solo ``run`` of its path to
+RTOL x max|value| (a stacked product may sum a row in another order), a
+fixed stacking reproduces bit for bit, and a failed row reports exactly
+the error its solo run raises while the other rows go on.
+"""
+
+import numpy as np
+import pytest
+
+from gmspde import experiments
+from gmspde.dynamics import (
+    ModelParams,
+    SchemeConfig,
+    SimulationError,
+    default_initial_pair,
+    run,
+    run_batch,
+)
+from gmspde.experiments import TrajectoryRecorder, ensemble
+from gmspde.fields import FloorViolation
+from gmspde.functionals import FunctionalConfig, FunctionalRecorder
+from gmspde.noise import NoisePath, NoiseSpec, sample_paths, uniform_grid
+from gmspde.spectral import DomainSpec, build_basis
+
+RTOL = 1e-13
+K = 16
+FCFG = FunctionalConfig(observation_stride=7)
+
+
+def params(sigma=0.3):
+    return ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
+                       mu_u=1.0, mu_v=2.0, sigma_u=sigma, sigma_v=sigma)
+
+
+def basis_of(dim):
+    n = 64 if dim == 1 else 16
+    return build_basis(DomainSpec(dim=dim, lengths=(1.0,) * dim,
+                                  grid_points_per_axis=n), K)
+
+
+def assert_close(got, want, label=""):
+    scale = float(np.max(np.abs(want))) or 1.0
+    gap = float(np.max(np.abs(np.asarray(got) - np.asarray(want))))
+    assert gap <= RTOL * scale, f"{label}: gap {gap:.3g} x max {scale:.3g}"
+
+
+def solo(init, prm, sch, basis, spec, grid, increments, idx, observer=None):
+    path = NoisePath(spec=spec, time_grid=grid, increments=increments,
+                     path_index=idx)
+    return run(init, prm, sch, basis, spec, path, observer=observer)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
+def test_stacked_rows_match_solo_runs(dim, scheme):
+    basis = basis_of(dim)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=41)
+    prm = params()
+    init = default_initial_pair(basis, prm)
+    sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
+    grid = uniform_grid(sch.T, sch.n_steps())
+    indices = [0, 5, 2, 9, 1]          # five rows: a BLAS remainder block
+    increments = sample_paths(spec, grid, indices)
+    rec = FunctionalRecorder(basis, FCFG, sch.v_floor, path_index=indices)
+    final = run_batch(init, prm, sch, basis, spec, increments, observer=rec)
+    assert final.failures == {} and final.alive.all()
+    for row, (idx, trace) in enumerate(zip(indices, rec.traces())):
+        want = FunctionalRecorder(basis, FCFG, sch.v_floor, path_index=idx)
+        res = solo(init, prm, sch, basis, spec, grid, increments[row], idx,
+                   observer=want)
+        assert trace.path_index == idx
+        assert np.array_equal(trace.times, want.trace().times)
+        for name, column in want.trace().data.items():
+            assert_close(trace.data[name], column, f"row {row} {name}")
+        assert_close(final.u_modal[row], res.final.pair.u.modal, "u")
+        assert_close(final.v_modal[row], res.final.pair.v.modal, "v")
+        assert final.floor_activations[row] == res.final.floor_activations
+
+
+def run_ensemble(n_paths=11):
+    basis = basis_of(1)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
+    prm = params()
+    sch = SchemeConfig(dt=1e-3, T=0.03)
+    return ensemble(default_initial_pair(basis, prm), prm, sch, basis, spec,
+                    n_paths, FCFG)
+
+
+def test_reruns_at_a_fixed_chunk_are_bitwise(monkeypatch):
+    first = run_ensemble()
+    again = run_ensemble()
+    for name in first.means:
+        assert np.array_equal(first.means[name], again.means[name]), name
+        assert np.array_equal(first.standard_errors[name],
+                              again.standard_errors[name]), name
+    # another chunk size stacks the paths differently: bitwise on rerun,
+    # equal to rounding against the default stacking
+    monkeypatch.setattr(experiments, "PATH_CHUNK", 3)
+    other = run_ensemble()
+    other_again = run_ensemble()
+    for name in first.means:
+        assert np.array_equal(other.means[name], other_again.means[name]), name
+        if not name.endswith("_argmin"):
+            assert_close(other.means[name], first.means[name], name)
+
+
+def kicked_batch(v_floor, kick):
+    """Five paths; row 2 gets ``kick`` added to one increment at step 20."""
+    basis = basis_of(1)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=43)
+    prm = params()
+    init = default_initial_pair(basis, prm)
+    sch = SchemeConfig(dt=1e-3, T=0.05, v_floor=v_floor)
+    grid = uniform_grid(sch.T, sch.n_steps())
+    increments = sample_paths(spec, grid, range(5))
+    process, mode = kick[0], kick[1]
+    increments[2, process, mode, 20] += kick[2]
+    final = run_batch(init, prm, sch, basis, spec, increments)
+    return final, (init, prm, sch, basis, spec, grid, increments)
+
+
+def check_other_rows(final, setup, failed_row):
+    init, prm, sch, basis, spec, grid, increments = setup
+    for row in range(5):
+        if row == failed_row:
+            continue
+        assert final.alive[row]
+        res = solo(init, prm, sch, basis, spec, grid, increments[row], row)
+        assert_close(final.u_modal[row], res.final.pair.u.modal, f"u {row}")
+        assert_close(final.v_modal[row], res.final.pair.v.modal, f"v {row}")
+
+
+def check_failed_row(final, setup, row, error):
+    init, prm, sch, basis, spec, grid, increments = setup
+    # the solo run raises the same error ...
+    rec = TrajectoryRecorder()
+    with pytest.raises(error) as solo_error:
+        solo(init, prm, sch, basis, spec, grid, increments[row], row,
+             observer=rec)
+    assert list(final.failures) == [row]
+    assert not final.alive[row]
+    got = final.failures[row]
+    assert type(got) is type(solo_error.value)
+    assert str(got) == str(solo_error.value)
+    # ... after the same number of good steps: the row kept its last state
+    last = rec.trajectories()
+    assert_close(final.u_modal[row], last.chi_modal[0, -1], "frozen u")
+    assert_close(final.v_modal[row], last.eta_modal[0, -1], "frozen v")
+    return str(got)
+
+
+def test_cfl_failure_is_reported_for_its_row_only():
+    # a kick to the activator's flat mode blows u^2/v up after step 20
+    final, setup = kicked_batch(v_floor=1e-8, kick=(0, 0, 200.0))
+    message = check_failed_row(final, setup, 2, SimulationError)
+    assert message.startswith("reaction CFL violated at step 21:")
+    check_other_rows(final, setup, 2)
+
+
+def test_floor_failure_is_reported_for_its_row_only():
+    # a negative kick to the inhibitor's flat mode: step 20 makes v < 0
+    final, setup = kicked_batch(v_floor=0.0, kick=(1, 0, -50.0))
+    message = check_failed_row(final, setup, 2, FloorViolation)
+    assert message.startswith("inhibitor is nonpositive at flat node 0")
+    check_other_rows(final, setup, 2)
+
+
+def test_ensemble_failures_match_solo_runs():
+    # a CFL limit between the paths' largest reaction numbers: some paths
+    # fail mid-run, the others survive in the same stacks
+    basis = basis_of(1)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=44)
+    prm = params(sigma=1.0)
+    init = default_initial_pair(basis, prm)
+    loose = SchemeConfig(dt=1e-3, T=0.05)
+    grid = uniform_grid(loose.T, loose.n_steps())
+    n_paths = 12
+    increments = sample_paths(spec, grid, range(n_paths))
+    peaks = []
+    for idx in range(n_paths):
+        rec = TrajectoryRecorder()
+        solo(init, prm, loose, basis, spec, grid, increments[idx], idx,
+             observer=rec)
+        traj = rec.trajectory()
+        u = basis.synthesize(traj.chi_modal[:-1])
+        v = basis.synthesize(traj.eta_modal[:-1])
+        peaks.append(float((u * u / v).max()) * prm.kappa_u * loose.dt)
+    limit = float(np.median(peaks))
+    sch = SchemeConfig(dt=1e-3, T=0.05, reaction_cfl_limit=limit)
+    report = ensemble(init, prm, sch, basis, spec, n_paths, FCFG)
+    expected = {}
+    for idx in range(n_paths):
+        try:
+            solo(init, prm, sch, basis, spec, grid, increments[idx], idx)
+        except Exception as exc:
+            expected[idx] = f"{type(exc).__name__}: {exc}"
+    assert 0 < len(expected) < n_paths
+    assert dict(report.failures) == expected
+    assert any(" at step 0:" not in msg for msg in expected.values())
+    assert [t.path_index for t in report.traces] == [
+        i for i in range(n_paths) if i not in expected]

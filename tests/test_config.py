@@ -100,3 +100,31 @@ def test_non_default_values_survive_the_echo():
     assert cfg.noise.master_seed == 17
     assert cfg.uniqueness_opts["stopping_levels"] == (1.0, 3.5, 9.0)
     assert cfg.ensemble_opts["horizons"] == (0.125, 0.25)
+
+
+# every violated invariant of a section is reported, not only the first
+ALL_PROBLEMS = {
+    "scheme": ("[scheme]\ndt = 0\nv_floor = -1\n",
+               ["[scheme] dt must be positive", "[scheme] v_floor must be >= 0"]),
+    "fixedpoint": ("[fixedpoint]\ntolerance = -1\nensemble_size = 0\n",
+                   ["[fixedpoint] tolerance must be positive",
+                    "[fixedpoint] ensemble_size must be >= 1"]),
+}
+
+
+@pytest.mark.parametrize("section", sorted(ALL_PROBLEMS))
+def test_every_violated_invariant_is_reported(section):
+    text, expected = ALL_PROBLEMS[section]
+    with pytest.raises(ConfigError) as err:
+        loads(text)
+    assert err.value.problems == expected
+
+
+@pytest.mark.parametrize("command", ["simulate", "uniqueness", "spectrum",
+                                     "selftest"])
+def test_paths_is_rejected_where_unused(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--paths", "3", "--out-dir", str(out), "--quiet"]
+    assert cli.main(argv) == 1
+    assert "--paths" in capsys.readouterr().err
+    assert not out.exists()

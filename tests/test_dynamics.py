@@ -174,7 +174,7 @@ def test_ito_mean_matches_gbm_oracle():
         for n in range(16):
             stepper.advance(raw, stepper.damp1 * p.increments[0, :, n],
                             stepper.damp2 * p.increments[1, :, n])
-        vals[i] = raw.u_modal[0]
+        vals[i] = raw.u_modal[0, 0]
     oracle = np.exp(-(mu - sigma) * 0.25)
     z = abs(vals.mean() - oracle) / (vals.std(ddof=1) / np.sqrt(n_paths))
     assert z < 3.0

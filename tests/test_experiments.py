@@ -110,7 +110,7 @@ def test_seminorm_of_identical_families_is_zero(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.02)
     traj = constant_trajectory(default_initial_pair(basis, params), sch)
-    assert seminorm_m([traj], [traj], basis, 1.1) == 0.0
+    assert seminorm_m(traj, traj, basis, 1.1) == 0.0
 
 
 def test_picard_at_steady_state_terminates_immediately(basis, nspec):

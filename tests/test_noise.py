@@ -8,8 +8,8 @@ from gmspde.noise import (
     coarsen_path,
     coupled_path_hierarchy,
     increment_field,
-    mode_increment_batch,
     sample_path,
+    sample_paths,
     trace_of_Q,
     uniform_grid,
 )
@@ -152,15 +152,17 @@ def test_increment_field_bounds(basis, spec):
 
 
 def test_mode_coefficient_variance_against_covariance_oracle(basis):
-    # Var<W_j(1), e_k> = (1 + lambda_k)^(-gamma_j) at t = 1
-    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=64, master_seed=31)
-    n_paths, n_steps = 20_000, 4
-    dt = 0.25
-    paths = np.arange(n_paths)
+    # Var<W_j(1), e_k> = (1 + lambda_k)^(-gamma_j) at t = 1; modes 0..10
+    # draw the same numbers under any mode count, so 11 modes suffice
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=11, master_seed=31)
+    n_paths, chunk = 20_000, 2_500
+    grid = uniform_grid(1.0, 4)
+    w1 = np.concatenate([
+        sample_paths(spec, grid, np.arange(i, i + chunk))[:, 0].sum(axis=-1)
+        for i in range(0, n_paths, chunk)
+    ])
     for k in (0, 1, 5, 10):
-        total = np.zeros(n_paths)
-        for n in range(n_steps):
-            total += mode_increment_batch(spec, paths, 1, k, n, dt)
+        total = w1[:, k]
         damp = (1 + basis.eigenvalues[k]) ** (-spec.gamma1 / 2)
         var = float(np.var(damp * total, ddof=1))
         target = (1 + basis.eigenvalues[k]) ** (-spec.gamma1)
@@ -168,10 +170,22 @@ def test_mode_coefficient_variance_against_covariance_oracle(basis):
 
 
 def test_batched_draws_match_sample_path(spec):
+    # non-consecutive and repeated indices: each row is that path's table
     grid = uniform_grid(1.0, 8)
-    p = sample_path(spec, grid, 12)
-    got = mode_increment_batch(spec, np.array([12]), 2, 6, 3, 1.0 / 8)
-    assert got[0] == p.increments[1, 6, 3]
+    indices = [12, 3, 12, 40, 0]
+    table = sample_paths(spec, grid, indices)
+    assert table.shape == (5, 2, spec.mode_count, 8)
+    k_ids, n_ids = np.arange(spec.mode_count), np.arange(8)
+    for row, idx in zip(table, indices):
+        assert np.array_equal(row, sample_path(spec, grid, idx).increments)
+        for j in (1, 2):
+            z = rng.normal_table(spec.master_seed, idx, j, k_ids, n_ids)
+            assert np.array_equal(row[j - 1], z * np.sqrt(1.0 / 8))
+    stacked = rng.normal_table(spec.master_seed, np.array(indices), 2,
+                               k_ids, n_ids)
+    for b, idx in enumerate(indices):
+        assert np.array_equal(
+            stacked[b], rng.normal_table(spec.master_seed, idx, 2, k_ids, n_ids))
 
 
 def test_trace_of_q_examples(basis):

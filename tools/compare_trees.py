@@ -7,15 +7,18 @@ OLD_SRC and NEW_SRC are directories holding a ``gmspde`` package
 ``git archive <commit> | tar -x -C <dir>``.  Each tree runs the same
 cases in its own interpreter, and the outputs are compared:
 
-* bitwise: ``run`` final u, v and the live functional trace for both
-  schemes in 1-D (N=64, K=16) and 2-D (N=16, K=16); criterion 6's
-  single-mode ``_gbm_batch`` outputs for both schemes; the delta = 0
-  uniqueness study (which must also report bitwise-identical runs); the
-  stopping-scan first-hit steps on a trajectory that crosses its levels
-  mid-run;
-* to 1e-13 relative (one stacked product against one per row):
-  ``apply_T`` on a coupled-solve input and ``replay_trace`` of a stored
-  trajectory.
+* bitwise: ``run`` final u, v for both schemes in 1-D (N=64, K=16) and
+  2-D (N=16, K=16); the delta = 0 uniqueness study (which must also
+  report bitwise-identical runs); the stopping-scan first-hit steps on a
+  trajectory that crosses its levels mid-run; the Picard iteration count;
+* to 1e-13 x max|value| (a stacked product, or a quadrature summed in
+  another order, against one per row): the live functional trace of
+  those runs; criterion 6's single-mode ``_gbm_batch`` outputs for both
+  schemes; ``apply_T`` on a coupled-solve input; ``replay_trace`` of a
+  stored trajectory; the ensemble means of 20 paths (1-D, both schemes)
+  and 10 paths (2-D), node-index columns left out (a near-tie may move
+  an argmin by a whole node); the Picard distances of a 6-member
+  iteration.
 
 Exits 1 if any comparison fails.
 """
@@ -46,10 +49,14 @@ def _cases():
     from gmspde import acceptance
     from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair, run
     from gmspde.experiments import (
+        FixedPointConfig,
         StoppingSpec,
         TrajectoryRecorder,
         _stopping_scan,
         apply_T,
+        constant_trajectory,
+        ensemble,
+        picard_iterate,
         replay_trace,
         uniqueness_study,
     )
@@ -81,14 +88,14 @@ def _cases():
             out["bitwise"][key + " v"] = res.final.pair.v.modal
             trace = rec.trace()
             for name, column in trace.data.items():
-                out["bitwise"][f"{key} trace {name}"] = column
+                out["close"][f"{key} trace {name}"] = column
 
     basis1 = basis_of(1, 4, 1)
     spec1 = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=1, master_seed=606)
     gbm = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
                       mu_u=3.0, mu_v=2.0, sigma_u=2.0, sigma_v=0.1)
     for scheme in ("ito_imex", "stratonovich_heun"):
-        out["bitwise"][f"_gbm_batch {scheme}"] = acceptance._gbm_batch(
+        out["close"][f"_gbm_batch {scheme}"] = acceptance._gbm_batch(
             scheme, gbm, spec1, basis1, 300, 32, 0.25, 1.0, first_path=0)
 
     basis = basis_of(1, 64, 16)
@@ -129,6 +136,28 @@ def _cases():
     trace = replay_trace(coupled, basis, fcfg, sch.v_floor)
     for name, column in trace.data.items():
         out["close"][f"replay_trace {name}"] = column
+
+    for dim, n, n_paths in ((1, 64, 20), (2, 16, 10)):
+        basis = basis_of(dim, n, 16)
+        init = default_initial_pair(basis, params)
+        schemes = ("ito_imex", "stratonovich_heun") if dim == 1 else ("ito_imex",)
+        for scheme in schemes:
+            sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
+            report = ensemble(init, params, sch, basis, spec, n_paths, fcfg)
+            for name, column in report.means.items():
+                if not name.endswith("_argmin"):
+                    key = f"ensemble {dim}d {scheme} mean {name}"
+                    out["close"][key] = column
+
+    basis = basis_of(1, 64, 16)
+    init = default_initial_pair(basis, params)
+    sch = SchemeConfig(dt=1e-3, T=0.05)
+    report = picard_iterate(constant_trajectory(init, sch), init, params, sch,
+                            basis, spec, FixedPointConfig(max_iterations=8,
+                                                          tolerance=1e-9,
+                                                          ensemble_size=6))
+    out["bitwise"]["picard iterations"] = np.array([report.iterations])
+    out["close"]["picard distances"] = np.array(report.distances)
     return out
 
 
