@@ -94,7 +94,7 @@ def criterion_1_orthonormality():
     ]
     for dom in cases:
         basis = build_basis(dom, 64)
-        gram = (basis.eval_table * basis.weights) @ basis.eval_table.T
+        gram = basis.project(basis.synthesize(np.eye(64)))
         worst = max(worst, float(np.abs(gram - np.eye(64)).max()))
     return _result(1, "basis orthonormality", worst < 1e-10,
                    f"max Gram error {worst:.3e} (tol 1e-10)", t0, limit=5.0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import ModelParams, SchemeConfig
 from .experiments import FixedPointConfig
-from .functionals import DEFAULT_P, FunctionalConfig
+from .functionals import DEFAULT_P, FunctionalConfig, check_rho
 from .noise import NoiseSpec
 from .spectral import DomainSpec, mode_list
 
@@ -250,14 +250,17 @@ def _assemble(raw) -> RunConfig:
         problems.extend(_problems("noise", exc))
 
     fcfg = None
+    fn = raw["functionals"]
     try:
-        fn = raw["functionals"]
         fcfg = FunctionalConfig(p=fn["p"], rho=fn["rho"],
                                 observation_stride=fn["observation_stride"])
-        if domain is not None:
-            fcfg.validate_for_dim(domain.dim)
     except ValueError as exc:
         problems.extend(_problems("functionals", exc))
+    if domain is not None:
+        try:
+            check_rho(fn["rho"], domain.dim)
+        except ValueError as exc:
+            problems.extend(_problems("functionals", exc))
 
     if domain is not None and nspec is not None:
         for j in (1, 2):

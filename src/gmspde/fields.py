@@ -236,7 +236,7 @@ def gradient_nodal(f: Field):
     basis = f.basis
     modal = f.modal
     return [
-        (modal @ basis.gradient_table(ax)).reshape(basis.grid_shape)
+        basis.gradient(modal, ax).reshape(basis.grid_shape)
         for ax in range(basis.domain.dim)
     ]
 

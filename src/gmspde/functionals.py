@@ -64,11 +64,13 @@ class FunctionalConfig:
         if problems:
             raise ValueError("\n".join(problems))
 
-    def validate_for_dim(self, dim):
-        lo_open = dim == 2
-        if not (1.0 <= self.rho < 1.2) or (lo_open and self.rho == 1.0):
-            interval = "(1, 6/5)" if lo_open else "[1, 6/5)"
-            raise ValueError(f"rho = {self.rho:g} outside {interval} for d = {dim}")
+
+def check_rho(rho, dim):
+    """Reject rho outside [1, 6/5) in 1-D and outside (1, 6/5) in 2-D."""
+    lo_open = dim == 2
+    if not (1.0 <= rho < 1.2) or (lo_open and rho == 1.0):
+        interval = "(1, 6/5)" if lo_open else "[1, 6/5)"
+        raise ValueError(f"rho = {rho:g} outside {interval} for d = {dim}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ class FunctionalRecorder:
         basis = self.basis
         out = 0.0
         for ax in range(basis.domain.dim):
-            g = view.v_modal @ basis.gradient_table(ax)
+            g = basis.gradient(view.v_modal, ax)
             out = out + g * g
         return out
 

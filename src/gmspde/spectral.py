@@ -14,12 +14,13 @@ with a lexicographic tie-break on (l, m).
 Quadrature is the trapezoidal rule on the uniform tensor grid with N
 panels per axis (N+1 nodes).  For cosine products with grid frequencies
 (the index k, or 2k under ``paper_1d``) below N/2 the rule is exact, so
-the stored basis is orthonormal to rounding error.
+the stored basis is orthonormal to rounding error.  Transforms are
+sum-factorised (Orszag 1980) through per-axis tables; see SpectralBasis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,22 +65,29 @@ class DomainSpec:
 class SpectralBasis:
     """Truncated orthonormal eigenbasis with its quadrature grid.
 
-    ``eval_table`` holds e_k at every grid node (flattened row-major),
-    one row per mode.  Projection and synthesis act on the last axis, so
-    a single vector is one mat-vec and a stack of rows (one per time
-    step or path) is one mat-mat product.
+    Mode k is e_k(x, y) = c_l cos(q_l x) c_m cos(q_m y) with (l, m) =
+    ``mode_indices[k]``, so the basis keeps per-axis tables (below) of
+    the 1-D factors l < M_a = 1 + max(mode_indices[:, a]).  In 2-D
+    ``project`` forms C = Q_0^T F Q_1 on the nodal grid F and gathers
+    the K modes from the (M_0, M_1) array C; ``synthesize`` scatters
+    them into C and forms F = T_0^T C T_1; ``gradient`` is
+    ``synthesize`` with the derivative table on its axis.  On a stack of
+    B rows a transform costs O(B M n^d) flops, M = max M_a, against
+    O(B K n^d) for a dense (K, n_nodes) table (M = 18 for K = 256).  In
+    1-D, M_0 = K, the gather is the identity and every transform is one
+    matrix product.  All act on the last axis of (..., n_nodes) or
+    (..., K) stacks; identical rows give identical bits anywhere in one.
     """
 
     domain: DomainSpec
     mode_count: int
     eigenvalues: np.ndarray            # (K,) nondecreasing, eigenvalues[0] == 0
     mode_indices: np.ndarray           # (K, dim) integer index tuples
-    frequencies: np.ndarray            # (K, dim) angular factors per axis
-    normalization: np.ndarray          # (K,) scalars giving unit L2 norm
     axes: tuple[np.ndarray, ...]       # per-axis node coordinates
     weights: np.ndarray                # (n_nodes,) tensor trapezoid weights
-    eval_table: np.ndarray             # (K, n_nodes)
-    _grad_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    cosines: tuple[np.ndarray, ...]    # T_a (M_a, N+1): c_l cos(q_l x)
+    derivatives: tuple[np.ndarray, ...]  # (M_a, N+1): -c_l q_l sin(q_l x)
+    quadrature: tuple[np.ndarray, ...]   # Q_a (N+1, M_a): weights_a * T_a.T
 
     @property
     def grid_shape(self):
@@ -87,7 +95,7 @@ class SpectralBasis:
 
     @property
     def n_nodes(self):
-        return self.eval_table.shape[1]
+        return self.weights.size
 
     @property
     def volume(self):
@@ -95,20 +103,45 @@ class SpectralBasis:
 
     def project(self, nodal_flat):
         """Quadrature inner products <f, e_k> for all modes (last axis)."""
-        return (self.weights * nodal_flat) @ self.eval_table.T
+        if self.domain.dim == 1:
+            return nodal_flat @ self.quadrature[0]
+        q0, q1 = self.quadrature
+        f = nodal_flat.reshape(nodal_flat.shape[:-1] + self.grid_shape)
+        c = q0.T @ f @ q1
+        return c[..., self.mode_indices[:, 0], self.mode_indices[:, 1]]
 
     def synthesize(self, modal):
         """Nodal samples of sum_k modal_k e_k, flattened (last axis)."""
-        return modal @ self.eval_table
+        return self._synthesize(modal, self.cosines)
 
-    def gradient_table(self, axis):
-        """Nodal samples of d(e_k)/dx_axis, cached on first use."""
-        if axis not in self._grad_cache:
-            self._grad_cache[axis] = _build_gradient_table(self, axis)
-        return self._grad_cache[axis]
+    def gradient(self, modal, axis):
+        """Nodal samples of d/dx_axis of sum_k modal_k e_k (last axis)."""
+        tables = list(self.cosines)
+        tables[axis] = self.derivatives[axis]
+        return self._synthesize(modal, tables)
+
+    def _synthesize(self, modal, tables):
+        if self.domain.dim == 1:
+            return modal @ tables[0]
+        lead = modal.shape[:-1]
+        c = np.zeros(lead + (len(tables[0]), len(tables[1])))
+        c[..., self.mode_indices[:, 0], self.mode_indices[:, 1]] = modal
+        return (tables[0].T @ c @ tables[1]).reshape(lead + (self.n_nodes,))
 
     def integrate(self, nodal_flat):
         return float(self.weights @ nodal_flat)
+
+
+def _axis_modes(domain, axis, count):
+    """Angular factors q_l and normalisations c_l of cosines l < count."""
+    length = domain.lengths[axis]
+    l = np.arange(count)
+    if domain.eigenvalue_convention == "paper_1d":
+        q = 2.0 * np.pi * l / length
+    else:
+        q = np.pi * l / length
+    c = np.where(l == 0, np.sqrt(1.0 / length), np.sqrt(2.0 / length))
+    return q, c
 
 
 def _mode_list_1d(domain, count):
@@ -179,64 +212,25 @@ def build_basis(domain: DomainSpec, mode_count: int) -> SpectralBasis:
     else:
         weights = np.outer(w_axes[0], w_axes[1]).ravel()
 
-    freqs = np.zeros((mode_count, domain.dim))
-    norms = np.ones(mode_count)
-    table = np.empty((mode_count, weights.size))
-    for k in range(mode_count):
-        factors = []
-        norm = 1.0
-        for ax in range(domain.dim):
-            length = domain.lengths[ax]
-            ki = idx[k, ax]
-            if domain.eigenvalue_convention == "paper_1d":
-                q = 2.0 * np.pi * ki / length
-            else:
-                q = np.pi * ki / length
-            freqs[k, ax] = q
-            c = np.sqrt(1.0 / length) if ki == 0 else np.sqrt(2.0 / length)
-            norm *= c
-            factors.append(c * np.cos(q * axes[ax]))
-        norms[k] = norm
-        if domain.dim == 1:
-            table[k] = factors[0]
-        else:
-            table[k] = np.outer(factors[0], factors[1]).ravel()
+    cosines, derivatives, quadrature = [], [], []
+    for ax, (x, w) in enumerate(zip(axes, w_axes)):
+        q, c = _axis_modes(domain, ax, int(idx[:, ax].max()) + 1)
+        q, c = q[:, None], c[:, None]
+        cosines.append(c * np.cos(q * x))
+        derivatives.append(-c * q * np.sin(q * x))
+        quadrature.append(np.ascontiguousarray((cosines[-1] * w).T))
 
     return SpectralBasis(
         domain=domain,
         mode_count=mode_count,
         eigenvalues=lam,
         mode_indices=idx,
-        frequencies=freqs,
-        normalization=norms,
         axes=axes,
         weights=weights,
-        eval_table=table,
+        cosines=tuple(cosines),
+        derivatives=tuple(derivatives),
+        quadrature=tuple(quadrature),
     )
-
-
-def _build_gradient_table(basis, axis):
-    dom = basis.domain
-    if axis < 0 or axis >= dom.dim:
-        raise ValueError(f"axis {axis} out of range for dim {dom.dim}")
-    k_count = basis.mode_count
-    table = np.empty((k_count, basis.n_nodes))
-    for k in range(k_count):
-        factors = []
-        for ax in range(dom.dim):
-            length = dom.lengths[ax]
-            ki = basis.mode_indices[k, ax]
-            q = basis.frequencies[k, ax]
-            c = np.sqrt(1.0 / length) if ki == 0 else np.sqrt(2.0 / length)
-            if ax == axis:
-                factors.append(-c * q * np.sin(q * basis.axes[ax]))
-            else:
-                factors.append(c * np.cos(q * basis.axes[ax]))
-        if dom.dim == 1:
-            table[k] = factors[0]
-        else:
-            table[k] = np.outer(factors[0], factors[1]).ravel()
-    return table
 
 
 def eval_eigenfunction(basis: SpectralBasis, k: int, x) -> float:
@@ -254,9 +248,8 @@ def eval_eigenfunction(basis: SpectralBasis, k: int, x) -> float:
     val = 1.0
     for ax in range(basis.domain.dim):
         ki = basis.mode_indices[k, ax]
-        length = basis.domain.lengths[ax]
-        c = np.sqrt(1.0 / length) if ki == 0 else np.sqrt(2.0 / length)
-        val *= c * np.cos(basis.frequencies[k, ax] * pt[ax])
+        q, c = _axis_modes(basis.domain, ax, ki + 1)
+        val *= c[ki] * np.cos(q[ki] * pt[ax])
     return float(val)
 
 

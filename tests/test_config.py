@@ -109,6 +109,9 @@ ALL_PROBLEMS = {
     "fixedpoint": ("[fixedpoint]\ntolerance = -1\nensemble_size = 0\n",
                    ["[fixedpoint] tolerance must be positive",
                     "[fixedpoint] ensemble_size must be >= 1"]),
+    "functionals": ("[functionals]\np = 0.5\nrho = 2\n",
+                    ["[functionals] p must be >= 1",
+                     "[functionals] rho = 2 outside [1, 6/5) for d = 1"]),
 }
 
 

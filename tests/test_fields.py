@@ -32,7 +32,7 @@ def basis2d():
 
 
 def test_eigenfunction_nodal_projects_to_unit_coefficient(basis):
-    f = Field(basis, nodal=basis.eval_table[3].copy())
+    f = Field(basis, nodal=basis.synthesize(np.eye(16))[3])
     modal = f.modal
     expected = np.zeros(16)
     expected[3] = 1.0
@@ -59,7 +59,7 @@ def test_roundtrip_band_limited(basis):
 
 
 def test_to_modal_to_nodal_materialize(basis):
-    f = Field(basis, nodal=basis.eval_table[2].copy())
+    f = Field(basis, nodal=basis.synthesize(np.eye(16))[2])
     assert not f.has_modal
     to_modal(f)
     assert f.has_modal

@@ -15,6 +15,7 @@ from gmspde.functionals import (
     AdmissibleSetSpec,
     FunctionalConfig,
     FunctionalRecorder,
+    check_rho,
     energy_monitors,
     fit_growth_envelope,
     lyapunov_L1,
@@ -58,11 +59,11 @@ def const_traj(basis, chi_value, eta_value, n_steps=8, horizon=1.0):
 def test_config_validation():
     with pytest.raises(ValueError, match="p must be"):
         FunctionalConfig(p=0.5)
-    FunctionalConfig(rho=1.0).validate_for_dim(1)
+    check_rho(1.0, 1)
     with pytest.raises(ValueError, match="rho"):
-        FunctionalConfig(rho=1.0).validate_for_dim(2)
+        check_rho(1.0, 2)
     with pytest.raises(ValueError, match="rho"):
-        FunctionalConfig(rho=1.3).validate_for_dim(1)
+        check_rho(1.3, 1)
 
 
 def test_xi_examples(basis):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,7 +54,8 @@ def test_mode_zero_is_constant_inverse_sqrt_volume():
     dom = DomainSpec(dim=1, lengths=(2.0,), grid_points_per_axis=32)
     basis = build_basis(dom, 4)
     assert basis.eigenvalues[0] == 0.0
-    assert np.allclose(basis.eval_table[0], 1.0 / np.sqrt(2.0), atol=1e-15)
+    table = basis.synthesize(np.eye(4))
+    assert np.allclose(table[0], 1.0 / np.sqrt(2.0), atol=1e-15)
 
 
 @pytest.mark.parametrize("dom", [
@@ -63,7 +66,7 @@ def test_mode_zero_is_constant_inverse_sqrt_volume():
 def test_orthonormality_under_stored_quadrature(dom):
     k = 64 if dom.dim == 1 else 32
     basis = build_basis(dom, k)
-    gram = (basis.eval_table * basis.weights) @ basis.eval_table.T
+    gram = basis.project(basis.synthesize(np.eye(k)))
     assert np.abs(gram - np.eye(k)).max() < 1e-10
 
 
@@ -75,8 +78,9 @@ def test_quadrature_agrees_with_independent_integrator():
     f33 = lambda x: 2 / a * np.cos(3 * np.pi * x / a) ** 2
     oracle_35, _ = quad(f35, 0, a)
     oracle_33, _ = quad(f33, 0, a)
-    got_35 = float(basis.weights @ (basis.eval_table[3] * basis.eval_table[5]))
-    got_33 = float(basis.weights @ (basis.eval_table[3] * basis.eval_table[3]))
+    table = basis.synthesize(np.eye(8))
+    got_35 = float(basis.weights @ (table[3] * table[5]))
+    got_33 = float(basis.weights @ (table[3] * table[3]))
     assert got_35 == pytest.approx(oracle_35, abs=1e-12)
     assert got_33 == pytest.approx(oracle_33, abs=1e-12)
 
@@ -85,9 +89,10 @@ def test_eval_matches_grid_samples():
     dom = DomainSpec(dim=2, lengths=(1.0, 2.0), grid_points_per_axis=16)
     basis = build_basis(dom, 6)
     xs, ys = basis.axes
+    table = basis.synthesize(np.eye(6)).reshape((6,) + basis.grid_shape)
     for k in range(6):
         val = eval_eigenfunction(basis, k, (xs[3], ys[5]))
-        table_val = basis.eval_table[k].reshape(basis.grid_shape)[3, 5]
+        table_val = table[k, 3, 5]
         assert val == pytest.approx(table_val, rel=1e-14, abs=1e-14)
 
 
@@ -113,7 +118,7 @@ def test_sup_norm_growth_bound(dom, k):
     # fit the constant on the lower half of the spectrum, verify on the rest
     basis = build_basis(dom, k)
     d = dom.dim
-    sup = np.abs(basis.eval_table).max(axis=1)
+    sup = np.abs(basis.synthesize(np.eye(k))).max(axis=1)
     lam = basis.eigenvalues
     power = lam[1:] ** ((d - 1) / 2.0)
     ratios = sup[1:] / np.maximum(power, 1e-300)
@@ -218,7 +223,9 @@ def test_build_is_deterministic():
     b2 = build_basis(dom, 20)
     assert np.array_equal(b1.eigenvalues, b2.eigenvalues)
     assert np.array_equal(b1.mode_indices, b2.mode_indices)
-    assert np.array_equal(b1.eval_table, b2.eval_table)
+    for name in ("cosines", "derivatives", "quadrature"):
+        for t1, t2 in zip(getattr(b1, name), getattr(b2, name)):
+            assert np.array_equal(t1, t2)
 
 
 @pytest.mark.parametrize("dom,k", [
@@ -237,3 +244,88 @@ def test_stacked_transforms_match_per_row_calls(dom, k):
         rows = np.vstack(rows)
         assert stacked.shape == rows.shape
         assert np.abs(stacked - rows).max() <= 1e-13 * np.abs(rows).max()
+
+
+def _oracle_tables(basis):
+    """Dense (K, n_nodes) tables of e_k and its gradient, mode by mode."""
+    dom = basis.domain
+    half_periods = 2 if dom.eigenvalue_convention == "paper_1d" else 1
+    grid = np.meshgrid(*basis.axes, indexing="ij")
+    k_count = basis.mode_count
+    values = np.ones((k_count,) + basis.grid_shape)
+    grads = np.ones((dom.dim, k_count) + basis.grid_shape)
+    for k in range(k_count):
+        for ax, length in enumerate(dom.lengths):
+            l = basis.mode_indices[k, ax]
+            q = half_periods * np.pi * l / length
+            c = np.sqrt((1.0 if l == 0 else 2.0) / length)
+            cos = c * np.cos(q * grid[ax])
+            values[k] *= cos
+            for g in range(dom.dim):
+                grads[g, k] *= -c * q * np.sin(q * grid[ax]) if g == ax else cos
+    n = basis.n_nodes
+    return values.reshape(k_count, n), grads.reshape(dom.dim, k_count, n)
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+RECTANGLE = DomainSpec(dim=2, lengths=(1.0, 2.5), grid_points_per_axis=32)
+
+
+@pytest.mark.parametrize("dom,k", [
+    (unit_interval("neumann_cosine", 64), 16),
+    (unit_interval("paper_1d", 64), 12),
+    (RECTANGLE, 20),
+], ids=["neumann_cosine", "paper_1d", "rectangle"])
+def test_transforms_match_per_mode_oracle(dom, k):
+    basis = build_basis(dom, k)
+    if dom.dim == 2:
+        assert len(basis.cosines[0]) != len(basis.cosines[1])
+    values, grads = _oracle_tables(basis)
+    rng = np.random.default_rng(9)
+    modal = rng.standard_normal((3, k))
+    nodal = rng.standard_normal((3, basis.n_nodes))
+    _assert_close(basis.project(nodal), (basis.weights * nodal) @ values.T)
+    _assert_close(basis.synthesize(modal), modal @ values)
+    for ax in range(dom.dim):
+        _assert_close(basis.gradient(modal, ax), modal @ grads[ax])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 33])
+def test_identical_rows_give_identical_outputs_in_2d_stacks(rows):
+    basis = build_basis(RECTANGLE, 20)
+    rng = np.random.default_rng(rows)
+    one_modal = rng.standard_normal(20)
+    one_nodal = rng.standard_normal(basis.n_nodes)
+    modal = rng.standard_normal((rows, 20))
+    nodal = rng.standard_normal((rows, basis.n_nodes))
+    where = sorted({0, rows // 2, rows - 1})
+    modal[where] = one_modal
+    nodal[where] = one_nodal
+    for transform, stack, row in (
+        (basis.project, nodal, one_nodal),
+        (basis.synthesize, modal, one_modal),
+        (lambda m: basis.gradient(m, 0), modal, one_modal),
+        (lambda m: basis.gradient(m, 1), modal, one_modal),
+    ):
+        alone = transform(row[None])[0]
+        out = transform(stack)
+        for i in where:
+            assert np.array_equal(out[i], alone)
+
+
+def test_fine_2d_basis_stores_no_dense_table():
+    basis = build_basis(
+        DomainSpec(dim=2, lengths=(1.0, 1.0), grid_points_per_axis=256), 1024)
+    arrays = []
+    for f in dataclasses.fields(basis):
+        value = getattr(basis, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        arrays += [a for a in items if isinstance(a, np.ndarray)]
+    # the dense (K, n_nodes) table alone was 541 MB; now the largest
+    # array is the (n_nodes,) weight vector, 0.53 MB of the total
+    assert max(a.size for a in arrays) == basis.n_nodes
+    assert sum(a.nbytes for a in arrays) < 2**20

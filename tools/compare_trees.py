@@ -7,18 +7,19 @@ OLD_SRC and NEW_SRC are directories holding a ``gmspde`` package
 ``git archive <commit> | tar -x -C <dir>``.  Each tree runs the same
 cases in its own interpreter, and the outputs are compared:
 
-* bitwise: ``run`` final u, v for both schemes in 1-D (N=64, K=16) and
-  2-D (N=16, K=16); the delta = 0 uniqueness study (which must also
-  report bitwise-identical runs); the stopping-scan first-hit steps on a
+* bitwise: the delta = 0 uniqueness study (which must also report
+  bitwise-identical runs); the stopping-scan first-hit steps on a
   trajectory that crosses its levels mid-run; the Picard iteration count;
 * to 1e-13 x max|value| (a stacked product, or a quadrature summed in
-  another order, against one per row): the live functional trace of
-  those runs; criterion 6's single-mode ``_gbm_batch`` outputs for both
-  schemes; ``apply_T`` on a coupled-solve input; ``replay_trace`` of a
-  stored trajectory; the ensemble means of 20 paths (1-D, both schemes)
-  and 10 paths (2-D), node-index columns left out (a near-tie may move
-  an argmin by a whole node); the Picard distances of a 6-member
-  iteration.
+  another order, against one per row): ``run`` final u, v and the live
+  functional trace for both schemes in 1-D (N=64, K=16) and 2-D (N=16,
+  K=16), and for the Stratonovich Heun scheme in 2-D at N=128, K=256
+  (the ``sim_2d`` benchmark's path); criterion 6's single-mode
+  ``_gbm_batch`` outputs for both schemes; ``apply_T`` on a
+  coupled-solve input; ``replay_trace`` of a stored trajectory; the
+  ensemble means of 20 paths (1-D, both schemes) and 10 paths (2-D),
+  node-index columns left out (a near-tie may move an argmin by a whole
+  node); the Picard distances of a 6-member iteration.
 
 Exits 1 if any comparison fails.
 """
@@ -73,19 +74,28 @@ def _cases():
         return build_basis(DomainSpec(dim=dim, lengths=(1.0,) * dim,
                                       grid_points_per_axis=n), k)
 
-    for dim, n in ((1, 64), (2, 16)):
-        basis = basis_of(dim, n, 16)
-        spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=11)
+    # Final u, v are not bitwise: the projection folds the quadrature
+    # weights into its per-axis tables, and 2-D transforms contract one
+    # axis at a time, so sums run in another order by design.  Bitwise
+    # is promised only for noise tables, delta = 0 and reruns on one
+    # layout.
+    both = ("ito_imex", "stratonovich_heun")
+    for dim, n, k, t_end, schemes in ((1, 64, 16, 0.1, both),
+                                      (2, 16, 16, 0.1, both),
+                                      (2, 128, 256, 0.05,
+                                       ("stratonovich_heun",))):
+        basis = basis_of(dim, n, k)
+        spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=k, master_seed=11)
         init = default_initial_pair(basis, params)
-        path = sample_path(spec, uniform_grid(0.1, 100), 3)
-        for scheme in ("ito_imex", "stratonovich_heun"):
-            sch = SchemeConfig(dt=1e-3, T=0.1, scheme=scheme)
+        path = sample_path(spec, uniform_grid(t_end, round(t_end / 1e-3)), 3)
+        for scheme in schemes:
+            sch = SchemeConfig(dt=1e-3, T=t_end, scheme=scheme)
             rec = FunctionalRecorder(basis, fcfg, sch.v_floor)
             res = run(init, params, sch, basis, spec, path,
                       **_run_with(run, rec))
-            key = f"run {dim}d {scheme}"
-            out["bitwise"][key + " u"] = res.final.pair.u.modal
-            out["bitwise"][key + " v"] = res.final.pair.v.modal
+            key = f"run {dim}d N={n} K={k} {scheme}"
+            out["close"][key + " u"] = res.final.pair.u.modal
+            out["close"][key + " v"] = res.final.pair.v.modal
             trace = rec.trace()
             for name, column in trace.data.items():
                 out["close"][f"{key} trace {name}"] = column
