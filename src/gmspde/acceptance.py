@@ -35,6 +35,7 @@ from .functionals import FunctionalConfig
 from .noise import (
     NoiseSpec,
     coupled_path_hierarchy,
+    drawn,
     sample_path,
     sample_paths,
     uniform_grid,
@@ -232,9 +233,9 @@ def _final_u_modal(init, params, scheme, basis, spec, first_path, n_paths):
     survive.
     """
     grid = uniform_grid(scheme.T, scheme.n_steps())
-    increments = sample_paths(spec, grid,
-                              np.arange(first_path, first_path + n_paths))
-    final = run_batch(init, params, scheme, basis, spec, increments)
+    paths = range(first_path, first_path + n_paths)
+    final = run_batch(init, params, scheme, basis, spec,
+                      drawn(spec, grid, paths), n_paths)
     if final.failures:
         raise next(iter(final.failures.values()))
     return final.u_modal

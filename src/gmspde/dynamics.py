@@ -41,9 +41,11 @@ walk, so live and replayed functionals are the same computation.
 Numbers.  A row of a one-row stack is bitwise the single-path product
 (numpy's (1, K) @ (K, n) is the 1-D product), so :func:`run` is
 reproducible bit for bit.  In a stack of B > 1 rows the BLAS kernel may
-sum a row in another order; a row then agrees with its solo run to
-rounding (pinned at 1e-13 x max|value| by the tests), and a given
-stacking of the same paths is reproducible bit for bit.
+sum a row in another order, even two identical rows of one stack; a
+row then agrees with its solo run to rounding (pinned at 1e-13 x
+max|value| by the tests), and a given stacking of the same paths is
+reproducible bit for bit.  Noise enters in blocks of steps
+(:data:`NOISE_BLOCK_DRAWS`), whose size changes no bit.
 
 Nonlinear and noise products are formed nodally and projected back to
 the truncation with a 2/3-rule guard.
@@ -63,10 +65,19 @@ from .fields import (
     floor_violation,
     quotient_nodal,
 )
-from .noise import NoisePath, NoiseSpec
+from .noise import NoisePath, NoiseSpec, sliced
 from .spectral import SpectralBasis
 
 SCHEMES = ("ito_imex", "stratonovich_heun")
+
+# most Gaussian draws (paths x 2 processes x modes x steps) in one block
+# of a stack's noise; a block holds at least one step, and its size
+# changes no bit.  The 200-path, 50-step, K = 16 ensemble of the
+# ``ens_1d`` benchmark took (in-process, min of 4 x 5 runs on 2 cores):
+# 2**12 .. 2**14 draws 0.160-0.166 s, 2**15 0.137 s, 2**16 0.141 s,
+# 2**17 0.137 s, 2**20 (the whole table) 0.151 s.  2**15 (a 256 KB
+# block) is the smallest budget on the plateau.
+NOISE_BLOCK_DRAWS = 2**15
 
 
 class SimulationError(RuntimeError):
@@ -355,33 +366,43 @@ class RunResult:
 
 
 def run_batch(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
-              basis: SpectralBasis, noise_spec: NoiseSpec, increments,
+              basis: SpectralBasis, noise_spec: NoiseSpec, draw, n_paths: int,
               observer=None) -> StateView:
-    """Drive B trajectories from ``initial`` as one stack, one row per path.
+    """Drive ``n_paths`` trajectories from ``initial`` as one stack.
 
-    ``increments`` holds the raw Brownian increments of the B paths,
-    shape (B, 2, K, >= n_steps), as :func:`~gmspde.noise.sample_paths`
-    returns them.  ``observer`` sees the whole stack (see :func:`run`).
-    A row that fails a step stops there, its error in the returned
-    state's ``failures``, and the other rows go on; the walk ends early
-    once every row has failed.  Returns the final state.
+    ``draw(n0, n1)`` is a noise source (:func:`~gmspde.noise.drawn`,
+    :func:`~gmspde.noise.sliced`): it returns the raw Brownian increments
+    of the stack's paths over steps n0..n1-1, shape (n_paths, 2, K,
+    n1 - n0).  The stack takes them in blocks of at most
+    :data:`NOISE_BLOCK_DRAWS` draws (at least one step), so its noise
+    costs O(n_paths K) memory whatever the horizon; the block size moves
+    no bit of the result.  ``observer`` sees the whole stack (see
+    :func:`run`).  A row that fails a step stops there, its error in the
+    returned state's ``failures``, and the other rows go on; the walk
+    ends early once every row has failed.  Returns the final state.
     """
     n_steps = scheme.n_steps()
-    if increments.shape[-1] < n_steps:
-        raise ValueError(
-            f"noise path has {increments.shape[-1]} steps, run needs {n_steps}"
-        )
     stepper = Stepper(basis, params, scheme, noise_spec)
-    state = stepper.raw_state(initial, increments.shape[0])
+    state = stepper.raw_state(initial, n_paths)
+    k = basis.mode_count
+    span = max(1, NOISE_BLOCK_DRAWS // (n_paths * 2 * k))
 
     def states():
         yield state
-        for n in range(n_steps):
-            stepper.advance(state, stepper.damp1 * increments[:, 0, :, n],
-                            stepper.damp2 * increments[:, 1, :, n])
-            if not state.alive.any():
-                return
-            yield state
+        for n0 in range(0, n_steps, span):
+            n1 = min(n0 + span, n_steps)
+            block = draw(n0, n1)
+            if block.shape != (n_paths, 2, k, n1 - n0):
+                raise ValueError(
+                    f"noise block for steps {n0}..{n1 - 1} has shape "
+                    f"{block.shape}, run needs {(n_paths, 2, k, n1 - n0)}"
+                )
+            for s in range(n1 - n0):
+                stepper.advance(state, stepper.damp1 * block[:, 0, :, s],
+                                stepper.damp2 * block[:, 1, :, s])
+                if not state.alive.any():
+                    return
+                yield state
 
     return observe(observer, states(), n_steps, scheme.dt)
 
@@ -427,8 +448,8 @@ def run(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
             raise ValueError("noise path time grid does not match scheme dt")
         increments = path.increments[None]
 
-    final = run_batch(initial, params, scheme, basis, noise_spec, increments,
-                      observer)
+    final = run_batch(initial, params, scheme, basis, noise_spec,
+                      sliced(increments), 1, observer)
     if final.failures:
         raise final.failures[0]
     return RunResult(final=_row_state(basis, final, 0), n_steps=n_steps)

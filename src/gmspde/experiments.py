@@ -12,14 +12,16 @@
 * Monte Carlo ensembles feeding the functional monitors.
 
 Everything is deterministic given the master seed.  Ensemble and
-Picard members are keyed by path index and stepped as stacks through
-the one stepping core (``dynamics.run_batch``, and ``apply_T`` over a
-stacked trajectory): an ensemble in chunks of :data:`PATH_CHUNK` paths,
-the Picard members all at once; results are reduced in index order.
-For a fixed ``PATH_CHUNK`` an ensemble is reproducible bit for bit; each
-member agrees with its solo ``run`` to rounding (1e-13 x max|value|,
-pinned by the tests), because a stacked product may sum a row in another
-order than a single-row one.  The uniqueness study runs its two
+Picard members are keyed by path index and stepped as one stack
+through the one stepping core (``dynamics.run_batch``, and ``apply_T``
+over a stacked trajectory); results are reduced in index order.  An
+ensemble draws its noise in blocks of steps inside the core and is
+reproducible bit for bit for a given path list, whatever the block
+size; each member agrees with its solo ``run`` to rounding
+(1e-13 x max|value|, pinned by the tests), because a stacked product
+may sum a row in another order than a single-row one.  The Picard
+iteration keeps its members' whole increment table, which every
+application of the map re-reads.  The uniqueness study runs its two
 trajectories one by one, so its delta = 0 check stays bitwise.
 """
 
@@ -49,13 +51,7 @@ from .functionals import (
     energy_monitors,
     membership,
 )
-from .noise import NoisePath, NoiseSpec, sample_paths
-
-# paths per stack in ``ensemble``; outputs are bitwise reproducible for
-# a fixed value.  On the 200-path, 50-step, K = 16 ensemble (2 cores),
-# 8 / 16 / 32 took 0.36 / 0.24 / 0.2 s and raised peak RSS by 0.6 / 0.9
-# / 1.5 MB over one path at a time; 16 keeps that within 2%.
-PATH_CHUNK = 16
+from .noise import NoisePath, NoiseSpec, drawn, sample_paths, sliced
 
 
 @dataclass(frozen=True)
@@ -367,8 +363,8 @@ class PicardReport:
 def _coupled_solve(init, params, scheme, basis, noise_spec, increments):
     """Stacked trajectories of the coupled system; raises the first failure."""
     rec = TrajectoryRecorder()
-    final = run_batch(init, params, scheme, basis, noise_spec, increments,
-                      observer=rec)
+    final = run_batch(init, params, scheme, basis, noise_spec,
+                      sliced(increments), increments.shape[0], observer=rec)
     if final.failures:
         raise next(iter(final.failures.values()))
     return rec.trajectories()
@@ -386,6 +382,8 @@ def picard_iterate(start: PairTrajectory, init: FieldPair,
     fconfig = fconfig or FunctionalConfig()
     m = config.ensemble_size
     grid = np.linspace(0.0, scheme.T, scheme.n_steps() + 1)
+    # one stored table: every application of T re-reads the same frozen
+    # increments, and drawing them anew each time costs more than the table
     increments = sample_paths(noise_spec, grid, range(m))
 
     start_trace = replay_trace(start, basis, fconfig, scheme.v_floor)
@@ -573,42 +571,37 @@ def ensemble(init: FieldPair, params: ModelParams, scheme: SchemeConfig,
              first_path_index: int = 0, path_indices=None) -> EnsembleReport:
     """Monte Carlo ensemble with per-column statistics and monitor fits.
 
-    Paths are stepped in stacks of :data:`PATH_CHUNK`.  A path that fails
-    is reported by index with the error its solo run raises, and the
-    other paths of its stack go on; aggregation proceeds on the
-    survivors.  ``path_indices`` overrides the default consecutive
-    indexing (repeats are allowed, e.g. for zero-variance checks).
+    The distinct path indices are stepped as one stack, in order of
+    first appearance, with their noise drawn in blocks of steps; the
+    result is reproducible bit for bit for a given path list, and each
+    path agrees with its solo run to rounding.  A path that fails is
+    reported by index with the error its solo run raises, and the other
+    paths go on; aggregation proceeds on the survivors.  An error raised
+    before the paths can differ (a bad grid or initial state)
+    propagates.  ``path_indices`` overrides the default consecutive
+    indexing.  Repeats are allowed: a trajectory is a pure function of
+    its index, so a repeated index reuses its trace, and identical
+    samples give standard errors of exactly 0.  Distinct indices with
+    equal inputs (sigma = 0) agree only to rounding.
     """
     if path_indices is None:
         path_indices = [first_path_index + i for i in range(n_paths)]
-    path_indices = list(path_indices)
+    path_indices = [int(i) for i in path_indices]
     n_paths = len(path_indices)
     if n_paths < 2:
         raise ValueError("an ensemble needs at least two paths")
+    distinct = list(dict.fromkeys(path_indices))
     grid = np.linspace(0.0, scheme.T, scheme.n_steps() + 1)
-
-    def describe(exc):
-        return f"{type(exc).__name__}: {exc}"
-
-    traces = []
-    failures = []
-    for start in range(0, n_paths, PATH_CHUNK):
-        chunk = path_indices[start:start + PATH_CHUNK]
-        try:
-            increments = sample_paths(noise_spec, grid, chunk)
-            rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
-                                     path_index=chunk)
-            final = run_batch(init, params, scheme, basis, noise_spec,
-                              increments, observer=rec)
-        except (SimulationError, FloorViolation, ValueError) as exc:
-            # raised before any row could differ: every path shares it
-            failures.extend((idx, describe(exc)) for idx in chunk)
-            continue
-        for row, (idx, trace) in enumerate(zip(chunk, rec.traces())):
-            if row in final.failures:
-                failures.append((idx, describe(final.failures[row])))
-            else:
-                traces.append(trace)
+    rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
+                             path_index=distinct)
+    final = run_batch(init, params, scheme, basis, noise_spec,
+                      drawn(noise_spec, grid, distinct), len(distinct),
+                      observer=rec)
+    trace_of = dict(zip(distinct, rec.traces()))
+    failed = {distinct[row]: f"{type(exc).__name__}: {exc}"
+              for row, exc in final.failures.items()}
+    traces = [trace_of[idx] for idx in path_indices if idx not in failed]
+    failures = [(idx, failed[idx]) for idx in path_indices if idx in failed]
     if not traces:
         raise SimulationError(
             f"every ensemble path failed; first failure: {failures[0][1]}"

@@ -5,8 +5,16 @@ damping (1+lambda_k)^(-gamma_j); what is stored per path is the table
 of raw Brownian increments dB[j][k][n] (standard normals scaled by
 sqrt(dt_n)).  Tables are addressed through the counter-based generator
 in :mod:`gmspde.rng`, so a path is a pure function of
-(master_seed, path_index) and extending the mode count leaves existing
-modes untouched.
+(master_seed, path_index), extending the mode count leaves existing
+modes untouched, and any block of steps can be drawn on its own.
+
+The stepping core reads increments through a noise source, a function
+``draw(n0, n1)`` returning the (B, 2, K, n1 - n0) block of steps
+n0..n1-1: :func:`drawn` samples blocks on demand, so an ensemble never
+holds more than one block of its table; :func:`sliced` reads them from
+a stored table (a :class:`NoisePath`, a coarsened one, or the frozen
+increments of a Picard iteration).  Both give the same bits for the
+same steps.
 
 Coupled time grids for step-halving studies are built finest-first:
 the finest grid is sampled directly and coarser levels are obtained by
@@ -90,13 +98,16 @@ def uniform_grid(horizon, n_steps):
     return np.linspace(0.0, horizon, n_steps + 1)
 
 
-def sample_paths(spec: NoiseSpec, time_grid, path_indices) -> np.ndarray:
-    """Increment tables of several paths, stacked: shape (B, 2, K, N).
+def sample_paths(spec: NoiseSpec, time_grid, path_indices, start=0,
+                 stop=None) -> np.ndarray:
+    """Increments of several paths over steps start..stop-1: (B, 2, K, S).
 
     Row b is the table ``sample_path(spec, time_grid, path_indices[b])``
-    stores, bit for bit: entry (b, j, k, n) is sqrt(dt_n) times a
-    standard normal that depends only on (master_seed, path_indices[b],
-    j, k, n).  Indices may repeat and need not be consecutive.
+    stores, bit for bit, and a block of steps is those columns of it:
+    entry (b, j, k, n) is sqrt(dt_n) times a standard normal that depends
+    only on (master_seed, path_indices[b], j, k, n), so any range of
+    steps can be drawn on its own.  ``stop`` defaults to the last step
+    of the grid.  Indices may repeat and need not be consecutive.
     """
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid.ndim != 1 or time_grid.size < 2:
@@ -106,15 +117,39 @@ def sample_paths(spec: NoiseSpec, time_grid, path_indices) -> np.ndarray:
         raise ValueError("time grid must be strictly increasing")
     if time_grid[0] != 0.0:
         raise ValueError("time grid must start at t = 0")
+    stop = dts.size if stop is None else stop
+    if not 0 <= start <= stop <= dts.size:
+        raise ValueError(
+            f"steps {start}..{stop - 1} outside the grid's {dts.size} steps")
     path_indices = np.asarray(path_indices, dtype=np.uint64).reshape(-1)
     k_ids = np.arange(spec.mode_count)
-    n_ids = np.arange(dts.size)
-    table = np.empty((path_indices.size, 2, spec.mode_count, dts.size))
-    scale = np.sqrt(dts)
+    n_ids = np.arange(start, stop)
+    table = np.empty((path_indices.size, 2, spec.mode_count, n_ids.size))
+    scale = np.sqrt(dts[start:stop])
     for j in (1, 2):
         z = rng.normal_table(spec.master_seed, path_indices, j, k_ids, n_ids)
         table[:, j - 1] = z * scale
     return table
+
+
+def drawn(spec: NoiseSpec, time_grid, path_indices):
+    """Noise source ``draw(n0, n1)`` sampling steps n0..n1-1 on demand.
+
+    Blocks are :func:`sample_paths` of the given paths, so they are the
+    columns of the full table bit for bit, whatever the block sizes.
+    """
+    path_indices = list(path_indices)
+
+    def draw(n0, n1):
+        return sample_paths(spec, time_grid, path_indices, n0, n1)
+    return draw
+
+
+def sliced(table):
+    """Noise source ``draw(n0, n1)`` reading steps of a (B, 2, K, N) table."""
+    def draw(n0, n1):
+        return table[..., n0:n1]
+    return draw
 
 
 def sample_path(spec: NoiseSpec, time_grid, path_index: int) -> NoisePath:

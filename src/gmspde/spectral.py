@@ -89,6 +89,14 @@ class SpectralBasis:
     derivatives: tuple[np.ndarray, ...]  # (M_a, N+1): -c_l q_l sin(q_l x)
     quadrature: tuple[np.ndarray, ...]   # Q_a (N+1, M_a): weights_a * T_a.T
 
+    def __repr__(self):
+        # the tables would fill a failure message; name the sizes instead
+        dom = self.domain
+        m_a = tuple(len(t) for t in self.cosines)
+        return (f"SpectralBasis(lengths={dom.lengths}, "
+                f"{dom.eigenvalue_convention}, N={dom.grid_points_per_axis}, "
+                f"K={self.mode_count}, M_a={m_a})")
+
     @property
     def grid_shape(self):
         return tuple(len(ax) for ax in self.axes)

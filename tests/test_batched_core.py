@@ -2,14 +2,15 @@
 
 A row of a stack agrees with the solo ``run`` of its path to
 RTOL x max|value| (a stacked product may sum a row in another order), a
-fixed stacking reproduces bit for bit, and a failed row reports exactly
+fixed stacking reproduces bit for bit whatever the noise block size, no
+noise block exceeds its draw budget, and a failed row reports exactly
 the error its solo run raises while the other rows go on.
 """
 
 import numpy as np
 import pytest
 
-from gmspde import experiments
+from gmspde import dynamics, noise
 from gmspde.dynamics import (
     ModelParams,
     SchemeConfig,
@@ -21,7 +22,7 @@ from gmspde.dynamics import (
 from gmspde.experiments import TrajectoryRecorder, ensemble
 from gmspde.fields import FloorViolation
 from gmspde.functionals import FunctionalConfig, FunctionalRecorder
-from gmspde.noise import NoisePath, NoiseSpec, sample_paths, uniform_grid
+from gmspde.noise import NoisePath, NoiseSpec, sample_paths, sliced, uniform_grid
 from gmspde.spectral import DomainSpec, build_basis
 
 RTOL = 1e-13
@@ -64,7 +65,8 @@ def test_stacked_rows_match_solo_runs(dim, scheme):
     indices = [0, 5, 2, 9, 1]          # five rows: a BLAS remainder block
     increments = sample_paths(spec, grid, indices)
     rec = FunctionalRecorder(basis, FCFG, sch.v_floor, path_index=indices)
-    final = run_batch(init, prm, sch, basis, spec, increments, observer=rec)
+    final = run_batch(init, prm, sch, basis, spec, sliced(increments),
+                      len(indices), observer=rec)
     assert final.failures == {} and final.alive.all()
     for row, (idx, trace) in enumerate(zip(indices, rec.traces())):
         want = FunctionalRecorder(basis, FCFG, sch.v_floor, path_index=idx)
@@ -79,31 +81,83 @@ def test_stacked_rows_match_solo_runs(dim, scheme):
         assert final.floor_activations[row] == res.final.floor_activations
 
 
-def run_ensemble(n_paths=11):
+def run_ensemble(n_paths=11, path_indices=None, scheme="ito_imex"):
+    basis = basis_of(1)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
+    prm = params()
+    sch = SchemeConfig(dt=1e-3, T=0.03, scheme=scheme)
+    return ensemble(default_initial_pair(basis, prm), prm, sch, basis, spec,
+                    n_paths, FCFG, path_indices=path_indices)
+
+
+def assert_bitwise(a, b):
+    for name in a.means:
+        assert np.array_equal(a.means[name], b.means[name]), name
+        assert np.array_equal(a.standard_errors[name],
+                              b.standard_errors[name]), name
+    for ta, tb in zip(a.traces, b.traces, strict=True):
+        for name, column in ta.data.items():
+            assert np.array_equal(column, tb.data[name]), name
+
+
+def test_reruns_are_bitwise_at_two_stack_sizes():
+    eleven = run_ensemble()
+    assert_bitwise(eleven, run_ensemble())
+    # the first five paths alone are another stack: bitwise on rerun,
+    # equal to rounding row by row against the eleven-path stack
+    five = run_ensemble(path_indices=range(5))
+    assert_bitwise(five, run_ensemble(path_indices=range(5)))
+    for small, large in zip(five.traces, eleven.traces[:5]):
+        assert small.path_index == large.path_index
+        for name, column in large.data.items():
+            if not name.endswith("_argmin"):
+                assert_close(small.data[name], column, name)
+
+
+@pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
+def test_ensemble_is_bitwise_under_any_noise_block(monkeypatch, scheme):
+    default = run_ensemble(scheme=scheme)
+    monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", 1)    # one step
+    one_step = run_ensemble(scheme=scheme)
+    monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", 10**9)  # all steps
+    whole = run_ensemble(scheme=scheme)
+    assert_bitwise(default, one_step)
+    assert_bitwise(default, whole)
+
+
+@pytest.mark.parametrize("n_paths, budget", [(200, None), (11, 800)])
+def test_ensemble_noise_blocks_stay_within_the_budget(monkeypatch, n_paths,
+                                                      budget):
+    if budget is not None:
+        monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", budget)
+    sizes = []
+    draw = noise.sample_paths
+
+    def spy(*args, **kwargs):
+        table = draw(*args, **kwargs)
+        sizes.append(table.size)
+        return table
+
+    monkeypatch.setattr(noise, "sample_paths", spy)
+    run_ensemble(n_paths)
+    # every draw of the 30 steps is made once, in blocks within the budget
+    assert sum(sizes) == n_paths * 2 * K * 30
+    assert max(sizes) <= dynamics.NOISE_BLOCK_DRAWS
+
+
+def test_a_noise_block_of_the_wrong_shape_is_rejected():
     basis = basis_of(1)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
     prm = params()
     sch = SchemeConfig(dt=1e-3, T=0.03)
-    return ensemble(default_initial_pair(basis, prm), prm, sch, basis, spec,
-                    n_paths, FCFG)
-
-
-def test_reruns_at_a_fixed_chunk_are_bitwise(monkeypatch):
-    first = run_ensemble()
-    again = run_ensemble()
-    for name in first.means:
-        assert np.array_equal(first.means[name], again.means[name]), name
-        assert np.array_equal(first.standard_errors[name],
-                              again.standard_errors[name]), name
-    # another chunk size stacks the paths differently: bitwise on rerun,
-    # equal to rounding against the default stacking
-    monkeypatch.setattr(experiments, "PATH_CHUNK", 3)
-    other = run_ensemble()
-    other_again = run_ensemble()
-    for name in first.means:
-        assert np.array_equal(other.means[name], other_again.means[name]), name
-        if not name.endswith("_argmin"):
-            assert_close(other.means[name], first.means[name], name)
+    init = default_initial_pair(basis, prm)
+    short = sample_paths(spec, uniform_grid(0.02, 20), range(3))
+    with pytest.raises(ValueError, match=r"steps 0..29 has shape "
+                                         r"\(3, 2, 16, 20\)"):
+        run_batch(init, prm, sch, basis, spec, sliced(short), 3)
+    table = sample_paths(spec, uniform_grid(0.03, 30), range(3))
+    with pytest.raises(ValueError, match=r"run needs \(4, 2, 16, 30\)"):
+        run_batch(init, prm, sch, basis, spec, sliced(table), 4)
 
 
 def kicked_batch(v_floor, kick):
@@ -117,7 +171,7 @@ def kicked_batch(v_floor, kick):
     increments = sample_paths(spec, grid, range(5))
     process, mode = kick[0], kick[1]
     increments[2, process, mode, 20] += kick[2]
-    final = run_batch(init, prm, sch, basis, spec, increments)
+    final = run_batch(init, prm, sch, basis, spec, sliced(increments), 5)
     return final, (init, prm, sch, basis, spec, grid, increments)
 
 

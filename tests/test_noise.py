@@ -7,9 +7,11 @@ from gmspde.noise import (
     NoiseSpec,
     coarsen_path,
     coupled_path_hierarchy,
+    drawn,
     increment_field,
     sample_path,
     sample_paths,
+    sliced,
     trace_of_Q,
     uniform_grid,
 )
@@ -186,6 +188,24 @@ def test_batched_draws_match_sample_path(spec):
     for b, idx in enumerate(indices):
         assert np.array_equal(
             stacked[b], rng.normal_table(spec.master_seed, idx, 2, k_ids, n_ids))
+
+
+def test_step_blocks_are_the_columns_of_the_full_table(spec):
+    # a nonuniform grid: each block is scaled by its own steps' sqrt(dt)
+    grid = np.concatenate(([0.0], np.cumsum(np.linspace(0.01, 0.03, 23))))
+    indices = [12, 3, 12, 40]
+    full = sample_paths(spec, grid, indices)
+    for n0, n1 in ((0, 5), (5, 15), (20, 23), (7, 7)):
+        block = sample_paths(spec, grid, indices, n0, n1)
+        assert block.shape == (4, 2, spec.mode_count, n1 - n0)
+        assert np.array_equal(block, full[..., n0:n1])
+        assert np.array_equal(drawn(spec, grid, indices)(n0, n1), block)
+        assert np.array_equal(sliced(full)(n0, n1), block)
+    assert np.array_equal(sample_paths(spec, grid, indices, 20), full[..., 20:])
+    with pytest.raises(ValueError, match="outside the grid"):
+        sample_paths(spec, grid, indices, 20, 24)
+    with pytest.raises(ValueError, match="outside the grid"):
+        sample_paths(spec, grid, indices, 6, 5)
 
 
 def test_trace_of_q_examples(basis):

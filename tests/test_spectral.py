@@ -217,6 +217,15 @@ def test_domain_validation():
         DomainSpec(dim=1, lengths=(1.0,), eigenvalue_convention="fourier")
 
 
+def test_repr_is_one_short_line():
+    basis = build_basis(DomainSpec(dim=2, lengths=(1.0, 1.5),
+                                   grid_points_per_axis=256), 1024)
+    text = repr(basis)
+    assert "\n" not in text and len(text) < 120, text
+    assert text == ("SpectralBasis(lengths=(1.0, 1.5), neumann_cosine, "
+                    "N=256, K=1024, M_a=(29, 44))")
+
+
 def test_build_is_deterministic():
     dom = DomainSpec(dim=2, lengths=(1.0, 1.0), grid_points_per_axis=32)
     b1 = build_basis(dom, 20)

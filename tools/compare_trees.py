@@ -17,9 +17,10 @@ cases in its own interpreter, and the outputs are compared:
   (the ``sim_2d`` benchmark's path); criterion 6's single-mode
   ``_gbm_batch`` outputs for both schemes; ``apply_T`` on a
   coupled-solve input; ``replay_trace`` of a stored trajectory; the
-  ensemble means of 20 paths (1-D, both schemes) and 10 paths (2-D),
-  node-index columns left out (a near-tie may move an argmin by a whole
-  node); the Picard distances of a 6-member iteration.
+  ensemble means of 20 and of 201 paths (1-D, both schemes; 201 is a
+  stack size that is a multiple of neither 4 nor 16) and 10 paths
+  (2-D), node-index columns left out (a near-tie may move an argmin by
+  a whole node); the Picard distances of a 6-member iteration.
 
 Exits 1 if any comparison fails.
 """
@@ -147,7 +148,7 @@ def _cases():
     for name, column in trace.data.items():
         out["close"][f"replay_trace {name}"] = column
 
-    for dim, n, n_paths in ((1, 64, 20), (2, 16, 10)):
+    for dim, n, n_paths in ((1, 64, 20), (1, 64, 201), (2, 16, 10)):
         basis = basis_of(dim, n, 16)
         init = default_initial_pair(basis, params)
         schemes = ("ito_imex", "stratonovich_heun") if dim == 1 else ("ito_imex",)
@@ -156,7 +157,7 @@ def _cases():
             report = ensemble(init, params, sch, basis, spec, n_paths, fcfg)
             for name, column in report.means.items():
                 if not name.endswith("_argmin"):
-                    key = f"ensemble {dim}d {scheme} mean {name}"
+                    key = f"ensemble {dim}d {n_paths} paths {scheme} mean {name}"
                     out["close"][key] = column
 
     basis = basis_of(1, 64, 16)
