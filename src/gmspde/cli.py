@@ -2,7 +2,9 @@
 
 Subcommands: simulate, fixedpoint, uniqueness, ensemble, spectrum,
 selftest.  All outputs land under --out-dir and are byte-deterministic
-given (config, seed).  Exit codes: 0 success, 1 configuration/usage
+given (config, seed), with one exception: each criterion line of
+``selftest.txt`` carries that criterion's wall time ("[0.1s"), which
+varies from run to run.  Exit codes: 0 success, 1 configuration/usage
 error, 2 runtime failure, 3 selftest criterion failure.
 """
 

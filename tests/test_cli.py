@@ -105,7 +105,8 @@ def test_1d_subcommand_writes_its_files_byte_identically(tmp_path, command):
     for name in files:
         a, b = (first / name).read_bytes(), (second / name).read_bytes()
         if name == "selftest.txt":
-            # each criterion line carries its wall time, "[0.1s (limit 5s)]",
-            # which is left out of the comparison
+            # each criterion line carries its wall time, "[0.1s (limit 5s)]":
+            # the one field the cli docstring exempts from byte-determinism,
+            # so it is left out of the comparison
             a, b = (re.sub(rb"\[[0-9.]+s", b"[", x) for x in (a, b))
         assert a == b, name

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from gmspde import rng
 from gmspde.fields import Field
@@ -30,23 +33,89 @@ def spec():
     return NoiseSpec(gamma1=2.0, gamma2=3.0, mode_count=64, master_seed=99)
 
 
+def _numpy_words(seed, path, stream, mode, first_step, count=1):
+    """Word 0 of numpy's Philox blocks at counters (step, mode, stream, 0).
+
+    numpy increments its 256-bit counter before each block, so the
+    stream starts one below the first counter, with the borrow running
+    across words; consecutive blocks are consecutive steps.
+    """
+    start = (first_step + (mode << 64) + (stream << 128) - 1) % 2**256
+    counter = np.array([(start >> (64 * i)) % 2**64 for i in range(4)],
+                       dtype=np.uint64)
+    gen = np.random.Philox(key=np.array([seed, path], dtype=np.uint64),
+                           counter=counter)
+    return gen.random_raw(4 * count)[::4]
+
+
+def _numpy_normal_table(seed, paths, stream, modes, steps):
+    steps = [int(n) for n in steps]
+    consecutive = steps == list(range(steps[0], steps[0] + len(steps)))
+    out = np.empty((len(paths), len(modes), len(steps)), dtype=np.uint64)
+    for b, path in enumerate(paths):
+        for k, mode in enumerate(modes):
+            if consecutive:
+                out[b, k] = _numpy_words(seed, path, stream, mode, steps[0],
+                                         len(steps))
+            else:
+                out[b, k] = [_numpy_words(seed, path, stream, mode, n)[0]
+                             for n in steps]
+    return ndtri(((out >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+
+
 def test_philox_block_matches_numpy():
-    # the block cipher must agree with numpy's Philox for arbitrary
-    # keys/counters (numpy pre-increments counter word 0 before a block)
+    # key (seed, path), counter (step, mode, stream); counter word 3 is 0
     cases = [
-        ((0, 0), (1, 0, 0, 0)),
-        ((123, 456), (1, 0, 0, 0)),
-        ((2**64 - 1, 7), (9, 3, 2, 1)),
-        ((42, 2**63), (2**32, 5, 0, 2**60)),
+        ((0, 0), (1, 0, 0)),
+        ((123, 456), (1, 0, 0)),
+        ((2**64 - 1, 7), (9, 3, 2)),
+        ((42, 2**63), (2**32, 5, 0)),
+        ((5, 6), (0, 3, 1)),            # step 0: the borrow crosses words
+        ((5, 6), (0, 0, 2)),
+        ((2**64 - 1, 11), (4, 2, 1)),
+        ((7, 2**63), (4, 2, 1)),
+        ((7, 3), (4, 1023, 1)),
+        ((7, 3), (4, 1023, 2)),
     ]
-    for key, counter in cases:
-        mine = rng.philox4x64(np.array(counter, dtype=np.uint64),
-                              np.array(key, dtype=np.uint64))
-        start = np.array(counter, dtype=np.uint64)
-        start[0] -= np.uint64(1)
-        ref = np.random.Philox(key=np.array(key, dtype=np.uint64),
-                               counter=start).random_raw(4)
-        assert np.array_equal(mine, ref)
+    bufs = np.empty((9, 1), dtype=np.uint64)
+    for (seed, path), (step, mode, stream) in cases:
+        mine = rng._word0(seed, np.array([path], dtype=np.uint64), stream,
+                          np.array([mode], dtype=np.uint64),
+                          np.array([step], dtype=np.uint64), bufs)
+        ref = _numpy_words(seed, path, stream, mode, step)
+        assert mine.shape == (1, 1, 1)
+        assert mine[0, 0, 0] == ref[0], (seed, path, step, mode, stream)
+
+
+@pytest.mark.parametrize("seed, paths, stream, modes, steps", [
+    (17, range(7), 1, range(11), range(3, 53)),          # odd box
+    (2**64 - 1, [2**63, 0, 5], 2, [1, 1023, 4], [2, 9, 0]),
+    # one path whose K*N exceeds the block budget, split over modes and steps
+    (9, [4], 1, [0, 5], range(rng._DRAWS_PER_BLOCK + 3)),
+])
+def test_normal_table_matches_numpy_philox(seed, paths, stream, modes, steps):
+    paths, modes, steps = list(paths), list(modes), list(steps)
+    table = rng.normal_table(seed, np.array(paths, dtype=np.uint64), stream,
+                             np.array(modes), np.array(steps))
+    assert np.array_equal(table, _numpy_normal_table(seed, paths, stream,
+                                                     modes, steps))
+
+
+@pytest.mark.parametrize("box", [(200, 16, 5), (200, 16, 50), (1, 256, 2000),
+                                 (1, 16, 10000), (1, 2, 20000)])
+def test_normal_table_working_set_is_bounded(box):
+    # the cipher works in blocks of at most _DRAWS_PER_BLOCK draws, so
+    # besides its result (and its index arrays) one call holds under 1 MiB
+    # whether the box is wide, deep or one long row of steps
+    paths, modes, steps = (np.arange(n) for n in box)
+    rng.normal_table(3, paths, 1, modes, steps)
+    tracemalloc.start()
+    try:
+        out = rng.normal_table(3, paths, 1, modes, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 2**20
 
 
 def test_normal_table_is_pure_function_of_indices():

@@ -7,9 +7,12 @@ OLD_SRC and NEW_SRC are directories holding a ``gmspde`` package
 ``git archive <commit> | tar -x -C <dir>``.  Each tree runs the same
 cases in its own interpreter, and the outputs are compared:
 
-* bitwise: the delta = 0 uniqueness study (which must also report
-  bitwise-identical runs); the stopping-scan first-hit steps on a
-  trajectory that crosses its levels mid-run; the Picard iteration count;
+* bitwise: ``noise.sample_paths`` tables (1-D K=16, 200 paths, steps
+  0..49, drawn whole and in 5-step blocks; K=256 as in 2-D, one path,
+  50 steps; seed 2**64 - 1 with path 2**63); the delta = 0 uniqueness
+  study (which must also report bitwise-identical runs); the
+  stopping-scan first-hit steps on a trajectory that crosses its levels
+  mid-run; the Picard iteration count;
 * to 1e-13 x max|value| (a stacked product, or a quadrature summed in
   another order, against one per row): ``run`` final u, v and the live
   functional trace for both schemes in 1-D (N=64, K=16) and 2-D (N=16,
@@ -63,7 +66,7 @@ def _cases():
         uniqueness_study,
     )
     from gmspde.functionals import FunctionalConfig, FunctionalRecorder
-    from gmspde.noise import NoiseSpec, sample_path, uniform_grid
+    from gmspde.noise import NoiseSpec, sample_path, sample_paths, uniform_grid
     from gmspde.spectral import DomainSpec, build_basis
 
     params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
@@ -74,6 +77,18 @@ def _cases():
     def basis_of(dim, n, k):
         return build_basis(DomainSpec(dim=dim, lengths=(1.0,) * dim,
                                       grid_points_per_axis=n), k)
+
+    grid = uniform_grid(0.05, 50)
+    for name, spec, paths in (
+            ("1d K=16 200 paths", NoiseSpec(2.0, 2.0, 16, 901), range(200)),
+            ("K=256 1 path", NoiseSpec(3.0, 3.0, 256, 7), [3]),
+            ("seed 2**64-1 path 2**63", NoiseSpec(2.0, 2.0, 16, 2**64 - 1),
+             [2**63])):
+        out["bitwise"][f"sample_paths {name}"] = sample_paths(spec, grid, paths)
+    out["bitwise"]["sample_paths 1d K=16 200 paths in 5-step blocks"] = (
+        np.concatenate([sample_paths(NoiseSpec(2.0, 2.0, 16, 901), grid,
+                                     range(200), n0, n0 + 5)
+                        for n0 in range(0, 50, 5)], axis=-1))
 
     # Final u, v are not bitwise: the projection folds the quadrature
     # weights into its per-axis tables, and 2-D transforms contract one
