@@ -1,8 +1,8 @@
 """Spectral-Galerkin simulator for a stochastic activator-inhibitor system.
 
 Modules:
-    spectral     Neumann eigenbasis, multipliers, quadrature
-    fields       nodal/modal fields, norms, nonlinear algebra
+    spectral     Neumann eigenbasis, transforms, quadrature
+    fields       reaction quotient, positivity floor, 2/3-rule guard
     noise        Q-Wiener increment tables (counter-based, reproducible)
     dynamics     Ito/Stratonovich exponential time stepping
     functionals  xi = 1/v, Lyapunov functionals, growth monitors
@@ -12,8 +12,7 @@ Modules:
 
 __version__ = "0.1.0"
 
-from .dynamics import ModelParams, SchemeConfig, SimState, steady_state
-from .fields import Field, FieldPair
+from .dynamics import ModelParams, SchemeConfig, steady_state
 from .functionals import FunctionalConfig
 from .noise import NoisePath, NoiseSpec, sample_path
 from .spectral import DomainSpec, SpectralBasis, build_basis
@@ -22,14 +21,11 @@ __all__ = [
     "DomainSpec",
     "SpectralBasis",
     "build_basis",
-    "Field",
-    "FieldPair",
     "NoiseSpec",
     "NoisePath",
     "sample_path",
     "ModelParams",
     "SchemeConfig",
-    "SimState",
     "steady_state",
     "FunctionalConfig",
     "__version__",

@@ -17,6 +17,7 @@ import numpy as np
 from .dynamics import (
     ModelParams,
     SchemeConfig,
+    constant_pair,
     default_initial_pair,
     run,
     run_batch,
@@ -30,7 +31,6 @@ from .experiments import (
     picard_iterate,
     uniqueness_study,
 )
-from .fields import Field, FieldPair
 from .functionals import FunctionalConfig
 from .noise import (
     NoiseSpec,
@@ -157,10 +157,9 @@ def criterion_3_exact_limits():
     p_decay = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
                           mu_u=mu, mu_v=2.0, sigma_u=0.0, sigma_v=0.0)
     sch = SchemeConfig(dt=1e-3, T=1.0)
-    pair = FieldPair(Field.from_constant(basis, c0), Field.from_constant(basis, 1.0))
-    res = run(pair, p_decay, sch, basis, spec, None)
+    final = run(constant_pair(basis, c0, 1.0), p_decay, sch, basis, spec, None)
     exact = c0 * np.exp(-mu)
-    rel = abs(float(res.final.pair.u.nodal[0]) - exact) / exact
+    rel = abs(float(final.u_nodal[0, 0]) - exact) / exact
 
     p_mass = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
                          mu_u=0.0, mu_v=0.0, sigma_u=0.0, sigma_v=0.0)
@@ -168,10 +167,11 @@ def criterion_3_exact_limits():
     u_modal[0] = 2.0
     u_modal[3] = 0.5
     u_modal[7] = -0.25
-    pair2 = FieldPair(Field(basis, modal=u_modal), Field.from_constant(basis, 1.0))
-    res2 = run(pair2, p_mass, sch, basis, spec, None)
+    pair2 = constant_pair(basis, 0.0, 1.0)
+    pair2[0] = u_modal
+    final2 = run(pair2, p_mass, sch, basis, spec, None)
     mass0 = u_modal[0] * np.sqrt(basis.volume)
-    mass1 = float(res2.final.pair.u.modal[0]) * np.sqrt(basis.volume)
+    mass1 = float(final2.u_modal[0, 0]) * np.sqrt(basis.volume)
     drift = abs(mass1 - mass0)
     ok = rel < 1e-12 and drift < 1e-10
     return _result(3, "exact deterministic limits", ok,
@@ -187,11 +187,10 @@ def criterion_4_steady_state():
     params = _desk_params(sigma=0.0)
     u_star, v_star = steady_state(params)
     sch = SchemeConfig(dt=1e-3, T=10.0)
-    pair = FieldPair(Field.from_constant(basis, u_star),
-                     Field.from_constant(basis, v_star))
-    res = run(pair, params, sch, basis, spec, None)
-    du = float(np.sqrt(np.sum((res.final.pair.u.modal - pair.u.modal) ** 2)))
-    dv = float(np.sqrt(np.sum((res.final.pair.v.modal - pair.v.modal) ** 2)))
+    pair = constant_pair(basis, u_star, v_star)
+    final = run(pair, params, sch, basis, spec, None)
+    du = float(np.sqrt(np.sum((final.u_modal[0] - pair[0]) ** 2)))
+    dv = float(np.sqrt(np.sum((final.v_modal[0] - pair[1]) ** 2)))
     ok = du < 1e-8 and dv < 1e-8
     return _result(4, "steady state invariance", ok,
                    f"|du|_L2 {du:.2e}, |dv|_L2 {dv:.2e} (tol 1e-8)", t0)
@@ -214,8 +213,7 @@ def criterion_5_strong_convergence():
         finals = []
         for path, dt in zip(chain, dts):
             sch = SchemeConfig(dt=dt, T=horizon)
-            res = run(init, params, sch, basis, spec, path)
-            finals.append(res.final.pair.u.modal)
+            finals.append(run(init, params, sch, basis, spec, path).u_modal[0])
         errs[i, 0] = np.sqrt(np.sum((finals[0] - finals[1]) ** 2))
         errs[i, 1] = np.sqrt(np.sum((finals[1] - finals[2]) ** 2))
     e1, e2 = errs.mean(axis=0)
@@ -245,8 +243,8 @@ def _gbm_batch(scheme_name, params, spec, basis, n_paths, n_steps, horizon,
                u0, first_path):
     """Single-mode runs through the production stepper, all paths at once."""
     sch = SchemeConfig(dt=horizon / n_steps, T=horizon, scheme=scheme_name)
-    pair = FieldPair(Field.from_constant(basis, u0), Field.from_constant(basis, 1.0))
-    out = _final_u_modal(pair, params, sch, basis, spec, first_path, n_paths)
+    out = _final_u_modal(constant_pair(basis, u0, 1.0), params, sch, basis,
+                         spec, first_path, n_paths)
     return out[:, 0] / np.sqrt(basis.volume)
 
 

@@ -113,21 +113,20 @@ def _cmd_simulate(args):
     path = sample_path(cfg.noise, grid, cfg.run_opts["path_index"])
     rec = FunctionalRecorder(basis, cfg.functionals, cfg.scheme.v_floor,
                              path_index=cfg.run_opts["path_index"])
-    result = run(init, cfg.params, cfg.scheme, basis, cfg.noise, path,
-                 observer=rec)
+    final = run(init, cfg.params, cfg.scheme, basis, cfg.noise, path,
+                observer=rec)
     io_mod.write_trace(rec.trace(), os.path.join(args.out_dir, "trace.csv"))
-    final = result.final
     header = io_mod.SnapshotHeader(dim=cfg.domain.dim, shape=basis.grid_shape,
                                    field_count=2, time=final.t)
-    io_mod.write_snapshot([final.pair.u.nodal, final.pair.v.nodal], header,
+    u_final = final.u_nodal[0].reshape(basis.grid_shape)
+    v_final = final.v_nodal[0].reshape(basis.grid_shape)
+    io_mod.write_snapshot([u_final, v_final], header,
                           os.path.join(args.out_dir, "final.gmsp"))
     if cfg.domain.dim == 2:
-        io_mod.write_image(final.pair.u.nodal,
-                           os.path.join(args.out_dir, "u_final.pgm"))
-        io_mod.write_image(final.pair.v.nodal,
-                           os.path.join(args.out_dir, "v_final.pgm"))
-    _say(args, f"simulated {result.n_steps} steps to t = {final.t:g}; "
-               f"floor activations: {final.floor_activations}")
+        io_mod.write_image(u_final, os.path.join(args.out_dir, "u_final.pgm"))
+        io_mod.write_image(v_final, os.path.join(args.out_dir, "v_final.pgm"))
+    _say(args, f"simulated {final.step_index} steps to t = {final.t:g}; "
+               f"floor activations: {final.floor_activations[0]}")
     return 0
 
 

@@ -6,14 +6,16 @@ The file format is section-scoped assignments, one per line:
     dim = 1
     length_x = 1.0
 
-Unknown sections or keys are hard errors (no silent typos), and
-validation reports every violated invariant at once rather than the
-first.  ``dumps`` emits a canonical echo such that loading the echo of
-a loaded file reproduces it byte for byte.
+Unknown sections or keys are hard errors (no silent typos), as are
+non-finite float values (nan, inf), and validation reports every
+violated invariant at once rather than the first.  ``dumps`` emits a
+canonical echo such that loading the echo of a loaded file reproduces
+it byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .dynamics import ModelParams, SchemeConfig
@@ -31,8 +33,16 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.problems))
 
 
+def _finite(text):
+    """Float value of a key; NaN and +-inf are rejected like a typo."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _float_list(text):
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+    return tuple(_finite(tok) for tok in text.replace(",", " ").split())
 
 
 def _fmt(value):
@@ -47,52 +57,52 @@ def _fmt(value):
 SCHEMA = {
     "domain": {
         "dim": (int, 1),
-        "length_x": (float, 1.0),
-        "length_y": (float, 1.0),
+        "length_x": (_finite, 1.0),
+        "length_y": (_finite, 1.0),
         "convention": (str, "neumann_cosine"),
         "grid_points": (int, 64),
     },
     "model": {
-        "r_u": (float, 0.01),
-        "r_v": (float, 0.1),
-        "kappa_u": (float, 1.0),
-        "kappa_v": (float, 1.0),
-        "mu_u": (float, 1.0),
-        "mu_v": (float, 2.0),
-        "sigma_u": (float, 0.1),
-        "sigma_v": (float, 0.1),
+        "r_u": (_finite, 0.01),
+        "r_v": (_finite, 0.1),
+        "kappa_u": (_finite, 1.0),
+        "kappa_v": (_finite, 1.0),
+        "mu_u": (_finite, 1.0),
+        "mu_v": (_finite, 2.0),
+        "sigma_u": (_finite, 0.1),
+        "sigma_v": (_finite, 0.1),
     },
     "scheme": {
-        "dt": (float, 1e-3),
-        "horizon": (float, 1.0),
+        "dt": (_finite, 1e-3),
+        "horizon": (_finite, 1.0),
         "scheme": (str, "ito_imex"),
-        "v_floor": (float, 1e-8),
-        "reaction_cfl_limit": (float, 1.0),
+        "v_floor": (_finite, 1e-8),
+        "reaction_cfl_limit": (_finite, 1.0),
     },
     "noise": {
-        "gamma1": (float, 2.0),
-        "gamma2": (float, 2.0),
+        "gamma1": (_finite, 2.0),
+        "gamma2": (_finite, 2.0),
         "modes": (int, 16),
         "master_seed": (int, 0),
     },
     "functionals": {
-        "p": (float, DEFAULT_P),
-        "rho": (float, 1.1),
+        "p": (_finite, DEFAULT_P),
+        "rho": (_finite, 1.1),
         "observation_stride": (int, 10),
     },
     "run": {
         "paths": (int, 8),
         "path_index": (int, 0),
-        "initial_amplitude": (float, 0.01),
+        "initial_amplitude": (_finite, 0.01),
     },
     "fixedpoint": {
         "max_iterations": (int, 30),
-        "tolerance": (float, 1e-6),
+        "tolerance": (_finite, 1e-6),
         "ensemble_size": (int, 16),
-        "bound_margin": (float, 10.0),
+        "bound_margin": (_finite, 10.0),
     },
     "uniqueness": {
-        "delta": (float, 1e-8),
+        "delta": (_finite, 1e-8),
         "perturb_mode": (int, 1),
         "stopping_levels": (_float_list, (2.0, 4.0, 8.0, 16.0)),
     },

@@ -31,6 +31,8 @@ holds B trajectories as rows (modal (B, K), nodal (B, n_nodes)), and
 the stepper advances every row at once, so each transform is one
 product for the whole stack.  :func:`run_batch` drives such a stack and
 :func:`run` is its one-row case; there is no second stepping path.
+Initial data is one (2, K) modal array (row 0 u, row 1 v), and a run
+returns its final :class:`StateView`.
 Each row is checked on its own (reaction CFL, finiteness, the zero-floor
 positivity of v): a failed row stops with the error its solo run raises
 and the other rows go on.  Observers see the stack through
@@ -57,14 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (
-    Field,
-    FieldPair,
-    dealias_modal,
-    floor_counts,
-    floor_violation,
-    quotient_nodal,
-)
+from .fields import dealias_modal, floor_counts, floor_violation, quotient_nodal
 from .noise import NoisePath, NoiseSpec, sliced
 from .spectral import SpectralBasis
 
@@ -102,12 +97,6 @@ class ModelParams:
                     for name, value in self.__dict__.items() if value < 0]
         if problems:
             raise ValueError("\n".join(problems))
-
-    def validate_strict(self):
-        """All-positive check; zeros are reserved for analytic-limit runs."""
-        zero = [k for k, v in self.__dict__.items() if v == 0]
-        if zero:
-            raise ValueError(f"parameters must be strictly positive: {zero} are zero")
 
 
 def steady_state(params: ModelParams):
@@ -155,23 +144,6 @@ class SchemeConfig:
                 f"horizon {self.T:g} is not an integral number of steps of {self.dt:g}"
             )
         return n
-
-
-@dataclass
-class SimState:
-    """One point along a trajectory."""
-
-    t: float
-    pair: FieldPair
-    step_index: int = 0
-    floor_activations: int = 0
-
-
-def upsilon_apply(f: Field, mu: float, sigma: float, gamma: float,
-                  basis: SpectralBasis) -> Field:
-    """Apply the corrected decay operator mu*Id - sigma*(Id+A)^(-gamma)."""
-    factor = mu - sigma * (1.0 + basis.eigenvalues) ** (-gamma)
-    return Field(basis, modal=factor * f.modal)
 
 
 def _phi1(z):
@@ -245,10 +217,18 @@ class Stepper:
     def _project(self, nodal_flat):
         return np.where(self._keep, self.basis.project(nodal_flat), 0.0)
 
-    def raw_state(self, pair: FieldPair, n_rows: int = 1) -> StateView:
-        """State 0 of ``n_rows`` trajectories starting from ``pair`` (copied)."""
-        u_modal = np.tile(pair.u.modal, (n_rows, 1))
-        v_modal = np.tile(pair.v.modal, (n_rows, 1))
+    def raw_state(self, initial, n_rows: int = 1) -> StateView:
+        """State 0 of ``n_rows`` trajectories from the (2, K) modal ``initial``.
+
+        Row 0 of ``initial`` is u, row 1 is v; every trajectory starts
+        from a copy.
+        """
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != (2, self.basis.mode_count):
+            raise ValueError(f"initial data has shape {initial.shape}, "
+                             f"needs (2, {self.basis.mode_count})")
+        u_modal = np.tile(initial[0], (n_rows, 1))
+        v_modal = np.tile(initial[1], (n_rows, 1))
         return StateView(
             t=0.0, step_index=0,
             u_modal=u_modal, v_modal=v_modal,
@@ -359,17 +339,13 @@ def observe(observer, states, n_steps, dt):
     return state
 
 
-@dataclass
-class RunResult:
-    final: SimState
-    n_steps: int
-
-
-def run_batch(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
+def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
               basis: SpectralBasis, noise_spec: NoiseSpec, draw, n_paths: int,
               observer=None) -> StateView:
     """Drive ``n_paths`` trajectories from ``initial`` as one stack.
 
+    ``initial`` is the (2, K) modal initial data (row 0 u, row 1 v) every
+    trajectory starts from.
     ``draw(n0, n1)`` is a noise source (:func:`~gmspde.noise.drawn`,
     :func:`~gmspde.noise.sliced`): it returns the raw Brownian increments
     of the stack's paths over steps n0..n1-1, shape (n_paths, 2, K,
@@ -379,7 +355,8 @@ def run_batch(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
     no bit of the result.  ``observer`` sees the whole stack (see
     :func:`run`).  A row that fails a step stops there, its error in the
     returned state's ``failures``, and the other rows go on; the walk
-    ends early once every row has failed.  Returns the final state.
+    ends early once every row has failed.  Returns the final
+    :class:`StateView` of the stack.
     """
     n_steps = scheme.n_steps()
     stepper = Stepper(basis, params, scheme, noise_spec)
@@ -407,29 +384,19 @@ def run_batch(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
     return observe(observer, states(), n_steps, scheme.dt)
 
 
-def _row_state(basis: SpectralBasis, state: StateView, row: int) -> SimState:
-    shape = basis.grid_shape
-    pair = FieldPair(
-        Field(basis, nodal=state.u_nodal[row].reshape(shape).copy(),
-              modal=state.u_modal[row].copy()),
-        Field(basis, nodal=state.v_nodal[row].reshape(shape).copy(),
-              modal=state.v_modal[row].copy()),
-    )
-    return SimState(t=state.t, pair=pair, step_index=state.step_index,
-                    floor_activations=int(state.floor_activations[row]))
-
-
-def run(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
+def run(initial, params: ModelParams, scheme: SchemeConfig,
         basis: SpectralBasis, noise_spec: NoiseSpec,
-        path: NoisePath | None, observer=None) -> RunResult:
-    """Drive one trajectory, feeding its states to ``observer``.
+        path: NoisePath | None, observer=None) -> StateView:
+    """Drive one trajectory from the (2, K) modal ``initial``.
 
-    This is :func:`run_batch` with one row; a failed step raises its
-    error.  An observer has a ``stride``, ``accumulate(state, dt)``
-    (called with the pre-step state before every step) and
-    ``record(state)`` (called at t = 0, every ``stride`` steps and at the
-    final time); see :func:`observe`.  The trajectory is a pure function
-    of its arguments.
+    Row 0 of ``initial`` is u, row 1 is v.  This is :func:`run_batch`
+    with one row: it returns the final one-row :class:`StateView` (u at
+    ``u_modal[0]``/``u_nodal[0]``, the step count in ``step_index``),
+    and a failed step raises its error.  An observer has a ``stride``,
+    ``accumulate(state, dt)`` (called with the pre-step state before
+    every step) and ``record(state)`` (called at t = 0, every ``stride``
+    steps and at the final time); see :func:`observe`.  The trajectory is
+    a pure function of its arguments.
 
     ``path`` may be None only for noiseless runs (sigma_u = sigma_v = 0).
     """
@@ -452,12 +419,18 @@ def run(initial: FieldPair, params: ModelParams, scheme: SchemeConfig,
                       sliced(increments), 1, observer)
     if final.failures:
         raise final.failures[0]
-    return RunResult(final=_row_state(basis, final, 0), n_steps=n_steps)
+    return final
+
+
+def constant_pair(basis: SpectralBasis, u_value: float, v_value: float):
+    """(2, K) modal initial data of constant u and v, projected from the grid."""
+    return np.stack([basis.project(np.full(basis.n_nodes, float(value)))
+                     for value in (u_value, v_value)])
 
 
 def default_initial_pair(basis: SpectralBasis, params: ModelParams,
-                         amplitude: float = 0.01) -> FieldPair:
-    """Near-homogeneous start: u* with small bumps in modes 1..4, v*."""
+                         amplitude: float = 0.01):
+    """Near-homogeneous (2, K) modal start: u* with bumps in modes 1..4, v*."""
     u_star, v_star = steady_state(params)
     sqrt_vol = np.sqrt(basis.volume)
     u_modal = np.zeros(basis.mode_count)
@@ -466,4 +439,4 @@ def default_initial_pair(basis: SpectralBasis, params: ModelParams,
         u_modal[k] = amplitude * u_star
     v_modal = np.zeros(basis.mode_count)
     v_modal[0] = v_star * sqrt_vol
-    return FieldPair(Field(basis, modal=u_modal), Field(basis, modal=v_modal))
+    return np.stack((u_modal, v_modal))

@@ -41,7 +41,7 @@ from .dynamics import (
     run,
     run_batch,
 )
-from .fields import Field, FieldPair, FloorViolation, quotient_nodal
+from .fields import FloorViolation, quotient_nodal
 from .functionals import (
     AdmissibleSetSpec,
     FunctionalConfig,
@@ -150,12 +150,12 @@ class TrajectoryRecorder:
                               stack.eta_modal[0])
 
 
-def constant_trajectory(pair: FieldPair, scheme: SchemeConfig) -> PairTrajectory:
-    """Time-constant trajectory holding the given pair."""
+def constant_trajectory(pair, scheme: SchemeConfig) -> PairTrajectory:
+    """Time-constant trajectory holding the (2, K) modal ``pair``."""
     n = scheme.n_steps()
     times = np.linspace(0.0, scheme.T, n + 1)
-    chi = np.tile(pair.u.modal, (n + 1, 1))
-    eta = np.tile(pair.v.modal, (n + 1, 1))
+    chi = np.tile(pair[0], (n + 1, 1))
+    eta = np.tile(pair[1], (n + 1, 1))
     return PairTrajectory(times=times, chi_modal=chi, eta_modal=eta)
 
 
@@ -202,16 +202,17 @@ def _check_input_positivity(traj, basis):
     )
 
 
-def apply_T(traj: PairTrajectory, init: FieldPair, params: ModelParams,
+def apply_T(traj: PairTrajectory, init, params: ModelParams,
             scheme: SchemeConfig, basis, noise_spec: NoiseSpec,
             path, check_positivity: bool = True):
     """One application of the decoupling map on frozen noise.
 
     Solves the inhibitor equation with source kappa_v chi^2(t) and the
     activator equation with source kappa_u chi^2(t)/v(t), each by the
-    configured scheme's per-field step; eta enters only through the
-    admissibility check.  Given chi the two are decoupled (v sees only
-    chi, u sees chi and v), so one loop steps v and then u at each step.
+    configured scheme's per-field step, from the (2, K) modal initial
+    data ``init``; eta enters only through the admissibility check.
+    Given chi the two are decoupled (v sees only chi, u sees chi and v),
+    so one loop steps v and then u at each step.
     ``traj`` is one path with its :class:`~gmspde.noise.NoisePath`, or a
     stack of B paths with their (B, 2, K, N) increment table; all rows
     are stepped together and any failing row raises.  Returns the output
@@ -235,8 +236,8 @@ def apply_T(traj: PairTrajectory, init: FieldPair, params: ModelParams,
 
     v_store = np.empty((rows, n_steps + 1, k))
     u_store = np.empty((rows, n_steps + 1, k))
-    v_store[:, 0] = v_modal = np.tile(init.v.modal, (rows, 1))
-    u_store[:, 0] = u_modal = np.tile(init.u.modal, (rows, 1))
+    v_store[:, 0] = v_modal = np.tile(init[1], (rows, 1))
+    u_store[:, 0] = u_modal = np.tile(init[0], (rows, 1))
     v_nodal = basis.synthesize(v_modal)
     u_nodal = basis.synthesize(u_modal)
     for n in range(n_steps):
@@ -370,7 +371,7 @@ def _coupled_solve(init, params, scheme, basis, noise_spec, increments):
     return rec.trajectories()
 
 
-def picard_iterate(start: PairTrajectory, init: FieldPair,
+def picard_iterate(start: PairTrajectory, init,
                    params: ModelParams, scheme: SchemeConfig, basis,
                    noise_spec: NoiseSpec, config: FixedPointConfig,
                    fconfig: FunctionalConfig | None = None,
@@ -491,24 +492,25 @@ def _stopping_scan(traj: PairTrajectory, basis, scheme, levels):
     return tau1, tau2
 
 
-def uniqueness_study(init: FieldPair, delta: float, params: ModelParams,
+def uniqueness_study(init, delta: float, params: ModelParams,
                      scheme: SchemeConfig, basis, noise_spec: NoiseSpec,
                      stopping: StoppingSpec, path: NoisePath,
                      perturb_mode: int = 1) -> UniquenessReport:
     """Two runs differing by delta in one mode, driven by the same noise.
 
-    delta = 0 must give bitwise-coincident trajectories; delta > 0
-    reports the measured amplification sup_t |u1-u2|_L2 / delta.  The
-    theorem behind this check is one-dimensional; rectangle runs are
-    labeled outside its scope but executed all the same.
+    The first starts from the (2, K) modal ``init``, the second from a
+    copy with ``delta`` added to u's mode ``perturb_mode``.  delta = 0
+    must give bitwise-coincident trajectories; delta > 0 reports the
+    measured amplification sup_t |u1-u2|_L2 / delta.  The theorem
+    behind this check is one-dimensional; rectangle runs are labeled
+    outside its scope but executed all the same.
     """
     if delta < 0:
         raise ValueError("perturbation size must be >= 0")
     if perturb_mode >= basis.mode_count:
         raise ValueError("perturbation mode outside the truncation")
-    init2_u = init.u.modal.copy()
-    init2_u[perturb_mode] += delta
-    init2 = FieldPair(Field(basis, modal=init2_u), init.v.copy())
+    init2 = np.array(init, dtype=float)
+    init2[0, perturb_mode] += delta
 
     def solve(pair):
         rec = TrajectoryRecorder()
@@ -565,16 +567,17 @@ class EnsembleReport:
         return lines
 
 
-def ensemble(init: FieldPair, params: ModelParams, scheme: SchemeConfig,
+def ensemble(init, params: ModelParams, scheme: SchemeConfig,
              basis, noise_spec: NoiseSpec, n_paths: int,
              fconfig: FunctionalConfig, horizons=None,
              first_path_index: int = 0, path_indices=None) -> EnsembleReport:
     """Monte Carlo ensemble with per-column statistics and monitor fits.
 
-    The distinct path indices are stepped as one stack, in order of
-    first appearance, with their noise drawn in blocks of steps; the
-    result is reproducible bit for bit for a given path list, and each
-    path agrees with its solo run to rounding.  A path that fails is
+    Every path starts from the (2, K) modal ``init``.  The distinct
+    path indices are stepped as one stack, in order of first
+    appearance, with their noise drawn in blocks of steps; the result
+    is reproducible bit for bit for a given path list, and each path
+    agrees with its solo run to rounding.  A path that fails is
     reported by index with the error its solo run raises, and the other
     paths go on; aggregation proceeds on the survivors.  An error raised
     before the paths can differ (a bad grid or initial state)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, floor_counts, quotient_nodal
+from .fields import floor_counts, quotient_nodal
 
 DEFAULT_P = 31.0 / 7.0
 
@@ -110,12 +110,6 @@ class FunctionalTrace:
         if idx < 0:
             raise ValueError(f"horizon {horizon:g} precedes the first observation")
         return idx
-
-
-def xi_field(v: Field, floor: float):
-    """Inverse inhibitor 1/max(v, floor); returns (field, activations)."""
-    inv, activations = _xi_nodal(v.nodal.ravel(), floor)
-    return Field(v.basis, nodal=inv), activations
 
 
 def _quadrature(nodal, weights):

@@ -24,14 +24,11 @@ Brownian bridge while keeping the sum identity exact in floating point.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .fields import Field
-from .spectral import SpectralBasis
 
 
 @dataclass(frozen=True)
@@ -58,20 +55,6 @@ class NoiseSpec:
         if j == 2:
             return self.gamma2
         raise ValueError(f"process index must be 1 or 2, got {j}")
-
-    def validate_for_dim(self, dim):
-        """Trace-class condition gamma_j > d; smaller values only warn."""
-        msgs = []
-        for j in (1, 2):
-            g = self.gamma(j)
-            if g <= dim:
-                msgs.append(
-                    f"gamma{j} = {g:g} <= d = {dim}: covariance decay below "
-                    "the trace-class margin; proceeding anyway"
-                )
-        for m in msgs:
-            warnings.warn(m, stacklevel=2)
-        return msgs
 
 
 @dataclass(frozen=True)
@@ -193,31 +176,3 @@ def coupled_path_hierarchy(spec, fine_grid, path_index, levels):
     for _ in range(levels - 1):
         chain.append(coarsen_path(chain[-1]))
     return chain[::-1]
-
-
-def increment_field(path: NoisePath, n: int, j: int,
-                    basis: SpectralBasis, spec: NoiseSpec | None = None) -> Field:
-    """Modal field of the W_j increment over step n.
-
-    Coefficient k is (1+lambda_k)^(-gamma_j/2) dB[j][k][n].
-    """
-    spec = path.spec if spec is None else spec
-    if not (0 <= n < path.n_steps):
-        raise ValueError(f"step {n} out of range [0, {path.n_steps})")
-    if basis.mode_count != spec.mode_count:
-        raise ValueError(
-            f"basis has {basis.mode_count} modes, noise spec has {spec.mode_count}"
-        )
-    damp = (1.0 + basis.eigenvalues) ** (-0.5 * spec.gamma(j))
-    modal = damp * path.increments[j - 1, :, n]
-    return Field(basis, modal=modal)
-
-
-def covariance_multipliers(basis: SpectralBasis, spec: NoiseSpec, j: int):
-    """Per-mode variance factors (1+lambda_k)^(-gamma_j)."""
-    return (1.0 + basis.eigenvalues) ** (-spec.gamma(j))
-
-
-def trace_of_Q(basis: SpectralBasis, spec: NoiseSpec, j: int) -> float:
-    """Partial trace of the covariance over the truncation."""
-    return float(np.sum(covariance_multipliers(basis, spec, j)))

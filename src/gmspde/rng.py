@@ -135,8 +135,9 @@ def normal_table(master_seed, path_index, stream, modes, steps):
     """
     path_index = np.asarray(path_index, dtype=np.uint64)
     paths = path_index.reshape(-1)
-    modes = np.asarray(modes, dtype=np.uint64)
-    steps = np.asarray(steps, dtype=np.uint64)
+    # index lists are converted block by block: a long step list then
+    # costs no uint64 copy of its own
+    modes, steps = np.asarray(modes), np.asarray(steps)
     out = np.empty((paths.size, modes.size, steps.size))
     # a block takes as many steps as fit, then as many modes, then paths
     nb = max(1, min(steps.size, _DRAWS_PER_BLOCK))
@@ -147,7 +148,9 @@ def normal_table(master_seed, path_index, stream, modes, steps):
         for k in range(0, modes.size, kb):
             for n in range(0, steps.size, nb):
                 bits = _word0(int(master_seed), paths[b:b + bb], int(stream),
-                              modes[k:k + kb], steps[n:n + nb], bufs, views)
+                              modes[k:k + kb].astype(np.uint64, copy=False),
+                              steps[n:n + nb].astype(np.uint64, copy=False),
+                              bufs, views)
                 block = out[b:b + bb, k:k + kb, n:n + nb]
                 # top 53 bits, offset by half an ulp: strictly inside (0, 1)
                 np.right_shift(bits, _S11, out=bits)

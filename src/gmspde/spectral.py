@@ -136,9 +136,6 @@ class SpectralBasis:
         c[..., self.mode_indices[:, 0], self.mode_indices[:, 1]] = modal
         return (tables[0].T @ c @ tables[1]).reshape(lead + (self.n_nodes,))
 
-    def integrate(self, nodal_flat):
-        return float(self.weights @ nodal_flat)
-
 
 def _axis_modes(domain, axis, count):
     """Angular factors q_l and normalisations c_l of cosines l < count."""
@@ -239,53 +236,3 @@ def build_basis(domain: DomainSpec, mode_count: int) -> SpectralBasis:
         derivatives=tuple(derivatives),
         quadrature=tuple(quadrature),
     )
-
-
-def eval_eigenfunction(basis: SpectralBasis, k: int, x) -> float:
-    """Pointwise value of e_k at a point inside the domain."""
-    if k < 0 or k >= basis.mode_count:
-        raise ValueError(f"mode index {k} out of range [0, {basis.mode_count})")
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.size != basis.domain.dim:
-        raise ValueError(f"point has {pt.size} coordinates, domain is {basis.domain.dim}d")
-    for ax, length in enumerate(basis.domain.lengths):
-        if not (0.0 <= pt[ax] <= length):
-            raise ValueError(
-                f"coordinate {pt[ax]} outside [0, {length}] on axis {ax}"
-            )
-    val = 1.0
-    for ax in range(basis.domain.dim):
-        ki = basis.mode_indices[k, ax]
-        q, c = _axis_modes(basis.domain, ax, ki + 1)
-        val *= c[ki] * np.cos(q[ki] * pt[ax])
-    return float(val)
-
-
-def apply_multiplier(basis: SpectralBasis, modal, g):
-    """Diagonal spectral operator: coefficient k is scaled by g(lambda_k).
-
-    Covers (Id+A)^. powers, the smoothing operator S(.), and H^s norms;
-    g must be finite on every eigenvalue of the basis.
-    """
-    modal = np.asarray(modal, dtype=float)
-    if modal.shape[-1] != basis.mode_count:
-        raise ValueError(
-            f"modal length {modal.shape[-1]} != mode count {basis.mode_count}"
-        )
-    w = np.asarray(g(basis.eigenvalues), dtype=float)
-    if not np.all(np.isfinite(w)):
-        bad = int(np.flatnonzero(~np.isfinite(w))[0])
-        raise ValueError(f"multiplier not finite at eigenvalue index {bad}")
-    return modal * w
-
-
-def check_asymptotics(basis: SpectralBasis):
-    """Tightest constants c_low, c_high with c_low <= lambda_k / k^(2/d) <= c_high.
-
-    Evaluated over the nonzero modes k = 1 .. K-1 in sorted order.
-    """
-    if basis.mode_count < 8:
-        raise ValueError("need at least 8 modes to estimate eigenvalue growth")
-    k = np.arange(1, basis.mode_count)
-    ratios = basis.eigenvalues[1:] / k ** (2.0 / basis.domain.dim)
-    return float(ratios.min()), float(ratios.max())

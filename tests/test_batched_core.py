@@ -76,9 +76,9 @@ def test_stacked_rows_match_solo_runs(dim, scheme):
         assert np.array_equal(trace.times, want.trace().times)
         for name, column in want.trace().data.items():
             assert_close(trace.data[name], column, f"row {row} {name}")
-        assert_close(final.u_modal[row], res.final.pair.u.modal, "u")
-        assert_close(final.v_modal[row], res.final.pair.v.modal, "v")
-        assert final.floor_activations[row] == res.final.floor_activations
+        assert_close(final.u_modal[row], res.u_modal[0], "u")
+        assert_close(final.v_modal[row], res.v_modal[0], "v")
+        assert final.floor_activations[row] == res.floor_activations[0]
 
 
 def run_ensemble(n_paths=11, path_indices=None, scheme="ito_imex"):
@@ -182,8 +182,8 @@ def check_other_rows(final, setup, failed_row):
             continue
         assert final.alive[row]
         res = solo(init, prm, sch, basis, spec, grid, increments[row], row)
-        assert_close(final.u_modal[row], res.final.pair.u.modal, f"u {row}")
-        assert_close(final.v_modal[row], res.final.pair.v.modal, f"v {row}")
+        assert_close(final.u_modal[row], res.u_modal[0], f"u {row}")
+        assert_close(final.v_modal[row], res.v_modal[0], f"v {row}")
 
 
 def check_failed_row(final, setup, row, error):

@@ -48,6 +48,24 @@ def test_bad_sizes_are_config_errors_before_any_output(case, tmp_path):
     assert not (out / "config.echo.txt").exists()
 
 
+# non-finite floats ran on (or crashed) instead of failing as config errors
+NON_FINITE = ["[model]\nkappa_u = nan", "[domain]\nlength_x = inf",
+              "[scheme]\nhorizon = inf", "[model]\nmu_u = inf",
+              "[functionals]\np = inf", "[uniqueness]\nstopping_levels = 2, -inf"]
+
+
+@pytest.mark.parametrize("text", NON_FINITE, ids=lambda t: t.split("\n")[1])
+def test_non_finite_values_are_config_errors_before_any_output(text, tmp_path,
+                                                               capsys):
+    path, out = tmp_path / "run.cfg", tmp_path / "out"
+    path.write_text(text + "\n")
+    argv = ["simulate", "--config", str(path), "--out-dir", str(out), "--quiet"]
+    assert cli.main(argv) == 1
+    key = text.split("\n")[1].split(" =")[0]
+    assert f"line 2: bad value for {key!r}" in capsys.readouterr().err
+    assert not (out / "config.echo.txt").exists()
+
+
 @pytest.mark.parametrize("key", ["dealias", "exact_scalar_decay"])
 def test_removed_scheme_keys_are_unknown(key, tmp_path):
     text = f"[scheme]\n{key} = true\n"

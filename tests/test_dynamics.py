@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
+from gmspde.config import loads
 from gmspde.dynamics import (
     ModelParams,
     SchemeConfig,
     SimulationError,
     Stepper,
+    constant_pair,
     default_initial_pair,
     run,
     steady_state,
-    upsilon_apply,
 )
-from gmspde.fields import Field, FieldPair
-from gmspde.noise import NoiseSpec, increment_field, sample_path, uniform_grid
+from gmspde.noise import NoiseSpec, sample_path, uniform_grid
 from gmspde.spectral import DomainSpec, build_basis
 
 
@@ -33,10 +33,12 @@ def test_params_reject_negative():
 
 
 def test_params_strict_validation():
-    p = desk_params(sigma=0.0)
-    with pytest.raises(ValueError, match="strictly positive"):
-        p.validate_strict()
-    desk_params(sigma=0.1).validate_strict()
+    # zeros are reserved for analytic-limit runs: accepted with a warning
+    cfg = loads("[model]\nsigma_u = 0\nsigma_v = 0\n")
+    assert cfg.params.sigma_u == 0.0 and loads("").warnings == []
+    assert cfg.warnings == ["[model] sigma_u, sigma_v = 0: the model wants "
+                            "strictly positive constants; zero is accepted "
+                            "for analytic-limit runs"]
 
 
 def test_scheme_validation():
@@ -49,21 +51,28 @@ def test_scheme_validation():
     assert SchemeConfig(dt=0.1, T=1.0).n_steps() == 10
 
 
+def _drift(basis, mu, sigma, scheme="ito_imex"):
+    """The stepper's corrected decay mu - lin on u and on v, per mode."""
+    params = ModelParams(0.01, 0.1, 1.0, 1.0, mu, mu, sigma, sigma)
+    sch = SchemeConfig(dt=0.1, T=1.0, scheme=scheme)
+    stepper = Stepper(basis, params, sch, NoiseSpec(2.0, 2.0, basis.mode_count))
+    return np.array([mu - stepper._coefficients[f][2][0] for f in "uv"])
+
+
 def test_upsilon_examples():
+    # the Ito stepper's drift is mu*Id - sigma*(Id+A)^(-gamma) per mode
     basis = build_basis(
         DomainSpec(dim=1, lengths=(1.0,), eigenvalue_convention="paper_1d",
                    grid_points_per_axis=64), 8)
-    f = Field(basis, modal=np.ones(8))
     # sigma = 0 reduces to plain scalar decay
-    out = upsilon_apply(f, 1.5, 0.0, 2.0, basis)
-    assert np.allclose(out.modal, 1.5)
+    assert np.allclose(_drift(basis, 1.5, 0.0), 1.5)
     # mode 0 sees (mu - sigma) since (1+0)^-gamma = 1
-    out = upsilon_apply(f, 1.0, 0.25, 2.0, basis)
-    assert out.modal[0] == pytest.approx(0.75)
+    assert _drift(basis, 1.0, 0.25)[:, 0] == pytest.approx(0.75)
     # mode 1 on the paper convention: factor 1 - 0.5 (1+4 pi^2)^-2
-    out = upsilon_apply(f, 1.0, 0.5, 2.0, basis)
     expected = 1.0 - 0.5 * (1.0 + 4 * np.pi**2) ** -2.0
-    assert out.modal[1] == pytest.approx(expected, rel=1e-14)
+    assert _drift(basis, 1.0, 0.5)[:, 1] == pytest.approx(expected, rel=1e-14)
+    # the Stratonovich (Heun) scheme has no correction
+    assert np.all(_drift(basis, 1.0, 0.5, "stratonovich_heun") == 1.0)
 
 
 def test_constant_decay_is_exact_per_step():
@@ -73,10 +82,8 @@ def test_constant_decay_is_exact_per_step():
     params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
                          mu_u=mu, mu_v=1.0, sigma_u=0.0, sigma_v=0.0)
     sch = SchemeConfig(dt=0.01, T=0.01)  # one step
-    pair = FieldPair(Field.from_constant(basis, 3.0),
-                     Field.from_constant(basis, 1.0))
-    out = run(pair, params, sch, basis, spec, None).final
-    assert out.pair.u.modal[0] == pytest.approx(
+    out = run(constant_pair(basis, 3.0, 1.0), params, sch, basis, spec, None)
+    assert out.u_modal[0, 0] == pytest.approx(
         3.0 * np.exp(-mu * 0.01), rel=1e-15)
     assert out.t == pytest.approx(0.01)
 
@@ -92,11 +99,10 @@ def test_homogeneous_steady_state_is_discrete_fixed_point():
     assert params.kappa_v * u_star**2 - params.mu_v * v_star == \
         pytest.approx(0.0, abs=1e-14)
     sch = SchemeConfig(dt=1e-2, T=1e-2)  # one step
-    pair = FieldPair(Field.from_constant(basis, u_star),
-                     Field.from_constant(basis, v_star))
-    out = run(pair, params, sch, basis, spec, None).final
-    assert abs(out.pair.u.modal[0] - pair.u.modal[0]) < 1e-13
-    assert abs(out.pair.v.modal[0] - pair.v.modal[0]) < 1e-13
+    pair = constant_pair(basis, u_star, v_star)
+    out = run(pair, params, sch, basis, spec, None)
+    assert abs(out.u_modal[0, 0] - pair[0, 0]) < 1e-13
+    assert abs(out.v_modal[0, 0] - pair[1, 0]) < 1e-13
 
 
 def test_sigma_zero_schemes_coincide_exactly():
@@ -110,8 +116,8 @@ def test_sigma_zero_schemes_coincide_exactly():
     sch_s = SchemeConfig(dt=1e-3, T=0.05, scheme="stratonovich_heun")
     res_i = run(init, params, sch_i, basis, spec, path)
     res_s = run(init, params, sch_s, basis, spec, path)
-    assert np.array_equal(res_i.final.pair.u.modal, res_s.final.pair.u.modal)
-    assert np.array_equal(res_i.final.pair.v.modal, res_s.final.pair.v.modal)
+    assert np.array_equal(res_i.u_modal, res_s.u_modal)
+    assert np.array_equal(res_i.v_modal, res_s.v_modal)
 
 
 def test_single_step_ops_match_run():
@@ -124,13 +130,11 @@ def test_single_step_ops_match_run():
     stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=2e-3), spec)
     raw = stepper.raw_state(init)
     for n in range(2):
-        dw1 = increment_field(path, n, 1, basis)
-        dw2 = increment_field(path, n, 2, basis)
-        stepper.advance(raw, dw1.modal, dw2.modal)
+        stepper.advance(raw, stepper.damp1 * path.increments[0, :, n],
+                        stepper.damp2 * path.increments[1, :, n])
         sch = SchemeConfig(dt=1e-3, T=(n + 1) * 1e-3)
         res = run(init, params, sch, basis, spec, path)
-        assert np.allclose(raw.u_modal, res.final.pair.u.modal,
-                           rtol=0, atol=0)
+        assert np.allclose(raw.u_modal, res.u_modal, rtol=0, atol=0)
 
 
 def test_stratonovich_pathwise_matches_closed_form():
@@ -141,15 +145,14 @@ def test_stratonovich_pathwise_matches_closed_form():
     mu, sigma = 1.0, 0.5
     params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
                          mu_u=mu, mu_v=2.0, sigma_u=sigma, sigma_v=0.1)
-    pair = FieldPair(Field.from_constant(basis, 1.0),
-                     Field.from_constant(basis, 1.0))
+    pair = constant_pair(basis, 1.0, 1.0)
     dt = 1e-3
     sch = SchemeConfig(dt=dt, T=1.0, scheme="stratonovich_heun")
     path = sample_path(spec, uniform_grid(1.0, 1000), 7)
     res = run(pair, params, sch, basis, spec, path)
     b_t = path.increments[0, 0, :].sum()
     exact = np.exp(-mu + sigma * b_t)
-    rel = abs(res.final.pair.u.nodal[0] - exact) / exact
+    rel = abs(res.u_nodal[0, 0] - exact) / exact
     assert rel < dt  # observed ~0.2 dt
 
 
@@ -163,8 +166,7 @@ def test_ito_mean_matches_gbm_oracle():
                          mu_u=mu, mu_v=2.0, sigma_u=sigma, sigma_v=0.1)
     sch = SchemeConfig(dt=1.0 / 64, T=0.25)
     stepper = Stepper(basis, params, sch, spec)
-    pair = FieldPair(Field.from_constant(basis, 1.0),
-                     Field.from_constant(basis, 1.0))
+    pair = constant_pair(basis, 1.0, 1.0)
     grid = uniform_grid(0.25, 16)
     n_paths = 2000
     vals = np.empty(n_paths)
@@ -186,8 +188,8 @@ def test_run_zero_horizon_returns_initial():
     params = desk_params(sigma=0.0)
     init = default_initial_pair(basis, params)
     res = run(init, params, SchemeConfig(dt=1e-3, T=0.0), basis, spec, None)
-    assert res.n_steps == 0
-    assert np.array_equal(res.final.pair.u.modal, init.u.modal)
+    assert res.step_index == 0
+    assert np.array_equal(res.u_modal[0], init[0])
 
 
 def test_run_determinism_bitwise():
@@ -199,8 +201,8 @@ def test_run_determinism_bitwise():
     path = sample_path(spec, uniform_grid(0.2, 200), 0)
     a = run(init, params, sch, basis, spec, path)
     b = run(init, params, sch, basis, spec, path)
-    assert np.array_equal(a.final.pair.u.modal, b.final.pair.u.modal)
-    assert np.array_equal(a.final.pair.v.modal, b.final.pair.v.modal)
+    assert np.array_equal(a.u_modal, b.u_modal)
+    assert np.array_equal(a.v_modal, b.v_modal)
 
 
 def test_run_requires_path_for_noise():
@@ -229,11 +231,12 @@ def test_mass_conservation_pure_diffusion():
                          mu_u=0.0, mu_v=0.0, sigma_u=0.0, sigma_v=0.0)
     modal = np.zeros(16)
     modal[0], modal[4], modal[9] = 1.5, 0.3, -0.2
-    pair = FieldPair(Field(basis, modal=modal), Field.from_constant(basis, 1.0))
+    pair = constant_pair(basis, 0.0, 1.0)
+    pair[0] = modal
     res = run(pair, params, SchemeConfig(dt=1e-3, T=1.0), basis, spec, None)
-    assert abs(res.final.pair.u.modal[0] - 1.5) < 1e-10
+    assert abs(res.u_modal[0, 0] - 1.5) < 1e-10
     # nonzero modes decay under the heat flow
-    assert abs(res.final.pair.u.modal[4]) < abs(modal[4])
+    assert abs(res.u_modal[0, 4]) < abs(modal[4])
 
 
 def test_reaction_cfl_guard_fires():
@@ -241,8 +244,7 @@ def test_reaction_cfl_guard_fires():
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16)
     params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=500.0, kappa_v=1.0,
                          mu_u=1.0, mu_v=2.0, sigma_u=0.0, sigma_v=0.0)
-    pair = FieldPair(Field.from_constant(basis, 2.0),
-                     Field.from_constant(basis, 0.5))
+    pair = constant_pair(basis, 2.0, 0.5)
     with pytest.raises(SimulationError, match="reaction CFL"):
         run(pair, params, SchemeConfig(dt=1e-2, T=0.1), basis, spec, None)
 
@@ -254,11 +256,11 @@ def test_comparison_monotonicity_of_inhibitor_source():
     params = desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.5)
     base = default_initial_pair(basis, params)
-    bigger = FieldPair(
-        Field(basis, nodal=base.u.nodal + 0.5), base.v.copy())
+    bigger = base.copy()
+    bigger[0] = basis.project(basis.synthesize(base[0]) + 0.5)
     res_a = run(base, params, sch, basis, spec, None)
     res_b = run(bigger, params, sch, basis, spec, None)
-    assert np.all(res_b.final.pair.v.nodal > res_a.final.pair.v.nodal)
+    assert np.all(res_b.v_nodal > res_a.v_nodal)
 
 
 def test_short_stochastic_run_keeps_inhibitor_positive():
@@ -270,15 +272,17 @@ def test_short_stochastic_run_keeps_inhibitor_positive():
     for idx in range(20):
         path = sample_path(spec, uniform_grid(0.2, 200), idx)
         res = run(init, params, sch, basis, spec, path)
-        assert res.final.pair.v.nodal.min() > 0.0
-        assert res.final.floor_activations == 0
+        assert res.v_nodal.min() > 0.0
+        assert res.floor_activations[0] == 0
 
 
 def test_default_initial_pair_is_admissible():
     basis = make_basis()
     params = desk_params()
     pair = default_initial_pair(basis, params)
-    assert pair.is_admissible()
+    assert pair.shape == (2, basis.mode_count)
+    u_nodal, v_nodal = basis.synthesize(pair)
+    assert np.all(u_nodal >= 0.0) and np.all(v_nodal > 0.0)
     u_star, v_star = steady_state(params)
-    assert pair.u.modal[0] == pytest.approx(u_star * np.sqrt(basis.volume))
-    assert np.allclose(pair.v.nodal, v_star)
+    assert pair[0, 0] == pytest.approx(u_star * np.sqrt(basis.volume))
+    assert np.allclose(v_nodal, v_star)

@@ -4,6 +4,7 @@ import pytest
 from gmspde.dynamics import (
     ModelParams,
     SchemeConfig,
+    constant_pair,
     default_initial_pair,
     run,
     steady_state,
@@ -20,7 +21,6 @@ from gmspde.experiments import (
     seminorm_m,
     uniqueness_study,
 )
-from gmspde.fields import Field, FieldPair
 from gmspde.functionals import FunctionalConfig
 from gmspde.noise import NoiseSpec, sample_path, uniform_grid
 from gmspde.spectral import DomainSpec, build_basis
@@ -45,9 +45,7 @@ def desk_params(sigma=0.1):
 
 
 def steady_pair(basis, params):
-    u_star, v_star = steady_state(params)
-    return FieldPair(Field.from_constant(basis, u_star),
-                     Field.from_constant(basis, v_star))
+    return constant_pair(basis, *steady_state(params))
 
 
 def test_stopping_spec_requires_increasing_levels():
@@ -73,7 +71,7 @@ def test_apply_T_zero_source_decays(basis, nspec):
     params = desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.2)
     pair = steady_pair(basis, params)
-    zero_chi = FieldPair(Field.from_constant(basis, 0.0), pair.v.copy())
+    zero_chi = constant_pair(basis, 0.0, steady_state(params)[1])
     traj = constant_trajectory(zero_chi, sch)
     path = sample_path(nspec, uniform_grid(0.2, 200), 0)
     out, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
@@ -99,7 +97,7 @@ def test_apply_T_rejects_negative_input(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     pair = steady_pair(basis, params)
-    bad = FieldPair(Field.from_constant(basis, -0.5), pair.v.copy())
+    bad = constant_pair(basis, -0.5, steady_state(params)[1])
     traj = constant_trajectory(bad, sch)
     path = sample_path(nspec, uniform_grid(0.01, 10), 0)
     with pytest.raises(ValueError, match="chi negative"):
@@ -130,7 +128,7 @@ def test_picard_rejects_nonpositive_start(basis, nspec):
     sch = SchemeConfig(dt=1e-3, T=0.01)
     pair = steady_pair(basis, params)
     bad_start = constant_trajectory(
-        FieldPair(Field.from_constant(basis, -1.0), pair.v.copy()), sch)
+        constant_pair(basis, -1.0, steady_state(params)[1]), sch)
     with pytest.raises(ValueError, match="positivity"):
         picard_iterate(bad_start, pair, params, sch, basis, nspec,
                        FixedPointConfig(ensemble_size=2))
@@ -255,7 +253,7 @@ def test_ensemble_noiseless_matches_deterministic_run(basis, nspec):
             scale = float(np.max(np.abs(rep.means[name])))
             assert np.all(se <= 1e-13 * scale), (n_paths, name)
         assert rep.means["chi_l2_sq"][-1] == pytest.approx(
-            float(np.sum(res.final.pair.u.modal**2)), rel=1e-14)
+            float(np.sum(res.u_modal[0]**2)), rel=1e-14)
 
 
 def test_ensemble_reports_failed_paths(basis, nspec):
@@ -279,8 +277,8 @@ def test_trajectory_recorder_matches_run_output(basis, nspec):
     res = run(init, params, sch, basis, nspec, path, observer=rec)
     traj = rec.trajectory()
     assert traj.n_steps == 10
-    assert np.array_equal(traj.chi_modal[0], init.u.modal)
-    assert np.array_equal(traj.chi_modal[-1], res.final.pair.u.modal)
+    assert np.array_equal(traj.chi_modal[0], init[0])
+    assert np.array_equal(traj.chi_modal[-1], res.u_modal[0])
 
 
 def _stopping_scan_per_step(traj, basis, scheme, levels):

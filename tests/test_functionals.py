@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair, run
+from gmspde.dynamics import (
+    ModelParams,
+    SchemeConfig,
+    constant_pair,
+    default_initial_pair,
+    run,
+)
 from gmspde.experiments import (
     PairTrajectory,
     TrajectoryRecorder,
@@ -9,7 +15,7 @@ from gmspde.experiments import (
     ensemble,
     replay_trace,
 )
-from gmspde.fields import Field, FieldPair, FloorViolation
+from gmspde.fields import FloorViolation
 from gmspde.functionals import (
     TRACE_COLUMNS,
     AdmissibleSetSpec,
@@ -22,7 +28,7 @@ from gmspde.functionals import (
     lyapunov_L2,
     lyapunov_L3,
     membership,
-    xi_field,
+    _xi_nodal,
 )
 from gmspde.noise import NoiseSpec, sample_path, uniform_grid
 from gmspde.spectral import DomainSpec, build_basis
@@ -67,27 +73,25 @@ def test_config_validation():
 
 
 def test_xi_examples(basis):
-    v = Field.from_constant(basis, 2.0)
-    xi, n = xi_field(v, 1e-8)
-    assert np.allclose(xi.nodal, 0.5) and n == 0
+    xi, n = _xi_nodal(np.full(65, 2.0), 1e-8)
+    assert np.allclose(xi, 0.5) and n == 0
 
-    ones = Field.from_constant(basis, 1.0)
-    xi, _ = xi_field(ones, 0.0)
-    ln_mass = float(basis.weights @ np.log(xi.nodal))
+    xi, _ = _xi_nodal(np.ones(65), 0.0)
+    ln_mass = float(basis.weights @ np.log(xi))
     assert ln_mass == 0.0
 
-    rng = np.random.default_rng(0)
-    v = Field(basis, nodal=rng.uniform(0.5, 3.0, 65))
-    xi, n = xi_field(v, 1e-8)
+    v = np.random.default_rng(0).uniform(0.5, 3.0, 65)
+    xi, n = _xi_nodal(v, 1e-8)
     assert n == 0
-    assert np.abs(v.nodal * xi.nodal - 1.0).max() < 1e-12
+    assert np.abs(v * xi - 1.0).max() < 1e-12
 
 
 def test_xi_zero_floor_rejects_nonpositive(basis):
     bad = np.ones(65)
     bad[5] = 0.0
-    with pytest.raises(FloorViolation):
-        xi_field(Field(basis, nodal=bad), 0.0)
+    with pytest.raises(FloorViolation) as err:
+        _xi_nodal(bad, 0.0)
+    assert err.value.node_index == 5
 
 
 def test_lyapunov_l1_trivial(basis):
@@ -267,14 +271,13 @@ def test_floor_activations_counted_once_live_and_replayed():
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=4)
     params = desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=4e-3, v_floor=0.5)
-    pair = FieldPair(Field.from_constant(basis, 0.1),
-                     Field.from_constant(basis, 0.25))
+    pair = constant_pair(basis, 0.1, 0.25)
     fcfg = FunctionalConfig(observation_stride=1)
     live = FunctionalRecorder(basis, fcfg, sch.v_floor)
     res = run(pair, params, sch, basis, spec, None, observer=live)
-    assert res.final.floor_activations == 4 * 17
+    assert res.floor_activations[0] == 4 * 17
     column = live.trace().data["floor_activations"]
-    assert column[-1] == res.final.floor_activations
+    assert column[-1] == res.floor_activations[0]
     assert column[0] == 0.0
     traj = TrajectoryRecorder()
     run(pair, params, sch, basis, spec, None, observer=traj)
@@ -307,5 +310,5 @@ def test_replay_trace_matches_live_trace(v_floor):
         np.testing.assert_allclose(got.data[name], want, rtol=1e-12,
                                    atol=1e-12 * scale, err_msg=name)
     activations = expected.data["floor_activations"][-1]
-    assert activations == res.final.floor_activations
+    assert activations == res.floor_activations[0]
     assert (activations > 0) == (v_floor > 1.0)

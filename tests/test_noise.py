@@ -5,17 +5,16 @@ import pytest
 from scipy.special import ndtri
 
 from gmspde import rng
-from gmspde.fields import Field
+from gmspde.config import loads
+from gmspde.dynamics import ModelParams, SchemeConfig, Stepper, run
 from gmspde.noise import (
     NoiseSpec,
     coarsen_path,
     coupled_path_hierarchy,
     drawn,
-    increment_field,
     sample_path,
     sample_paths,
     sliced,
-    trace_of_Q,
     uniform_grid,
 )
 from gmspde.spectral import DomainSpec, build_basis
@@ -102,11 +101,13 @@ def test_normal_table_matches_numpy_philox(seed, paths, stream, modes, steps):
 
 
 @pytest.mark.parametrize("box", [(200, 16, 5), (200, 16, 50), (1, 256, 2000),
-                                 (1, 16, 10000), (1, 2, 20000)])
+                                 (1, 16, 10000), (1, 2, 20000),
+                                 (1, 1, 100000)])
 def test_normal_table_working_set_is_bounded(box):
-    # the cipher works in blocks of at most _DRAWS_PER_BLOCK draws, so
-    # besides its result (and its index arrays) one call holds under 1 MiB
-    # whether the box is wide, deep or one long row of steps
+    # the cipher works in blocks of at most _DRAWS_PER_BLOCK draws, and
+    # index lists are converted block by block, so besides its result one
+    # call holds under 1 MiB whether the box is wide, deep or one long row
+    # of steps
     paths, modes, steps = (np.arange(n) for n in box)
     rng.normal_table(3, paths, 1, modes, steps)
     tracemalloc.start()
@@ -187,6 +188,16 @@ def test_mode_count_extension_preserves_prefix():
     assert np.array_equal(pl.increments[:, :8, :], ps.increments)
 
 
+PARAMS = ModelParams(0.01, 0.1, 1.0, 1.0, 1.0, 2.0, 0.1, 0.1)
+
+
+def _damped(basis, spec, path, n):
+    """The stepper's damped W_1 and W_2 increments of step n."""
+    stepper = Stepper(basis, PARAMS, SchemeConfig(dt=0.25, T=1.0), spec)
+    return (stepper.damp1[0] * path.increments[0, :, n],
+            stepper.damp2[0] * path.increments[1, :, n])
+
+
 def test_truncation_monotonicity_of_increment_norm():
     grid = uniform_grid(1.0, 4)
     dom_small = DomainSpec(dim=1, lengths=(1.0,), grid_points_per_axis=64)
@@ -195,31 +206,34 @@ def test_truncation_monotonicity_of_increment_norm():
     s_small = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=8, master_seed=5)
     s_large = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=5)
     for n in range(4):
-        f_small = increment_field(sample_path(s_small, grid, 0), n, 1, b_small)
-        f_large = increment_field(sample_path(s_large, grid, 0), n, 1, b_large)
-        small_norm = np.sqrt(np.sum(f_small.modal**2))
-        large_norm = np.sqrt(np.sum(f_large.modal**2))
-        assert large_norm >= small_norm
+        f_small = _damped(b_small, s_small, sample_path(s_small, grid, 0), n)
+        f_large = _damped(b_large, s_large, sample_path(s_large, grid, 0), n)
+        for small, large in zip(f_small, f_large):
+            assert np.sqrt(np.sum(large**2)) >= np.sqrt(np.sum(small**2))
 
 
 def test_increment_field_mode_zero_undamped(basis, spec):
     grid = uniform_grid(1.0, 8)
     p = sample_path(spec, grid, 3)
-    f = increment_field(p, 2, 1, basis)
-    assert f.modal[0] == p.increments[0, 0, 2]
-    damp = (1 + basis.eigenvalues[5]) ** (-spec.gamma1 / 2)
-    assert f.modal[5] == pytest.approx(damp * p.increments[0, 5, 2], rel=1e-15)
+    dw1, dw2 = _damped(basis, spec, p, 2)
+    assert dw1[0] == p.increments[0, 0, 2]
+    assert dw2[0] == p.increments[1, 0, 2]
+    for dw, j in ((dw1, 1), (dw2, 2)):
+        damp = (1 + basis.eigenvalues[5]) ** (-spec.gamma(j) / 2)
+        assert dw[5] == pytest.approx(damp * p.increments[j - 1, 5, 2],
+                                      rel=1e-15)
 
 
 def test_increment_field_bounds(basis, spec):
-    grid = uniform_grid(1.0, 8)
-    p = sample_path(spec, grid, 3)
-    with pytest.raises(ValueError, match="out of range"):
-        increment_field(p, 8, 1, basis)
+    # a run needs a path of at least its steps, and a noise spec of its modes
+    p = sample_path(spec, uniform_grid(1.0, 8), 3)
+    sch = SchemeConfig(dt=0.0625, T=1.0)
+    with pytest.raises(ValueError, match="8 steps, run needs 16"):
+        run(np.ones((2, spec.mode_count)), PARAMS, sch, basis, spec, p)
     small_basis = build_basis(
         DomainSpec(dim=1, lengths=(1.0,), grid_points_per_axis=64), 8)
-    with pytest.raises(ValueError, match="modes"):
-        increment_field(p, 0, 1, small_basis)
+    with pytest.raises(ValueError, match="mode count"):
+        Stepper(small_basis, PARAMS, sch, spec)
 
 
 def test_mode_coefficient_variance_against_covariance_oracle(basis):
@@ -277,25 +291,6 @@ def test_step_blocks_are_the_columns_of_the_full_table(spec):
         sample_paths(spec, grid, indices, 6, 5)
 
 
-def test_trace_of_q_examples(basis):
-    # gamma -> infinity keeps only the flat mode
-    spec_inf = NoiseSpec(gamma1=300.0, gamma2=300.0, mode_count=64)
-    assert trace_of_Q(basis, spec_inf, 1) == pytest.approx(1.0, abs=1e-12)
-
-    spec2 = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=64)
-    oracle = sum((1.0 + 4 * np.pi**2 * k**2) ** -2.0 for k in range(64))
-    assert trace_of_Q(basis, spec2, 1) == pytest.approx(oracle, rel=1e-13)
-
-    b1 = build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                grid_points_per_axis=16), 1)
-    s1 = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=1)
-    assert trace_of_Q(b1, s1, 1) == 1.0
-
-    # decreasing in gamma, convergent-looking tail
-    spec3 = NoiseSpec(gamma1=3.0, gamma2=3.0, mode_count=64)
-    assert trace_of_Q(basis, spec3, 1) < trace_of_Q(basis, spec2, 1)
-
-
 def test_coarsen_sums_are_exact(spec):
     fine = sample_path(spec, uniform_grid(1.0, 64), 9)
     coarse = coarsen_path(fine)
@@ -323,7 +318,8 @@ def test_grid_validation(spec):
 def test_spec_validation_and_warning():
     with pytest.raises(ValueError, match="mode_count"):
         NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=0)
-    spec = NoiseSpec(gamma1=0.5, gamma2=2.0, mode_count=4)
-    with pytest.warns(UserWarning, match="trace-class"):
-        msgs = spec.validate_for_dim(1)
-    assert len(msgs) == 1
+    # the trace-class margin gamma_j > d only warns, once per process
+    cfg = loads("[noise]\ngamma1 = 0.5\n")
+    assert len(cfg.warnings) == 1
+    assert cfg.warnings[0].startswith("[noise] gamma1 = 0.5 <= d = 1")
+    assert "trace-class" in cfg.warnings[0]

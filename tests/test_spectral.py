@@ -6,13 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gmspde.spectral import (
-    DomainSpec,
-    apply_multiplier,
-    build_basis,
-    check_asymptotics,
-    eval_eigenfunction,
-)
+from gmspde.dynamics import ModelParams, SchemeConfig, Stepper
+from gmspde.noise import NoiseSpec
+from gmspde.spectral import DomainSpec, build_basis
 
 
 def unit_interval(convention="neumann_cosine", n=64):
@@ -85,31 +81,6 @@ def test_quadrature_agrees_with_independent_integrator():
     assert got_33 == pytest.approx(oracle_33, abs=1e-12)
 
 
-def test_eval_matches_grid_samples():
-    dom = DomainSpec(dim=2, lengths=(1.0, 2.0), grid_points_per_axis=16)
-    basis = build_basis(dom, 6)
-    xs, ys = basis.axes
-    table = basis.synthesize(np.eye(6)).reshape((6,) + basis.grid_shape)
-    for k in range(6):
-        val = eval_eigenfunction(basis, k, (xs[3], ys[5]))
-        table_val = table[k, 3, 5]
-        assert val == pytest.approx(table_val, rel=1e-14, abs=1e-14)
-
-
-def test_eval_constant_mode_is_one_on_unit_interval():
-    basis = build_basis(unit_interval(), 4)
-    for x in (0.0, 0.31, 1.0):
-        assert eval_eigenfunction(basis, 0, x) == pytest.approx(1.0)
-
-
-def test_eval_rejects_out_of_domain_and_bad_mode():
-    basis = build_basis(unit_interval(), 4)
-    with pytest.raises(ValueError, match="outside"):
-        eval_eigenfunction(basis, 1, 1.5)
-    with pytest.raises(ValueError, match="out of range"):
-        eval_eigenfunction(basis, 9, 0.5)
-
-
 @pytest.mark.parametrize("dom,k", [
     (unit_interval(n=128), 32),
     (DomainSpec(dim=2, lengths=(1.0, 1.0), grid_points_per_axis=64), 25),
@@ -127,78 +98,54 @@ def test_sup_norm_growth_bound(dom, k):
     assert np.all(sup[1:] <= c * power * (1 + 1e-12))
 
 
-def test_multiplier_identity_and_mode_zero():
-    basis = build_basis(unit_interval(), 8)
-    modal = np.arange(1.0, 9.0)
-    out = apply_multiplier(basis, modal, lambda lam: np.ones_like(lam))
-    assert np.array_equal(out, modal)
-    out = apply_multiplier(basis, modal, lambda lam: (1 + lam) ** -1.7)
-    assert out[0] == modal[0]
+def _stepper(basis, gamma, sigma=0.5):
+    """Ito stepper whose per-mode multipliers use decay exponent gamma."""
+    params = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, sigma, sigma)
+    spec = NoiseSpec(gamma, gamma, basis.mode_count)
+    return Stepper(basis, params, SchemeConfig(dt=1e-3, T=1e-3), spec)
 
 
 def test_smoothing_operator_on_two_modes():
-    # S(1) with coefficients (1, 1, 0, ...) on the paper convention:
-    # mode 0 passes through, mode 1 is scaled by 1/(1 + 4 pi^2)
-    basis = build_basis(unit_interval("paper_1d"), 6)
-    modal = np.zeros(6)
-    modal[0] = 1.0
-    modal[1] = 1.0
-    out = apply_multiplier(basis, modal, lambda lam: (1 + lam) ** -1.0)
-    expected_1 = 1.0 / (1.0 + 4 * np.pi**2)
-    assert out[0] == pytest.approx(1.0)
-    assert out[1] == pytest.approx(expected_1, rel=1e-15)
-    assert np.all(out[2:] == 0.0)
-
-
-def test_multiplier_rejects_nonfinite():
-    basis = build_basis(unit_interval(), 4)
-    with pytest.raises(ValueError, match="not finite"):
-        apply_multiplier(basis, np.ones(4), lambda lam: 1.0 / lam)
-
-
-def test_multiplier_rejects_wrong_length():
-    basis = build_basis(unit_interval(), 4)
-    with pytest.raises(ValueError, match="mode count"):
-        apply_multiplier(basis, np.ones(5), lambda lam: lam)
+    # S(1) = (Id+A)^(-1) is the noise damping at gamma = 2: mode 0 passes,
+    # mode 1 of the paper convention is scaled by 1/(1 + 4 pi^2)
+    damp = _stepper(build_basis(unit_interval("paper_1d"), 6), 2.0).damp1[0]
+    assert damp[0] == 1.0
+    assert damp[1] == pytest.approx(1.0 / (1.0 + 4 * np.pi**2), rel=1e-15)
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    a=st.floats(min_value=-2.0, max_value=2.0),
-    b=st.floats(min_value=0.1, max_value=2.0),
-)
-def test_multiplier_composition(a, b):
+@given(gamma=st.floats(0.0, 4.0), sigma=st.floats(0.1, 2.0))
+def test_multiplier_composition(gamma, sigma):
+    # the Ito correction sigma (Id+A)^(-gamma) is the noise damping
+    # (Id+A)^(-gamma/2) applied twice, times sigma
     basis = build_basis(unit_interval(), 8)
-    modal = np.linspace(-1.0, 1.0, 8)
-    g1 = lambda lam: np.cos(a * lam / (1 + lam))
-    g2 = lambda lam: (1 + lam) ** -b
-    both = apply_multiplier(basis, apply_multiplier(basis, modal, g2), g1)
-    product = apply_multiplier(basis, modal, lambda lam: g1(lam) * g2(lam))
-    assert np.allclose(both, product, rtol=1e-14, atol=1e-300)
+    stepper = _stepper(basis, gamma, sigma)
+    for name, damp in (("u", stepper.damp1), ("v", stepper.damp2)):
+        lin = stepper._coefficients[name][2]
+        assert np.allclose(lin, sigma * damp * damp, rtol=1e-14, atol=1e-300)
+
+
+def _weyl_ratios(basis):
+    """lambda_k / k^(2/d) over the nonzero modes (Weyl's law)."""
+    k = np.arange(1, basis.mode_count)
+    return basis.eigenvalues[1:] / k ** (2.0 / basis.domain.dim)
 
 
 def test_asymptotics_exact_for_paper_convention():
-    basis = build_basis(unit_interval("paper_1d", n=64), 16)
-    c_low, c_high = check_asymptotics(basis)
-    assert c_low == pytest.approx(4 * np.pi**2, rel=1e-12)
-    assert c_high == pytest.approx(4 * np.pi**2, rel=1e-12)
+    ratios = _weyl_ratios(build_basis(unit_interval("paper_1d", n=64), 16))
+    assert ratios.min() == pytest.approx(4 * np.pi**2, rel=1e-12)
+    assert ratios.max() == pytest.approx(4 * np.pi**2, rel=1e-12)
 
 
 def test_asymptotics_2d_brute_force():
     dom = DomainSpec(dim=2, lengths=(1.0, 1.0), grid_points_per_axis=64)
-    basis = build_basis(dom, 64)
-    c_low, c_high = check_asymptotics(basis)
-    k = np.arange(1, 64)
-    oracle = basis.eigenvalues[1:] / k
-    assert c_low == pytest.approx(oracle.min())
-    assert c_high == pytest.approx(oracle.max())
-    assert 0 < c_low <= c_high < np.inf
-
-
-def test_asymptotics_needs_enough_modes():
-    basis = build_basis(unit_interval(), 4)
-    with pytest.raises(ValueError, match="at least 8"):
-        check_asymptotics(basis)
+    ratios = _weyl_ratios(build_basis(dom, 64))
+    lattice = sorted(np.pi**2 * (l * l + m * m)
+                     for l in range(64) for m in range(64))[1:64]
+    oracle = np.array(lattice) / np.arange(1, 64)
+    assert ratios.min() == pytest.approx(oracle.min())
+    assert ratios.max() == pytest.approx(oracle.max())
+    assert 0 < ratios.min() <= ratios.max() < np.inf
 
 
 def test_build_rejects_aliased_mode_count():

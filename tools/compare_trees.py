@@ -50,6 +50,13 @@ def _run_with(run, observer):
     return {"observers": [observer]}
 
 
+def _final_uv(res):
+    """Final modal (u, v) of a ``run`` result under either return type."""
+    if hasattr(res, "final"):
+        return res.final.pair.u.modal, res.final.pair.v.modal
+    return res.u_modal[0], res.v_modal[0]
+
+
 def _cases():
     from gmspde import acceptance
     from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair, run
@@ -110,8 +117,7 @@ def _cases():
             res = run(init, params, sch, basis, spec, path,
                       **_run_with(run, rec))
             key = f"run {dim}d N={n} K={k} {scheme}"
-            out["close"][key + " u"] = res.final.pair.u.modal
-            out["close"][key + " v"] = res.final.pair.v.modal
+            out["close"][key + " u"], out["close"][key + " v"] = _final_uv(res)
             trace = rec.trace()
             for name, column in trace.data.items():
                 out["close"][f"{key} trace {name}"] = column
