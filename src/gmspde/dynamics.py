@@ -20,11 +20,15 @@ pure exponential decay to rounding error; the plain Euler bracket
 cannot do both at once.
 
 The update rule lives in one place, :meth:`Stepper.step_field`, which
-advances a single field given its nodal source term.  Each field's
-noise coefficient depends on that field alone, so the coupled step
-(:meth:`Stepper.advance`, driven by :func:`run`) and the two decoupled
-passes of the Picard map T (``experiments.apply_T``) are the same rule
-fed different sources.
+advances a single field given its nodal source term, and one step,
+:meth:`Stepper.advance`, applies it to both fields with sources formed
+from a driver chi: kappa_u chi^2/max(v, floor) for u and kappa_v chi^2
+for v.  Each field's noise coefficient depends on that field alone, so
+with chi = u this is the coupled step, and with chi a given trajectory
+(the ``driver`` of :func:`run_batch`) it is a step of the Picard map T
+(``experiments.apply_T``).  One core with one set of checks steps
+both, and a coupled trajectory is an exact fixed point of the discrete
+T.
 
 Paths are stepped as stacks: one state object, :class:`StateView`,
 holds B trajectories as rows (modal (B, K), nodal (B, n_nodes)), and
@@ -61,7 +65,7 @@ import numpy as np
 
 from .fields import dealias_modal, floor_counts, floor_violation, quotient_nodal
 from .noise import NoisePath, NoiseSpec, sliced
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, nonfinite
 
 SCHEMES = ("ito_imex", "stratonovich_heun")
 
@@ -93,8 +97,9 @@ class ModelParams:
     sigma_v: float
 
     def __post_init__(self):
-        problems = [f"{name} = {value:g} violates positivity"
-                    for name, value in self.__dict__.items() if value < 0]
+        problems = nonfinite(**self.__dict__) + [
+            f"{name} = {value:g} violates positivity"
+            for name, value in self.__dict__.items() if value < 0]
         if problems:
             raise ValueError("\n".join(problems))
 
@@ -121,7 +126,8 @@ class SchemeConfig:
     reaction_cfl_limit: float = 1.0
 
     def __post_init__(self):
-        problems = []
+        problems = nonfinite(dt=self.dt, T=self.T, v_floor=self.v_floor,
+                             reaction_cfl_limit=self.reaction_cfl_limit)
         if self.dt <= 0:
             problems.append("dt must be positive")
         if self.T < 0:
@@ -238,11 +244,10 @@ class Stepper:
             alive=np.ones(n_rows, dtype=bool),
         )
 
-    def _reaction(self, state):
-        """Quotient u^2/max(v, floor) and each row's kappa_u*max(u^2/v)*dt."""
+    def _reaction(self, state, chi_nodal):
+        """Quotient chi^2/max(v, floor) and each row's kappa_u*max(chi^2/v)*dt."""
         v_floor = self.scheme.v_floor
-        q_nodal, activations = quotient_nodal(state.u_nodal, state.v_nodal,
-                                              v_floor)
+        q_nodal, activations = quotient_nodal(chi_nodal, state.v_nodal, v_floor)
         if activations:
             state.floor_activations += state.alive * floor_counts(
                 state.v_nodal, v_floor)
@@ -268,8 +273,14 @@ class Stepper:
         corrector = self._project(sigma * predicted * dw_nodal)
         return deterministic + decay * 0.5 * (noise + corrector)
 
-    def advance(self, state: StateView, dw1_modal, dw2_modal):
-        """One coupled step of (u, v) for every row of ``state``, in place.
+    def advance(self, state: StateView, dw1_modal, dw2_modal, chi_nodal=None):
+        """One step of (u, v) for every row of ``state``, in place.
+
+        The sources are formed from the driver chi: u gets
+        kappa_u chi^2/max(v, floor) and v gets kappa_v chi^2.  With
+        ``chi_nodal`` None, chi is u itself and this is the coupled step;
+        a given (B, n_nodes) ``chi_nodal`` makes it a step of the Picard
+        map T.
 
         A live row fails the step on a reaction CFL violation, a
         non-finite result or, under a zero floor, a nonpositive inhibitor
@@ -280,10 +291,11 @@ class Stepper:
         """
         step = state.step_index
         limit = self.scheme.reaction_cfl_limit
-        q, peak = self._reaction(state)
+        chi = state.u_nodal if chi_nodal is None else chi_nodal
+        q, peak = self._reaction(state, chi)
         u_new = self.step_field("u", state.u_modal, state.u_nodal, q, dw1_modal)
-        v_new = self.step_field("v", state.v_modal, state.v_nodal,
-                                state.u_nodal * state.u_nodal, dw2_modal)
+        v_new = self.step_field("v", state.v_modal, state.v_nodal, chi * chi,
+                                dw2_modal)
         finite = np.isfinite(u_new).all(axis=-1) & np.isfinite(v_new).all(axis=-1)
         ok = state.alive & (peak < limit) & finite
         failed = {}
@@ -341,7 +353,7 @@ def observe(observer, states, n_steps, dt):
 
 def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
               basis: SpectralBasis, noise_spec: NoiseSpec, draw, n_paths: int,
-              observer=None) -> StateView:
+              observer=None, driver=None) -> StateView:
     """Drive ``n_paths`` trajectories from ``initial`` as one stack.
 
     ``initial`` is the (2, K) modal initial data (row 0 u, row 1 v) every
@@ -357,11 +369,19 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     returned state's ``failures``, and the other rows go on; the walk
     ends early once every row has failed.  Returns the final
     :class:`StateView` of the stack.
+
+    ``driver``, a (n_paths, n_steps + 1, K) modal stack, replaces u as
+    the chi in the sources of :meth:`Stepper.advance`: step n reads its
+    row n.  The stack then steps the Picard map T driven by it; with
+    None it steps the coupled system.
     """
     n_steps = scheme.n_steps()
     stepper = Stepper(basis, params, scheme, noise_spec)
     state = stepper.raw_state(initial, n_paths)
     k = basis.mode_count
+    if driver is not None and driver.shape != (n_paths, n_steps + 1, k):
+        raise ValueError(f"driver has shape {driver.shape}, "
+                         f"run needs {(n_paths, n_steps + 1, k)}")
     span = max(1, NOISE_BLOCK_DRAWS // (n_paths * 2 * k))
 
     def states():
@@ -375,8 +395,10 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
                     f"{block.shape}, run needs {(n_paths, 2, k, n1 - n0)}"
                 )
             for s in range(n1 - n0):
+                chi = (None if driver is None
+                       else basis.synthesize(driver[:, n0 + s]))
                 stepper.advance(state, stepper.damp1 * block[:, 0, :, s],
-                                stepper.damp2 * block[:, 1, :, s])
+                                stepper.damp2 * block[:, 1, :, s], chi)
                 if not state.alive.any():
                     return
                 yield state

@@ -13,13 +13,16 @@
 
 Everything is deterministic given the master seed.  Ensemble and
 Picard members are keyed by path index and stepped as one stack
-through the one stepping core (``dynamics.run_batch``, and ``apply_T``
-over a stacked trajectory); results are reduced in index order.  An
-ensemble draws its noise in blocks of steps inside the core and is
-reproducible bit for bit for a given path list, whatever the block
-size; each member agrees with its solo ``run`` to rounding
-(1e-13 x max|value|, pinned by the tests), because a stacked product
-may sum a row in another order than a single-row one.  The Picard
+through the one stepping core, ``dynamics.run_batch``; results are
+reduced in index order.  Ensembles and the coupled solve step the
+coupled system; ``apply_T`` steps the map T on the same core, its input
+trajectory the driver chi of the sources, so both share one scheme and
+one set of checks, and a coupled trajectory is an exact fixed point of
+the discrete T.  An ensemble draws its noise in blocks of steps inside
+the core and is reproducible bit for bit for a given path list,
+whatever the block size; each member agrees with its solo ``run`` to
+rounding (1e-13 x max|value|, pinned by the tests), because a stacked
+product may sum a row in another order than a single-row one.  The Picard
 iteration keeps its members' whole increment table, which every
 application of the map re-reads.  The uniqueness study runs its two
 trajectories one by one, so its delta = 0 check stays bitwise.
@@ -36,12 +39,11 @@ from .dynamics import (
     SchemeConfig,
     SimulationError,
     StateView,
-    Stepper,
     observe,
     run,
     run_batch,
 )
-from .fields import FloorViolation, quotient_nodal
+from .fields import quotient_nodal
 from .functionals import (
     AdmissibleSetSpec,
     FunctionalConfig,
@@ -52,6 +54,7 @@ from .functionals import (
     membership,
 )
 from .noise import NoisePath, NoiseSpec, drawn, sample_paths, sliced
+from .spectral import nonfinite
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,8 @@ class FixedPointConfig:
     bound_margin: float = 10.0
 
     def __post_init__(self):
-        problems = []
+        problems = nonfinite(tolerance=self.tolerance,
+                             bound_margin=self.bound_margin)
         if self.tolerance <= 0:
             problems.append("tolerance must be positive")
         if self.ensemble_size < 1:
@@ -85,10 +89,13 @@ class StoppingSpec:
 
     def __post_init__(self):
         levels = self.m_levels
+        problems = nonfinite(m_levels=levels)
         if len(levels) == 0 or any(
             b <= a for a, b in zip(levels, levels[1:])
         ):
-            raise ValueError("stopping levels must be strictly increasing")
+            problems.append("stopping levels must be strictly increasing")
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 @dataclass
@@ -177,12 +184,6 @@ def seminorm_m(a: PairTrajectory, b: PairTrajectory, basis, rho):
     return float(np.sqrt(np.mean(sup_h)) + np.mean(sup_l2))
 
 
-@dataclass
-class ApplyTDiagnostics:
-    floor_activations: int = 0
-    min_v: float = np.inf
-
-
 def _check_input_positivity(traj, basis):
     # one row per (path, step), paths in order
     chi = basis.synthesize(traj.chi_modal).reshape(-1, basis.n_nodes)
@@ -208,15 +209,16 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
     """One application of the decoupling map on frozen noise.
 
     Solves the inhibitor equation with source kappa_v chi^2(t) and the
-    activator equation with source kappa_u chi^2(t)/v(t), each by the
-    configured scheme's per-field step, from the (2, K) modal initial
-    data ``init``; eta enters only through the admissibility check.
-    Given chi the two are decoupled (v sees only chi, u sees chi and v),
-    so one loop steps v and then u at each step.
-    ``traj`` is one path with its :class:`~gmspde.noise.NoisePath`, or a
-    stack of B paths with their (B, 2, K, N) increment table; all rows
-    are stepped together and any failing row raises.  Returns the output
-    trajectory (shaped like ``traj``) and diagnostics.
+    activator equation with source kappa_u chi^2(t)/v(t) from the (2, K)
+    modal initial data ``init`` by the coupled step and its checks
+    (:func:`~gmspde.dynamics.run_batch` driven by ``traj``'s chi), so a
+    coupled trajectory is its exact fixed point; eta enters only through
+    the admissibility check.  ``traj`` is one path with its
+    :class:`~gmspde.noise.NoisePath`, or a stack of B paths with their
+    (B, 2, K, N) increment table; the first row failure is raised.
+    Returns the output trajectory (shaped like ``traj``) and the final
+    :class:`~gmspde.dynamics.StateView` of the stack, whose per-row
+    ``floor_activations`` count floored nodes.
     """
     n_steps = scheme.n_steps()
     if traj.n_steps != n_steps:
@@ -225,66 +227,15 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
         )
     if check_positivity:
         _check_input_positivity(traj, basis)
-    stepper = Stepper(basis, params, scheme, noise_spec)
-    diag = ApplyTDiagnostics()
     k = basis.mode_count
-    limit = scheme.reaction_cfl_limit
     increments = path.increments if isinstance(path, NoisePath) else path
-    inc = increments.reshape(-1, 2, k, increments.shape[-1])
-    chi = traj.chi_modal.reshape(-1, n_steps + 1, k)
-    rows = chi.shape[0]
-
-    v_store = np.empty((rows, n_steps + 1, k))
-    u_store = np.empty((rows, n_steps + 1, k))
-    v_store[:, 0] = v_modal = np.tile(init[1], (rows, 1))
-    u_store[:, 0] = u_modal = np.tile(init[0], (rows, 1))
-    v_nodal = basis.synthesize(v_modal)
-    u_nodal = basis.synthesize(u_modal)
-    for n in range(n_steps):
-        chi_nodal = basis.synthesize(chi[:, n])
-        chi_sq = chi_nodal * chi_nodal
-
-        # inhibitor: v driven by chi^2
-        diag.min_v = min(diag.min_v, float(v_nodal.min()))
-        try:
-            xi, act = quotient_nodal(np.ones_like(v_nodal), v_nodal,
-                                     scheme.v_floor)
-        except FloorViolation as exc:
-            raise SimulationError(
-                f"inhibitor left the floor policy at step {n}: {exc}"
-            ) from exc
-        diag.floor_activations += act
-        v_modal = stepper.step_field("v", v_modal, v_nodal, chi_sq,
-                                     stepper.damp2 * inc[:, 1, :, n])
-        if not np.all(np.isfinite(v_modal)):
-            raise SimulationError(f"inhibitor became non-finite at step {n}")
-        v_nodal = basis.synthesize(v_modal)
-        v_store[:, n + 1] = v_modal
-
-        # activator: u driven by chi^2 * xi
-        q = chi_sq * xi
-        peak = params.kappa_u * q.max(axis=-1, initial=0.0) * scheme.dt
-        over = np.flatnonzero(peak >= limit)
-        if over.size:
-            raise SimulationError(
-                f"reaction CFL violated in the activator pass at step {n}: "
-                f"{peak[over[0]]:g} >= {limit:g}"
-            )
-        u_modal = stepper.step_field("u", u_modal, u_nodal, q,
-                                     stepper.damp1 * inc[:, 0, :, n])
-        if not np.all(np.isfinite(u_modal)):
-            raise SimulationError(f"activator became non-finite at step {n}")
-        u_nodal = basis.synthesize(u_modal)
-        u_store[:, n + 1] = u_modal
-    diag.min_v = min(diag.min_v, float(v_nodal.min()))
-
+    out, final = _coupled_solve(
+        init, params, scheme, basis, noise_spec,
+        increments.reshape(-1, 2, k, increments.shape[-1]),
+        driver=traj.chi_modal.reshape(-1, n_steps + 1, k))
     shape = traj.chi_modal.shape
-    out = PairTrajectory(
-        times=np.linspace(0.0, scheme.T, n_steps + 1),
-        chi_modal=u_store.reshape(shape),
-        eta_modal=v_store.reshape(shape),
-    )
-    return out, diag
+    return PairTrajectory(out.times, out.chi_modal.reshape(shape),
+                          out.eta_modal.reshape(shape)), final
 
 
 def replay_trace(traj: PairTrajectory, basis, fconfig: FunctionalConfig,
@@ -361,14 +312,21 @@ class PicardReport:
         return lines
 
 
-def _coupled_solve(init, params, scheme, basis, noise_spec, increments):
-    """Stacked trajectories of the coupled system; raises the first failure."""
+def _coupled_solve(init, params, scheme, basis, noise_spec, increments,
+                   driver=None):
+    """Stacked trajectories and final state of the coupled system.
+
+    With a (B, n+1, K) modal ``driver`` chi, of the Picard map T driven
+    by it instead (see :func:`~gmspde.dynamics.run_batch`).  Raises the
+    first row failure.
+    """
     rec = TrajectoryRecorder()
     final = run_batch(init, params, scheme, basis, noise_spec,
-                      sliced(increments), increments.shape[0], observer=rec)
+                      sliced(increments), increments.shape[0], observer=rec,
+                      driver=driver)
     if final.failures:
         raise next(iter(final.failures.values()))
-    return rec.trajectories()
+    return rec.trajectories(), final
 
 
 def picard_iterate(start: PairTrajectory, init,
@@ -421,8 +379,8 @@ def picard_iterate(start: PairTrajectory, init,
             break
 
     # residual against the directly coupled solve on the same noise
-    coupled = _coupled_solve(init, params, scheme, basis, noise_spec,
-                             increments)
+    coupled, _ = _coupled_solve(init, params, scheme, basis, noise_spec,
+                                increments)
     residual = seminorm_m(current, coupled, basis, fconfig.rho)
 
     ratios = [

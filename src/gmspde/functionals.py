@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import floor_counts, quotient_nodal
+from .spectral import nonfinite
 
 DEFAULT_P = 31.0 / 7.0
 
@@ -56,7 +57,7 @@ class FunctionalConfig:
     observation_stride: int = 10
 
     def __post_init__(self):
-        problems = []
+        problems = nonfinite(p=self.p, rho=self.rho)
         if self.p < 1:
             problems.append("p must be >= 1")
         if self.observation_stride < 1:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .spectral import nonfinite
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class NoiseSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        problems = []
+        problems = nonfinite(gamma1=self.gamma1, gamma2=self.gamma2)
         if self.mode_count < 1:
             problems.append("mode_count must be >= 1")
         if self.master_seed < 0:

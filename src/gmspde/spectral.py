@@ -20,11 +20,22 @@ sum-factorised (Orszag 1980) through per-axis tables; see SpectralBasis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 CONVENTIONS = ("neumann_cosine", "paper_1d")
+
+
+def nonfinite(**values):
+    """Problem lines of the values (numbers or tuples) holding NaN or +-inf."""
+    problems = []
+    for name, value in values.items():
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        if not all(math.isfinite(v) for v in items):
+            problems.append(f"{name} = {value} is not finite")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -37,24 +48,26 @@ class DomainSpec:
     grid_points_per_axis: int = 64
 
     def __post_init__(self):
+        problems = nonfinite(lengths=self.lengths)
         if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if len(self.lengths) != self.dim:
-            raise ValueError(
-                f"expected {self.dim} length(s), got {len(self.lengths)}"
-            )
+            problems.append(f"dim must be 1 or 2, got {self.dim}")
+        elif len(self.lengths) != self.dim:
+            problems.append(
+                f"expected {self.dim} length(s), got {len(self.lengths)}")
         if any(a <= 0 for a in self.lengths):
-            raise ValueError(f"domain lengths must be positive, got {self.lengths}")
+            problems.append(f"domain lengths must be positive, got {self.lengths}")
         if self.eigenvalue_convention not in CONVENTIONS:
-            raise ValueError(
+            problems.append(
                 f"unknown eigenvalue convention {self.eigenvalue_convention!r}; "
                 f"choose from {CONVENTIONS}"
             )
-        if self.eigenvalue_convention == "paper_1d" and self.dim != 1:
-            raise ValueError("paper_1d convention is only valid in one dimension")
+        elif self.eigenvalue_convention == "paper_1d" and self.dim != 1:
+            problems.append("paper_1d convention is only valid in one dimension")
         n = self.grid_points_per_axis
         if n < 4 or n % 2 != 0:
-            raise ValueError(f"grid_points_per_axis must be even and >= 4, got {n}")
+            problems.append(f"grid_points_per_axis must be even and >= 4, got {n}")
+        if problems:
+            raise ValueError("\n".join(problems))
 
     @property
     def volume(self):

@@ -1,7 +1,14 @@
+import math
+
 import pytest
 
 from gmspde import cli
 from gmspde.config import ConfigError, dumps, loads
+from gmspde.dynamics import ModelParams, SchemeConfig
+from gmspde.experiments import FixedPointConfig, StoppingSpec
+from gmspde.functionals import FunctionalConfig
+from gmspde.noise import NoiseSpec
+from gmspde.spectral import DomainSpec
 
 # grid frequency 2k = 62 >= N/2 on paper_1d; 2-D modes up to index 8 on N=16
 ALIASING = {
@@ -149,3 +156,45 @@ def test_paths_is_rejected_where_unused(command, tmp_path, capsys):
     assert cli.main(argv) == 1
     assert "--paths" in capsys.readouterr().err
     assert not out.exists()
+
+
+NAN, INF = math.nan, math.inf
+MODEL = dict(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0, mu_u=1.0,
+             mu_v=2.0, sigma_u=0.1, sigma_v=0.1)
+# Python-API constructions whose values a config file rejects at parse
+# time, with every problem line each must report
+NON_FINITE = {
+    "ModelParams r_u": (lambda: ModelParams(**{**MODEL, "r_u": NAN}),
+                        ["r_u = nan is not finite"]),
+    "FunctionalConfig p": (lambda: FunctionalConfig(p=NAN),
+                           ["p = nan is not finite"]),
+    "FunctionalConfig rho": (lambda: FunctionalConfig(rho=NAN),
+                             ["rho = nan is not finite"]),
+    "DomainSpec lengths": (lambda: DomainSpec(dim=1, lengths=(NAN,)),
+                           ["lengths = (nan,) is not finite"]),
+    "SchemeConfig v_floor": (lambda: SchemeConfig(dt=0.1, T=1.0, v_floor=NAN),
+                             ["v_floor = nan is not finite"]),
+    "SchemeConfig dt": (lambda: SchemeConfig(dt=NAN, T=1.0),
+                        ["dt = nan is not finite"]),
+    "SchemeConfig T": (lambda: SchemeConfig(dt=0.1, T=INF),
+                       ["T = inf is not finite"]),
+    "SchemeConfig all at once": (
+        lambda: SchemeConfig(dt=NAN, T=INF, v_floor=-INF),
+        ["dt = nan is not finite", "T = inf is not finite",
+         "v_floor = -inf is not finite", "v_floor must be >= 0"]),
+    "NoiseSpec gamma1": (lambda: NoiseSpec(gamma1=NAN, gamma2=2.0,
+                                           mode_count=4),
+                         ["gamma1 = nan is not finite"]),
+    "FixedPointConfig tolerance": (lambda: FixedPointConfig(tolerance=NAN),
+                                   ["tolerance = nan is not finite"]),
+    "StoppingSpec levels": (lambda: StoppingSpec((1.0, NAN)),
+                            ["m_levels = (1.0, nan) is not finite"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_parameter_dataclasses_reject_non_finite_values(case):
+    build, lines = NON_FINITE[case]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value).splitlines() == lines

@@ -4,6 +4,7 @@ import pytest
 from gmspde.dynamics import (
     ModelParams,
     SchemeConfig,
+    SimulationError,
     constant_pair,
     default_initial_pair,
     run,
@@ -11,8 +12,10 @@ from gmspde.dynamics import (
 )
 from gmspde.experiments import (
     FixedPointConfig,
+    PairTrajectory,
     StoppingSpec,
     TrajectoryRecorder,
+    _coupled_solve,
     _stopping_scan,
     apply_T,
     constant_trajectory,
@@ -21,8 +24,9 @@ from gmspde.experiments import (
     seminorm_m,
     uniqueness_study,
 )
+from gmspde.fields import FloorViolation
 from gmspde.functionals import FunctionalConfig
-from gmspde.noise import NoiseSpec, sample_path, uniform_grid
+from gmspde.noise import NoiseSpec, sample_path, sample_paths, uniform_grid
 from gmspde.spectral import DomainSpec, build_basis
 
 K = 16
@@ -59,12 +63,12 @@ def test_apply_T_fixes_noiseless_steady_state(basis, nspec):
     pair = steady_pair(basis, params)
     traj = constant_trajectory(pair, sch)
     path = sample_path(nspec, uniform_grid(0.05, 50), 0)
-    out, diag = apply_T(traj, pair, params, sch, basis, nspec, path)
+    out, final = apply_T(traj, pair, params, sch, basis, nspec, path)
     u_star, v_star = steady_state(params)
     assert np.abs(out.chi_modal[-1, 0] - u_star).max() < 1e-8
     assert np.abs(out.eta_modal[-1, 0] - v_star * np.sqrt(basis.volume)
                   + v_star * np.sqrt(basis.volume) - v_star).max() < 1e-8
-    assert diag.floor_activations == 0
+    assert final.floor_activations.sum() == 0
 
 
 def test_apply_T_zero_source_decays(basis, nspec):
@@ -102,6 +106,62 @@ def test_apply_T_rejects_negative_input(basis, nspec):
     path = sample_path(nspec, uniform_grid(0.01, 10), 0)
     with pytest.raises(ValueError, match="chi negative"):
         apply_T(traj, pair, params, sch, basis, nspec, path)
+
+
+@pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("rows", [1, 6])
+def test_coupled_solution_is_exact_fixed_point_of_T(scheme, dim, rows):
+    # T is the coupled step driven by a given chi: fed the coupled
+    # trajectory, it reproduces that trajectory bit for bit
+    basis_d = build_basis(DomainSpec(dim=dim, lengths=(1.0,) * dim,
+                                     grid_points_per_axis=64 if dim == 1
+                                     else 16), K)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=31)
+    params = desk_params(sigma=0.3)
+    sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
+    init = default_initial_pair(basis_d, params)
+    increments = sample_paths(spec, uniform_grid(0.05, 50), range(rows))
+    coupled, _ = _coupled_solve(init, params, sch, basis_d, spec, increments)
+    out, _ = apply_T(coupled, init, params, sch, basis_d, spec, increments)
+    np.testing.assert_allclose(out.chi_modal, coupled.chi_modal,
+                               rtol=0, atol=0)
+    np.testing.assert_allclose(out.eta_modal, coupled.eta_modal,
+                               rtol=0, atol=0)
+
+
+def test_apply_T_reports_reaction_cfl_of_the_shared_step(basis, nspec):
+    params = desk_params(sigma=0.0)
+    sch = SchemeConfig(dt=1e-3, T=0.01)
+    pair = steady_pair(basis, params)
+    # kappa_u chi^2/v* dt = 100^2/2 * 1e-3 = 5 >= 1 from the first step
+    loud = constant_trajectory(
+        constant_pair(basis, 100.0, steady_state(params)[1]), sch)
+    path = sample_path(nspec, uniform_grid(0.01, 10), 0)
+    with pytest.raises(SimulationError,
+                       match=r"reaction CFL violated at step 0: "
+                             r"kappa_u\*max\(u\^2/v\)\*dt = 5 >= 1"):
+        apply_T(loud, pair, params, sch, basis, nspec, path)
+
+
+def test_apply_T_raises_the_floor_violation_of_its_row(basis, nspec):
+    params = desk_params(sigma=1.0)
+    sch = SchemeConfig(dt=1e-3, T=0.01, v_floor=0.0)
+    pair = steady_pair(basis, params)
+    traj = constant_trajectory(constant_pair(basis, 0.0, 1.0), sch)
+    stack = PairTrajectory(traj.times, np.repeat(traj.chi_modal[None], 3, 0),
+                           np.repeat(traj.eta_modal[None], 3, 0))
+    increments = np.zeros((3, 2, K, 10))
+    # row 2's inhibitor sees dW = -5 at every node in step 3: its noise
+    # term -5 v outweighs v, and v turns negative everywhere
+    increments[2, 1, 0, 3] = -5.0 * np.sqrt(basis.volume)
+    with pytest.raises(FloorViolation,
+                       match="inhibitor is nonpositive at flat node 0"):
+        apply_T(stack, pair, params, sch, basis, nspec, increments)
+    # the same rows without the kick step through
+    increments[2, 1, 0, 3] = 0.0
+    out, final = apply_T(stack, pair, params, sch, basis, nspec, increments)
+    assert final.alive.all() and out.eta_modal.shape == (3, 11, K)
 
 
 def test_seminorm_of_identical_families_is_zero(basis, nspec):
