@@ -40,9 +40,12 @@ returns its final :class:`StateView`.
 Each row is checked on its own (reaction CFL, finiteness, the zero-floor
 positivity of v): a failed row stops with the error its solo run raises
 and the other rows go on.  Observers see the stack through
-:func:`observe`, the one walk over a trajectory's states;
-``experiments.replay_trace`` feeds stored trajectories through the same
-walk, so live and replayed functionals are the same computation.
+:func:`observe`, the walk over a live trajectory's states.  Stored
+trajectories (``experiments.replay_trace``) take a second walk with the
+same schedule, ``functionals.FunctionalRecorder.replay``, which
+evaluates the live recorder's formulas on blocks of steps at once: one
+set of formulas, two walks, the replayed functionals equal to the live
+ones to rounding (1e-13 x max|value|) and their floor counts exact.
 
 Numbers.  A row of a one-row stack is bitwise the single-path product
 (numpy's (1, K) @ (K, n) is the 1-D product), so :func:`run` is
@@ -333,7 +336,8 @@ def observe(observer, states, n_steps, dt):
     ``states`` yields the n_steps + 1 states in time order (they may be
     one object updated in place between yields); it may stop early, when
     every row of a stack has failed.  ``observer`` may be None.  Returns
-    the last state.
+    the last state.  ``FunctionalRecorder.replay`` keeps this schedule
+    on stored trajectories, in blocks of steps.
     """
     states = iter(states)
     state = next(states)
@@ -406,6 +410,18 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     return observe(observer, states(), n_steps, scheme.dt)
 
 
+def check_noise_path(path: NoisePath, scheme: SchemeConfig):
+    """Raise unless ``path`` covers the scheme's steps on its time step dt."""
+    n_steps = scheme.n_steps()
+    if path.n_steps < n_steps:
+        raise ValueError(
+            f"noise path has {path.n_steps} steps, run needs {n_steps}"
+        )
+    dts = path.dts[:n_steps]
+    if n_steps and np.max(np.abs(dts - scheme.dt)) > 1e-12 * max(1.0, scheme.dt):
+        raise ValueError("noise path time grid does not match scheme dt")
+
+
 def run(initial, params: ModelParams, scheme: SchemeConfig,
         basis: SpectralBasis, noise_spec: NoiseSpec,
         path: NoisePath | None, observer=None) -> StateView:
@@ -428,13 +444,7 @@ def run(initial, params: ModelParams, scheme: SchemeConfig,
             raise ValueError("a noise path is required when sigma > 0")
         increments = np.broadcast_to(0.0, (1, 2, basis.mode_count, n_steps))
     else:
-        if path.n_steps < n_steps:
-            raise ValueError(
-                f"noise path has {path.n_steps} steps, run needs {n_steps}"
-            )
-        dts = path.dts[:n_steps]
-        if n_steps and np.max(np.abs(dts - scheme.dt)) > 1e-12 * max(1.0, scheme.dt):
-            raise ValueError("noise path time grid does not match scheme dt")
+        check_noise_path(path, scheme)
         increments = path.increments[None]
 
     final = run_batch(initial, params, scheme, basis, noise_spec,

@@ -38,8 +38,7 @@ from .dynamics import (
     ModelParams,
     SchemeConfig,
     SimulationError,
-    StateView,
-    observe,
+    check_noise_path,
     run,
     run_batch,
 )
@@ -214,8 +213,10 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
     (:func:`~gmspde.dynamics.run_batch` driven by ``traj``'s chi), so a
     coupled trajectory is its exact fixed point; eta enters only through
     the admissibility check.  ``traj`` is one path with its
-    :class:`~gmspde.noise.NoisePath`, or a stack of B paths with their
-    (B, 2, K, N) increment table; the first row failure is raised.
+    :class:`~gmspde.noise.NoisePath`, checked as
+    :func:`~gmspde.dynamics.run` checks it (enough steps, on the scheme's
+    dt), or a stack of B paths with their (B, 2, K, N) increment table;
+    the first row failure is raised.
     Returns the output trajectory (shaped like ``traj``) and the final
     :class:`~gmspde.dynamics.StateView` of the stack, whose per-row
     ``floor_activations`` count floored nodes.
@@ -228,7 +229,11 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
     if check_positivity:
         _check_input_positivity(traj, basis)
     k = basis.mode_count
-    increments = path.increments if isinstance(path, NoisePath) else path
+    if isinstance(path, NoisePath):
+        check_noise_path(path, scheme)
+        increments = path.increments
+    else:
+        increments = path
     out, final = _coupled_solve(
         init, params, scheme, basis, noise_spec,
         increments.reshape(-1, 2, k, increments.shape[-1]),
@@ -242,34 +247,21 @@ def replay_trace(traj: PairTrajectory, basis, fconfig: FunctionalConfig,
                  v_floor: float, path_index=-1):
     """Functional trace of a stored trajectory; a list of them for a stack.
 
-    The stored states go through the same walk and recorder as a live
-    run (:func:`~gmspde.dynamics.observe`), all rows of a stack at once
-    and synthesized state by state as the stepper does, so a trace
-    equals the live recorder's on the same trajectory up to the rounding
-    of stacking other rows.  ``path_index`` labels the traces: one
-    index, or one per row.
+    The stored states go through the live recorder's formulas on blocks
+    of steps (:meth:`~gmspde.functionals.FunctionalRecorder.replay`),
+    all rows of a stack at once, so a trace equals the live recorder's
+    on the same trajectory to rounding (1e-13 x max|value|), with its
+    ``floor_activations`` column exact.  ``path_index`` labels the
+    traces: one index, or one per row.
     """
-    times = traj.times
     n = traj.n_steps
     k = basis.mode_count
     chi = traj.chi_modal.reshape(-1, n + 1, k)
     eta = traj.eta_modal.reshape(-1, n + 1, k)
-    rows = chi.shape[0]
     if traj.chi_modal.ndim == 3 and np.ndim(path_index) == 0:
-        path_index = [path_index] * rows
+        path_index = [path_index] * chi.shape[0]
     rec = FunctionalRecorder(basis, fconfig, v_floor, path_index=path_index)
-    zeros = np.zeros(rows, dtype=int)
-    alive = np.ones(rows, dtype=bool)
-    states = (
-        StateView(t=float(times[i]), step_index=i,
-                  u_modal=chi[:, i], v_modal=eta[:, i],
-                  u_nodal=basis.synthesize(chi[:, i]),
-                  v_nodal=basis.synthesize(eta[:, i]),
-                  floor_activations=zeros, alive=alive)
-        for i in range(n + 1)
-    )
-    dt = float(times[1] - times[0]) if n else 0.0
-    observe(rec, states, n, dt)
+    rec.replay(traj.times, chi, eta)
     traces = rec.traces()
     return traces if traj.chi_modal.ndim == 3 else traces[0]
 

@@ -7,6 +7,10 @@ xi = 1/eta, and the running space-time integrals that appear on the
 left-hand side of the a-priori bounds (chi^2 xi, xi^2 chi^2,
 xi^(p+2)|grad v|^2, u chi^2 xi).
 
+One set of formulas serves both walks over a trajectory: the live one,
+state by state as the stepper goes, and the replay of a stored
+trajectory in blocks of steps (see :class:`FunctionalRecorder`).
+
 From ensembles of traces the monitors fit minimal constants (C, delta)
 such that LHS(T) <= C exp(delta T) * (initial-data term) over all
 observed horizons; the constants are measured, never asserted.  A
@@ -46,6 +50,19 @@ TRACE_COLUMNS = (
     "eta_argmin",
     "floor_activations",
 )
+
+# the running space-time integrals among the columns
+INTEGRALS = ("int_grad_chi_sq", "int_chi2_xi", "int_xi2_chi2",
+             "int_xi_p2_grad_v_sq", "int_u_chi2_xi")
+
+# most values in one (rows, steps, n_nodes) array of a replay block (see
+# FunctionalRecorder.replay); a block holds at least one step.  A 16-row,
+# 100-step replay at K = 16, N = 64 (the ``picard_1d`` benchmark's
+# shape) took, in-process, min of 5 x 20 calls on 2 cores: 2**10 and
+# 2**11 (one step) 13.6-14.7 ms, 2**12 7.0 ms, 2**13 5.1 ms, 2**14
+# 4.4 ms, 2**15 5.5 ms, 2**16 6.0 ms, the whole horizon 6.1 ms, against
+# 9.4 ms state by state.  2**14 (a 128 KB array) is the fastest.
+REPLAY_BLOCK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -130,19 +147,41 @@ def _xi_nodal(v_nodal, floor):
     return vals, activations
 
 
+def grad_sq(basis, modal):
+    """Nodal |grad f|^2 of f = sum_k modal_k e_k (last axis)."""
+    out = 0.0
+    for ax in range(basis.domain.dim):
+        g = basis.gradient(modal, ax)
+        out = out + g * g
+    return out
+
+
 class FunctionalRecorder:
     """Observer accumulating the functional traces of a stack of trajectories.
 
-    Every reduction runs over the last (node or mode) axis, so the rows
-    of the observed :class:`~gmspde.dynamics.StateView` are recorded
-    side by side; ``path_index`` is one index (one row) or one per row.
-    :meth:`traces` returns one :class:`FunctionalTrace` per row,
-    :meth:`trace` the trace of a one-row recorder.
+    One set of formulas, two walks.  :meth:`_integrands` (the five
+    running-integral integrands and the floor counts) and
+    :meth:`_observables` (the recorded state columns) evaluate states
+    of any leading shape, reducing over the last (node or mode) axis.
+    The live walk (:func:`~gmspde.dynamics.observe`) calls them on one
+    (B, ...) state per step through :meth:`accumulate` and
+    :meth:`record`; :meth:`replay` calls them on blocks of stored steps,
+    (B, S, ...) stacks.  ``path_index`` is one index (one row) or one
+    per row.  :meth:`traces` returns one :class:`FunctionalTrace` per
+    row, :meth:`trace` the trace of a one-row recorder.
 
-    Floor activations of xi = 1/max(v, floor) are counted in
-    :meth:`accumulate` only, on the pre-step states the stepper floors,
-    so the ``floor_activations`` column equals the stepper's own count
-    and a replayed trajectory reports the same number as the live run.
+    The running integrals are left-point sums: each pre-step state adds
+    dt times its integrand, in step order.  The replay forms the same
+    sums with ``np.add.accumulate``, bitwise the live ``+=`` on the same
+    integrand values; the integrands themselves come from stacked
+    transforms, which may sum in another order, so a replayed column
+    equals the live one to rounding (1e-13 x max|value|, pinned by the
+    tests), whatever the block size.
+
+    Floor activations of xi = 1/max(v, floor) are counted on the
+    pre-step states the stepper floors, as an integer running sum, so
+    the ``floor_activations`` column equals the stepper's own count and
+    a replayed trajectory reports exactly the live number.
     """
 
     def __init__(self, basis, config: FunctionalConfig, v_floor: float,
@@ -153,81 +192,126 @@ class FunctionalRecorder:
         self.stride = config.observation_stride
         self.path_indices = [int(i) for i in np.atleast_1d(path_index)]
         rows = len(self.path_indices)
+        # per column, (rows,) observations and (rows, observations) blocks
         self._rows = {name: [] for name in TRACE_COLUMNS if name != "time"}
         self._times = []
-        self._int_grad_chi = np.zeros(rows)
-        self._int_chi2_xi = np.zeros(rows)
-        self._int_xi2_chi2 = np.zeros(rows)
-        self._int_xi_p2_gv = np.zeros(rows)
-        self._int_u_chi2_xi = np.zeros(rows)
+        self._totals = {name: np.zeros(rows) for name in INTEGRALS}
         self.floor_activations = np.zeros(rows, dtype=int)
         s = 1.0 - config.rho
         self._h_weights = (1.0 + basis.eigenvalues) ** s
 
-    def _grad_v_sq(self, view):
-        basis = self.basis
-        out = 0.0
-        for ax in range(basis.domain.dim):
-            g = basis.gradient(view.v_modal, ax)
-            out = out + g * g
-        return out
-
-    def accumulate(self, view, dt):
-        w = self.basis.weights
-        xi, activations = _xi_nodal(view.v_nodal, self.v_floor)
-        if activations:
-            self.floor_activations += floor_counts(view.v_nodal, self.v_floor)
-        u = view.u_nodal
-        chi2xi = u * u * xi
-        self._int_grad_chi += dt * np.sum(
-            self.basis.eigenvalues * view.u_modal**2, axis=-1
-        )
-        self._int_chi2_xi += dt * _quadrature(chi2xi, w)
-        self._int_xi2_chi2 += dt * _quadrature(chi2xi * xi, w)
-        self._int_u_chi2_xi += dt * _quadrature(chi2xi * u, w)
-        p = self.config.p
-        self._int_xi_p2_gv += dt * _quadrature(
-            xi ** (p + 2.0) * self._grad_v_sq(view), w
-        )
-
-    def record(self, view):
+    def _integrands(self, u_modal, v_modal, u_nodal, v_nodal):
+        """Integrands of :data:`INTEGRALS` and floor counts per state."""
         basis = self.basis
         w = basis.weights
-        xi, _ = _xi_nodal(view.v_nodal, self.v_floor)
-        u = view.u_nodal
-        v = view.v_nodal
+        xi, activations = _xi_nodal(v_nodal, self.v_floor)
+        floors = (floor_counts(v_nodal, self.v_floor) if activations
+                  else np.zeros(v_nodal.shape[:-1], dtype=int))
+        chi2xi = u_nodal * u_nodal * xi
+        p = self.config.p
+        values = {
+            "int_grad_chi_sq": np.sum(basis.eigenvalues * u_modal**2, axis=-1),
+            "int_chi2_xi": _quadrature(chi2xi, w),
+            "int_xi2_chi2": _quadrature(chi2xi * xi, w),
+            "int_xi_p2_grad_v_sq": _quadrature(
+                xi ** (p + 2.0) * grad_sq(basis, v_modal), w),
+            "int_u_chi2_xi": _quadrature(chi2xi * u_nodal, w),
+        }
+        return values, floors
+
+    def _observables(self, u_modal, v_modal, u_nodal, v_nodal):
+        """The recorded columns that are functions of one state."""
+        w = self.basis.weights
+        xi, _ = _xi_nodal(v_nodal, self.v_floor)
         p = self.config.p
         ln_xi = np.log(xi)
-        row = {
-            "chi_l2_sq": np.sum(view.u_modal**2, axis=-1),
-            "int_grad_chi_sq": self._int_grad_chi.copy(),
+        return {
+            "chi_l2_sq": np.sum(u_modal**2, axis=-1),
             "xi_lp_p": _quadrature(xi**p, w),
             "xi_l1": _quadrature(xi, w),
             "int_ln_xi": _quadrature(ln_xi, w),
             "abs_ln_xi_l1": _quadrature(np.abs(ln_xi), w),
-            "int_chi2_xi": self._int_chi2_xi.copy(),
-            "int_xi2_chi2": self._int_xi2_chi2.copy(),
-            "int_xi_p2_grad_v_sq": self._int_xi_p2_gv.copy(),
-            "int_u_chi2_xi": self._int_u_chi2_xi.copy(),
-            "lnxi_dot_u": _quadrature(ln_xi * u, w),
-            "chi_h1mrho_sq": np.sum(self._h_weights * view.u_modal**2, axis=-1),
-            "eta_l2": np.sqrt(np.sum(view.v_modal**2, axis=-1)),
-            "eta_l1": _quadrature(np.abs(v), w),
-            "chi_min": u.min(axis=-1),
-            "chi_argmin": np.argmin(u, axis=-1).astype(float),
-            "eta_min": v.min(axis=-1),
-            "eta_argmin": np.argmin(v, axis=-1).astype(float),
-            "floor_activations": self.floor_activations.astype(float),
+            "lnxi_dot_u": _quadrature(ln_xi * u_nodal, w),
+            "chi_h1mrho_sq": np.sum(self._h_weights * u_modal**2, axis=-1),
+            "eta_l2": np.sqrt(np.sum(v_modal**2, axis=-1)),
+            "eta_l1": _quadrature(np.abs(v_nodal), w),
+            "chi_min": u_nodal.min(axis=-1),
+            "chi_argmin": np.argmin(u_nodal, axis=-1).astype(float),
+            "eta_min": v_nodal.min(axis=-1),
+            "eta_argmin": np.argmin(v_nodal, axis=-1).astype(float),
         }
-        for name, value in row.items():
+
+    def _store(self, times, columns):
+        """Append ``times`` and their columns: (rows,) or (rows, len(times))."""
+        for name, value in columns.items():
             self._rows[name].append(value)
-        self._times.append(view.t)
+        self._times.extend(times)
+
+    def accumulate(self, view, dt):
+        values, floors = self._integrands(view.u_modal, view.v_modal,
+                                          view.u_nodal, view.v_nodal)
+        for name, total in self._totals.items():
+            total += dt * values[name]
+        self.floor_activations += floors
+
+    def record(self, view):
+        row = self._observables(view.u_modal, view.v_modal,
+                                view.u_nodal, view.v_nodal)
+        row.update((name, total.copy()) for name, total in self._totals.items())
+        row["floor_activations"] = self.floor_activations.astype(float)
+        self._store([view.t], row)
+
+    def replay(self, times, u_modal, v_modal):
+        """Walk the stored (rows, n+1, K) modal stacks on ``times``.
+
+        The same walk as :func:`~gmspde.dynamics.observe` (record state
+        0, accumulate every pre-step state over dt = times[1] - times[0],
+        record every ``stride``-th state and the last one), evaluated on
+        blocks of S steps: the synthesized (rows, S, n_nodes) block holds
+        at most :data:`REPLAY_BLOCK_VALUES` values (S >= 1), so the
+        working set does not grow with the horizon.  Each block's running
+        integrals are ``np.add.accumulate`` over [carried total,
+        dt * integrand...] and its floor counts an integer cumulative sum.
+        """
+        basis = self.basis
+        n = times.size - 1
+        dt = float(times[1] - times[0]) if n else 0.0
+        span = max(1, REPLAY_BLOCK_VALUES // (u_modal.shape[0] * basis.n_nodes))
+        for j0 in range(0, n + 1, span):
+            j1 = min(j0 + span, n + 1)
+            u, v = u_modal[:, j0:j1], v_modal[:, j0:j1]
+            u_nodal, v_nodal = basis.synthesize(u), basis.synthesize(v)
+            # states j0..j1-1; all but state n are pre-step states
+            pre = min(j1, n) - j0
+            values, floors = self._integrands(u[:, :pre], v[:, :pre],
+                                              u_nodal[:, :pre], v_nodal[:, :pre])
+            # column i: the totals state j0 + i sees, before its own step
+            running = {
+                name: np.add.accumulate(np.concatenate(
+                    (total[:, None], dt * values[name]), axis=1), axis=1)
+                for name, total in self._totals.items()}
+            floor_sums = np.cumsum(np.concatenate(
+                (self.floor_activations[:, None], floors), axis=1), axis=1)
+            for name, total in self._totals.items():
+                total[:] = running[name][:, -1]
+            self.floor_activations[:] = floor_sums[:, -1]
+            first = -(-j0 // self.stride) * self.stride
+            local = list(range(first - j0, j1 - j0, self.stride))
+            if j0 <= n < j1 and n % self.stride:
+                local.append(n - j0)
+            if not local:
+                continue
+            columns = self._observables(u[:, local], v[:, local],
+                                        u_nodal[:, local], v_nodal[:, local])
+            columns.update((name, sums[:, local])
+                           for name, sums in running.items())
+            columns["floor_activations"] = floor_sums[:, local].astype(float)
+            self._store(times[j0:j1][local], columns)
 
     def traces(self) -> list[FunctionalTrace]:
         """One trace per row, in row order."""
-        times = np.asarray(self._times)
-        # (rows, observations) per column
-        columns = {k: np.array(v).T.copy() for k, v in self._rows.items()}
+        times = np.asarray(self._times, dtype=float)
+        columns = {k: np.column_stack(v) for k, v in self._rows.items()}
         return [
             FunctionalTrace(
                 times=times,

@@ -176,8 +176,19 @@ def _mode_list_1d(domain, count):
 
 def _mode_list_2d(domain, count):
     a, b = domain.lengths
-    l, m = np.divmod(np.arange(count * count), count)
-    lam = (l * np.pi / a) ** 2 + (m * np.pi / b) ** 2
+
+    def eigenvalues(l, m):
+        return (l * np.pi / a) ** 2 + (m * np.pi / b) ** 2
+
+    # the s x s box holds s^2 >= count modes, so the count-th eigenvalue
+    # is at most its corner's; a mode at or below that value has
+    # l <= (a/pi) sqrt(lam_max) (likewise m), one index of margin added
+    s = math.isqrt(count - 1) + 1
+    lam_max = eigenvalues(s - 1, s - 1)
+    n_l = min(count, int(a / np.pi * math.sqrt(lam_max)) + 2)
+    n_m = min(count, int(b / np.pi * math.sqrt(lam_max)) + 2)
+    l, m = np.divmod(np.arange(n_l * n_m), n_m)
+    lam = eigenvalues(l, m)
     order = np.lexsort((m, l, lam))[:count]
     return lam[order], np.column_stack((l[order], m[order]))
 

@@ -108,6 +108,24 @@ def test_apply_T_rejects_negative_input(basis, nspec):
         apply_T(traj, pair, params, sch, basis, nspec, path)
 
 
+@pytest.mark.parametrize("grid, message", [
+    # dt = 1e-2 against the scheme's 1e-3: increments 3x too large
+    (uniform_grid(0.5, 50), "noise path time grid does not match scheme dt"),
+    (uniform_grid(0.04, 40), "noise path has 40 steps, run needs 50"),
+])
+def test_apply_T_checks_its_noise_path_as_run_does(basis, nspec, grid,
+                                                    message):
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.05)
+    pair = default_initial_pair(basis, params)
+    traj = constant_trajectory(pair, sch)
+    path = sample_path(nspec, grid, 0)
+    with pytest.raises(ValueError, match=message):
+        run(pair, params, sch, basis, nspec, path)
+    with pytest.raises(ValueError, match=message):
+        apply_T(traj, pair, params, sch, basis, nspec, path)
+
+
 @pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("rows", [1, 6])

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,7 @@ from gmspde.dynamics import (
     constant_pair,
 )
 from gmspde.fields import FloorViolation, dealias_modal, quotient_nodal
-from gmspde.functionals import FunctionalConfig, FunctionalRecorder
+from gmspde.functionals import FunctionalConfig, FunctionalRecorder, grad_sq
 from gmspde.noise import NoiseSpec
 from gmspde.spectral import DomainSpec, build_basis
 
@@ -43,10 +41,8 @@ def _columns(basis, u_nodal, v_nodal, p=2.0, rho=1.1):
 
 
 def _grad_energy(basis, modal, weight=1.0):
-    """int weight |grad f|^2 dx from the recorder's gradient of v."""
-    rec = FunctionalRecorder(basis, FunctionalConfig(), 1e-8)
-    view = SimpleNamespace(v_modal=np.asarray(modal)[None])
-    return float(basis.weights @ (weight * rec._grad_v_sq(view)[0]))
+    """int weight |grad f|^2 dx from the recorder's nodal |grad f|^2."""
+    return float(basis.weights @ (weight * grad_sq(basis, np.asarray(modal))))
 
 
 def test_eigenfunction_nodal_projects_to_unit_coefficient(basis):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gmspde import functionals
 from gmspde.dynamics import (
     ModelParams,
     SchemeConfig,
@@ -11,6 +14,7 @@ from gmspde.dynamics import (
 from gmspde.experiments import (
     PairTrajectory,
     TrajectoryRecorder,
+    _coupled_solve,
     constant_trajectory,
     ensemble,
     replay_trace,
@@ -30,7 +34,7 @@ from gmspde.functionals import (
     membership,
     _xi_nodal,
 )
-from gmspde.noise import NoiseSpec, sample_path, uniform_grid
+from gmspde.noise import NoiseSpec, sample_path, sample_paths, uniform_grid
 from gmspde.spectral import DomainSpec, build_basis
 
 K = 8
@@ -312,3 +316,78 @@ def test_replay_trace_matches_live_trace(v_floor):
     activations = expected.data["floor_activations"][-1]
     assert activations == res.floor_activations[0]
     assert (activations > 0) == (v_floor > 1.0)
+
+
+@pytest.fixture(scope="module")
+def picard_stack():
+    """The Picard benchmark's shape: 16 coupled paths of 100 steps, K = 16."""
+    basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
+                                   grid_points_per_axis=64), 16)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=41)
+    params = desk_params(sigma=0.3)
+    sch = SchemeConfig(dt=1e-3, T=0.1)
+    init = default_initial_pair(basis, params)
+    increments = sample_paths(spec, uniform_grid(0.1, 100), range(16))
+    stack, _ = _coupled_solve(init, params, sch, basis, spec, increments)
+    return basis, stack
+
+
+def _assert_traces_close(got, want):
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.data["floor_activations"],
+                          want.data["floor_activations"])
+    for name in TRACE_COLUMNS[1:]:
+        scale = np.abs(want.data[name]).max()
+        np.testing.assert_allclose(got.data[name], want.data[name], rtol=0,
+                                   atol=1e-13 * scale, err_msg=name)
+
+
+def test_replay_is_the_same_under_any_block_budget(monkeypatch, picard_stack):
+    basis, stack = picard_stack
+    fcfg = FunctionalConfig(observation_stride=25)
+    runs = []
+    for budget in (1, 10**9):    # one step per block, the whole horizon
+        monkeypatch.setattr(functionals, "REPLAY_BLOCK_VALUES", budget)
+        runs.append(replay_trace(stack, basis, fcfg, 2.0, range(16)))
+    for got, want in zip(*runs):
+        _assert_traces_close(got, want)
+
+
+def test_stacked_replay_matches_each_rows_solo_replay(picard_stack):
+    # v_floor = 2 = v* floors about half the nodes at every step
+    basis, stack = picard_stack
+    fcfg = FunctionalConfig(observation_stride=25)
+    stacked = replay_trace(stack, basis, fcfg, 2.0, range(16))
+    for row, got in enumerate(stacked):
+        solo = PairTrajectory(stack.times, stack.chi_modal[row],
+                              stack.eta_modal[row])
+        want = replay_trace(solo, basis, fcfg, 2.0, row)
+        assert got.path_index == want.path_index == row
+        _assert_traces_close(got, want)
+    assert max(t.data["floor_activations"][-1] for t in stacked) > 0
+
+
+def test_replay_working_set_does_not_grow_with_the_horizon(basis):
+    # 16 rows with the same 11 records at 100 and at 10,000 steps: the
+    # replay holds one block of steps at a time besides its output.  The
+    # long replay may keep a few more record chunks (~25 KB); one array
+    # of a value per step would add 80 KB, one per row and step 1.3 MB
+    rng = np.random.default_rng(5)
+    beyond_output = []
+    for n_steps in (100, 10_000):
+        chi = 0.01 * rng.standard_normal((16, n_steps + 1, K))
+        eta = 0.01 * rng.standard_normal((16, n_steps + 1, K))
+        chi[..., 0] += 1.0
+        eta[..., 0] += 2.0
+        traj = PairTrajectory(np.linspace(0.0, 1.0, n_steps + 1), chi, eta)
+        fcfg = FunctionalConfig(observation_stride=n_steps // 10)
+        replay_trace(traj, basis, fcfg, 1e-8, range(16))
+        tracemalloc.start()
+        try:
+            traces = replay_trace(traj, basis, fcfg, 1e-8, range(16))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(t.n_rows() == 11 for t in traces)
+        beyond_output.append(peak - current)
+    assert beyond_output[1] <= beyond_output[0] + 2**16

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from gmspde.dynamics import ModelParams, SchemeConfig, Stepper
 from gmspde.noise import NoiseSpec
-from gmspde.spectral import DomainSpec, build_basis
+from gmspde.spectral import DomainSpec, build_basis, mode_list
 
 
 def unit_interval(convention="neumann_cosine", n=64):
@@ -44,6 +44,20 @@ def test_rectangle_eigenvalues_sorted_with_lex_tiebreak():
     assert [tuple(idx) for idx in basis.mode_indices] == [
         (l, m) for _, l, m in cand
     ]
+    # the mode list searches a box around the first modes; it must give
+    # the bits of a sort of the whole K x K lattice, same formula
+    for lengths in ((1.0, 1.0), (1.0, 2.0), (1.0, 7.3), (3.1, 0.05),
+                    (0.02, 5.0)):
+        a, b = lengths
+        dom = DomainSpec(dim=2, lengths=lengths, grid_points_per_axis=4096)
+        for k in [*range(1, 131), 256, 1024]:
+            l, m = np.divmod(np.arange(k * k), k)
+            lam = (l * np.pi / a) ** 2 + (m * np.pi / b) ** 2
+            order = np.lexsort((m, l, lam))[:k]
+            got_lam, got_idx = mode_list(dom, k)
+            assert np.array_equal(got_lam, lam[order]), (lengths, k)
+            assert np.array_equal(
+                got_idx, np.column_stack((l[order], m[order]))), (lengths, k)
 
 
 def test_mode_zero_is_constant_inverse_sqrt_volume():

@@ -19,7 +19,9 @@ cases in its own interpreter, and the outputs are compared:
   K=16), and for the Stratonovich Heun scheme in 2-D at N=128, K=256
   (the ``sim_2d`` benchmark's path); criterion 6's single-mode
   ``_gbm_batch`` outputs for both schemes; ``apply_T`` on a
-  coupled-solve input; ``replay_trace`` of a stored trajectory; the
+  coupled-solve input; ``replay_trace`` of a stored trajectory and of
+  a 16-row stack (1-D K=16, 100 steps, stride 25, v_floor = 2), whose
+  ``floor_activations`` column is compared bitwise; the
   ensemble means of 20 and of 201 paths (1-D, both schemes; 201 is a
   stack size that is a multiple of neither 4 nor 16) and 10 paths
   (2-D), node-index columns left out (a near-tie may move an argmin by
@@ -62,6 +64,7 @@ def _cases():
     from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair, run
     from gmspde.experiments import (
         FixedPointConfig,
+        PairTrajectory,
         StoppingSpec,
         TrajectoryRecorder,
         _stopping_scan,
@@ -168,6 +171,25 @@ def _cases():
     trace = replay_trace(coupled, basis, fcfg, sch.v_floor)
     for name, column in trace.data.items():
         out["close"][f"replay_trace {name}"] = column
+
+    # the Picard shape: 16 stored paths, stride 25, v_floor = v* = 2
+    # flooring about half the nodes
+    paths = []
+    for index in range(16):
+        rec = TrajectoryRecorder()
+        run(init, params, sch, basis, spec,
+            sample_path(spec, uniform_grid(0.1, 100), index),
+            **_run_with(run, rec))
+        paths.append(rec.trajectory())
+    stack = PairTrajectory(paths[0].times,
+                           np.stack([p.chi_modal for p in paths]),
+                           np.stack([p.eta_modal for p in paths]))
+    traces = replay_trace(stack, basis, FunctionalConfig(observation_stride=25),
+                          2.0, path_index=range(16))
+    for name in traces[0].data:
+        rows = np.stack([t.data[name] for t in traces])
+        kind = "bitwise" if name == "floor_activations" else "close"
+        out[kind][f"replay_trace 16 rows {name}"] = rows
 
     for dim, n, n_paths in ((1, 64, 20), (1, 64, 201), (2, 16, 10)):
         basis = basis_of(dim, n, 16)
