@@ -56,13 +56,16 @@ class CriterionResult:
     def within_budget(self):
         return self.runtime_limit is None or self.elapsed < self.runtime_limit
 
-    def line(self):
+    def line(self, timed=False):
+        """The report line; ``timed`` adds time and limit: "[0.1s (limit 5s)]"."""
         status = "PASS" if (self.passed and self.within_budget) else "FAIL"
-        budget = ""
-        if self.runtime_limit is not None:
-            budget = f" (limit {self.runtime_limit:g}s)"
-        return (f"{status} criterion {self.index}: {self.name} "
-                f"[{self.elapsed:.1f}s{budget}] {self.detail}")
+        head = f"{status} criterion {self.index}: {self.name}"
+        if timed:
+            budget = ""
+            if self.runtime_limit is not None:
+                budget = f" (limit {self.runtime_limit:g}s)"
+            head += f" [{self.elapsed:.1f}s{budget}]"
+        return f"{head} {self.detail}"
 
 
 def _result(index, name, passed, detail, t0, limit=None):
@@ -417,7 +420,10 @@ ALL_CRITERIA = (
 
 
 def run_all(indices=None, printer=print):
-    """Run the acceptance suite; returns the list of results."""
+    """Run the acceptance suite; returns the list of results.
+
+    ``printer`` receives each criterion's timed report line as it ends.
+    """
     results = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if indices is not None and i not in indices:
@@ -425,5 +431,5 @@ def run_all(indices=None, printer=print):
         res = fn()
         results.append(res)
         if printer is not None:
-            printer(res.line())
+            printer(res.line(timed=True))
     return results

@@ -19,22 +19,22 @@ steady states exact fixed points of the discrete map and reproduces
 pure exponential decay to rounding error; the plain Euler bracket
 cannot do both at once.
 
-The update rule lives in one place, :meth:`Stepper.step_field`, which
-advances a single field given its nodal source term, and one step,
-:meth:`Stepper.advance`, applies it to both fields with sources formed
-from a driver chi: kappa_u chi^2/max(v, floor) for u and kappa_v chi^2
-for v.  Each field's noise coefficient depends on that field alone, so
-with chi = u this is the coupled step, and with chi a given trajectory
-(the ``driver`` of :func:`run_batch`) it is a step of the Picard map T
+The update rule lives in one place, :meth:`Stepper.advance`, which
+steps both fields with sources formed from a driver chi:
+kappa_u chi^2/max(v, floor) for u and kappa_v chi^2 for v.  Each
+field's noise coefficient depends on that field alone, so with chi = u
+this is the coupled step, and with chi a given trajectory (the
+``driver`` of :func:`run_batch`) it is a step of the Picard map T
 (``experiments.apply_T``).  One core with one set of checks steps
 both, and a coupled trajectory is an exact fixed point of the discrete
 T.
 
 Paths are stepped as stacks: one state object, :class:`StateView`,
-holds B trajectories as rows (modal (B, K), nodal (B, n_nodes)), and
-the stepper advances every row at once, so each transform is one
-product for the whole stack.  :func:`run_batch` drives such a stack and
-:func:`run` is its one-row case; there is no second stepping path.
+holds B trajectories of both fields as one stack (modal (2, B, K),
+nodal (2, B, n_nodes), u first), and the stepper advances every row of
+both fields at once, so each transform is one (2B, .) product for the
+whole stack.  :func:`run_batch` drives such a stack and :func:`run` is
+its one-row case; there is no second stepping path.
 Initial data is one (2, K) modal array (row 0 u, row 1 v), and a run
 returns its final :class:`StateView`.
 Each row is checked on its own (reaction CFL, finiteness, the zero-floor
@@ -47,13 +47,15 @@ evaluates the live recorder's formulas on blocks of steps at once: one
 set of formulas, two walks, the replayed functionals equal to the live
 ones to rounding (1e-13 x max|value|) and their floor counts exact.
 
-Numbers.  A row of a one-row stack is bitwise the single-path product
-(numpy's (1, K) @ (K, n) is the 1-D product), so :func:`run` is
-reproducible bit for bit.  In a stack of B > 1 rows the BLAS kernel may
-sum a row in another order, even two identical rows of one stack; a
-row then agrees with its solo run to rounding (pinned at 1e-13 x
-max|value| by the tests), and a given stacking of the same paths is
-reproducible bit for bit.  Noise enters in blocks of steps
+Numbers.  A transform of a B-row stack is one (2B, K) or (2B, n) matrix
+product, so even a one-row run is a two-row product, and the BLAS
+kernel may sum a row in another order than a product of another height
+would (even two identical rows of one stack).  A row of a stack then
+agrees with its solo run to rounding (pinned at 1e-13 x max|value| by
+the tests).  Bit for bit hold: reruns of a given stacking of the same
+paths (so :func:`run`, and two runs with delta = 0), T applied to a
+coupled trajectory (the driver chi is synthesized in the layout of the
+state's u), and the noise tables.  Noise enters in blocks of steps
 (:data:`NOISE_BLOCK_DRAWS`), whose size changes no bit.
 
 Nonlinear and noise products are formed nodally and projected back to
@@ -66,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import dealias_modal, floor_counts, floor_violation, quotient_nodal
+from .fields import floor_counts, floor_violation, guarded_basis, quotient_nodal
 from .noise import NoisePath, NoiseSpec, sliced
 from .spectral import SpectralBasis, nonfinite
 
@@ -168,27 +170,50 @@ def _phi1(z):
 class StateView:
     """The live state of a stack of B trajectories, handed to their observer.
 
-    Row b of each array belongs to trajectory b: modal (B, K), flat nodal
-    (B, n_nodes), ``floor_activations`` and ``alive`` (B,); the rows
-    share ``t`` and ``step_index``.  :meth:`Stepper.advance` updates it
-    in place, so an observer that keeps values across steps must copy
+    Both fields are held as one stack, u first: ``modal`` (2, B, K) and
+    flat ``nodal`` (2, B, n_nodes), so row b of ``modal[0]`` is the u of
+    trajectory b.  ``u_modal``, ``v_modal``, ``u_nodal`` and ``v_nodal``
+    are views of the two halves.  ``floor_activations`` and ``alive``
+    are (B,); the rows share ``t`` and ``step_index``.
+    :meth:`Stepper.advance` updates the state in place and reuses its
+    arrays, so an observer that keeps values across steps must copy
     them.  A failed row keeps its last good state, ``alive`` is False
     there and ``failures`` maps the row to the error that stopped it.
     """
 
     t: float
     step_index: int
-    u_modal: np.ndarray
-    v_modal: np.ndarray
-    u_nodal: np.ndarray
-    v_nodal: np.ndarray
+    modal: np.ndarray
+    nodal: np.ndarray
     floor_activations: np.ndarray
     alive: np.ndarray
     failures: dict = field(default_factory=dict)
 
+    @property
+    def u_modal(self):
+        return self.modal[0]
+
+    @property
+    def v_modal(self):
+        return self.modal[1]
+
+    @property
+    def u_nodal(self):
+        return self.nodal[0]
+
+    @property
+    def v_nodal(self):
+        return self.nodal[1]
+
 
 class Stepper:
-    """Precomputed per-mode factors for one (basis, params, scheme) triple."""
+    """Precomputed per-mode factors for one (basis, params, scheme) triple.
+
+    Per-field constants are (2, 1, K) or (2, 1, 1) stacks, row 0 for u
+    and row 1 for v, so one expression steps both fields of a (2, B, K)
+    state.  ``damp`` is the (2, 1, K) noise damping (Id+A)^(-gamma/2)
+    of W_1 and W_2.
+    """
 
     def __init__(self, basis: SpectralBasis, params: ModelParams,
                  scheme: SchemeConfig, noise_spec: NoiseSpec):
@@ -198,33 +223,55 @@ class Stepper:
         self.params = params
         self.scheme = scheme
         self.noise_spec = noise_spec
-        # per-mode factors as (1, K) rows: same-shape products with a
-        # one-row stack skip numpy's (slower) broadcasting loop
-        lam = basis.eigenvalues[None]
+        lam = basis.eigenvalues
+
+        def fields(u, v):
+            """(2, 1, K) stack of per-mode u and v values, (2, 1, 1) of scalars."""
+            return np.stack(np.broadcast_arrays(u, v)).reshape(2, 1, -1)
+
         dt = scheme.dt
-        c_u = params.r_u * lam + params.mu_u
-        c_v = params.r_v * lam + params.mu_v
+        c = fields(params.r_u * lam + params.mu_u, params.r_v * lam + params.mu_v)
+        gamma = fields(noise_spec.gamma1, noise_spec.gamma2)
         self._heun = scheme.scheme == "stratonovich_heun"
+        self._kappa = fields(params.kappa_u, params.kappa_v)
+        self._sigma = fields(params.sigma_u, params.sigma_v)
         # leftover diagonal drift once the exponential absorbed r*lambda + mu:
         # the Ito correction sigma*(Id+A)^(-gamma), nothing under Heun
         if self._heun:
-            lin_u = lin_v = np.zeros_like(lam)
+            self._lin = np.zeros_like(c)
         else:
-            lin_u = params.sigma_u * (1.0 + lam) ** (-noise_spec.gamma1)
-            lin_v = params.sigma_v * (1.0 + lam) ** (-noise_spec.gamma2)
-        # per field: source constant, noise intensity, drift, decay, gain
-        self._coefficients = {
-            "u": (params.kappa_u, params.sigma_u, lin_u,
-                  np.exp(-c_u * dt), dt * _phi1(c_u * dt)),
-            "v": (params.kappa_v, params.sigma_v, lin_v,
-                  np.exp(-c_v * dt), dt * _phi1(c_v * dt)),
-        }
-        self.damp1 = (1.0 + lam) ** (-0.5 * noise_spec.gamma1)
-        self.damp2 = (1.0 + lam) ** (-0.5 * noise_spec.gamma2)
-        self._keep = dealias_modal(basis, np.ones(basis.mode_count))[None] != 0.0
+            self._lin = self._sigma * (1.0 + lam) ** (-gamma)
+        self._decay = np.exp(-c * dt)
+        self._gain = dt * _phi1(c * dt)
+        self.damp = (1.0 + lam) ** (-0.5 * gamma)
+        self._guarded = guarded_basis(basis)
+        self._work = {}
 
-    def _project(self, nodal_flat):
-        return np.where(self._keep, self.basis.project(nodal_flat), 0.0)
+    def _workspace(self, rows):
+        """The :class:`_Workspace` of stacks of ``rows`` trajectories."""
+        if rows not in self._work:
+            self._work[rows] = _Workspace(self, rows)
+        return self._work[rows]
+
+    def _project(self, nodal):
+        """Guarded projection of a (2, B, n_nodes) stack as one (2B, .) product."""
+        modal = self._guarded.project(nodal.reshape(-1, nodal.shape[-1]))
+        return modal.reshape(nodal.shape[:-1] + (-1,))
+
+    def _synthesize(self, modal, out):
+        """Synthesis of a (2, B, K) stack into ``out`` as one (2B, .) product."""
+        self.basis.synthesize(modal.reshape(-1, modal.shape[-1]),
+                              out=out.reshape(-1, out.shape[-1]))
+        return out
+
+    def _noise(self, nodal, dw_nodal):
+        """Guarded projection of the noise products sigma * nodal * dW.
+
+        The products are formed in place of ``nodal``.
+        """
+        np.multiply(self._sigma, nodal, out=nodal)
+        np.multiply(nodal, dw_nodal, out=nodal)
+        return self._project(nodal)
 
     def raw_state(self, initial, n_rows: int = 1) -> StateView:
         """State 0 of ``n_rows`` trajectories from the (2, K) modal ``initial``.
@@ -236,54 +283,43 @@ class Stepper:
         if initial.shape != (2, self.basis.mode_count):
             raise ValueError(f"initial data has shape {initial.shape}, "
                              f"needs (2, {self.basis.mode_count})")
-        u_modal = np.tile(initial[0], (n_rows, 1))
-        v_modal = np.tile(initial[1], (n_rows, 1))
+        modal = np.repeat(initial[:, None], n_rows, axis=1)
+        nodal = np.empty((2, n_rows, self.basis.n_nodes))
         return StateView(
             t=0.0, step_index=0,
-            u_modal=u_modal, v_modal=v_modal,
-            u_nodal=self.basis.synthesize(u_modal),
-            v_nodal=self.basis.synthesize(v_modal),
+            modal=modal, nodal=self._synthesize(modal, nodal),
             floor_activations=np.zeros(n_rows, dtype=int),
             alive=np.ones(n_rows, dtype=bool),
         )
 
-    def _reaction(self, state, chi_nodal):
-        """Quotient chi^2/max(v, floor) and each row's kappa_u*max(chi^2/v)*dt."""
+    def _sources(self, state, chi_nodal, out):
+        """Nodal sources into ``out``: chi^2/max(v, floor) for u, chi^2 for v.
+
+        Returns each row's reaction number kappa_u*max(chi^2/v)*dt.
+        """
         v_floor = self.scheme.v_floor
-        q_nodal, activations = quotient_nodal(chi_nodal, state.v_nodal, v_floor)
+        q_nodal, activations = quotient_nodal(chi_nodal, state.v_nodal, v_floor,
+                                              out=out[0])
         if activations:
             state.floor_activations += state.alive * floor_counts(
                 state.v_nodal, v_floor)
+        np.multiply(chi_nodal, chi_nodal, out=out[1])
         peak = self.params.kappa_u * q_nodal.max(axis=-1, initial=0.0)
-        return q_nodal, peak * self.scheme.dt
+        return peak * self.scheme.dt
 
-    def step_field(self, name, modal, nodal, source_nodal, dw_modal):
-        """One step of field ``name`` ("u" or "v") under the configured scheme.
-
-        ``modal``/``nodal`` are the field's state, ``source_nodal`` the
-        nodal source multiplying kappa (u^2/v for u and u^2 for v in the
-        coupled system), ``dw_modal`` the damped increment of the field's
-        own Wiener process.  Returns the new modal coefficients.
-        """
-        kappa, sigma, lin, decay, gain = self._coefficients[name]
-        forcing = kappa * self._project(source_nodal) + lin * modal
-        dw_nodal = self.basis.synthesize(dw_modal)
-        noise = self._project(sigma * nodal * dw_nodal)
-        if not self._heun:
-            return decay * (modal + noise) + gain * forcing
-        deterministic = decay * modal + gain * forcing
-        predicted = self.basis.synthesize(deterministic + decay * noise)
-        corrector = self._project(sigma * predicted * dw_nodal)
-        return deterministic + decay * 0.5 * (noise + corrector)
-
-    def advance(self, state: StateView, dw1_modal, dw2_modal, chi_nodal=None):
+    def advance(self, state: StateView, dw_modal, chi_nodal=None):
         """One step of (u, v) for every row of ``state``, in place.
 
-        The sources are formed from the driver chi: u gets
+        ``dw_modal`` is the (2, B, K) stack of damped Wiener increments
+        (``damp`` times the raw ones), row 0 of W_1 for u and row 1 of
+        W_2 for v.  The sources are formed from the driver chi: u gets
         kappa_u chi^2/max(v, floor) and v gets kappa_v chi^2.  With
         ``chi_nodal`` None, chi is u itself and this is the coupled step;
         a given (B, n_nodes) ``chi_nodal`` makes it a step of the Picard
-        map T.
+        map T.  Each transform of a step acts on both fields at once, as
+        one (2B, .) product: a step projects twice and synthesizes twice
+        (three times each under Heun).  The nodal stack is reused as work
+        space during the step and holds the new nodal state at its end.
 
         A live row fails the step on a reaction CFL violation, a
         non-finite result or, under a zero floor, a nonpositive inhibitor
@@ -294,13 +330,22 @@ class Stepper:
         """
         step = state.step_index
         limit = self.scheme.reaction_cfl_limit
-        chi = state.u_nodal if chi_nodal is None else chi_nodal
-        q, peak = self._reaction(state, chi)
-        u_new = self.step_field("u", state.u_modal, state.u_nodal, q, dw1_modal)
-        v_new = self.step_field("v", state.v_modal, state.v_nodal, chi * chi,
-                                dw2_modal)
-        finite = np.isfinite(u_new).all(axis=-1) & np.isfinite(v_new).all(axis=-1)
-        ok = state.alive & (peak < limit) & finite
+        modal, nodal = state.modal, state.nodal
+        ws = self._workspace(modal.shape[1])
+        chi = nodal[0] if chi_nodal is None else chi_nodal
+        peak = self._sources(state, chi, out=ws.nodal)
+        forcing = ws.kappa * self._project(ws.nodal) + ws.lin * modal
+        dw_nodal = self._synthesize(dw_modal, out=ws.nodal)
+        noise = self._noise(nodal, dw_nodal)
+        decay, gain = ws.decay, ws.gain
+        if self._heun:
+            deterministic = decay * modal + gain * forcing
+            predicted = self._synthesize(deterministic + decay * noise, out=nodal)
+            corrector = self._noise(predicted, dw_nodal)
+            new = deterministic + decay * 0.5 * (noise + corrector)
+        else:
+            new = decay * (modal + noise) + gain * forcing
+        ok = state.alive & (peak < limit) & np.isfinite(new).all(axis=(0, 2))
         failed = {}
         if not ok.all():
             for r in np.flatnonzero(state.alive & ~ok):
@@ -310,22 +355,40 @@ class Stepper:
                 else:
                     message = f"non-finite state after step {step}"
                 failed[int(r)] = SimulationError(message)
-            u_new[~ok] = state.u_modal[~ok]
-            v_new[~ok] = state.v_modal[~ok]
-        u_nodal = self.basis.synthesize(u_new)
-        v_nodal = self.basis.synthesize(v_new)
+            new[:, ~ok] = modal[:, ~ok]
+        self._synthesize(new, out=nodal)
         if self.scheme.v_floor == 0.0:
-            for r in np.flatnonzero(ok & np.any(v_nodal <= 0.0, axis=-1)):
-                failed[int(r)] = floor_violation(v_nodal[r])
-                u_new[r], v_new[r] = state.u_modal[r], state.v_modal[r]
-                u_nodal[r], v_nodal[r] = state.u_nodal[r], state.v_nodal[r]
-        state.u_modal, state.v_modal = u_new, v_new
-        state.u_nodal, state.v_nodal = u_nodal, v_nodal
+            floored = np.flatnonzero(ok & np.any(nodal[1] <= 0.0, axis=-1))
+            for r in floored:
+                failed[int(r)] = floor_violation(nodal[1, r])
+            if floored.size:
+                # restored rows synthesize to their pre-step bits
+                new[:, floored] = modal[:, floored]
+                self._synthesize(new, out=nodal)
+        state.modal = new
         for r, exc in failed.items():
             state.alive[r] = False
             state.failures[r] = exc
         state.step_index += 1
         state.t = state.step_index * self.scheme.dt
+
+
+class _Workspace:
+    """A :class:`Stepper`'s arrays for stacks of B trajectories.
+
+    The per-field constants broadcast to (2, B, K), so that their
+    products with the state take numpy's same-shape loops, and one
+    (2, B, n_nodes) work stack, written in place: first the sources, then
+    the synthesized increments.
+    """
+
+    def __init__(self, stepper, rows):
+        shape = (2, rows, stepper.basis.mode_count)
+        self.kappa, self.lin, self.decay, self.gain = (
+            np.ascontiguousarray(np.broadcast_to(c, shape))
+            for c in (stepper._kappa, stepper._lin, stepper._decay,
+                      stepper._gain))
+        self.nodal = np.empty((2, rows, stepper.basis.n_nodes))
 
 
 def observe(observer, states, n_steps, dt):
@@ -368,16 +431,19 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     n1 - n0).  The stack takes them in blocks of at most
     :data:`NOISE_BLOCK_DRAWS` draws (at least one step), so its noise
     costs O(n_paths K) memory whatever the horizon; the block size moves
-    no bit of the result.  ``observer`` sees the whole stack (see
-    :func:`run`).  A row that fails a step stops there, its error in the
-    returned state's ``failures``, and the other rows go on; the walk
-    ends early once every row has failed.  Returns the final
+    no bit of the result.  Each step's increments are damped as one
+    (2, n_paths, K) stack (:attr:`Stepper.damp`).  ``observer`` sees the
+    whole stack (see :func:`run`).  A row that fails a step stops there,
+    its error in the returned state's ``failures``, and the other rows go
+    on; the walk ends early once every row has failed.  Returns the final
     :class:`StateView` of the stack.
 
     ``driver``, a (n_paths, n_steps + 1, K) modal stack, replaces u as
     the chi in the sources of :meth:`Stepper.advance`: step n reads its
     row n.  The stack then steps the Picard map T driven by it; with
-    None it steps the coupled system.
+    None it steps the coupled system.  Each row of chi is synthesized as
+    the u half of a (2 n_paths, K) product, the layout of the state's
+    u, so a coupled trajectory is an exact fixed point of T.
     """
     n_steps = scheme.n_steps()
     stepper = Stepper(basis, params, scheme, noise_spec)
@@ -387,6 +453,16 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
         raise ValueError(f"driver has shape {driver.shape}, "
                          f"run needs {(n_paths, n_steps + 1, k)}")
     span = max(1, NOISE_BLOCK_DRAWS // (n_paths * 2 * k))
+    if driver is not None:
+        # the driver's chi in row 0 of a (2, B, K) stack, as u in the state
+        pair = np.zeros((2, n_paths, k))
+        pair_nodal = np.empty((2, n_paths, basis.n_nodes))
+
+    def driver_nodal(n):
+        if driver is None:
+            return None
+        pair[0] = driver[:, n]
+        return stepper._synthesize(pair, out=pair_nodal)[0]
 
     def states():
         yield state
@@ -399,10 +475,9 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
                     f"{block.shape}, run needs {(n_paths, 2, k, n1 - n0)}"
                 )
             for s in range(n1 - n0):
-                chi = (None if driver is None
-                       else basis.synthesize(driver[:, n0 + s]))
-                stepper.advance(state, stepper.damp1 * block[:, 0, :, s],
-                                stepper.damp2 * block[:, 1, :, s], chi)
+                stepper.advance(state,
+                                stepper.damp * block[..., s].swapaxes(0, 1),
+                                driver_nodal(n0 + s))
                 if not state.alive.any():
                     return
                 yield state

@@ -130,23 +130,20 @@ class TrajectoryRecorder:
 
     def __init__(self):
         self._times = []
-        self._chi = []
-        self._eta = []
+        self._states = []
 
     def accumulate(self, view, dt):
         pass
 
     def record(self, view):
         self._times.append(view.t)
-        self._chi.append(view.u_modal.copy())
-        self._eta.append(view.v_modal.copy())
+        self._states.append(view.modal.copy())
 
     def trajectories(self):
-        return PairTrajectory(
-            times=np.asarray(self._times),
-            chi_modal=np.stack(self._chi, axis=1),
-            eta_modal=np.stack(self._eta, axis=1),
-        )
+        # (2, B, n+1, K): chi and eta are its two contiguous halves
+        states = np.stack(self._states, axis=2)
+        return PairTrajectory(times=np.asarray(self._times),
+                              chi_modal=states[0], eta_modal=states[1])
 
     def trajectory(self):
         stack = self.trajectories()

@@ -13,6 +13,8 @@ Products projected back to the truncation pass the 2/3-rule guard.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .spectral import SpectralBasis
@@ -41,6 +43,23 @@ def dealias_modal(basis: SpectralBasis, modal, fraction=2.0 / 3.0):
     return out
 
 
+def guarded_basis(basis: SpectralBasis, fraction=2.0 / 3.0):
+    """``basis`` with projection tables that apply :func:`dealias_modal`.
+
+    The guard keeps the modes whose every index is at most the cutoff, so
+    it factors over the axes: zeroing each quadrature table's columns
+    above the largest kept index makes ``project`` return the guarded
+    coefficients at no cost per call, the kept ones bit for bit (a
+    product's column does not depend on the others) and zeros for the
+    rest (for finite input).
+    """
+    keep = dealias_modal(basis, np.ones(basis.mode_count), fraction) != 0.0
+    top = basis.mode_indices[keep].max(axis=0)
+    tables = tuple(np.where(np.arange(q.shape[1]) <= t, q, 0.0)
+                   for q, t in zip(basis.quadrature, top))
+    return dataclasses.replace(basis, quadrature=tables)
+
+
 def floor_violation(v_nodal):
     """The :class:`FloorViolation` a zero floor meets on one row.
 
@@ -61,13 +80,14 @@ def floor_counts(v_nodal, v_floor):
     return np.count_nonzero(v_nodal < v_floor, axis=-1)
 
 
-def quotient_nodal(u_nodal, v_nodal, v_floor):
+def quotient_nodal(u_nodal, v_nodal, v_floor, out=None):
     """Array form of u^2 / max(v, floor); returns (values, activations).
 
     Acts on the last axis; leading axes are independent rows, and
     ``activations`` is the total over all of them (:func:`floor_counts`
     gives it per row).  A zero floor raises the :class:`FloorViolation`
-    of the first row holding a nonpositive v.
+    of the first row holding a nonpositive v.  ``out`` receives the
+    values if given.
     """
     if v_floor < 0:
         raise ValueError("v_floor must be >= 0")
@@ -76,7 +96,7 @@ def quotient_nodal(u_nodal, v_nodal, v_floor):
         bad = np.flatnonzero(np.any(rows <= 0.0, axis=-1))
         if bad.size:
             raise floor_violation(rows[bad[0]])
-        return u_nodal * u_nodal / v_nodal, 0
+        return np.divide(u_nodal * u_nodal, v_nodal, out=out), 0
     activations = int(np.count_nonzero(v_nodal < v_floor))
     denom = np.maximum(v_nodal, v_floor)
-    return u_nodal * u_nodal / denom, activations
+    return np.divide(u_nodal * u_nodal, denom, out=out), activations

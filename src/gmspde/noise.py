@@ -111,8 +111,9 @@ def sample_paths(spec: NoiseSpec, time_grid, path_indices, start=0,
     table = np.empty((path_indices.size, 2, spec.mode_count, n_ids.size))
     scale = np.sqrt(dts[start:stop])
     for j in (1, 2):
-        z = rng.normal_table(spec.master_seed, path_indices, j, k_ids, n_ids)
-        table[:, j - 1] = z * scale
+        z = rng.normal_table(spec.master_seed, path_indices, j, k_ids, n_ids,
+                             out=table[:, j - 1])
+        z *= scale
     return table
 
 

@@ -32,6 +32,7 @@ _S32 = np.uint64(32)
 
 # uniform conversion: 53 mantissa bits, strictly inside (0, 1)
 _U53 = 2.0 ** -53
+_U_MAX = 1.0 - _U53            # the largest double below 1
 _S11 = np.uint64(11)
 
 # draws per cipher block inside normal_table; the cipher works in nine
@@ -113,7 +114,23 @@ def _word0(seed, paths, stream, modes, steps, bufs, views=None):
         shapes = [shape0, c2.shape, shape2, c0.shape]
 
 
-def normal_table(master_seed, path_index, stream, modes, steps):
+def normals_from_bits(bits, out):
+    """Standard-normal draws from the uint64 words ``bits``, into ``out``.
+
+    The top 53 bits b of a word give the uniform (b + 0.5) 2^-53.  Above
+    2^52 round-half-even drops the half, so the top word would give
+    exactly 1.0 (and an infinite draw): uniforms are clamped to
+    1 - 2^-53, which no other word reaches, so every other draw keeps its
+    bits.  ``bits`` is shifted in place.  Returns ``out``.
+    """
+    np.right_shift(bits, _S11, out=bits)
+    np.add(bits, 0.5, out=out)
+    np.multiply(out, _U53, out=out)
+    np.minimum(out, _U_MAX, out=out)
+    return ndtri(out, out=out)
+
+
+def normal_table(master_seed, path_index, stream, modes, steps, out=None):
     """Standard-normal draws for a (path, stream, mode, step) index box.
 
     Draw (k, n) of path b is a pure function of (master_seed,
@@ -127,6 +144,8 @@ def normal_table(master_seed, path_index, stream, modes, steps):
         along the leading axis of the result)
     stream : small nonnegative int distinguishing independent noise uses
     modes, steps : 1-d integer arrays of indices
+    out : optional float64 array of the result's shape (it may be a
+        strided view) that receives the draws
 
     Returns
     -------
@@ -138,7 +157,13 @@ def normal_table(master_seed, path_index, stream, modes, steps):
     # index lists are converted block by block: a long step list then
     # costs no uint64 copy of its own
     modes, steps = np.asarray(modes), np.asarray(steps)
-    out = np.empty((paths.size, modes.size, steps.size))
+    shape = path_index.shape + (modes.size, steps.size)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, the draws {shape}")
+    table = out.reshape(paths.size, modes.size, steps.size)  # a view: at
+    # most a leading unit axis is added
     # a block takes as many steps as fit, then as many modes, then paths
     nb = max(1, min(steps.size, _DRAWS_PER_BLOCK))
     kb = max(1, min(modes.size, _DRAWS_PER_BLOCK // nb))
@@ -151,10 +176,5 @@ def normal_table(master_seed, path_index, stream, modes, steps):
                               modes[k:k + kb].astype(np.uint64, copy=False),
                               steps[n:n + nb].astype(np.uint64, copy=False),
                               bufs, views)
-                block = out[b:b + bb, k:k + kb, n:n + nb]
-                # top 53 bits, offset by half an ulp: strictly inside (0, 1)
-                np.right_shift(bits, _S11, out=bits)
-                np.add(bits, 0.5, out=block)
-                np.multiply(block, _U53, out=block)
-                ndtri(block, out=block)
-    return out.reshape(path_index.shape + (modes.size, steps.size))
+                normals_from_bits(bits, table[b:b + bb, k:k + kb, n:n + nb])
+    return out

@@ -131,9 +131,13 @@ class SpectralBasis:
         c = q0.T @ f @ q1
         return c[..., self.mode_indices[:, 0], self.mode_indices[:, 1]]
 
-    def synthesize(self, modal):
-        """Nodal samples of sum_k modal_k e_k, flattened (last axis)."""
-        return self._synthesize(modal, self.cosines)
+    def synthesize(self, modal, out=None):
+        """Nodal samples of sum_k modal_k e_k, flattened (last axis).
+
+        ``out``, a C-contiguous float array of the result's shape, receives
+        the samples (the same bits) instead of a new array.
+        """
+        return self._synthesize(modal, self.cosines, out)
 
     def gradient(self, modal, axis):
         """Nodal samples of d/dx_axis of sum_k modal_k e_k (last axis)."""
@@ -141,13 +145,15 @@ class SpectralBasis:
         tables[axis] = self.derivatives[axis]
         return self._synthesize(modal, tables)
 
-    def _synthesize(self, modal, tables):
+    def _synthesize(self, modal, tables, out=None):
         if self.domain.dim == 1:
-            return modal @ tables[0]
+            return np.matmul(modal, tables[0], out=out)
         lead = modal.shape[:-1]
         c = np.zeros(lead + (len(tables[0]), len(tables[1])))
         c[..., self.mode_indices[:, 0], self.mode_indices[:, 1]] = modal
-        return (tables[0].T @ c @ tables[1]).reshape(lead + (self.n_nodes,))
+        grid = None if out is None else out.reshape(lead + self.grid_shape)
+        f = np.matmul(tables[0].T @ c, tables[1], out=grid)
+        return f.reshape(lead + (self.n_nodes,)) if out is None else out
 
 
 def _axis_modes(domain, axis, count):

@@ -7,5 +7,5 @@ from gmspde import acceptance
                          ids=lambda fn: fn.__name__)
 def test_acceptance_criterion(criterion):
     result = criterion()
-    assert result.passed, result.line()
-    assert result.within_budget, result.line()
+    assert result.passed, result.line(timed=True)
+    assert result.within_budget, result.line(timed=True)

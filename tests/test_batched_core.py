@@ -213,6 +213,15 @@ def test_cfl_failure_is_reported_for_its_row_only():
     check_other_rows(final, setup, 2)
 
 
+def test_nonfinite_failure_is_reported_for_its_row_only():
+    # a NaN increment of the inhibitor's mode 3 at step 20: only row 2's
+    # new state is non-finite, and both of its fields keep their values
+    final, setup = kicked_batch(v_floor=1e-8, kick=(1, 3, np.nan))
+    message = check_failed_row(final, setup, 2, SimulationError)
+    assert message == "non-finite state after step 20"
+    check_other_rows(final, setup, 2)
+
+
 def test_floor_failure_is_reported_for_its_row_only():
     # a negative kick to the inhibitor's flat mode: step 20 makes v < 0
     final, setup = kicked_batch(v_floor=0.0, kick=(1, 0, -50.0))

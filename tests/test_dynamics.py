@@ -13,7 +13,7 @@ from gmspde.dynamics import (
     steady_state,
 )
 from gmspde.noise import NoiseSpec, sample_path, uniform_grid
-from gmspde.spectral import DomainSpec, build_basis
+from gmspde.spectral import DomainSpec, SpectralBasis, build_basis
 
 
 def make_basis(n=64, k=16):
@@ -56,7 +56,7 @@ def _drift(basis, mu, sigma, scheme="ito_imex"):
     params = ModelParams(0.01, 0.1, 1.0, 1.0, mu, mu, sigma, sigma)
     sch = SchemeConfig(dt=0.1, T=1.0, scheme=scheme)
     stepper = Stepper(basis, params, sch, NoiseSpec(2.0, 2.0, basis.mode_count))
-    return np.array([mu - stepper._coefficients[f][2][0] for f in "uv"])
+    return mu - stepper._lin[:, 0]
 
 
 def test_upsilon_examples():
@@ -130,11 +130,39 @@ def test_single_step_ops_match_run():
     stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=2e-3), spec)
     raw = stepper.raw_state(init)
     for n in range(2):
-        stepper.advance(raw, stepper.damp1 * path.increments[0, :, n],
-                        stepper.damp2 * path.increments[1, :, n])
+        stepper.advance(raw, stepper.damp * path.increments[:, None, :, n])
         sch = SchemeConfig(dt=1e-3, T=(n + 1) * 1e-3)
         res = run(init, params, sch, basis, spec, path)
         assert np.allclose(raw.u_modal, res.u_modal, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("scheme, transforms", [("ito_imex", 2),
+                                                ("stratonovich_heun", 3)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_step_transforms_both_fields_at_once(monkeypatch, scheme,
+                                               transforms, dim):
+    # each projection and synthesis of a step covers u and v of every row
+    basis = build_basis(DomainSpec(dim=dim, lengths=(1.0,) * dim,
+                                   grid_points_per_axis=64 if dim == 1
+                                   else 16), 16)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=4)
+    params = desk_params()
+    stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=1e-3,
+                                                  scheme=scheme), spec)
+    state = stepper.raw_state(default_initial_pair(basis, params), 3)
+    increments = np.random.default_rng(5).standard_normal((2, 3, 16)) * 0.03
+    calls = {"project": 0, "synthesize": 0}
+    for name in calls:
+        method = getattr(SpectralBasis, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralBasis, name, counted)
+    stepper.advance(state, stepper.damp * increments)
+    assert state.alive.all() and state.step_index == 1
+    assert calls == {"project": transforms, "synthesize": transforms}
 
 
 def test_stratonovich_pathwise_matches_closed_form():
@@ -174,8 +202,7 @@ def test_ito_mean_matches_gbm_oracle():
         p = sample_path(spec, grid, i)
         raw = stepper.raw_state(pair)
         for n in range(16):
-            stepper.advance(raw, stepper.damp1 * p.increments[0, :, n],
-                            stepper.damp2 * p.increments[1, :, n])
+            stepper.advance(raw, stepper.damp * p.increments[:, None, :, n])
         vals[i] = raw.u_modal[0, 0]
     oracle = np.exp(-(mu - sigma) * 0.25)
     z = abs(vals.mean() - oracle) / (vals.std(ddof=1) / np.sqrt(n_paths))

@@ -32,8 +32,9 @@ def _columns(basis, u_nodal, v_nodal, p=2.0, rho=1.1):
     """Recorder columns of one nodal state after accumulating it over dt = 1."""
     u, v = (np.broadcast_to(np.asarray(f, dtype=float), (1, basis.n_nodes))
             for f in (u_nodal, v_nodal))
-    view = StateView(0.0, 0, basis.project(u), basis.project(v), u, v,
-                     np.zeros(1, dtype=int), np.ones(1, dtype=bool))
+    view = StateView(0.0, 0, basis.project(np.stack((u, v))),
+                     np.stack((u, v)), np.zeros(1, dtype=int),
+                     np.ones(1, dtype=bool))
     rec = FunctionalRecorder(basis, FunctionalConfig(p=p, rho=rho), 1e-8)
     rec.accumulate(view, 1.0)
     rec.record(view)

@@ -129,6 +129,33 @@ def test_normal_table_is_pure_function_of_indices():
     assert sub[1, 1] == a[5, 9]
 
 
+def test_top_word_gives_a_finite_draw():
+    # the top 53 bits of 2**64 - 1 are 2**53 - 1, whose uniform
+    # (b + 0.5) 2**-53 rounds to exactly 1.0; the clamp keeps it below 1
+    words = np.array([2**64 - 1, 2**64 - 2**11 - 1, 0, 2**63], dtype=np.uint64)
+    draws = rng.normals_from_bits(words.copy(), np.empty(4))
+    assert np.all(np.isfinite(draws))
+    assert draws[0] == ndtri(1.0 - 2.0**-53) > draws[1] > 8.0
+    # every other word keeps the unclamped conversion's bits
+    rest = words[1:] >> np.uint64(11)
+    assert np.array_equal(draws[1:],
+                          ndtri((rest.astype(np.float64) + 0.5) * 2.0**-53))
+    assert draws[2] < -8.0 and draws[3] == 0.0
+
+
+def test_normal_table_fills_a_strided_out():
+    table = np.zeros((3, 2, 4, 5))
+    got = rng.normal_table(8, np.arange(3), 1, np.arange(4), np.arange(5),
+                           out=table[:, 1])
+    assert got is not None and np.shares_memory(got, table)
+    assert np.array_equal(table[:, 1], rng.normal_table(
+        8, np.arange(3), 1, np.arange(4), np.arange(5)))
+    assert not table[:, 0].any()
+    with pytest.raises(ValueError, match="out has shape"):
+        rng.normal_table(8, np.arange(3), 1, np.arange(4), np.arange(5),
+                         out=table[0])
+
+
 def test_sample_path_reproducible_and_distinct(spec):
     grid = uniform_grid(1.0, 32)
     p1 = sample_path(spec, grid, 4)
@@ -194,8 +221,7 @@ PARAMS = ModelParams(0.01, 0.1, 1.0, 1.0, 1.0, 2.0, 0.1, 0.1)
 def _damped(basis, spec, path, n):
     """The stepper's damped W_1 and W_2 increments of step n."""
     stepper = Stepper(basis, PARAMS, SchemeConfig(dt=0.25, T=1.0), spec)
-    return (stepper.damp1[0] * path.increments[0, :, n],
-            stepper.damp2[0] * path.increments[1, :, n])
+    return stepper.damp[:, 0] * path.increments[:, :, n]
 
 
 def test_truncation_monotonicity_of_increment_norm():

@@ -122,7 +122,7 @@ def _stepper(basis, gamma, sigma=0.5):
 def test_smoothing_operator_on_two_modes():
     # S(1) = (Id+A)^(-1) is the noise damping at gamma = 2: mode 0 passes,
     # mode 1 of the paper convention is scaled by 1/(1 + 4 pi^2)
-    damp = _stepper(build_basis(unit_interval("paper_1d"), 6), 2.0).damp1[0]
+    damp = _stepper(build_basis(unit_interval("paper_1d"), 6), 2.0).damp[0, 0]
     assert damp[0] == 1.0
     assert damp[1] == pytest.approx(1.0 / (1.0 + 4 * np.pi**2), rel=1e-15)
 
@@ -134,8 +134,7 @@ def test_multiplier_composition(gamma, sigma):
     # (Id+A)^(-gamma/2) applied twice, times sigma
     basis = build_basis(unit_interval(), 8)
     stepper = _stepper(basis, gamma, sigma)
-    for name, damp in (("u", stepper.damp1), ("v", stepper.damp2)):
-        lin = stepper._coefficients[name][2]
+    for lin, damp in zip(stepper._lin, stepper.damp):
         assert np.allclose(lin, sigma * damp * damp, rtol=1e-14, atol=1e-300)
 
 

@@ -19,7 +19,9 @@ cases in its own interpreter, and the outputs are compared:
   K=16), and for the Stratonovich Heun scheme in 2-D at N=128, K=256
   (the ``sim_2d`` benchmark's path); criterion 6's single-mode
   ``_gbm_batch`` outputs for both schemes; ``apply_T`` on a
-  coupled-solve input; ``replay_trace`` of a stored trajectory and of
+  coupled-solve input, and on a 16-row stack driven by a constant
+  trajectory (1-D N=64, K=16, 100 steps: one Picard step of the
+  ``picard_1d`` benchmark's shape); ``replay_trace`` of a stored trajectory and of
   a 16-row stack (1-D K=16, 100 steps, stride 25, v_floor = 2), whose
   ``floor_activations`` column is compared bitwise; the
   ensemble means of 20 and of 201 paths (1-D, both schemes; 201 is a
@@ -168,6 +170,17 @@ def _cases():
     t_out, _ = apply_T(coupled, init, params, sch, basis, spec, path)
     out["close"]["apply_T chi"] = t_out.chi_modal
     out["close"]["apply_T eta"] = t_out.eta_modal
+
+    # T away from its fixed point, in the Picard shape: 16 rows driven by
+    # the constant trajectory a Picard iteration starts from
+    start = constant_trajectory(init, sch)
+    members = PairTrajectory(start.times,
+                             np.repeat(start.chi_modal[None], 16, axis=0),
+                             np.repeat(start.eta_modal[None], 16, axis=0))
+    t_out, _ = apply_T(members, init, params, sch, basis, spec,
+                       sample_paths(spec, uniform_grid(0.1, 100), range(16)))
+    out["close"]["apply_T 16 rows constant driver chi"] = t_out.chi_modal
+    out["close"]["apply_T 16 rows constant driver eta"] = t_out.eta_modal
     trace = replay_trace(coupled, basis, fcfg, sch.v_floor)
     for name, column in trace.data.items():
         out["close"][f"replay_trace {name}"] = column
