@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .dynamics import ModelParams, SchemeConfig, steady_state
 from .functionals import FunctionalConfig
-from .noise import NoisePath, NoiseSpec, sample_path
+from .noise import NoiseSpec
 from .spectral import DomainSpec, SpectralBasis, build_basis
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "SpectralBasis",
     "build_basis",
     "NoiseSpec",
-    "NoisePath",
-    "sample_path",
     "ModelParams",
     "SchemeConfig",
     "steady_state",

@@ -32,14 +32,7 @@ from .experiments import (
     uniqueness_study,
 )
 from .functionals import FunctionalConfig
-from .noise import (
-    NoiseSpec,
-    coupled_path_hierarchy,
-    drawn,
-    sample_path,
-    sample_paths,
-    uniform_grid,
-)
+from .noise import NoiseSpec, coupled_path_hierarchy, drawn, sliced
 from .spectral import DomainSpec, build_basis
 
 
@@ -112,15 +105,15 @@ def criterion_2_noise_covariance():
     gamma = 2.0
     basis = _basis_1d(n=256, k=64, convention="paper_1d")
     spec = NoiseSpec(gamma1=gamma, gamma2=gamma, mode_count=64, master_seed=202)
-    grid = uniform_grid(1.0, n_steps)
+    sch = SchemeConfig(dt=1.0 / n_steps, T=1.0)
 
-    # batched draws are the same numbers sample_path would store
-    probe = sample_path(spec, grid, 17)
-    batch = sample_paths(spec, grid, [3, 17, 17])
-    if not (np.array_equal(probe.increments, batch[1])
-            and np.array_equal(probe.increments, batch[2])):
+    # a path draws the same numbers alone and in a batch
+    probe = drawn(spec, sch, [17])(0, n_steps)[0]
+    batch = drawn(spec, sch, [3, 17, 17])(0, n_steps)
+    if not (np.array_equal(probe, batch[1]) and np.array_equal(probe, batch[2])):
         return _result(2, "noise covariance", False,
-                       "batched draws disagree with sample_path", t0, limit=60.0)
+                       "batched draws disagree with a one-path draw", t0,
+                       limit=60.0)
 
     # W_j(1) per path for modes 0..10; a mode's draws do not depend on the
     # mode count, so an 11-mode spec draws the same numbers in chunks
@@ -128,7 +121,7 @@ def criterion_2_noise_covariance():
                         master_seed=spec.master_seed)
     chunk = 2_500
     w_end = np.concatenate([
-        sample_paths(spec_11, grid, np.arange(i, i + chunk)).sum(axis=-1)
+        drawn(spec_11, sch, range(i, i + chunk))(0, n_steps).sum(axis=-1)
         for i in range(0, n_paths, chunk)
     ])
     worst_rel = 0.0
@@ -206,17 +199,14 @@ def criterion_5_strong_convergence():
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=505)
     params = _desk_params(sigma=0.5)
     init = default_initial_pair(basis, params)
-    horizon = 0.5
-    dts = (2e-3, 1e-3, 5e-4)
+    # dt = 2e-3, 1e-3 and 5e-4
+    fine = SchemeConfig(dt=5e-4, T=0.5)
     n_paths = 16
     errs = np.zeros((n_paths, 2))
-    fine_grid = uniform_grid(horizon, int(round(horizon / dts[-1])))
     for i in range(n_paths):
-        chain = coupled_path_hierarchy(spec, fine_grid, i, levels=3)
-        finals = []
-        for path, dt in zip(chain, dts):
-            sch = SchemeConfig(dt=dt, T=horizon)
-            finals.append(run(init, params, sch, basis, spec, path).u_modal[0])
+        finals = [run(init, params, sch, basis, spec, sliced(table)).u_modal[0]
+                  for sch, table in coupled_path_hierarchy(spec, fine, i,
+                                                           levels=3)]
         errs[i, 0] = np.sqrt(np.sum((finals[0] - finals[1]) ** 2))
         errs[i, 1] = np.sqrt(np.sum((finals[1] - finals[2]) ** 2))
     e1, e2 = errs.mean(axis=0)
@@ -233,10 +223,9 @@ def _final_u_modal(init, params, scheme, basis, spec, first_path, n_paths):
     Raises the first failure: the criteria using it expect every path to
     survive.
     """
-    grid = uniform_grid(scheme.T, scheme.n_steps())
     paths = range(first_path, first_path + n_paths)
     final = run_batch(init, params, scheme, basis, spec,
-                      drawn(spec, grid, paths), n_paths)
+                      drawn(spec, scheme, paths), n_paths)
     if final.failures:
         raise next(iter(final.failures.values()))
     return final.u_modal
@@ -333,18 +322,16 @@ def criterion_8_pathwise_uniqueness():
     params = _desk_params(sigma=0.1)
     init = default_initial_pair(basis, params)
     stopping = StoppingSpec()
-    horizon = 1.0
-    fine_grid = uniform_grid(horizon, 2000)
-    coarse, fine = coupled_path_hierarchy(spec, fine_grid, 0, levels=2)
-    sch_c = SchemeConfig(dt=1e-3, T=horizon)
-    sch_f = SchemeConfig(dt=5e-4, T=horizon)
+    # dt = 1e-3 and 5e-4
+    (sch_c, coarse), (sch_f, fine) = coupled_path_hierarchy(
+        spec, SchemeConfig(dt=5e-4, T=1.0), 0, levels=2)
 
     zero = uniqueness_study(init, 0.0, params, sch_c, basis, spec, stopping,
-                            coarse)
+                            sliced(coarse))
     amp_c = uniqueness_study(init, 1e-8, params, sch_c, basis, spec, stopping,
-                             coarse).amplification
+                             sliced(coarse)).amplification
     amp_f = uniqueness_study(init, 1e-8, params, sch_f, basis, spec, stopping,
-                             fine).amplification
+                             sliced(fine)).amplification
     ratio = max(amp_c, amp_f) / min(amp_c, amp_f)
     ok = zero.bitwise_identical and ratio < 2.0
     return _result(8, "pathwise uniqueness (desk form)", ok,

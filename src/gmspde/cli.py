@@ -33,7 +33,7 @@ from .experiments import (
     uniqueness_study,
 )
 from .functionals import TRACE_COLUMNS, FunctionalRecorder
-from .noise import sample_path, uniform_grid
+from .noise import drawn
 from .spectral import build_basis
 
 
@@ -112,12 +112,11 @@ def _cmd_simulate(args):
     cfg, basis = _prepare(args)
     init = default_initial_pair(basis, cfg.params,
                                 amplitude=cfg.run_opts["initial_amplitude"])
-    grid = uniform_grid(cfg.scheme.T, cfg.scheme.n_steps())
-    path = sample_path(cfg.noise, grid, cfg.run_opts["path_index"])
+    path_index = cfg.run_opts["path_index"]
     rec = FunctionalRecorder(basis, cfg.functionals, cfg.scheme.v_floor,
-                             path_index=cfg.run_opts["path_index"])
-    final = run(init, cfg.params, cfg.scheme, basis, cfg.noise, path,
-                observer=rec)
+                             path_index=path_index)
+    final = run(init, cfg.params, cfg.scheme, basis, cfg.noise,
+                drawn(cfg.noise, cfg.scheme, [path_index]), observer=rec)
     io_mod.write_trace(rec.trace(), os.path.join(args.out_dir, "trace.csv"))
     header = io_mod.SnapshotHeader(dim=cfg.domain.dim, shape=basis.grid_shape,
                                    field_count=2, time=final.t)
@@ -150,11 +149,10 @@ def _cmd_uniqueness(args):
     opts = cfg.uniqueness_opts
     init = default_initial_pair(basis, cfg.params,
                                 amplitude=cfg.run_opts["initial_amplitude"])
-    grid = uniform_grid(cfg.scheme.T, cfg.scheme.n_steps())
-    path = sample_path(cfg.noise, grid, cfg.run_opts["path_index"])
     report = uniqueness_study(
         init, opts["delta"], cfg.params, cfg.scheme, basis, cfg.noise,
-        StoppingSpec(m_levels=tuple(opts["stopping_levels"])), path,
+        StoppingSpec(m_levels=tuple(opts["stopping_levels"])),
+        drawn(cfg.noise, cfg.scheme, [cfg.run_opts["path_index"]]),
         perturb_mode=opts["perturb_mode"],
     )
     io_mod.write_csv(os.path.join(args.out_dir, "divergence.csv"),

@@ -36,7 +36,10 @@ both fields at once, so each transform is one (2B, .) product for the
 whole stack.  :func:`run_batch` drives such a stack and :func:`run` is
 its one-row case; there is no second stepping path.
 Initial data is one (2, K) modal array (row 0 u, row 1 v), and a run
-returns its final :class:`StateView`.
+returns its final :class:`StateView`.  Every run reads its noise through
+one interface, a noise source ``draw(n0, n1)`` (:mod:`gmspde.noise`),
+in blocks of steps, so it holds one block of increments at a time
+whatever its horizon.
 Each row is checked on its own (reaction CFL, finiteness, the zero-floor
 positivity of v): a failed row stops with the error its solo run raises
 and the other rows go on.  Observers see the stack through
@@ -69,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import floor_counts, floor_violation, guarded_basis, quotient_nodal
-from .noise import NoisePath, NoiseSpec, sliced
+from .noise import NoiseSpec, sliced
 from .spectral import SpectralBasis, nonfinite
 
 SCHEMES = ("ito_imex", "stratonovich_heun")
@@ -235,12 +238,10 @@ class Stepper:
         self._heun = scheme.scheme == "stratonovich_heun"
         self._kappa = fields(params.kappa_u, params.kappa_v)
         self._sigma = fields(params.sigma_u, params.sigma_v)
-        # leftover diagonal drift once the exponential absorbed r*lambda + mu:
-        # the Ito correction sigma*(Id+A)^(-gamma), nothing under Heun
-        if self._heun:
-            self._lin = np.zeros_like(c)
-        else:
-            self._lin = self._sigma * (1.0 + lam) ** (-gamma)
+        # leftover diagonal drift of the Ito form once the exponential
+        # absorbed r*lambda + mu: the correction sigma*(Id+A)^(-gamma);
+        # the Stratonovich form has none
+        self._lin = self._sigma * (1.0 + lam) ** (-gamma)
         self._decay = np.exp(-c * dt)
         self._gain = dt * _phi1(c * dt)
         self.damp = (1.0 + lam) ** (-0.5 * gamma)
@@ -334,7 +335,9 @@ class Stepper:
         ws = self._workspace(modal.shape[1])
         chi = nodal[0] if chi_nodal is None else chi_nodal
         peak = self._sources(state, chi, out=ws.nodal)
-        forcing = ws.kappa * self._project(ws.nodal) + ws.lin * modal
+        forcing = ws.kappa * self._project(ws.nodal)
+        if not self._heun:    # the Ito correction, added where it always was
+            forcing = forcing + ws.lin * modal
         dw_nodal = self._synthesize(dw_modal, out=ws.nodal)
         noise = self._noise(nodal, dw_nodal)
         decay, gain = ws.decay, ws.gain
@@ -481,49 +484,38 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
                 if not state.alive.any():
                     return
                 yield state
+            del block    # released before the next block is drawn
 
     return observe(observer, states(), n_steps, scheme.dt)
 
 
-def check_noise_path(path: NoisePath, scheme: SchemeConfig):
-    """Raise unless ``path`` covers the scheme's steps on its time step dt."""
-    n_steps = scheme.n_steps()
-    if path.n_steps < n_steps:
-        raise ValueError(
-            f"noise path has {path.n_steps} steps, run needs {n_steps}"
-        )
-    dts = path.dts[:n_steps]
-    if n_steps and np.max(np.abs(dts - scheme.dt)) > 1e-12 * max(1.0, scheme.dt):
-        raise ValueError("noise path time grid does not match scheme dt")
-
-
 def run(initial, params: ModelParams, scheme: SchemeConfig,
-        basis: SpectralBasis, noise_spec: NoiseSpec,
-        path: NoisePath | None, observer=None) -> StateView:
+        basis: SpectralBasis, noise_spec: NoiseSpec, draw,
+        observer=None) -> StateView:
     """Drive one trajectory from the (2, K) modal ``initial``.
 
     Row 0 of ``initial`` is u, row 1 is v.  This is :func:`run_batch`
-    with one row: it returns the final one-row :class:`StateView` (u at
-    ``u_modal[0]``/``u_nodal[0]``, the step count in ``step_index``),
-    and a failed step raises its error.  An observer has a ``stride``,
+    with one row: ``draw`` is the noise source of one path
+    (:func:`~gmspde.noise.drawn` of one path index, or
+    :func:`~gmspde.noise.sliced` of a (1, 2, K, N) table), read in
+    blocks of steps, and a block of the wrong shape is rejected.  It
+    returns the final one-row :class:`StateView` (u at
+    ``u_modal[0]``/``u_nodal[0]``, the step count in ``step_index``), and
+    a failed step raises its error.  An observer has a ``stride``,
     ``accumulate(state, dt)`` (called with the pre-step state before
     every step) and ``record(state)`` (called at t = 0, every ``stride``
-    steps and at the final time); see :func:`observe`.  The trajectory is
-    a pure function of its arguments.
+    steps and at the final time); see :func:`observe`.  The trajectory
+    is a pure function of its arguments.
 
-    ``path`` may be None only for noiseless runs (sigma_u = sigma_v = 0).
+    ``draw`` may be None only for noiseless runs (sigma_u = sigma_v = 0).
     """
-    n_steps = scheme.n_steps()
-    if path is None:
+    if draw is None:
         if params.sigma_u != 0.0 or params.sigma_v != 0.0:
             raise ValueError("a noise path is required when sigma > 0")
-        increments = np.broadcast_to(0.0, (1, 2, basis.mode_count, n_steps))
-    else:
-        check_noise_path(path, scheme)
-        increments = path.increments[None]
-
-    final = run_batch(initial, params, scheme, basis, noise_spec,
-                      sliced(increments), 1, observer)
+        draw = sliced(np.broadcast_to(
+            0.0, (1, 2, basis.mode_count, scheme.n_steps())))
+    final = run_batch(initial, params, scheme, basis, noise_spec, draw, 1,
+                      observer)
     if final.failures:
         raise final.failures[0]
     return final

@@ -13,7 +13,8 @@
 
 Everything is deterministic given the master seed.  Ensemble and
 Picard members are keyed by path index and stepped as one stack
-through the one stepping core, ``dynamics.run_batch``; results are
+through the one stepping core, ``dynamics.run_batch``, which reads
+their noise from a noise source ``draw(n0, n1)``; results are
 reduced in index order.  Ensembles and the coupled solve step the
 coupled system; ``apply_T`` steps the map T on the same core, its input
 trajectory the driver chi of the sources, so both share one scheme and
@@ -24,8 +25,9 @@ whatever the block size; each member agrees with its solo ``run`` to
 rounding (1e-13 x max|value|, pinned by the tests), because a stacked
 product may sum a row in another order than a single-row one.  The Picard
 iteration keeps its members' whole increment table, which every
-application of the map re-reads.  The uniqueness study runs its two
-trajectories one by one, so its delta = 0 check stays bitwise.
+application of the map re-reads through ``noise.sliced``.  The
+uniqueness study runs its two trajectories one by one on the same
+source, so its delta = 0 check stays bitwise.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .dynamics import (
     ModelParams,
     SchemeConfig,
     SimulationError,
-    check_noise_path,
     run,
     run_batch,
 )
@@ -52,7 +53,7 @@ from .functionals import (
     energy_monitors,
     membership,
 )
-from .noise import NoisePath, NoiseSpec, drawn, sample_paths, sliced
+from .noise import NoiseSpec, drawn, sliced
 from .spectral import nonfinite
 
 
@@ -201,7 +202,7 @@ def _check_input_positivity(traj, basis):
 
 def apply_T(traj: PairTrajectory, init, params: ModelParams,
             scheme: SchemeConfig, basis, noise_spec: NoiseSpec,
-            path, check_positivity: bool = True):
+            draw, check_positivity: bool = True):
     """One application of the decoupling map on frozen noise.
 
     Solves the inhibitor equation with source kappa_v chi^2(t) and the
@@ -209,11 +210,11 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
     modal initial data ``init`` by the coupled step and its checks
     (:func:`~gmspde.dynamics.run_batch` driven by ``traj``'s chi), so a
     coupled trajectory is its exact fixed point; eta enters only through
-    the admissibility check.  ``traj`` is one path with its
-    :class:`~gmspde.noise.NoisePath`, checked as
-    :func:`~gmspde.dynamics.run` checks it (enough steps, on the scheme's
-    dt), or a stack of B paths with their (B, 2, K, N) increment table;
-    the first row failure is raised.
+    the admissibility check.  ``traj`` is one path or a stack of B paths,
+    and ``draw`` is the noise source of as many paths
+    (:func:`~gmspde.noise.drawn`, :func:`~gmspde.noise.sliced`), whose
+    blocks are checked as :func:`~gmspde.dynamics.run` checks them; the
+    first row failure is raised.
     Returns the output trajectory (shaped like ``traj``) and the final
     :class:`~gmspde.dynamics.StateView` of the stack, whose per-row
     ``floor_activations`` count floored nodes.
@@ -225,16 +226,9 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
         )
     if check_positivity:
         _check_input_positivity(traj, basis)
-    k = basis.mode_count
-    if isinstance(path, NoisePath):
-        check_noise_path(path, scheme)
-        increments = path.increments
-    else:
-        increments = path
-    out, final = _coupled_solve(
-        init, params, scheme, basis, noise_spec,
-        increments.reshape(-1, 2, k, increments.shape[-1]),
-        driver=traj.chi_modal.reshape(-1, n_steps + 1, k))
+    driver = traj.chi_modal.reshape(-1, n_steps + 1, basis.mode_count)
+    out, final = _coupled_solve(init, params, scheme, basis, noise_spec,
+                                draw, driver.shape[0], driver=driver)
     shape = traj.chi_modal.shape
     return PairTrajectory(out.times, out.chi_modal.reshape(shape),
                           out.eta_modal.reshape(shape)), final
@@ -301,18 +295,18 @@ class PicardReport:
         return lines
 
 
-def _coupled_solve(init, params, scheme, basis, noise_spec, increments,
+def _coupled_solve(init, params, scheme, basis, noise_spec, draw, n_paths,
                    driver=None):
     """Stacked trajectories and final state of the coupled system.
 
-    With a (B, n+1, K) modal ``driver`` chi, of the Picard map T driven
+    ``draw`` is the noise source of the ``n_paths`` rows.  With a
+    (n_paths, n+1, K) modal ``driver`` chi, of the Picard map T driven
     by it instead (see :func:`~gmspde.dynamics.run_batch`).  Raises the
     first row failure.
     """
     rec = TrajectoryRecorder()
-    final = run_batch(init, params, scheme, basis, noise_spec,
-                      sliced(increments), increments.shape[0], observer=rec,
-                      driver=driver)
+    final = run_batch(init, params, scheme, basis, noise_spec, draw,
+                      n_paths, observer=rec, driver=driver)
     if final.failures:
         raise next(iter(final.failures.values()))
     return rec.trajectories(), final
@@ -329,10 +323,9 @@ def picard_iterate(start: PairTrajectory, init,
     """
     fconfig = fconfig or FunctionalConfig()
     m = config.ensemble_size
-    grid = np.linspace(0.0, scheme.T, scheme.n_steps() + 1)
     # one stored table: every application of T re-reads the same frozen
     # increments, and drawing them anew each time costs more than the table
-    increments = sample_paths(noise_spec, grid, range(m))
+    frozen = sliced(drawn(noise_spec, scheme, range(m))(0, scheme.n_steps()))
 
     start_trace = replay_trace(start, basis, fconfig, scheme.v_floor)
     bounds = auto_bounds([start_trace], margin=config.bound_margin)
@@ -355,7 +348,7 @@ def picard_iterate(start: PairTrajectory, init,
 
     for it in range(config.max_iterations):
         new, _ = apply_T(current, init, params, scheme, basis, noise_spec,
-                         increments, check_positivity=False)
+                         frozen, check_positivity=False)
         d = seminorm_m(new, current, basis, fconfig.rho)
         distances.append(d)
         traces = replay_trace(new, basis, fconfig, scheme.v_floor,
@@ -369,7 +362,7 @@ def picard_iterate(start: PairTrajectory, init,
 
     # residual against the directly coupled solve on the same noise
     coupled, _ = _coupled_solve(init, params, scheme, basis, noise_spec,
-                                increments)
+                                frozen, m)
     residual = seminorm_m(current, coupled, basis, fconfig.rho)
 
     ratios = [
@@ -441,12 +434,14 @@ def _stopping_scan(traj: PairTrajectory, basis, scheme, levels):
 
 def uniqueness_study(init, delta: float, params: ModelParams,
                      scheme: SchemeConfig, basis, noise_spec: NoiseSpec,
-                     stopping: StoppingSpec, path: NoisePath,
+                     stopping: StoppingSpec, draw,
                      perturb_mode: int = 1) -> UniquenessReport:
     """Two runs differing by delta in one mode, driven by the same noise.
 
     The first starts from the (2, K) modal ``init``, the second from a
-    copy with ``delta`` added to u's mode ``perturb_mode``.  delta = 0
+    copy with ``delta`` added to u's mode ``perturb_mode``.  Both read
+    their increments from ``draw``, the noise source of one path
+    (see :func:`~gmspde.dynamics.run`).  delta = 0
     must give bitwise-coincident trajectories; delta > 0 reports the
     measured amplification sup_t |u1-u2|_L2 / delta.  The theorem
     behind this check is one-dimensional; rectangle runs are labeled
@@ -461,7 +456,7 @@ def uniqueness_study(init, delta: float, params: ModelParams,
 
     def solve(pair):
         rec = TrajectoryRecorder()
-        run(pair, params, scheme, basis, noise_spec, path, observer=rec)
+        run(pair, params, scheme, basis, noise_spec, draw, observer=rec)
         return rec.trajectory()
 
     t1 = solve(init)
@@ -541,11 +536,10 @@ def ensemble(init, params: ModelParams, scheme: SchemeConfig,
     if n_paths < 2:
         raise ValueError("an ensemble needs at least two paths")
     distinct = list(dict.fromkeys(path_indices))
-    grid = np.linspace(0.0, scheme.T, scheme.n_steps() + 1)
     rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
                              path_index=distinct)
     final = run_batch(init, params, scheme, basis, noise_spec,
-                      drawn(noise_spec, grid, distinct), len(distinct),
+                      drawn(noise_spec, scheme, distinct), len(distinct),
                       observer=rec)
     trace_of = dict(zip(distinct, rec.traces()))
     failed = {distinct[row]: f"{type(exc).__name__}: {exc}"

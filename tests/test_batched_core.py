@@ -22,7 +22,7 @@ from gmspde.dynamics import (
 from gmspde.experiments import TrajectoryRecorder, ensemble
 from gmspde.fields import FloorViolation
 from gmspde.functionals import FunctionalConfig, FunctionalRecorder
-from gmspde.noise import NoisePath, NoiseSpec, sample_paths, sliced, uniform_grid
+from gmspde.noise import NoiseSpec, drawn, sliced
 from gmspde.spectral import DomainSpec, build_basis
 
 RTOL = 1e-13
@@ -47,10 +47,10 @@ def assert_close(got, want, label=""):
     assert gap <= RTOL * scale, f"{label}: gap {gap:.3g} x max {scale:.3g}"
 
 
-def solo(init, prm, sch, basis, spec, grid, increments, idx, observer=None):
-    path = NoisePath(spec=spec, time_grid=grid, increments=increments,
-                     path_index=idx)
-    return run(init, prm, sch, basis, spec, path, observer=observer)
+def solo(init, prm, sch, basis, spec, increments, observer=None):
+    """``run`` of the one path whose (2, K, N) table is ``increments``."""
+    return run(init, prm, sch, basis, spec, sliced(increments[None]),
+               observer=observer)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -61,16 +61,15 @@ def test_stacked_rows_match_solo_runs(dim, scheme):
     prm = params()
     init = default_initial_pair(basis, prm)
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
-    grid = uniform_grid(sch.T, sch.n_steps())
     indices = [0, 5, 2, 9, 1]          # five rows: a BLAS remainder block
-    increments = sample_paths(spec, grid, indices)
+    increments = drawn(spec, sch, indices)(0, sch.n_steps())
     rec = FunctionalRecorder(basis, FCFG, sch.v_floor, path_index=indices)
     final = run_batch(init, prm, sch, basis, spec, sliced(increments),
                       len(indices), observer=rec)
     assert final.failures == {} and final.alive.all()
     for row, (idx, trace) in enumerate(zip(indices, rec.traces())):
         want = FunctionalRecorder(basis, FCFG, sch.v_floor, path_index=idx)
-        res = solo(init, prm, sch, basis, spec, grid, increments[row], idx,
+        res = solo(init, prm, sch, basis, spec, increments[row],
                    observer=want)
         assert trace.path_index == idx
         assert np.array_equal(trace.times, want.trace().times)
@@ -151,11 +150,11 @@ def test_a_noise_block_of_the_wrong_shape_is_rejected():
     prm = params()
     sch = SchemeConfig(dt=1e-3, T=0.03)
     init = default_initial_pair(basis, prm)
-    short = sample_paths(spec, uniform_grid(0.02, 20), range(3))
+    short = drawn(spec, SchemeConfig(dt=1e-3, T=0.02), range(3))(0, 20)
     with pytest.raises(ValueError, match=r"steps 0..29 has shape "
                                          r"\(3, 2, 16, 20\)"):
         run_batch(init, prm, sch, basis, spec, sliced(short), 3)
-    table = sample_paths(spec, uniform_grid(0.03, 30), range(3))
+    table = drawn(spec, sch, range(3))(0, 30)
     with pytest.raises(ValueError, match=r"run needs \(4, 2, 16, 30\)"):
         run_batch(init, prm, sch, basis, spec, sliced(table), 4)
 
@@ -167,32 +166,30 @@ def kicked_batch(v_floor, kick):
     prm = params()
     init = default_initial_pair(basis, prm)
     sch = SchemeConfig(dt=1e-3, T=0.05, v_floor=v_floor)
-    grid = uniform_grid(sch.T, sch.n_steps())
-    increments = sample_paths(spec, grid, range(5))
+    increments = drawn(spec, sch, range(5))(0, sch.n_steps())
     process, mode = kick[0], kick[1]
     increments[2, process, mode, 20] += kick[2]
     final = run_batch(init, prm, sch, basis, spec, sliced(increments), 5)
-    return final, (init, prm, sch, basis, spec, grid, increments)
+    return final, (init, prm, sch, basis, spec, increments)
 
 
 def check_other_rows(final, setup, failed_row):
-    init, prm, sch, basis, spec, grid, increments = setup
+    init, prm, sch, basis, spec, increments = setup
     for row in range(5):
         if row == failed_row:
             continue
         assert final.alive[row]
-        res = solo(init, prm, sch, basis, spec, grid, increments[row], row)
+        res = solo(init, prm, sch, basis, spec, increments[row])
         assert_close(final.u_modal[row], res.u_modal[0], f"u {row}")
         assert_close(final.v_modal[row], res.v_modal[0], f"v {row}")
 
 
 def check_failed_row(final, setup, row, error):
-    init, prm, sch, basis, spec, grid, increments = setup
+    init, prm, sch, basis, spec, increments = setup
     # the solo run raises the same error ...
     rec = TrajectoryRecorder()
     with pytest.raises(error) as solo_error:
-        solo(init, prm, sch, basis, spec, grid, increments[row], row,
-             observer=rec)
+        solo(init, prm, sch, basis, spec, increments[row], observer=rec)
     assert list(final.failures) == [row]
     assert not final.alive[row]
     got = final.failures[row]
@@ -238,14 +235,12 @@ def test_ensemble_failures_match_solo_runs():
     prm = params(sigma=1.0)
     init = default_initial_pair(basis, prm)
     loose = SchemeConfig(dt=1e-3, T=0.05)
-    grid = uniform_grid(loose.T, loose.n_steps())
     n_paths = 12
-    increments = sample_paths(spec, grid, range(n_paths))
+    increments = drawn(spec, loose, range(n_paths))(0, loose.n_steps())
     peaks = []
     for idx in range(n_paths):
         rec = TrajectoryRecorder()
-        solo(init, prm, loose, basis, spec, grid, increments[idx], idx,
-             observer=rec)
+        solo(init, prm, loose, basis, spec, increments[idx], observer=rec)
         traj = rec.trajectory()
         u = basis.synthesize(traj.chi_modal[:-1])
         v = basis.synthesize(traj.eta_modal[:-1])
@@ -256,7 +251,7 @@ def test_ensemble_failures_match_solo_runs():
     expected = {}
     for idx in range(n_paths):
         try:
-            solo(init, prm, sch, basis, spec, grid, increments[idx], idx)
+            solo(init, prm, sch, basis, spec, increments[idx])
         except Exception as exc:
             expected[idx] = f"{type(exc).__name__}: {exc}"
     assert 0 < len(expected) < n_paths

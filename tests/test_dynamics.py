@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from gmspde.dynamics import (
     run,
     steady_state,
 )
-from gmspde.noise import NoiseSpec, sample_path, uniform_grid
+from gmspde.noise import NoiseSpec, drawn, sliced
 from gmspde.spectral import DomainSpec, SpectralBasis, build_basis
 
 
@@ -71,8 +73,28 @@ def test_upsilon_examples():
     # mode 1 on the paper convention: factor 1 - 0.5 (1+4 pi^2)^-2
     expected = 1.0 - 0.5 * (1.0 + 4 * np.pi**2) ** -2.0
     assert _drift(basis, 1.0, 0.5)[:, 1] == pytest.approx(expected, rel=1e-14)
-    # the Stratonovich (Heun) scheme has no correction
-    assert np.all(_drift(basis, 1.0, 0.5, "stratonovich_heun") == 1.0)
+
+
+@pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
+def test_only_the_ito_step_carries_the_drift_correction(scheme):
+    # a noiseless step without sources at sigma > 0: the Stratonovich
+    # (Heun) step is the exact decay exp(-(r lambda + mu) dt) of each mode,
+    # the Ito step adds dt phi1 sigma (Id+A)^(-gamma) on top
+    basis = make_basis()
+    params = ModelParams(0.01, 0.1, 0.0, 0.0, 1.0, 2.0, 0.5, 0.5)
+    sch = SchemeConfig(dt=0.1, T=1.0, scheme=scheme)
+    stepper = Stepper(basis, params, sch, NoiseSpec(2.0, 2.0, 16))
+    state = stepper.raw_state(constant_pair(basis, 1.0, 2.0))
+    before = state.modal.copy()
+    stepper.advance(state, np.zeros((2, 1, 16)))
+    exact = np.exp(-np.stack([(params.r_u * basis.eigenvalues + params.mu_u),
+                              (params.r_v * basis.eigenvalues + params.mu_v)])
+                   * sch.dt)[:, None] * before
+    gap = np.abs(state.modal - exact).max()
+    if scheme == "stratonovich_heun":
+        assert gap <= 1e-15 * np.abs(exact).max()
+    else:
+        assert gap > 1e-3 * np.abs(exact).max()
 
 
 def test_constant_decay_is_exact_per_step():
@@ -110,12 +132,10 @@ def test_sigma_zero_schemes_coincide_exactly():
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16)
     params = desk_params(sigma=0.0)
     init = default_initial_pair(basis, params)
-    grid = uniform_grid(0.05, 50)
-    path = sample_path(spec, grid, 0)
     sch_i = SchemeConfig(dt=1e-3, T=0.05, scheme="ito_imex")
     sch_s = SchemeConfig(dt=1e-3, T=0.05, scheme="stratonovich_heun")
-    res_i = run(init, params, sch_i, basis, spec, path)
-    res_s = run(init, params, sch_s, basis, spec, path)
+    res_i = run(init, params, sch_i, basis, spec, drawn(spec, sch_i, [0]))
+    res_s = run(init, params, sch_s, basis, spec, drawn(spec, sch_s, [0]))
     assert np.array_equal(res_i.u_modal, res_s.u_modal)
     assert np.array_equal(res_i.v_modal, res_s.v_modal)
 
@@ -125,14 +145,13 @@ def test_single_step_ops_match_run():
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=4)
     params = desk_params()
     init = default_initial_pair(basis, params)
-    grid = uniform_grid(2e-3, 2)
-    path = sample_path(spec, grid, 1)
+    increments = drawn(spec, SchemeConfig(dt=1e-3, T=2e-3), [1])(0, 2)
     stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=2e-3), spec)
     raw = stepper.raw_state(init)
     for n in range(2):
-        stepper.advance(raw, stepper.damp * path.increments[:, None, :, n])
+        stepper.advance(raw, stepper.damp * increments[0, :, None, :, n])
         sch = SchemeConfig(dt=1e-3, T=(n + 1) * 1e-3)
-        res = run(init, params, sch, basis, spec, path)
+        res = run(init, params, sch, basis, spec, sliced(increments))
         assert np.allclose(raw.u_modal, res.u_modal, rtol=0, atol=0)
 
 
@@ -176,9 +195,9 @@ def test_stratonovich_pathwise_matches_closed_form():
     pair = constant_pair(basis, 1.0, 1.0)
     dt = 1e-3
     sch = SchemeConfig(dt=dt, T=1.0, scheme="stratonovich_heun")
-    path = sample_path(spec, uniform_grid(1.0, 1000), 7)
-    res = run(pair, params, sch, basis, spec, path)
-    b_t = path.increments[0, 0, :].sum()
+    increments = drawn(spec, sch, [7])(0, 1000)
+    res = run(pair, params, sch, basis, spec, sliced(increments))
+    b_t = increments[0, 0, 0, :].sum()
     exact = np.exp(-mu + sigma * b_t)
     rel = abs(res.u_nodal[0, 0] - exact) / exact
     assert rel < dt  # observed ~0.2 dt
@@ -195,14 +214,13 @@ def test_ito_mean_matches_gbm_oracle():
     sch = SchemeConfig(dt=1.0 / 64, T=0.25)
     stepper = Stepper(basis, params, sch, spec)
     pair = constant_pair(basis, 1.0, 1.0)
-    grid = uniform_grid(0.25, 16)
     n_paths = 2000
     vals = np.empty(n_paths)
     for i in range(n_paths):
-        p = sample_path(spec, grid, i)
+        increments = drawn(spec, sch, [i])(0, 16)[0]
         raw = stepper.raw_state(pair)
         for n in range(16):
-            stepper.advance(raw, stepper.damp * p.increments[:, None, :, n])
+            stepper.advance(raw, stepper.damp * increments[:, None, :, n])
         vals[i] = raw.u_modal[0, 0]
     oracle = np.exp(-(mu - sigma) * 0.25)
     z = abs(vals.mean() - oracle) / (vals.std(ddof=1) / np.sqrt(n_paths))
@@ -225,9 +243,8 @@ def test_run_determinism_bitwise():
     params = desk_params()
     init = default_initial_pair(basis, params)
     sch = SchemeConfig(dt=1e-3, T=0.2)
-    path = sample_path(spec, uniform_grid(0.2, 200), 0)
-    a = run(init, params, sch, basis, spec, path)
-    b = run(init, params, sch, basis, spec, path)
+    a = run(init, params, sch, basis, spec, drawn(spec, sch, [0]))
+    b = run(init, params, sch, basis, spec, drawn(spec, sch, [0]))
     assert np.array_equal(a.u_modal, b.u_modal)
     assert np.array_equal(a.v_modal, b.v_modal)
 
@@ -241,14 +258,26 @@ def test_run_requires_path_for_noise():
         run(init, params, SchemeConfig(dt=1e-3, T=0.1), basis, spec, None)
 
 
-def test_run_rejects_mismatched_path_grid():
+def test_run_holds_one_noise_block_whatever_the_horizon():
+    # one path, K = 16: the noise comes in blocks of 1,024 steps, so an
+    # 8 s run (8,000 steps) holds no more than a 2 s one; its whole table
+    # would add 16 K 6,000 bytes = 1.5 MB
     basis = make_basis()
-    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=8)
     params = desk_params()
     init = default_initial_pair(basis, params)
-    path = sample_path(spec, uniform_grid(0.1, 50), 0)  # dt = 2e-3
-    with pytest.raises(ValueError, match="does not match"):
-        run(init, params, SchemeConfig(dt=1e-3, T=0.05), basis, spec, path)
+    warm = SchemeConfig(dt=1e-3, T=0.01)
+    run(init, params, warm, basis, spec, drawn(spec, warm, [0]))
+    peaks = []
+    for horizon in (2.0, 8.0):
+        sch = SchemeConfig(dt=1e-3, T=horizon)
+        tracemalloc.start()
+        try:
+            run(init, params, sch, basis, spec, drawn(spec, sch, [0]))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 0.25e6
 
 
 def test_mass_conservation_pure_diffusion():
@@ -297,8 +326,7 @@ def test_short_stochastic_run_keeps_inhibitor_positive():
     init = default_initial_pair(basis, params)
     sch = SchemeConfig(dt=1e-3, T=0.2, v_floor=0.0)
     for idx in range(20):
-        path = sample_path(spec, uniform_grid(0.2, 200), idx)
-        res = run(init, params, sch, basis, spec, path)
+        res = run(init, params, sch, basis, spec, drawn(spec, sch, [idx]))
         assert res.v_nodal.min() > 0.0
         assert res.floor_activations[0] == 0
 

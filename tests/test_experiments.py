@@ -26,7 +26,7 @@ from gmspde.experiments import (
 )
 from gmspde.fields import FloorViolation
 from gmspde.functionals import FunctionalConfig
-from gmspde.noise import NoiseSpec, sample_path, sample_paths, uniform_grid
+from gmspde.noise import NoiseSpec, drawn, sliced
 from gmspde.spectral import DomainSpec, build_basis
 
 K = 16
@@ -62,7 +62,7 @@ def test_apply_T_fixes_noiseless_steady_state(basis, nspec):
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = steady_pair(basis, params)
     traj = constant_trajectory(pair, sch)
-    path = sample_path(nspec, uniform_grid(0.05, 50), 0)
+    path = drawn(nspec, sch, [0])
     out, final = apply_T(traj, pair, params, sch, basis, nspec, path)
     u_star, v_star = steady_state(params)
     assert np.abs(out.chi_modal[-1, 0] - u_star).max() < 1e-8
@@ -77,7 +77,7 @@ def test_apply_T_zero_source_decays(basis, nspec):
     pair = steady_pair(basis, params)
     zero_chi = constant_pair(basis, 0.0, steady_state(params)[1])
     traj = constant_trajectory(zero_chi, sch)
-    path = sample_path(nspec, uniform_grid(0.2, 200), 0)
+    path = drawn(nspec, sch, [0])
     out, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
     v_norms = np.sqrt(np.sum(out.eta_modal**2, axis=1))
     assert np.all(np.diff(v_norms) < 0)
@@ -90,7 +90,7 @@ def test_apply_T_deterministic(basis, nspec):
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = default_initial_pair(basis, params)
     traj = constant_trajectory(pair, sch)
-    path = sample_path(nspec, uniform_grid(0.05, 50), 3)
+    path = drawn(nspec, sch, [3])
     out1, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
     out2, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
     assert np.array_equal(out1.chi_modal, out2.chi_modal)
@@ -103,27 +103,24 @@ def test_apply_T_rejects_negative_input(basis, nspec):
     pair = steady_pair(basis, params)
     bad = constant_pair(basis, -0.5, steady_state(params)[1])
     traj = constant_trajectory(bad, sch)
-    path = sample_path(nspec, uniform_grid(0.01, 10), 0)
+    path = drawn(nspec, sch, [0])
     with pytest.raises(ValueError, match="chi negative"):
         apply_T(traj, pair, params, sch, basis, nspec, path)
 
 
-@pytest.mark.parametrize("grid, message", [
-    # dt = 1e-2 against the scheme's 1e-3: increments 3x too large
-    (uniform_grid(0.5, 50), "noise path time grid does not match scheme dt"),
-    (uniform_grid(0.04, 40), "noise path has 40 steps, run needs 50"),
-])
-def test_apply_T_checks_its_noise_path_as_run_does(basis, nspec, grid,
-                                                    message):
+def test_apply_T_checks_its_noise_path_as_run_does(basis, nspec):
+    # a source 10 steps short fails the block-shape check in both
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = default_initial_pair(basis, params)
     traj = constant_trajectory(pair, sch)
-    path = sample_path(nspec, grid, 0)
+    short = sliced(drawn(nspec, SchemeConfig(dt=1e-3, T=0.04), [0])(0, 40))
+    message = (r"noise block for steps 0..49 has shape \(1, 2, 16, 40\), "
+               r"run needs \(1, 2, 16, 50\)")
     with pytest.raises(ValueError, match=message):
-        run(pair, params, sch, basis, nspec, path)
+        run(pair, params, sch, basis, nspec, short)
     with pytest.raises(ValueError, match=message):
-        apply_T(traj, pair, params, sch, basis, nspec, path)
+        apply_T(traj, pair, params, sch, basis, nspec, short)
 
 
 @pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
@@ -139,8 +136,9 @@ def test_coupled_solution_is_exact_fixed_point_of_T(scheme, dim, rows):
     params = desk_params(sigma=0.3)
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
     init = default_initial_pair(basis_d, params)
-    increments = sample_paths(spec, uniform_grid(0.05, 50), range(rows))
-    coupled, _ = _coupled_solve(init, params, sch, basis_d, spec, increments)
+    increments = sliced(drawn(spec, sch, range(rows))(0, 50))
+    coupled, _ = _coupled_solve(init, params, sch, basis_d, spec, increments,
+                                rows)
     out, _ = apply_T(coupled, init, params, sch, basis_d, spec, increments)
     np.testing.assert_allclose(out.chi_modal, coupled.chi_modal,
                                rtol=0, atol=0)
@@ -155,7 +153,7 @@ def test_apply_T_reports_reaction_cfl_of_the_shared_step(basis, nspec):
     # kappa_u chi^2/v* dt = 100^2/2 * 1e-3 = 5 >= 1 from the first step
     loud = constant_trajectory(
         constant_pair(basis, 100.0, steady_state(params)[1]), sch)
-    path = sample_path(nspec, uniform_grid(0.01, 10), 0)
+    path = drawn(nspec, sch, [0])
     with pytest.raises(SimulationError,
                        match=r"reaction CFL violated at step 0: "
                              r"kappa_u\*max\(u\^2/v\)\*dt = 5 >= 1"):
@@ -175,10 +173,11 @@ def test_apply_T_raises_the_floor_violation_of_its_row(basis, nspec):
     increments[2, 1, 0, 3] = -5.0 * np.sqrt(basis.volume)
     with pytest.raises(FloorViolation,
                        match="inhibitor is nonpositive at flat node 0"):
-        apply_T(stack, pair, params, sch, basis, nspec, increments)
+        apply_T(stack, pair, params, sch, basis, nspec, sliced(increments))
     # the same rows without the kick step through
     increments[2, 1, 0, 3] = 0.0
-    out, final = apply_T(stack, pair, params, sch, basis, nspec, increments)
+    out, final = apply_T(stack, pair, params, sch, basis, nspec,
+                         sliced(increments))
     assert final.alive.all() and out.eta_modal.shape == (3, 11, K)
 
 
@@ -241,7 +240,7 @@ def test_uniqueness_zero_delta_bitwise(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.2)
     init = default_initial_pair(basis, params)
-    path = sample_path(nspec, uniform_grid(0.2, 200), 0)
+    path = drawn(nspec, sch, [0])
     rep = uniqueness_study(init, 0.0, params, sch, basis, nspec,
                            StoppingSpec(), path)
     assert rep.bitwise_identical
@@ -253,7 +252,7 @@ def test_uniqueness_small_delta_amplification(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.2)
     init = default_initial_pair(basis, params)
-    path = sample_path(nspec, uniform_grid(0.2, 200), 0)
+    path = drawn(nspec, sch, [0])
     rep = uniqueness_study(init, 1e-8, params, sch, basis, nspec,
                            StoppingSpec(), path)
     assert not rep.bitwise_identical
@@ -265,7 +264,7 @@ def test_uniqueness_low_stopping_level_hits_at_zero(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
-    path = sample_path(nspec, uniform_grid(0.01, 10), 0)
+    path = drawn(nspec, sch, [0])
     # |xi_0|_L8 = 1/v* = 0.5, so a level below that is hit at step 0
     rep = uniqueness_study(init, 0.0, params, sch, basis, nspec,
                            StoppingSpec(m_levels=(0.1, 1e6)), path)
@@ -279,7 +278,7 @@ def test_uniqueness_2d_labeled_outside_scope(nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis2, params)
-    path = sample_path(nspec, uniform_grid(0.01, 10), 0)
+    path = drawn(nspec, sch, [0])
     rep = uniqueness_study(init, 0.0, params, sch, basis2, nspec,
                            StoppingSpec(), path)
     assert rep.theorem_scope.startswith("outside")
@@ -321,8 +320,7 @@ def test_ensemble_noiseless_matches_deterministic_run(basis, nspec):
     params = desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.05)
     init = default_initial_pair(basis, params)
-    res = run(init, params, sch, basis, nspec,
-              sample_path(nspec, uniform_grid(0.05, 50), 0))
+    res = run(init, params, sch, basis, nspec, drawn(nspec, sch, [0]))
     for n_paths in (3, 5):
         rep = ensemble(init, params, sch, basis, nspec, n_paths,
                        FunctionalConfig(observation_stride=10))
@@ -350,7 +348,7 @@ def test_trajectory_recorder_matches_run_output(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
-    path = sample_path(nspec, uniform_grid(0.01, 10), 0)
+    path = drawn(nspec, sch, [0])
     rec = TrajectoryRecorder()
     res = run(init, params, sch, basis, nspec, path, observer=rec)
     traj = rec.trajectory()
@@ -386,7 +384,7 @@ def test_stopping_scan_hits_levels_mid_run(basis, nspec):
     # 4 to ~180 over the run, so these levels are first reached mid-run
     params = desk_params(sigma=1.5)
     sch = SchemeConfig(dt=1e-3, T=0.6)
-    path = sample_path(nspec, uniform_grid(0.6, 600), 5)
+    path = drawn(nspec, sch, [5])
     rec = TrajectoryRecorder()
     run(default_initial_pair(basis, params), params, sch, basis, nspec, path,
         observer=rec)

@@ -34,7 +34,7 @@ from gmspde.functionals import (
     membership,
     _xi_nodal,
 )
-from gmspde.noise import NoiseSpec, sample_path, sample_paths, uniform_grid
+from gmspde.noise import NoiseSpec, drawn
 from gmspde.spectral import DomainSpec, build_basis
 
 K = 8
@@ -299,7 +299,7 @@ def test_replay_trace_matches_live_trace(v_floor):
     params = desk_params(sigma=0.3)
     sch = SchemeConfig(dt=1e-3, T=0.05, v_floor=v_floor)
     init = default_initial_pair(basis, params)
-    path = sample_path(spec, uniform_grid(0.05, 50), 1)
+    path = drawn(spec, sch, [1])
     fcfg = FunctionalConfig(observation_stride=7)
     live = FunctionalRecorder(basis, fcfg, v_floor)
     res = run(init, params, sch, basis, spec, path, observer=live)
@@ -327,8 +327,8 @@ def picard_stack():
     params = desk_params(sigma=0.3)
     sch = SchemeConfig(dt=1e-3, T=0.1)
     init = default_initial_pair(basis, params)
-    increments = sample_paths(spec, uniform_grid(0.1, 100), range(16))
-    stack, _ = _coupled_solve(init, params, sch, basis, spec, increments)
+    stack, _ = _coupled_solve(init, params, sch, basis, spec,
+                              drawn(spec, sch, range(16)), 16)
     return basis, stack
 
 

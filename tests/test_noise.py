@@ -9,13 +9,10 @@ from gmspde.config import loads
 from gmspde.dynamics import ModelParams, SchemeConfig, Stepper, run
 from gmspde.noise import (
     NoiseSpec,
-    coarsen_path,
     coupled_path_hierarchy,
     drawn,
-    sample_path,
     sample_paths,
     sliced,
-    uniform_grid,
 )
 from gmspde.spectral import DomainSpec, build_basis
 
@@ -156,20 +153,24 @@ def test_normal_table_fills_a_strided_out():
                          out=table[0])
 
 
+def _table(spec, horizon, n_steps, index):
+    """The (2, K, n_steps) increment table of one path."""
+    return sample_paths(spec, np.linspace(0.0, horizon, n_steps + 1),
+                        [index])[0]
+
+
 def test_sample_path_reproducible_and_distinct(spec):
-    grid = uniform_grid(1.0, 32)
-    p1 = sample_path(spec, grid, 4)
-    p2 = sample_path(spec, grid, 4)
-    p3 = sample_path(spec, grid, 5)
-    assert np.array_equal(p1.increments, p2.increments)
-    assert not np.array_equal(p1.increments, p3.increments)
+    p1 = _table(spec, 1.0, 32, 4)
+    p2 = _table(spec, 1.0, 32, 4)
+    p3 = _table(spec, 1.0, 32, 5)
+    assert np.array_equal(p1, p2)
+    assert not np.array_equal(p1, p3)
 
 
 def test_increment_moments(spec):
     # >= 1e5 draws pooled from several paths
-    grid = uniform_grid(1.0, 800)
     draws = np.concatenate([
-        sample_path(spec, grid, i).increments.ravel() for i in range(2)
+        _table(spec, 1.0, 800, i).ravel() for i in range(2)
     ])
     scaled = draws / np.sqrt(1.0 / 800)
     assert scaled.size >= 1e5
@@ -178,83 +179,77 @@ def test_increment_moments(spec):
 
 
 def test_cross_process_independence(spec):
-    grid = uniform_grid(1.0, 800)
-    p = sample_path(spec, grid, 0)
-    a = p.increments[0].ravel()
-    b = p.increments[1].ravel()
+    p = _table(spec, 1.0, 800, 0)
+    a = p[0].ravel()
+    b = p[1].ravel()
     corr = float(np.corrcoef(a, b)[0, 1])
     assert abs(corr) < 0.02
 
 
 def test_distinct_mode_streams_uncorrelated(spec):
-    grid = uniform_grid(1.0, 2000)
-    p = sample_path(spec, grid, 1)
+    p = _table(spec, 1.0, 2000, 1)
     pairs = [((1 - 1, 3), (1 - 1, 4)), ((0, 0), (1, 0)), ((0, 7), (1, 9))]
     n = 2000
     for (ja, ka), (jb, kb) in pairs:
-        corr = float(np.corrcoef(p.increments[ja, ka], p.increments[jb, kb])[0, 1])
+        corr = float(np.corrcoef(p[ja, ka], p[jb, kb])[0, 1])
         assert abs(corr) < 3.0 / np.sqrt(n)
 
 
 def test_dt_scaling_doubles_variance(spec):
-    g1 = uniform_grid(1.0, 1024)
-    g2 = uniform_grid(2.0, 1024)
-    v1 = sample_path(spec, g1, 0).increments.var(ddof=1)
-    v2 = sample_path(spec, g2, 0).increments.var(ddof=1)
-    n = sample_path(spec, g1, 0).increments.size
+    v1 = _table(spec, 1.0, 1024, 0).var(ddof=1)
+    v2 = _table(spec, 2.0, 1024, 0).var(ddof=1)
+    n = _table(spec, 1.0, 1024, 0).size
     se = np.sqrt(2.0 / (n - 1))
     assert abs(v2 / v1 - 2.0) < 3 * 2 * se * 2  # ratio of two noisy variances
 
 
 def test_mode_count_extension_preserves_prefix():
-    grid = uniform_grid(1.0, 16)
     small = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=8, master_seed=5)
     large = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=5)
-    ps = sample_path(small, grid, 2)
-    pl = sample_path(large, grid, 2)
-    assert np.array_equal(pl.increments[:, :8, :], ps.increments)
+    ps = _table(small, 1.0, 16, 2)
+    pl = _table(large, 1.0, 16, 2)
+    assert np.array_equal(pl[:, :8, :], ps)
 
 
 PARAMS = ModelParams(0.01, 0.1, 1.0, 1.0, 1.0, 2.0, 0.1, 0.1)
 
 
-def _damped(basis, spec, path, n):
+def _damped(basis, spec, table, n):
     """The stepper's damped W_1 and W_2 increments of step n."""
     stepper = Stepper(basis, PARAMS, SchemeConfig(dt=0.25, T=1.0), spec)
-    return stepper.damp[:, 0] * path.increments[:, :, n]
+    return stepper.damp[:, 0] * table[:, :, n]
 
 
 def test_truncation_monotonicity_of_increment_norm():
-    grid = uniform_grid(1.0, 4)
     dom_small = DomainSpec(dim=1, lengths=(1.0,), grid_points_per_axis=64)
     b_small = build_basis(dom_small, 8)
     b_large = build_basis(dom_small, 16)
     s_small = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=8, master_seed=5)
     s_large = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=5)
     for n in range(4):
-        f_small = _damped(b_small, s_small, sample_path(s_small, grid, 0), n)
-        f_large = _damped(b_large, s_large, sample_path(s_large, grid, 0), n)
+        f_small = _damped(b_small, s_small, _table(s_small, 1.0, 4, 0), n)
+        f_large = _damped(b_large, s_large, _table(s_large, 1.0, 4, 0), n)
         for small, large in zip(f_small, f_large):
             assert np.sqrt(np.sum(large**2)) >= np.sqrt(np.sum(small**2))
 
 
 def test_increment_field_mode_zero_undamped(basis, spec):
-    grid = uniform_grid(1.0, 8)
-    p = sample_path(spec, grid, 3)
+    p = _table(spec, 1.0, 8, 3)
     dw1, dw2 = _damped(basis, spec, p, 2)
-    assert dw1[0] == p.increments[0, 0, 2]
-    assert dw2[0] == p.increments[1, 0, 2]
+    assert dw1[0] == p[0, 0, 2]
+    assert dw2[0] == p[1, 0, 2]
     for dw, j in ((dw1, 1), (dw2, 2)):
         damp = (1 + basis.eigenvalues[5]) ** (-spec.gamma(j) / 2)
-        assert dw[5] == pytest.approx(damp * p.increments[j - 1, 5, 2],
+        assert dw[5] == pytest.approx(damp * p[j - 1, 5, 2],
                                       rel=1e-15)
 
 
 def test_increment_field_bounds(basis, spec):
-    # a run needs a path of at least its steps, and a noise spec of its modes
-    p = sample_path(spec, uniform_grid(1.0, 8), 3)
+    # a run needs noise blocks of its steps, and a noise spec of its modes
+    p = sliced(_table(spec, 1.0, 8, 3)[None])
     sch = SchemeConfig(dt=0.0625, T=1.0)
-    with pytest.raises(ValueError, match="8 steps, run needs 16"):
+    with pytest.raises(ValueError, match=r"\(1, 2, 64, 8\), run needs "
+                                         r"\(1, 2, 64, 16\)"):
         run(np.ones((2, spec.mode_count)), PARAMS, sch, basis, spec, p)
     small_basis = build_basis(
         DomainSpec(dim=1, lengths=(1.0,), grid_points_per_axis=64), 8)
@@ -267,9 +262,9 @@ def test_mode_coefficient_variance_against_covariance_oracle(basis):
     # draw the same numbers under any mode count, so 11 modes suffice
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=11, master_seed=31)
     n_paths, chunk = 20_000, 2_500
-    grid = uniform_grid(1.0, 4)
+    sch = SchemeConfig(dt=0.25, T=1.0)
     w1 = np.concatenate([
-        sample_paths(spec, grid, np.arange(i, i + chunk))[:, 0].sum(axis=-1)
+        drawn(spec, sch, np.arange(i, i + chunk))(0, 4)[:, 0].sum(axis=-1)
         for i in range(0, n_paths, chunk)
     ])
     for k in (0, 1, 5, 10):
@@ -282,13 +277,12 @@ def test_mode_coefficient_variance_against_covariance_oracle(basis):
 
 def test_batched_draws_match_sample_path(spec):
     # non-consecutive and repeated indices: each row is that path's table
-    grid = uniform_grid(1.0, 8)
     indices = [12, 3, 12, 40, 0]
-    table = sample_paths(spec, grid, indices)
+    table = sample_paths(spec, np.linspace(0.0, 1.0, 9), indices)
     assert table.shape == (5, 2, spec.mode_count, 8)
     k_ids, n_ids = np.arange(spec.mode_count), np.arange(8)
     for row, idx in zip(table, indices):
-        assert np.array_equal(row, sample_path(spec, grid, idx).increments)
+        assert np.array_equal(row, _table(spec, 1.0, 8, idx))
         for j in (1, 2):
             z = rng.normal_table(spec.master_seed, idx, j, k_ids, n_ids)
             assert np.array_equal(row[j - 1], z * np.sqrt(1.0 / 8))
@@ -308,7 +302,6 @@ def test_step_blocks_are_the_columns_of_the_full_table(spec):
         block = sample_paths(spec, grid, indices, n0, n1)
         assert block.shape == (4, 2, spec.mode_count, n1 - n0)
         assert np.array_equal(block, full[..., n0:n1])
-        assert np.array_equal(drawn(spec, grid, indices)(n0, n1), block)
         assert np.array_equal(sliced(full)(n0, n1), block)
     assert np.array_equal(sample_paths(spec, grid, indices, 20), full[..., 20:])
     with pytest.raises(ValueError, match="outside the grid"):
@@ -317,28 +310,44 @@ def test_step_blocks_are_the_columns_of_the_full_table(spec):
         sample_paths(spec, grid, indices, 6, 5)
 
 
+def test_drawn_blocks_are_the_columns_of_the_schemes_table(spec):
+    # drawn steps the scheme's uniform grid: 23 steps of 0.02
+    sch = SchemeConfig(dt=0.02, T=0.46)
+    indices = [12, 3, 12, 40]
+    full = sample_paths(spec, np.linspace(0.0, 0.46, 24), indices)
+    for n0, n1 in ((0, 5), (5, 15), (20, 23), (7, 7)):
+        assert np.array_equal(drawn(spec, sch, indices)(n0, n1),
+                              full[..., n0:n1])
+
+
 def test_coarsen_sums_are_exact(spec):
-    fine = sample_path(spec, uniform_grid(1.0, 64), 9)
-    coarse = coarsen_path(fine)
-    sums = fine.increments[:, :, 0::2] + fine.increments[:, :, 1::2]
-    assert np.array_equal(sums, coarse.increments)
-    assert np.array_equal(coarse.time_grid, fine.time_grid[::2])
+    # level l steps 2**l times the fine dt, and its table holds the exact
+    # pairwise sums of the next finer table
+    fine = SchemeConfig(dt=1.0 / 64, T=1.0)
+    chain = coupled_path_hierarchy(spec, fine, 9, levels=3)
+    assert np.array_equal(chain[-1][1], drawn(spec, fine, [9])(0, 64))
+    for level, (sch, table) in enumerate(reversed(chain)):
+        assert sch.dt == fine.dt * 2**level
+        assert sch.n_steps() == table.shape[-1] == 64 // 2**level
+        assert table.shape == (1, 2, spec.mode_count, 64 // 2**level)
+    for (_, coarse), (_, finer) in zip(chain, chain[1:]):
+        assert np.array_equal(coarse, finer[..., 0::2] + finer[..., 1::2])
 
 
 def test_hierarchy_orders_coarsest_first(spec):
-    chain = coupled_path_hierarchy(spec, uniform_grid(1.0, 64), 0, levels=3)
-    assert [p.n_steps for p in chain] == [16, 32, 64]
-    rebuilt = coarsen_path(coarsen_path(chain[2]))
-    assert np.array_equal(rebuilt.increments, chain[0].increments)
+    chain = coupled_path_hierarchy(spec, SchemeConfig(dt=1.0 / 64, T=1.0), 0,
+                                   levels=3)
+    assert [table.shape[-1] for _, table in chain] == [16, 32, 64]
+    assert [sch.dt for sch, _ in chain] == [1.0 / 16, 1.0 / 32, 1.0 / 64]
 
 
 def test_grid_validation(spec):
     with pytest.raises(ValueError, match="increasing"):
-        sample_path(spec, np.array([0.0, 0.5, 0.5, 1.0]), 0)
+        sample_paths(spec, np.array([0.0, 0.5, 0.5, 1.0]), [0])
     with pytest.raises(ValueError, match="t = 0"):
-        sample_path(spec, np.array([0.5, 1.0]), 0)
+        sample_paths(spec, np.array([0.5, 1.0]), [0])
     with pytest.raises(ValueError, match="odd"):
-        coarsen_path(sample_path(spec, uniform_grid(1.0, 5), 0))
+        coupled_path_hierarchy(spec, SchemeConfig(dt=0.2, T=1.0), 0, levels=2)
 
 
 def test_spec_validation_and_warning():

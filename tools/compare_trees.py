@@ -16,8 +16,10 @@ cases in its own interpreter, and the outputs are compared:
 * to 1e-13 x max|value| (a stacked product, or a quadrature summed in
   another order, against one per row): ``run`` final u, v and the live
   functional trace for both schemes in 1-D (N=64, K=16) and 2-D (N=16,
-  K=16), and for the Stratonovich Heun scheme in 2-D at N=128, K=256
-  (the ``sim_2d`` benchmark's path); criterion 6's single-mode
+  K=16), for the Stratonovich Heun scheme in 2-D at N=128, K=256
+  (the ``sim_2d`` benchmark's path), and for the Ito scheme in 1-D over
+  1,500 steps (past the first 1,024-step noise block of a one-path K=16
+  run); criterion 6's single-mode
   ``_gbm_batch`` outputs for both schemes; ``apply_T`` on a
   coupled-solve input, and on a 16-row stack driven by a constant
   trajectory (1-D N=64, K=16, 100 steps: one Picard step of the
@@ -28,6 +30,10 @@ cases in its own interpreter, and the outputs are compared:
   stack size that is a multiple of neither 4 nor 16) and 10 paths
   (2-D), node-index columns left out (a near-tie may move an argmin by
   a whole node); the Picard distances of a 6-member iteration.
+
+Trees before the noise source became the one noise interface take a
+``NoisePath`` table where newer ones take a source ``draw(n0, n1)``;
+:func:`_noise_of` builds the argument each tree takes.
 
 Exits 1 if any comparison fails.
 """
@@ -54,6 +60,22 @@ def _run_with(run, observer):
     return {"observers": [observer]}
 
 
+def _noise_of(spec, sch, indices):
+    """Noise argument of ``run``, ``apply_T`` and ``uniqueness_study``.
+
+    A noise source of the paths ``indices`` on ``sch``'s grid; in trees
+    with ``NoisePath``, the ``NoisePath`` of one path or the increment
+    table of several.
+    """
+    from gmspde import noise
+    if not hasattr(noise, "NoisePath"):
+        return noise.drawn(spec, sch, indices)
+    grid = np.linspace(0.0, sch.T, sch.n_steps() + 1)
+    if len(indices) == 1:
+        return noise.sample_path(spec, grid, indices[0])
+    return noise.sample_paths(spec, grid, indices)
+
+
 def _final_uv(res):
     """Final modal (u, v) of a ``run`` result under either return type."""
     if hasattr(res, "final"):
@@ -78,7 +100,7 @@ def _cases():
         uniqueness_study,
     )
     from gmspde.functionals import FunctionalConfig, FunctionalRecorder
-    from gmspde.noise import NoiseSpec, sample_path, sample_paths, uniform_grid
+    from gmspde.noise import NoiseSpec, sample_paths
     from gmspde.spectral import DomainSpec, build_basis
 
     params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
@@ -90,7 +112,7 @@ def _cases():
         return build_basis(DomainSpec(dim=dim, lengths=(1.0,) * dim,
                                       grid_points_per_axis=n), k)
 
-    grid = uniform_grid(0.05, 50)
+    grid = np.linspace(0.0, 0.05, 51)
     for name, spec, paths in (
             ("1d K=16 200 paths", NoiseSpec(2.0, 2.0, 16, 901), range(200)),
             ("K=256 1 path", NoiseSpec(3.0, 3.0, 256, 7), [3]),
@@ -111,17 +133,17 @@ def _cases():
     for dim, n, k, t_end, schemes in ((1, 64, 16, 0.1, both),
                                       (2, 16, 16, 0.1, both),
                                       (2, 128, 256, 0.05,
-                                       ("stratonovich_heun",))):
+                                       ("stratonovich_heun",)),
+                                      (1, 64, 16, 1.5, ("ito_imex",))):
         basis = basis_of(dim, n, k)
         spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=k, master_seed=11)
         init = default_initial_pair(basis, params)
-        path = sample_path(spec, uniform_grid(t_end, round(t_end / 1e-3)), 3)
         for scheme in schemes:
             sch = SchemeConfig(dt=1e-3, T=t_end, scheme=scheme)
             rec = FunctionalRecorder(basis, fcfg, sch.v_floor)
-            res = run(init, params, sch, basis, spec, path,
+            res = run(init, params, sch, basis, spec, _noise_of(spec, sch, [3]),
                       **_run_with(run, rec))
-            key = f"run {dim}d N={n} K={k} {scheme}"
+            key = f"run {dim}d N={n} K={k} {scheme} T={t_end:g}"
             out["close"][key + " u"], out["close"][key + " v"] = _final_uv(res)
             trace = rec.trace()
             for name, column in trace.data.items():
@@ -139,9 +161,8 @@ def _cases():
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=808)
     init = default_initial_pair(basis, params)
     sch = SchemeConfig(dt=1e-3, T=0.2)
-    path = sample_path(spec, uniform_grid(0.2, 200), 0)
     report = uniqueness_study(init, 0.0, params, sch, basis, spec,
-                              StoppingSpec(), path)
+                              StoppingSpec(), _noise_of(spec, sch, [0]))
     out["bitwise"]["uniqueness delta=0 du"] = report.du_l2
     out["bitwise"]["uniqueness delta=0 bitwise_identical"] = np.array(
         [report.bitwise_identical])
@@ -150,9 +171,9 @@ def _cases():
     loud = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
                        mu_u=1.0, mu_v=2.0, sigma_u=1.5, sigma_v=1.5)
     sch = SchemeConfig(dt=1e-3, T=0.6)
-    path = sample_path(spec, uniform_grid(0.6, 600), 5)
     rec = TrajectoryRecorder()
-    run(init, loud, sch, basis, spec, path, **_run_with(run, rec))
+    run(init, loud, sch, basis, spec, _noise_of(spec, sch, [5]),
+        **_run_with(run, rec))
     traj = rec.trajectory()
     levels = tuple(np.round(np.concatenate((np.linspace(0.51, 0.68, 18),
                                             np.geomspace(4.5, 180.0, 50))), 6))
@@ -163,11 +184,12 @@ def _cases():
         [-1 if tau2[m] is None else tau2[m] for m in levels])
 
     sch = SchemeConfig(dt=1e-3, T=0.1)
-    path = sample_path(spec, uniform_grid(0.1, 100), 2)
     rec = TrajectoryRecorder()
-    run(init, params, sch, basis, spec, path, **_run_with(run, rec))
+    run(init, params, sch, basis, spec, _noise_of(spec, sch, [2]),
+        **_run_with(run, rec))
     coupled = rec.trajectory()
-    t_out, _ = apply_T(coupled, init, params, sch, basis, spec, path)
+    t_out, _ = apply_T(coupled, init, params, sch, basis, spec,
+                       _noise_of(spec, sch, [2]))
     out["close"]["apply_T chi"] = t_out.chi_modal
     out["close"]["apply_T eta"] = t_out.eta_modal
 
@@ -178,7 +200,7 @@ def _cases():
                              np.repeat(start.chi_modal[None], 16, axis=0),
                              np.repeat(start.eta_modal[None], 16, axis=0))
     t_out, _ = apply_T(members, init, params, sch, basis, spec,
-                       sample_paths(spec, uniform_grid(0.1, 100), range(16)))
+                       _noise_of(spec, sch, range(16)))
     out["close"]["apply_T 16 rows constant driver chi"] = t_out.chi_modal
     out["close"]["apply_T 16 rows constant driver eta"] = t_out.eta_modal
     trace = replay_trace(coupled, basis, fcfg, sch.v_floor)
@@ -190,8 +212,7 @@ def _cases():
     paths = []
     for index in range(16):
         rec = TrajectoryRecorder()
-        run(init, params, sch, basis, spec,
-            sample_path(spec, uniform_grid(0.1, 100), index),
+        run(init, params, sch, basis, spec, _noise_of(spec, sch, [index]),
             **_run_with(run, rec))
         paths.append(rec.trajectory())
     stack = PairTrajectory(paths[0].times,
