@@ -304,10 +304,8 @@ def criterion_7_positivity():
     sch = SchemeConfig(dt=1e-3, T=1.0, v_floor=0.0)
     fcfg = FunctionalConfig(observation_stride=25)
     report = ensemble(init, params, sch, basis, spec, 200, fcfg)
-    activations = max(
-        float(t.data["floor_activations"].max()) for t in report.traces
-    )
-    min_v = min(float(t.data["eta_min"].min()) for t in report.traces)
+    activations = float(report.traces.data["floor_activations"].max())
+    min_v = float(report.traces.data["eta_min"].min())
     ok = (report.survivors == 200 and activations == 0.0 and min_v > 0.0)
     return _result(7, "positivity of the inhibitor", ok,
                    f"survivors {report.survivors}/200, activations "

@@ -43,12 +43,13 @@ from .dynamics import (
     run,
     run_batch,
 )
-from .fields import quotient_nodal
 from .functionals import (
     AdmissibleSetSpec,
     FunctionalConfig,
     FunctionalRecorder,
+    FunctionalTrace,
     MembershipReport,
+    _xi_nodal,
     auto_bounds,
     energy_monitors,
     membership,
@@ -236,14 +237,16 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
 
 def replay_trace(traj: PairTrajectory, basis, fconfig: FunctionalConfig,
                  v_floor: float, path_index=-1):
-    """Functional trace of a stored trajectory; a list of them for a stack.
+    """Functional trace of a stored trajectory, shaped like it.
 
+    One path gives (n_obs,) columns, a stack of B paths one
+    :class:`~gmspde.functionals.FunctionalTrace` of (B, n_obs) columns.
     The stored states go through the live recorder's formulas on blocks
     of steps (:meth:`~gmspde.functionals.FunctionalRecorder.replay`),
     all rows of a stack at once, so a trace equals the live recorder's
     on the same trajectory to rounding (1e-13 x max|value|), with its
     ``floor_activations`` column exact.  ``path_index`` labels the
-    traces: one index, or one per row.
+    rows: one index, or one per row.
     """
     n = traj.n_steps
     k = basis.mode_count
@@ -253,8 +256,7 @@ def replay_trace(traj: PairTrajectory, basis, fconfig: FunctionalConfig,
         path_index = [path_index] * chi.shape[0]
     rec = FunctionalRecorder(basis, fconfig, v_floor, path_index=path_index)
     rec.replay(traj.times, chi, eta)
-    traces = rec.traces()
-    return traces if traj.chi_modal.ndim == 3 else traces[0]
+    return rec.traces() if traj.chi_modal.ndim == 3 else rec.trace()
 
 
 @dataclass
@@ -328,8 +330,8 @@ def picard_iterate(start: PairTrajectory, init,
     frozen = sliced(drawn(noise_spec, scheme, range(m))(0, scheme.n_steps()))
 
     start_trace = replay_trace(start, basis, fconfig, scheme.v_floor)
-    bounds = auto_bounds([start_trace], margin=config.bound_margin)
-    start_member = membership([start_trace], bounds)
+    bounds = auto_bounds(start_trace, margin=config.bound_margin)
+    start_member = membership(start_trace, bounds)
     if not start_member.positivity_ok:
         raise ValueError(
             f"start trajectory violates positivity: {start_member.failure}"
@@ -351,9 +353,8 @@ def picard_iterate(start: PairTrajectory, init,
                          frozen, check_positivity=False)
         d = seminorm_m(new, current, basis, fconfig.rho)
         distances.append(d)
-        traces = replay_trace(new, basis, fconfig, scheme.v_floor,
-                              path_index=range(m))
-        memberships.append(membership(traces, bounds))
+        trace = replay_trace(new, basis, fconfig, scheme.v_floor, range(m))
+        memberships.append(membership(trace, bounds))
         current = new
         iterations = it + 1
         if d < config.tolerance:
@@ -413,7 +414,7 @@ class UniquenessReport:
 def _stopping_scan(traj: PairTrajectory, basis, scheme, levels):
     """First-hitting steps of the two stopping-time families."""
     v_nodal = basis.synthesize(traj.eta_modal)
-    xi, _ = quotient_nodal(np.ones_like(v_nodal), v_nodal, scheme.v_floor)
+    xi, _ = _xi_nodal(v_nodal, scheme.v_floor)
     # the running sup of |xi|_L8 first reaches m where |xi|_L8 does
     xi8 = (xi**8 @ basis.weights) ** (1.0 / 8.0)
     u_sq = traj.chi_modal**2
@@ -487,6 +488,12 @@ def uniqueness_study(init, delta: float, params: ModelParams,
 
 @dataclass
 class EnsembleReport:
+    """Ensemble statistics; ``traces`` is the stack of the survivors.
+
+    Its columns are (survivors, n_obs), rows in path order (a repeated
+    index repeats its row); ``means`` and ``standard_errors`` reduce them.
+    """
+
     times: np.ndarray
     means: dict
     standard_errors: dict
@@ -494,7 +501,7 @@ class EnsembleReport:
     n_paths: int
     survivors: int
     failures: list
-    traces: list = field(repr=False, default_factory=list)
+    traces: FunctionalTrace | None = field(repr=False, default=None)
 
     def summary_lines(self):
         lines = [f"paths: {self.n_paths}, survivors: {self.survivors}"]
@@ -521,11 +528,12 @@ def ensemble(init, params: ModelParams, scheme: SchemeConfig,
     is reproducible bit for bit for a given path list, and each path
     agrees with its solo run to rounding.  A path that fails is
     reported by index with the error its solo run raises, and the other
-    paths go on; aggregation proceeds on the survivors.  An error raised
+    paths go on; statistics and monitors reduce the stack of the
+    survivors' rows (``EnsembleReport.traces``).  An error raised
     before the paths can differ (a bad grid or initial state)
     propagates.  ``path_indices`` overrides the default consecutive
     indexing.  Repeats are allowed: a trajectory is a pure function of
-    its index, so a repeated index reuses its trace, and identical
+    its index, so a repeated index repeats its row, and identical
     samples give standard errors of exactly 0.  Distinct indices with
     equal inputs (sigma = 0) agree only to rounding.
     """
@@ -541,27 +549,24 @@ def ensemble(init, params: ModelParams, scheme: SchemeConfig,
     final = run_batch(init, params, scheme, basis, noise_spec,
                       drawn(noise_spec, scheme, distinct), len(distinct),
                       observer=rec)
-    trace_of = dict(zip(distinct, rec.traces()))
     failed = {distinct[row]: f"{type(exc).__name__}: {exc}"
               for row, exc in final.failures.items()}
-    traces = [trace_of[idx] for idx in path_indices if idx not in failed]
     failures = [(idx, failed[idx]) for idx in path_indices if idx in failed]
-    if not traces:
-        raise SimulationError(
-            f"every ensemble path failed; first failure: {failures[0][1]}"
-        )
-    times = traces[0].times
-    means = {}
-    ses = {}
-    m = len(traces)
-    for name in traces[0].data:
-        stack = np.vstack([t.data[name] for t in traces])
-        means[name] = stack.mean(axis=0)
-        # shifted by the first survivor: identical samples give exactly 0
-        ses[name] = ((stack - stack[0]).std(axis=0, ddof=1) / np.sqrt(m)
-                     if m > 1 else np.zeros(stack.shape[1]))
+    row_of = {idx: row for row, idx in enumerate(distinct) if idx not in failed}
+    rows = [row_of[idx] for idx in path_indices if idx in row_of]
+    if not rows:
+        raise SimulationError("every ensemble path failed; first failure: "
+                              f"{failures[0][1]}")
+    traces = rec.traces().rows(rows)
+    m = len(rows)
+    means = {name: col.mean(axis=0) for name, col in traces.data.items()}
+    # shifted by the first survivor: identical samples give exactly 0
+    ses = {name: ((col - col[0]).std(axis=0, ddof=1) / np.sqrt(m) if m > 1
+                  else np.zeros(col.shape[1]))
+           for name, col in traces.data.items()}
     monitors = energy_monitors(traces, params, fconfig, horizons=horizons)
     return EnsembleReport(
-        times=times, means=means, standard_errors=ses, monitors=monitors,
-        n_paths=n_paths, survivors=m, failures=failures, traces=traces,
+        times=traces.times, means=means, standard_errors=ses,
+        monitors=monitors, n_paths=n_paths, survivors=m, failures=failures,
+        traces=traces,
     )

@@ -11,7 +11,14 @@ One set of formulas serves both walks over a trajectory: the live one,
 state by state as the stepper goes, and the replay of a stored
 trajectory in blocks of steps (see :class:`FunctionalRecorder`).
 
-From ensembles of traces the monitors fit minimal constants (C, delta)
+A :class:`FunctionalTrace` holds one path, (n_obs,) columns, or a stack
+of paths, (B, n_obs) columns, as the recorder keeps them.  The Lyapunov
+functionals reduce over the last (time) axis and are free in the
+leading ones; :func:`membership`, :func:`auto_bounds` and the monitors
+take expectations as means over the path rows of a stack, in row order,
+so one path is the ensemble of itself.
+
+From an ensemble's stack the monitors fit minimal constants (C, delta)
 such that LHS(T) <= C exp(delta T) * (initial-data term) over all
 observed horizons; the constants are measured, never asserted.  A
 monitor that meets a non-finite value flags blow-up instead of fitting.
@@ -106,13 +113,24 @@ class AdmissibleSetSpec:
 
 @dataclass
 class FunctionalTrace:
-    """Per-observation-time functional values of one trajectory."""
+    """Per-observation-time functional values of one trajectory or a stack.
+
+    One path holds (n_obs,) columns and one ``path_index``; a stack of B
+    paths on the same observation times holds (B, n_obs) columns and a
+    (B,) ``path_index`` array.  ``times`` is (n_obs,) either way.
+    """
 
     times: np.ndarray
     data: dict[str, np.ndarray]
     p: float
     rho: float
-    path_index: int = -1
+    path_index: int | np.ndarray = -1
+
+    def rows(self, index):
+        """Row ``index`` of a stack as one path; a list of rows as a stack."""
+        return FunctionalTrace(self.times,
+                               {k: col[index] for k, col in self.data.items()},
+                               self.p, self.rho, self.path_index[index])
 
     def column(self, name):
         if name == "time":
@@ -141,10 +159,16 @@ def _quadrature(nodal, weights):
 
 
 def _xi_nodal(v_nodal, floor):
-    # reuse the quotient guard with u = 1 to get identical floor policy
-    ones = np.ones_like(v_nodal)
-    vals, activations = quotient_nodal(ones, v_nodal, floor)
-    return vals, activations
+    """xi = 1/max(v, floor) and its floor activations.
+
+    Bitwise ``quotient_nodal(1, v_nodal, floor)`` (1 * 1 is exact), whose
+    zero-floor check (the same :class:`~gmspde.fields.FloorViolation`)
+    it keeps.
+    """
+    if floor <= 0.0:
+        return quotient_nodal(1.0, v_nodal, floor)
+    xi = np.maximum(v_nodal, floor)
+    return np.divide(1.0, xi, out=xi), int(np.count_nonzero(v_nodal < floor))
 
 
 def grad_sq(basis, modal):
@@ -167,8 +191,8 @@ class FunctionalRecorder:
     (B, ...) state per step through :meth:`accumulate` and
     :meth:`record`; :meth:`replay` calls them on blocks of stored steps,
     (B, S, ...) stacks.  ``path_index`` is one index (one row) or one
-    per row.  :meth:`traces` returns one :class:`FunctionalTrace` per
-    row, :meth:`trace` the trace of a one-row recorder.
+    per row.  :meth:`traces` returns the stack of all rows, (rows,
+    n_obs) columns, :meth:`trace` the trace of a one-row recorder.
 
     The running integrals are left-point sums: each pre-step state adds
     dt times its integrand, in step order.  The replay forms the same
@@ -207,16 +231,19 @@ class FunctionalRecorder:
         xi, activations = _xi_nodal(v_nodal, self.v_floor)
         floors = (floor_counts(v_nodal, self.v_floor) if activations
                   else np.zeros(v_nodal.shape[:-1], dtype=int))
-        chi2xi = u_nodal * u_nodal * xi
-        p = self.config.p
-        values = {
-            "int_grad_chi_sq": np.sum(basis.eigenvalues * u_modal**2, axis=-1),
-            "int_chi2_xi": _quadrature(chi2xi, w),
-            "int_xi2_chi2": _quadrature(chi2xi * xi, w),
-            "int_xi_p2_grad_v_sq": _quadrature(
-                xi ** (p + 2.0) * grad_sq(basis, v_modal), w),
-            "int_u_chi2_xi": _quadrature(chi2xi * u_nodal, w),
-        }
+        # products formed in place, each in the order of its formula
+        chi2xi = np.multiply(u_nodal, u_nodal)
+        chi2xi *= xi
+        work = np.multiply(chi2xi, xi)
+        values = {"int_grad_chi_sq": np.sum(basis.eigenvalues * u_modal**2,
+                                            axis=-1),
+                  "int_chi2_xi": _quadrature(chi2xi, w),
+                  "int_xi2_chi2": _quadrature(work, w)}
+        np.multiply(chi2xi, u_nodal, out=work)
+        values["int_u_chi2_xi"] = _quadrature(work, w)
+        np.power(xi, self.config.p + 2.0, out=xi)
+        xi *= grad_sq(basis, v_modal)
+        values["int_xi_p2_grad_v_sq"] = _quadrature(xi, w)
         return values, floors
 
     def _observables(self, u_modal, v_modal, u_nodal, v_nodal):
@@ -308,55 +335,59 @@ class FunctionalRecorder:
             columns["floor_activations"] = floor_sums[:, local].astype(float)
             self._store(times[j0:j1][local], columns)
 
-    def traces(self) -> list[FunctionalTrace]:
-        """One trace per row, in row order."""
-        times = np.asarray(self._times, dtype=float)
-        columns = {k: np.column_stack(v) for k, v in self._rows.items()}
-        return [
-            FunctionalTrace(
-                times=times,
-                data={k: col[r] for k, col in columns.items()},
-                p=self.config.p,
-                rho=self.config.rho,
-                path_index=idx,
-            )
-            for r, idx in enumerate(self.path_indices)
-        ]
+    def traces(self) -> FunctionalTrace:
+        """The stack of all rows, in row order."""
+        return FunctionalTrace(
+            times=np.asarray(self._times, dtype=float),
+            data={k: np.column_stack(v) for k, v in self._rows.items()},
+            p=self.config.p,
+            rho=self.config.rho,
+            path_index=np.array(self.path_indices),
+        )
 
     def trace(self) -> FunctionalTrace:
         """The trace of a one-row recorder."""
         if len(self.path_indices) != 1:
-            raise ValueError(
-                f"recorder holds {len(self.path_indices)} rows; use traces()"
-            )
-        return self.traces()[0]
+            raise ValueError(f"recorder holds {len(self.path_indices)} rows; "
+                             "use traces()")
+        return self.traces().rows(0)
 
 
-def lyapunov_L1(trace: FunctionalTrace, upto: int | None = None) -> float:
-    """sup |chi|_L2^2 + int |grad chi|_L2^2 ds + sup |xi|_Lp^p over a window."""
-    sl = slice(0, (trace.n_rows() if upto is None else upto + 1))
-    return float(
-        trace.data["chi_l2_sq"][sl].max()
-        + trace.data["int_grad_chi_sq"][sl][-1]
-        + trace.data["xi_lp_p"][sl].max()
-    )
+def lyapunov_L1(trace: FunctionalTrace, upto: int | None = None):
+    """sup |chi|_L2^2 + int |grad chi|_L2^2 ds + sup |xi|_Lp^p over a window.
+
+    One value per path: a float for one path, (B,) for a stack.
+    """
+    n = trace.n_rows() if upto is None else upto + 1
+    d = trace.data
+    return (d["chi_l2_sq"][..., :n].max(axis=-1)
+            + d["int_grad_chi_sq"][..., n - 1]
+            + d["xi_lp_p"][..., :n].max(axis=-1))
 
 
-def lyapunov_L2(trace: FunctionalTrace, upto: int | None = None) -> float:
-    """(int int chi^2 xi)^2 + int int xi^2 chi^2 over a window."""
+def lyapunov_L2(trace: FunctionalTrace, upto: int | None = None):
+    """(int int chi^2 xi)^2 + int int xi^2 chi^2 over a window, per path."""
     idx = trace.n_rows() - 1 if upto is None else upto
-    return float(
-        trace.data["int_chi2_xi"][idx] ** 2 + trace.data["int_xi2_chi2"][idx]
-    )
+    return (trace.data["int_chi2_xi"][..., idx] ** 2
+            + trace.data["int_xi2_chi2"][..., idx])
 
 
 def lyapunov_L3(trace: FunctionalTrace) -> np.ndarray:
-    """Per-time |xi|_Lp^p + |xi|_L1 + (int ln xi)^2."""
-    return (
-        trace.data["xi_lp_p"]
-        + trace.data["xi_l1"]
-        + trace.data["int_ln_xi"] ** 2
-    )
+    """Per-time |xi|_Lp^p + |xi|_L1 + (int ln xi)^2, per path."""
+    d = trace.data
+    return d["xi_lp_p"] + d["xi_l1"] + d["int_ln_xi"] ** 2
+
+
+def _path_mean(series):
+    """Ensemble mean of per-path time series: over the leading axes."""
+    return np.mean(np.reshape(series, (-1, np.shape(series)[-1])), axis=0)
+
+
+def _admissible_means(trace):
+    """E L1, E L2 and sup_t E L3 over the paths of ``trace``."""
+    return (float(np.mean(lyapunov_L1(trace))),
+            float(np.mean(lyapunov_L2(trace))),
+            float(np.max(_path_mean(lyapunov_L3(trace)))))
 
 
 @dataclass
@@ -376,66 +407,42 @@ class MembershipReport:
         return self.positivity_ok and self.l1_ok and self.l2_ok and self.l3_ok
 
 
-def membership(traces, spec: AdmissibleSetSpec) -> MembershipReport:
+def membership(trace: FunctionalTrace,
+               spec: AdmissibleSetSpec) -> MembershipReport:
     """Ensemble admissibility check against (K1, K2, K3).
 
-    Expectations are ensemble means over the supplied traces; positivity
-    requires chi >= 0 and eta > 0 at every observation of every trace.
+    Expectations are means over the paths of ``trace`` (one path or a
+    stack); positivity requires chi >= 0 and eta > 0 at every
+    observation of every path, and the failure names the first path
+    (in row order) that breaks it.
     """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("membership needs at least one trace")
+    chi_bad = np.atleast_2d(trace.data["chi_min"] < 0.0)
+    eta_bad = np.atleast_2d(trace.data["eta_min"] <= 0.0)
+    bad = np.flatnonzero(np.any(chi_bad | eta_bad, axis=-1))
     failure = ""
-    positivity_ok = True
-    for trace in traces:
-        chi_bad = trace.data["chi_min"] < 0.0
-        eta_bad = trace.data["eta_min"] <= 0.0
-        if chi_bad.any() or eta_bad.any():
-            positivity_ok = False
-            if chi_bad.any():
-                i = int(np.flatnonzero(chi_bad)[0])
-                failure = (
-                    f"chi < 0 on path {trace.path_index} at t = "
-                    f"{trace.times[i]:g}, node {int(trace.data['chi_argmin'][i])} "
-                    f"(value {trace.data['chi_min'][i]:g})"
-                )
-            else:
-                i = int(np.flatnonzero(eta_bad)[0])
-                failure = (
-                    f"eta <= 0 on path {trace.path_index} at t = "
-                    f"{trace.times[i]:g}, node {int(trace.data['eta_argmin'][i])} "
-                    f"(value {trace.data['eta_min'][i]:g})"
-                )
-            break
-    mean_L1 = float(np.mean([lyapunov_L1(t) for t in traces]))
-    mean_L2 = float(np.mean([lyapunov_L2(t) for t in traces]))
-    l3 = np.mean([lyapunov_L3(t) for t in traces], axis=0)
-    sup_mean_L3 = float(l3.max())
-    return MembershipReport(
-        positivity_ok=positivity_ok,
-        l1_ok=mean_L1 <= spec.K1,
-        l2_ok=mean_L2 <= spec.K2,
-        l3_ok=sup_mean_L3 <= spec.K3,
-        mean_L1=mean_L1,
-        mean_L2=mean_L2,
-        sup_mean_L3=sup_mean_L3,
-        bounds=spec,
-        failure=failure,
-    )
+    if bad.size:
+        r = bad[0]
+        name, label, hits = (("chi", "chi < 0", chi_bad[r]) if chi_bad[r].any()
+                             else ("eta", "eta <= 0", eta_bad[r]))
+        i = int(np.flatnonzero(hits)[0])
+        d = {k: np.atleast_2d(trace.data[f"{name}_{k}"])[r, i]
+             for k in ("argmin", "min")}
+        failure = (
+            f"{label} on path {np.ravel(trace.path_index)[r]} at t = "
+            f"{trace.times[i]:g}, node {int(d['argmin'])} (value {d['min']:g})"
+        )
+    # (mean_L1, mean_L2, sup_mean_L3) and their checks against (K1, K2, K3)
+    means = _admissible_means(trace)
+    oks = [mean <= k for mean, k in zip(means, (spec.K1, spec.K2, spec.K3))]
+    return MembershipReport(not bad.size, *oks, *means, bounds=spec,
+                            failure=failure)
 
 
-def auto_bounds(traces, margin: float = 10.0) -> AdmissibleSetSpec:
+def auto_bounds(trace: FunctionalTrace, margin: float = 10.0):
     """Bounds sized from an ensemble's own functional values."""
-    traces = list(traces)
-    mean_L1 = float(np.mean([lyapunov_L1(t) for t in traces]))
-    mean_L2 = float(np.mean([lyapunov_L2(t) for t in traces]))
-    sup_L3 = float(np.max(np.mean([lyapunov_L3(t) for t in traces], axis=0)))
-    tiny = 1e-12
-    return AdmissibleSetSpec(
-        K1=margin * max(mean_L1, tiny),
-        K2=margin * max(mean_L2, tiny),
-        K3=margin * max(sup_L3, tiny),
-    )
+    # K1, K2, K3 from E L1, E L2 and sup_t E L3
+    return AdmissibleSetSpec(*(margin * max(mean, 1e-12)
+                               for mean in _admissible_means(trace)))
 
 
 @dataclass
@@ -479,88 +486,64 @@ def fit_growth_envelope(horizons, lhs, init):
     return c, delta, False
 
 
-def _mean_over(traces, name, idx):
-    return float(np.mean([t.data[name][: idx + 1].max() for t in traces]))
-
-
-def _mean_at(traces, name, idx):
-    return float(np.mean([t.data[name][idx] for t in traces]))
-
-
-def energy_monitors(traces, params, config: FunctionalConfig,
+def energy_monitors(trace: FunctionalTrace, params, config: FunctionalConfig,
                     horizons=None) -> dict[str, MonitorFit]:
     """Fit growth envelopes for the a-priori-bound monitors.
 
-    ``horizons`` defaults to the final observation time; each horizon
-    must coincide with an observation time of every trace.
+    Expectations are means over the paths of ``trace`` (one path or a
+    stack).  ``horizons`` defaults to the final observation time; each
+    horizon is read at the last observation time at or before it.
     """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("energy_monitors needs at least one trace")
-    ref = traces[0]
+    d = trace.data
     if horizons is None:
-        horizons = [float(ref.times[-1])]
+        horizons = [float(trace.times[-1])]
     horizons = np.asarray(sorted(horizons), dtype=float)
-    idxs = [ref.window(h) for h in horizons]
+    idxs = [trace.window(h) for h in horizons]
     p = config.p
 
-    def series(fn):
-        return np.array([fn(i) for i in idxs])
+    def series(per_path):
+        """Path means of ``per_path(i)`` at each horizon's index i."""
+        return np.array([np.mean(per_path(i)) for i in idxs])
+
+    def at(name):
+        return series(lambda i: d[name][..., i])
+
+    def sup(name):
+        return series(lambda i: d[name][..., : i + 1].max(axis=-1))
+
+    def at0(name):
+        return float(np.mean(d[name][..., 0]))
 
     monitors = {}
 
-    def add(name, lhs_fn, init_fn):
-        lhs = series(lhs_fn)
-        init = series(init_fn)
-        c, delta, blow = fit_growth_envelope(horizons, lhs, init)
-        monitors[name] = MonitorFit(
-            name=name, horizons=horizons, lhs=lhs, init=init,
-            C=c, delta=delta, blow_up=blow,
-        )
+    def add(name, lhs, init):
+        init = np.broadcast_to(init, lhs.shape).copy()
+        monitors[name] = MonitorFit(name, horizons, lhs, init,
+                                    *fit_growth_envelope(horizons, lhs, init))
 
-    xi0 = _mean_at(traces, "xi_lp_p", 0)
-    add("xi_lp_sup",
-        lambda i: _mean_over(traces, "xi_lp_p", i),
-        lambda i: xi0)
-    r_v = params.r_v
+    sup_xi_lp = sup("xi_lp_p")
+    xi0 = at0("xi_lp_p")
+    add("xi_lp_sup", sup_xi_lp, xi0)
     add("xi_lp_energy",
-        lambda i: (_mean_over(traces, "xi_lp_p", i)
-                   + 2 * p * (p + 1) * r_v
-                   * _mean_at(traces, "int_xi_p2_grad_v_sq", i)),
-        lambda i: xi0)
-    xi_l1_0 = _mean_at(traces, "xi_l1", 0)
-    add("xi_l1_pathsup",
-        lambda i: (_mean_over(traces, "xi_l1", i)
-                   + params.kappa_v * _mean_at(traces, "int_xi2_chi2", i)),
-        lambda i: xi_l1_0)
+        sup_xi_lp + 2 * p * (p + 1) * params.r_v * at("int_xi_p2_grad_v_sq"),
+        xi0)
+    xi2chi2 = params.kappa_v * at("int_xi2_chi2")
+    add("xi_l1_pathsup", sup("xi_l1") + xi2chi2, at0("xi_l1"))
     # sup_t of the ensemble mean, the literal quantifier order of the bound
-    mean_l1_curve = np.mean([t.data["xi_l1"] for t in traces], axis=0)
+    mean_l1_curve = _path_mean(d["xi_l1"])
     add("xi_l1_meansup",
-        lambda i: (float(mean_l1_curve[: i + 1].max())
-                   + params.kappa_v * _mean_at(traces, "int_xi2_chi2", i)),
-        lambda i: xi_l1_0)
-    ln0 = _mean_at(traces, "eta_l1", 0) + _mean_at(traces, "abs_ln_xi_l1", 0)
+        np.array([mean_l1_curve[: i + 1].max() for i in idxs]) + xi2chi2,
+        at0("xi_l1"))
     add("ln_xi",
-        lambda i: (_mean_at(traces, "abs_ln_xi_l1", i)
-                   + params.kappa_v * _mean_at(traces, "int_chi2_xi", i)),
-        lambda i: ln0)
-    u0 = _mean_at(traces, "chi_l2_sq", 0)
+        at("abs_ln_xi_l1") + params.kappa_v * at("int_chi2_xi"),
+        at0("eta_l1") + at0("abs_ln_xi_l1"))
+    u_chi2_xi = at("int_u_chi2_xi")
     add("u_energy",
-        lambda i: (_mean_over(traces, "chi_l2_sq", i)
-                   + 4 * params.r_u * _mean_at(traces, "int_grad_chi_sq", i)),
-        lambda i: u0 + 2 * params.kappa_u * _mean_at(traces, "int_u_chi2_xi", i))
-    lnu0 = 1.0 + abs(_mean_at(traces, "lnxi_dot_u", 0))
+        sup("chi_l2_sq") + 4 * params.r_u * at("int_grad_chi_sq"),
+        at0("chi_l2_sq") + 2 * params.kappa_u * u_chi2_xi)
     add("lnxi_u",
-        lambda i: (_mean_at(traces, "lnxi_dot_u", i)
-                   - _mean_at(traces, "lnxi_dot_u", 0)
-                   + params.kappa_u * _mean_at(traces, "int_u_chi2_xi", i)),
-        lambda i: lnu0)
-    h0 = 1.0 + _mean_at(traces, "chi_h1mrho_sq", 0)
-    add("u_h1mrho",
-        lambda i: _mean_over(traces, "chi_h1mrho_sq", i),
-        lambda i: h0)
-    v0 = 1.0 + _mean_at(traces, "eta_l2", 0)
-    add("v_l2",
-        lambda i: _mean_over(traces, "eta_l2", i),
-        lambda i: v0)
+        at("lnxi_dot_u") - at0("lnxi_dot_u") + params.kappa_u * u_chi2_xi,
+        1.0 + abs(at0("lnxi_dot_u")))
+    add("u_h1mrho", sup("chi_h1mrho_sq"), 1.0 + at0("chi_h1mrho_sq"))
+    add("v_l2", sup("eta_l2"), 1.0 + at0("eta_l2"))
     return monitors

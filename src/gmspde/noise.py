@@ -69,6 +69,11 @@ def sample_paths(spec: NoiseSpec, time_grid, path_indices, start=0,
     ``stop`` defaults to the last step of the grid.  Indices may repeat
     and need not be consecutive.
     """
+    return _block(spec, _step_roots(time_grid), path_indices, start, stop)
+
+
+def _step_roots(time_grid):
+    """sqrt(dt_n) of each step of a checked time grid."""
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid.ndim != 1 or time_grid.size < 2:
         raise ValueError("time grid needs at least two points")
@@ -77,19 +82,23 @@ def sample_paths(spec: NoiseSpec, time_grid, path_indices, start=0,
         raise ValueError("time grid must be strictly increasing")
     if time_grid[0] != 0.0:
         raise ValueError("time grid must start at t = 0")
-    stop = dts.size if stop is None else stop
-    if not 0 <= start <= stop <= dts.size:
+    return np.sqrt(dts)
+
+
+def _block(spec, roots, path_indices, start, stop):
+    """:func:`sample_paths` on steps of sqrt(dt) ``roots``."""
+    stop = roots.size if stop is None else stop
+    if not 0 <= start <= stop <= roots.size:
         raise ValueError(
-            f"steps {start}..{stop - 1} outside the grid's {dts.size} steps")
-    path_indices = np.asarray(path_indices, dtype=np.uint64).reshape(-1)
+            f"steps {start}..{stop - 1} outside the grid's {roots.size} steps")
+    paths = np.asarray(path_indices, dtype=np.uint64).reshape(-1)
     k_ids = np.arange(spec.mode_count)
     n_ids = np.arange(start, stop)
-    table = np.empty((path_indices.size, 2, spec.mode_count, n_ids.size))
-    scale = np.sqrt(dts[start:stop])
+    table = np.empty((paths.size, 2, spec.mode_count, n_ids.size))
     for j in (1, 2):
-        z = rng.normal_table(spec.master_seed, path_indices, j, k_ids, n_ids,
+        z = rng.normal_table(spec.master_seed, paths, j, k_ids, n_ids,
                              out=table[:, j - 1])
-        z *= scale
+        z *= roots[start:stop]
     return table
 
 
@@ -99,13 +108,14 @@ def drawn(spec: NoiseSpec, scheme, path_indices):
     The steps are those of ``scheme``: ``scheme.n_steps()`` steps of
     ``scheme.dt`` on the uniform grid from 0 to ``scheme.T``.  Blocks are
     :func:`sample_paths` of the given paths on that grid, so they are the
-    columns of the full table bit for bit, whatever the block sizes.
+    columns of the full table bit for bit, whatever the block sizes.  The
+    grid is checked and its sqrt(dt) taken once; a block reads its slice.
     """
-    time_grid = np.linspace(0.0, scheme.T, scheme.n_steps() + 1)
-    path_indices = list(path_indices)
+    roots = _step_roots(np.linspace(0.0, scheme.T, scheme.n_steps() + 1))
+    paths = np.asarray(path_indices, dtype=np.uint64).reshape(-1)
 
     def draw(n0, n1):
-        return sample_paths(spec, time_grid, path_indices, n0, n1)
+        return _block(spec, roots, paths, n0, n1)
     return draw
 
 

@@ -77,6 +77,7 @@ def _word0(seed, paths, stream, modes, steps, bufs, views=None):
     round's outputs take the broadcast shape of its inputs, so rounds 1-2
     work on arrays of at most B*N words and the full box first appears
     in round 2's output.  Every round after it reuses the same buffers.
+    Round 10 reads only c1 and c2, so round 9 forms neither c0 nor c3.
     """
     views = {} if views is None else views
 
@@ -100,14 +101,16 @@ def _word0(seed, paths, stream, modes, steps, bufs, views=None):
             shape2 = tuple(map(max, c0.shape, c3.shape, k1.shape))
             n2 = np.bitwise_xor(h0, c3, out=view(spare, shape2))
             np.bitwise_xor(n2, k1, out=n2)
-            np.multiply(c0, np.uint64(_M0), out=c0)
-        h1 = _mulhi(_M1, c2, [view(i, c2.shape) for i in range(5, 9)])
+            if r < 8:
+                np.multiply(c0, np.uint64(_M0), out=c0)
         shape0 = tuple(map(max, c2.shape, c1.shape))
         free = slots[3]                    # c3 is read only by hi0^c3^k1
-        n0 = np.bitwise_xor(h1, c1, out=view(free, shape0))
-        np.bitwise_xor(n0, k0, out=n0)
-        if r == 9:
-            return n0
+        if r != 8:
+            h1 = _mulhi(_M1, c2, [view(i, c2.shape) for i in range(5, 9)])
+            n0 = np.bitwise_xor(h1, c1, out=view(free, shape0))
+            np.bitwise_xor(n0, k0, out=n0)
+            if r == 9:
+                return n0
         np.multiply(c2, np.uint64(_M1), out=c2)
         # (c0, c1, c2, c3) <- (hi1^c1^k0, lo1, hi0^c3^k1, lo0)
         slots, spare = [free, slots[2], spare, slots[0]], slots[1]

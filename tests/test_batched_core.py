@@ -67,7 +67,9 @@ def test_stacked_rows_match_solo_runs(dim, scheme):
     final = run_batch(init, prm, sch, basis, spec, sliced(increments),
                       len(indices), observer=rec)
     assert final.failures == {} and final.alive.all()
-    for row, (idx, trace) in enumerate(zip(indices, rec.traces())):
+    stack = rec.traces()
+    for row, idx in enumerate(indices):
+        trace = stack.rows(row)
         want = FunctionalRecorder(basis, FCFG, sch.v_floor, path_index=idx)
         res = solo(init, prm, sch, basis, spec, increments[row],
                    observer=want)
@@ -94,9 +96,9 @@ def assert_bitwise(a, b):
         assert np.array_equal(a.means[name], b.means[name]), name
         assert np.array_equal(a.standard_errors[name],
                               b.standard_errors[name]), name
-    for ta, tb in zip(a.traces, b.traces, strict=True):
-        for name, column in ta.data.items():
-            assert np.array_equal(column, tb.data[name]), name
+    assert np.array_equal(a.traces.path_index, b.traces.path_index)
+    for name, column in a.traces.data.items():
+        assert np.array_equal(column, b.traces.data[name]), name
 
 
 def test_reruns_are_bitwise_at_two_stack_sizes():
@@ -106,7 +108,8 @@ def test_reruns_are_bitwise_at_two_stack_sizes():
     # equal to rounding row by row against the eleven-path stack
     five = run_ensemble(path_indices=range(5))
     assert_bitwise(five, run_ensemble(path_indices=range(5)))
-    for small, large in zip(five.traces, eleven.traces[:5]):
+    for row in range(5):
+        small, large = five.traces.rows(row), eleven.traces.rows(row)
         assert small.path_index == large.path_index
         for name, column in large.data.items():
             if not name.endswith("_argmin"):
@@ -130,14 +133,14 @@ def test_ensemble_noise_blocks_stay_within_the_budget(monkeypatch, n_paths,
     if budget is not None:
         monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", budget)
     sizes = []
-    draw = noise.sample_paths
+    draw = noise._block      # the one inner draw of every noise block
 
     def spy(*args, **kwargs):
         table = draw(*args, **kwargs)
         sizes.append(table.size)
         return table
 
-    monkeypatch.setattr(noise, "sample_paths", spy)
+    monkeypatch.setattr(noise, "_block", spy)
     run_ensemble(n_paths)
     # every draw of the 30 steps is made once, in blocks within the budget
     assert sum(sizes) == n_paths * 2 * K * 30
@@ -257,5 +260,5 @@ def test_ensemble_failures_match_solo_runs():
     assert 0 < len(expected) < n_paths
     assert dict(report.failures) == expected
     assert any(" at step 0:" not in msg for msg in expected.values())
-    assert [t.path_index for t in report.traces] == [
+    assert list(report.traces.path_index) == [
         i for i in range(n_paths) if i not in expected]

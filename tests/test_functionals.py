@@ -163,17 +163,17 @@ def test_running_integrals_nondecreasing(basis):
     sch = SchemeConfig(dt=1e-3, T=0.2)
     report = ensemble(init, params, sch, basis, spec, 2,
                       FunctionalConfig(observation_stride=10))
-    for trace in report.traces:
-        for name in ("int_grad_chi_sq", "int_chi2_xi", "int_xi2_chi2",
-                     "int_xi_p2_grad_v_sq", "int_u_chi2_xi"):
-            assert np.all(np.diff(trace.data[name]) >= -1e-15)
+    for name in ("int_grad_chi_sq", "int_chi2_xi", "int_xi2_chi2",
+                 "int_xi_p2_grad_v_sq", "int_u_chi2_xi"):
+        assert report.traces.data[name].shape[0] == 2
+        assert np.all(np.diff(report.traces.data[name], axis=-1) >= -1e-15)
 
 
 def test_membership_trivial_pass_and_negative_node(basis):
     cfg = FunctionalConfig(observation_stride=1)
     good = replay_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
     big = AdmissibleSetSpec(K1=1e6, K2=1e6, K3=1e6)
-    rep = membership([good], big)
+    rep = membership(good, big)
     assert rep.ok
 
     chi = np.zeros((2, K))
@@ -184,7 +184,7 @@ def test_membership_trivial_pass_and_negative_node(basis):
     traj = PairTrajectory(times=np.array([0.0, 0.5]), chi_modal=chi,
                           eta_modal=eta)
     bad = replay_trace(traj, basis, cfg, 1e-8)
-    rep = membership([bad], big)
+    rep = membership(bad, big)
     assert not rep.positivity_ok
     assert "node" in rep.failure
 
@@ -193,7 +193,7 @@ def test_membership_bound_violation_detected(basis):
     cfg = FunctionalConfig(observation_stride=1)
     trace = replay_trace(const_traj(basis, 1.0, 1.0), basis, cfg, 1e-8)
     tight = AdmissibleSetSpec(K1=1e-6, K2=1e6, K3=1e6)
-    rep = membership([trace], tight)
+    rep = membership(trace, tight)
     assert not rep.l1_ok and rep.l2_ok and rep.l3_ok and not rep.ok
 
 
@@ -237,7 +237,7 @@ def test_monitors_constant_for_steady_trajectory(basis):
     u_star, v_star = steady_state(params)
     traj = const_traj(basis, u_star, v_star, n_steps=8, horizon=1.0)
     trace = replay_trace(traj, basis, cfg, 1e-8)
-    fits = energy_monitors([trace], params, cfg,
+    fits = energy_monitors(trace, params, cfg,
                            horizons=[0.25, 0.5, 1.0])
     for name in ("xi_lp_sup", "v_l2", "u_h1mrho"):
         assert abs(fits[name].delta) < 1e-10
@@ -247,7 +247,7 @@ def test_monitors_constant_for_steady_trajectory(basis):
 def test_xi_l1_monitor_for_unit_inhibitor(basis):
     cfg = FunctionalConfig(observation_stride=1)
     trace = replay_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
-    fits = energy_monitors([trace], desk_params(), cfg,
+    fits = energy_monitors(trace, desk_params(), cfg,
                            horizons=[0.5, 1.0])
     assert np.allclose(fits["xi_l1_pathsup"].lhs, 1.0, atol=1e-12)
     assert np.allclose(fits["xi_l1_meansup"].lhs, 1.0, atol=1e-12)
@@ -349,8 +349,8 @@ def test_replay_is_the_same_under_any_block_budget(monkeypatch, picard_stack):
     for budget in (1, 10**9):    # one step per block, the whole horizon
         monkeypatch.setattr(functionals, "REPLAY_BLOCK_VALUES", budget)
         runs.append(replay_trace(stack, basis, fcfg, 2.0, range(16)))
-    for got, want in zip(*runs):
-        _assert_traces_close(got, want)
+    for row in range(16):
+        _assert_traces_close(runs[0].rows(row), runs[1].rows(row))
 
 
 def test_stacked_replay_matches_each_rows_solo_replay(picard_stack):
@@ -358,13 +358,14 @@ def test_stacked_replay_matches_each_rows_solo_replay(picard_stack):
     basis, stack = picard_stack
     fcfg = FunctionalConfig(observation_stride=25)
     stacked = replay_trace(stack, basis, fcfg, 2.0, range(16))
-    for row, got in enumerate(stacked):
+    for row in range(16):
+        got = stacked.rows(row)
         solo = PairTrajectory(stack.times, stack.chi_modal[row],
                               stack.eta_modal[row])
         want = replay_trace(solo, basis, fcfg, 2.0, row)
         assert got.path_index == want.path_index == row
         _assert_traces_close(got, want)
-    assert max(t.data["floor_activations"][-1] for t in stacked) > 0
+    assert stacked.data["floor_activations"][:, -1].max() > 0
 
 
 def test_replay_working_set_does_not_grow_with_the_horizon(basis):
@@ -388,6 +389,7 @@ def test_replay_working_set_does_not_grow_with_the_horizon(basis):
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(t.n_rows() == 11 for t in traces)
+        assert traces.n_rows() == 11
+        assert all(col.shape == (16, 11) for col in traces.data.values())
         beyond_output.append(peak - current)
     assert beyond_output[1] <= beyond_output[0] + 2**16

@@ -1,0 +1,191 @@
+"""Reductions of a trace stack equal their per-row loop, bit for bit.
+
+``ensemble``, ``energy_monitors`` and ``membership`` read the (B, n_obs)
+columns of one :class:`~gmspde.functionals.FunctionalTrace`.  The
+reference here loops over one-path traces, one row each, and reduces
+Python lists of per-path values in path order; every statistic, monitor
+and membership value must match it exactly, with repeated path indices
+(repeated rows) and a path that fails (left out).
+"""
+
+import numpy as np
+import pytest
+
+from gmspde.dynamics import (
+    ModelParams,
+    SchemeConfig,
+    default_initial_pair,
+    run_batch,
+)
+from gmspde.experiments import ensemble
+from gmspde.fields import quotient_nodal
+from gmspde.functionals import (
+    AdmissibleSetSpec,
+    FunctionalConfig,
+    FunctionalRecorder,
+    _xi_nodal,
+    energy_monitors,
+    fit_growth_envelope,
+    membership,
+)
+from gmspde.noise import NoiseSpec, drawn
+from gmspde.spectral import DomainSpec, build_basis
+
+# sigma = 1 and this CFL limit: of paths 2, 3, 4, 5, 7 and 11 only path 2
+# breaks the limit, mid-run
+PARAMS = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
+                     mu_u=1.0, mu_v=2.0, sigma_u=1.0, sigma_v=1.0)
+SCHEME = SchemeConfig(dt=1e-3, T=0.05, reaction_cfl_limit=0.0028)
+SPEC = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=808)
+FCFG = FunctionalConfig(observation_stride=7)
+INDICES = [4, 7, 4, 2, 5, 4, 3, 11, 7]
+HORIZONS = [0.014, 0.035, 0.05]
+
+
+@pytest.fixture(scope="module")
+def basis():
+    return build_basis(DomainSpec(dim=1, lengths=(1.0,),
+                                  grid_points_per_axis=64), 16)
+
+
+@pytest.fixture(scope="module")
+def report(basis):
+    init = default_initial_pair(basis, PARAMS)
+    return ensemble(init, PARAMS, SCHEME, basis, SPEC, 0, FCFG,
+                    horizons=HORIZONS, path_indices=INDICES)
+
+
+@pytest.fixture(scope="module")
+def per_path(basis):
+    """One-path traces of the surviving indices, in path order."""
+    init = default_initial_pair(basis, PARAMS)
+    distinct = list(dict.fromkeys(INDICES))
+    rec = FunctionalRecorder(basis, FCFG, SCHEME.v_floor, path_index=distinct)
+    final = run_batch(init, PARAMS, SCHEME, basis, SPEC,
+                      drawn(SPEC, SCHEME, distinct), len(distinct),
+                      observer=rec)
+    failed = {distinct[row] for row in final.failures}
+    stack = rec.traces()
+    return [stack.rows(distinct.index(idx)) for idx in INDICES
+            if idx not in failed]
+
+
+def reference_monitors(traces, params, p, horizons):
+    """Monitor (lhs, init) per name from lists over one-path traces."""
+    idxs = [traces[0].window(h) for h in horizons]
+
+    def over(name, i):
+        return float(np.mean([t.data[name][: i + 1].max() for t in traces]))
+
+    def at(name, i):
+        return float(np.mean([t.data[name][i] for t in traces]))
+
+    curve = np.mean([t.data["xi_l1"] for t in traces], axis=0)
+    terms = {
+        "xi_lp_sup": (lambda i: over("xi_lp_p", i),
+                      lambda i: at("xi_lp_p", 0)),
+        "xi_lp_energy": (lambda i: over("xi_lp_p", i) + 2 * p * (p + 1)
+                         * params.r_v * at("int_xi_p2_grad_v_sq", i),
+                         lambda i: at("xi_lp_p", 0)),
+        "xi_l1_pathsup": (lambda i: over("xi_l1", i)
+                          + params.kappa_v * at("int_xi2_chi2", i),
+                          lambda i: at("xi_l1", 0)),
+        "xi_l1_meansup": (lambda i: float(curve[: i + 1].max())
+                          + params.kappa_v * at("int_xi2_chi2", i),
+                          lambda i: at("xi_l1", 0)),
+        "ln_xi": (lambda i: at("abs_ln_xi_l1", i)
+                  + params.kappa_v * at("int_chi2_xi", i),
+                  lambda i: at("eta_l1", 0) + at("abs_ln_xi_l1", 0)),
+        "u_energy": (lambda i: over("chi_l2_sq", i)
+                     + 4 * params.r_u * at("int_grad_chi_sq", i),
+                     lambda i: at("chi_l2_sq", 0)
+                     + 2 * params.kappa_u * at("int_u_chi2_xi", i)),
+        "lnxi_u": (lambda i: at("lnxi_dot_u", i) - at("lnxi_dot_u", 0)
+                   + params.kappa_u * at("int_u_chi2_xi", i),
+                   lambda i: 1.0 + abs(at("lnxi_dot_u", 0))),
+        "u_h1mrho": (lambda i: over("chi_h1mrho_sq", i),
+                     lambda i: 1.0 + at("chi_h1mrho_sq", 0)),
+        "v_l2": (lambda i: over("eta_l2", i),
+                 lambda i: 1.0 + at("eta_l2", 0)),
+    }
+    return {name: (np.array([lhs(i) for i in idxs]),
+                   np.array([init(i) for i in idxs]))
+            for name, (lhs, init) in terms.items()}
+
+
+def reference_membership(traces):
+    """(failure row, E L1, E L2, sup_t E L3) from lists over one-path traces."""
+    bad = [r for r, t in enumerate(traces) if (t.data["chi_min"] < 0.0).any()
+           or (t.data["eta_min"] <= 0.0).any()]
+    l1 = [t.data["chi_l2_sq"].max() + t.data["int_grad_chi_sq"][-1]
+          + t.data["xi_lp_p"].max() for t in traces]
+    l2 = [t.data["int_chi2_xi"][-1] ** 2 + t.data["int_xi2_chi2"][-1]
+          for t in traces]
+    l3 = [t.data["xi_lp_p"] + t.data["xi_l1"] + t.data["int_ln_xi"] ** 2
+          for t in traces]
+    return (bad[0] if bad else None, float(np.mean(l1)), float(np.mean(l2)),
+            float(np.mean(l3, axis=0).max()))
+
+
+def test_the_ensemble_has_repeats_and_one_failure(report, per_path):
+    assert [idx for idx, _ in report.failures] == [2]
+    assert list(report.traces.path_index) == [4, 7, 4, 5, 4, 3, 11, 7]
+    assert [int(t.path_index) for t in per_path] == [4, 7, 4, 5, 4, 3, 11, 7]
+    assert report.survivors == len(per_path)
+
+
+def test_ensemble_statistics_equal_the_per_row_loop(report, per_path):
+    m = len(per_path)
+    assert np.array_equal(report.times, per_path[0].times)
+    for name in per_path[0].data:
+        stack = np.vstack([t.data[name] for t in per_path])
+        assert np.array_equal(report.traces.data[name], stack), name
+        assert np.array_equal(report.means[name], stack.mean(axis=0)), name
+        se = (stack - stack[0]).std(axis=0, ddof=1) / np.sqrt(m)
+        assert np.array_equal(report.standard_errors[name], se), name
+
+
+def test_energy_monitors_equal_the_per_row_loop(report, per_path):
+    want = reference_monitors(per_path, PARAMS, FCFG.p, HORIZONS)
+    fits = energy_monitors(report.traces, PARAMS, FCFG, horizons=HORIZONS)
+    assert list(fits) == list(want) == list(report.monitors)
+    for name, (lhs, init) in want.items():
+        for fit in (fits[name], report.monitors[name]):
+            assert np.array_equal(fit.lhs, lhs), name
+            assert np.array_equal(fit.init, init), name
+            c, delta, blow = fit_growth_envelope(HORIZONS, lhs, init)
+            assert (fit.C, fit.delta, fit.blow_up) == (c, delta, blow), name
+
+
+def test_membership_equals_the_per_row_loop(report, per_path):
+    bounds = AdmissibleSetSpec(K1=100.0, K2=100.0, K3=100.0)
+    bad, mean_l1, mean_l2, sup_l3 = reference_membership(per_path)
+    got = membership(report.traces, bounds)
+    assert bad is None and got.positivity_ok
+    assert (got.mean_L1, got.mean_L2, got.sup_mean_L3) == (mean_l1, mean_l2,
+                                                          sup_l3)
+
+
+def test_membership_names_the_first_bad_row(report):
+    # eta_min of row 3 (path 5) made nonpositive at its second record
+    stack = report.traces.rows(list(range(report.survivors)))
+    stack.data["eta_min"][3, 1] = 0.0
+    rep = membership(stack, AdmissibleSetSpec(K1=1e6, K2=1e6, K3=1e6))
+    node = int(stack.data["eta_argmin"][3, 1])
+    assert not rep.positivity_ok
+    assert rep.failure == (f"eta <= 0 on path 5 at t = {stack.times[1]:g}, "
+                           f"node {node} (value 0)")
+
+
+def test_xi_nodal_is_the_quotient_with_unit_numerator():
+    rng = np.random.default_rng(17)
+    v = rng.uniform(-0.5, 3.0, (3, 5, 65))
+    for floor in (1e-8, 0.25, 2.0):
+        got, activations = _xi_nodal(v, floor)
+        want, want_activations = quotient_nodal(np.ones_like(v), v, floor)
+        assert got.tobytes() == want.tobytes()
+        assert activations == want_activations > 0
+    positive = np.abs(v) + 0.1
+    got, activations = _xi_nodal(positive, 0.0)
+    want, _ = quotient_nodal(np.ones_like(positive), positive, 0.0)
+    assert got.tobytes() == want.tobytes() and activations == 0

@@ -31,9 +31,19 @@ cases in its own interpreter, and the outputs are compared:
   (2-D), node-index columns left out (a near-tie may move an argmin by
   a whole node); the Picard distances of a 6-member iteration.
 
+The reductions of a trace stack are compared bitwise, since they must
+not move when the stack is formed another way: the ensemble standard
+errors and every monitor's ``lhs``, ``init``, ``C`` and ``delta`` (at
+three horizons) of each ensemble above, and of a 1-D ensemble with
+repeated path indices at a reaction CFL limit that some of its paths
+fail; and the ``mean_L1``, ``mean_L2`` and ``sup_mean_L3`` of every
+Picard membership check.
+
 Trees before the noise source became the one noise interface take a
 ``NoisePath`` table where newer ones take a source ``draw(n0, n1)``;
-:func:`_noise_of` builds the argument each tree takes.
+:func:`_noise_of` builds the argument each tree takes.  Trees before
+the functional trace held a stack return a list of one-path traces
+where newer ones return one stack; :func:`_columns` reads either.
 
 Exits 1 if any comparison fails.
 """
@@ -51,6 +61,9 @@ import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 RTOL = 1e-13
+# reaction CFL limit of the ensemble with failures: some of its paths
+# fail mid-run, some survive
+CFL_LIMIT = 0.0028
 
 
 def _run_with(run, observer):
@@ -74,6 +87,14 @@ def _noise_of(spec, sch, indices):
     if len(indices) == 1:
         return noise.sample_path(spec, grid, indices[0])
     return noise.sample_paths(spec, grid, indices)
+
+
+def _columns(traces):
+    """(B, n_obs) columns of a trace stack, or of a list of one-path traces."""
+    if isinstance(traces, list):
+        return {name: np.stack([t.data[name] for t in traces])
+                for name in traces[0].data}
+    return traces.data
 
 
 def _final_uv(res):
@@ -220,22 +241,44 @@ def _cases():
                            np.stack([p.eta_modal for p in paths]))
     traces = replay_trace(stack, basis, FunctionalConfig(observation_stride=25),
                           2.0, path_index=range(16))
-    for name in traces[0].data:
-        rows = np.stack([t.data[name] for t in traces])
+    for name, rows in _columns(traces).items():
         kind = "bitwise" if name == "floor_activations" else "close"
         out[kind][f"replay_trace 16 rows {name}"] = rows
 
+    def reductions(key, report):
+        for name, column in report.standard_errors.items():
+            out["bitwise"][f"{key} standard error {name}"] = column
+        for name, fit in report.monitors.items():
+            for part in ("lhs", "init", "C", "delta"):
+                out["bitwise"][f"{key} monitor {name} {part}"] = np.atleast_1d(
+                    getattr(fit, part))
+
+    horizons = (0.014, 0.035, 0.05)
     for dim, n, n_paths in ((1, 64, 20), (1, 64, 201), (2, 16, 10)):
         basis = basis_of(dim, n, 16)
         init = default_initial_pair(basis, params)
         schemes = ("ito_imex", "stratonovich_heun") if dim == 1 else ("ito_imex",)
         for scheme in schemes:
             sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
-            report = ensemble(init, params, sch, basis, spec, n_paths, fcfg)
+            report = ensemble(init, params, sch, basis, spec, n_paths, fcfg,
+                              horizons=horizons)
+            key = f"ensemble {dim}d {n_paths} paths {scheme}"
             for name, column in report.means.items():
                 if not name.endswith("_argmin"):
-                    key = f"ensemble {dim}d {n_paths} paths {scheme} mean {name}"
-                    out["close"][key] = column
+                    out["close"][f"{key} mean {name}"] = column
+            reductions(key, report)
+
+    # repeated indices, and a CFL limit that about half the paths break
+    basis = basis_of(1, 64, 16)
+    init = default_initial_pair(basis, params)
+    loud = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
+                       mu_u=1.0, mu_v=2.0, sigma_u=1.0, sigma_v=1.0)
+    sch = SchemeConfig(dt=1e-3, T=0.05, reaction_cfl_limit=CFL_LIMIT)
+    report = ensemble(init, loud, sch, basis, spec, 0, fcfg, horizons=horizons,
+                      path_indices=[4, 0, 7, 4, 2, 9, 0, 5, 11, 4, 3, 8])
+    out["bitwise"]["ensemble with failures failed paths"] = np.array(
+        [idx for idx, _ in report.failures])
+    reductions("ensemble with failures", report)
 
     basis = basis_of(1, 64, 16)
     init = default_initial_pair(basis, params)
@@ -245,6 +288,9 @@ def _cases():
                                                           tolerance=1e-9,
                                                           ensemble_size=6))
     out["bitwise"]["picard iterations"] = np.array([report.iterations])
+    for part in ("mean_L1", "mean_L2", "sup_mean_L3"):
+        out["bitwise"][f"picard membership {part}"] = np.array(
+            [getattr(member, part) for member in report.memberships])
     out["close"]["picard distances"] = np.array(report.distances)
     return out
 
