@@ -26,8 +26,8 @@ rounding (1e-13 x max|value|, pinned by the tests), because a stacked
 product may sum a row in another order than a single-row one.  The Picard
 iteration keeps its members' whole increment table, which every
 application of the map re-reads through ``noise.sliced``.  The
-uniqueness study runs its two trajectories one by one on the same
-source, so its delta = 0 check stays bitwise.
+uniqueness study draws its path's table once and runs its two
+trajectories one by one on it, so its delta = 0 check stays bitwise.
 """
 
 from __future__ import annotations
@@ -441,12 +441,13 @@ def uniqueness_study(init, delta: float, params: ModelParams,
 
     The first starts from the (2, K) modal ``init``, the second from a
     copy with ``delta`` added to u's mode ``perturb_mode``.  Both read
-    their increments from ``draw``, the noise source of one path
-    (see :func:`~gmspde.dynamics.run`).  delta = 0
-    must give bitwise-coincident trajectories; delta > 0 reports the
-    measured amplification sup_t |u1-u2|_L2 / delta.  The theorem
-    behind this check is one-dimensional; rectangle runs are labeled
-    outside its scope but executed all the same.
+    the increments of ``draw``, the noise source of one path (see
+    :func:`~gmspde.dynamics.run`): its table is drawn once, and each run
+    reads it through ``noise.sliced``, bit for bit the drawn blocks.
+    delta = 0 must give bitwise-coincident trajectories; delta > 0
+    reports the measured amplification sup_t |u1-u2|_L2 / delta.  The
+    theorem behind this check is one-dimensional; rectangle runs are
+    labeled outside its scope but executed all the same.
     """
     if delta < 0:
         raise ValueError("perturbation size must be >= 0")
@@ -454,10 +455,12 @@ def uniqueness_study(init, delta: float, params: ModelParams,
         raise ValueError("perturbation mode outside the truncation")
     init2 = np.array(init, dtype=float)
     init2[0, perturb_mode] += delta
+    # the table is the size of one of the two trajectories kept below
+    common = sliced(draw(0, scheme.n_steps()))
 
     def solve(pair):
         rec = TrajectoryRecorder()
-        run(pair, params, scheme, basis, noise_spec, draw, observer=rec)
+        run(pair, params, scheme, basis, noise_spec, common, observer=rec)
         return rec.trajectory()
 
     t1 = solve(init)

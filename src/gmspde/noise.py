@@ -67,7 +67,8 @@ def sample_paths(spec: NoiseSpec, time_grid, path_indices, start=0,
     depend on the other rows, and a block of steps is those columns of
     the full table, so any range of steps can be drawn on its own.
     ``stop`` defaults to the last step of the grid.  Indices may repeat
-    and need not be consecutive.
+    and need not be consecutive.  One :func:`rng.normal_table` call
+    draws both processes.
     """
     return _block(spec, _step_roots(time_grid), path_indices, start, stop)
 
@@ -86,19 +87,21 @@ def _step_roots(time_grid):
 
 
 def _block(spec, roots, path_indices, start, stop):
-    """:func:`sample_paths` on steps of sqrt(dt) ``roots``."""
+    """:func:`sample_paths` on steps of sqrt(dt) ``roots``.
+
+    Streams 1 and 2 (W_1 and W_2) come from one ``rng.normal_table``
+    call, which shares its cipher plan between them, and the table is
+    scaled by sqrt(dt) once.
+    """
     stop = roots.size if stop is None else stop
     if not 0 <= start <= stop <= roots.size:
         raise ValueError(
             f"steps {start}..{stop - 1} outside the grid's {roots.size} steps")
     paths = np.asarray(path_indices, dtype=np.uint64).reshape(-1)
-    k_ids = np.arange(spec.mode_count)
-    n_ids = np.arange(start, stop)
-    table = np.empty((paths.size, 2, spec.mode_count, n_ids.size))
-    for j in (1, 2):
-        z = rng.normal_table(spec.master_seed, paths, j, k_ids, n_ids,
-                             out=table[:, j - 1])
-        z *= roots[start:stop]
+    table = rng.normal_table(spec.master_seed, paths, [1, 2],
+                             np.arange(spec.mode_count),
+                             np.arange(start, stop))
+    table *= roots[start:stop]
     return table
 
 

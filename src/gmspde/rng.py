@@ -10,6 +10,14 @@ regenerated in isolation: stacks of paths, mode-count refinement and
 time-grid coupling all see the same numbers regardless of evaluation
 order.
 
+:func:`normal_table` cuts its index box into cipher blocks of one shape
+and builds the op plan of that shape once per call: the list of the ten
+rounds' in-place ufunc calls, ``(ufunc, in1, in2, out)``, on views of
+one uint64 work array, with 0-d constants and the seed's ten round keys
+as operands.  A block refills only the counter words and its paths' key
+rows, then runs the plan.  Several streams (the two noise processes of
+a table) share one call, so they share its plan.
+
 The cipher is bit-identical to ``numpy.random.Philox`` (same constants,
 same round structure); the tests use numpy's generator as the oracle,
 so the tables can be reproduced outside this package if ever needed.
@@ -22,99 +30,150 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-_M0 = 0xD2E7470EE14C6C93
-_M1 = 0xCA5A826395121157
+
+def _const(value):
+    """Read-only 0-d uint64 operand: a ufunc takes it faster than a scalar."""
+    c = np.array(value, dtype=np.uint64)
+    c.flags.writeable = False
+    return c
+
+
+def _multiplier(m):
+    """A round multiplier and its high and low 32-bit halves, as operands."""
+    return _const(m), _const(m >> 32), _const(m & 0xFFFFFFFF)
+
+
+_M0 = _multiplier(0xD2E7470EE14C6C93)
+_M1 = _multiplier(0xCA5A826395121157)
 _W0 = 0x9E3779B97F4A7C15
 _W1 = 0xBB67AE8584CAA73B
 _MASK64 = 2**64 - 1
-_MASK32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
+_MASK32 = _const(0xFFFFFFFF)
+_S32 = _const(32)
 
 # uniform conversion: 53 mantissa bits, strictly inside (0, 1)
 _U53 = 2.0 ** -53
 _U_MAX = 1.0 - _U53            # the largest double below 1
-_S11 = np.uint64(11)
+_S11 = _const(11)
 
 # draws per cipher block inside normal_table; the cipher works in nine
-# uint64 buffers of this size (576 KiB), whatever the shape of the box
+# uint64 rows of this size (576 KiB), whatever the shape of the box
 _DRAWS_PER_BLOCK = 8192
 
 
 def _mulhi(m, a, scratch):
-    """High word of the 128-bit product of the constant m and uint64 a.
+    """Ops of the high word of the 128-bit product of the multiplier m and a.
 
-    ``scratch`` holds four uint64 arrays of a's shape; the result is the
-    first of them.
+    ``scratch`` holds four uint64 views of a's shape; the result is the
+    first of them.  Returns (result, ops).
     """
-    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    _, m_hi, m_lo = m
     hi, al, t, u = scratch
-    np.right_shift(a, _S32, out=hi)
-    np.bitwise_and(a, _MASK32, out=al)
-    np.multiply(al, m_lo, out=t)
-    np.right_shift(t, _S32, out=t)
-    np.multiply(al, m_hi, out=al)
-    np.add(al, t, out=al)                  # al*m_hi + (al*m_lo >> 32)
-    np.multiply(hi, m_lo, out=t)           # ah*m_lo
-    np.multiply(hi, m_hi, out=hi)
-    np.bitwise_and(t, _MASK32, out=u)
-    np.add(al, u, out=al)                  # middle column, cannot overflow
-    np.right_shift(t, _S32, out=t)
-    np.add(hi, t, out=hi)
-    np.right_shift(al, _S32, out=al)
-    np.add(hi, al, out=hi)
-    return hi
+    return hi, [
+        (np.right_shift, a, _S32, hi),
+        (np.bitwise_and, a, _MASK32, al),
+        (np.multiply, al, m_lo, t),
+        (np.right_shift, t, _S32, t),
+        (np.multiply, al, m_hi, al),
+        (np.add, al, t, al),               # al*m_hi + (al*m_lo >> 32)
+        (np.multiply, hi, m_lo, t),        # ah*m_lo
+        (np.multiply, hi, m_hi, hi),
+        (np.bitwise_and, t, _MASK32, u),
+        (np.add, al, u, al),               # middle column, cannot overflow
+        (np.right_shift, t, _S32, t),
+        (np.add, hi, t, hi),
+        (np.right_shift, al, _S32, al),
+        (np.add, hi, al, hi),
+    ]
 
 
-def _word0(seed, paths, stream, modes, steps, bufs, views=None):
-    """Word 0 of Philox4x64-10 for counter (step, mode, stream, 0).
+def _plan(seed, box):
+    """Word 0 of Philox4x64-10 on blocks of shape ``box`` = (B, K, N).
 
-    The key is (seed, path).  ``paths``, ``modes`` and ``steps`` are 1-d
-    uint64 arrays; the result is their (B, K, N) box, held in a row of
-    the (9, >= B*K*N) uint64 work array ``bufs``.  ``views`` caches the
-    reshaped rows across calls on the same ``bufs``.
+    Returns ``word0(paths, stream, modes, steps)``, which takes 1-d
+    integer arrays of B paths, K modes and N steps and returns the
+    (B, K, N) box of word 0 for key (seed, path) and counter (step, mode,
+    stream, 0).  The box is a view of the work array, valid until the
+    next call.
 
-    Each counter word starts with the shape of the index it holds, and a
-    round's outputs take the broadcast shape of its inputs, so rounds 1-2
-    work on arrays of at most B*N words and the full box first appears
-    in round 2's output.  Every round after it reuses the same buffers.
-    Round 10 reads only c1 and c2, so round 9 forms neither c0 nor c3.
+    The ops are built here, once.  Each counter word starts with the
+    shape of the index it holds, and a round's outputs take the
+    broadcast shape of its inputs, so rounds 1-2 work on arrays of at
+    most B*N words and the full box first appears in round 2's output.
+    Every round after it reuses the same rows.  Round 10 reads only c1
+    and c2, so round 9 forms neither c0 nor c3.
     """
-    views = {} if views is None else views
+    n_paths, n_modes, n_steps = box
+    # always the full nine rows, not the block's size: freeing an mmapped
+    # array raises glibc's dynamic mmap and trim thresholds to its size,
+    # and a block-sized array (460 KB against 590 KB on the sim_2d
+    # benchmark) left them low enough that the heap was trimmed and
+    # refaulted: 10,170 minor faults per command against 760, and nearly
+    # twice the wall time
+    bufs = np.empty((9, _DRAWS_PER_BLOCK), dtype=np.uint64)
+    # k1 of round r is path + r*W1 (mod 2**64)
+    keys = np.empty((10, n_paths, 1, 1), dtype=np.uint64)
+    bumps = np.array([r * _W1 & _MASK64 for r in range(10)],
+                     dtype=np.uint64).reshape(10, 1, 1, 1)
+    views = {}
 
     def view(i, shape):
         if (i, shape) not in views:
             views[i, shape] = bufs[i, :math.prod(shape)].reshape(shape)
         return views[i, shape]
 
-    shapes = [(1, 1, steps.size), (1, modes.size, 1), (1, 1, 1), (1, 1, 1)]
+    ops = []
+    shapes = [(1, 1, n_steps), (1, n_modes, 1), (1, 1, 1), (1, 1, 1)]
     slots, spare = [0, 1, 2, 3], 4
-    for i, shape, value in zip(slots, shapes, (steps, modes, stream, 0)):
-        view(i, shape)[...] = np.reshape(value, shape)
-    column = paths.reshape(-1, 1, 1)
     for r in range(10):
-        k0 = np.uint64((seed + r * _W0) & _MASK64)
-        k1 = column + np.uint64(r * _W1 & _MASK64)
+        k0, k1 = _const((seed + r * _W0) & _MASK64), keys[r]
         c0, c1, c2, c3 = (view(i, s) for i, s in zip(slots, shapes))
         if r < 9:
-            h0 = _mulhi(_M0, c0,
-                        [view(i, c0.shape) for i in range(5, 9)])
+            h0, mul = _mulhi(_M0, c0,
+                             [view(i, c0.shape) for i in range(5, 9)])
             shape2 = tuple(map(max, c0.shape, c3.shape, k1.shape))
-            n2 = np.bitwise_xor(h0, c3, out=view(spare, shape2))
-            np.bitwise_xor(n2, k1, out=n2)
+            n2 = view(spare, shape2)
+            ops += mul + [(np.bitwise_xor, h0, c3, n2),
+                          (np.bitwise_xor, n2, k1, n2)]
             if r < 8:
-                np.multiply(c0, np.uint64(_M0), out=c0)
+                ops.append((np.multiply, c0, _M0[0], c0))
         shape0 = tuple(map(max, c2.shape, c1.shape))
         free = slots[3]                    # c3 is read only by hi0^c3^k1
         if r != 8:
-            h1 = _mulhi(_M1, c2, [view(i, c2.shape) for i in range(5, 9)])
-            n0 = np.bitwise_xor(h1, c1, out=view(free, shape0))
-            np.bitwise_xor(n0, k0, out=n0)
+            h1, mul = _mulhi(_M1, c2,
+                             [view(i, c2.shape) for i in range(5, 9)])
+            n0 = view(free, shape0)
+            ops += mul + [(np.bitwise_xor, h1, c1, n0),
+                          (np.bitwise_xor, n0, k0, n0)]
             if r == 9:
-                return n0
-        np.multiply(c2, np.uint64(_M1), out=c2)
+                break
+        ops.append((np.multiply, c2, _M1[0], c2))
         # (c0, c1, c2, c3) <- (hi1^c1^k0, lo1, hi0^c3^k1, lo0)
         slots, spare = [free, slots[2], spare, slots[0]], slots[1]
         shapes = [shape0, c2.shape, shape2, c0.shape]
+    step_row, mode_row = bufs[0, :n_steps], bufs[1, :n_modes]
+    rest = bufs[2:4, 0]                    # stream and the zero word
+
+    def word0(paths, stream, modes, steps):
+        np.add(paths.reshape(-1, 1, 1), bumps, out=keys)
+        step_row[...] = steps
+        mode_row[...] = modes
+        rest[...] = (stream, 0)
+        for ufunc, a, b, out in ops:
+            ufunc(a, b, out)
+        return n0                          # round 10's hi1^c1^k0
+    return word0
+
+
+def _split(size, most):
+    """Length and starts of the fewest equal blocks of at most ``most``
+    that cover range(size), for size >= 1.
+
+    A last block that would run past ``size`` starts earlier, to end
+    there.
+    """
+    length = -(-size // -(-size // most))
+    return length, [min(i, size - length) for i in range(0, size, length)]
 
 
 def normals_from_bits(bits, out):
@@ -136,48 +195,64 @@ def normals_from_bits(bits, out):
 def normal_table(master_seed, path_index, stream, modes, steps, out=None):
     """Standard-normal draws for a (path, stream, mode, step) index box.
 
-    Draw (k, n) of path b is a pure function of (master_seed,
-    path_index[b], stream, modes[k], steps[n]); the same indices always
-    return the same value, whichever other paths share the call.
+    Draw (s, k, n) of path b is a pure function of (master_seed,
+    path_index[b], stream[s], modes[k], steps[n]); the same indices always
+    return the same value, whichever other paths or streams share the
+    call.
+
+    The box is drawn in cipher blocks of at most ``_DRAWS_PER_BLOCK``
+    draws, all of one shape: steps, then modes, then paths are each split
+    into the fewest equal parts that fit, and a last part that would run
+    past its axis ends on it instead (the draws it repeats are the same
+    bits).  The op plan of that shape is built once and runs every block
+    of the call, in every stream.
 
     Parameters
     ----------
     master_seed : nonnegative int (< 2**64)
     path_index : nonnegative int, or 1-d array of them (the key varies
         along the leading axis of the result)
-    stream : small nonnegative int distinguishing independent noise uses
+    stream : small nonnegative int distinguishing independent noise uses,
+        or a 1-d list of them
     modes, steps : 1-d integer arrays of indices
     out : optional float64 array of the result's shape (it may be a
         strided view) that receives the draws
 
     Returns
     -------
-    float64 array of shape (len(modes), len(steps)) for one path index,
-    (len(path_index), len(modes), len(steps)) for an array of them.
+    float64 array of shape (len(modes), len(steps)) for one path index
+    and one stream.  An array of path indices adds a leading path axis,
+    and a list of streams a stream axis after it, so that paths and
+    streams [1, 2] give the (B, 2, K, N) layout of a noise table.
     """
     path_index = np.asarray(path_index, dtype=np.uint64)
     paths = path_index.reshape(-1)
+    streams = [int(s) for s in np.reshape(stream, -1)]
     # index lists are converted block by block: a long step list then
     # costs no uint64 copy of its own
     modes, steps = np.asarray(modes), np.asarray(steps)
-    shape = path_index.shape + (modes.size, steps.size)
+    shape = (path_index.shape + np.shape(stream)
+             + (modes.size, steps.size))
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, the draws {shape}")
-    table = out.reshape(paths.size, modes.size, steps.size)  # a view: at
-    # most a leading unit axis is added
-    # a block takes as many steps as fit, then as many modes, then paths
-    nb = max(1, min(steps.size, _DRAWS_PER_BLOCK))
-    kb = max(1, min(modes.size, _DRAWS_PER_BLOCK // nb))
-    bb = max(1, min(paths.size, _DRAWS_PER_BLOCK // (nb * kb)))
-    bufs, views = np.empty((9, bb * kb * nb), dtype=np.uint64), {}
-    for b in range(0, paths.size, bb):
-        for k in range(0, modes.size, kb):
-            for n in range(0, steps.size, nb):
-                bits = _word0(int(master_seed), paths[b:b + bb], int(stream),
-                              modes[k:k + kb].astype(np.uint64, copy=False),
-                              steps[n:n + nb].astype(np.uint64, copy=False),
-                              bufs, views)
-                normals_from_bits(bits, table[b:b + bb, k:k + kb, n:n + nb])
+    if out.size == 0:
+        return out
+    # a view: at most unit path and stream axes are added
+    table = out.reshape(paths.size, len(streams), modes.size, steps.size)
+    # a block takes as many steps as fit, then as many modes, then paths;
+    # its ten key rows take no more words than one row of the work array
+    nb, n_starts = _split(steps.size, _DRAWS_PER_BLOCK)
+    kb, k_starts = _split(modes.size, _DRAWS_PER_BLOCK // nb)
+    bb, b_starts = _split(paths.size, _DRAWS_PER_BLOCK // max(nb * kb, 10))
+    word0 = _plan(int(master_seed), (bb, kb, nb))
+    for b in b_starts:
+        for s, stream in enumerate(streams):
+            for k in k_starts:
+                for n in n_starts:
+                    bits = word0(paths[b:b + bb], stream, modes[k:k + kb],
+                                 steps[n:n + nb])
+                    normals_from_bits(bits,
+                                      table[b:b + bb, s, k:k + kb, n:n + nb])
     return out

@@ -45,6 +45,10 @@ def _numpy_words(seed, path, stream, mode, first_step, count=1):
 
 
 def _numpy_normal_table(seed, paths, stream, modes, steps):
+    """The oracle table; a list of streams adds an axis after the paths."""
+    if np.ndim(stream):
+        return np.stack([_numpy_normal_table(seed, paths, s, modes, steps)
+                         for s in stream], axis=1)
     steps = [int(n) for n in steps]
     consecutive = steps == list(range(steps[0], steps[0] + len(steps)))
     out = np.empty((len(paths), len(modes), len(steps)), dtype=np.uint64)
@@ -73,11 +77,11 @@ def test_philox_block_matches_numpy():
         ((7, 3), (4, 1023, 1)),
         ((7, 3), (4, 1023, 2)),
     ]
-    bufs = np.empty((9, 1), dtype=np.uint64)
     for (seed, path), (step, mode, stream) in cases:
-        mine = rng._word0(seed, np.array([path], dtype=np.uint64), stream,
-                          np.array([mode], dtype=np.uint64),
-                          np.array([step], dtype=np.uint64), bufs)
+        word0 = rng._plan(seed, (1, 1, 1))
+        mine = word0(np.array([path], dtype=np.uint64), stream,
+                     np.array([mode], dtype=np.uint64),
+                     np.array([step], dtype=np.uint64))
         ref = _numpy_words(seed, path, stream, mode, step)
         assert mine.shape == (1, 1, 1)
         assert mine[0, 0, 0] == ref[0], (seed, path, step, mode, stream)
@@ -88,6 +92,8 @@ def test_philox_block_matches_numpy():
     (2**64 - 1, [2**63, 0, 5], 2, [1, 1023, 4], [2, 9, 0]),
     # one path whose K*N exceeds the block budget, split over modes and steps
     (9, [4], 1, [0, 5], range(rng._DRAWS_PER_BLOCK + 3)),
+    # a list of streams, in any order, adds an axis after the paths
+    (23, [3, 2**63, 8], [2, 1, 7], range(5), range(4, 13)),
 ])
 def test_normal_table_matches_numpy_philox(seed, paths, stream, modes, steps):
     paths, modes, steps = list(paths), list(modes), list(steps)
@@ -95,6 +101,33 @@ def test_normal_table_matches_numpy_philox(seed, paths, stream, modes, steps):
                              np.array(modes), np.array(steps))
     assert np.array_equal(table, _numpy_normal_table(seed, paths, stream,
                                                      modes, steps))
+
+
+@pytest.mark.parametrize("box", [
+    (200, 16, 5),           # one ens_1d noise block: 2 blocks of 100 paths
+    # a last block that is moved back to end on the axis: paths (68 + 68
+    # + 67), modes (2501 + 2500) and steps (5463 + 5463 + 5461)
+    (203, 17, 5), (2, 5001, 3), (3, 2, 16387),
+])
+def test_two_streams_in_one_call_equal_two_calls(box):
+    paths, modes, steps = (np.arange(n) for n in box)
+    paths = paths * 977 + 2**40
+    both = rng.normal_table(11, paths, [1, 2], modes, steps)
+    assert both.shape == (box[0], 2) + box[1:]
+    for s in (0, 1):
+        assert np.array_equal(
+            both[:, s], rng.normal_table(11, paths, s + 1, modes, steps))
+    one_path = rng.normal_table(11, paths[1], [1, 2], modes, steps)
+    assert np.array_equal(one_path, both[1])
+
+
+def test_blocks_split_each_axis_equally():
+    # ens_1d's 200 paths: 2 x 100, not 102 + 98; picard_1d's 16: 4 x 4,
+    # not 5 + 5 + 5 + 1; otherwise the last block moves back to end there
+    assert rng._split(200, 102) == (100, [0, 100])
+    assert rng._split(16, 5) == (4, [0, 4, 8, 12])
+    assert rng._split(203, 96) == (68, [0, 68, 135])
+    assert rng._split(5, 8192) == (5, [0])
 
 
 @pytest.mark.parametrize("box", [(200, 16, 5), (200, 16, 50), (1, 256, 2000),

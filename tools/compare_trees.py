@@ -9,10 +9,12 @@ cases in its own interpreter, and the outputs are compared:
 
 * bitwise: ``noise.sample_paths`` tables (1-D K=16, 200 paths, steps
   0..49, drawn whole and in 5-step blocks; K=256 as in 2-D, one path,
-  50 steps; seed 2**64 - 1 with path 2**63); the delta = 0 uniqueness
-  study (which must also report bitwise-identical runs); the
-  stopping-scan first-hit steps on a trajectory that crosses its levels
-  mid-run; the Picard iteration count;
+  50 steps; seed 2**64 - 1 with path 2**63; 1-D K=16, 16 paths and
+  100 steps in one call, the ``picard_1d`` benchmark's table, which
+  trees cut into cipher blocks of 5 + 5 + 5 + 1 or 4 x 4 paths); the
+  delta = 0 uniqueness study (which must also report bitwise-identical
+  runs); the stopping-scan first-hit steps on a trajectory that crosses
+  its levels mid-run; the Picard iteration count;
 * to 1e-13 x max|value| (a stacked product, or a quadrature summed in
   another order, against one per row): ``run`` final u, v and the live
   functional trace for both schemes in 1-D (N=64, K=16) and 2-D (N=16,
@@ -140,6 +142,8 @@ def _cases():
             ("seed 2**64-1 path 2**63", NoiseSpec(2.0, 2.0, 16, 2**64 - 1),
              [2**63])):
         out["bitwise"][f"sample_paths {name}"] = sample_paths(spec, grid, paths)
+    out["bitwise"]["sample_paths 1d K=16 16 paths 100 steps"] = sample_paths(
+        NoiseSpec(2.0, 2.0, 16, 606), np.linspace(0.0, 0.1, 101), range(16))
     out["bitwise"]["sample_paths 1d K=16 200 paths in 5-step blocks"] = (
         np.concatenate([sample_paths(NoiseSpec(2.0, 2.0, 16, 901), grid,
                                      range(200), n0, n0 + 5)
