@@ -27,7 +27,9 @@ this is the coupled step, and with chi a given trajectory (the
 ``driver`` of :func:`run_batch`) it is a step of the Picard map T
 (``experiments.apply_T``).  One core with one set of checks steps
 both, and a coupled trajectory is an exact fixed point of the discrete
-T.
+T.  Because T is causal in time, one driven stack can also chain
+successive applications of T, each block of rows driven by the live u
+of the block before it (``experiments.picard_iterate``'s sweeps).
 
 Paths are stepped as stacks: one state object, :class:`StateView`,
 holds B trajectories of both fields as one stack (modal (2, B, K),
@@ -423,7 +425,8 @@ def observe(observer, states, n_steps, dt):
 
 def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
               basis: SpectralBasis, noise_spec: NoiseSpec, draw, n_paths: int,
-              observer=None, driver=None) -> StateView:
+              observer=None, driver=None, chain: int = 1,
+              coupled: bool = False) -> StateView:
     """Drive ``n_paths`` trajectories from ``initial`` as one stack.
 
     ``initial`` is the (2, K) modal initial data (row 0 u, row 1 v) every
@@ -447,10 +450,24 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     None it steps the coupled system.  Each row of chi is synthesized as
     the u half of a (2 n_paths, K) product, the layout of the state's
     u, so a coupled trajectory is an exact fixed point of T.
+
+    A driven stack may chain ``chain`` applications of T, block after
+    block of ``n_paths`` rows: block 0 is driven by ``driver`` and block
+    j >= 1 by the live u of block j - 1 at the same step, which T reads
+    only up to that step.  With ``coupled``, one more block, driven by
+    its own u, steps the coupled system beside them.  Every block reads
+    the same ``n_paths`` noise rows (drawn once per noise block, damped
+    once and repeated per block), and the observer sees all
+    n_paths x (chain + coupled) rows, block by block.
     """
     n_steps = scheme.n_steps()
+    if driver is None and (chain != 1 or coupled):
+        raise ValueError("only a driven stack chains blocks")
+    if chain < 1:
+        raise ValueError(f"chain must be >= 1, got {chain}")
+    blocks = chain + bool(coupled)
     stepper = Stepper(basis, params, scheme, noise_spec)
-    state = stepper.raw_state(initial, n_paths)
+    state = stepper.raw_state(initial, n_paths * blocks)
     k = basis.mode_count
     if driver is not None and driver.shape != (n_paths, n_steps + 1, k):
         raise ValueError(f"driver has shape {driver.shape}, "
@@ -460,12 +477,27 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
         # the driver's chi in row 0 of a (2, B, K) stack, as u in the state
         pair = np.zeros((2, n_paths, k))
         pair_nodal = np.empty((2, n_paths, basis.n_nodes))
+        chi = np.empty((n_paths * blocks, basis.n_nodes))
+        driven = n_paths * chain
+        repeated = np.empty((2, blocks, n_paths, k))
 
-    def driver_nodal(n):
+    def chi_nodal(n):
         if driver is None:
             return None
         pair[0] = driver[:, n]
-        return stepper._synthesize(pair, out=pair_nodal)[0]
+        chi[:n_paths] = stepper._synthesize(pair, out=pair_nodal)[0]
+        # block j reads block j - 1's u; the coupled block its own
+        chi[n_paths:driven] = state.u_nodal[:driven - n_paths]
+        chi[driven:] = state.u_nodal[driven:]
+        return chi
+
+    def increments(raw):
+        """Damped (2, rows, K) increments of one step's (n_paths, 2, K) draws."""
+        dw = stepper.damp * raw.swapaxes(0, 1)
+        if blocks == 1:
+            return dw
+        repeated[:] = dw[:, None]
+        return repeated.reshape(2, -1, k)
 
     def states():
         yield state
@@ -478,9 +510,8 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
                     f"{block.shape}, run needs {(n_paths, 2, k, n1 - n0)}"
                 )
             for s in range(n1 - n0):
-                stepper.advance(state,
-                                stepper.damp * block[..., s].swapaxes(0, 1),
-                                driver_nodal(n0 + s))
+                stepper.advance(state, increments(block[..., s]),
+                                chi_nodal(n0 + s))
                 if not state.alive.any():
                     return
                 yield state

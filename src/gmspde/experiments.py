@@ -25,13 +25,21 @@ whatever the block size; each member agrees with its solo ``run`` to
 rounding (1e-13 x max|value|, pinned by the tests), because a stacked
 product may sum a row in another order than a single-row one.  The Picard
 iteration keeps its members' whole increment table, which every
-application of the map re-reads through ``noise.sliced``.  The
-uniqueness study draws its path's table once and runs its two
-trajectories one by one on it, so its delta = 0 check stays bitwise.
+application of the map re-reads through ``noise.sliced``.  T is causal
+in time, so successive iterates are stepped in lockstep (pipelined
+waveform relaxation): a sweep is one stack of chained blocks of
+members, block j driven by the live u of block j - 1, its depth worked
+out from the store budget :data:`SWEEP_STORE_VALUES` and the last
+contraction ratio (see :func:`picard_iterate`).  Its iterates equal
+chained ``apply_T`` calls to rounding, and its report, walked block by
+block, reruns bit for bit.  The uniqueness study draws its path's table
+once and runs its two trajectories one by one on it, so its delta = 0
+check stays bitwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,30 +129,53 @@ class PairTrajectory:
         )
 
 
+# most stored values (2 fields x members x (n+1) states x K modes) of the
+# chained iterates in one sweep of :func:`picard_iterate`, which holds
+# them all at once; a sweep holds at least one block, and the coupled
+# block of the first sweep comes on top.  At the ``picard_1d``
+# benchmark's shape (16 members, 100 steps, K = 16: 51,712 values a
+# block; 6 iterations) the iteration took, in-process, median of 5
+# rounds of 15 calls on 2 cores, with its tracemalloc peak: one apply_T
+# per iterate 106 ms, 2.24 MiB; sweeps of at most 1 block 102 ms,
+# 2.64 MiB; 2 blocks 78 ms, 3.05 MiB; 3 blocks 75 ms, 3.46 MiB; 4 blocks
+# 68 ms, 3.88 MiB; 6 (one sweep) 64 ms, 4.71 MiB; 30 (max_iterations,
+# no budget) 130 ms, 15.6 MiB.  3 x 2**16 (a 1.5 MB store, 3 blocks
+# there) keeps most of the gain for 1.2 MiB over one iterate at a time.
+SWEEP_STORE_VALUES = 3 * 2**16
+
+
 class TrajectoryRecorder:
     """Observer storing every step's modal coefficients of every row.
 
+    The states of a run of ``n_steps`` steps go into one (2, B, n+1, K)
+    store, allocated at the first record; if the walk stops early, the
+    stacks handed out are views of the states recorded.
     :meth:`trajectory` returns the path of a one-row run,
     :meth:`trajectories` the stack of all rows.
     """
 
     stride = 1
 
-    def __init__(self):
-        self._times = []
-        self._states = []
+    def __init__(self, n_steps: int):
+        self._times = np.empty(n_steps + 1)
+        self._store = None
+        self._count = 0
 
     def accumulate(self, view, dt):
         pass
 
     def record(self, view):
-        self._times.append(view.t)
-        self._states.append(view.modal.copy())
+        if self._store is None:
+            self._store = np.empty(view.modal.shape[:2] + self._times.shape
+                                   + view.modal.shape[2:])
+        self._times[self._count] = view.t
+        self._store[:, :, self._count] = view.modal
+        self._count += 1
 
     def trajectories(self):
         # (2, B, n+1, K): chi and eta are its two contiguous halves
-        states = np.stack(self._states, axis=2)
-        return PairTrajectory(times=np.asarray(self._times),
+        states = self._store[:, :, :self._count]
+        return PairTrajectory(times=self._times[:self._count],
                               chi_modal=states[0], eta_modal=states[1])
 
     def trajectory(self):
@@ -297,6 +328,20 @@ class PicardReport:
         return lines
 
 
+def _stack_solve(init, params, scheme, basis, noise_spec, draw, n_paths,
+                 driver=None, chain=1, coupled=False):
+    """Stored trajectories and final state of one :func:`run_batch` stack.
+
+    ``driver``, ``chain`` and ``coupled`` are ``run_batch``'s; failed
+    rows are left in the final state's ``failures``.
+    """
+    rec = TrajectoryRecorder(scheme.n_steps())
+    final = run_batch(init, params, scheme, basis, noise_spec, draw,
+                      n_paths, observer=rec, driver=driver, chain=chain,
+                      coupled=coupled)
+    return rec.trajectories(), final
+
+
 def _coupled_solve(init, params, scheme, basis, noise_spec, draw, n_paths,
                    driver=None):
     """Stacked trajectories and final state of the coupled system.
@@ -306,12 +351,39 @@ def _coupled_solve(init, params, scheme, basis, noise_spec, draw, n_paths,
     by it instead (see :func:`~gmspde.dynamics.run_batch`).  Raises the
     first row failure.
     """
-    rec = TrajectoryRecorder()
-    final = run_batch(init, params, scheme, basis, noise_spec, draw,
-                      n_paths, observer=rec, driver=driver)
+    out, final = _stack_solve(init, params, scheme, basis, noise_spec, draw,
+                              n_paths, driver=driver)
     if final.failures:
         raise next(iter(final.failures.values()))
-    return rec.trajectories(), final
+    return out, final
+
+
+def _block(stack: PairTrajectory, j: int, m: int) -> PairTrajectory:
+    """Block ``j`` of ``m`` rows of a sweep's trajectory stack."""
+    rows = slice(j * m, (j + 1) * m)
+    return PairTrajectory(stack.times, stack.chi_modal[rows],
+                          stack.eta_modal[rows])
+
+
+def _first_failure(final, j: int, m: int):
+    """The first row failure of block ``j`` of ``m`` rows, or None."""
+    rows = range(j * m, (j + 1) * m)
+    return next((exc for row, exc in final.failures.items() if row in rows),
+                None)
+
+
+def _sweep_depth(distances, tolerance: float, cap: int) -> int:
+    """Applications of T in the next sweep, from 1 to ``cap``.
+
+    With no contraction ratio measured yet, ``cap``; else the count the
+    last ratio q = d_k/d_(k-1) < 1 predicts to bring d_k below the
+    tolerance, d_k q^j < tolerance.
+    """
+    if len(distances) < 2 or not 0.0 < distances[-1] < distances[-2]:
+        return cap
+    q = distances[-1] / distances[-2]
+    need = math.ceil(math.log(tolerance / distances[-1]) / math.log(q))
+    return max(1, min(cap, need))
 
 
 def picard_iterate(start: PairTrajectory, init,
@@ -321,13 +393,42 @@ def picard_iterate(start: PairTrajectory, init,
                    start_description: str = "steady state + mode-1..4 bumps"):
     """Iterate the decoupling map on frozen paths until the semi-norm settles.
 
-    Non-convergence within the budget is reported, not raised.
+    Every member starts from ``start`` and reads its own frozen noise
+    row; iterate k+1 is T applied to iterate k.  T is causal in time
+    (step n of iterate k+1 reads iterate k up to step n only), so the
+    iterates are stepped in sweeps: one stack of W blocks of members
+    through :func:`~gmspde.dynamics.run_batch`, block 0 driven by the
+    stored previous iterate and block j by the live u of block j - 1.
+    The first sweep also steps the coupled system on the same noise, the
+    reference of ``residual_vs_coupled``.  W is worked out, not set: in
+    the first sweep as many blocks as :data:`SWEEP_STORE_VALUES` stores
+    (and at most ``max_iterations``); after that, the count the last
+    contraction ratio predicts is still needed to reach the tolerance,
+    capped by that budget and by the iterations left, and at least 1.
+
+    The report is walked block by block, as one application of T at a
+    time: distance to the previous iterate, functional trace and
+    membership, convergence test.  An iterate that failed raises its
+    first row failure, the error :func:`apply_T` raises on it; the first
+    failing iterate in order is raised, then a failure of the coupled
+    solve.  Blocks past convergence are discarded unread, so they
+    neither count nor raise.  Non-convergence within the budget is
+    reported, not raised.
+
+    Each block is the iterate :func:`apply_T` gives to rounding
+    (1e-13 x max|value|, pinned by the tests), and the distances follow
+    it: a stacked product may sum a row in another order than a product
+    of another height, so the budget and the depths may move last bits.
+    Bit for bit hold the frozen noise table and reruns of one
+    configuration (the same depths, so the same stacks).
     """
     fconfig = fconfig or FunctionalConfig()
     m = config.ensemble_size
+    n = scheme.n_steps()
     # one stored table: every application of T re-reads the same frozen
     # increments, and drawing them anew each time costs more than the table
-    frozen = sliced(drawn(noise_spec, scheme, range(m))(0, scheme.n_steps()))
+    frozen = sliced(drawn(noise_spec, scheme, range(m))(0, n))
+    budget = max(1, SWEEP_STORE_VALUES // (2 * m * (n + 1) * basis.mode_count))
 
     start_trace = replay_trace(start, basis, fconfig, scheme.v_floor)
     bounds = auto_bounds(start_trace, margin=config.bound_margin)
@@ -346,24 +447,37 @@ def picard_iterate(start: PairTrajectory, init,
     distances = []
     memberships = []
     converged = False
-    iterations = 0
+    coupled = coupled_failure = None
 
-    for it in range(config.max_iterations):
-        new, _ = apply_T(current, init, params, scheme, basis, noise_spec,
-                         frozen, check_positivity=False)
-        d = seminorm_m(new, current, basis, fconfig.rho)
-        distances.append(d)
-        trace = replay_trace(new, basis, fconfig, scheme.v_floor, range(m))
-        memberships.append(membership(trace, bounds))
-        current = new
-        iterations = it + 1
-        if d < config.tolerance:
-            converged = True
-            break
+    while not converged and len(distances) < config.max_iterations:
+        depth = _sweep_depth(distances, config.tolerance,
+                             min(budget, config.max_iterations - len(distances)))
+        stack, final = _stack_solve(init, params, scheme, basis, noise_spec,
+                                    frozen, m, driver=current.chi_modal,
+                                    chain=depth, coupled=coupled is None)
+        for j in range(depth):
+            failure = _first_failure(final, j, m)
+            if failure is not None:
+                raise failure
+            new = _block(stack, j, m)
+            d = seminorm_m(new, current, basis, fconfig.rho)
+            distances.append(d)
+            trace = replay_trace(new, basis, fconfig, scheme.v_floor, range(m))
+            memberships.append(membership(trace, bounds))
+            current = new
+            if d < config.tolerance:
+                converged = True
+                break
+        if coupled is None:
+            coupled = _block(stack, depth, m).copy()
+            coupled_failure = _first_failure(final, depth, m)
+        # the next sweep's input, out of the store, which is freed
+        current = current.copy()
+        del stack, final, new
 
     # residual against the directly coupled solve on the same noise
-    coupled, _ = _coupled_solve(init, params, scheme, basis, noise_spec,
-                                frozen, m)
+    if coupled_failure is not None:
+        raise coupled_failure
     residual = seminorm_m(current, coupled, basis, fconfig.rho)
 
     ratios = [
@@ -374,7 +488,7 @@ def picard_iterate(start: PairTrajectory, init,
         distances=distances,
         ratios=ratios,
         converged=converged,
-        iterations=iterations,
+        iterations=len(distances),
         residual_vs_coupled=residual,
         memberships=memberships,
         bounds=bounds,
@@ -459,7 +573,7 @@ def uniqueness_study(init, delta: float, params: ModelParams,
     common = sliced(draw(0, scheme.n_steps()))
 
     def solve(pair):
-        rec = TrajectoryRecorder()
+        rec = TrajectoryRecorder(scheme.n_steps())
         run(pair, params, scheme, basis, noise_spec, common, observer=rec)
         return rec.trajectory()
 

@@ -190,7 +190,7 @@ def check_other_rows(final, setup, failed_row):
 def check_failed_row(final, setup, row, error):
     init, prm, sch, basis, spec, increments = setup
     # the solo run raises the same error ...
-    rec = TrajectoryRecorder()
+    rec = TrajectoryRecorder(sch.n_steps())
     with pytest.raises(error) as solo_error:
         solo(init, prm, sch, basis, spec, increments[row], observer=rec)
     assert list(final.failures) == [row]
@@ -242,7 +242,7 @@ def test_ensemble_failures_match_solo_runs():
     increments = drawn(spec, loose, range(n_paths))(0, loose.n_steps())
     peaks = []
     for idx in range(n_paths):
-        rec = TrajectoryRecorder()
+        rec = TrajectoryRecorder(loose.n_steps())
         solo(init, prm, loose, basis, spec, increments[idx], observer=rec)
         traj = rec.trajectory()
         u = basis.synthesize(traj.chi_modal[:-1])

@@ -1,6 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gmspde import experiments
 from gmspde.dynamics import (
     ModelParams,
     SchemeConfig,
@@ -15,7 +19,9 @@ from gmspde.experiments import (
     PairTrajectory,
     StoppingSpec,
     TrajectoryRecorder,
+    _block,
     _coupled_solve,
+    _stack_solve,
     _stopping_scan,
     apply_T,
     constant_trajectory,
@@ -144,6 +150,214 @@ def test_coupled_solution_is_exact_fixed_point_of_T(scheme, dim, rows):
                                rtol=0, atol=0)
     np.testing.assert_allclose(out.eta_modal, coupled.eta_modal,
                                rtol=0, atol=0)
+
+
+def members(traj, m):
+    """``m`` copies of a one-path trajectory as a stack."""
+    return PairTrajectory(traj.times, np.repeat(traj.chi_modal[None], m, 0),
+                          np.repeat(traj.eta_modal[None], m, 0))
+
+
+def assert_rounding_close(got, expected):
+    scale = float(np.max(np.abs(expected)))
+    assert got.shape == expected.shape
+    assert float(np.max(np.abs(got - expected))) <= 1e-13 * scale
+
+
+def sequential_picard(start, init, params, sch, basis, spec, config, fconfig):
+    """Distances of the Picard iteration as one apply_T call per iterate."""
+    m = config.ensemble_size
+    frozen = sliced(drawn(spec, sch, range(m))(0, sch.n_steps()))
+    current = members(start, m)
+    distances = []
+    for _ in range(config.max_iterations):
+        new, _ = apply_T(current, init, params, sch, basis, spec, frozen,
+                         check_positivity=False)
+        distances.append(seminorm_m(new, current, basis, fconfig.rho))
+        current = new
+        if distances[-1] < config.tolerance:
+            break
+    return distances
+
+
+@pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("rows", [1, 6])
+def test_sweep_iterates_equal_chained_apply_T(monkeypatch, scheme, dim, rows):
+    # a sweep steps three applications of T and the coupled system as one
+    # stack; each block is the chained apply_T result to rounding
+    basis_d = build_basis(DomainSpec(dim=dim, lengths=(1.0,) * dim,
+                                     grid_points_per_axis=64 if dim == 1
+                                     else 16), K)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=31)
+    params = desk_params(sigma=0.3)
+    sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
+    init = default_initial_pair(basis_d, params)
+    increments = sliced(drawn(spec, sch, range(rows))(0, 50))
+    current = members(constant_trajectory(init, sch), rows)
+    stack, final = _stack_solve(init, params, sch, basis_d, spec, increments,
+                                rows, driver=current.chi_modal, chain=3,
+                                coupled=True)
+    assert not final.failures and stack.chi_modal.shape == (4 * rows, 51, K)
+    for j in range(3):
+        current, _ = apply_T(current, init, params, sch, basis_d, spec,
+                             increments)
+        block = _block(stack, j, rows)
+        assert_rounding_close(block.chi_modal, current.chi_modal)
+        assert_rounding_close(block.eta_modal, current.eta_modal)
+    coupled, _ = _coupled_solve(init, params, sch, basis_d, spec, increments,
+                                rows)
+    assert_rounding_close(_block(stack, 3, rows).chi_modal, coupled.chi_modal)
+    assert_rounding_close(_block(stack, 3, rows).eta_modal, coupled.eta_modal)
+
+    # the iteration takes as many steps as one apply_T per iterate, in
+    # sweeps of the default budget and of one block each
+    config = FixedPointConfig(ensemble_size=rows, tolerance=1e-9)
+    fcfg = FunctionalConfig()
+    start = constant_trajectory(init, sch)
+    expected = sequential_picard(start, init, params, sch, basis_d, spec,
+                                 config, fcfg)
+    block_values = 2 * rows * 51 * K
+    for budget in (experiments.SWEEP_STORE_VALUES, block_values):
+        monkeypatch.setattr(experiments, "SWEEP_STORE_VALUES", budget)
+        report = picard_iterate(start, init, params, sch, basis_d, spec,
+                                config, fcfg)
+        assert report.converged
+        assert report.iterations == len(expected) >= 3
+        np.testing.assert_allclose(report.distances, expected, rtol=0,
+                                   atol=1e-12)
+
+
+def test_sweep_chain_needs_a_driver_and_a_block(basis, nspec):
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.01)
+    init = default_initial_pair(basis, params)
+    with pytest.raises(ValueError, match="only a driven stack chains"):
+        _stack_solve(init, params, sch, basis, nspec, drawn(nspec, sch, [0]),
+                     1, chain=2)
+    with pytest.raises(ValueError, match="chain must be >= 1, got 0"):
+        _stack_solve(init, params, sch, basis, nspec, drawn(nspec, sch, [0]),
+                     1, driver=constant_trajectory(init, sch).chi_modal[None],
+                     chain=0)
+
+
+def test_picard_stops_at_max_iterations(basis, nspec):
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.05)
+    init = default_initial_pair(basis, params)
+    report = picard_iterate(constant_trajectory(init, sch), init, params, sch,
+                            basis, nspec,
+                            FixedPointConfig(max_iterations=2,
+                                             tolerance=1e-300,
+                                             ensemble_size=2))
+    assert report.iterations == 2
+    assert not report.converged
+    assert len(report.distances) == 2 and len(report.memberships) == 2
+
+
+def cfl_picard_setup(basis):
+    # from u = 1.1 u*, the peaks kappa_u max(chi^2/v) dt of iterates 1-4
+    # on two members read 2.490e-3, 2.729e-3, 2.742e-3 and 2.732e-3, and
+    # 2.728e-3 in the coupled solve: at a limit of 2.735e-3, iterate 3
+    # alone fails
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.3, reaction_cfl_limit=2.735e-3)
+    init = default_initial_pair(basis, params)
+    start = constant_trajectory(
+        constant_pair(basis, 1.1 * steady_state(params)[0],
+                      steady_state(params)[1]), sch)
+    return params, sch, init, start
+
+
+@pytest.mark.parametrize("blocks", [1, 2, None])
+def test_picard_raises_the_first_failing_iterate(monkeypatch, basis, nspec,
+                                                  blocks):
+    # in sweeps of one block, of two, and of the default budget's ten (at
+    # this shape), iterate 3 fails with the error its apply_T call raises
+    params, sch, init, start = cfl_picard_setup(basis)
+    if blocks is not None:
+        monkeypatch.setattr(experiments, "SWEEP_STORE_VALUES",
+                            blocks * 2 * 2 * 301 * K)
+    frozen = sliced(drawn(nspec, sch, range(2))(0, sch.n_steps()))
+    current = members(start, 2)
+    for _ in range(2):
+        current, _ = apply_T(current, init, params, sch, basis, nspec, frozen,
+                             check_positivity=False)
+    with pytest.raises(SimulationError) as expected:
+        apply_T(current, init, params, sch, basis, nspec, frozen,
+                check_positivity=False)
+    assert "reaction CFL violated at step" in str(expected.value)
+    with pytest.raises(SimulationError) as got:
+        picard_iterate(start, init, params, sch, basis, nspec,
+                       FixedPointConfig(ensemble_size=2, tolerance=1e-12))
+    assert str(got.value) == str(expected.value)
+
+
+def test_picard_discards_a_failing_block_past_convergence(basis, nspec):
+    # converged at iterate 2, the first sweep's failing iterate 3 is
+    # discarded and raises nothing
+    params, sch, init, start = cfl_picard_setup(basis)
+    loose = dataclasses.replace(sch, reaction_cfl_limit=1.0)
+    two = picard_iterate(start, init, params, loose, basis, nspec,
+                         FixedPointConfig(max_iterations=2, ensemble_size=2))
+    tolerance = float(np.sqrt(two.distances[0] * two.distances[1]))
+    report = picard_iterate(start, init, params, sch, basis, nspec,
+                            FixedPointConfig(ensemble_size=2,
+                                             tolerance=tolerance))
+    assert report.converged and report.iterations == 2
+    np.testing.assert_allclose(report.distances, two.distances, rtol=0,
+                               atol=1e-12)
+
+
+def test_picard_raises_a_failure_of_the_coupled_solve_last(basis, nspec):
+    # from u = 0, the peaks of iterates 1-6 rise to 2.7269e-3 and the
+    # coupled solve's reads 2.7279e-3: six iterates pass, then the
+    # coupled solve's error is raised
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.3, reaction_cfl_limit=2.7275e-3)
+    init = default_initial_pair(basis, params)
+    start = constant_trajectory(
+        constant_pair(basis, 0.0, steady_state(params)[1]), sch)
+    frozen = sliced(drawn(nspec, sch, range(2))(0, sch.n_steps()))
+    with pytest.raises(SimulationError) as expected:
+        _coupled_solve(init, params, sch, basis, nspec, frozen, 2)
+    with pytest.raises(SimulationError) as got:
+        picard_iterate(start, init, params, sch, basis, nspec,
+                       FixedPointConfig(max_iterations=6, tolerance=1e-12,
+                                        ensemble_size=2))
+    assert str(got.value) == str(expected.value)
+
+
+def test_picard_store_stays_within_its_budget(monkeypatch, basis):
+    # the picard_1d benchmark's shape: 16 members, K = 16, N = 64, 100
+    # steps.  One block of stored iterates is 2 x 16 x 101 x 16 doubles
+    # (0.39 MiB); the default budget's sweep of three blocks and the
+    # coupled one peaked at 3.5 MiB, and a first sweep of max_iterations
+    # = 30 blocks would store 12 MiB
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.1)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=0)
+    init = default_initial_pair(basis, params)
+    start = constant_trajectory(init, sch)
+    config = FixedPointConfig()
+    fcfg = FunctionalConfig(observation_stride=25)
+    limit = 6 * 2**20
+
+    def peak():
+        tracemalloc.start()
+        try:
+            report = picard_iterate(start, init, params, sch, basis, spec,
+                                    config, fcfg)
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    report, budgeted = peak()
+    assert report.converged and report.iterations == 6
+    assert budgeted < limit
+    monkeypatch.setattr(experiments, "SWEEP_STORE_VALUES",
+                        config.max_iterations * 2 * 16 * 101 * K)
+    assert peak()[1] > limit
 
 
 def test_apply_T_reports_reaction_cfl_of_the_shared_step(basis, nspec):
@@ -349,7 +563,7 @@ def test_trajectory_recorder_matches_run_output(basis, nspec):
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
     path = drawn(nspec, sch, [0])
-    rec = TrajectoryRecorder()
+    rec = TrajectoryRecorder(sch.n_steps())
     res = run(init, params, sch, basis, nspec, path, observer=rec)
     traj = rec.trajectory()
     assert traj.n_steps == 10
@@ -385,7 +599,7 @@ def test_stopping_scan_hits_levels_mid_run(basis, nspec):
     params = desk_params(sigma=1.5)
     sch = SchemeConfig(dt=1e-3, T=0.6)
     path = drawn(nspec, sch, [5])
-    rec = TrajectoryRecorder()
+    rec = TrajectoryRecorder(sch.n_steps())
     run(default_initial_pair(basis, params), params, sch, basis, nspec, path,
         observer=rec)
     traj = rec.trajectory()

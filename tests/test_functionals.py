@@ -283,7 +283,7 @@ def test_floor_activations_counted_once_live_and_replayed():
     column = live.trace().data["floor_activations"]
     assert column[-1] == res.floor_activations[0]
     assert column[0] == 0.0
-    traj = TrajectoryRecorder()
+    traj = TrajectoryRecorder(sch.n_steps())
     run(pair, params, sch, basis, spec, None, observer=traj)
     replayed = replay_trace(traj.trajectory(), basis, fcfg, sch.v_floor)
     assert np.array_equal(replayed.data["floor_activations"], column)
@@ -303,7 +303,7 @@ def test_replay_trace_matches_live_trace(v_floor):
     fcfg = FunctionalConfig(observation_stride=7)
     live = FunctionalRecorder(basis, fcfg, v_floor)
     res = run(init, params, sch, basis, spec, path, observer=live)
-    traj = TrajectoryRecorder()
+    traj = TrajectoryRecorder(sch.n_steps())
     run(init, params, sch, basis, spec, path, observer=traj)
     expected = live.trace()
     got = replay_trace(traj.trajectory(), basis, fcfg, v_floor)

@@ -14,7 +14,7 @@ cases in its own interpreter, and the outputs are compared:
   trees cut into cipher blocks of 5 + 5 + 5 + 1 or 4 x 4 paths); the
   delta = 0 uniqueness study (which must also report bitwise-identical
   runs); the stopping-scan first-hit steps on a trajectory that crosses
-  its levels mid-run; the Picard iteration count;
+  its levels mid-run; the Picard iteration counts;
 * to 1e-13 x max|value| (a stacked product, or a quadrature summed in
   another order, against one per row): ``run`` final u, v and the live
   functional trace for both schemes in 1-D (N=64, K=16) and 2-D (N=16,
@@ -31,7 +31,9 @@ cases in its own interpreter, and the outputs are compared:
   ensemble means of 20 and of 201 paths (1-D, both schemes; 201 is a
   stack size that is a multiple of neither 4 nor 16) and 10 paths
   (2-D), node-index columns left out (a near-tie may move an argmin by
-  a whole node); the Picard distances of a 6-member iteration.
+  a whole node); the Picard distances of a 6-member iteration, and the
+  distances and residual of a 16-member one (1-D N=64, K=16, 100 steps,
+  tolerance 1e-6: the ``picard_1d`` benchmark's iteration).
 
 The reductions of a trace stack are compared bitwise, since they must
 not move when the stack is formed another way: the ensemble standard
@@ -39,13 +41,15 @@ errors and every monitor's ``lhs``, ``init``, ``C`` and ``delta`` (at
 three horizons) of each ensemble above, and of a 1-D ensemble with
 repeated path indices at a reaction CFL limit that some of its paths
 fail; and the ``mean_L1``, ``mean_L2`` and ``sup_mean_L3`` of every
-Picard membership check.
+membership check of both Picard iterations.
 
 Trees before the noise source became the one noise interface take a
 ``NoisePath`` table where newer ones take a source ``draw(n0, n1)``;
 :func:`_noise_of` builds the argument each tree takes.  Trees before
 the functional trace held a stack return a list of one-path traces
 where newer ones return one stack; :func:`_columns` reads either.
+Trees before the trajectory recorder preallocated its store build it
+without a step count; :func:`_recorder` builds either.
 
 Exits 1 if any comparison fails.
 """
@@ -73,6 +77,17 @@ def _run_with(run, observer):
     if "observer" in inspect.signature(run).parameters:
         return {"observer": observer}
     return {"observers": [observer]}
+
+
+def _recorder(sch):
+    """A ``TrajectoryRecorder`` for a run on ``sch``'s steps.
+
+    Trees whose recorder preallocates its store take the step count.
+    """
+    from gmspde.experiments import TrajectoryRecorder
+    if "n_steps" in inspect.signature(TrajectoryRecorder).parameters:
+        return TrajectoryRecorder(sch.n_steps())
+    return TrajectoryRecorder()
 
 
 def _noise_of(spec, sch, indices):
@@ -113,7 +128,6 @@ def _cases():
         FixedPointConfig,
         PairTrajectory,
         StoppingSpec,
-        TrajectoryRecorder,
         _stopping_scan,
         apply_T,
         constant_trajectory,
@@ -196,7 +210,7 @@ def _cases():
     loud = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
                        mu_u=1.0, mu_v=2.0, sigma_u=1.5, sigma_v=1.5)
     sch = SchemeConfig(dt=1e-3, T=0.6)
-    rec = TrajectoryRecorder()
+    rec = _recorder(sch)
     run(init, loud, sch, basis, spec, _noise_of(spec, sch, [5]),
         **_run_with(run, rec))
     traj = rec.trajectory()
@@ -209,7 +223,7 @@ def _cases():
         [-1 if tau2[m] is None else tau2[m] for m in levels])
 
     sch = SchemeConfig(dt=1e-3, T=0.1)
-    rec = TrajectoryRecorder()
+    rec = _recorder(sch)
     run(init, params, sch, basis, spec, _noise_of(spec, sch, [2]),
         **_run_with(run, rec))
     coupled = rec.trajectory()
@@ -236,7 +250,7 @@ def _cases():
     # flooring about half the nodes
     paths = []
     for index in range(16):
-        rec = TrajectoryRecorder()
+        rec = _recorder(sch)
         run(init, params, sch, basis, spec, _noise_of(spec, sch, [index]),
             **_run_with(run, rec))
         paths.append(rec.trajectory())
@@ -296,6 +310,23 @@ def _cases():
         out["bitwise"][f"picard membership {part}"] = np.array(
             [getattr(member, part) for member in report.memberships])
     out["close"]["picard distances"] = np.array(report.distances)
+
+    # the picard_1d benchmark's iteration: 16 members, 100 steps
+    desk = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
+                       mu_u=1.0, mu_v=2.0, sigma_u=0.1, sigma_v=0.1)
+    init = default_initial_pair(basis, desk)
+    sch = SchemeConfig(dt=1e-3, T=0.1)
+    report = picard_iterate(constant_trajectory(init, sch), init, desk, sch,
+                            basis, NoiseSpec(2.0, 2.0, 16, 0),
+                            FixedPointConfig(tolerance=1e-6, ensemble_size=16),
+                            fconfig=FunctionalConfig(observation_stride=25))
+    key = "picard 16 members 100 steps"
+    out["bitwise"][f"{key} iterations"] = np.array([report.iterations])
+    for part in ("mean_L1", "mean_L2", "sup_mean_L3"):
+        out["bitwise"][f"{key} membership {part}"] = np.array(
+            [getattr(member, part) for member in report.memberships])
+    out["close"][f"{key} distances"] = np.array(report.distances)
+    out["close"][f"{key} residual"] = np.array([report.residual_vs_coupled])
     return out
 
 
