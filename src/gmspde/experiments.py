@@ -29,8 +29,8 @@ application of the map re-reads through ``noise.sliced``.  T is causal
 in time, so successive iterates are stepped in lockstep (pipelined
 waveform relaxation): a sweep is one stack of chained blocks of
 members, block j driven by the live u of block j - 1, its depth worked
-out from the store budget :data:`SWEEP_STORE_VALUES` and the last
-contraction ratio (see :func:`picard_iterate`).  Its iterates equal
+out from the budgets :data:`SWEEP_STORE_VALUES` and
+:data:`SWEEP_MAX_ROWS` (see :func:`picard_iterate`).  Its iterates equal
 chained ``apply_T`` calls to rounding, and its report, walked block by
 block, reruns bit for bit.  The uniqueness study draws its path's table
 once and runs its two trajectories one by one on it, so its delta = 0
@@ -39,7 +39,6 @@ check stays bitwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,6 +142,21 @@ class PairTrajectory:
 # there) keeps most of the gain for 1.2 MiB over one iterate at a time.
 SWEEP_STORE_VALUES = 3 * 2**16
 
+# most chained rows (members x blocks) in one sweep of
+# :func:`picard_iterate`, the coupled block on top.  A step of a
+# picard_1d-shaped chained stack (K = 16, N = 64, with its store) took,
+# median of 15 runs of 100 steps on 2 cores: 118 us at 16 rows, 142 at
+# 32, 165 at 48, 187 at 64, 230 at 96, 244 at 128, 355 at 192 and 900 at
+# 480.  A row costs about 1.4 us against a fixed 95 us a step, so up to
+# 64 rows a sweep's row work costs no more than the fixed cost of one
+# more sweep; deeper first sweeps lose to the blocks they discard past
+# convergence.  At 16 members and 10 steps (4 iterations; the store
+# budget alone gives 30 blocks) the iteration took, median of 21 calls
+# in two rounds: 12.4/12.8 ms at 16 rows, 9.1/8.3 ms at 64, 12.6/11.2 ms
+# at 192 and 20.7/18.4 ms at 480, against 10.9/15.5 ms for one apply_T
+# per iterate.
+SWEEP_MAX_ROWS = 64
+
 
 class TrajectoryRecorder:
     """Observer storing every step's modal coefficients of every row.
@@ -232,6 +246,16 @@ def _check_input_positivity(traj, basis):
     )
 
 
+def _check_steps(traj: PairTrajectory, scheme: SchemeConfig) -> int:
+    """The scheme's step count, which ``traj`` must have."""
+    n_steps = scheme.n_steps()
+    if traj.n_steps != n_steps:
+        raise ValueError(
+            f"trajectory has {traj.n_steps} steps, scheme wants {n_steps}"
+        )
+    return n_steps
+
+
 def apply_T(traj: PairTrajectory, init, params: ModelParams,
             scheme: SchemeConfig, basis, noise_spec: NoiseSpec,
             draw, check_positivity: bool = True):
@@ -251,11 +275,7 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
     :class:`~gmspde.dynamics.StateView` of the stack, whose per-row
     ``floor_activations`` count floored nodes.
     """
-    n_steps = scheme.n_steps()
-    if traj.n_steps != n_steps:
-        raise ValueError(
-            f"trajectory has {traj.n_steps} steps, scheme wants {n_steps}"
-        )
+    n_steps = _check_steps(traj, scheme)
     if check_positivity:
         _check_input_positivity(traj, basis)
     driver = traj.chi_modal.reshape(-1, n_steps + 1, basis.mode_count)
@@ -372,20 +392,6 @@ def _first_failure(final, j: int, m: int):
                 None)
 
 
-def _sweep_depth(distances, tolerance: float, cap: int) -> int:
-    """Applications of T in the next sweep, from 1 to ``cap``.
-
-    With no contraction ratio measured yet, ``cap``; else the count the
-    last ratio q = d_k/d_(k-1) < 1 predicts to bring d_k below the
-    tolerance, d_k q^j < tolerance.
-    """
-    if len(distances) < 2 or not 0.0 < distances[-1] < distances[-2]:
-        return cap
-    q = distances[-1] / distances[-2]
-    need = math.ceil(math.log(tolerance / distances[-1]) / math.log(q))
-    return max(1, min(cap, need))
-
-
 def picard_iterate(start: PairTrajectory, init,
                    params: ModelParams, scheme: SchemeConfig, basis,
                    noise_spec: NoiseSpec, config: FixedPointConfig,
@@ -400,11 +406,10 @@ def picard_iterate(start: PairTrajectory, init,
     through :func:`~gmspde.dynamics.run_batch`, block 0 driven by the
     stored previous iterate and block j by the live u of block j - 1.
     The first sweep also steps the coupled system on the same noise, the
-    reference of ``residual_vs_coupled``.  W is worked out, not set: in
-    the first sweep as many blocks as :data:`SWEEP_STORE_VALUES` stores
-    (and at most ``max_iterations``); after that, the count the last
-    contraction ratio predicts is still needed to reach the tolerance,
-    capped by that budget and by the iterations left, and at least 1.
+    reference of ``residual_vs_coupled``.  W is worked out, not set: as
+    many blocks as both :data:`SWEEP_STORE_VALUES` stored values and
+    :data:`SWEEP_MAX_ROWS` rows allow, at least 1 and at most the
+    iterations left.
 
     The report is walked block by block, as one application of T at a
     time: distance to the previous iterate, functional trace and
@@ -418,7 +423,7 @@ def picard_iterate(start: PairTrajectory, init,
     Each block is the iterate :func:`apply_T` gives to rounding
     (1e-13 x max|value|, pinned by the tests), and the distances follow
     it: a stacked product may sum a row in another order than a product
-    of another height, so the budget and the depths may move last bits.
+    of another height, so the budgets and the depths may move last bits.
     Bit for bit hold the frozen noise table and reruns of one
     configuration (the same depths, so the same stacks).
     """
@@ -428,7 +433,9 @@ def picard_iterate(start: PairTrajectory, init,
     # one stored table: every application of T re-reads the same frozen
     # increments, and drawing them anew each time costs more than the table
     frozen = sliced(drawn(noise_spec, scheme, range(m))(0, n))
-    budget = max(1, SWEEP_STORE_VALUES // (2 * m * (n + 1) * basis.mode_count))
+    budget = max(1, min(SWEEP_STORE_VALUES // (2 * m * (n + 1)
+                                               * basis.mode_count),
+                        SWEEP_MAX_ROWS // m))
 
     start_trace = replay_trace(start, basis, fconfig, scheme.v_floor)
     bounds = auto_bounds(start_trace, margin=config.bound_margin)
@@ -437,6 +444,7 @@ def picard_iterate(start: PairTrajectory, init,
         raise ValueError(
             f"start trajectory violates positivity: {start_member.failure}"
         )
+    _check_steps(start, scheme)
 
     # every member starts from the same trajectory; all are stepped at once
     current = PairTrajectory(
@@ -450,8 +458,7 @@ def picard_iterate(start: PairTrajectory, init,
     coupled = coupled_failure = None
 
     while not converged and len(distances) < config.max_iterations:
-        depth = _sweep_depth(distances, config.tolerance,
-                             min(budget, config.max_iterations - len(distances)))
+        depth = min(budget, config.max_iterations - len(distances))
         stack, final = _stack_solve(init, params, scheme, basis, noise_spec,
                                     frozen, m, driver=current.chi_modal,
                                     chain=depth, coupled=coupled is None)

@@ -333,7 +333,7 @@ def test_picard_store_stays_within_its_budget(monkeypatch, basis):
     # steps.  One block of stored iterates is 2 x 16 x 101 x 16 doubles
     # (0.39 MiB); the default budget's sweep of three blocks and the
     # coupled one peaked at 3.5 MiB, and a first sweep of max_iterations
-    # = 30 blocks would store 12 MiB
+    # = 30 blocks, neither budget set, would store 12 MiB
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.1)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=0)
@@ -357,6 +357,8 @@ def test_picard_store_stays_within_its_budget(monkeypatch, basis):
     assert budgeted < limit
     monkeypatch.setattr(experiments, "SWEEP_STORE_VALUES",
                         config.max_iterations * 2 * 16 * 101 * K)
+    monkeypatch.setattr(experiments, "SWEEP_MAX_ROWS",
+                        config.max_iterations * 16)
     assert peak()[1] > limit
 
 
@@ -423,6 +425,46 @@ def test_picard_rejects_nonpositive_start(basis, nspec):
     with pytest.raises(ValueError, match="positivity"):
         picard_iterate(bad_start, pair, params, sch, basis, nspec,
                        FixedPointConfig(ensemble_size=2))
+
+
+def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.01)
+    init = default_initial_pair(basis, params)
+    start = constant_trajectory(init, SchemeConfig(dt=1e-3, T=0.02))
+    with pytest.raises(ValueError) as expected:
+        apply_T(start, init, params, sch, basis, nspec,
+                drawn(nspec, sch, [0]))
+    assert str(expected.value) == "trajectory has 20 steps, scheme wants 10"
+    with pytest.raises(ValueError) as got:
+        picard_iterate(start, init, params, sch, basis, nspec,
+                       FixedPointConfig(ensemble_size=2))
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("horizon, members, depths", [
+    (0.1, 16, [3, 3]),     # the store budget binds: 3 blocks of 51,712
+    (0.01, 16, [4]),       # the row budget binds: 64 rows of 16 members
+    (0.01, 80, [1] * 4),   # more members than SWEEP_MAX_ROWS: one block
+])
+def test_sweep_depth_is_the_tighter_budget(monkeypatch, basis, nspec,
+                                           horizon, members, depths):
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=horizon)
+    init = default_initial_pair(basis, params)
+    chains = []
+    stack_solve = experiments._stack_solve
+
+    def spy(*args, chain=1, **kwargs):
+        chains.append(chain)
+        return stack_solve(*args, chain=chain, **kwargs)
+
+    monkeypatch.setattr(experiments, "_stack_solve", spy)
+    report = picard_iterate(constant_trajectory(init, sch), init, params,
+                            sch, basis, nspec,
+                            FixedPointConfig(ensemble_size=members))
+    assert report.converged and chains == depths
+    assert sum(depths[:-1]) < report.iterations <= sum(depths)
 
 
 def test_picard_contracts_on_desk_problem(basis, nspec):
