@@ -58,42 +58,17 @@ class NoiseSpec:
         raise ValueError(f"process index must be 1 or 2, got {j}")
 
 
-def sample_paths(spec: NoiseSpec, time_grid, path_indices, start=0,
-                 stop=None) -> np.ndarray:
+def _block(spec, roots, path_indices, start, stop):
     """Increments of several paths over steps start..stop-1: (B, 2, K, S).
 
-    Entry (b, j, k, n) is sqrt(dt_n) times a standard normal that depends
-    only on (master_seed, path_indices[b], j, k, n): a row does not
-    depend on the other rows, and a block of steps is those columns of
-    the full table, so any range of steps can be drawn on its own.
-    ``stop`` defaults to the last step of the grid.  Indices may repeat
-    and need not be consecutive.  One :func:`rng.normal_table` call
-    draws both processes.
+    Entry (b, j, k, n) is sqrt(dt) of step m = start + n, ``roots[m]``,
+    times a standard normal that depends only on (master_seed,
+    path_indices[b], j, k, m): a row does not depend on the other rows,
+    and a block of steps is those columns of the full table.  Indices may repeat and need not be
+    consecutive.  Streams 1 and 2 (W_1 and W_2) come from one
+    ``rng.normal_table`` call, which shares its cipher plan between
+    them, and the table is scaled by sqrt(dt) once.
     """
-    return _block(spec, _step_roots(time_grid), path_indices, start, stop)
-
-
-def _step_roots(time_grid):
-    """sqrt(dt_n) of each step of a checked time grid."""
-    time_grid = np.asarray(time_grid, dtype=float)
-    if time_grid.ndim != 1 or time_grid.size < 2:
-        raise ValueError("time grid needs at least two points")
-    dts = np.diff(time_grid)
-    if np.any(dts <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    if time_grid[0] != 0.0:
-        raise ValueError("time grid must start at t = 0")
-    return np.sqrt(dts)
-
-
-def _block(spec, roots, path_indices, start, stop):
-    """:func:`sample_paths` on steps of sqrt(dt) ``roots``.
-
-    Streams 1 and 2 (W_1 and W_2) come from one ``rng.normal_table``
-    call, which shares its cipher plan between them, and the table is
-    scaled by sqrt(dt) once.
-    """
-    stop = roots.size if stop is None else stop
     if not 0 <= start <= stop <= roots.size:
         raise ValueError(
             f"steps {start}..{stop - 1} outside the grid's {roots.size} steps")
@@ -110,11 +85,14 @@ def drawn(spec: NoiseSpec, scheme, path_indices):
 
     The steps are those of ``scheme``: ``scheme.n_steps()`` steps of
     ``scheme.dt`` on the uniform grid from 0 to ``scheme.T``.  Blocks are
-    :func:`sample_paths` of the given paths on that grid, so they are the
-    columns of the full table bit for bit, whatever the block sizes.  The
-    grid is checked and its sqrt(dt) taken once; a block reads its slice.
+    the columns of the full table of the given paths on that grid bit for
+    bit, whatever the block sizes.  The grid's sqrt(dt) is taken once; a
+    block reads its slice.
     """
-    roots = _step_roots(np.linspace(0.0, scheme.T, scheme.n_steps() + 1))
+    n_steps = scheme.n_steps()
+    if n_steps < 1:
+        raise ValueError("time grid needs at least two points")
+    roots = np.sqrt(np.diff(np.linspace(0.0, scheme.T, n_steps + 1)))
     paths = np.asarray(path_indices, dtype=np.uint64).reshape(-1)
 
     def draw(n0, n1):

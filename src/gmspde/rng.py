@@ -21,14 +21,58 @@ a table) share one call, so they share its plan.
 The cipher is bit-identical to ``numpy.random.Philox`` (same constants,
 same round structure); the tests use numpy's generator as the oracle,
 so the tables can be reproduced outside this package if ever needed.
+
+Uniforms become normals through scipy's Cephes ``ndtri``, the one scipy
+function the package needs.  :func:`_load_ndtri` takes it from the
+extension module ``scipy.special._ufuncs`` without running the
+``scipy.special`` package init, and falls back to ``from scipy.special
+import ndtri`` when that load fails.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+import types
 
 import numpy as np
-from scipy.special import ndtri
+
+
+def _load_ndtri():
+    """scipy's ``ndtri`` ufunc, without ``scipy.special``'s package init.
+
+    That init, through scipy's array-API layer, also imports
+    ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``: about half of
+    what a command line call spends importing, and about 19 MB of its
+    peak memory, for one ufunc.  So, unless ``scipy.special`` is already
+    imported, this loads the private extension module
+    ``scipy.special._ufuncs`` under a stand-in module object for the
+    package, which is removed at once.  A later real ``import
+    scipy.special`` then runs its init and finds the same extension
+    module, so ``scipy.special.ndtri`` is this very ufunc.  If the
+    direct load fails (the module moved, an older scipy), the package
+    import is used.  A revised noise stream that forms its normals
+    in-package ("stream 2" in ROADMAP.md) would delete this loader.
+    """
+    if "scipy.special" not in sys.modules:
+        spec = importlib.util.find_spec("scipy.special")
+        if spec is not None and spec.submodule_search_locations:
+            stand_in = types.ModuleType("scipy.special")
+            stand_in.__path__ = spec.submodule_search_locations
+            sys.modules["scipy.special"] = stand_in
+            try:
+                from scipy.special._ufuncs import ndtri
+                return ndtri
+            except ImportError:
+                pass
+            finally:
+                del sys.modules["scipy.special"]
+    from scipy.special import ndtri
+    return ndtri
+
+
+ndtri = _load_ndtri()
 
 
 def _const(value):

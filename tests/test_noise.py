@@ -11,7 +11,6 @@ from gmspde.noise import (
     NoiseSpec,
     coupled_path_hierarchy,
     drawn,
-    sample_paths,
     sliced,
 )
 from gmspde.spectral import DomainSpec, build_basis
@@ -188,8 +187,8 @@ def test_normal_table_fills_a_strided_out():
 
 def _table(spec, horizon, n_steps, index):
     """The (2, K, n_steps) increment table of one path."""
-    return sample_paths(spec, np.linspace(0.0, horizon, n_steps + 1),
-                        [index])[0]
+    sch = SchemeConfig(dt=horizon / n_steps, T=horizon)
+    return drawn(spec, sch, [index])(0, n_steps)[0]
 
 
 def test_sample_path_reproducible_and_distinct(spec):
@@ -311,7 +310,7 @@ def test_mode_coefficient_variance_against_covariance_oracle(basis):
 def test_batched_draws_match_sample_path(spec):
     # non-consecutive and repeated indices: each row is that path's table
     indices = [12, 3, 12, 40, 0]
-    table = sample_paths(spec, np.linspace(0.0, 1.0, 9), indices)
+    table = drawn(spec, SchemeConfig(dt=1.0 / 8, T=1.0), indices)(0, 8)
     assert table.shape == (5, 2, spec.mode_count, 8)
     k_ids, n_ids = np.arange(spec.mode_count), np.arange(8)
     for row, idx in zip(table, indices):
@@ -326,31 +325,20 @@ def test_batched_draws_match_sample_path(spec):
             stacked[b], rng.normal_table(spec.master_seed, idx, 2, k_ids, n_ids))
 
 
-def test_step_blocks_are_the_columns_of_the_full_table(spec):
-    # a nonuniform grid: each block is scaled by its own steps' sqrt(dt)
-    grid = np.concatenate(([0.0], np.cumsum(np.linspace(0.01, 0.03, 23))))
-    indices = [12, 3, 12, 40]
-    full = sample_paths(spec, grid, indices)
-    for n0, n1 in ((0, 5), (5, 15), (20, 23), (7, 7)):
-        block = sample_paths(spec, grid, indices, n0, n1)
-        assert block.shape == (4, 2, spec.mode_count, n1 - n0)
-        assert np.array_equal(block, full[..., n0:n1])
-        assert np.array_equal(sliced(full)(n0, n1), block)
-    assert np.array_equal(sample_paths(spec, grid, indices, 20), full[..., 20:])
-    with pytest.raises(ValueError, match="outside the grid"):
-        sample_paths(spec, grid, indices, 20, 24)
-    with pytest.raises(ValueError, match="outside the grid"):
-        sample_paths(spec, grid, indices, 6, 5)
-
-
 def test_drawn_blocks_are_the_columns_of_the_schemes_table(spec):
     # drawn steps the scheme's uniform grid: 23 steps of 0.02
     sch = SchemeConfig(dt=0.02, T=0.46)
     indices = [12, 3, 12, 40]
-    full = sample_paths(spec, np.linspace(0.0, 0.46, 24), indices)
+    full = drawn(spec, sch, indices)(0, 23)
     for n0, n1 in ((0, 5), (5, 15), (20, 23), (7, 7)):
-        assert np.array_equal(drawn(spec, sch, indices)(n0, n1),
-                              full[..., n0:n1])
+        block = drawn(spec, sch, indices)(n0, n1)
+        assert block.shape == (4, 2, spec.mode_count, n1 - n0)
+        assert np.array_equal(block, full[..., n0:n1])
+        assert np.array_equal(sliced(full)(n0, n1), block)
+    with pytest.raises(ValueError, match="outside the grid"):
+        drawn(spec, sch, indices)(20, 24)
+    with pytest.raises(ValueError, match="outside the grid"):
+        drawn(spec, sch, indices)(6, 5)
 
 
 def test_coarsen_sums_are_exact(spec):
@@ -375,10 +363,8 @@ def test_hierarchy_orders_coarsest_first(spec):
 
 
 def test_grid_validation(spec):
-    with pytest.raises(ValueError, match="increasing"):
-        sample_paths(spec, np.array([0.0, 0.5, 0.5, 1.0]), [0])
-    with pytest.raises(ValueError, match="t = 0"):
-        sample_paths(spec, np.array([0.5, 1.0]), [0])
+    with pytest.raises(ValueError, match="two points"):
+        drawn(spec, SchemeConfig(dt=0.1, T=0.0), [0])
     with pytest.raises(ValueError, match="odd"):
         coupled_path_hierarchy(spec, SchemeConfig(dt=0.2, T=1.0), 0, levels=2)
 

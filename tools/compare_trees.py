@@ -7,7 +7,7 @@ OLD_SRC and NEW_SRC are directories holding a ``gmspde`` package
 ``git archive <commit> | tar -x -C <dir>``.  Each tree runs the same
 cases in its own interpreter, and the outputs are compared:
 
-* bitwise: ``noise.sample_paths`` tables (1-D K=16, 200 paths, steps
+* bitwise: ``noise.drawn`` tables (1-D K=16, 200 paths, steps
   0..49, drawn whole and in 5-step blocks; K=256 as in 2-D, one path,
   50 steps; seed 2**64 - 1 with path 2**63; 1-D K=16, 16 paths and
   100 steps in one call, the ``picard_1d`` benchmark's table, which
@@ -137,7 +137,7 @@ def _cases():
         uniqueness_study,
     )
     from gmspde.functionals import FunctionalConfig, FunctionalRecorder
-    from gmspde.noise import NoiseSpec, sample_paths
+    from gmspde.noise import NoiseSpec, drawn
     from gmspde.spectral import DomainSpec, build_basis
 
     params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
@@ -149,19 +149,19 @@ def _cases():
         return build_basis(DomainSpec(dim=dim, lengths=(1.0,) * dim,
                                       grid_points_per_axis=n), k)
 
-    grid = np.linspace(0.0, 0.05, 51)
+    sch = SchemeConfig(dt=1e-3, T=0.05)
     for name, spec, paths in (
             ("1d K=16 200 paths", NoiseSpec(2.0, 2.0, 16, 901), range(200)),
             ("K=256 1 path", NoiseSpec(3.0, 3.0, 256, 7), [3]),
             ("seed 2**64-1 path 2**63", NoiseSpec(2.0, 2.0, 16, 2**64 - 1),
              [2**63])):
-        out["bitwise"][f"sample_paths {name}"] = sample_paths(spec, grid, paths)
-    out["bitwise"]["sample_paths 1d K=16 16 paths 100 steps"] = sample_paths(
-        NoiseSpec(2.0, 2.0, 16, 606), np.linspace(0.0, 0.1, 101), range(16))
-    out["bitwise"]["sample_paths 1d K=16 200 paths in 5-step blocks"] = (
-        np.concatenate([sample_paths(NoiseSpec(2.0, 2.0, 16, 901), grid,
-                                     range(200), n0, n0 + 5)
-                        for n0 in range(0, 50, 5)], axis=-1))
+        out["bitwise"][f"drawn {name}"] = drawn(spec, sch, paths)(0, 50)
+    out["bitwise"]["drawn 1d K=16 16 paths 100 steps"] = drawn(
+        NoiseSpec(2.0, 2.0, 16, 606), SchemeConfig(dt=1e-3, T=0.1),
+        range(16))(0, 100)
+    draw = drawn(NoiseSpec(2.0, 2.0, 16, 901), sch, range(200))
+    out["bitwise"]["drawn 1d K=16 200 paths in 5-step blocks"] = (
+        np.concatenate([draw(n0, n0 + 5) for n0 in range(0, 50, 5)], axis=-1))
 
     # Final u, v are not bitwise: the projection folds the quadrature
     # weights into its per-axis tables, and 2-D transforms contract one
