@@ -108,10 +108,15 @@ def _prepare(args):
     return cfg, basis
 
 
+def _initial(cfg, basis):
+    """The configured (2, K) modal initial data."""
+    return default_initial_pair(basis, cfg.params,
+                                amplitude=cfg.run_opts["initial_amplitude"])
+
+
 def _cmd_simulate(args):
     cfg, basis = _prepare(args)
-    init = default_initial_pair(basis, cfg.params,
-                                amplitude=cfg.run_opts["initial_amplitude"])
+    init = _initial(cfg, basis)
     path_index = cfg.run_opts["path_index"]
     rec = FunctionalRecorder(basis, cfg.functionals, cfg.scheme.v_floor,
                              path_index=path_index)
@@ -147,8 +152,7 @@ def _cmd_spectrum(args):
 def _cmd_uniqueness(args):
     cfg, basis = _prepare(args)
     opts = cfg.uniqueness_opts
-    init = default_initial_pair(basis, cfg.params,
-                                amplitude=cfg.run_opts["initial_amplitude"])
+    init = _initial(cfg, basis)
     report = uniqueness_study(
         init, opts["delta"], cfg.params, cfg.scheme, basis, cfg.noise,
         StoppingSpec(m_levels=tuple(opts["stopping_levels"])),
@@ -169,8 +173,7 @@ def _cmd_ensemble(args):
     cfg, basis = _prepare(args)
     n_paths = cfg.run_opts["paths"]
     horizons = cfg.ensemble_opts["horizons"] or None
-    init = default_initial_pair(basis, cfg.params,
-                                amplitude=cfg.run_opts["initial_amplitude"])
+    init = _initial(cfg, basis)
     report = ensemble(init, cfg.params, cfg.scheme, basis, cfg.noise,
                       n_paths, cfg.functionals, horizons=horizons)
     names = [c for c in TRACE_COLUMNS if c != "time"]
@@ -190,8 +193,7 @@ def _cmd_ensemble(args):
 def _cmd_fixedpoint(args):
     cfg, basis = _prepare(args)
     fp = FixedPointConfig(**cfg.fixedpoint_opts)
-    init = default_initial_pair(basis, cfg.params,
-                                amplitude=cfg.run_opts["initial_amplitude"])
+    init = _initial(cfg, basis)
     start = constant_trajectory(init, cfg.scheme)
     report = picard_iterate(start, init, cfg.params, cfg.scheme, basis,
                             cfg.noise, fp, fconfig=cfg.functionals)
@@ -216,7 +218,8 @@ def _cmd_selftest(args):
     if args.criteria:
         indices = {int(tok) for tok in args.criteria.replace(",", " ").split()}
     os.makedirs(args.out_dir, exist_ok=True)
-    results = acceptance.run_all(indices=indices)
+    results = acceptance.run_all(indices=indices,
+                                 printer=None if args.quiet else print)
     io_mod.write_lines(os.path.join(args.out_dir, "selftest.txt"),
                        [r.line() for r in results])
     timing = {r.index: {"name": r.name, "elapsed_s": r.elapsed,

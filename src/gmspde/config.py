@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import ModelParams, SchemeConfig
-from .experiments import FixedPointConfig
+from .experiments import FixedPointConfig, StoppingSpec
 from .functionals import DEFAULT_P, FunctionalConfig, check_rho
 from .noise import NoiseSpec
 from .spectral import DomainSpec, mode_list
@@ -273,8 +273,7 @@ def _assemble(raw) -> RunConfig:
             problems.extend(_problems("functionals", exc))
 
     if domain is not None and nspec is not None:
-        for j in (1, 2):
-            g = nspec.gamma(j)
+        for j, g in ((1, nspec.gamma1), (2, nspec.gamma2)):
             if g <= domain.dim:
                 warnings_list.append(
                     f"[noise] gamma{j} = {g:g} <= d = {domain.dim}: below the "
@@ -294,11 +293,9 @@ def _assemble(raw) -> RunConfig:
     except ValueError as exc:
         problems.extend(_problems("fixedpoint", exc))
     try:
-        levels = raw["uniqueness"]["stopping_levels"]
-        if any(b <= a for a, b in zip(levels, levels[1:])) or not levels:
-            problems.append("[uniqueness] stopping_levels must be strictly increasing")
-    except (TypeError, ValueError) as exc:
-        problems.append(f"[uniqueness] {exc}")
+        StoppingSpec(m_levels=raw["uniqueness"]["stopping_levels"])
+    except ValueError as exc:
+        problems.extend(_problems("uniqueness", exc))
     if raw["uniqueness"]["delta"] < 0:
         problems.append("[uniqueness] delta must be >= 0")
     for h in raw["ensemble"]["horizons"]:

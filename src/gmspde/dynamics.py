@@ -44,10 +44,10 @@ in blocks of steps, so it holds one block of increments at a time
 whatever its horizon.
 Each row is checked on its own (reaction CFL, finiteness, the zero-floor
 positivity of v): a failed row stops with the error its solo run raises
-and the other rows go on.  Observers see the stack through
-:func:`observe`, the walk over a live trajectory's states.  Stored
-trajectories (``experiments.replay_trace``) take a second walk with the
-same schedule, ``functionals.FunctionalRecorder.replay``, which
+and the other rows go on.  Observers see the stack from the stepping
+loop of :func:`run_batch`, the walk over a live trajectory's states.
+Stored trajectories (``experiments.replay_trace``) take a second walk
+with the same schedule, ``functionals.FunctionalRecorder.replay``, which
 evaluates the live recorder's formulas on blocks of steps at once: one
 set of formulas, two walks, the replayed functionals equal to the live
 ones to rounding (1e-13 x max|value|) and their floor counts exact.
@@ -140,8 +140,8 @@ class SchemeConfig:
                              reaction_cfl_limit=self.reaction_cfl_limit)
         if self.dt <= 0:
             problems.append("dt must be positive")
-        if self.T < 0:
-            problems.append("horizon must be nonnegative")
+        if self.T <= 0:
+            problems.append("horizon must be positive")
         if self.T > 0 and self.dt >= self.T + 1e-15:
             problems.append("dt must be smaller than the horizon")
         if self.scheme not in SCHEMES:
@@ -152,8 +152,6 @@ class SchemeConfig:
             raise ValueError("\n".join(problems))
 
     def n_steps(self):
-        if self.T == 0:
-            return 0
         n = int(round(self.T / self.dt))
         if abs(n * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             raise ValueError(
@@ -396,33 +394,6 @@ class _Workspace:
         self.nodal = np.empty((2, rows, stepper.basis.n_nodes))
 
 
-def observe(observer, states, n_steps, dt):
-    """Feed states 0..n_steps of one trajectory (or stack) to ``observer``.
-
-    State 0 is recorded, every pre-step state is accumulated over ``dt``,
-    and every ``observer.stride``-th state and the last one are recorded.
-    ``states`` yields the n_steps + 1 states in time order (they may be
-    one object updated in place between yields); it may stop early, when
-    every row of a stack has failed.  ``observer`` may be None.  Returns
-    the last state.  ``FunctionalRecorder.replay`` keeps this schedule
-    on stored trajectories, in blocks of steps.
-    """
-    states = iter(states)
-    state = next(states)
-    if observer is not None:
-        observer.record(state)
-    for n in range(1, n_steps + 1):
-        if observer is not None:
-            observer.accumulate(state, dt)
-        following = next(states, None)
-        if following is None:
-            break
-        state = following
-        if observer is not None and (n % observer.stride == 0 or n == n_steps):
-            observer.record(state)
-    return state
-
-
 def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
               basis: SpectralBasis, noise_spec: NoiseSpec, draw, n_paths: int,
               observer=None, driver=None, chain: int = 1,
@@ -499,25 +470,27 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
         repeated[:] = dw[:, None]
         return repeated.reshape(2, -1, k)
 
-    def states():
-        yield state
-        for n0 in range(0, n_steps, span):
-            n1 = min(n0 + span, n_steps)
-            block = draw(n0, n1)
-            if block.shape != (n_paths, 2, k, n1 - n0):
-                raise ValueError(
-                    f"noise block for steps {n0}..{n1 - 1} has shape "
-                    f"{block.shape}, run needs {(n_paths, 2, k, n1 - n0)}"
-                )
-            for s in range(n1 - n0):
-                stepper.advance(state, increments(block[..., s]),
-                                chi_nodal(n0 + s))
-                if not state.alive.any():
-                    return
-                yield state
-            del block    # released before the next block is drawn
-
-    return observe(observer, states(), n_steps, scheme.dt)
+    if observer is not None:
+        observer.record(state)
+    for n0 in range(0, n_steps, span):
+        n1 = min(n0 + span, n_steps)
+        block = draw(n0, n1)
+        if block.shape != (n_paths, 2, k, n1 - n0):
+            raise ValueError(
+                f"noise block for steps {n0}..{n1 - 1} has shape "
+                f"{block.shape}, run needs {(n_paths, 2, k, n1 - n0)}"
+            )
+        for n in range(n0, n1):
+            if observer is not None:
+                observer.accumulate(state, scheme.dt)
+            stepper.advance(state, increments(block[..., n - n0]), chi_nodal(n))
+            if not state.alive.any():
+                return state
+            if observer is not None and ((n + 1) % observer.stride == 0
+                                         or n + 1 == n_steps):
+                observer.record(state)
+        del block    # released before the next block is drawn
+    return state
 
 
 def run(initial, params: ModelParams, scheme: SchemeConfig,
@@ -535,8 +508,8 @@ def run(initial, params: ModelParams, scheme: SchemeConfig,
     a failed step raises its error.  An observer has a ``stride``,
     ``accumulate(state, dt)`` (called with the pre-step state before
     every step) and ``record(state)`` (called at t = 0, every ``stride``
-    steps and at the final time); see :func:`observe`.  The trajectory
-    is a pure function of its arguments.
+    steps and at the final time), the schedule of :func:`run_batch`'s
+    loop.  The trajectory is a pure function of its arguments.
 
     ``draw`` may be None only for noiseless runs (sigma_u = sigma_v = 0).
     """

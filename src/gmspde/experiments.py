@@ -643,7 +643,7 @@ class EnsembleReport:
 def ensemble(init, params: ModelParams, scheme: SchemeConfig,
              basis, noise_spec: NoiseSpec, n_paths: int,
              fconfig: FunctionalConfig, horizons=None,
-             first_path_index: int = 0, path_indices=None) -> EnsembleReport:
+             path_indices=None) -> EnsembleReport:
     """Monte Carlo ensemble with per-column statistics and monitor fits.
 
     Every path starts from the (2, K) modal ``init``.  The distinct
@@ -662,7 +662,7 @@ def ensemble(init, params: ModelParams, scheme: SchemeConfig,
     equal inputs (sigma = 0) agree only to rounding.
     """
     if path_indices is None:
-        path_indices = [first_path_index + i for i in range(n_paths)]
+        path_indices = range(n_paths)
     path_indices = [int(i) for i in path_indices]
     n_paths = len(path_indices)
     if n_paths < 2:

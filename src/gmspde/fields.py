@@ -28,8 +28,8 @@ class FloorViolation(ValueError):
         self.node_index = node_index
 
 
-def dealias_modal(basis: SpectralBasis, modal, fraction=2.0 / 3.0):
-    """Zero coefficients whose mode index exceeds ``fraction`` of the top index.
+def dealias_modal(basis: SpectralBasis, modal):
+    """Zero coefficients whose mode index exceeds 2/3 of the top index.
 
     Standard 2/3-rule guard applied after projecting nodal products of
     fields back onto the truncation.
@@ -37,13 +37,13 @@ def dealias_modal(basis: SpectralBasis, modal, fraction=2.0 / 3.0):
     max_idx = basis.mode_indices.max()
     if max_idx == 0:
         return modal
-    cutoff = np.floor(fraction * max_idx)
+    cutoff = np.floor(2.0 / 3.0 * max_idx)
     keep = (basis.mode_indices <= cutoff).all(axis=1)
     out = np.where(keep, modal, 0.0)
     return out
 
 
-def guarded_basis(basis: SpectralBasis, fraction=2.0 / 3.0):
+def guarded_basis(basis: SpectralBasis):
     """``basis`` with projection tables that apply :func:`dealias_modal`.
 
     The guard keeps the modes whose every index is at most the cutoff, so
@@ -53,7 +53,7 @@ def guarded_basis(basis: SpectralBasis, fraction=2.0 / 3.0):
     product's column does not depend on the others) and zeros for the
     rest (for finite input).
     """
-    keep = dealias_modal(basis, np.ones(basis.mode_count), fraction) != 0.0
+    keep = dealias_modal(basis, np.ones(basis.mode_count)) != 0.0
     top = basis.mode_indices[keep].max(axis=0)
     tables = tuple(np.where(np.arange(q.shape[1]) <= t, q, 0.0)
                    for q, t in zip(basis.quadrature, top))

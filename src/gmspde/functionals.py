@@ -187,10 +187,10 @@ class FunctionalRecorder:
     running-integral integrands and the floor counts) and
     :meth:`_observables` (the recorded state columns) evaluate states
     of any leading shape, reducing over the last (node or mode) axis.
-    The live walk (:func:`~gmspde.dynamics.observe`) calls them on one
-    (B, ...) state per step through :meth:`accumulate` and
-    :meth:`record`; :meth:`replay` calls them on blocks of stored steps,
-    (B, S, ...) stacks.  ``path_index`` is one index (one row) or one
+    The live walk (the stepping loop of :func:`~gmspde.dynamics.run_batch`)
+    calls them on one (B, ...) state per step through :meth:`accumulate`
+    and :meth:`record`; :meth:`replay` calls them on blocks of stored
+    steps, (B, S, ...) stacks.  ``path_index`` is one index (one row) or one
     per row.  :meth:`traces` returns the stack of all rows, (rows,
     n_obs) columns, :meth:`trace` the trace of a one-row recorder.
 
@@ -291,7 +291,7 @@ class FunctionalRecorder:
     def replay(self, times, u_modal, v_modal):
         """Walk the stored (rows, n+1, K) modal stacks on ``times``.
 
-        The same walk as :func:`~gmspde.dynamics.observe` (record state
+        The walk of :func:`~gmspde.dynamics.run_batch`'s loop (record state
         0, accumulate every pre-step state over dt = times[1] - times[0],
         record every ``stride``-th state and the last one), evaluated on
         blocks of S steps: the synthesized (rows, S, n_nodes) block holds

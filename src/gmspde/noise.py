@@ -50,13 +50,6 @@ class NoiseSpec:
         if problems:
             raise ValueError("\n".join(problems))
 
-    def gamma(self, j):
-        if j == 1:
-            return self.gamma1
-        if j == 2:
-            return self.gamma2
-        raise ValueError(f"process index must be 1 or 2, got {j}")
-
 
 def _block(spec, roots, path_indices, start, stop):
     """Increments of several paths over steps start..stop-1: (B, 2, K, S).
@@ -89,10 +82,7 @@ def drawn(spec: NoiseSpec, scheme, path_indices):
     bit, whatever the block sizes.  The grid's sqrt(dt) is taken once; a
     block reads its slice.
     """
-    n_steps = scheme.n_steps()
-    if n_steps < 1:
-        raise ValueError("time grid needs at least two points")
-    roots = np.sqrt(np.diff(np.linspace(0.0, scheme.T, n_steps + 1)))
+    roots = np.sqrt(np.diff(np.linspace(0.0, scheme.T, scheme.n_steps() + 1)))
     paths = np.asarray(path_indices, dtype=np.uint64).reshape(-1)
 
     def draw(n0, n1):

@@ -236,7 +236,7 @@ def normals_from_bits(bits, out):
     return ndtri(out, out=out)
 
 
-def normal_table(master_seed, path_index, stream, modes, steps, out=None):
+def normal_table(master_seed, path_index, stream, modes, steps):
     """Standard-normal draws for a (path, stream, mode, step) index box.
 
     Draw (s, k, n) of path b is a pure function of (master_seed,
@@ -259,8 +259,6 @@ def normal_table(master_seed, path_index, stream, modes, steps, out=None):
     stream : small nonnegative int distinguishing independent noise uses,
         or a 1-d list of them
     modes, steps : 1-d integer arrays of indices
-    out : optional float64 array of the result's shape (it may be a
-        strided view) that receives the draws
 
     Returns
     -------
@@ -277,10 +275,7 @@ def normal_table(master_seed, path_index, stream, modes, steps, out=None):
     modes, steps = np.asarray(modes), np.asarray(steps)
     shape = (path_index.shape + np.shape(stream)
              + (modes.size, steps.size))
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, the draws {shape}")
+    out = np.empty(shape)
     if out.size == 0:
         return out
     # a view: at most unit path and stream axes are added

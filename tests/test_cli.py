@@ -113,3 +113,11 @@ def test_1d_subcommand_writes_its_files_byte_identically(tmp_path, command):
             continue
         a, b = (first / name).read_bytes(), (second / name).read_bytes()
         assert a == b, name
+
+
+def test_selftest_prints_its_lines_unless_quiet(tmp_path, capsys):
+    argv = ["selftest", "--criteria", "1", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert "PASS criterion 1" in capsys.readouterr().out
+    assert cli.main(argv + ["--quiet"]) == 0
+    assert capsys.readouterr().out == ""

@@ -55,6 +55,29 @@ def test_bad_sizes_are_config_errors_before_any_output(case, tmp_path):
     assert not (out / "config.echo.txt").exists()
 
 
+# values a section's dataclass rejects: the problem names the section
+BAD_VALUES = {
+    "horizon = 0": ("simulate", "[scheme]\nhorizon = 0\n",
+                    "[scheme] horizon must be positive"),
+    "stopping_levels = 4, 2": (
+        "uniqueness", "[uniqueness]\nstopping_levels = 4, 2\n",
+        "[uniqueness] stopping levels must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_values_are_config_errors_before_any_output(case, tmp_path,
+                                                        capsys):
+    command, text, problem = BAD_VALUES[case]
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out-dir", str(out), "--quiet"]
+    assert cli.main(argv) == 1
+    assert problem in capsys.readouterr().err.splitlines()
+    assert not (out / "config.echo.txt").exists()
+
+
 # non-finite floats ran on (or crashed) instead of failing as config errors
 NON_FINITE = ["[model]\nkappa_u = nan", "[domain]\nlength_x = inf",
               "[scheme]\nhorizon = inf", "[model]\nmu_u = inf",

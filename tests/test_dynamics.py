@@ -227,16 +227,6 @@ def test_ito_mean_matches_gbm_oracle():
     assert z < 3.0
 
 
-def test_run_zero_horizon_returns_initial():
-    basis = make_basis()
-    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16)
-    params = desk_params(sigma=0.0)
-    init = default_initial_pair(basis, params)
-    res = run(init, params, SchemeConfig(dt=1e-3, T=0.0), basis, spec, None)
-    assert res.step_index == 0
-    assert np.array_equal(res.u_modal[0], init[0])
-
-
 def test_run_determinism_bitwise():
     basis = make_basis()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=8)

@@ -43,20 +43,11 @@ repeated path indices at a reaction CFL limit that some of its paths
 fail; and the ``mean_L1``, ``mean_L2`` and ``sup_mean_L3`` of every
 membership check of both Picard iterations.
 
-Trees before the noise source became the one noise interface take a
-``NoisePath`` table where newer ones take a source ``draw(n0, n1)``;
-:func:`_noise_of` builds the argument each tree takes.  Trees before
-the functional trace held a stack return a list of one-path traces
-where newer ones return one stack; :func:`_columns` reads either.
-Trees before the trajectory recorder preallocated its store build it
-without a step count; :func:`_recorder` builds either.
-
 Exits 1 if any comparison fails.
 """
 
 from __future__ import annotations
 
-import inspect
 import os
 import pickle
 import subprocess
@@ -72,55 +63,6 @@ RTOL = 1e-13
 CFL_LIMIT = 0.0028
 
 
-def _run_with(run, observer):
-    """Keyword for one observer under either ``run`` signature."""
-    if "observer" in inspect.signature(run).parameters:
-        return {"observer": observer}
-    return {"observers": [observer]}
-
-
-def _recorder(sch):
-    """A ``TrajectoryRecorder`` for a run on ``sch``'s steps.
-
-    Trees whose recorder preallocates its store take the step count.
-    """
-    from gmspde.experiments import TrajectoryRecorder
-    if "n_steps" in inspect.signature(TrajectoryRecorder).parameters:
-        return TrajectoryRecorder(sch.n_steps())
-    return TrajectoryRecorder()
-
-
-def _noise_of(spec, sch, indices):
-    """Noise argument of ``run``, ``apply_T`` and ``uniqueness_study``.
-
-    A noise source of the paths ``indices`` on ``sch``'s grid; in trees
-    with ``NoisePath``, the ``NoisePath`` of one path or the increment
-    table of several.
-    """
-    from gmspde import noise
-    if not hasattr(noise, "NoisePath"):
-        return noise.drawn(spec, sch, indices)
-    grid = np.linspace(0.0, sch.T, sch.n_steps() + 1)
-    if len(indices) == 1:
-        return noise.sample_path(spec, grid, indices[0])
-    return noise.sample_paths(spec, grid, indices)
-
-
-def _columns(traces):
-    """(B, n_obs) columns of a trace stack, or of a list of one-path traces."""
-    if isinstance(traces, list):
-        return {name: np.stack([t.data[name] for t in traces])
-                for name in traces[0].data}
-    return traces.data
-
-
-def _final_uv(res):
-    """Final modal (u, v) of a ``run`` result under either return type."""
-    if hasattr(res, "final"):
-        return res.final.pair.u.modal, res.final.pair.v.modal
-    return res.u_modal[0], res.v_modal[0]
-
-
 def _cases():
     from gmspde import acceptance
     from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair, run
@@ -128,6 +70,7 @@ def _cases():
         FixedPointConfig,
         PairTrajectory,
         StoppingSpec,
+        TrajectoryRecorder,
         _stopping_scan,
         apply_T,
         constant_trajectory,
@@ -180,10 +123,11 @@ def _cases():
         for scheme in schemes:
             sch = SchemeConfig(dt=1e-3, T=t_end, scheme=scheme)
             rec = FunctionalRecorder(basis, fcfg, sch.v_floor)
-            res = run(init, params, sch, basis, spec, _noise_of(spec, sch, [3]),
-                      **_run_with(run, rec))
+            res = run(init, params, sch, basis, spec, drawn(spec, sch, [3]),
+                      observer=rec)
             key = f"run {dim}d N={n} K={k} {scheme} T={t_end:g}"
-            out["close"][key + " u"], out["close"][key + " v"] = _final_uv(res)
+            out["close"][key + " u"] = res.u_modal[0]
+            out["close"][key + " v"] = res.v_modal[0]
             trace = rec.trace()
             for name, column in trace.data.items():
                 out["close"][f"{key} trace {name}"] = column
@@ -201,7 +145,7 @@ def _cases():
     init = default_initial_pair(basis, params)
     sch = SchemeConfig(dt=1e-3, T=0.2)
     report = uniqueness_study(init, 0.0, params, sch, basis, spec,
-                              StoppingSpec(), _noise_of(spec, sch, [0]))
+                              StoppingSpec(), drawn(spec, sch, [0]))
     out["bitwise"]["uniqueness delta=0 du"] = report.du_l2
     out["bitwise"]["uniqueness delta=0 bitwise_identical"] = np.array(
         [report.bitwise_identical])
@@ -210,9 +154,8 @@ def _cases():
     loud = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
                        mu_u=1.0, mu_v=2.0, sigma_u=1.5, sigma_v=1.5)
     sch = SchemeConfig(dt=1e-3, T=0.6)
-    rec = _recorder(sch)
-    run(init, loud, sch, basis, spec, _noise_of(spec, sch, [5]),
-        **_run_with(run, rec))
+    rec = TrajectoryRecorder(sch.n_steps())
+    run(init, loud, sch, basis, spec, drawn(spec, sch, [5]), observer=rec)
     traj = rec.trajectory()
     levels = tuple(np.round(np.concatenate((np.linspace(0.51, 0.68, 18),
                                             np.geomspace(4.5, 180.0, 50))), 6))
@@ -223,12 +166,11 @@ def _cases():
         [-1 if tau2[m] is None else tau2[m] for m in levels])
 
     sch = SchemeConfig(dt=1e-3, T=0.1)
-    rec = _recorder(sch)
-    run(init, params, sch, basis, spec, _noise_of(spec, sch, [2]),
-        **_run_with(run, rec))
+    rec = TrajectoryRecorder(sch.n_steps())
+    run(init, params, sch, basis, spec, drawn(spec, sch, [2]), observer=rec)
     coupled = rec.trajectory()
     t_out, _ = apply_T(coupled, init, params, sch, basis, spec,
-                       _noise_of(spec, sch, [2]))
+                       drawn(spec, sch, [2]))
     out["close"]["apply_T chi"] = t_out.chi_modal
     out["close"]["apply_T eta"] = t_out.eta_modal
 
@@ -239,7 +181,7 @@ def _cases():
                              np.repeat(start.chi_modal[None], 16, axis=0),
                              np.repeat(start.eta_modal[None], 16, axis=0))
     t_out, _ = apply_T(members, init, params, sch, basis, spec,
-                       _noise_of(spec, sch, range(16)))
+                       drawn(spec, sch, range(16)))
     out["close"]["apply_T 16 rows constant driver chi"] = t_out.chi_modal
     out["close"]["apply_T 16 rows constant driver eta"] = t_out.eta_modal
     trace = replay_trace(coupled, basis, fcfg, sch.v_floor)
@@ -250,16 +192,16 @@ def _cases():
     # flooring about half the nodes
     paths = []
     for index in range(16):
-        rec = _recorder(sch)
-        run(init, params, sch, basis, spec, _noise_of(spec, sch, [index]),
-            **_run_with(run, rec))
+        rec = TrajectoryRecorder(sch.n_steps())
+        run(init, params, sch, basis, spec, drawn(spec, sch, [index]),
+            observer=rec)
         paths.append(rec.trajectory())
     stack = PairTrajectory(paths[0].times,
                            np.stack([p.chi_modal for p in paths]),
                            np.stack([p.eta_modal for p in paths]))
     traces = replay_trace(stack, basis, FunctionalConfig(observation_stride=25),
                           2.0, path_index=range(16))
-    for name, rows in _columns(traces).items():
+    for name, rows in traces.data.items():
         kind = "bitwise" if name == "floor_activations" else "close"
         out[kind][f"replay_trace 16 rows {name}"] = rows
 
