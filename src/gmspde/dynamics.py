@@ -51,6 +51,9 @@ with the same schedule, ``functionals.FunctionalRecorder.replay``, which
 evaluates the live recorder's formulas on blocks of steps at once: one
 set of formulas, two walks, the replayed functionals equal to the live
 ones to rounding (1e-13 x max|value|) and their floor counts exact.
+The Picard iteration replays its iterates without the energy monitors:
+it reads only the admissibility columns, which come out bitwise those
+of a full replay.
 
 Numbers.  A transform of a B-row stack is one (2B, K) or (2B, n) matrix
 product, so even a one-row run is a two-row product, and the BLAS
@@ -153,6 +156,10 @@ class SchemeConfig:
 
     def n_steps(self):
         n = int(round(self.T / self.dt))
+        if n < 1:
+            raise ValueError(
+                f"horizon {self.T:g} is shorter than one step of {self.dt:g}"
+            )
         if abs(n * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             raise ValueError(
                 f"horizon {self.T:g} is not an integral number of steps of {self.dt:g}"

@@ -287,7 +287,7 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
 
 
 def replay_trace(traj: PairTrajectory, basis, fconfig: FunctionalConfig,
-                 v_floor: float, path_index=-1):
+                 v_floor: float, path_index=-1, monitors: bool = True):
     """Functional trace of a stored trajectory, shaped like it.
 
     One path gives (n_obs,) columns, a stack of B paths one
@@ -297,7 +297,10 @@ def replay_trace(traj: PairTrajectory, basis, fconfig: FunctionalConfig,
     all rows of a stack at once, so a trace equals the live recorder's
     on the same trajectory to rounding (1e-13 x max|value|), with its
     ``floor_activations`` column exact.  ``path_index`` labels the
-    rows: one index, or one per row.
+    rows: one index, or one per row.  ``monitors=False`` keeps only
+    the admissibility columns
+    (:data:`~gmspde.functionals.ADMISSIBILITY_COLUMNS`) and
+    ``floor_activations``, each bitwise the column of a full replay.
     """
     n = traj.n_steps
     k = basis.mode_count
@@ -305,7 +308,8 @@ def replay_trace(traj: PairTrajectory, basis, fconfig: FunctionalConfig,
     eta = traj.eta_modal.reshape(-1, n + 1, k)
     if traj.chi_modal.ndim == 3 and np.ndim(path_index) == 0:
         path_index = [path_index] * chi.shape[0]
-    rec = FunctionalRecorder(basis, fconfig, v_floor, path_index=path_index)
+    rec = FunctionalRecorder(basis, fconfig, v_floor, path_index=path_index,
+                             monitors=monitors)
     rec.replay(traj.times, chi, eta)
     return rec.traces() if traj.chi_modal.ndim == 3 else rec.trace()
 
@@ -413,12 +417,15 @@ def picard_iterate(start: PairTrajectory, init,
 
     The report is walked block by block, as one application of T at a
     time: distance to the previous iterate, functional trace and
-    membership, convergence test.  An iterate that failed raises its
-    first row failure, the error :func:`apply_T` raises on it; the first
-    failing iterate in order is raised, then a failure of the coupled
-    solve.  Blocks past convergence are discarded unread, so they
-    neither count nor raise.  Non-convergence within the budget is
-    reported, not raised.
+    membership, convergence test.  The start trajectory and every
+    iterate are replayed without the energy monitors, which no part of
+    the report reads (``replay_trace(..., monitors=False)``); the
+    bounds and memberships are bitwise those of full replays.  An
+    iterate that failed raises its first row failure, the error
+    :func:`apply_T` raises on it; the first failing iterate in order is
+    raised, then a failure of the coupled solve.  Blocks past
+    convergence are discarded unread, so they neither count nor raise.
+    Non-convergence within the budget is reported, not raised.
 
     Each block is the iterate :func:`apply_T` gives to rounding
     (1e-13 x max|value|, pinned by the tests), and the distances follow
@@ -437,7 +444,8 @@ def picard_iterate(start: PairTrajectory, init,
                                                * basis.mode_count),
                         SWEEP_MAX_ROWS // m))
 
-    start_trace = replay_trace(start, basis, fconfig, scheme.v_floor)
+    start_trace = replay_trace(start, basis, fconfig, scheme.v_floor,
+                               monitors=False)
     bounds = auto_bounds(start_trace, margin=config.bound_margin)
     start_member = membership(start_trace, bounds)
     if not start_member.positivity_ok:
@@ -469,7 +477,8 @@ def picard_iterate(start: PairTrajectory, init,
             new = _block(stack, j, m)
             d = seminorm_m(new, current, basis, fconfig.rho)
             distances.append(d)
-            trace = replay_trace(new, basis, fconfig, scheme.v_floor, range(m))
+            trace = replay_trace(new, basis, fconfig, scheme.v_floor, range(m),
+                                 monitors=False)
             memberships.append(membership(trace, bounds))
             current = new
             if d < config.tolerance:

@@ -10,6 +10,8 @@ xi^(p+2)|grad v|^2, u chi^2 xi).
 One set of formulas serves both walks over a trajectory: the live one,
 state by state as the stepper goes, and the replay of a stored
 trajectory in blocks of steps (see :class:`FunctionalRecorder`).
+Either walk keeps every column, or only the columns the admissibility
+checks read (:data:`ADMISSIBILITY_COLUMNS`).
 
 A :class:`FunctionalTrace` holds one path, (n_obs,) columns, or a stack
 of paths, (B, n_obs) columns, as the recorder keeps them.  The Lyapunov
@@ -206,20 +208,33 @@ class FunctionalRecorder:
     pre-step states the stepper floors, as an integer running sum, so
     the ``floor_activations`` column equals the stepper's own count and
     a replayed trajectory reports exactly the live number.
+
+    Either walk keeps every column of :data:`TRACE_COLUMNS` by default.
+    With ``monitors=False`` it keeps only :data:`ADMISSIBILITY_COLUMNS`
+    and ``floor_activations``, what :func:`membership` and
+    :func:`auto_bounds` read, and skips the integrands and observables
+    only :func:`energy_monitors` reads.  Each kept column is formed by
+    the same operations in the same order, so it is bitwise the column
+    of a recorder with every monitor; a dropped column is absent from
+    the trace, not zero.
     """
 
     def __init__(self, basis, config: FunctionalConfig, v_floor: float,
-                 path_index=-1):
+                 path_index=-1, monitors: bool = True):
         self.basis = basis
         self.config = config
         self.v_floor = v_floor
+        self.monitors = monitors
         self.stride = config.observation_stride
         self.path_indices = [int(i) for i in np.atleast_1d(path_index)]
         rows = len(self.path_indices)
+        kept = (TRACE_COLUMNS[1:] if monitors
+                else ADMISSIBILITY_COLUMNS + ("floor_activations",))
         # per column, (rows,) observations and (rows, observations) blocks
-        self._rows = {name: [] for name in TRACE_COLUMNS if name != "time"}
+        self._rows = {name: [] for name in kept}
         self._times = []
-        self._totals = {name: np.zeros(rows) for name in INTEGRALS}
+        self._totals = {name: np.zeros(rows) for name in INTEGRALS
+                        if name in kept}
         self.floor_activations = np.zeros(rows, dtype=int)
         s = 1.0 - config.rho
         self._h_weights = (1.0 + basis.eigenvalues) ** s
@@ -239,6 +254,8 @@ class FunctionalRecorder:
                                             axis=-1),
                   "int_chi2_xi": _quadrature(chi2xi, w),
                   "int_xi2_chi2": _quadrature(work, w)}
+        if not self.monitors:
+            return values, floors
         np.multiply(chi2xi, u_nodal, out=work)
         values["int_u_chi2_xi"] = _quadrature(work, w)
         np.power(xi, self.config.p + 2.0, out=xi)
@@ -252,21 +269,26 @@ class FunctionalRecorder:
         xi, _ = _xi_nodal(v_nodal, self.v_floor)
         p = self.config.p
         ln_xi = np.log(xi)
-        return {
+        columns = {
             "chi_l2_sq": np.sum(u_modal**2, axis=-1),
             "xi_lp_p": _quadrature(xi**p, w),
             "xi_l1": _quadrature(xi, w),
             "int_ln_xi": _quadrature(ln_xi, w),
-            "abs_ln_xi_l1": _quadrature(np.abs(ln_xi), w),
-            "lnxi_dot_u": _quadrature(ln_xi * u_nodal, w),
-            "chi_h1mrho_sq": np.sum(self._h_weights * u_modal**2, axis=-1),
-            "eta_l2": np.sqrt(np.sum(v_modal**2, axis=-1)),
-            "eta_l1": _quadrature(np.abs(v_nodal), w),
             "chi_min": u_nodal.min(axis=-1),
             "chi_argmin": np.argmin(u_nodal, axis=-1).astype(float),
             "eta_min": v_nodal.min(axis=-1),
             "eta_argmin": np.argmin(v_nodal, axis=-1).astype(float),
         }
+        if self.monitors:
+            columns.update({
+                "abs_ln_xi_l1": _quadrature(np.abs(ln_xi), w),
+                "lnxi_dot_u": _quadrature(ln_xi * u_nodal, w),
+                "chi_h1mrho_sq": np.sum(self._h_weights * u_modal**2,
+                                        axis=-1),
+                "eta_l2": np.sqrt(np.sum(v_modal**2, axis=-1)),
+                "eta_l1": _quadrature(np.abs(v_nodal), w),
+            })
+        return columns
 
     def _store(self, times, columns):
         """Append ``times`` and their columns: (rows,) or (rows, len(times))."""
@@ -388,6 +410,13 @@ def _admissible_means(trace):
     return (float(np.mean(lyapunov_L1(trace))),
             float(np.mean(lyapunov_L2(trace))),
             float(np.max(_path_mean(lyapunov_L3(trace)))))
+
+
+# the columns membership and auto_bounds read: the positivity minima and
+# the inputs of the Lyapunov functionals L1, L2 and L3
+ADMISSIBILITY_COLUMNS = ("chi_l2_sq", "int_grad_chi_sq", "xi_lp_p", "xi_l1",
+                         "int_ln_xi", "int_chi2_xi", "int_xi2_chi2",
+                         "chi_min", "chi_argmin", "eta_min", "eta_argmin")
 
 
 @dataclass

@@ -59,6 +59,9 @@ def test_bad_sizes_are_config_errors_before_any_output(case, tmp_path):
 BAD_VALUES = {
     "horizon = 0": ("simulate", "[scheme]\nhorizon = 0\n",
                     "[scheme] horizon must be positive"),
+    "horizon shorter than one step": (
+        "simulate", "[scheme]\ndt = 5e-16\nhorizon = 1e-16\n",
+        "[scheme] horizon 1e-16 is shorter than one step of 5e-16"),
     "stopping_levels = 4, 2": (
         "uniqueness", "[uniqueness]\nstopping_levels = 4, 2\n",
         "[uniqueness] stopping levels must be strictly increasing"),

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gmspde import experiments
+from gmspde import experiments, functionals
 from gmspde.dynamics import (
     ModelParams,
     SchemeConfig,
@@ -253,6 +253,23 @@ def test_picard_stops_at_max_iterations(basis, nspec):
     assert report.iterations == 2
     assert not report.converged
     assert len(report.distances) == 2 and len(report.memberships) == 2
+
+
+def test_picard_replays_no_energy_monitor(basis, nspec, monkeypatch):
+    # |grad v|^2 enters only the monitor integral int xi^(p+2)|grad v|^2,
+    # which no part of the Picard report reads
+    def unread(*args):
+        raise AssertionError("Picard replay formed a monitor integrand")
+
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.02)
+    init = default_initial_pair(basis, params)
+    monkeypatch.setattr(functionals, "grad_sq", unread)
+    report = picard_iterate(constant_trajectory(init, sch), init, params, sch,
+                            basis, nspec,
+                            FixedPointConfig(max_iterations=3,
+                                             ensemble_size=2))
+    assert report.iterations >= 1 and len(report.memberships) == report.iterations
 
 
 def cfl_picard_setup(basis):

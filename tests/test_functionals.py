@@ -368,6 +368,23 @@ def test_stacked_replay_matches_each_rows_solo_replay(picard_stack):
     assert stacked.data["floor_activations"][:, -1].max() > 0
 
 
+def test_lean_replay_columns_are_bitwise_the_full_ones(picard_stack):
+    # v_floor = 2 floors about half the nodes, so the floor counts move
+    basis, stack = picard_stack
+    fcfg = FunctionalConfig(observation_stride=25)
+    full = replay_trace(stack, basis, fcfg, 2.0, range(16))
+    lean = replay_trace(stack, basis, fcfg, 2.0, range(16), monitors=False)
+    kept = functionals.ADMISSIBILITY_COLUMNS + ("floor_activations",)
+    assert sorted(lean.data) == sorted(kept)
+    assert np.array_equal(lean.times, full.times)
+    for name in kept:
+        assert np.array_equal(lean.data[name], full.data[name]), name
+    assert lean.data["floor_activations"][:, -1].max() > 0
+    for name in set(TRACE_COLUMNS[1:]) - set(kept):
+        with pytest.raises(KeyError):
+            lean.column(name)
+
+
 def test_replay_working_set_does_not_grow_with_the_horizon(basis):
     # 16 rows with the same 11 records at 100 and at 10,000 steps: the
     # replay holds one block of steps at a time besides its output.  The

@@ -41,7 +41,8 @@ errors and every monitor's ``lhs``, ``init``, ``C`` and ``delta`` (at
 three horizons) of each ensemble above, and of a 1-D ensemble with
 repeated path indices at a reaction CFL limit that some of its paths
 fail; and the ``mean_L1``, ``mean_L2`` and ``sup_mean_L3`` of every
-membership check of both Picard iterations.
+membership check and the bounds (K1, K2, K3) sized from the start
+trace of both Picard iterations.
 
 Exits 1 if any comparison fails.
 """
@@ -251,6 +252,7 @@ def _cases():
     for part in ("mean_L1", "mean_L2", "sup_mean_L3"):
         out["bitwise"][f"picard membership {part}"] = np.array(
             [getattr(member, part) for member in report.memberships])
+    out["bitwise"]["picard bounds"] = _bounds(report)
     out["close"]["picard distances"] = np.array(report.distances)
 
     # the picard_1d benchmark's iteration: 16 members, 100 steps
@@ -267,9 +269,15 @@ def _cases():
     for part in ("mean_L1", "mean_L2", "sup_mean_L3"):
         out["bitwise"][f"{key} membership {part}"] = np.array(
             [getattr(member, part) for member in report.memberships])
+    out["bitwise"][f"{key} bounds"] = _bounds(report)
     out["close"][f"{key} distances"] = np.array(report.distances)
     out["close"][f"{key} residual"] = np.array([report.residual_vs_coupled])
     return out
+
+
+def _bounds(report):
+    """(K1, K2, K3) of a Picard report."""
+    return np.array([report.bounds.K1, report.bounds.K2, report.bounds.K3])
 
 
 def _child(dest):
