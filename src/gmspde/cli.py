@@ -122,7 +122,7 @@ def _cmd_simulate(args):
                              path_index=path_index)
     final = run(init, cfg.params, cfg.scheme, basis, cfg.noise,
                 drawn(cfg.noise, cfg.scheme, [path_index]), observer=rec)
-    io_mod.write_trace(rec.trace(), os.path.join(args.out_dir, "trace.csv"))
+    io_mod.write_trace(rec.traces(), os.path.join(args.out_dir, "trace.csv"))
     header = io_mod.SnapshotHeader(dim=cfg.domain.dim, shape=basis.grid_shape,
                                    field_count=2, time=final.t)
     u_final = final.u_nodal[0].reshape(basis.grid_shape)

@@ -246,7 +246,6 @@ def _assemble(raw) -> RunConfig:
             dt=sc["dt"], T=sc["horizon"], scheme=sc["scheme"],
             v_floor=sc["v_floor"], reaction_cfl_limit=sc["reaction_cfl_limit"],
         )
-        scheme.n_steps()
     except ValueError as exc:
         problems.extend(_problems("scheme", exc))
 

@@ -36,7 +36,9 @@ holds B trajectories of both fields as one stack (modal (2, B, K),
 nodal (2, B, n_nodes), u first), and the stepper advances every row of
 both fields at once, so each transform is one (2B, .) product for the
 whole stack.  :func:`run_batch` drives such a stack and :func:`run` is
-its one-row case; there is no second stepping path.
+its one-row case; there is no second stepping path.  What observers
+store keeps the layout: a trajectory or a functional trace is a stack
+of B >= 1 paths, a single path a stack of one.
 Initial data is one (2, K) modal array (row 0 u, row 1 v), and a run
 returns its final :class:`StateView`.  Every run reads its noise through
 one interface, a noise source ``draw(n0, n1)`` (:mod:`gmspde.noise`),
@@ -129,7 +131,9 @@ class SchemeConfig:
     """Solver decisions: step size, scheme, floor, reaction CFL guard.
 
     The scalar decay mu is always integrated exactly with the diffusion,
-    and the 2/3-rule guard is always applied to projected products.
+    and the 2/3-rule guard is always applied to projected products.  The
+    horizon T must be a whole number n >= 1 of steps dt, to 1e-9 x T;
+    :meth:`n_steps` returns n.
     """
 
     dt: float
@@ -145,8 +149,14 @@ class SchemeConfig:
             problems.append("dt must be positive")
         if self.T <= 0:
             problems.append("horizon must be positive")
-        if self.T > 0 and self.dt >= self.T + 1e-15:
-            problems.append("dt must be smaller than the horizon")
+        if 0 < self.dt < np.inf and 0 < self.T < np.inf:
+            n = round(self.T / self.dt)
+            if n < 1:
+                problems.append(f"horizon {self.T:g} is shorter than one "
+                                f"step of {self.dt:g}")
+            elif abs(n * self.dt - self.T) > 1e-9 * self.T:
+                problems.append(f"horizon {self.T:g} is not an integral "
+                                f"number of steps of {self.dt:g}")
         if self.scheme not in SCHEMES:
             problems.append(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.v_floor < 0:
@@ -155,16 +165,7 @@ class SchemeConfig:
             raise ValueError("\n".join(problems))
 
     def n_steps(self):
-        n = int(round(self.T / self.dt))
-        if n < 1:
-            raise ValueError(
-                f"horizon {self.T:g} is shorter than one step of {self.dt:g}"
-            )
-        if abs(n * self.dt - self.T) > 1e-9 * max(1.0, self.T):
-            raise ValueError(
-                f"horizon {self.T:g} is not an integral number of steps of {self.dt:g}"
-            )
-        return n
+        return int(round(self.T / self.dt))
 
 
 def _phi1(z):

@@ -35,6 +35,9 @@ chained ``apply_T`` calls to rounding, and its report, walked block by
 block, reruns bit for bit.  The uniqueness study draws its path's table
 once and runs its two trajectories one by one on it, so its delta = 0
 check stays bitwise.
+
+Every stored trajectory (:class:`PairTrajectory`) and every functional
+trace is a stack of B >= 1 paths; a single path is a stack of one.
 """
 
 from __future__ import annotations
@@ -108,15 +111,14 @@ class StoppingSpec:
 
 @dataclass
 class PairTrajectory:
-    """Dense modal snapshots of a (chi, eta) couple on a step grid.
+    """Dense modal snapshots of (chi, eta) couples on a step grid.
 
-    One path holds (n+1, K) arrays; a stack of B paths on the same grid
-    holds (B, n+1, K).
+    A stack of B >= 1 paths on the same grid: (B, n+1, K) arrays.
     """
 
     times: np.ndarray        # (n+1,)
-    chi_modal: np.ndarray    # (n+1, K) or (B, n+1, K)
-    eta_modal: np.ndarray    # (n+1, K) or (B, n+1, K)
+    chi_modal: np.ndarray    # (B, n+1, K)
+    eta_modal: np.ndarray    # (B, n+1, K)
 
     @property
     def n_steps(self):
@@ -164,8 +166,7 @@ class TrajectoryRecorder:
     The states of a run of ``n_steps`` steps go into one (2, B, n+1, K)
     store, allocated at the first record; if the walk stops early, the
     stacks handed out are views of the states recorded.
-    :meth:`trajectory` returns the path of a one-row run,
-    :meth:`trajectories` the stack of all rows.
+    :meth:`trajectories` returns the stack of all rows.
     """
 
     stride = 1
@@ -192,28 +193,21 @@ class TrajectoryRecorder:
         return PairTrajectory(times=self._times[:self._count],
                               chi_modal=states[0], eta_modal=states[1])
 
-    def trajectory(self):
-        stack = self.trajectories()
-        if stack.chi_modal.shape[0] != 1:
-            raise ValueError("recorder holds several rows; use trajectories()")
-        return PairTrajectory(stack.times, stack.chi_modal[0],
-                              stack.eta_modal[0])
-
 
 def constant_trajectory(pair, scheme: SchemeConfig) -> PairTrajectory:
-    """Time-constant trajectory holding the (2, K) modal ``pair``."""
+    """One-row stack of the time-constant (2, K) modal ``pair``."""
     n = scheme.n_steps()
     times = np.linspace(0.0, scheme.T, n + 1)
-    chi = np.tile(pair[0], (n + 1, 1))
-    eta = np.tile(pair[1], (n + 1, 1))
+    chi = np.tile(pair[0], (1, n + 1, 1))
+    eta = np.tile(pair[1], (1, n + 1, 1))
     return PairTrajectory(times=times, chi_modal=chi, eta_modal=eta)
 
 
 def seminorm_m(a: PairTrajectory, b: PairTrajectory, basis, rho):
     """Ensemble semi-norm of the difference of two trajectory stacks.
 
-    ``a`` and ``b`` hold the same paths (a stack or one path) in the same
-    order; the expectation is the mean over the paths.
+    ``a`` and ``b`` hold the same B >= 1 paths in the same order; the
+    expectation is the mean over the paths.
     """
     h_weights = (1.0 + basis.eigenvalues) ** (1.0 - rho)
     # squared in place: stacks of whole trajectories are large
@@ -246,14 +240,13 @@ def _check_input_positivity(traj, basis):
     )
 
 
-def _check_steps(traj: PairTrajectory, scheme: SchemeConfig) -> int:
-    """The scheme's step count, which ``traj`` must have."""
+def _check_steps(traj: PairTrajectory, scheme: SchemeConfig):
+    """Reject a trajectory of another step count than the scheme's."""
     n_steps = scheme.n_steps()
     if traj.n_steps != n_steps:
         raise ValueError(
             f"trajectory has {traj.n_steps} steps, scheme wants {n_steps}"
         )
-    return n_steps
 
 
 def apply_T(traj: PairTrajectory, init, params: ModelParams,
@@ -266,52 +259,45 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
     modal initial data ``init`` by the coupled step and its checks
     (:func:`~gmspde.dynamics.run_batch` driven by ``traj``'s chi), so a
     coupled trajectory is its exact fixed point; eta enters only through
-    the admissibility check.  ``traj`` is one path or a stack of B paths,
-    and ``draw`` is the noise source of as many paths
+    the admissibility check.  ``traj`` is a stack of B >= 1 paths, and
+    ``draw`` is the noise source of as many paths
     (:func:`~gmspde.noise.drawn`, :func:`~gmspde.noise.sliced`), whose
     blocks are checked as :func:`~gmspde.dynamics.run` checks them; the
     first row failure is raised.
-    Returns the output trajectory (shaped like ``traj``) and the final
+    Returns the output stack and the final
     :class:`~gmspde.dynamics.StateView` of the stack, whose per-row
     ``floor_activations`` count floored nodes.
     """
-    n_steps = _check_steps(traj, scheme)
+    _check_steps(traj, scheme)
     if check_positivity:
         _check_input_positivity(traj, basis)
-    driver = traj.chi_modal.reshape(-1, n_steps + 1, basis.mode_count)
-    out, final = _coupled_solve(init, params, scheme, basis, noise_spec,
-                                draw, driver.shape[0], driver=driver)
-    shape = traj.chi_modal.shape
-    return PairTrajectory(out.times, out.chi_modal.reshape(shape),
-                          out.eta_modal.reshape(shape)), final
+    out, final = _stack_solve(init, params, scheme, basis, noise_spec, draw,
+                              traj.chi_modal.shape[0], driver=traj.chi_modal)
+    if final.failures:
+        raise next(iter(final.failures.values()))
+    return out, final
 
 
 def replay_trace(traj: PairTrajectory, basis, fconfig: FunctionalConfig,
                  v_floor: float, path_index=-1, monitors: bool = True):
-    """Functional trace of a stored trajectory, shaped like it.
+    """Functional trace of a stored stack of B >= 1 paths.
 
-    One path gives (n_obs,) columns, a stack of B paths one
-    :class:`~gmspde.functionals.FunctionalTrace` of (B, n_obs) columns.
-    The stored states go through the live recorder's formulas on blocks
-    of steps (:meth:`~gmspde.functionals.FunctionalRecorder.replay`),
-    all rows of a stack at once, so a trace equals the live recorder's
-    on the same trajectory to rounding (1e-13 x max|value|), with its
-    ``floor_activations`` column exact.  ``path_index`` labels the
-    rows: one index, or one per row.  ``monitors=False`` keeps only
-    the admissibility columns
+    A :class:`~gmspde.functionals.FunctionalTrace` of (B, n_obs)
+    columns.  The stored states go through the live recorder's formulas
+    on blocks of steps
+    (:meth:`~gmspde.functionals.FunctionalRecorder.replay`), all rows at
+    once, so a trace equals the live recorder's on the same trajectory
+    to rounding (1e-13 x max|value|), with its ``floor_activations``
+    column exact.  ``path_index`` labels the rows: one index for all, or
+    one per row.  ``monitors=False`` keeps only the admissibility columns
     (:data:`~gmspde.functionals.ADMISSIBILITY_COLUMNS`) and
     ``floor_activations``, each bitwise the column of a full replay.
     """
-    n = traj.n_steps
-    k = basis.mode_count
-    chi = traj.chi_modal.reshape(-1, n + 1, k)
-    eta = traj.eta_modal.reshape(-1, n + 1, k)
-    if traj.chi_modal.ndim == 3 and np.ndim(path_index) == 0:
-        path_index = [path_index] * chi.shape[0]
-    rec = FunctionalRecorder(basis, fconfig, v_floor, path_index=path_index,
+    labels = np.broadcast_to(path_index, traj.chi_modal.shape[:1])
+    rec = FunctionalRecorder(basis, fconfig, v_floor, path_index=labels,
                              monitors=monitors)
-    rec.replay(traj.times, chi, eta)
-    return rec.traces() if traj.chi_modal.ndim == 3 else rec.trace()
+    rec.replay(traj.times, traj.chi_modal, traj.eta_modal)
+    return rec.traces()
 
 
 @dataclass
@@ -366,22 +352,6 @@ def _stack_solve(init, params, scheme, basis, noise_spec, draw, n_paths,
     return rec.trajectories(), final
 
 
-def _coupled_solve(init, params, scheme, basis, noise_spec, draw, n_paths,
-                   driver=None):
-    """Stacked trajectories and final state of the coupled system.
-
-    ``draw`` is the noise source of the ``n_paths`` rows.  With a
-    (n_paths, n+1, K) modal ``driver`` chi, of the Picard map T driven
-    by it instead (see :func:`~gmspde.dynamics.run_batch`).  Raises the
-    first row failure.
-    """
-    out, final = _stack_solve(init, params, scheme, basis, noise_spec, draw,
-                              n_paths, driver=driver)
-    if final.failures:
-        raise next(iter(final.failures.values()))
-    return out, final
-
-
 def _block(stack: PairTrajectory, j: int, m: int) -> PairTrajectory:
     """Block ``j`` of ``m`` rows of a sweep's trajectory stack."""
     rows = slice(j * m, (j + 1) * m)
@@ -403,12 +373,14 @@ def picard_iterate(start: PairTrajectory, init,
                    start_description: str = "steady state + mode-1..4 bumps"):
     """Iterate the decoupling map on frozen paths until the semi-norm settles.
 
-    Every member starts from ``start`` and reads its own frozen noise
-    row; iterate k+1 is T applied to iterate k.  T is causal in time
-    (step n of iterate k+1 reads iterate k up to step n only), so the
-    iterates are stepped in sweeps: one stack of W blocks of members
-    through :func:`~gmspde.dynamics.run_batch`, block 0 driven by the
-    stored previous iterate and block j by the live u of block j - 1.
+    Every member starts from ``start``, a one-row stack with the
+    scheme's step count (both checked before any work), and reads its
+    own frozen noise row; iterate k+1 is T applied to iterate k.  T is
+    causal in time (step n of iterate k+1 reads iterate k up to step n
+    only), so the iterates are stepped in sweeps: one stack of W blocks
+    of members through :func:`~gmspde.dynamics.run_batch`, block 0
+    driven by the stored previous iterate and block j by the live u of
+    block j - 1.
     The first sweep also steps the coupled system on the same noise, the
     reference of ``residual_vs_coupled``.  W is worked out, not set: as
     many blocks as both :data:`SWEEP_STORE_VALUES` stored values and
@@ -434,6 +406,10 @@ def picard_iterate(start: PairTrajectory, init,
     Bit for bit hold the frozen noise table and reruns of one
     configuration (the same depths, so the same stacks).
     """
+    _check_steps(start, scheme)
+    if start.chi_modal.shape[0] != 1:
+        raise ValueError(f"start trajectory has {start.chi_modal.shape[0]} "
+                         "rows; the members start from one")
     fconfig = fconfig or FunctionalConfig()
     m = config.ensemble_size
     n = scheme.n_steps()
@@ -452,14 +428,11 @@ def picard_iterate(start: PairTrajectory, init,
         raise ValueError(
             f"start trajectory violates positivity: {start_member.failure}"
         )
-    _check_steps(start, scheme)
 
     # every member starts from the same trajectory; all are stepped at once
-    current = PairTrajectory(
-        start.times.copy(),
-        np.repeat(start.chi_modal[None], m, axis=0),
-        np.repeat(start.eta_modal[None], m, axis=0),
-    )
+    current = PairTrajectory(start.times.copy(),
+                             np.repeat(start.chi_modal, m, axis=0),
+                             np.repeat(start.eta_modal, m, axis=0))
     distances = []
     memberships = []
     converged = False
@@ -542,12 +515,15 @@ class UniquenessReport:
 
 
 def _stopping_scan(traj: PairTrajectory, basis, scheme, levels):
-    """First-hitting steps of the two stopping-time families."""
-    v_nodal = basis.synthesize(traj.eta_modal)
+    """First-hitting steps of the two stopping-time families.
+
+    ``traj`` is a one-row stack.
+    """
+    v_nodal = basis.synthesize(traj.eta_modal[0])
     xi, _ = _xi_nodal(v_nodal, scheme.v_floor)
     # the running sup of |xi|_L8 first reaches m where |xi|_L8 does
     xi8 = (xi**8 @ basis.weights) ** (1.0 / 8.0)
-    u_sq = traj.chi_modal**2
+    u_sq = traj.chi_modal[0]**2
     sup_u2 = np.maximum.accumulate(np.sum(u_sq, axis=1))
     h1 = np.sum((1.0 + basis.eigenvalues) * u_sq, axis=1)
     # left-point rule for int_0^t |u|_H1^2 ds, summed in step order
@@ -591,12 +567,12 @@ def uniqueness_study(init, delta: float, params: ModelParams,
     def solve(pair):
         rec = TrajectoryRecorder(scheme.n_steps())
         run(pair, params, scheme, basis, noise_spec, common, observer=rec)
-        return rec.trajectory()
+        return rec.trajectories()
 
     t1 = solve(init)
     t2 = solve(init2)
-    dchi = t1.chi_modal - t2.chi_modal
-    deta = t1.eta_modal - t2.eta_modal
+    dchi = t1.chi_modal[0] - t2.chi_modal[0]
+    deta = t1.eta_modal[0] - t2.eta_modal[0]
     du = np.sqrt(np.sum(dchi**2, axis=1))
     dv = np.sqrt(np.sum(deta**2, axis=1))
     bitwise = bool(np.all(dchi == 0.0) and np.all(deta == 0.0))

@@ -13,12 +13,11 @@ trajectory in blocks of steps (see :class:`FunctionalRecorder`).
 Either walk keeps every column, or only the columns the admissibility
 checks read (:data:`ADMISSIBILITY_COLUMNS`).
 
-A :class:`FunctionalTrace` holds one path, (n_obs,) columns, or a stack
-of paths, (B, n_obs) columns, as the recorder keeps them.  The Lyapunov
-functionals reduce over the last (time) axis and are free in the
-leading ones; :func:`membership`, :func:`auto_bounds` and the monitors
-take expectations as means over the path rows of a stack, in row order,
-so one path is the ensemble of itself.
+A :class:`FunctionalTrace` holds a stack of B >= 1 paths, (B, n_obs)
+columns, as the recorder keeps them.  The Lyapunov functionals reduce
+over the time axis, one value per path; :func:`membership`,
+:func:`auto_bounds` and the monitors take expectations as means over
+the path rows, in row order, so one path is the ensemble of itself.
 
 From an ensemble's stack the monitors fit minimal constants (C, delta)
 such that LHS(T) <= C exp(delta T) * (initial-data term) over all
@@ -115,32 +114,23 @@ class AdmissibleSetSpec:
 
 @dataclass
 class FunctionalTrace:
-    """Per-observation-time functional values of one trajectory or a stack.
+    """Per-observation-time functional values of a stack of paths.
 
-    One path holds (n_obs,) columns and one ``path_index``; a stack of B
-    paths on the same observation times holds (B, n_obs) columns and a
-    (B,) ``path_index`` array.  ``times`` is (n_obs,) either way.
+    B >= 1 paths on the same (n_obs,) observation ``times``: (B, n_obs)
+    columns and a (B,) ``path_index`` array.
     """
 
     times: np.ndarray
     data: dict[str, np.ndarray]
     p: float
     rho: float
-    path_index: int | np.ndarray = -1
+    path_index: np.ndarray
 
     def rows(self, index):
-        """Row ``index`` of a stack as one path; a list of rows as a stack."""
+        """The stack of the rows ``index`` (a list of row numbers)."""
         return FunctionalTrace(self.times,
                                {k: col[index] for k, col in self.data.items()},
                                self.p, self.rho, self.path_index[index])
-
-    def column(self, name):
-        if name == "time":
-            return self.times
-        return self.data[name]
-
-    def n_rows(self):
-        return self.times.size
 
     def window(self, horizon):
         """Index of the last observation time <= horizon (+ tolerance)."""
@@ -194,7 +184,7 @@ class FunctionalRecorder:
     and :meth:`record`; :meth:`replay` calls them on blocks of stored
     steps, (B, S, ...) stacks.  ``path_index`` is one index (one row) or one
     per row.  :meth:`traces` returns the stack of all rows, (rows,
-    n_obs) columns, :meth:`trace` the trace of a one-row recorder.
+    n_obs) columns.
 
     The running integrals are left-point sums: each pre-step state adds
     dt times its integrand, in step order.  The replay forms the same
@@ -367,49 +357,37 @@ class FunctionalRecorder:
             path_index=np.array(self.path_indices),
         )
 
-    def trace(self) -> FunctionalTrace:
-        """The trace of a one-row recorder."""
-        if len(self.path_indices) != 1:
-            raise ValueError(f"recorder holds {len(self.path_indices)} rows; "
-                             "use traces()")
-        return self.traces().rows(0)
-
 
 def lyapunov_L1(trace: FunctionalTrace, upto: int | None = None):
     """sup |chi|_L2^2 + int |grad chi|_L2^2 ds + sup |xi|_Lp^p over a window.
 
-    One value per path: a float for one path, (B,) for a stack.
+    One value per path of the stack ``trace``: (B,).
     """
-    n = trace.n_rows() if upto is None else upto + 1
+    n = trace.times.size if upto is None else upto + 1
     d = trace.data
-    return (d["chi_l2_sq"][..., :n].max(axis=-1)
-            + d["int_grad_chi_sq"][..., n - 1]
-            + d["xi_lp_p"][..., :n].max(axis=-1))
+    return (d["chi_l2_sq"][:, :n].max(axis=1)
+            + d["int_grad_chi_sq"][:, n - 1]
+            + d["xi_lp_p"][:, :n].max(axis=1))
 
 
 def lyapunov_L2(trace: FunctionalTrace, upto: int | None = None):
-    """(int int chi^2 xi)^2 + int int xi^2 chi^2 over a window, per path."""
-    idx = trace.n_rows() - 1 if upto is None else upto
-    return (trace.data["int_chi2_xi"][..., idx] ** 2
-            + trace.data["int_xi2_chi2"][..., idx])
+    """(int int chi^2 xi)^2 + int int xi^2 chi^2 over a window: (B,)."""
+    idx = trace.times.size - 1 if upto is None else upto
+    return (trace.data["int_chi2_xi"][:, idx] ** 2
+            + trace.data["int_xi2_chi2"][:, idx])
 
 
 def lyapunov_L3(trace: FunctionalTrace) -> np.ndarray:
-    """Per-time |xi|_Lp^p + |xi|_L1 + (int ln xi)^2, per path."""
+    """Per-time |xi|_Lp^p + |xi|_L1 + (int ln xi)^2: (B, n_obs)."""
     d = trace.data
     return d["xi_lp_p"] + d["xi_l1"] + d["int_ln_xi"] ** 2
-
-
-def _path_mean(series):
-    """Ensemble mean of per-path time series: over the leading axes."""
-    return np.mean(np.reshape(series, (-1, np.shape(series)[-1])), axis=0)
 
 
 def _admissible_means(trace):
     """E L1, E L2 and sup_t E L3 over the paths of ``trace``."""
     return (float(np.mean(lyapunov_L1(trace))),
             float(np.mean(lyapunov_L2(trace))),
-            float(np.max(_path_mean(lyapunov_L3(trace)))))
+            float(np.max(np.mean(lyapunov_L3(trace), axis=0))))
 
 
 # the columns membership and auto_bounds read: the positivity minima and
@@ -440,24 +418,23 @@ def membership(trace: FunctionalTrace,
                spec: AdmissibleSetSpec) -> MembershipReport:
     """Ensemble admissibility check against (K1, K2, K3).
 
-    Expectations are means over the paths of ``trace`` (one path or a
-    stack); positivity requires chi >= 0 and eta > 0 at every
-    observation of every path, and the failure names the first path
-    (in row order) that breaks it.
+    Expectations are means over the paths of the stack ``trace``;
+    positivity requires chi >= 0 and eta > 0 at every observation of
+    every path, and the failure names the first path (in row order) that
+    breaks it.
     """
-    chi_bad = np.atleast_2d(trace.data["chi_min"] < 0.0)
-    eta_bad = np.atleast_2d(trace.data["eta_min"] <= 0.0)
-    bad = np.flatnonzero(np.any(chi_bad | eta_bad, axis=-1))
+    chi_bad = trace.data["chi_min"] < 0.0
+    eta_bad = trace.data["eta_min"] <= 0.0
+    bad = np.flatnonzero(np.any(chi_bad | eta_bad, axis=1))
     failure = ""
     if bad.size:
         r = bad[0]
         name, label, hits = (("chi", "chi < 0", chi_bad[r]) if chi_bad[r].any()
                              else ("eta", "eta <= 0", eta_bad[r]))
         i = int(np.flatnonzero(hits)[0])
-        d = {k: np.atleast_2d(trace.data[f"{name}_{k}"])[r, i]
-             for k in ("argmin", "min")}
+        d = {k: trace.data[f"{name}_{k}"][r, i] for k in ("argmin", "min")}
         failure = (
-            f"{label} on path {np.ravel(trace.path_index)[r]} at t = "
+            f"{label} on path {trace.path_index[r]} at t = "
             f"{trace.times[i]:g}, node {int(d['argmin'])} (value {d['min']:g})"
         )
     # (mean_L1, mean_L2, sup_mean_L3) and their checks against (K1, K2, K3)
@@ -519,8 +496,8 @@ def energy_monitors(trace: FunctionalTrace, params, config: FunctionalConfig,
                     horizons=None) -> dict[str, MonitorFit]:
     """Fit growth envelopes for the a-priori-bound monitors.
 
-    Expectations are means over the paths of ``trace`` (one path or a
-    stack).  ``horizons`` defaults to the final observation time; each
+    Expectations are means over the paths of the stack ``trace``.
+    ``horizons`` defaults to the final observation time; each
     horizon is read at the last observation time at or before it.
     """
     d = trace.data
@@ -535,13 +512,13 @@ def energy_monitors(trace: FunctionalTrace, params, config: FunctionalConfig,
         return np.array([np.mean(per_path(i)) for i in idxs])
 
     def at(name):
-        return series(lambda i: d[name][..., i])
+        return series(lambda i: d[name][:, i])
 
     def sup(name):
-        return series(lambda i: d[name][..., : i + 1].max(axis=-1))
+        return series(lambda i: d[name][:, : i + 1].max(axis=1))
 
     def at0(name):
-        return float(np.mean(d[name][..., 0]))
+        return float(np.mean(d[name][:, 0]))
 
     monitors = {}
 
@@ -559,7 +536,7 @@ def energy_monitors(trace: FunctionalTrace, params, config: FunctionalConfig,
     xi2chi2 = params.kappa_v * at("int_xi2_chi2")
     add("xi_l1_pathsup", sup("xi_l1") + xi2chi2, at0("xi_l1"))
     # sup_t of the ensemble mean, the literal quantifier order of the bound
-    mean_l1_curve = _path_mean(d["xi_l1"])
+    mean_l1_curve = np.mean(d["xi_l1"], axis=0)
     add("xi_l1_meansup",
         np.array([mean_l1_curve[: i + 1].max() for i in idxs]) + xi2chi2,
         at0("xi_l1"))

@@ -48,12 +48,16 @@ class SnapshotHeader:
 
 
 def write_trace(trace: FunctionalTrace, path) -> None:
-    """CSV dump, one row per observation time, columns as documented."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for i in range(trace.n_rows()):
-            row = [fmt17(trace.column(name)[i]) for name in TRACE_COLUMNS]
-            fh.write(",".join(row) + "\n")
+    """CSV dump of a one-path trace: a line per observation time.
+
+    The columns are :data:`~gmspde.functionals.TRACE_COLUMNS`.  A trace
+    of several paths is rejected before the file is opened.
+    """
+    if trace.path_index.size != 1:
+        raise ValueError(f"a trace file holds one path; the trace has "
+                         f"{trace.path_index.size}")
+    write_csv(path, TRACE_COLUMNS, [trace.times] + [
+        trace.data[name][0] for name in TRACE_COLUMNS[1:]])
 
 
 def read_trace_csv(path):

@@ -69,13 +69,13 @@ def test_stacked_rows_match_solo_runs(dim, scheme):
     assert final.failures == {} and final.alive.all()
     stack = rec.traces()
     for row, idx in enumerate(indices):
-        trace = stack.rows(row)
+        trace = stack.rows([row])
         want = FunctionalRecorder(basis, FCFG, sch.v_floor, path_index=idx)
         res = solo(init, prm, sch, basis, spec, increments[row],
                    observer=want)
-        assert trace.path_index == idx
-        assert np.array_equal(trace.times, want.trace().times)
-        for name, column in want.trace().data.items():
+        assert list(trace.path_index) == [idx]
+        assert np.array_equal(trace.times, want.traces().times)
+        for name, column in want.traces().data.items():
             assert_close(trace.data[name], column, f"row {row} {name}")
         assert_close(final.u_modal[row], res.u_modal[0], "u")
         assert_close(final.v_modal[row], res.v_modal[0], "v")
@@ -109,8 +109,8 @@ def test_reruns_are_bitwise_at_two_stack_sizes():
     five = run_ensemble(path_indices=range(5))
     assert_bitwise(five, run_ensemble(path_indices=range(5)))
     for row in range(5):
-        small, large = five.traces.rows(row), eleven.traces.rows(row)
-        assert small.path_index == large.path_index
+        small, large = five.traces.rows([row]), eleven.traces.rows([row])
+        assert np.array_equal(small.path_index, large.path_index)
         for name, column in large.data.items():
             if not name.endswith("_argmin"):
                 assert_close(small.data[name], column, name)
@@ -244,9 +244,9 @@ def test_ensemble_failures_match_solo_runs():
     for idx in range(n_paths):
         rec = TrajectoryRecorder(loose.n_steps())
         solo(init, prm, loose, basis, spec, increments[idx], observer=rec)
-        traj = rec.trajectory()
-        u = basis.synthesize(traj.chi_modal[:-1])
-        v = basis.synthesize(traj.eta_modal[:-1])
+        traj = rec.trajectories()
+        u = basis.synthesize(traj.chi_modal[0, :-1])
+        v = basis.synthesize(traj.eta_modal[0, :-1])
         peaks.append(float((u * u / v).max()) * prm.kappa_u * loose.dt)
     limit = float(np.median(peaks))
     sch = SchemeConfig(dt=1e-3, T=0.05, reaction_cfl_limit=limit)

@@ -50,6 +50,10 @@ def test_scheme_validation():
         SchemeConfig(dt=0.1, T=1.0, scheme="milstein")
     with pytest.raises(ValueError, match="integral number"):
         SchemeConfig(dt=0.3, T=1.0).n_steps()
+    # 1.4 steps: within 1e-9 absolute, not within 1e-9 of the horizon
+    with pytest.raises(ValueError, match="horizon 1.4e-09 is not an integral "
+                                         "number of steps of 1e-09"):
+        SchemeConfig(dt=1e-9, T=1.4e-9)
     assert SchemeConfig(dt=0.1, T=1.0).n_steps() == 10
 
 

@@ -20,7 +20,6 @@ from gmspde.experiments import (
     StoppingSpec,
     TrajectoryRecorder,
     _block,
-    _coupled_solve,
     _stack_solve,
     _stopping_scan,
     apply_T,
@@ -71,8 +70,8 @@ def test_apply_T_fixes_noiseless_steady_state(basis, nspec):
     path = drawn(nspec, sch, [0])
     out, final = apply_T(traj, pair, params, sch, basis, nspec, path)
     u_star, v_star = steady_state(params)
-    assert np.abs(out.chi_modal[-1, 0] - u_star).max() < 1e-8
-    assert np.abs(out.eta_modal[-1, 0] - v_star * np.sqrt(basis.volume)
+    assert np.abs(out.chi_modal[0, -1, 0] - u_star).max() < 1e-8
+    assert np.abs(out.eta_modal[0, -1, 0] - v_star * np.sqrt(basis.volume)
                   + v_star * np.sqrt(basis.volume) - v_star).max() < 1e-8
     assert final.floor_activations.sum() == 0
 
@@ -85,9 +84,9 @@ def test_apply_T_zero_source_decays(basis, nspec):
     traj = constant_trajectory(zero_chi, sch)
     path = drawn(nspec, sch, [0])
     out, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
-    v_norms = np.sqrt(np.sum(out.eta_modal**2, axis=1))
+    v_norms = np.sqrt(np.sum(out.eta_modal[0]**2, axis=1))
     assert np.all(np.diff(v_norms) < 0)
-    u_norms = np.sqrt(np.sum(out.chi_modal**2, axis=1))
+    u_norms = np.sqrt(np.sum(out.chi_modal[0]**2, axis=1))
     assert u_norms[-1] < u_norms[0] * np.exp(-params.mu_u * 0.2) * 1.001
 
 
@@ -143,8 +142,9 @@ def test_coupled_solution_is_exact_fixed_point_of_T(scheme, dim, rows):
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
     init = default_initial_pair(basis_d, params)
     increments = sliced(drawn(spec, sch, range(rows))(0, 50))
-    coupled, _ = _coupled_solve(init, params, sch, basis_d, spec, increments,
-                                rows)
+    coupled, final = _stack_solve(init, params, sch, basis_d, spec, increments,
+                                  rows)
+    assert not final.failures
     out, _ = apply_T(coupled, init, params, sch, basis_d, spec, increments)
     np.testing.assert_allclose(out.chi_modal, coupled.chi_modal,
                                rtol=0, atol=0)
@@ -153,9 +153,9 @@ def test_coupled_solution_is_exact_fixed_point_of_T(scheme, dim, rows):
 
 
 def members(traj, m):
-    """``m`` copies of a one-path trajectory as a stack."""
-    return PairTrajectory(traj.times, np.repeat(traj.chi_modal[None], m, 0),
-                          np.repeat(traj.eta_modal[None], m, 0))
+    """``m`` copies of the row of a one-row trajectory stack."""
+    return PairTrajectory(traj.times, np.repeat(traj.chi_modal, m, 0),
+                          np.repeat(traj.eta_modal, m, 0))
 
 
 def assert_rounding_close(got, expected):
@@ -205,8 +205,9 @@ def test_sweep_iterates_equal_chained_apply_T(monkeypatch, scheme, dim, rows):
         block = _block(stack, j, rows)
         assert_rounding_close(block.chi_modal, current.chi_modal)
         assert_rounding_close(block.eta_modal, current.eta_modal)
-    coupled, _ = _coupled_solve(init, params, sch, basis_d, spec, increments,
-                                rows)
+    coupled, final = _stack_solve(init, params, sch, basis_d, spec, increments,
+                                  rows)
+    assert not final.failures
     assert_rounding_close(_block(stack, 3, rows).chi_modal, coupled.chi_modal)
     assert_rounding_close(_block(stack, 3, rows).eta_modal, coupled.eta_modal)
 
@@ -237,7 +238,7 @@ def test_sweep_chain_needs_a_driver_and_a_block(basis, nspec):
                      1, chain=2)
     with pytest.raises(ValueError, match="chain must be >= 1, got 0"):
         _stack_solve(init, params, sch, basis, nspec, drawn(nspec, sch, [0]),
-                     1, driver=constant_trajectory(init, sch).chi_modal[None],
+                     1, driver=constant_trajectory(init, sch).chi_modal,
                      chain=0)
 
 
@@ -336,13 +337,14 @@ def test_picard_raises_a_failure_of_the_coupled_solve_last(basis, nspec):
     start = constant_trajectory(
         constant_pair(basis, 0.0, steady_state(params)[1]), sch)
     frozen = sliced(drawn(nspec, sch, range(2))(0, sch.n_steps()))
-    with pytest.raises(SimulationError) as expected:
-        _coupled_solve(init, params, sch, basis, nspec, frozen, 2)
+    _, final = _stack_solve(init, params, sch, basis, nspec, frozen, 2)
+    expected = next(iter(final.failures.values()))
+    assert isinstance(expected, SimulationError)
     with pytest.raises(SimulationError) as got:
         picard_iterate(start, init, params, sch, basis, nspec,
                        FixedPointConfig(max_iterations=6, tolerance=1e-12,
                                         ensemble_size=2))
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == str(expected)
 
 
 def test_picard_store_stays_within_its_budget(monkeypatch, basis):
@@ -398,8 +400,7 @@ def test_apply_T_raises_the_floor_violation_of_its_row(basis, nspec):
     sch = SchemeConfig(dt=1e-3, T=0.01, v_floor=0.0)
     pair = steady_pair(basis, params)
     traj = constant_trajectory(constant_pair(basis, 0.0, 1.0), sch)
-    stack = PairTrajectory(traj.times, np.repeat(traj.chi_modal[None], 3, 0),
-                           np.repeat(traj.eta_modal[None], 3, 0))
+    stack = members(traj, 3)
     increments = np.zeros((3, 2, K, 10))
     # row 2's inhibitor sees dW = -5 at every node in step 3: its noise
     # term -5 v outweighs v, and v turns negative everywhere
@@ -457,6 +458,25 @@ def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
         picard_iterate(start, init, params, sch, basis, nspec,
                        FixedPointConfig(ensemble_size=2))
     assert str(got.value) == str(expected.value)
+
+
+def test_picard_checks_its_start_before_any_work(basis, nspec):
+    # a start of another step count that also breaks positivity gets the
+    # step-count error; a start of two rows is rejected
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.01)
+    init = default_initial_pair(basis, params)
+    bad_start = constant_trajectory(
+        constant_pair(basis, -1.0, steady_state(params)[1]),
+        SchemeConfig(dt=1e-3, T=0.02))
+    with pytest.raises(ValueError,
+                       match="^trajectory has 20 steps, scheme wants 10$"):
+        picard_iterate(bad_start, init, params, sch, basis, nspec,
+                       FixedPointConfig(ensemble_size=2))
+    two_rows = members(constant_trajectory(init, sch), 2)
+    with pytest.raises(ValueError, match="start trajectory has 2 rows"):
+        picard_iterate(two_rows, init, params, sch, basis, nspec,
+                       FixedPointConfig(ensemble_size=2))
 
 
 @pytest.mark.parametrize("horizon, members, depths", [
@@ -624,24 +644,24 @@ def test_trajectory_recorder_matches_run_output(basis, nspec):
     path = drawn(nspec, sch, [0])
     rec = TrajectoryRecorder(sch.n_steps())
     res = run(init, params, sch, basis, nspec, path, observer=rec)
-    traj = rec.trajectory()
+    traj = rec.trajectories()
     assert traj.n_steps == 10
-    assert np.array_equal(traj.chi_modal[0], init[0])
-    assert np.array_equal(traj.chi_modal[-1], res.u_modal[0])
+    assert np.array_equal(traj.chi_modal[0, 0], init[0])
+    assert np.array_equal(traj.chi_modal[0, -1], res.u_modal[0])
 
 
 def _stopping_scan_per_step(traj, basis, scheme, levels):
-    """The stopping scan written as a loop over steps, as a reference."""
+    """The stopping scan of a one-row stack as a loop over steps."""
     lam, w = basis.eigenvalues, basis.weights
     sup_xi8 = sup_u2 = -np.inf
     h1_running = 0.0
     tau1 = dict.fromkeys(levels)
     tau2 = dict.fromkeys(levels)
     for i in range(traj.n_steps + 1):
-        v = basis.synthesize(traj.eta_modal[i])
+        v = basis.synthesize(traj.eta_modal[0, i])
         xi = 1.0 / np.maximum(v, scheme.v_floor)
         sup_xi8 = max(sup_xi8, float((w @ xi**8) ** (1.0 / 8.0)))
-        u = traj.chi_modal[i]
+        u = traj.chi_modal[0, i]
         sup_u2 = max(sup_u2, float(np.sum(u**2)))
         for m in levels:
             if tau1[m] is None and sup_xi8 >= m:
@@ -661,7 +681,7 @@ def test_stopping_scan_hits_levels_mid_run(basis, nspec):
     rec = TrajectoryRecorder(sch.n_steps())
     run(default_initial_pair(basis, params), params, sch, basis, nspec, path,
         observer=rec)
-    traj = rec.trajectory()
+    traj = rec.trajectories()
     levels = tuple(np.round(np.concatenate((np.linspace(0.51, 0.68, 18),
                                             np.geomspace(4.5, 180.0, 50))), 6))
     got = _stopping_scan(traj, basis, sch, levels)

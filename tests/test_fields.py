@@ -38,7 +38,7 @@ def _columns(basis, u_nodal, v_nodal, p=2.0, rho=1.1):
     rec = FunctionalRecorder(basis, FunctionalConfig(p=p, rho=rho), 1e-8)
     rec.accumulate(view, 1.0)
     rec.record(view)
-    return {name: float(col[0]) for name, col in rec.trace().data.items()}
+    return {name: float(col[0, 0]) for name, col in rec.traces().data.items()}
 
 
 def _grad_energy(basis, modal, weight=1.0):

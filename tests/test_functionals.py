@@ -14,8 +14,7 @@ from gmspde.dynamics import (
 from gmspde.experiments import (
     PairTrajectory,
     TrajectoryRecorder,
-    _coupled_solve,
-    constant_trajectory,
+    _stack_solve,
     ensemble,
     replay_trace,
 )
@@ -52,7 +51,7 @@ def desk_params(sigma=0.1):
 
 
 def const_traj(basis, chi_value, eta_value, n_steps=8, horizon=1.0):
-    """Time-constant (chi, eta) trajectory with a power-of-two step."""
+    """One-row stack of a time-constant (chi, eta), power-of-two steps."""
     sqrt_vol = np.sqrt(basis.volume)
     chi = np.zeros(K)
     chi[0] = chi_value * sqrt_vol
@@ -61,8 +60,8 @@ def const_traj(basis, chi_value, eta_value, n_steps=8, horizon=1.0):
     times = np.linspace(0.0, horizon, n_steps + 1)
     return PairTrajectory(
         times=times,
-        chi_modal=np.tile(chi, (n_steps + 1, 1)),
-        eta_modal=np.tile(eta, (n_steps + 1, 1)),
+        chi_modal=np.tile(chi, (1, n_steps + 1, 1)),
+        eta_modal=np.tile(eta, (1, n_steps + 1, 1)),
     )
 
 
@@ -102,23 +101,23 @@ def test_lyapunov_l1_trivial(basis):
     traj = const_traj(basis, 0.0, 1.0)
     trace = replay_trace(traj, basis, FunctionalConfig(observation_stride=1), 1e-8)
     # only the |xi|_p^p = |O| term survives
-    assert lyapunov_L1(trace) == pytest.approx(1.0, rel=1e-12)
+    assert lyapunov_L1(trace)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lyapunov_l1_single_eigenmode(basis):
     # one step with chi = e_1, v = 1: |chi|^2 = 1, grad term = lambda_1 dt
     dt = 0.125
-    chi = np.zeros((2, K))
-    chi[:, 1] = 1.0
-    eta = np.zeros((2, K))
-    eta[:, 0] = 1.0
+    chi = np.zeros((1, 2, K))
+    chi[..., 1] = 1.0
+    eta = np.zeros((1, 2, K))
+    eta[..., 0] = 1.0
     traj = PairTrajectory(times=np.array([0.0, dt]), chi_modal=chi,
                           eta_modal=eta)
     trace = replay_trace(traj, basis, FunctionalConfig(observation_stride=1),
                          1e-8)
     lam1 = basis.eigenvalues[1]
     expected = 1.0 + lam1 * dt + 1.0
-    assert lyapunov_L1(trace) == pytest.approx(expected, rel=1e-10)
+    assert lyapunov_L1(trace)[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_lyapunov_l1_quadratic_in_chi(basis):
@@ -133,20 +132,21 @@ def test_lyapunov_l1_quadratic_in_chi(basis):
 def test_lyapunov_l2_examples(basis):
     cfg = FunctionalConfig(observation_stride=1)
     zero = replay_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
-    assert lyapunov_L2(zero) == 0.0
+    assert lyapunov_L2(zero)[0] == 0.0
     # chi = 1, v = 1, T = 1 with dyadic steps: (|O| T)^2 + |O| T = 2
     ones = replay_trace(const_traj(basis, 1.0, 1.0), basis, cfg, 1e-8)
-    assert lyapunov_L2(ones) == pytest.approx(2.0, abs=1e-12)
+    assert lyapunov_L2(ones)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_lyapunov_l2_scaling_is_exact(basis):
     cfg = FunctionalConfig(observation_stride=1)
     t1 = replay_trace(const_traj(basis, 0.7, 2.0), basis, cfg, 1e-8)
     t2 = replay_trace(const_traj(basis, 1.4, 2.0), basis, cfg, 1e-8)
-    assert t2.data["int_chi2_xi"][-1] == 4.0 * t1.data["int_chi2_xi"][-1]
-    assert t2.data["int_xi2_chi2"][-1] == 4.0 * t1.data["int_xi2_chi2"][-1]
+    a, b = t1.data, t2.data
+    assert b["int_chi2_xi"][0, -1] == 4.0 * a["int_chi2_xi"][0, -1]
+    assert b["int_xi2_chi2"][0, -1] == 4.0 * a["int_xi2_chi2"][0, -1]
     # first L2 term is the square of a 4x quantity
-    assert t2.data["int_chi2_xi"][-1] ** 2 == 16.0 * t1.data["int_chi2_xi"][-1] ** 2
+    assert b["int_chi2_xi"][0, -1] ** 2 == 16.0 * a["int_chi2_xi"][0, -1] ** 2
 
 
 def test_lyapunov_l3_trivial(basis):
@@ -176,11 +176,11 @@ def test_membership_trivial_pass_and_negative_node(basis):
     rep = membership(good, big)
     assert rep.ok
 
-    chi = np.zeros((2, K))
-    chi[:, 0] = 0.5
-    chi[:, 1] = -1.0  # pushes some nodes negative
-    eta = np.zeros((2, K))
-    eta[:, 0] = 1.0
+    chi = np.zeros((1, 2, K))
+    chi[..., 0] = 0.5
+    chi[..., 1] = -1.0  # pushes some nodes negative
+    eta = np.zeros((1, 2, K))
+    eta[..., 0] = 1.0
     traj = PairTrajectory(times=np.array([0.0, 0.5]), chi_modal=chi,
                           eta_modal=eta)
     bad = replay_trace(traj, basis, cfg, 1e-8)
@@ -280,12 +280,12 @@ def test_floor_activations_counted_once_live_and_replayed():
     live = FunctionalRecorder(basis, fcfg, sch.v_floor)
     res = run(pair, params, sch, basis, spec, None, observer=live)
     assert res.floor_activations[0] == 4 * 17
-    column = live.trace().data["floor_activations"]
-    assert column[-1] == res.floor_activations[0]
-    assert column[0] == 0.0
+    column = live.traces().data["floor_activations"]
+    assert column[0, -1] == res.floor_activations[0]
+    assert column[0, 0] == 0.0
     traj = TrajectoryRecorder(sch.n_steps())
     run(pair, params, sch, basis, spec, None, observer=traj)
-    replayed = replay_trace(traj.trajectory(), basis, fcfg, sch.v_floor)
+    replayed = replay_trace(traj.trajectories(), basis, fcfg, sch.v_floor)
     assert np.array_equal(replayed.data["floor_activations"], column)
 
 
@@ -305,15 +305,15 @@ def test_replay_trace_matches_live_trace(v_floor):
     res = run(init, params, sch, basis, spec, path, observer=live)
     traj = TrajectoryRecorder(sch.n_steps())
     run(init, params, sch, basis, spec, path, observer=traj)
-    expected = live.trace()
-    got = replay_trace(traj.trajectory(), basis, fcfg, v_floor)
+    expected = live.traces()
+    got = replay_trace(traj.trajectories(), basis, fcfg, v_floor)
     assert np.array_equal(got.times, expected.times)
     for name in TRACE_COLUMNS[1:]:
         want = expected.data[name]
         scale = np.abs(want).max()
         np.testing.assert_allclose(got.data[name], want, rtol=1e-12,
                                    atol=1e-12 * scale, err_msg=name)
-    activations = expected.data["floor_activations"][-1]
+    activations = expected.data["floor_activations"][0, -1]
     assert activations == res.floor_activations[0]
     assert (activations > 0) == (v_floor > 1.0)
 
@@ -327,8 +327,9 @@ def picard_stack():
     params = desk_params(sigma=0.3)
     sch = SchemeConfig(dt=1e-3, T=0.1)
     init = default_initial_pair(basis, params)
-    stack, _ = _coupled_solve(init, params, sch, basis, spec,
-                              drawn(spec, sch, range(16)), 16)
+    stack, final = _stack_solve(init, params, sch, basis, spec,
+                                drawn(spec, sch, range(16)), 16)
+    assert not final.failures
     return basis, stack
 
 
@@ -350,7 +351,7 @@ def test_replay_is_the_same_under_any_block_budget(monkeypatch, picard_stack):
         monkeypatch.setattr(functionals, "REPLAY_BLOCK_VALUES", budget)
         runs.append(replay_trace(stack, basis, fcfg, 2.0, range(16)))
     for row in range(16):
-        _assert_traces_close(runs[0].rows(row), runs[1].rows(row))
+        _assert_traces_close(runs[0].rows([row]), runs[1].rows([row]))
 
 
 def test_stacked_replay_matches_each_rows_solo_replay(picard_stack):
@@ -359,11 +360,11 @@ def test_stacked_replay_matches_each_rows_solo_replay(picard_stack):
     fcfg = FunctionalConfig(observation_stride=25)
     stacked = replay_trace(stack, basis, fcfg, 2.0, range(16))
     for row in range(16):
-        got = stacked.rows(row)
-        solo = PairTrajectory(stack.times, stack.chi_modal[row],
-                              stack.eta_modal[row])
+        got = stacked.rows([row])
+        solo = PairTrajectory(stack.times, stack.chi_modal[[row]],
+                              stack.eta_modal[[row]])
         want = replay_trace(solo, basis, fcfg, 2.0, row)
-        assert got.path_index == want.path_index == row
+        assert list(got.path_index) == list(want.path_index) == [row]
         _assert_traces_close(got, want)
     assert stacked.data["floor_activations"][:, -1].max() > 0
 
@@ -382,7 +383,7 @@ def test_lean_replay_columns_are_bitwise_the_full_ones(picard_stack):
     assert lean.data["floor_activations"][:, -1].max() > 0
     for name in set(TRACE_COLUMNS[1:]) - set(kept):
         with pytest.raises(KeyError):
-            lean.column(name)
+            lean.data[name]
 
 
 def test_replay_working_set_does_not_grow_with_the_horizon(basis):
@@ -406,7 +407,7 @@ def test_replay_working_set_does_not_grow_with_the_horizon(basis):
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert traces.n_rows() == 11
+        assert traces.times.size == 11
         assert all(col.shape == (16, 11) for col in traces.data.values())
         beyond_output.append(peak - current)
     assert beyond_output[1] <= beyond_output[0] + 2**16

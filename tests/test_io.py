@@ -5,14 +5,16 @@ from gmspde import io as io_mod
 from gmspde.functionals import TRACE_COLUMNS, FunctionalTrace
 
 
-def make_trace(rows=5):
+def make_trace(rows=5, paths=1):
     rng = np.random.default_rng(3)
-    data = {name: rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300)
+    data = {name: (rng.standard_normal((paths, rows))
+                   * 10.0 ** rng.integers(-300, 300))
             for name in TRACE_COLUMNS[1:]}
-    data["chi_min"][0] = -0.0
-    data["xi_lp_p"][1] = np.inf
+    data["chi_min"][0, 0] = -0.0
+    data["xi_lp_p"][0, 1] = np.inf
     return FunctionalTrace(times=np.linspace(0.0, 1.0, rows) / 3.0, data=data,
-                           p=31.0 / 7.0, rho=1.1)
+                           p=31.0 / 7.0, rho=1.1,
+                           path_index=np.arange(paths))
 
 
 def test_trace_csv_round_trip_is_bitwise(tmp_path):
@@ -21,9 +23,18 @@ def test_trace_csv_round_trip_is_bitwise(tmp_path):
     io_mod.write_trace(trace, path)
     back = io_mod.read_trace_csv(path)
     assert list(back) == list(TRACE_COLUMNS)
-    for name in TRACE_COLUMNS:
-        want = trace.column(name)
+    assert back["time"].tobytes() == trace.times.tobytes()
+    for name in TRACE_COLUMNS[1:]:
+        want = trace.data[name][0]
         assert back[name].tobytes() == want.tobytes(), name
+
+
+def test_a_trace_of_several_paths_is_rejected_before_the_file_opens(tmp_path):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="a trace file holds one path; "
+                                         "the trace has 2"):
+        io_mod.write_trace(make_trace(paths=2), path)
+    assert not path.exists()
 
 
 def snapshot(dim):

@@ -57,7 +57,7 @@ def report(basis):
 
 @pytest.fixture(scope="module")
 def per_path(basis):
-    """One-path traces of the surviving indices, in path order."""
+    """One-row trace stacks of the surviving indices, in path order."""
     init = default_initial_pair(basis, PARAMS)
     distinct = list(dict.fromkeys(INDICES))
     rec = FunctionalRecorder(basis, FCFG, SCHEME.v_floor, path_index=distinct)
@@ -66,21 +66,21 @@ def per_path(basis):
                       observer=rec)
     failed = {distinct[row] for row in final.failures}
     stack = rec.traces()
-    return [stack.rows(distinct.index(idx)) for idx in INDICES
+    return [stack.rows([distinct.index(idx)]) for idx in INDICES
             if idx not in failed]
 
 
 def reference_monitors(traces, params, p, horizons):
-    """Monitor (lhs, init) per name from lists over one-path traces."""
+    """Monitor (lhs, init) per name from lists over one-row traces."""
     idxs = [traces[0].window(h) for h in horizons]
 
     def over(name, i):
-        return float(np.mean([t.data[name][: i + 1].max() for t in traces]))
+        return float(np.mean([t.data[name][0, : i + 1].max() for t in traces]))
 
     def at(name, i):
-        return float(np.mean([t.data[name][i] for t in traces]))
+        return float(np.mean([t.data[name][0, i] for t in traces]))
 
-    curve = np.mean([t.data["xi_l1"] for t in traces], axis=0)
+    curve = np.mean([t.data["xi_l1"][0] for t in traces], axis=0)
     terms = {
         "xi_lp_sup": (lambda i: over("xi_lp_p", i),
                       lambda i: at("xi_lp_p", 0)),
@@ -114,15 +114,14 @@ def reference_monitors(traces, params, p, horizons):
 
 
 def reference_membership(traces):
-    """(failure row, E L1, E L2, sup_t E L3) from lists over one-path traces."""
-    bad = [r for r, t in enumerate(traces) if (t.data["chi_min"] < 0.0).any()
-           or (t.data["eta_min"] <= 0.0).any()]
-    l1 = [t.data["chi_l2_sq"].max() + t.data["int_grad_chi_sq"][-1]
-          + t.data["xi_lp_p"].max() for t in traces]
-    l2 = [t.data["int_chi2_xi"][-1] ** 2 + t.data["int_xi2_chi2"][-1]
-          for t in traces]
-    l3 = [t.data["xi_lp_p"] + t.data["xi_l1"] + t.data["int_ln_xi"] ** 2
-          for t in traces]
+    """(failure row, E L1, E L2, sup_t E L3) from lists over one-row traces."""
+    rows = [{name: col[0] for name, col in t.data.items()} for t in traces]
+    bad = [r for r, d in enumerate(rows) if (d["chi_min"] < 0.0).any()
+           or (d["eta_min"] <= 0.0).any()]
+    l1 = [d["chi_l2_sq"].max() + d["int_grad_chi_sq"][-1]
+          + d["xi_lp_p"].max() for d in rows]
+    l2 = [d["int_chi2_xi"][-1] ** 2 + d["int_xi2_chi2"][-1] for d in rows]
+    l3 = [d["xi_lp_p"] + d["xi_l1"] + d["int_ln_xi"] ** 2 for d in rows]
     return (bad[0] if bad else None, float(np.mean(l1)), float(np.mean(l2)),
             float(np.mean(l3, axis=0).max()))
 
@@ -130,7 +129,7 @@ def reference_membership(traces):
 def test_the_ensemble_has_repeats_and_one_failure(report, per_path):
     assert [idx for idx, _ in report.failures] == [2]
     assert list(report.traces.path_index) == [4, 7, 4, 5, 4, 3, 11, 7]
-    assert [int(t.path_index) for t in per_path] == [4, 7, 4, 5, 4, 3, 11, 7]
+    assert [t.path_index[0] for t in per_path] == [4, 7, 4, 5, 4, 3, 11, 7]
     assert report.survivors == len(per_path)
 
 

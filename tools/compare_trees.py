@@ -13,8 +13,9 @@ cases in its own interpreter, and the outputs are compared:
   100 steps in one call, the ``picard_1d`` benchmark's table, which
   trees cut into cipher blocks of 5 + 5 + 5 + 1 or 4 x 4 paths); the
   delta = 0 uniqueness study (which must also report bitwise-identical
-  runs); the stopping-scan first-hit steps on a trajectory that crosses
-  its levels mid-run; the Picard iteration counts;
+  runs); the stopping-scan first-hit steps of another delta = 0 study,
+  whose trajectory crosses its levels mid-run; the Picard iteration
+  counts;
 * to 1e-13 x max|value| (a stacked product, or a quadrature summed in
   another order, against one per row): ``run`` final u, v and the live
   functional trace for both schemes in 1-D (N=64, K=16) and 2-D (N=16,
@@ -25,7 +26,7 @@ cases in its own interpreter, and the outputs are compared:
   ``_gbm_batch`` outputs for both schemes; ``apply_T`` on a
   coupled-solve input, and on a 16-row stack driven by a constant
   trajectory (1-D N=64, K=16, 100 steps: one Picard step of the
-  ``picard_1d`` benchmark's shape); ``replay_trace`` of a stored trajectory and of
+  ``picard_1d`` benchmark's shape); ``replay_trace`` of a stored path and of
   a 16-row stack (1-D K=16, 100 steps, stride 25, v_floor = 2), whose
   ``floor_activations`` column is compared bitwise; the
   ensemble means of 20 and of 201 paths (1-D, both schemes; 201 is a
@@ -43,6 +44,11 @@ repeated path indices at a reaction CFL limit that some of its paths
 fail; and the ``mean_L1``, ``mean_L2`` and ``sup_mean_L3`` of every
 membership check and the bounds (K1, K2, K3) sized from the start
 trace of both Picard iterations.
+
+Trajectories and traces are compared as stacks of paths, one path a
+stack of one.  Trees before every trajectory became a stack return one
+path, (n+1, K) arrays, from ``constant_trajectory``; :func:`_one_row`
+makes it the one-row stack newer trees return.
 
 Exits 1 if any comparison fails.
 """
@@ -64,6 +70,13 @@ RTOL = 1e-13
 CFL_LIMIT = 0.0028
 
 
+def _one_row(traj):
+    """``traj`` as a one-row stack, if it holds one path of (n+1, K)."""
+    if traj.chi_modal.ndim == 3:
+        return traj
+    return type(traj)(traj.times, traj.chi_modal[None], traj.eta_modal[None])
+
+
 def _cases():
     from gmspde import acceptance
     from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair, run
@@ -72,7 +85,6 @@ def _cases():
         PairTrajectory,
         StoppingSpec,
         TrajectoryRecorder,
-        _stopping_scan,
         apply_T,
         constant_trajectory,
         ensemble,
@@ -129,7 +141,7 @@ def _cases():
             key = f"run {dim}d N={n} K={k} {scheme} T={t_end:g}"
             out["close"][key + " u"] = res.u_modal[0]
             out["close"][key + " v"] = res.v_modal[0]
-            trace = rec.trace()
+            trace = rec.traces()
             for name, column in trace.data.items():
                 out["close"][f"{key} trace {name}"] = column
 
@@ -155,21 +167,20 @@ def _cases():
     loud = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
                        mu_u=1.0, mu_v=2.0, sigma_u=1.5, sigma_v=1.5)
     sch = SchemeConfig(dt=1e-3, T=0.6)
-    rec = TrajectoryRecorder(sch.n_steps())
-    run(init, loud, sch, basis, spec, drawn(spec, sch, [5]), observer=rec)
-    traj = rec.trajectory()
     levels = tuple(np.round(np.concatenate((np.linspace(0.51, 0.68, 18),
                                             np.geomspace(4.5, 180.0, 50))), 6))
-    tau1, tau2 = _stopping_scan(traj, basis, sch, levels)
-    out["bitwise"]["stopping tau1"] = np.array(
-        [-1 if tau1[m] is None else tau1[m] for m in levels])
-    out["bitwise"]["stopping tau2"] = np.array(
-        [-1 if tau2[m] is None else tau2[m] for m in levels])
+    report = uniqueness_study(init, 0.0, loud, sch, basis, spec,
+                              StoppingSpec(m_levels=levels),
+                              drawn(spec, sch, [5]))
+    for name in ("tau1", "tau2"):
+        tau = getattr(report, f"{name}_steps")
+        out["bitwise"][f"stopping {name}"] = np.array(
+            [-1 if tau[m, 1] is None else tau[m, 1] for m in levels])
 
     sch = SchemeConfig(dt=1e-3, T=0.1)
     rec = TrajectoryRecorder(sch.n_steps())
     run(init, params, sch, basis, spec, drawn(spec, sch, [2]), observer=rec)
-    coupled = rec.trajectory()
+    coupled = rec.trajectories()
     t_out, _ = apply_T(coupled, init, params, sch, basis, spec,
                        drawn(spec, sch, [2]))
     out["close"]["apply_T chi"] = t_out.chi_modal
@@ -177,10 +188,10 @@ def _cases():
 
     # T away from its fixed point, in the Picard shape: 16 rows driven by
     # the constant trajectory a Picard iteration starts from
-    start = constant_trajectory(init, sch)
+    start = _one_row(constant_trajectory(init, sch))
     members = PairTrajectory(start.times,
-                             np.repeat(start.chi_modal[None], 16, axis=0),
-                             np.repeat(start.eta_modal[None], 16, axis=0))
+                             np.repeat(start.chi_modal, 16, axis=0),
+                             np.repeat(start.eta_modal, 16, axis=0))
     t_out, _ = apply_T(members, init, params, sch, basis, spec,
                        drawn(spec, sch, range(16)))
     out["close"]["apply_T 16 rows constant driver chi"] = t_out.chi_modal
@@ -196,10 +207,10 @@ def _cases():
         rec = TrajectoryRecorder(sch.n_steps())
         run(init, params, sch, basis, spec, drawn(spec, sch, [index]),
             observer=rec)
-        paths.append(rec.trajectory())
+        paths.append(rec.trajectories())
     stack = PairTrajectory(paths[0].times,
-                           np.stack([p.chi_modal for p in paths]),
-                           np.stack([p.eta_modal for p in paths]))
+                           np.concatenate([p.chi_modal for p in paths]),
+                           np.concatenate([p.eta_modal for p in paths]))
     traces = replay_trace(stack, basis, FunctionalConfig(observation_stride=25),
                           2.0, path_index=range(16))
     for name, rows in traces.data.items():
