@@ -25,8 +25,6 @@ from . import io as io_mod
 from .config import ConfigError
 from .dynamics import SimulationError, default_initial_pair, run
 from .experiments import (
-    FixedPointConfig,
-    StoppingSpec,
     constant_trajectory,
     ensemble,
     picard_iterate,
@@ -85,7 +83,7 @@ def _load(args):
     else:
         cfg = config_mod.default_config()
     if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+        cfg = cfg.with_value("noise", "master_seed", args.seed)
     if args.command in _PATHS_KEY and args.paths is not None:
         cfg = cfg.with_value(*_PATHS_KEY[args.command], args.paths)
     return cfg
@@ -106,6 +104,14 @@ def _prepare(args):
         fh.write(config_mod.dumps(cfg))
     basis = build_basis(cfg.domain, cfg.noise.mode_count)
     return cfg, basis
+
+
+def _summarize(args, report):
+    """Write ``report``'s summary lines to summary.txt and print them."""
+    lines = report.summary_lines()
+    io_mod.write_lines(os.path.join(args.out_dir, "summary.txt"), lines)
+    for line in lines:
+        _say(args, line)
 
 
 def _initial(cfg, basis):
@@ -155,17 +161,14 @@ def _cmd_uniqueness(args):
     init = _initial(cfg, basis)
     report = uniqueness_study(
         init, opts["delta"], cfg.params, cfg.scheme, basis, cfg.noise,
-        StoppingSpec(m_levels=tuple(opts["stopping_levels"])),
+        cfg.stopping,
         drawn(cfg.noise, cfg.scheme, [cfg.run_opts["path_index"]]),
         perturb_mode=opts["perturb_mode"],
     )
     io_mod.write_csv(os.path.join(args.out_dir, "divergence.csv"),
                      ["time", "du_l2", "dv_l2"],
                      [report.times, report.du_l2, report.dv_l2])
-    io_mod.write_lines(os.path.join(args.out_dir, "summary.txt"),
-                       report.summary_lines())
-    for line in report.summary_lines():
-        _say(args, line)
+    _summarize(args, report)
     return 0
 
 
@@ -183,20 +186,16 @@ def _cmd_ensemble(args):
     io_mod.write_csv(os.path.join(args.out_dir, "standard_errors.csv"),
                      ["time"] + names,
                      [report.times] + [report.standard_errors[c] for c in names])
-    io_mod.write_lines(os.path.join(args.out_dir, "summary.txt"),
-                       report.summary_lines())
-    for line in report.summary_lines():
-        _say(args, line)
+    _summarize(args, report)
     return 0
 
 
 def _cmd_fixedpoint(args):
     cfg, basis = _prepare(args)
-    fp = FixedPointConfig(**cfg.fixedpoint_opts)
     init = _initial(cfg, basis)
     start = constant_trajectory(init, cfg.scheme)
     report = picard_iterate(start, init, cfg.params, cfg.scheme, basis,
-                            cfg.noise, fp, fconfig=cfg.functionals)
+                            cfg.noise, cfg.fixedpoint, fconfig=cfg.functionals)
     n = len(report.distances)
     io_mod.write_csv(
         os.path.join(args.out_dir, "iterations.csv"),
@@ -206,10 +205,7 @@ def _cmd_fixedpoint(args):
          np.asarray([np.nan] + report.ratios),
          np.asarray([1.0 if m.ok else 0.0 for m in report.memberships])],
     )
-    io_mod.write_lines(os.path.join(args.out_dir, "summary.txt"),
-                       report.summary_lines())
-    for line in report.summary_lines():
-        _say(args, line)
+    _summarize(args, report)
     return 0
 
 

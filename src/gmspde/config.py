@@ -8,9 +8,10 @@ The file format is section-scoped assignments, one per line:
 
 Unknown sections or keys are hard errors (no silent typos), as are
 non-finite float values (nan, inf), and validation reports every
-violated invariant at once rather than the first.  ``dumps`` emits a
-canonical echo such that loading the echo of a loaded file reproduces
-it byte for byte.
+violated invariant at once rather than the first.  ``_assemble``
+builds each section's spec once and keeps it on the :class:`RunConfig`;
+the commands run those specs.  ``dumps`` emits a canonical echo such
+that loading the echo of a loaded file reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -122,15 +123,13 @@ class RunConfig:
     scheme: SchemeConfig
     noise: NoiseSpec
     functionals: FunctionalConfig
+    fixedpoint: FixedPointConfig
+    stopping: StoppingSpec
     warnings: list = field(default_factory=list)
 
     @property
     def run_opts(self):
         return self.raw["run"]
-
-    @property
-    def fixedpoint_opts(self):
-        return self.raw["fixedpoint"]
 
     @property
     def uniqueness_opts(self):
@@ -139,9 +138,6 @@ class RunConfig:
     @property
     def ensemble_opts(self):
         return self.raw["ensemble"]
-
-    def with_seed(self, seed):
-        return self.with_value("noise", "master_seed", int(seed))
 
     def with_value(self, section, key, value):
         """Copy with one raw value replaced, validated as a loaded file is."""
@@ -196,11 +192,6 @@ def parse_table(text):
     return table, problems
 
 
-def _problems(section, exc, suffix=""):
-    """One problem line per violated invariant listed in ``exc``."""
-    return [f"[{section}] {line}{suffix}" for line in str(exc).splitlines()]
-
-
 def _filled(table):
     out = {}
     for sec, keys in SCHEMA.items():
@@ -214,62 +205,49 @@ def _assemble(raw) -> RunConfig:
     problems = []
     warnings_list = []
 
+    def built(line, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, or None if it raises a ValueError.
+
+        Each line of the error is recorded as one problem, written into
+        the format ``line``, which names the section: ``"[scheme] {}"``.
+        """
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            problems.extend(line.format(text) for text in str(exc).splitlines())
+            return None
+
     dom = raw["domain"]
     lengths = (dom["length_x"],) if dom["dim"] == 1 else (
         dom["length_x"], dom["length_y"])
-    domain = None
-    try:
-        domain = DomainSpec(
-            dim=dom["dim"], lengths=lengths,
-            eigenvalue_convention=dom["convention"],
-            grid_points_per_axis=dom["grid_points"],
+    domain = built("[domain] {}", DomainSpec, dim=dom["dim"], lengths=lengths,
+                   eigenvalue_convention=dom["convention"],
+                   grid_points_per_axis=dom["grid_points"])
+
+    params = built("[model] {} (constants must be positive)", ModelParams,
+                   **raw["model"])
+    zeros = [k for k, v in raw["model"].items() if v == 0]
+    if params is not None and zeros:
+        warnings_list.append(
+            f"[model] {', '.join(zeros)} = 0: the model wants strictly "
+            "positive constants; zero is accepted for analytic-limit runs"
         )
-    except ValueError as exc:
-        problems.extend(_problems("domain", exc))
 
-    params = None
-    try:
-        params = ModelParams(**raw["model"])
-        zeros = [k for k, v in raw["model"].items() if v == 0]
-        if zeros:
-            warnings_list.append(
-                f"[model] {', '.join(zeros)} = 0: the model wants strictly "
-                "positive constants; zero is accepted for analytic-limit runs"
-            )
-    except ValueError as exc:
-        problems.extend(_problems("model", exc, " (constants must be positive)"))
+    sc = raw["scheme"]
+    scheme = built("[scheme] {}", SchemeConfig, dt=sc["dt"], T=sc["horizon"],
+                   scheme=sc["scheme"], v_floor=sc["v_floor"],
+                   reaction_cfl_limit=sc["reaction_cfl_limit"])
 
-    scheme = None
-    try:
-        sc = raw["scheme"]
-        scheme = SchemeConfig(
-            dt=sc["dt"], T=sc["horizon"], scheme=sc["scheme"],
-            v_floor=sc["v_floor"], reaction_cfl_limit=sc["reaction_cfl_limit"],
-        )
-    except ValueError as exc:
-        problems.extend(_problems("scheme", exc))
+    ns = raw["noise"]
+    nspec = built("[noise] {}", NoiseSpec, gamma1=ns["gamma1"],
+                  gamma2=ns["gamma2"], mode_count=ns["modes"],
+                  master_seed=ns["master_seed"])
 
-    nspec = None
-    try:
-        ns = raw["noise"]
-        nspec = NoiseSpec(gamma1=ns["gamma1"], gamma2=ns["gamma2"],
-                          mode_count=ns["modes"],
-                          master_seed=ns["master_seed"])
-    except ValueError as exc:
-        problems.extend(_problems("noise", exc))
-
-    fcfg = None
     fn = raw["functionals"]
-    try:
-        fcfg = FunctionalConfig(p=fn["p"], rho=fn["rho"],
-                                observation_stride=fn["observation_stride"])
-    except ValueError as exc:
-        problems.extend(_problems("functionals", exc))
+    fcfg = built("[functionals] {}", FunctionalConfig, p=fn["p"],
+                 rho=fn["rho"], observation_stride=fn["observation_stride"])
     if domain is not None:
-        try:
-            check_rho(fn["rho"], domain.dim)
-        except ValueError as exc:
-            problems.extend(_problems("functionals", exc))
+        built("[functionals] {}", check_rho, fn["rho"], domain.dim)
 
     if domain is not None and nspec is not None:
         for j, g in ((1, nspec.gamma1), (2, nspec.gamma2)):
@@ -278,27 +256,28 @@ def _assemble(raw) -> RunConfig:
                     f"[noise] gamma{j} = {g:g} <= d = {domain.dim}: below the "
                     "trace-class margin; run proceeds"
                 )
-        try:
-            mode_list(domain, nspec.mode_count)
-        except ValueError as exc:
-            problems.append(f"[noise] modes = {nspec.mode_count}: {exc}")
+        built(f"[noise] modes = {nspec.mode_count}: {{}}", mode_list, domain,
+              nspec.mode_count)
 
     if raw["run"]["paths"] < 2:
         problems.append("[run] paths must be >= 2 (an ensemble needs two)")
     if raw["run"]["path_index"] < 0:
         problems.append("[run] path_index must be >= 0")
-    try:
-        FixedPointConfig(**raw["fixedpoint"])
-    except ValueError as exc:
-        problems.extend(_problems("fixedpoint", exc))
-    try:
-        StoppingSpec(m_levels=raw["uniqueness"]["stopping_levels"])
-    except ValueError as exc:
-        problems.extend(_problems("uniqueness", exc))
-    if raw["uniqueness"]["delta"] < 0:
+    fixedpoint = built("[fixedpoint] {}", FixedPointConfig, **raw["fixedpoint"])
+    un = raw["uniqueness"]
+    stopping = built("[uniqueness] {}", StoppingSpec,
+                     m_levels=un["stopping_levels"])
+    if un["delta"] < 0:
         problems.append("[uniqueness] delta must be >= 0")
+    if nspec is not None and not 0 <= un["perturb_mode"] < nspec.mode_count:
+        problems.append(
+            f"[uniqueness] perturb_mode = {un['perturb_mode']} outside modes "
+            f"0..{nspec.mode_count - 1}"
+        )
     for h in raw["ensemble"]["horizons"]:
-        if scheme is not None and h > scheme.T + 1e-12:
+        if h < 0:
+            problems.append(f"[ensemble] horizon {h:g} is negative")
+        elif scheme is not None and h > scheme.T + 1e-12:
             problems.append(
                 f"[ensemble] horizon {h:g} exceeds the scheme horizon {scheme.T:g}"
             )
@@ -306,7 +285,8 @@ def _assemble(raw) -> RunConfig:
     if problems:
         raise ConfigError(problems)
     return RunConfig(raw=raw, domain=domain, params=params, scheme=scheme,
-                     noise=nspec, functionals=fcfg, warnings=warnings_list)
+                     noise=nspec, functionals=fcfg, fixedpoint=fixedpoint,
+                     stopping=stopping, warnings=warnings_list)
 
 
 def loads(text) -> RunConfig:

@@ -233,7 +233,6 @@ class Stepper:
         self.basis = basis
         self.params = params
         self.scheme = scheme
-        self.noise_spec = noise_spec
         lam = basis.eigenvalues
 
         def fields(u, v):

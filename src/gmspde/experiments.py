@@ -53,13 +53,13 @@ from .dynamics import (
     run,
     run_batch,
 )
+from .fields import quotient_nodal
 from .functionals import (
     AdmissibleSetSpec,
     FunctionalConfig,
     FunctionalRecorder,
     FunctionalTrace,
     MembershipReport,
-    _xi_nodal,
     auto_bounds,
     energy_monitors,
     membership,
@@ -520,7 +520,7 @@ def _stopping_scan(traj: PairTrajectory, basis, scheme, levels):
     ``traj`` is a one-row stack.
     """
     v_nodal = basis.synthesize(traj.eta_modal[0])
-    xi, _ = _xi_nodal(v_nodal, scheme.v_floor)
+    xi, _ = quotient_nodal(1.0, v_nodal, scheme.v_floor)
     # the running sup of |xi|_L8 first reaches m where |xi|_L8 does
     xi8 = (xi**8 @ basis.weights) ** (1.0 / 8.0)
     u_sq = traj.chi_modal[0]**2
@@ -557,7 +557,7 @@ def uniqueness_study(init, delta: float, params: ModelParams,
     """
     if delta < 0:
         raise ValueError("perturbation size must be >= 0")
-    if perturb_mode >= basis.mode_count:
+    if not 0 <= perturb_mode < basis.mode_count:
         raise ValueError("perturbation mode outside the truncation")
     init2 = np.array(init, dtype=float)
     init2[0, perturb_mode] += delta

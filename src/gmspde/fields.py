@@ -87,7 +87,8 @@ def quotient_nodal(u_nodal, v_nodal, v_floor, out=None):
     ``activations`` is the total over all of them (:func:`floor_counts`
     gives it per row).  A zero floor raises the :class:`FloorViolation`
     of the first row holding a nonpositive v.  ``out`` receives the
-    values if given.
+    values if given; otherwise a positive floor divides into its own
+    max(v, floor) array.
     """
     if v_floor < 0:
         raise ValueError("v_floor must be >= 0")
@@ -99,4 +100,5 @@ def quotient_nodal(u_nodal, v_nodal, v_floor, out=None):
         return np.divide(u_nodal * u_nodal, v_nodal, out=out), 0
     activations = int(np.count_nonzero(v_nodal < v_floor))
     denom = np.maximum(v_nodal, v_floor)
-    return np.divide(u_nodal * u_nodal, denom, out=out), activations
+    return np.divide(u_nodal * u_nodal, denom,
+                     out=denom if out is None else out), activations

@@ -122,15 +122,13 @@ class FunctionalTrace:
 
     times: np.ndarray
     data: dict[str, np.ndarray]
-    p: float
-    rho: float
     path_index: np.ndarray
 
     def rows(self, index):
         """The stack of the rows ``index`` (a list of row numbers)."""
         return FunctionalTrace(self.times,
                                {k: col[index] for k, col in self.data.items()},
-                               self.p, self.rho, self.path_index[index])
+                               self.path_index[index])
 
     def window(self, horizon):
         """Index of the last observation time <= horizon (+ tolerance)."""
@@ -148,19 +146,6 @@ def _quadrature(nodal, weights):
     identical integrals wherever they sit in the stack.
     """
     return np.einsum("...n,n->...", nodal, weights)
-
-
-def _xi_nodal(v_nodal, floor):
-    """xi = 1/max(v, floor) and its floor activations.
-
-    Bitwise ``quotient_nodal(1, v_nodal, floor)`` (1 * 1 is exact), whose
-    zero-floor check (the same :class:`~gmspde.fields.FloorViolation`)
-    it keeps.
-    """
-    if floor <= 0.0:
-        return quotient_nodal(1.0, v_nodal, floor)
-    xi = np.maximum(v_nodal, floor)
-    return np.divide(1.0, xi, out=xi), int(np.count_nonzero(v_nodal < floor))
 
 
 def grad_sq(basis, modal):
@@ -233,7 +218,7 @@ class FunctionalRecorder:
         """Integrands of :data:`INTEGRALS` and floor counts per state."""
         basis = self.basis
         w = basis.weights
-        xi, activations = _xi_nodal(v_nodal, self.v_floor)
+        xi, activations = quotient_nodal(1.0, v_nodal, self.v_floor)
         floors = (floor_counts(v_nodal, self.v_floor) if activations
                   else np.zeros(v_nodal.shape[:-1], dtype=int))
         # products formed in place, each in the order of its formula
@@ -256,7 +241,7 @@ class FunctionalRecorder:
     def _observables(self, u_modal, v_modal, u_nodal, v_nodal):
         """The recorded columns that are functions of one state."""
         w = self.basis.weights
-        xi, _ = _xi_nodal(v_nodal, self.v_floor)
+        xi, _ = quotient_nodal(1.0, v_nodal, self.v_floor)
         p = self.config.p
         ln_xi = np.log(xi)
         columns = {
@@ -352,8 +337,6 @@ class FunctionalRecorder:
         return FunctionalTrace(
             times=np.asarray(self._times, dtype=float),
             data={k: np.column_stack(v) for k, v in self._rows.items()},
-            p=self.config.p,
-            rho=self.config.rho,
             path_index=np.array(self.path_indices),
         )
 
@@ -406,7 +389,6 @@ class MembershipReport:
     mean_L1: float
     mean_L2: float
     sup_mean_L3: float
-    bounds: AdmissibleSetSpec
     failure: str = ""
 
     @property
@@ -440,8 +422,7 @@ def membership(trace: FunctionalTrace,
     # (mean_L1, mean_L2, sup_mean_L3) and their checks against (K1, K2, K3)
     means = _admissible_means(trace)
     oks = [mean <= k for mean, k in zip(means, (spec.K1, spec.K2, spec.K3))]
-    return MembershipReport(not bad.size, *oks, *means, bounds=spec,
-                            failure=failure)
+    return MembershipReport(not bad.size, *oks, *means, failure=failure)
 
 
 def auto_bounds(trace: FunctionalTrace, margin: float = 10.0):

@@ -65,6 +65,14 @@ BAD_VALUES = {
     "stopping_levels = 4, 2": (
         "uniqueness", "[uniqueness]\nstopping_levels = 4, 2\n",
         "[uniqueness] stopping levels must be strictly increasing"),
+    # perturbed mode K - 1 and ran; failed at run time after the echo
+    "perturb_mode = -1": ("uniqueness", "[uniqueness]\nperturb_mode = -1\n",
+                          "[uniqueness] perturb_mode = -1 outside modes 0..15"),
+    "perturb_mode = 99": ("uniqueness", "[uniqueness]\nperturb_mode = 99\n",
+                          "[uniqueness] perturb_mode = 99 outside modes 0..15"),
+    # failed at run time, after the whole ensemble
+    "horizons = -0.5": ("ensemble", "[ensemble]\nhorizons = -0.5, 0.5\n",
+                        "[ensemble] horizon -0.5 is negative"),
 }
 
 

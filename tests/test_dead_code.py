@@ -1,4 +1,4 @@
-"""Every function, class and method of the package is referenced in its code.
+"""Every function, class, method and attribute of the package is read in its code.
 
 A reference is a name read in code, an attribute access or an imported
 name; a word in a docstring or comment does not count.
@@ -17,7 +17,19 @@ ALLOWED = {
     # the paper's map T with its user-facing checks; the Picard sweeps step
     # it through run_batch, and the sweep tests take it as their oracle
     "experiments.apply_T",
+    # the measured ensemble expectations behind the l1_ok, l2_ok and
+    # l3_ok verdicts, kept on the report for callers that want the numbers
+    "functionals.MembershipReport.mean_L1",
+    "functionals.MembershipReport.mean_L2",
+    "functionals.MembershipReport.sup_mean_L3",
+    # the node a caller catching the error can look up on its grid
+    "fields.FloorViolation.node_index",
 }
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
 
 
 def _references(tree):
@@ -31,9 +43,20 @@ def _references(tree):
             yield node.name.rpartition(".")[2]
 
 
+def _attributes(cls):
+    """Names ``cls`` defines on its instances: fields and ``self.`` stores."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            yield node.attr
+
+
 def test_no_definition_is_named_only_where_it_is_defined():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     references = Counter(name for tree in trees.values()
                          for name in _references(tree))
     defined = []      # top-level functions and classes, non-dunder methods
@@ -49,3 +72,23 @@ def test_no_definition_is_named_only_where_it_is_defined():
     unused = [qualified for qualified, name in defined
               if not references[name] and qualified not in ALLOWED]
     assert unused == []
+
+
+def test_every_attribute_is_read_somewhere():
+    """Each dataclass field and ``self.`` attribute is read as an attribute.
+
+    Reads are counted by name, not by owner: ``config.p`` counts as a
+    read of every attribute named ``p``, so an unread ``trace.p`` would
+    pass while any other class reads its own ``p``.
+    """
+    trees = _trees()
+    reads = Counter(node.attr for tree in trees.values()
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    unread = sorted({f"{module}.{cls.name}.{name}"
+                     for module, tree in trees.items()
+                     for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                     for name in _attributes(cls) if not reads[name]}
+                    - ALLOWED)
+    assert unread == []

@@ -565,6 +565,18 @@ def test_uniqueness_low_stopping_level_hits_at_zero(basis, nspec):
     assert rep.tau1_steps[(1e6, 1)] is None
 
 
+@pytest.mark.parametrize("mode", [-1, K])
+def test_uniqueness_rejects_a_perturbation_mode_outside_the_truncation(
+        basis, nspec, mode):
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.01)
+    init = default_initial_pair(basis, params)
+    with pytest.raises(ValueError, match="outside the truncation"):
+        uniqueness_study(init, 1e-8, params, sch, basis, nspec,
+                         StoppingSpec(), drawn(nspec, sch, [0]),
+                         perturb_mode=mode)
+
+
 def test_uniqueness_2d_labeled_outside_scope(nspec):
     basis2 = build_basis(
         DomainSpec(dim=2, lengths=(1.0, 1.0), grid_points_per_axis=16), K)

@@ -18,7 +18,7 @@ from gmspde.experiments import (
     ensemble,
     replay_trace,
 )
-from gmspde.fields import FloorViolation
+from gmspde.fields import FloorViolation, quotient_nodal
 from gmspde.functionals import (
     TRACE_COLUMNS,
     AdmissibleSetSpec,
@@ -31,7 +31,6 @@ from gmspde.functionals import (
     lyapunov_L2,
     lyapunov_L3,
     membership,
-    _xi_nodal,
 )
 from gmspde.noise import NoiseSpec, drawn
 from gmspde.spectral import DomainSpec, build_basis
@@ -76,15 +75,15 @@ def test_config_validation():
 
 
 def test_xi_examples(basis):
-    xi, n = _xi_nodal(np.full(65, 2.0), 1e-8)
+    xi, n = quotient_nodal(1.0, np.full(65, 2.0), 1e-8)
     assert np.allclose(xi, 0.5) and n == 0
 
-    xi, _ = _xi_nodal(np.ones(65), 0.0)
+    xi, _ = quotient_nodal(1.0, np.ones(65), 0.0)
     ln_mass = float(basis.weights @ np.log(xi))
     assert ln_mass == 0.0
 
     v = np.random.default_rng(0).uniform(0.5, 3.0, 65)
-    xi, n = _xi_nodal(v, 1e-8)
+    xi, n = quotient_nodal(1.0, v, 1e-8)
     assert n == 0
     assert np.abs(v * xi - 1.0).max() < 1e-12
 
@@ -93,7 +92,7 @@ def test_xi_zero_floor_rejects_nonpositive(basis):
     bad = np.ones(65)
     bad[5] = 0.0
     with pytest.raises(FloorViolation) as err:
-        _xi_nodal(bad, 0.0)
+        quotient_nodal(1.0, bad, 0.0)
     assert err.value.node_index == 5
 
 

@@ -13,7 +13,6 @@ def make_trace(rows=5, paths=1):
     data["chi_min"][0, 0] = -0.0
     data["xi_lp_p"][0, 1] = np.inf
     return FunctionalTrace(times=np.linspace(0.0, 1.0, rows) / 3.0, data=data,
-                           p=31.0 / 7.0, rho=1.1,
                            path_index=np.arange(paths))
 
 

@@ -23,7 +23,6 @@ from gmspde.functionals import (
     AdmissibleSetSpec,
     FunctionalConfig,
     FunctionalRecorder,
-    _xi_nodal,
     energy_monitors,
     fit_growth_envelope,
     membership,
@@ -180,11 +179,11 @@ def test_xi_nodal_is_the_quotient_with_unit_numerator():
     rng = np.random.default_rng(17)
     v = rng.uniform(-0.5, 3.0, (3, 5, 65))
     for floor in (1e-8, 0.25, 2.0):
-        got, activations = _xi_nodal(v, floor)
+        got, activations = quotient_nodal(1.0, v, floor)
         want, want_activations = quotient_nodal(np.ones_like(v), v, floor)
         assert got.tobytes() == want.tobytes()
         assert activations == want_activations > 0
     positive = np.abs(v) + 0.1
-    got, activations = _xi_nodal(positive, 0.0)
+    got, activations = quotient_nodal(1.0, positive, 0.0)
     want, _ = quotient_nodal(np.ones_like(positive), positive, 0.0)
     assert got.tobytes() == want.tobytes() and activations == 0

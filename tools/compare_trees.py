@@ -45,11 +45,6 @@ fail; and the ``mean_L1``, ``mean_L2`` and ``sup_mean_L3`` of every
 membership check and the bounds (K1, K2, K3) sized from the start
 trace of both Picard iterations.
 
-Trajectories and traces are compared as stacks of paths, one path a
-stack of one.  Trees before every trajectory became a stack return one
-path, (n+1, K) arrays, from ``constant_trajectory``; :func:`_one_row`
-makes it the one-row stack newer trees return.
-
 Exits 1 if any comparison fails.
 """
 
@@ -68,13 +63,6 @@ RTOL = 1e-13
 # reaction CFL limit of the ensemble with failures: some of its paths
 # fail mid-run, some survive
 CFL_LIMIT = 0.0028
-
-
-def _one_row(traj):
-    """``traj`` as a one-row stack, if it holds one path of (n+1, K)."""
-    if traj.chi_modal.ndim == 3:
-        return traj
-    return type(traj)(traj.times, traj.chi_modal[None], traj.eta_modal[None])
 
 
 def _cases():
@@ -188,7 +176,7 @@ def _cases():
 
     # T away from its fixed point, in the Picard shape: 16 rows driven by
     # the constant trajectory a Picard iteration starts from
-    start = _one_row(constant_trajectory(init, sch))
+    start = constant_trajectory(init, sch)
     members = PairTrajectory(start.times,
                              np.repeat(start.chi_modal, 16, axis=0),
                              np.repeat(start.eta_modal, 16, axis=0))
