@@ -26,7 +26,6 @@ from .dynamics import (
 from .experiments import (
     FixedPointConfig,
     StoppingSpec,
-    constant_trajectory,
     ensemble,
     picard_iterate,
     uniqueness_study,
@@ -371,8 +370,7 @@ def criterion_10_fixed_point():
     params = _desk_params(sigma=0.1)
     sch = SchemeConfig(dt=1e-3, T=0.1)
     init = default_initial_pair(basis, params)
-    start = constant_trajectory(init, sch)
-    report = picard_iterate(start, init, params, sch, basis, spec,
+    report = picard_iterate(init, params, sch, basis, spec,
                             FixedPointConfig(max_iterations=30,
                                              tolerance=1e-6,
                                              ensemble_size=16))

@@ -24,12 +24,7 @@ from . import config as config_mod
 from . import io as io_mod
 from .config import ConfigError
 from .dynamics import SimulationError, default_initial_pair, run
-from .experiments import (
-    constant_trajectory,
-    ensemble,
-    picard_iterate,
-    uniqueness_study,
-)
+from .experiments import ensemble, picard_iterate, uniqueness_study
 from .functionals import TRACE_COLUMNS, FunctionalRecorder
 from .noise import drawn
 from .spectral import build_basis
@@ -193,9 +188,8 @@ def _cmd_ensemble(args):
 def _cmd_fixedpoint(args):
     cfg, basis = _prepare(args)
     init = _initial(cfg, basis)
-    start = constant_trajectory(init, cfg.scheme)
-    report = picard_iterate(start, init, cfg.params, cfg.scheme, basis,
-                            cfg.noise, cfg.fixedpoint, fconfig=cfg.functionals)
+    report = picard_iterate(init, cfg.params, cfg.scheme, basis, cfg.noise,
+                            cfg.fixedpoint, fconfig=cfg.functionals)
     n = len(report.distances)
     io_mod.write_csv(
         os.path.join(args.out_dir, "iterations.csv"),

@@ -47,15 +47,10 @@ whatever its horizon.
 Each row is checked on its own (reaction CFL, finiteness, the zero-floor
 positivity of v): a failed row stops with the error its solo run raises
 and the other rows go on.  Observers see the stack from the stepping
-loop of :func:`run_batch`, the walk over a live trajectory's states.
-Stored trajectories (``experiments.replay_trace``) take a second walk
-with the same schedule, ``functionals.FunctionalRecorder.replay``, which
-evaluates the live recorder's formulas on blocks of steps at once: one
-set of formulas, two walks, the replayed functionals equal to the live
-ones to rounding (1e-13 x max|value|) and their floor counts exact.
-The Picard iteration replays its iterates without the energy monitors:
-it reads only the admissibility columns, which come out bitwise those
-of a full replay.
+loop of :func:`run_batch`, the one walk over a trajectory's states: the
+functional recorder rides it, and so does the trajectory store, which
+feeds the Picard sweeps' lean recorder (no energy monitors) on the same
+walk.
 
 Numbers.  A transform of a B-row stack is one (2B, K) or (2B, n) matrix
 product, so even a one-row run is a two-row product, and the BLAS

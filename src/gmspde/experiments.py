@@ -31,8 +31,9 @@ waveform relaxation): a sweep is one stack of chained blocks of
 members, block j driven by the live u of block j - 1, its depth worked
 out from the budgets :data:`SWEEP_STORE_VALUES` and
 :data:`SWEEP_MAX_ROWS` (see :func:`picard_iterate`).  Its iterates equal
-chained ``apply_T`` calls to rounding, and its report, walked block by
-block, reruns bit for bit.  The uniqueness study draws its path's table
+chained ``apply_T`` calls to rounding, their functionals are recorded
+live as the sweep steps them, and its report, read block by block,
+reruns bit for bit.  The uniqueness study draws its path's table
 once and runs its two trajectories one by one on it, so its delta = 0
 check stays bitwise.
 
@@ -50,6 +51,7 @@ from .dynamics import (
     ModelParams,
     SchemeConfig,
     SimulationError,
+    Stepper,
     run,
     run_batch,
 )
@@ -166,18 +168,22 @@ class TrajectoryRecorder:
     The states of a run of ``n_steps`` steps go into one (2, B, n+1, K)
     store, allocated at the first record; if the walk stops early, the
     stacks handed out are views of the states recorded.
-    :meth:`trajectories` returns the stack of all rows.
+    :meth:`trajectories` returns the stack of all rows.  A
+    :class:`~gmspde.functionals.FunctionalRecorder` given as
+    ``functionals`` sees the same walk on its own stride.
     """
 
     stride = 1
 
-    def __init__(self, n_steps: int):
+    def __init__(self, n_steps: int, functionals=None):
         self._times = np.empty(n_steps + 1)
         self._store = None
         self._count = 0
+        self.functionals = functionals
 
     def accumulate(self, view, dt):
-        pass
+        if self.functionals is not None:
+            self.functionals.accumulate(view, dt)
 
     def record(self, view):
         if self._store is None:
@@ -186,6 +192,10 @@ class TrajectoryRecorder:
         self._times[self._count] = view.t
         self._store[:, :, self._count] = view.modal
         self._count += 1
+        if self.functionals is not None and (
+                view.step_index % self.functionals.stride == 0
+                or self._count == self._times.size):
+            self.functionals.record(view)
 
     def trajectories(self):
         # (2, B, n+1, K): chi and eta are its two contiguous halves
@@ -240,15 +250,6 @@ def _check_input_positivity(traj, basis):
     )
 
 
-def _check_steps(traj: PairTrajectory, scheme: SchemeConfig):
-    """Reject a trajectory of another step count than the scheme's."""
-    n_steps = scheme.n_steps()
-    if traj.n_steps != n_steps:
-        raise ValueError(
-            f"trajectory has {traj.n_steps} steps, scheme wants {n_steps}"
-        )
-
-
 def apply_T(traj: PairTrajectory, init, params: ModelParams,
             scheme: SchemeConfig, basis, noise_spec: NoiseSpec,
             draw, check_positivity: bool = True):
@@ -267,8 +268,16 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
     Returns the output stack and the final
     :class:`~gmspde.dynamics.StateView` of the stack, whose per-row
     ``floor_activations`` count floored nodes.
+
+    :func:`picard_iterate` steps T in chained sweeps instead; this
+    one-application form is the reference its blocks are checked against
+    (the sweep tests and ``tools/compare_trees.py``).
     """
-    _check_steps(traj, scheme)
+    n_steps = scheme.n_steps()
+    if traj.n_steps != n_steps:
+        raise ValueError(
+            f"trajectory has {traj.n_steps} steps, scheme wants {n_steps}"
+        )
     if check_positivity:
         _check_input_positivity(traj, basis)
     out, final = _stack_solve(init, params, scheme, basis, noise_spec, draw,
@@ -276,28 +285,6 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
     if final.failures:
         raise next(iter(final.failures.values()))
     return out, final
-
-
-def replay_trace(traj: PairTrajectory, basis, fconfig: FunctionalConfig,
-                 v_floor: float, path_index=-1, monitors: bool = True):
-    """Functional trace of a stored stack of B >= 1 paths.
-
-    A :class:`~gmspde.functionals.FunctionalTrace` of (B, n_obs)
-    columns.  The stored states go through the live recorder's formulas
-    on blocks of steps
-    (:meth:`~gmspde.functionals.FunctionalRecorder.replay`), all rows at
-    once, so a trace equals the live recorder's on the same trajectory
-    to rounding (1e-13 x max|value|), with its ``floor_activations``
-    column exact.  ``path_index`` labels the rows: one index for all, or
-    one per row.  ``monitors=False`` keeps only the admissibility columns
-    (:data:`~gmspde.functionals.ADMISSIBILITY_COLUMNS`) and
-    ``floor_activations``, each bitwise the column of a full replay.
-    """
-    labels = np.broadcast_to(path_index, traj.chi_modal.shape[:1])
-    rec = FunctionalRecorder(basis, fconfig, v_floor, path_index=labels,
-                             monitors=monitors)
-    rec.replay(traj.times, traj.chi_modal, traj.eta_modal)
-    return rec.traces()
 
 
 @dataclass
@@ -309,7 +296,6 @@ class PicardReport:
     residual_vs_coupled: float
     memberships: list
     bounds: AdmissibleSetSpec
-    start_description: str
 
     @property
     def all_ratios_below_one(self):
@@ -323,7 +309,7 @@ class PicardReport:
         lines = [
             f"picard iterations: {self.iterations} "
             f"(converged: {self.converged})",
-            f"start: {self.start_description}",
+            "start: steady state + mode-1..4 bumps",
             f"bounds: K1={self.bounds.K1:.6g} K2={self.bounds.K2:.6g} "
             f"K3={self.bounds.K3:.6g}",
         ]
@@ -339,13 +325,15 @@ class PicardReport:
 
 
 def _stack_solve(init, params, scheme, basis, noise_spec, draw, n_paths,
-                 driver=None, chain=1, coupled=False):
+                 driver=None, chain=1, coupled=False, functionals=None):
     """Stored trajectories and final state of one :func:`run_batch` stack.
 
     ``driver``, ``chain`` and ``coupled`` are ``run_batch``'s; failed
-    rows are left in the final state's ``failures``.
+    rows are left in the final state's ``failures``.  A
+    :class:`~gmspde.functionals.FunctionalRecorder` given as
+    ``functionals`` records the stack's functionals on the same walk.
     """
-    rec = TrajectoryRecorder(scheme.n_steps())
+    rec = TrajectoryRecorder(scheme.n_steps(), functionals)
     final = run_batch(init, params, scheme, basis, noise_spec, draw,
                       n_paths, observer=rec, driver=driver, chain=chain,
                       coupled=coupled)
@@ -366,16 +354,14 @@ def _first_failure(final, j: int, m: int):
                 None)
 
 
-def picard_iterate(start: PairTrajectory, init,
-                   params: ModelParams, scheme: SchemeConfig, basis,
+def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
                    noise_spec: NoiseSpec, config: FixedPointConfig,
-                   fconfig: FunctionalConfig | None = None,
-                   start_description: str = "steady state + mode-1..4 bumps"):
+                   fconfig: FunctionalConfig | None = None):
     """Iterate the decoupling map on frozen paths until the semi-norm settles.
 
-    Every member starts from ``start``, a one-row stack with the
-    scheme's step count (both checked before any work), and reads its
-    own frozen noise row; iterate k+1 is T applied to iterate k.  T is
+    Every member starts from the time-constant trajectory of the (2, K)
+    modal ``init`` (:func:`constant_trajectory`) and reads its own
+    frozen noise row; iterate k+1 is T applied to iterate k.  T is
     causal in time (step n of iterate k+1 reads iterate k up to step n
     only), so the iterates are stepped in sweeps: one stack of W blocks
     of members through :func:`~gmspde.dynamics.run_batch`, block 0
@@ -387,17 +373,20 @@ def picard_iterate(start: PairTrajectory, init,
     :data:`SWEEP_MAX_ROWS` rows allow, at least 1 and at most the
     iterations left.
 
-    The report is walked block by block, as one application of T at a
-    time: distance to the previous iterate, functional trace and
-    membership, convergence test.  The start trajectory and every
-    iterate are replayed without the energy monitors, which no part of
-    the report reads (``replay_trace(..., monitors=False)``); the
-    bounds and memberships are bitwise those of full replays.  An
-    iterate that failed raises its first row failure, the error
-    :func:`apply_T` raises on it; the first failing iterate in order is
-    raised, then a failure of the coupled solve.  Blocks past
-    convergence are discarded unread, so they neither count nor raise.
-    Non-convergence within the budget is reported, not raised.
+    The sweep's observer stores the stack and records its functionals
+    live, without the energy monitors, which no part of the report reads
+    (``FunctionalRecorder(..., monitors=False)``).  The start's are
+    recorded from its one state, observed at t = 0 and at the horizon
+    with one accumulation over the whole horizon between: every state
+    of the start is ``init``, so the bounds and the positivity check
+    are those of a walk over its steps, to rounding.  The report is read
+    block by block, as one application of T at a time: distance to the
+    previous iterate, membership, convergence test.  An iterate that
+    failed raises its first row failure, the error :func:`apply_T`
+    raises on it; the first failing iterate in order is raised, then a
+    failure of the coupled solve.  Blocks past convergence are discarded
+    unread, so they neither count nor raise.  Non-convergence within the
+    budget is reported, not raised.
 
     Each block is the iterate :func:`apply_T` gives to rounding
     (1e-13 x max|value|, pinned by the tests), and the distances follow
@@ -406,10 +395,6 @@ def picard_iterate(start: PairTrajectory, init,
     Bit for bit hold the frozen noise table and reruns of one
     configuration (the same depths, so the same stacks).
     """
-    _check_steps(start, scheme)
-    if start.chi_modal.shape[0] != 1:
-        raise ValueError(f"start trajectory has {start.chi_modal.shape[0]} "
-                         "rows; the members start from one")
     fconfig = fconfig or FunctionalConfig()
     m = config.ensemble_size
     n = scheme.n_steps()
@@ -420,8 +405,13 @@ def picard_iterate(start: PairTrajectory, init,
                                                * basis.mode_count),
                         SWEEP_MAX_ROWS // m))
 
-    start_trace = replay_trace(start, basis, fconfig, scheme.v_floor,
-                               monitors=False)
+    view = Stepper(basis, params, scheme, noise_spec).raw_state(init, 1)
+    rec = FunctionalRecorder(basis, fconfig, scheme.v_floor, monitors=False)
+    rec.record(view)
+    rec.accumulate(view, n * scheme.dt)
+    view.t = n * scheme.dt
+    rec.record(view)
+    start_trace = rec.traces()
     bounds = auto_bounds(start_trace, margin=config.bound_margin)
     start_member = membership(start_trace, bounds)
     if not start_member.positivity_ok:
@@ -430,8 +420,8 @@ def picard_iterate(start: PairTrajectory, init,
         )
 
     # every member starts from the same trajectory; all are stepped at once
-    current = PairTrajectory(start.times.copy(),
-                             np.repeat(start.chi_modal, m, axis=0),
+    start = constant_trajectory(init, scheme)
+    current = PairTrajectory(start.times, np.repeat(start.chi_modal, m, axis=0),
                              np.repeat(start.eta_modal, m, axis=0))
     distances = []
     memberships = []
@@ -440,9 +430,15 @@ def picard_iterate(start: PairTrajectory, init,
 
     while not converged and len(distances) < config.max_iterations:
         depth = min(budget, config.max_iterations - len(distances))
+        blocks = depth + (coupled is None)
+        rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
+                                 path_index=np.tile(np.arange(m), blocks),
+                                 monitors=False)
         stack, final = _stack_solve(init, params, scheme, basis, noise_spec,
                                     frozen, m, driver=current.chi_modal,
-                                    chain=depth, coupled=coupled is None)
+                                    chain=depth, coupled=coupled is None,
+                                    functionals=rec)
+        traces = rec.traces()
         for j in range(depth):
             failure = _first_failure(final, j, m)
             if failure is not None:
@@ -450,9 +446,8 @@ def picard_iterate(start: PairTrajectory, init,
             new = _block(stack, j, m)
             d = seminorm_m(new, current, basis, fconfig.rho)
             distances.append(d)
-            trace = replay_trace(new, basis, fconfig, scheme.v_floor, range(m),
-                                 monitors=False)
-            memberships.append(membership(trace, bounds))
+            memberships.append(membership(
+                traces.rows(range(j * m, (j + 1) * m)), bounds))
             current = new
             if d < config.tolerance:
                 converged = True
@@ -481,7 +476,6 @@ def picard_iterate(start: PairTrajectory, init,
         residual_vs_coupled=residual,
         memberships=memberships,
         bounds=bounds,
-        start_description=start_description,
     )
 
 

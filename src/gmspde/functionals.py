@@ -7,11 +7,9 @@ xi = 1/eta, and the running space-time integrals that appear on the
 left-hand side of the a-priori bounds (chi^2 xi, xi^2 chi^2,
 xi^(p+2)|grad v|^2, u chi^2 xi).
 
-One set of formulas serves both walks over a trajectory: the live one,
-state by state as the stepper goes, and the replay of a stored
-trajectory in blocks of steps (see :class:`FunctionalRecorder`).
-Either walk keeps every column, or only the columns the admissibility
-checks read (:data:`ADMISSIBILITY_COLUMNS`).
+The recorder walks a trajectory once, state by state as the stepper
+goes (see :class:`FunctionalRecorder`).  It keeps every column, or only
+the columns the admissibility checks read (:data:`ADMISSIBILITY_COLUMNS`).
 
 A :class:`FunctionalTrace` holds a stack of B >= 1 paths, (B, n_obs)
 columns, as the recorder keeps them.  The Lyapunov functionals reduce
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import floor_counts, quotient_nodal
+from .fields import quotient_nodal
 from .spectral import nonfinite
 
 DEFAULT_P = 31.0 / 7.0
@@ -62,16 +60,6 @@ TRACE_COLUMNS = (
 # the running space-time integrals among the columns
 INTEGRALS = ("int_grad_chi_sq", "int_chi2_xi", "int_xi2_chi2",
              "int_xi_p2_grad_v_sq", "int_u_chi2_xi")
-
-# most values in one (rows, steps, n_nodes) array of a replay block (see
-# FunctionalRecorder.replay); a block holds at least one step.  A 16-row,
-# 100-step replay at K = 16, N = 64 (the ``picard_1d`` benchmark's
-# shape) took, in-process, min of 5 x 20 calls on 2 cores: 2**10 and
-# 2**11 (one step) 13.6-14.7 ms, 2**12 7.0 ms, 2**13 5.1 ms, 2**14
-# 4.4 ms, 2**15 5.5 ms, 2**16 6.0 ms, the whole horizon 6.1 ms, against
-# 9.4 ms state by state.  2**14 (a 128 KB array) is the fastest.
-REPLAY_BLOCK_VALUES = 2**14
-
 
 @dataclass(frozen=True)
 class FunctionalConfig:
@@ -160,38 +148,28 @@ def grad_sq(basis, modal):
 class FunctionalRecorder:
     """Observer accumulating the functional traces of a stack of trajectories.
 
-    One set of formulas, two walks.  :meth:`_integrands` (the five
-    running-integral integrands and the floor counts) and
-    :meth:`_observables` (the recorded state columns) evaluate states
-    of any leading shape, reducing over the last (node or mode) axis.
-    The live walk (the stepping loop of :func:`~gmspde.dynamics.run_batch`)
-    calls them on one (B, ...) state per step through :meth:`accumulate`
-    and :meth:`record`; :meth:`replay` calls them on blocks of stored
-    steps, (B, S, ...) stacks.  ``path_index`` is one index (one row) or one
-    per row.  :meth:`traces` returns the stack of all rows, (rows,
+    :meth:`_integrands` (the five running-integral integrands) and
+    :meth:`_observables` (the recorded state columns) evaluate the
+    (B, ...) state of a :class:`~gmspde.dynamics.StateView`, reducing
+    over the last (node or mode) axis.  The stepping loop of
+    :func:`~gmspde.dynamics.run_batch` calls them through
+    :meth:`accumulate` before every step and :meth:`record` every
+    ``stride`` steps.  ``path_index`` is one index (one row) or
+    one per row.  :meth:`traces` returns the stack of all rows, (rows,
     n_obs) columns.
 
     The running integrals are left-point sums: each pre-step state adds
-    dt times its integrand, in step order.  The replay forms the same
-    sums with ``np.add.accumulate``, bitwise the live ``+=`` on the same
-    integrand values; the integrands themselves come from stacked
-    transforms, which may sum in another order, so a replayed column
-    equals the live one to rounding (1e-13 x max|value|, pinned by the
-    tests), whatever the block size.
+    dt times its integrand, in step order.  The ``floor_activations``
+    column is the stepper's own count (``StateView.floor_activations``),
+    taken on the same pre-step states.
 
-    Floor activations of xi = 1/max(v, floor) are counted on the
-    pre-step states the stepper floors, as an integer running sum, so
-    the ``floor_activations`` column equals the stepper's own count and
-    a replayed trajectory reports exactly the live number.
-
-    Either walk keeps every column of :data:`TRACE_COLUMNS` by default.
-    With ``monitors=False`` it keeps only :data:`ADMISSIBILITY_COLUMNS`
-    and ``floor_activations``, what :func:`membership` and
-    :func:`auto_bounds` read, and skips the integrands and observables
-    only :func:`energy_monitors` reads.  Each kept column is formed by
-    the same operations in the same order, so it is bitwise the column
-    of a recorder with every monitor; a dropped column is absent from
-    the trace, not zero.
+    By default every column of :data:`TRACE_COLUMNS` is kept.  With
+    ``monitors=False`` only :data:`ADMISSIBILITY_COLUMNS` are, what
+    :func:`membership` and :func:`auto_bounds` read, and the integrands
+    and observables only :func:`energy_monitors` reads are skipped.
+    Each kept column is formed by the same operations in the same
+    order, so it is bitwise the column of a recorder with every
+    monitor; a dropped column is absent from the trace, not zero.
     """
 
     def __init__(self, basis, config: FunctionalConfig, v_floor: float,
@@ -203,44 +181,43 @@ class FunctionalRecorder:
         self.stride = config.observation_stride
         self.path_indices = [int(i) for i in np.atleast_1d(path_index)]
         rows = len(self.path_indices)
-        kept = (TRACE_COLUMNS[1:] if monitors
-                else ADMISSIBILITY_COLUMNS + ("floor_activations",))
-        # per column, (rows,) observations and (rows, observations) blocks
+        kept = TRACE_COLUMNS[1:] if monitors else ADMISSIBILITY_COLUMNS
+        # per column, one (rows,) array per observation
         self._rows = {name: [] for name in kept}
         self._times = []
         self._totals = {name: np.zeros(rows) for name in INTEGRALS
                         if name in kept}
-        self.floor_activations = np.zeros(rows, dtype=int)
         s = 1.0 - config.rho
         self._h_weights = (1.0 + basis.eigenvalues) ** s
 
-    def _integrands(self, u_modal, v_modal, u_nodal, v_nodal):
-        """Integrands of :data:`INTEGRALS` and floor counts per state."""
+    def _integrands(self, view):
+        """Integrands of :data:`INTEGRALS` of the state ``view``."""
         basis = self.basis
         w = basis.weights
-        xi, activations = quotient_nodal(1.0, v_nodal, self.v_floor)
-        floors = (floor_counts(v_nodal, self.v_floor) if activations
-                  else np.zeros(v_nodal.shape[:-1], dtype=int))
+        u_nodal = view.u_nodal
+        xi, _ = quotient_nodal(1.0, view.v_nodal, self.v_floor)
         # products formed in place, each in the order of its formula
         chi2xi = np.multiply(u_nodal, u_nodal)
         chi2xi *= xi
         work = np.multiply(chi2xi, xi)
-        values = {"int_grad_chi_sq": np.sum(basis.eigenvalues * u_modal**2,
-                                            axis=-1),
+        values = {"int_grad_chi_sq": np.sum(basis.eigenvalues
+                                            * view.u_modal**2, axis=-1),
                   "int_chi2_xi": _quadrature(chi2xi, w),
                   "int_xi2_chi2": _quadrature(work, w)}
         if not self.monitors:
-            return values, floors
+            return values
         np.multiply(chi2xi, u_nodal, out=work)
         values["int_u_chi2_xi"] = _quadrature(work, w)
         np.power(xi, self.config.p + 2.0, out=xi)
-        xi *= grad_sq(basis, v_modal)
+        xi *= grad_sq(basis, view.v_modal)
         values["int_xi_p2_grad_v_sq"] = _quadrature(xi, w)
-        return values, floors
+        return values
 
-    def _observables(self, u_modal, v_modal, u_nodal, v_nodal):
-        """The recorded columns that are functions of one state."""
+    def _observables(self, view):
+        """The recorded columns that are functions of the state ``view``."""
         w = self.basis.weights
+        u_modal, v_modal = view.u_modal, view.v_modal
+        u_nodal, v_nodal = view.u_nodal, view.v_nodal
         xi, _ = quotient_nodal(1.0, v_nodal, self.v_floor)
         p = self.config.p
         ln_xi = np.log(xi)
@@ -265,72 +242,19 @@ class FunctionalRecorder:
             })
         return columns
 
-    def _store(self, times, columns):
-        """Append ``times`` and their columns: (rows,) or (rows, len(times))."""
-        for name, value in columns.items():
-            self._rows[name].append(value)
-        self._times.extend(times)
-
     def accumulate(self, view, dt):
-        values, floors = self._integrands(view.u_modal, view.v_modal,
-                                          view.u_nodal, view.v_nodal)
+        values = self._integrands(view)
         for name, total in self._totals.items():
             total += dt * values[name]
-        self.floor_activations += floors
 
     def record(self, view):
-        row = self._observables(view.u_modal, view.v_modal,
-                                view.u_nodal, view.v_nodal)
+        row = self._observables(view)
         row.update((name, total.copy()) for name, total in self._totals.items())
-        row["floor_activations"] = self.floor_activations.astype(float)
-        self._store([view.t], row)
-
-    def replay(self, times, u_modal, v_modal):
-        """Walk the stored (rows, n+1, K) modal stacks on ``times``.
-
-        The walk of :func:`~gmspde.dynamics.run_batch`'s loop (record state
-        0, accumulate every pre-step state over dt = times[1] - times[0],
-        record every ``stride``-th state and the last one), evaluated on
-        blocks of S steps: the synthesized (rows, S, n_nodes) block holds
-        at most :data:`REPLAY_BLOCK_VALUES` values (S >= 1), so the
-        working set does not grow with the horizon.  Each block's running
-        integrals are ``np.add.accumulate`` over [carried total,
-        dt * integrand...] and its floor counts an integer cumulative sum.
-        """
-        basis = self.basis
-        n = times.size - 1
-        dt = float(times[1] - times[0]) if n else 0.0
-        span = max(1, REPLAY_BLOCK_VALUES // (u_modal.shape[0] * basis.n_nodes))
-        for j0 in range(0, n + 1, span):
-            j1 = min(j0 + span, n + 1)
-            u, v = u_modal[:, j0:j1], v_modal[:, j0:j1]
-            u_nodal, v_nodal = basis.synthesize(u), basis.synthesize(v)
-            # states j0..j1-1; all but state n are pre-step states
-            pre = min(j1, n) - j0
-            values, floors = self._integrands(u[:, :pre], v[:, :pre],
-                                              u_nodal[:, :pre], v_nodal[:, :pre])
-            # column i: the totals state j0 + i sees, before its own step
-            running = {
-                name: np.add.accumulate(np.concatenate(
-                    (total[:, None], dt * values[name]), axis=1), axis=1)
-                for name, total in self._totals.items()}
-            floor_sums = np.cumsum(np.concatenate(
-                (self.floor_activations[:, None], floors), axis=1), axis=1)
-            for name, total in self._totals.items():
-                total[:] = running[name][:, -1]
-            self.floor_activations[:] = floor_sums[:, -1]
-            first = -(-j0 // self.stride) * self.stride
-            local = list(range(first - j0, j1 - j0, self.stride))
-            if j0 <= n < j1 and n % self.stride:
-                local.append(n - j0)
-            if not local:
-                continue
-            columns = self._observables(u[:, local], v[:, local],
-                                        u_nodal[:, local], v_nodal[:, local])
-            columns.update((name, sums[:, local])
-                           for name, sums in running.items())
-            columns["floor_activations"] = floor_sums[:, local].astype(float)
-            self._store(times[j0:j1][local], columns)
+        if self.monitors:
+            row["floor_activations"] = view.floor_activations.astype(float)
+        for name, value in row.items():
+            self._rows[name].append(value)
+        self._times.append(view.t)
 
     def traces(self) -> FunctionalTrace:
         """The stack of all rows, in row order."""

@@ -221,8 +221,8 @@ def test_sweep_iterates_equal_chained_apply_T(monkeypatch, scheme, dim, rows):
     block_values = 2 * rows * 51 * K
     for budget in (experiments.SWEEP_STORE_VALUES, block_values):
         monkeypatch.setattr(experiments, "SWEEP_STORE_VALUES", budget)
-        report = picard_iterate(start, init, params, sch, basis_d, spec,
-                                config, fcfg)
+        report = picard_iterate(init, params, sch, basis_d, spec, config,
+                                fcfg)
         assert report.converged
         assert report.iterations == len(expected) >= 3
         np.testing.assert_allclose(report.distances, expected, rtol=0,
@@ -246,8 +246,7 @@ def test_picard_stops_at_max_iterations(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05)
     init = default_initial_pair(basis, params)
-    report = picard_iterate(constant_trajectory(init, sch), init, params, sch,
-                            basis, nspec,
+    report = picard_iterate(init, params, sch, basis, nspec,
                             FixedPointConfig(max_iterations=2,
                                              tolerance=1e-300,
                                              ensemble_size=2))
@@ -258,33 +257,31 @@ def test_picard_stops_at_max_iterations(basis, nspec):
 
 def test_picard_replays_no_energy_monitor(basis, nspec, monkeypatch):
     # |grad v|^2 enters only the monitor integral int xi^(p+2)|grad v|^2,
-    # which no part of the Picard report reads
+    # which no part of the Picard report reads: neither the start's
+    # functionals nor the sweeps' live recorder forms it
     def unread(*args):
-        raise AssertionError("Picard replay formed a monitor integrand")
+        raise AssertionError("Picard formed a monitor integrand")
 
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.02)
     init = default_initial_pair(basis, params)
     monkeypatch.setattr(functionals, "grad_sq", unread)
-    report = picard_iterate(constant_trajectory(init, sch), init, params, sch,
-                            basis, nspec,
+    report = picard_iterate(init, params, sch, basis, nspec,
                             FixedPointConfig(max_iterations=3,
                                              ensemble_size=2))
     assert report.iterations >= 1 and len(report.memberships) == report.iterations
 
 
 def cfl_picard_setup(basis):
-    # from u = 1.1 u*, the peaks kappa_u max(chi^2/v) dt of iterates 1-4
-    # on two members read 2.490e-3, 2.729e-3, 2.742e-3 and 2.732e-3, and
-    # 2.728e-3 in the coupled solve: at a limit of 2.735e-3, iterate 3
-    # alone fails
+    # from u = 0.9 u*, the peaks kappa_u max(chi^2/v) dt of iterates 1-4
+    # on two members read 1.8928e-3, 2.1676e-3, 2.1850e-3 and 2.1838e-3,
+    # and 2.1833e-3 in the coupled solve: at a limit of 2.1844e-3,
+    # iterate 3 alone fails
     params = desk_params()
-    sch = SchemeConfig(dt=1e-3, T=0.3, reaction_cfl_limit=2.735e-3)
-    init = default_initial_pair(basis, params)
-    start = constant_trajectory(
-        constant_pair(basis, 1.1 * steady_state(params)[0],
-                      steady_state(params)[1]), sch)
-    return params, sch, init, start
+    sch = SchemeConfig(dt=1e-3, T=0.3, reaction_cfl_limit=2.1844e-3)
+    init = constant_pair(basis, 0.9 * steady_state(params)[0],
+                         steady_state(params)[1])
+    return params, sch, init, constant_trajectory(init, sch)
 
 
 @pytest.mark.parametrize("blocks", [1, 2, None])
@@ -306,7 +303,7 @@ def test_picard_raises_the_first_failing_iterate(monkeypatch, basis, nspec,
                 check_positivity=False)
     assert "reaction CFL violated at step" in str(expected.value)
     with pytest.raises(SimulationError) as got:
-        picard_iterate(start, init, params, sch, basis, nspec,
+        picard_iterate(init, params, sch, basis, nspec,
                        FixedPointConfig(ensemble_size=2, tolerance=1e-12))
     assert str(got.value) == str(expected.value)
 
@@ -314,12 +311,12 @@ def test_picard_raises_the_first_failing_iterate(monkeypatch, basis, nspec,
 def test_picard_discards_a_failing_block_past_convergence(basis, nspec):
     # converged at iterate 2, the first sweep's failing iterate 3 is
     # discarded and raises nothing
-    params, sch, init, start = cfl_picard_setup(basis)
+    params, sch, init, _ = cfl_picard_setup(basis)
     loose = dataclasses.replace(sch, reaction_cfl_limit=1.0)
-    two = picard_iterate(start, init, params, loose, basis, nspec,
+    two = picard_iterate(init, params, loose, basis, nspec,
                          FixedPointConfig(max_iterations=2, ensemble_size=2))
     tolerance = float(np.sqrt(two.distances[0] * two.distances[1]))
-    report = picard_iterate(start, init, params, sch, basis, nspec,
+    report = picard_iterate(init, params, sch, basis, nspec,
                             FixedPointConfig(ensemble_size=2,
                                              tolerance=tolerance))
     assert report.converged and report.iterations == 2
@@ -328,20 +325,19 @@ def test_picard_discards_a_failing_block_past_convergence(basis, nspec):
 
 
 def test_picard_raises_a_failure_of_the_coupled_solve_last(basis, nspec):
-    # from u = 0, the peaks of iterates 1-6 rise to 2.7269e-3 and the
-    # coupled solve's reads 2.7279e-3: six iterates pass, then the
+    # from v = v*/2, the peaks of iterates 1-6 rise to 4.40979e-3 and the
+    # coupled solve's reads 4.41046e-3: six iterates pass, then the
     # coupled solve's error is raised
     params = desk_params()
-    sch = SchemeConfig(dt=1e-3, T=0.3, reaction_cfl_limit=2.7275e-3)
-    init = default_initial_pair(basis, params)
-    start = constant_trajectory(
-        constant_pair(basis, 0.0, steady_state(params)[1]), sch)
+    sch = SchemeConfig(dt=1e-3, T=0.3, reaction_cfl_limit=4.4101e-3)
+    u_star, v_star = steady_state(params)
+    init = constant_pair(basis, u_star, 0.5 * v_star)
     frozen = sliced(drawn(nspec, sch, range(2))(0, sch.n_steps()))
     _, final = _stack_solve(init, params, sch, basis, nspec, frozen, 2)
     expected = next(iter(final.failures.values()))
     assert isinstance(expected, SimulationError)
     with pytest.raises(SimulationError) as got:
-        picard_iterate(start, init, params, sch, basis, nspec,
+        picard_iterate(init, params, sch, basis, nspec,
                        FixedPointConfig(max_iterations=6, tolerance=1e-12,
                                         ensemble_size=2))
     assert str(got.value) == str(expected)
@@ -357,7 +353,6 @@ def test_picard_store_stays_within_its_budget(monkeypatch, basis):
     sch = SchemeConfig(dt=1e-3, T=0.1)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=0)
     init = default_initial_pair(basis, params)
-    start = constant_trajectory(init, sch)
     config = FixedPointConfig()
     fcfg = FunctionalConfig(observation_stride=25)
     limit = 6 * 2**20
@@ -365,8 +360,8 @@ def test_picard_store_stays_within_its_budget(monkeypatch, basis):
     def peak():
         tracemalloc.start()
         try:
-            report = picard_iterate(start, init, params, sch, basis, spec,
-                                    config, fcfg)
+            report = picard_iterate(init, params, sch, basis, spec, config,
+                                    fcfg)
             return report, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -426,8 +421,7 @@ def test_picard_at_steady_state_terminates_immediately(basis, nspec):
     params = desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = steady_pair(basis, params)
-    start = constant_trajectory(pair, sch)
-    report = picard_iterate(start, pair, params, sch, basis, nspec,
+    report = picard_iterate(pair, params, sch, basis, nspec,
                             FixedPointConfig(ensemble_size=2, tolerance=1e-8))
     assert report.converged
     assert report.iterations == 1
@@ -437,15 +431,15 @@ def test_picard_at_steady_state_terminates_immediately(basis, nspec):
 def test_picard_rejects_nonpositive_start(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
-    pair = steady_pair(basis, params)
-    bad_start = constant_trajectory(
-        constant_pair(basis, -1.0, steady_state(params)[1]), sch)
+    bad = constant_pair(basis, -1.0, steady_state(params)[1])
     with pytest.raises(ValueError, match="positivity"):
-        picard_iterate(bad_start, pair, params, sch, basis, nspec,
+        picard_iterate(bad, params, sch, basis, nspec,
                        FixedPointConfig(ensemble_size=2))
 
 
 def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
+    # picard_iterate builds its start from the scheme; apply_T is handed
+    # its input trajectory and checks its step count
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
@@ -454,29 +448,6 @@ def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
         apply_T(start, init, params, sch, basis, nspec,
                 drawn(nspec, sch, [0]))
     assert str(expected.value) == "trajectory has 20 steps, scheme wants 10"
-    with pytest.raises(ValueError) as got:
-        picard_iterate(start, init, params, sch, basis, nspec,
-                       FixedPointConfig(ensemble_size=2))
-    assert str(got.value) == str(expected.value)
-
-
-def test_picard_checks_its_start_before_any_work(basis, nspec):
-    # a start of another step count that also breaks positivity gets the
-    # step-count error; a start of two rows is rejected
-    params = desk_params()
-    sch = SchemeConfig(dt=1e-3, T=0.01)
-    init = default_initial_pair(basis, params)
-    bad_start = constant_trajectory(
-        constant_pair(basis, -1.0, steady_state(params)[1]),
-        SchemeConfig(dt=1e-3, T=0.02))
-    with pytest.raises(ValueError,
-                       match="^trajectory has 20 steps, scheme wants 10$"):
-        picard_iterate(bad_start, init, params, sch, basis, nspec,
-                       FixedPointConfig(ensemble_size=2))
-    two_rows = members(constant_trajectory(init, sch), 2)
-    with pytest.raises(ValueError, match="start trajectory has 2 rows"):
-        picard_iterate(two_rows, init, params, sch, basis, nspec,
-                       FixedPointConfig(ensemble_size=2))
 
 
 @pytest.mark.parametrize("horizon, members, depths", [
@@ -497,8 +468,7 @@ def test_sweep_depth_is_the_tighter_budget(monkeypatch, basis, nspec,
         return stack_solve(*args, chain=chain, **kwargs)
 
     monkeypatch.setattr(experiments, "_stack_solve", spy)
-    report = picard_iterate(constant_trajectory(init, sch), init, params,
-                            sch, basis, nspec,
+    report = picard_iterate(init, params, sch, basis, nspec,
                             FixedPointConfig(ensemble_size=members))
     assert report.converged and chains == depths
     assert sum(depths[:-1]) < report.iterations <= sum(depths)
@@ -508,8 +478,7 @@ def test_picard_contracts_on_desk_problem(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05)
     init = default_initial_pair(basis, params)
-    start = constant_trajectory(init, sch)
-    report = picard_iterate(start, init, params, sch, basis, nspec,
+    report = picard_iterate(init, params, sch, basis, nspec,
                             FixedPointConfig(ensemble_size=4))
     assert report.converged
     assert all(r < 1.0 for r in report.ratios)
@@ -522,8 +491,7 @@ def test_picard_under_stratonovich_matches_coupled_solve(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme="stratonovich_heun")
     init = default_initial_pair(basis, params)
-    start = constant_trajectory(init, sch)
-    report = picard_iterate(start, init, params, sch, basis, nspec,
+    report = picard_iterate(init, params, sch, basis, nspec,
                             FixedPointConfig(ensemble_size=4))
     assert report.converged
     assert report.residual_vs_coupled < 1e-6

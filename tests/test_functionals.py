@@ -1,29 +1,31 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from gmspde import functionals
+from gmspde import experiments, functionals
 from gmspde.dynamics import (
     ModelParams,
     SchemeConfig,
+    StateView,
     constant_pair,
     default_initial_pair,
     run,
+    run_batch,
 )
 from gmspde.experiments import (
+    FixedPointConfig,
     PairTrajectory,
-    TrajectoryRecorder,
-    _stack_solve,
+    _block,
+    constant_trajectory,
     ensemble,
-    replay_trace,
+    picard_iterate,
 )
-from gmspde.fields import FloorViolation, quotient_nodal
+from gmspde.fields import FloorViolation, floor_counts, quotient_nodal
 from gmspde.functionals import (
     TRACE_COLUMNS,
     AdmissibleSetSpec,
     FunctionalConfig,
     FunctionalRecorder,
+    auto_bounds,
     check_rho,
     energy_monitors,
     fit_growth_envelope,
@@ -64,6 +66,33 @@ def const_traj(basis, chi_value, eta_value, n_steps=8, horizon=1.0):
     )
 
 
+def walk_trace(traj, basis, fcfg, v_floor, path_index=-1, monitors=True):
+    """Trace of a stored stack, walked state by state through the recorder.
+
+    The schedule of ``run_batch``'s loop: each state is recorded (state 0,
+    every ``stride``-th and the last) before it is accumulated over
+    dt = times[1] - times[0] (every state but the last).  Its
+    ``floor_activations`` count the floored nodes of the pre-step states,
+    as the stepper does.
+    """
+    rows, n = traj.chi_modal.shape[0], traj.n_steps
+    rec = FunctionalRecorder(basis, fcfg, v_floor,
+                             np.broadcast_to(path_index, (rows,)), monitors)
+    floors = np.zeros(rows, dtype=int)
+    for i in range(n + 1):
+        modal = np.stack((traj.chi_modal[:, i], traj.eta_modal[:, i]))
+        view = StateView(t=traj.times[i], step_index=i, modal=modal,
+                         nodal=basis.synthesize(modal),
+                         floor_activations=floors.copy(),
+                         alive=np.ones(rows, dtype=bool))
+        if i % rec.stride == 0 or i == n:
+            rec.record(view)
+        if i < n:
+            rec.accumulate(view, traj.times[1] - traj.times[0])
+            floors += floor_counts(view.v_nodal, v_floor)
+    return rec.traces()
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="p must be"):
         FunctionalConfig(p=0.5)
@@ -98,7 +127,7 @@ def test_xi_zero_floor_rejects_nonpositive(basis):
 
 def test_lyapunov_l1_trivial(basis):
     traj = const_traj(basis, 0.0, 1.0)
-    trace = replay_trace(traj, basis, FunctionalConfig(observation_stride=1), 1e-8)
+    trace = walk_trace(traj, basis, FunctionalConfig(observation_stride=1), 1e-8)
     # only the |xi|_p^p = |O| term survives
     assert lyapunov_L1(trace)[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -112,8 +141,8 @@ def test_lyapunov_l1_single_eigenmode(basis):
     eta[..., 0] = 1.0
     traj = PairTrajectory(times=np.array([0.0, dt]), chi_modal=chi,
                           eta_modal=eta)
-    trace = replay_trace(traj, basis, FunctionalConfig(observation_stride=1),
-                         1e-8)
+    trace = walk_trace(traj, basis, FunctionalConfig(observation_stride=1),
+                       1e-8)
     lam1 = basis.eigenvalues[1]
     expected = 1.0 + lam1 * dt + 1.0
     assert lyapunov_L1(trace)[0] == pytest.approx(expected, rel=1e-10)
@@ -123,24 +152,24 @@ def test_lyapunov_l1_quadratic_in_chi(basis):
     traj = const_traj(basis, 1.3, 1.0)
     doubled = const_traj(basis, 2.6, 1.0)
     cfg = FunctionalConfig(observation_stride=1)
-    t1 = replay_trace(traj, basis, cfg, 1e-8)
-    t2 = replay_trace(doubled, basis, cfg, 1e-8)
+    t1 = walk_trace(traj, basis, cfg, 1e-8)
+    t2 = walk_trace(doubled, basis, cfg, 1e-8)
     assert t2.data["chi_l2_sq"].max() == 4.0 * t1.data["chi_l2_sq"].max()
 
 
 def test_lyapunov_l2_examples(basis):
     cfg = FunctionalConfig(observation_stride=1)
-    zero = replay_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
+    zero = walk_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
     assert lyapunov_L2(zero)[0] == 0.0
     # chi = 1, v = 1, T = 1 with dyadic steps: (|O| T)^2 + |O| T = 2
-    ones = replay_trace(const_traj(basis, 1.0, 1.0), basis, cfg, 1e-8)
+    ones = walk_trace(const_traj(basis, 1.0, 1.0), basis, cfg, 1e-8)
     assert lyapunov_L2(ones)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_lyapunov_l2_scaling_is_exact(basis):
     cfg = FunctionalConfig(observation_stride=1)
-    t1 = replay_trace(const_traj(basis, 0.7, 2.0), basis, cfg, 1e-8)
-    t2 = replay_trace(const_traj(basis, 1.4, 2.0), basis, cfg, 1e-8)
+    t1 = walk_trace(const_traj(basis, 0.7, 2.0), basis, cfg, 1e-8)
+    t2 = walk_trace(const_traj(basis, 1.4, 2.0), basis, cfg, 1e-8)
     a, b = t1.data, t2.data
     assert b["int_chi2_xi"][0, -1] == 4.0 * a["int_chi2_xi"][0, -1]
     assert b["int_xi2_chi2"][0, -1] == 4.0 * a["int_xi2_chi2"][0, -1]
@@ -150,7 +179,7 @@ def test_lyapunov_l2_scaling_is_exact(basis):
 
 def test_lyapunov_l3_trivial(basis):
     cfg = FunctionalConfig(observation_stride=1)
-    trace = replay_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
+    trace = walk_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
     l3 = lyapunov_L3(trace)
     assert np.allclose(l3, 2.0, atol=1e-12)  # |O| + |O| + 0
 
@@ -170,7 +199,7 @@ def test_running_integrals_nondecreasing(basis):
 
 def test_membership_trivial_pass_and_negative_node(basis):
     cfg = FunctionalConfig(observation_stride=1)
-    good = replay_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
+    good = walk_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
     big = AdmissibleSetSpec(K1=1e6, K2=1e6, K3=1e6)
     rep = membership(good, big)
     assert rep.ok
@@ -182,7 +211,7 @@ def test_membership_trivial_pass_and_negative_node(basis):
     eta[..., 0] = 1.0
     traj = PairTrajectory(times=np.array([0.0, 0.5]), chi_modal=chi,
                           eta_modal=eta)
-    bad = replay_trace(traj, basis, cfg, 1e-8)
+    bad = walk_trace(traj, basis, cfg, 1e-8)
     rep = membership(bad, big)
     assert not rep.positivity_ok
     assert "node" in rep.failure
@@ -190,7 +219,7 @@ def test_membership_trivial_pass_and_negative_node(basis):
 
 def test_membership_bound_violation_detected(basis):
     cfg = FunctionalConfig(observation_stride=1)
-    trace = replay_trace(const_traj(basis, 1.0, 1.0), basis, cfg, 1e-8)
+    trace = walk_trace(const_traj(basis, 1.0, 1.0), basis, cfg, 1e-8)
     tight = AdmissibleSetSpec(K1=1e-6, K2=1e6, K3=1e6)
     rep = membership(trace, tight)
     assert not rep.l1_ok and rep.l2_ok and rep.l3_ok and not rep.ok
@@ -235,7 +264,7 @@ def test_monitors_constant_for_steady_trajectory(basis):
     from gmspde.dynamics import steady_state
     u_star, v_star = steady_state(params)
     traj = const_traj(basis, u_star, v_star, n_steps=8, horizon=1.0)
-    trace = replay_trace(traj, basis, cfg, 1e-8)
+    trace = walk_trace(traj, basis, cfg, 1e-8)
     fits = energy_monitors(trace, params, cfg,
                            horizons=[0.25, 0.5, 1.0])
     for name in ("xi_lp_sup", "v_l2", "u_h1mrho"):
@@ -245,7 +274,7 @@ def test_monitors_constant_for_steady_trajectory(basis):
 
 def test_xi_l1_monitor_for_unit_inhibitor(basis):
     cfg = FunctionalConfig(observation_stride=1)
-    trace = replay_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
+    trace = walk_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
     fits = energy_monitors(trace, desk_params(), cfg,
                            horizons=[0.5, 1.0])
     assert np.allclose(fits["xi_l1_pathsup"].lhs, 1.0, atol=1e-12)
@@ -268,7 +297,8 @@ def test_monitor_envelope_holds_on_stochastic_ensemble(basis):
 
 
 def test_floor_activations_counted_once_live_and_replayed():
-    # v = 0.25 < v_floor on all 17 nodes: the stepper floors 17 per step
+    # v = 0.25 < v_floor on all 17 nodes: the stepper floors 17 per step,
+    # and the recorder's column is the stepper's count
     basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
                                    grid_points_per_axis=16), 4)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=4)
@@ -281,132 +311,101 @@ def test_floor_activations_counted_once_live_and_replayed():
     assert res.floor_activations[0] == 4 * 17
     column = live.traces().data["floor_activations"]
     assert column[0, -1] == res.floor_activations[0]
-    assert column[0, 0] == 0.0
-    traj = TrajectoryRecorder(sch.n_steps())
-    run(pair, params, sch, basis, spec, None, observer=traj)
-    replayed = replay_trace(traj.trajectories(), basis, fcfg, sch.v_floor)
-    assert np.array_equal(replayed.data["floor_activations"], column)
+    assert np.array_equal(column[0], 17.0 * np.arange(5))
 
 
-@pytest.mark.parametrize("v_floor", [1e-8, 2.0])
-def test_replay_trace_matches_live_trace(v_floor):
-    # same trajectory through the live recorder and through replay_trace;
-    # v_floor = v* = 2 floors about half the nodes at every step
-    basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                   grid_points_per_axis=64), 16)
-    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=9)
-    params = desk_params(sigma=0.3)
-    sch = SchemeConfig(dt=1e-3, T=0.05, v_floor=v_floor)
-    init = default_initial_pair(basis, params)
-    path = drawn(spec, sch, [1])
-    fcfg = FunctionalConfig(observation_stride=7)
-    live = FunctionalRecorder(basis, fcfg, v_floor)
-    res = run(init, params, sch, basis, spec, path, observer=live)
-    traj = TrajectoryRecorder(sch.n_steps())
-    run(init, params, sch, basis, spec, path, observer=traj)
-    expected = live.traces()
-    got = replay_trace(traj.trajectories(), basis, fcfg, v_floor)
-    assert np.array_equal(got.times, expected.times)
-    for name in TRACE_COLUMNS[1:]:
-        want = expected.data[name]
-        scale = np.abs(want).max()
-        np.testing.assert_allclose(got.data[name], want, rtol=1e-12,
-                                   atol=1e-12 * scale, err_msg=name)
-    activations = expected.data["floor_activations"][0, -1]
-    assert activations == res.floor_activations[0]
-    assert (activations > 0) == (v_floor > 1.0)
+class _Both:
+    """Observer handing one walk to two recorders of one stride."""
+
+    def __init__(self, *recorders):
+        self.recorders = recorders
+        self.stride = recorders[0].stride
+
+    def accumulate(self, view, dt):
+        for rec in self.recorders:
+            rec.accumulate(view, dt)
+
+    def record(self, view):
+        for rec in self.recorders:
+            rec.record(view)
 
 
-@pytest.fixture(scope="module")
-def picard_stack():
-    """The Picard benchmark's shape: 16 coupled paths of 100 steps, K = 16."""
+def test_lean_replay_columns_are_bitwise_the_full_ones():
+    # one stack of the Picard benchmark's shape (16 paths of 100 steps,
+    # K = 16) observed by a full recorder and a lean one; v_floor = v* = 2
+    # floors about half the nodes
     basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
                                    grid_points_per_axis=64), 16)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=41)
     params = desk_params(sigma=0.3)
-    sch = SchemeConfig(dt=1e-3, T=0.1)
+    sch = SchemeConfig(dt=1e-3, T=0.1, v_floor=2.0)
     init = default_initial_pair(basis, params)
-    stack, final = _stack_solve(init, params, sch, basis, spec,
-                                drawn(spec, sch, range(16)), 16)
+    fcfg = FunctionalConfig(observation_stride=25)
+    full, lean = (FunctionalRecorder(basis, fcfg, sch.v_floor, range(16),
+                                     monitors=monitors)
+                  for monitors in (True, False))
+    final = run_batch(init, params, sch, basis, spec,
+                      drawn(spec, sch, range(16)), 16,
+                      observer=_Both(full, lean))
     assert not final.failures
-    return basis, stack
-
-
-def _assert_traces_close(got, want):
-    assert np.array_equal(got.times, want.times)
-    assert np.array_equal(got.data["floor_activations"],
-                          want.data["floor_activations"])
-    for name in TRACE_COLUMNS[1:]:
-        scale = np.abs(want.data[name]).max()
-        np.testing.assert_allclose(got.data[name], want.data[name], rtol=0,
-                                   atol=1e-13 * scale, err_msg=name)
-
-
-def test_replay_is_the_same_under_any_block_budget(monkeypatch, picard_stack):
-    basis, stack = picard_stack
-    fcfg = FunctionalConfig(observation_stride=25)
-    runs = []
-    for budget in (1, 10**9):    # one step per block, the whole horizon
-        monkeypatch.setattr(functionals, "REPLAY_BLOCK_VALUES", budget)
-        runs.append(replay_trace(stack, basis, fcfg, 2.0, range(16)))
-    for row in range(16):
-        _assert_traces_close(runs[0].rows([row]), runs[1].rows([row]))
-
-
-def test_stacked_replay_matches_each_rows_solo_replay(picard_stack):
-    # v_floor = 2 = v* floors about half the nodes at every step
-    basis, stack = picard_stack
-    fcfg = FunctionalConfig(observation_stride=25)
-    stacked = replay_trace(stack, basis, fcfg, 2.0, range(16))
-    for row in range(16):
-        got = stacked.rows([row])
-        solo = PairTrajectory(stack.times, stack.chi_modal[[row]],
-                              stack.eta_modal[[row]])
-        want = replay_trace(solo, basis, fcfg, 2.0, row)
-        assert list(got.path_index) == list(want.path_index) == [row]
-        _assert_traces_close(got, want)
-    assert stacked.data["floor_activations"][:, -1].max() > 0
-
-
-def test_lean_replay_columns_are_bitwise_the_full_ones(picard_stack):
-    # v_floor = 2 floors about half the nodes, so the floor counts move
-    basis, stack = picard_stack
-    fcfg = FunctionalConfig(observation_stride=25)
-    full = replay_trace(stack, basis, fcfg, 2.0, range(16))
-    lean = replay_trace(stack, basis, fcfg, 2.0, range(16), monitors=False)
-    kept = functionals.ADMISSIBILITY_COLUMNS + ("floor_activations",)
+    full, lean = full.traces(), lean.traces()
+    kept = functionals.ADMISSIBILITY_COLUMNS
     assert sorted(lean.data) == sorted(kept)
     assert np.array_equal(lean.times, full.times)
     for name in kept:
         assert np.array_equal(lean.data[name], full.data[name]), name
-    assert lean.data["floor_activations"][:, -1].max() > 0
+    assert full.data["floor_activations"][:, -1].max() > 0
     for name in set(TRACE_COLUMNS[1:]) - set(kept):
         with pytest.raises(KeyError):
             lean.data[name]
 
 
-def test_replay_working_set_does_not_grow_with_the_horizon(basis):
-    # 16 rows with the same 11 records at 100 and at 10,000 steps: the
-    # replay holds one block of steps at a time besides its output.  The
-    # long replay may keep a few more record chunks (~25 KB); one array
-    # of a value per step would add 80 KB, one per row and step 1.3 MB
-    rng = np.random.default_rng(5)
-    beyond_output = []
-    for n_steps in (100, 10_000):
-        chi = 0.01 * rng.standard_normal((16, n_steps + 1, K))
-        eta = 0.01 * rng.standard_normal((16, n_steps + 1, K))
-        chi[..., 0] += 1.0
-        eta[..., 0] += 2.0
-        traj = PairTrajectory(np.linspace(0.0, 1.0, n_steps + 1), chi, eta)
-        fcfg = FunctionalConfig(observation_stride=n_steps // 10)
-        replay_trace(traj, basis, fcfg, 1e-8, range(16))
-        tracemalloc.start()
-        try:
-            traces = replay_trace(traj, basis, fcfg, 1e-8, range(16))
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert traces.times.size == 11
-        assert all(col.shape == (16, 11) for col in traces.data.values())
-        beyond_output.append(peak - current)
-    assert beyond_output[1] <= beyond_output[0] + 2**16
+def test_picard_memberships_match_a_walk_over_each_iterate(monkeypatch):
+    # the picard_1d benchmark's iteration: sweeps of 3 blocks of 16
+    # members, the coupled block in the first
+    basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
+                                   grid_points_per_axis=64), 16)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=0)
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.1)
+    init = default_initial_pair(basis, params)
+    fcfg = FunctionalConfig(observation_stride=25)
+    iterates = []
+    stack_solve = experiments._stack_solve
+
+    def spy(*args, chain=1, **kwargs):
+        stack, final = stack_solve(*args, chain=chain, **kwargs)
+        iterates.extend(_block(stack, j, 16) for j in range(chain))
+        return stack, final
+
+    monkeypatch.setattr(experiments, "_stack_solve", spy)
+    report = picard_iterate(init, params, sch, basis, spec,
+                            FixedPointConfig(ensemble_size=16), fcfg)
+    assert report.converged and report.iterations == 6
+    for got, iterate in zip(report.memberships, iterates):
+        want = membership(walk_trace(iterate, basis, fcfg, sch.v_floor,
+                                     range(16), monitors=False),
+                          report.bounds)
+        for part in ("mean_L1", "mean_L2", "sup_mean_L3"):
+            assert getattr(got, part) == pytest.approx(
+                getattr(want, part), rel=1e-13, abs=0), part
+        assert got.ok == want.ok
+
+
+def test_picard_start_bounds_match_a_walk_over_its_steps(basis):
+    # the start's trace is two observations of its one state; every state
+    # of the constant start is that state, so a walk over its 2,000 steps
+    # gives the same bounds to rounding
+    params = desk_params()
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=5)
+    sch = SchemeConfig(dt=1e-3, T=2.0)
+    init = default_initial_pair(basis, params)
+    fcfg = FunctionalConfig(observation_stride=25)
+    config = FixedPointConfig(max_iterations=1, ensemble_size=1)
+    report = picard_iterate(init, params, sch, basis, spec, config, fcfg)
+    want = auto_bounds(walk_trace(constant_trajectory(init, sch), basis, fcfg,
+                                  sch.v_floor, monitors=False),
+                       margin=config.bound_margin)
+    for name in ("K1", "K2", "K3"):
+        assert getattr(report.bounds, name) == pytest.approx(
+            getattr(want, name), rel=1e-13, abs=0), name

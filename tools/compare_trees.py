@@ -26,15 +26,20 @@ cases in its own interpreter, and the outputs are compared:
   ``_gbm_batch`` outputs for both schemes; ``apply_T`` on a
   coupled-solve input, and on a 16-row stack driven by a constant
   trajectory (1-D N=64, K=16, 100 steps: one Picard step of the
-  ``picard_1d`` benchmark's shape); ``replay_trace`` of a stored path and of
-  a 16-row stack (1-D K=16, 100 steps, stride 25, v_floor = 2), whose
+  ``picard_1d`` benchmark's shape); the live functional trace of the
+  coupled path ``apply_T`` is fed, and of a 16-row ``run_batch`` stack
+  (1-D K=16, 100 steps, stride 25, v_floor = 2), whose
   ``floor_activations`` column is compared bitwise; the
   ensemble means of 20 and of 201 paths (1-D, both schemes; 201 is a
   stack size that is a multiple of neither 4 nor 16) and 10 paths
   (2-D), node-index columns left out (a near-tie may move an argmin by
   a whole node); the Picard distances of a 6-member iteration, and the
   distances and residual of a 16-member one (1-D N=64, K=16, 100 steps,
-  tolerance 1e-6: the ``picard_1d`` benchmark's iteration).
+  tolerance 1e-6: the ``picard_1d`` benchmark's iteration); and the
+  bounds (K1, K2, K3) of both Picard iterations, sized from the start's
+  functionals: a tree may record the constant start as one state
+  observed twice with one accumulation over the horizon, which rounds
+  n dt x once where a walk over its steps sums n terms dt x.
 
 The reductions of a trace stack are compared bitwise, since they must
 not move when the stack is formed another way: the ensemble standard
@@ -42,14 +47,17 @@ errors and every monitor's ``lhs``, ``init``, ``C`` and ``delta`` (at
 three horizons) of each ensemble above, and of a 1-D ensemble with
 repeated path indices at a reaction CFL limit that some of its paths
 fail; and the ``mean_L1``, ``mean_L2`` and ``sup_mean_L3`` of every
-membership check and the bounds (K1, K2, K3) sized from the start
-trace of both Picard iterations.
+membership check of both Picard iterations.
+
+``picard_iterate`` is called through :func:`_picard`, which hands a
+tree whose iteration takes a start trajectory the constant one.
 
 Exits 1 if any comparison fails.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import pickle
 import subprocess
@@ -67,7 +75,13 @@ CFL_LIMIT = 0.0028
 
 def _cases():
     from gmspde import acceptance
-    from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair, run
+    from gmspde.dynamics import (
+        ModelParams,
+        SchemeConfig,
+        default_initial_pair,
+        run,
+        run_batch,
+    )
     from gmspde.experiments import (
         FixedPointConfig,
         PairTrajectory,
@@ -76,8 +90,6 @@ def _cases():
         apply_T,
         constant_trajectory,
         ensemble,
-        picard_iterate,
-        replay_trace,
         uniqueness_study,
     )
     from gmspde.functionals import FunctionalConfig, FunctionalRecorder
@@ -169,6 +181,10 @@ def _cases():
     rec = TrajectoryRecorder(sch.n_steps())
     run(init, params, sch, basis, spec, drawn(spec, sch, [2]), observer=rec)
     coupled = rec.trajectories()
+    rec = FunctionalRecorder(basis, fcfg, sch.v_floor)
+    run(init, params, sch, basis, spec, drawn(spec, sch, [2]), observer=rec)
+    for name, column in rec.traces().data.items():
+        out["close"][f"coupled path trace {name}"] = column
     t_out, _ = apply_T(coupled, init, params, sch, basis, spec,
                        drawn(spec, sch, [2]))
     out["close"]["apply_T chi"] = t_out.chi_modal
@@ -184,26 +200,17 @@ def _cases():
                        drawn(spec, sch, range(16)))
     out["close"]["apply_T 16 rows constant driver chi"] = t_out.chi_modal
     out["close"]["apply_T 16 rows constant driver eta"] = t_out.eta_modal
-    trace = replay_trace(coupled, basis, fcfg, sch.v_floor)
-    for name, column in trace.data.items():
-        out["close"][f"replay_trace {name}"] = column
 
-    # the Picard shape: 16 stored paths, stride 25, v_floor = v* = 2
-    # flooring about half the nodes
-    paths = []
-    for index in range(16):
-        rec = TrajectoryRecorder(sch.n_steps())
-        run(init, params, sch, basis, spec, drawn(spec, sch, [index]),
-            observer=rec)
-        paths.append(rec.trajectories())
-    stack = PairTrajectory(paths[0].times,
-                           np.concatenate([p.chi_modal for p in paths]),
-                           np.concatenate([p.eta_modal for p in paths]))
-    traces = replay_trace(stack, basis, FunctionalConfig(observation_stride=25),
-                          2.0, path_index=range(16))
-    for name, rows in traces.data.items():
+    # the Picard shape: 16 paths, stride 25, v_floor = v* = 2 flooring
+    # about half the nodes
+    floored = SchemeConfig(dt=1e-3, T=0.1, v_floor=2.0)
+    rec = FunctionalRecorder(basis, FunctionalConfig(observation_stride=25),
+                             floored.v_floor, path_index=range(16))
+    run_batch(init, params, floored, basis, spec,
+              drawn(spec, floored, range(16)), 16, observer=rec)
+    for name, rows in rec.traces().data.items():
         kind = "bitwise" if name == "floor_activations" else "close"
-        out[kind][f"replay_trace 16 rows {name}"] = rows
+        out[kind][f"trace 16 rows {name}"] = rows
 
     def reductions(key, report):
         for name, column in report.standard_errors.items():
@@ -243,15 +250,14 @@ def _cases():
     basis = basis_of(1, 64, 16)
     init = default_initial_pair(basis, params)
     sch = SchemeConfig(dt=1e-3, T=0.05)
-    report = picard_iterate(constant_trajectory(init, sch), init, params, sch,
-                            basis, spec, FixedPointConfig(max_iterations=8,
-                                                          tolerance=1e-9,
-                                                          ensemble_size=6))
+    report = _picard(init, params, sch, basis, spec,
+                     FixedPointConfig(max_iterations=8, tolerance=1e-9,
+                                      ensemble_size=6))
     out["bitwise"]["picard iterations"] = np.array([report.iterations])
     for part in ("mean_L1", "mean_L2", "sup_mean_L3"):
         out["bitwise"][f"picard membership {part}"] = np.array(
             [getattr(member, part) for member in report.memberships])
-    out["bitwise"]["picard bounds"] = _bounds(report)
+    out["close"]["picard bounds"] = _bounds(report)
     out["close"]["picard distances"] = np.array(report.distances)
 
     # the picard_1d benchmark's iteration: 16 members, 100 steps
@@ -259,19 +265,32 @@ def _cases():
                        mu_u=1.0, mu_v=2.0, sigma_u=0.1, sigma_v=0.1)
     init = default_initial_pair(basis, desk)
     sch = SchemeConfig(dt=1e-3, T=0.1)
-    report = picard_iterate(constant_trajectory(init, sch), init, desk, sch,
-                            basis, NoiseSpec(2.0, 2.0, 16, 0),
-                            FixedPointConfig(tolerance=1e-6, ensemble_size=16),
-                            fconfig=FunctionalConfig(observation_stride=25))
+    report = _picard(init, desk, sch, basis, NoiseSpec(2.0, 2.0, 16, 0),
+                     FixedPointConfig(tolerance=1e-6, ensemble_size=16),
+                     fconfig=FunctionalConfig(observation_stride=25))
     key = "picard 16 members 100 steps"
     out["bitwise"][f"{key} iterations"] = np.array([report.iterations])
     for part in ("mean_L1", "mean_L2", "sup_mean_L3"):
         out["bitwise"][f"{key} membership {part}"] = np.array(
             [getattr(member, part) for member in report.memberships])
-    out["bitwise"][f"{key} bounds"] = _bounds(report)
+    out["close"][f"{key} bounds"] = _bounds(report)
     out["close"][f"{key} distances"] = np.array(report.distances)
     out["close"][f"{key} residual"] = np.array([report.residual_vs_coupled])
     return out
+
+
+def _picard(init, params, sch, *args, **kwargs):
+    """``picard_iterate`` from the constant trajectory of ``init``.
+
+    A tree whose iteration takes a start trajectory gets that one.
+    """
+    from gmspde.experiments import constant_trajectory, picard_iterate
+
+    if "start" in inspect.signature(picard_iterate).parameters:
+        args = (constant_trajectory(init, sch), init, params, sch) + args
+    else:
+        args = (init, params, sch) + args
+    return picard_iterate(*args, **kwargs)
 
 
 def _bounds(report):
