@@ -35,8 +35,11 @@ Paths are stepped as stacks: one state object, :class:`StateView`,
 holds B trajectories of both fields as one stack (modal (2, B, K),
 nodal (2, B, n_nodes), u first), and the stepper advances every row of
 both fields at once, so each transform is one (2B, .) product for the
-whole stack.  :func:`run_batch` drives such a stack and :func:`run` is
-its one-row case; there is no second stepping path.  What observers
+whole stack.  A :class:`Stepper` is built for the one stack it steps,
+its factors broadcast once to the stack's height, and
+:func:`initial_state` synthesizes the stack's state 0.  :func:`run_batch`
+drives such a stack and :func:`run` is its one-row case; there is no
+second stepping path.  What observers
 store keeps the layout: a trajectory or a functional trace is a stack
 of B >= 1 paths, a single path a stack of one.
 Initial data is one (2, K) modal array (row 0 u, row 1 v), and a run
@@ -212,17 +215,45 @@ class StateView:
         return self.nodal[1]
 
 
-class Stepper:
-    """Precomputed per-mode factors for one (basis, params, scheme) triple.
+def _synthesize(basis, modal, out):
+    """Synthesis of a (2, B, K) stack into ``out`` as one (2B, .) product."""
+    basis.synthesize(modal.reshape(-1, modal.shape[-1]),
+                     out=out.reshape(-1, out.shape[-1]))
+    return out
 
-    Per-field constants are (2, 1, K) or (2, 1, 1) stacks, row 0 for u
-    and row 1 for v, so one expression steps both fields of a (2, B, K)
-    state.  ``damp`` is the (2, 1, K) noise damping (Id+A)^(-gamma/2)
-    of W_1 and W_2.
+
+def initial_state(basis: SpectralBasis, initial, n_rows: int) -> StateView:
+    """State 0 of ``n_rows`` trajectories from the (2, K) modal ``initial``.
+
+    Row 0 of ``initial`` is u, row 1 is v; every trajectory starts from a
+    copy, and the nodal stack is one (2 n_rows, K) synthesis.
+    """
+    initial = np.asarray(initial, dtype=float)
+    if initial.shape != (2, basis.mode_count):
+        raise ValueError(f"initial data has shape {initial.shape}, "
+                         f"needs (2, {basis.mode_count})")
+    modal = np.repeat(initial[:, None], n_rows, axis=1)
+    nodal = np.empty((2, n_rows, basis.n_nodes))
+    return StateView(
+        t=0.0, step_index=0,
+        modal=modal, nodal=_synthesize(basis, modal, nodal),
+        floor_activations=np.zeros(n_rows, dtype=int),
+        alive=np.ones(n_rows, dtype=bool),
+    )
+
+
+class Stepper:
+    """Precomputed per-mode factors of one (basis, params, scheme) triple.
+
+    A stepper is built for the stack it steps: states of ``rows``
+    trajectories (:func:`initial_state`).  Per-field constants are
+    (2, rows, K) or (2, 1, 1) stacks, row 0 for u and row 1 for v, so
+    one expression steps both fields of a (2, rows, K) state.  ``damp``
+    is the (2, 1, K) noise damping (Id+A)^(-gamma/2) of W_1 and W_2.
     """
 
     def __init__(self, basis: SpectralBasis, params: ModelParams,
-                 scheme: SchemeConfig, noise_spec: NoiseSpec):
+                 scheme: SchemeConfig, noise_spec: NoiseSpec, rows: int):
         if basis.mode_count != noise_spec.mode_count:
             raise ValueError("basis and noise spec disagree on mode count")
         self.basis = basis
@@ -234,38 +265,38 @@ class Stepper:
             """(2, 1, K) stack of per-mode u and v values, (2, 1, 1) of scalars."""
             return np.stack(np.broadcast_arrays(u, v)).reshape(2, 1, -1)
 
+        def stacked(c):
+            # contiguous (2, rows, K), so that the factors' products with
+            # the state take numpy's same-shape loops
+            return np.ascontiguousarray(
+                np.broadcast_to(c, (2, rows, basis.mode_count)))
+
         dt = scheme.dt
         c = fields(params.r_u * lam + params.mu_u, params.r_v * lam + params.mu_v)
         gamma = fields(noise_spec.gamma1, noise_spec.gamma2)
         self._heun = scheme.scheme == "stratonovich_heun"
-        self._kappa = fields(params.kappa_u, params.kappa_v)
         self._sigma = fields(params.sigma_u, params.sigma_v)
+        self._kappa = stacked(fields(params.kappa_u, params.kappa_v))
         # leftover diagonal drift of the Ito form once the exponential
         # absorbed r*lambda + mu: the correction sigma*(Id+A)^(-gamma);
         # the Stratonovich form has none
-        self._lin = self._sigma * (1.0 + lam) ** (-gamma)
-        self._decay = np.exp(-c * dt)
-        self._gain = dt * _phi1(c * dt)
+        self._lin = stacked(self._sigma * (1.0 + lam) ** (-gamma))
+        self._decay = stacked(np.exp(-c * dt))
+        self._gain = stacked(dt * _phi1(c * dt))
         self.damp = (1.0 + lam) ** (-0.5 * gamma)
         self._guarded = guarded_basis(basis)
-        self._work = {}
-
-    def _workspace(self, rows):
-        """The :class:`_Workspace` of stacks of ``rows`` trajectories."""
-        if rows not in self._work:
-            self._work[rows] = _Workspace(self, rows)
-        return self._work[rows]
+        # the (2, rows, n_nodes) work stack, written in place: first the
+        # sources, then the synthesized increments.  It is allocated at
+        # the first step, after the first noise block: allocated here, it
+        # raised the ens_1d benchmark's peak RSS (200 paths, K = 16) from
+        # 38.4 to 39.3 MB on one 2-core host, through glibc's heap
+        # placement, though not on another whose baseline read 39.4 MB.
+        self._work_nodal = None
 
     def _project(self, nodal):
         """Guarded projection of a (2, B, n_nodes) stack as one (2B, .) product."""
         modal = self._guarded.project(nodal.reshape(-1, nodal.shape[-1]))
         return modal.reshape(nodal.shape[:-1] + (-1,))
-
-    def _synthesize(self, modal, out):
-        """Synthesis of a (2, B, K) stack into ``out`` as one (2B, .) product."""
-        self.basis.synthesize(modal.reshape(-1, modal.shape[-1]),
-                              out=out.reshape(-1, out.shape[-1]))
-        return out
 
     def _noise(self, nodal, dw_nodal):
         """Guarded projection of the noise products sigma * nodal * dW.
@@ -275,25 +306,6 @@ class Stepper:
         np.multiply(self._sigma, nodal, out=nodal)
         np.multiply(nodal, dw_nodal, out=nodal)
         return self._project(nodal)
-
-    def raw_state(self, initial, n_rows: int = 1) -> StateView:
-        """State 0 of ``n_rows`` trajectories from the (2, K) modal ``initial``.
-
-        Row 0 of ``initial`` is u, row 1 is v; every trajectory starts
-        from a copy.
-        """
-        initial = np.asarray(initial, dtype=float)
-        if initial.shape != (2, self.basis.mode_count):
-            raise ValueError(f"initial data has shape {initial.shape}, "
-                             f"needs (2, {self.basis.mode_count})")
-        modal = np.repeat(initial[:, None], n_rows, axis=1)
-        nodal = np.empty((2, n_rows, self.basis.n_nodes))
-        return StateView(
-            t=0.0, step_index=0,
-            modal=modal, nodal=self._synthesize(modal, nodal),
-            floor_activations=np.zeros(n_rows, dtype=int),
-            alive=np.ones(n_rows, dtype=bool),
-        )
 
     def _sources(self, state, chi_nodal, out):
         """Nodal sources into ``out``: chi^2/max(v, floor) for u, chi^2 for v.
@@ -313,16 +325,18 @@ class Stepper:
     def advance(self, state: StateView, dw_modal, chi_nodal=None):
         """One step of (u, v) for every row of ``state``, in place.
 
-        ``dw_modal`` is the (2, B, K) stack of damped Wiener increments
+        ``state`` is a stack of the stepper's ``rows`` trajectories, and
+        ``dw_modal`` the (2, rows, K) stack of damped Wiener increments
         (``damp`` times the raw ones), row 0 of W_1 for u and row 1 of
         W_2 for v.  The sources are formed from the driver chi: u gets
         kappa_u chi^2/max(v, floor) and v gets kappa_v chi^2.  With
         ``chi_nodal`` None, chi is u itself and this is the coupled step;
-        a given (B, n_nodes) ``chi_nodal`` makes it a step of the Picard
-        map T.  Each transform of a step acts on both fields at once, as
-        one (2B, .) product: a step projects twice and synthesizes twice
-        (three times each under Heun).  The nodal stack is reused as work
-        space during the step and holds the new nodal state at its end.
+        a given (rows, n_nodes) ``chi_nodal`` makes it a step of the
+        Picard map T.  Each transform of a step acts on both fields at
+        once, as one (2 rows, .) product: a step projects twice and
+        synthesizes twice (three times each under Heun).  The nodal stack
+        is reused as work space during the step and holds the new nodal
+        state at its end.
 
         A live row fails the step on a reaction CFL violation, a
         non-finite result or, under a zero floor, a nonpositive inhibitor
@@ -334,18 +348,21 @@ class Stepper:
         step = state.step_index
         limit = self.scheme.reaction_cfl_limit
         modal, nodal = state.modal, state.nodal
-        ws = self._workspace(modal.shape[1])
+        if self._work_nodal is None:
+            self._work_nodal = np.empty_like(nodal)
+        work = self._work_nodal
         chi = nodal[0] if chi_nodal is None else chi_nodal
-        peak = self._sources(state, chi, out=ws.nodal)
-        forcing = ws.kappa * self._project(ws.nodal)
+        peak = self._sources(state, chi, out=work)
+        forcing = self._kappa * self._project(work)
         if not self._heun:    # the Ito correction, added where it always was
-            forcing = forcing + ws.lin * modal
-        dw_nodal = self._synthesize(dw_modal, out=ws.nodal)
+            forcing = forcing + self._lin * modal
+        dw_nodal = _synthesize(self.basis, dw_modal, out=work)
         noise = self._noise(nodal, dw_nodal)
-        decay, gain = ws.decay, ws.gain
+        decay, gain = self._decay, self._gain
         if self._heun:
             deterministic = decay * modal + gain * forcing
-            predicted = self._synthesize(deterministic + decay * noise, out=nodal)
+            predicted = _synthesize(self.basis, deterministic + decay * noise,
+                                    out=nodal)
             corrector = self._noise(predicted, dw_nodal)
             new = deterministic + decay * 0.5 * (noise + corrector)
         else:
@@ -361,7 +378,7 @@ class Stepper:
                     message = f"non-finite state after step {step}"
                 failed[int(r)] = SimulationError(message)
             new[:, ~ok] = modal[:, ~ok]
-        self._synthesize(new, out=nodal)
+        _synthesize(self.basis, new, out=nodal)
         if self.scheme.v_floor == 0.0:
             floored = np.flatnonzero(ok & np.any(nodal[1] <= 0.0, axis=-1))
             for r in floored:
@@ -369,31 +386,13 @@ class Stepper:
             if floored.size:
                 # restored rows synthesize to their pre-step bits
                 new[:, floored] = modal[:, floored]
-                self._synthesize(new, out=nodal)
+                _synthesize(self.basis, new, out=nodal)
         state.modal = new
         for r, exc in failed.items():
             state.alive[r] = False
             state.failures[r] = exc
         state.step_index += 1
         state.t = state.step_index * self.scheme.dt
-
-
-class _Workspace:
-    """A :class:`Stepper`'s arrays for stacks of B trajectories.
-
-    The per-field constants broadcast to (2, B, K), so that their
-    products with the state take numpy's same-shape loops, and one
-    (2, B, n_nodes) work stack, written in place: first the sources, then
-    the synthesized increments.
-    """
-
-    def __init__(self, stepper, rows):
-        shape = (2, rows, stepper.basis.mode_count)
-        self.kappa, self.lin, self.decay, self.gain = (
-            np.ascontiguousarray(np.broadcast_to(c, shape))
-            for c in (stepper._kappa, stepper._lin, stepper._decay,
-                      stepper._gain))
-        self.nodal = np.empty((2, rows, stepper.basis.n_nodes))
 
 
 def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
@@ -439,8 +438,9 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     if chain < 1:
         raise ValueError(f"chain must be >= 1, got {chain}")
     blocks = chain + bool(coupled)
-    stepper = Stepper(basis, params, scheme, noise_spec)
-    state = stepper.raw_state(initial, n_paths * blocks)
+    rows = n_paths * blocks
+    stepper = Stepper(basis, params, scheme, noise_spec, rows)
+    state = initial_state(basis, initial, rows)
     k = basis.mode_count
     if driver is not None and driver.shape != (n_paths, n_steps + 1, k):
         raise ValueError(f"driver has shape {driver.shape}, "
@@ -450,7 +450,7 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
         # the driver's chi in row 0 of a (2, B, K) stack, as u in the state
         pair = np.zeros((2, n_paths, k))
         pair_nodal = np.empty((2, n_paths, basis.n_nodes))
-        chi = np.empty((n_paths * blocks, basis.n_nodes))
+        chi = np.empty((rows, basis.n_nodes))
         driven = n_paths * chain
         repeated = np.empty((2, blocks, n_paths, k))
 
@@ -458,7 +458,7 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
         if driver is None:
             return None
         pair[0] = driver[:, n]
-        chi[:n_paths] = stepper._synthesize(pair, out=pair_nodal)[0]
+        chi[:n_paths] = _synthesize(basis, pair, out=pair_nodal)[0]
         # block j reads block j - 1's u; the coupled block its own
         chi[n_paths:driven] = state.u_nodal[:driven - n_paths]
         chi[driven:] = state.u_nodal[driven:]

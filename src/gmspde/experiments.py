@@ -51,7 +51,7 @@ from .dynamics import (
     ModelParams,
     SchemeConfig,
     SimulationError,
-    Stepper,
+    initial_state,
     run,
     run_batch,
 )
@@ -121,10 +121,6 @@ class PairTrajectory:
     times: np.ndarray        # (n+1,)
     chi_modal: np.ndarray    # (B, n+1, K)
     eta_modal: np.ndarray    # (B, n+1, K)
-
-    @property
-    def n_steps(self):
-        return self.times.size - 1
 
     def copy(self):
         return PairTrajectory(
@@ -251,8 +247,7 @@ def _check_input_positivity(traj, basis):
 
 
 def apply_T(traj: PairTrajectory, init, params: ModelParams,
-            scheme: SchemeConfig, basis, noise_spec: NoiseSpec,
-            draw, check_positivity: bool = True):
+            scheme: SchemeConfig, basis, noise_spec: NoiseSpec, draw):
     """One application of the decoupling map on frozen noise.
 
     Solves the inhibitor equation with source kappa_v chi^2(t) and the
@@ -273,13 +268,7 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
     one-application form is the reference its blocks are checked against
     (the sweep tests and ``tools/compare_trees.py``).
     """
-    n_steps = scheme.n_steps()
-    if traj.n_steps != n_steps:
-        raise ValueError(
-            f"trajectory has {traj.n_steps} steps, scheme wants {n_steps}"
-        )
-    if check_positivity:
-        _check_input_positivity(traj, basis)
+    _check_input_positivity(traj, basis)
     out, final = _stack_solve(init, params, scheme, basis, noise_spec, draw,
                               traj.chi_modal.shape[0], driver=traj.chi_modal)
     if final.failures:
@@ -376,8 +365,10 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
     The sweep's observer stores the stack and records its functionals
     live, without the energy monitors, which no part of the report reads
     (``FunctionalRecorder(..., monitors=False)``).  The start's are
-    recorded from its one state, observed at t = 0 and at the horizon
-    with one accumulation over the whole horizon between: every state
+    recorded from its one state, the one-row
+    :func:`~gmspde.dynamics.initial_state` of ``init``, observed at t = 0
+    and at the horizon with one accumulation over the whole horizon
+    between: every state
     of the start is ``init``, so the bounds and the positivity check
     are those of a walk over its steps, to rounding.  The report is read
     block by block, as one application of T at a time: distance to the
@@ -405,7 +396,7 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
                                                * basis.mode_count),
                         SWEEP_MAX_ROWS // m))
 
-    view = Stepper(basis, params, scheme, noise_spec).raw_state(init, 1)
+    view = initial_state(basis, init, 1)
     rec = FunctionalRecorder(basis, fconfig, scheme.v_floor, monitors=False)
     rec.record(view)
     rec.accumulate(view, n * scheme.dt)

@@ -265,23 +265,20 @@ class FunctionalRecorder:
         )
 
 
-def lyapunov_L1(trace: FunctionalTrace, upto: int | None = None):
-    """sup |chi|_L2^2 + int |grad chi|_L2^2 ds + sup |xi|_Lp^p over a window.
+def lyapunov_L1(trace: FunctionalTrace):
+    """sup |chi|_L2^2 + int |grad chi|_L2^2 ds + sup |xi|_Lp^p over the trace.
 
     One value per path of the stack ``trace``: (B,).
     """
-    n = trace.times.size if upto is None else upto + 1
     d = trace.data
-    return (d["chi_l2_sq"][:, :n].max(axis=1)
-            + d["int_grad_chi_sq"][:, n - 1]
-            + d["xi_lp_p"][:, :n].max(axis=1))
+    return (d["chi_l2_sq"].max(axis=1) + d["int_grad_chi_sq"][:, -1]
+            + d["xi_lp_p"].max(axis=1))
 
 
-def lyapunov_L2(trace: FunctionalTrace, upto: int | None = None):
-    """(int int chi^2 xi)^2 + int int xi^2 chi^2 over a window: (B,)."""
-    idx = trace.times.size - 1 if upto is None else upto
-    return (trace.data["int_chi2_xi"][:, idx] ** 2
-            + trace.data["int_xi2_chi2"][:, idx])
+def lyapunov_L2(trace: FunctionalTrace):
+    """(int int chi^2 xi)^2 + int int xi^2 chi^2 over the trace: (B,)."""
+    return (trace.data["int_chi2_xi"][:, -1] ** 2
+            + trace.data["int_xi2_chi2"][:, -1])
 
 
 def lyapunov_L3(trace: FunctionalTrace) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Every function, class, method and attribute of the package is read in its code.
 
 A reference is a name read in code, an attribute access or an imported
-name; a word in a docstring or comment does not count.
+name; a word in a docstring or comment does not count.  Every parameter
+with a default is also set by some call in the package.
 """
 
 import ast
@@ -24,6 +25,12 @@ ALLOWED = {
     "functionals.MembershipReport.sup_mean_L3",
     # the node a caller catching the error can look up on its grid
     "fields.FloorViolation.node_index",
+    # the entry point: the console script calls it with no argument, and
+    # argparse then reads sys.argv
+    "cli.main(argv)",
+    # the reproducibility contract is stated per path list, and the tests
+    # step repeated and reordered lists
+    "experiments.ensemble(path_indices)",
 }
 
 
@@ -92,3 +99,77 @@ def test_every_attribute_is_read_somewhere():
                      for name in _attributes(cls) if not reads[name]}
                     - ALLOWED)
     assert unread == []
+
+
+def _defaulted(function, skip_first):
+    """(name, position or None) of each defaulted parameter of ``function``.
+
+    The position counts the positional parameters a call passes, so it
+    leaves out ``self`` when ``skip_first``; a keyword-only parameter has
+    none.
+    """
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index in range(first, len(positional)):
+        yield positional[index].arg, index - skip_first
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _functions(tree, module):
+    """(qualified name, callee name, node, skip_first) of each function.
+
+    A method is called by its own name and its first parameter, ``self``,
+    is not passed; ``__init__`` is called by its class's name.
+    """
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    callee = (node.name if method.name == "__init__"
+                              else method.name)
+                    yield (f"{module}.{node.name}.{method.name}", callee,
+                           method, 1)
+
+
+def _set_by(call, name, position):
+    """Whether ``call`` may set the parameter ``name`` at ``position``.
+
+    A ``*args`` splat may set every position, and a ``**kwargs`` splat
+    every name.
+    """
+    splat = any(isinstance(arg, ast.Starred) for arg in call.args)
+    if position is not None and (splat or position < len(call.args)):
+        return True
+    return any(kw.arg in (name, None) for kw in call.keywords)
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    """A parameter with a default is passed by some call in ``src``.
+
+    Calls are matched by the callee's name, not by its owner:
+    ``x.record(v)`` counts as a call of every function named ``record``.
+    """
+    trees = _trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = (callee.id if isinstance(callee, ast.Name) else
+                        callee.attr if isinstance(callee, ast.Attribute)
+                        else None)
+                calls.setdefault(name, []).append(node)
+    unset = sorted(
+        f"{qualified}({name})"
+        for module, tree in trees.items()
+        for qualified, callee, function, skip in _functions(tree, module)
+        for name, position in _defaulted(function, skip)
+        if not any(_set_by(call, name, position)
+                   for call in calls.get(callee, ()))
+    )
+    assert [entry for entry in unset if entry not in ALLOWED] == []

@@ -11,6 +11,7 @@ from gmspde.dynamics import (
     Stepper,
     constant_pair,
     default_initial_pair,
+    initial_state,
     run,
     steady_state,
 )
@@ -61,7 +62,8 @@ def _drift(basis, mu, sigma, scheme="ito_imex"):
     """The stepper's corrected decay mu - lin on u and on v, per mode."""
     params = ModelParams(0.01, 0.1, 1.0, 1.0, mu, mu, sigma, sigma)
     sch = SchemeConfig(dt=0.1, T=1.0, scheme=scheme)
-    stepper = Stepper(basis, params, sch, NoiseSpec(2.0, 2.0, basis.mode_count))
+    stepper = Stepper(basis, params, sch, NoiseSpec(2.0, 2.0, basis.mode_count),
+                      1)
     return mu - stepper._lin[:, 0]
 
 
@@ -87,8 +89,8 @@ def test_only_the_ito_step_carries_the_drift_correction(scheme):
     basis = make_basis()
     params = ModelParams(0.01, 0.1, 0.0, 0.0, 1.0, 2.0, 0.5, 0.5)
     sch = SchemeConfig(dt=0.1, T=1.0, scheme=scheme)
-    stepper = Stepper(basis, params, sch, NoiseSpec(2.0, 2.0, 16))
-    state = stepper.raw_state(constant_pair(basis, 1.0, 2.0))
+    stepper = Stepper(basis, params, sch, NoiseSpec(2.0, 2.0, 16), 1)
+    state = initial_state(basis, constant_pair(basis, 1.0, 2.0), 1)
     before = state.modal.copy()
     stepper.advance(state, np.zeros((2, 1, 16)))
     exact = np.exp(-np.stack([(params.r_u * basis.eigenvalues + params.mu_u),
@@ -150,8 +152,8 @@ def test_single_step_ops_match_run():
     params = desk_params()
     init = default_initial_pair(basis, params)
     increments = drawn(spec, SchemeConfig(dt=1e-3, T=2e-3), [1])(0, 2)
-    stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=2e-3), spec)
-    raw = stepper.raw_state(init)
+    stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=2e-3), spec, 1)
+    raw = initial_state(basis, init, 1)
     for n in range(2):
         stepper.advance(raw, stepper.damp * increments[0, :, None, :, n])
         sch = SchemeConfig(dt=1e-3, T=(n + 1) * 1e-3)
@@ -171,8 +173,8 @@ def test_a_step_transforms_both_fields_at_once(monkeypatch, scheme,
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=4)
     params = desk_params()
     stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=1e-3,
-                                                  scheme=scheme), spec)
-    state = stepper.raw_state(default_initial_pair(basis, params), 3)
+                                                  scheme=scheme), spec, 3)
+    state = initial_state(basis, default_initial_pair(basis, params), 3)
     increments = np.random.default_rng(5).standard_normal((2, 3, 16)) * 0.03
     calls = {"project": 0, "synthesize": 0}
     for name in calls:
@@ -216,13 +218,13 @@ def test_ito_mean_matches_gbm_oracle():
     params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
                          mu_u=mu, mu_v=2.0, sigma_u=sigma, sigma_v=0.1)
     sch = SchemeConfig(dt=1.0 / 64, T=0.25)
-    stepper = Stepper(basis, params, sch, spec)
+    stepper = Stepper(basis, params, sch, spec, 1)
     pair = constant_pair(basis, 1.0, 1.0)
     n_paths = 2000
     vals = np.empty(n_paths)
     for i in range(n_paths):
         increments = drawn(spec, sch, [i])(0, 16)[0]
-        raw = stepper.raw_state(pair)
+        raw = initial_state(basis, pair, 1)
         for n in range(16):
             stepper.advance(raw, stepper.damp * increments[:, None, :, n])
         vals[i] = raw.u_modal[0, 0]

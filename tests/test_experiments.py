@@ -171,8 +171,7 @@ def sequential_picard(start, init, params, sch, basis, spec, config, fconfig):
     current = members(start, m)
     distances = []
     for _ in range(config.max_iterations):
-        new, _ = apply_T(current, init, params, sch, basis, spec, frozen,
-                         check_positivity=False)
+        new, _ = apply_T(current, init, params, sch, basis, spec, frozen)
         distances.append(seminorm_m(new, current, basis, fconfig.rho))
         current = new
         if distances[-1] < config.tolerance:
@@ -296,11 +295,9 @@ def test_picard_raises_the_first_failing_iterate(monkeypatch, basis, nspec,
     frozen = sliced(drawn(nspec, sch, range(2))(0, sch.n_steps()))
     current = members(start, 2)
     for _ in range(2):
-        current, _ = apply_T(current, init, params, sch, basis, nspec, frozen,
-                             check_positivity=False)
+        current, _ = apply_T(current, init, params, sch, basis, nspec, frozen)
     with pytest.raises(SimulationError) as expected:
-        apply_T(current, init, params, sch, basis, nspec, frozen,
-                check_positivity=False)
+        apply_T(current, init, params, sch, basis, nspec, frozen)
     assert "reaction CFL violated at step" in str(expected.value)
     with pytest.raises(SimulationError) as got:
         picard_iterate(init, params, sch, basis, nspec,
@@ -439,7 +436,7 @@ def test_picard_rejects_nonpositive_start(basis, nspec):
 
 def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
     # picard_iterate builds its start from the scheme; apply_T is handed
-    # its input trajectory and checks its step count
+    # its input trajectory, whose step count run_batch checks as a driver
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
@@ -447,7 +444,8 @@ def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
     with pytest.raises(ValueError) as expected:
         apply_T(start, init, params, sch, basis, nspec,
                 drawn(nspec, sch, [0]))
-    assert str(expected.value) == "trajectory has 20 steps, scheme wants 10"
+    assert str(expected.value) == (f"driver has shape (1, 21, {K}), "
+                                   f"run needs (1, 11, {K})")
 
 
 @pytest.mark.parametrize("horizon, members, depths", [
@@ -625,7 +623,7 @@ def test_trajectory_recorder_matches_run_output(basis, nspec):
     rec = TrajectoryRecorder(sch.n_steps())
     res = run(init, params, sch, basis, nspec, path, observer=rec)
     traj = rec.trajectories()
-    assert traj.n_steps == 10
+    assert traj.times.size - 1 == 10
     assert np.array_equal(traj.chi_modal[0, 0], init[0])
     assert np.array_equal(traj.chi_modal[0, -1], res.u_modal[0])
 
@@ -637,7 +635,7 @@ def _stopping_scan_per_step(traj, basis, scheme, levels):
     h1_running = 0.0
     tau1 = dict.fromkeys(levels)
     tau2 = dict.fromkeys(levels)
-    for i in range(traj.n_steps + 1):
+    for i in range(traj.times.size):
         v = basis.synthesize(traj.eta_modal[0, i])
         xi = 1.0 / np.maximum(v, scheme.v_floor)
         sup_xi8 = max(sup_xi8, float((w @ xi**8) ** (1.0 / 8.0)))
@@ -667,5 +665,6 @@ def test_stopping_scan_hits_levels_mid_run(basis, nspec):
     got = _stopping_scan(traj, basis, sch, levels)
     assert got == _stopping_scan_per_step(traj, basis, sch, levels)
     steps = [s for tau in got for s in tau.values() if s is not None]
-    assert sum(0 < s < traj.n_steps // 2 for s in steps) >= 10
-    assert sum(s >= traj.n_steps // 2 for s in steps) >= 10
+    half = (traj.times.size - 1) // 2
+    assert sum(0 < s < half for s in steps) >= 10
+    assert sum(s >= half for s in steps) >= 10

@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmspde.dynamics import (
-    ModelParams,
-    SchemeConfig,
-    StateView,
-    Stepper,
-    constant_pair,
-)
+from gmspde.dynamics import StateView, constant_pair, initial_state
 from gmspde.fields import FloorViolation, dealias_modal, quotient_nodal
 from gmspde.functionals import FunctionalConfig, FunctionalRecorder, grad_sq
-from gmspde.noise import NoiseSpec
 from gmspde.spectral import DomainSpec, build_basis
 
 
@@ -72,17 +65,14 @@ def test_roundtrip_band_limited(basis):
 
 def test_to_modal_to_nodal_materialize(basis):
     # state 0 holds copies of the (2, K) initial data and their nodal rows
-    params = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.1, 0.1)
-    stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=1e-3),
-                      NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16))
     init = np.random.default_rng(1).standard_normal((2, 16))
-    state = stepper.raw_state(init, 3)
+    state = initial_state(basis, init, 3)
     assert np.array_equal(state.u_modal, np.tile(init[0], (3, 1)))
     assert np.array_equal(state.v_modal, np.tile(init[1], (3, 1)))
     assert np.array_equal(state.v_nodal, basis.synthesize(state.v_modal))
     assert not np.shares_memory(state.u_modal, init)
     with pytest.raises(ValueError, match=r"needs \(2, 16\)"):
-        stepper.raw_state(init[:, :8])
+        initial_state(basis, init[:, :8], 1)
 
 
 def test_norm_lp_constant_and_eigenfunction(basis):

@@ -75,7 +75,7 @@ def walk_trace(traj, basis, fcfg, v_floor, path_index=-1, monitors=True):
     ``floor_activations`` count the floored nodes of the pre-step states,
     as the stepper does.
     """
-    rows, n = traj.chi_modal.shape[0], traj.n_steps
+    rows, n = traj.chi_modal.shape[0], traj.times.size - 1
     rec = FunctionalRecorder(basis, fcfg, v_floor,
                              np.broadcast_to(path_index, (rows,)), monitors)
     floors = np.zeros(rows, dtype=int)

@@ -235,7 +235,7 @@ PARAMS = ModelParams(0.01, 0.1, 1.0, 1.0, 1.0, 2.0, 0.1, 0.1)
 
 def _damped(basis, spec, table, n):
     """The stepper's damped W_1 and W_2 increments of step n."""
-    stepper = Stepper(basis, PARAMS, SchemeConfig(dt=0.25, T=1.0), spec)
+    stepper = Stepper(basis, PARAMS, SchemeConfig(dt=0.25, T=1.0), spec, 1)
     return stepper.damp[:, 0] * table[:, :, n]
 
 
@@ -273,7 +273,7 @@ def test_increment_field_bounds(basis, spec):
     small_basis = build_basis(
         DomainSpec(dim=1, lengths=(1.0,), grid_points_per_axis=64), 8)
     with pytest.raises(ValueError, match="mode count"):
-        Stepper(small_basis, PARAMS, sch, spec)
+        Stepper(small_basis, PARAMS, sch, spec, 1)
 
 
 def test_mode_coefficient_variance_against_covariance_oracle(basis):

@@ -116,7 +116,7 @@ def _stepper(basis, gamma, sigma=0.5):
     """Ito stepper whose per-mode multipliers use decay exponent gamma."""
     params = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, sigma, sigma)
     spec = NoiseSpec(gamma, gamma, basis.mode_count)
-    return Stepper(basis, params, SchemeConfig(dt=1e-3, T=1e-3), spec)
+    return Stepper(basis, params, SchemeConfig(dt=1e-3, T=1e-3), spec, 1)
 
 
 def test_smoothing_operator_on_two_modes():

@@ -49,15 +49,11 @@ repeated path indices at a reaction CFL limit that some of its paths
 fail; and the ``mean_L1``, ``mean_L2`` and ``sup_mean_L3`` of every
 membership check of both Picard iterations.
 
-``picard_iterate`` is called through :func:`_picard`, which hands a
-tree whose iteration takes a start trajectory the constant one.
-
 Exits 1 if any comparison fails.
 """
 
 from __future__ import annotations
 
-import inspect
 import os
 import pickle
 import subprocess
@@ -90,6 +86,7 @@ def _cases():
         apply_T,
         constant_trajectory,
         ensemble,
+        picard_iterate,
         uniqueness_study,
     )
     from gmspde.functionals import FunctionalConfig, FunctionalRecorder
@@ -250,9 +247,9 @@ def _cases():
     basis = basis_of(1, 64, 16)
     init = default_initial_pair(basis, params)
     sch = SchemeConfig(dt=1e-3, T=0.05)
-    report = _picard(init, params, sch, basis, spec,
-                     FixedPointConfig(max_iterations=8, tolerance=1e-9,
-                                      ensemble_size=6))
+    report = picard_iterate(init, params, sch, basis, spec,
+                            FixedPointConfig(max_iterations=8, tolerance=1e-9,
+                                             ensemble_size=6))
     out["bitwise"]["picard iterations"] = np.array([report.iterations])
     for part in ("mean_L1", "mean_L2", "sup_mean_L3"):
         out["bitwise"][f"picard membership {part}"] = np.array(
@@ -265,9 +262,10 @@ def _cases():
                        mu_u=1.0, mu_v=2.0, sigma_u=0.1, sigma_v=0.1)
     init = default_initial_pair(basis, desk)
     sch = SchemeConfig(dt=1e-3, T=0.1)
-    report = _picard(init, desk, sch, basis, NoiseSpec(2.0, 2.0, 16, 0),
-                     FixedPointConfig(tolerance=1e-6, ensemble_size=16),
-                     fconfig=FunctionalConfig(observation_stride=25))
+    report = picard_iterate(init, desk, sch, basis,
+                            NoiseSpec(2.0, 2.0, 16, 0),
+                            FixedPointConfig(tolerance=1e-6, ensemble_size=16),
+                            fconfig=FunctionalConfig(observation_stride=25))
     key = "picard 16 members 100 steps"
     out["bitwise"][f"{key} iterations"] = np.array([report.iterations])
     for part in ("mean_L1", "mean_L2", "sup_mean_L3"):
@@ -277,20 +275,6 @@ def _cases():
     out["close"][f"{key} distances"] = np.array(report.distances)
     out["close"][f"{key} residual"] = np.array([report.residual_vs_coupled])
     return out
-
-
-def _picard(init, params, sch, *args, **kwargs):
-    """``picard_iterate`` from the constant trajectory of ``init``.
-
-    A tree whose iteration takes a start trajectory gets that one.
-    """
-    from gmspde.experiments import constant_trajectory, picard_iterate
-
-    if "start" in inspect.signature(picard_iterate).parameters:
-        args = (constant_trajectory(init, sch), init, params, sch) + args
-    else:
-        args = (init, params, sch) + args
-    return picard_iterate(*args, **kwargs)
 
 
 def _bounds(report):
