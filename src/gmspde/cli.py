@@ -46,18 +46,19 @@ _PATHS_KEY = {
 }
 
 
-def _build_parser():
+def _build_parser(command=None):
+    """The parser of ``command`` alone, or of every command if None.
+
+    Both print the same usage line, which lists every command; only the
+    one-command parser needs that list as its metavar (on the full one it
+    would replace ``argument command:`` in the invalid-choice message).
+    """
     parser = _Parser(prog="gmspde", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-    for name, text in (
-        ("simulate", "run one trajectory and dump trace + snapshot"),
-        ("fixedpoint", "Picard iteration of the decoupling map"),
-        ("uniqueness", "common-noise two-run divergence study"),
-        ("ensemble", "Monte Carlo ensemble with monitor fits"),
-        ("spectrum", "dump eigenvalues and covariance multipliers"),
-        ("selftest", "run the acceptance criteria"),
-    ):
-        p = sub.add_parser(name, help=text)
+    sub = parser.add_subparsers(
+        dest="command",
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else [command]:
+        p = sub.add_parser(name, help=_COMMANDS[name][1])
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides the config file)")
@@ -73,15 +74,12 @@ def _build_parser():
 
 
 def _load(args):
-    if args.config:
-        cfg = config_mod.load_config(args.config)
-    else:
-        cfg = config_mod.default_config()
+    overrides = []
     if args.seed is not None:
-        cfg = cfg.with_value("noise", "master_seed", args.seed)
+        overrides.append(("noise", "master_seed", args.seed))
     if args.command in _PATHS_KEY and args.paths is not None:
-        cfg = cfg.with_value(*_PATHS_KEY[args.command], args.paths)
-    return cfg
+        overrides.append((*_PATHS_KEY[args.command], args.paths))
+    return config_mod.load_config(args.config or None, overrides)
 
 
 def _say(args, text):
@@ -191,14 +189,10 @@ def _cmd_fixedpoint(args):
     report = picard_iterate(init, cfg.params, cfg.scheme, basis, cfg.noise,
                             cfg.fixedpoint, fconfig=cfg.functionals)
     n = len(report.distances)
-    io_mod.write_csv(
-        os.path.join(args.out_dir, "iterations.csv"),
-        ["iteration", "distance", "ratio", "member"],
-        [np.arange(n),
-         np.asarray(report.distances),
-         np.asarray([np.nan] + report.ratios),
-         np.asarray([1.0 if m.ok else 0.0 for m in report.memberships])],
-    )
+    io_mod.write_csv(os.path.join(args.out_dir, "iterations.csv"),
+                     ["iteration", "distance", "ratio", "member"],
+                     [range(n), report.distances, [np.nan] + report.ratios,
+                      [m.ok for m in report.memberships]])
     _summarize(args, report)
     return 0
 
@@ -222,18 +216,21 @@ def _cmd_selftest(args):
     return 3 if failed else 0
 
 
+# name -> (command, help line), in the order the usage line lists them
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "fixedpoint": _cmd_fixedpoint,
-    "uniqueness": _cmd_uniqueness,
-    "ensemble": _cmd_ensemble,
-    "spectrum": _cmd_spectrum,
-    "selftest": _cmd_selftest,
+    "simulate": (_cmd_simulate, "run one trajectory and dump trace + snapshot"),
+    "fixedpoint": (_cmd_fixedpoint, "Picard iteration of the decoupling map"),
+    "uniqueness": (_cmd_uniqueness, "common-noise two-run divergence study"),
+    "ensemble": (_cmd_ensemble, "Monte Carlo ensemble with monitor fits"),
+    "spectrum": (_cmd_spectrum, "dump eigenvalues and covariance multipliers"),
+    "selftest": (_cmd_selftest, "run the acceptance criteria"),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs only its own parser; help and errors need all
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -244,7 +241,7 @@ def main(argv=None) -> int:
         print(parser.format_usage(), file=sys.stderr, end="")
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ConfigError, _UsageError) as exc:
         print(f"gmspde: configuration error:\n{exc}", file=sys.stderr)
         return 1

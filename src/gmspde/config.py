@@ -139,12 +139,6 @@ class RunConfig:
     def ensemble_opts(self):
         return self.raw["ensemble"]
 
-    def with_value(self, section, key, value):
-        """Copy with one raw value replaced, validated as a loaded file is."""
-        raw = {sec: dict(vals) for sec, vals in self.raw.items()}
-        raw[section][key] = value
-        return _assemble(raw)
-
 
 def parse_table(text):
     """Raw (section, key) table from config text; parse problems collected."""
@@ -289,16 +283,23 @@ def _assemble(raw) -> RunConfig:
                      stopping=stopping, warnings=warnings_list)
 
 
-def loads(text) -> RunConfig:
+def loads(text, overrides=()) -> RunConfig:
+    """The config of ``text``, each (section, key, value) of ``overrides``
+    replacing the text's value before the one validation."""
     table, problems = parse_table(text)
     if problems:
         raise ConfigError(problems)
+    for section, key, value in overrides:
+        table[section][key] = value
     return _assemble(_filled(table))
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides) -> RunConfig:
+    """:func:`loads` of the file at ``path``, or of no text if None."""
+    if path is None:
+        return loads("", overrides)
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        return loads(fh.read(), overrides)
 
 
 def dumps(config: RunConfig) -> str:
@@ -310,7 +311,3 @@ def dumps(config: RunConfig) -> str:
             lines.append(f"{key} = {_fmt(config.raw[sec][key])}")
         lines.append("")
     return "\n".join(lines)
-
-
-def default_config() -> RunConfig:
-    return _assemble(_filled({}))

@@ -625,16 +625,19 @@ def ensemble(init, params: ModelParams, scheme: SchemeConfig,
     paths go on; statistics and monitors reduce the stack of the
     survivors' rows (``EnsembleReport.traces``).  An error raised
     before the paths can differ (a bad grid or initial state)
-    propagates.  ``path_indices`` overrides the default consecutive
-    indexing.  Repeats are allowed: a trajectory is a pure function of
-    its index, so a repeated index repeats its row, and identical
-    samples give standard errors of exactly 0.  Distinct indices with
+    propagates.  ``path_indices`` replaces the default indices
+    ``range(n_paths)`` and must hold ``n_paths`` of them.  Repeats are
+    allowed: a trajectory is a pure function of its index, so a
+    repeated index repeats its row, and identical samples give
+    standard errors of exactly 0.  Distinct indices with
     equal inputs (sigma = 0) agree only to rounding.
     """
     if path_indices is None:
         path_indices = range(n_paths)
+    elif len(path_indices) != n_paths:
+        raise ValueError(f"n_paths = {n_paths} but {len(path_indices)} "
+                         "path indices were given")
     path_indices = [int(i) for i in path_indices]
-    n_paths = len(path_indices)
     if n_paths < 2:
         raise ValueError("an ensemble needs at least two paths")
     distinct = list(dict.fromkeys(path_indices))

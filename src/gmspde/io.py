@@ -24,10 +24,6 @@ SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sIddddd")
 
 
-def fmt17(x):
-    return format(float(x), ".17g")
-
-
 @dataclass(frozen=True)
 class SnapshotHeader:
     dim: int
@@ -129,7 +125,7 @@ def write_image(nodal, path) -> None:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(scaled.tobytes())
     with open(str(path) + ".bounds.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"min = {fmt17(lo)}\nmax = {fmt17(hi)}\n")
+        fh.write(f"min = {lo:.17g}\nmax = {hi:.17g}\n")
 
 
 def write_lines(path, lines) -> None:
@@ -139,10 +135,15 @@ def write_lines(path, lines) -> None:
 
 
 def write_csv(path, header, columns) -> None:
-    """Generic numeric CSV with 17-digit floats."""
-    columns = [np.asarray(c) for c in columns]
-    n = columns[0].size
+    """Generic numeric CSV with 17-digit floats.
+
+    Columns of different lengths are rejected before the file is opened.
+    """
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    lengths = sorted({len(c) for c in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(fmt17(c[i]) for c in columns) + "\n")
+        fh.writelines(row % values for values in zip(*columns))

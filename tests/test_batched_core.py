@@ -87,8 +87,24 @@ def run_ensemble(n_paths=11, path_indices=None, scheme="ito_imex"):
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
     prm = params()
     sch = SchemeConfig(dt=1e-3, T=0.03, scheme=scheme)
+    if path_indices is not None:
+        n_paths = len(path_indices)
     return ensemble(default_initial_pair(basis, prm), prm, sch, basis, spec,
                     n_paths, FCFG, path_indices=path_indices)
+
+
+@pytest.mark.parametrize("n_paths, given", [(0, 12), (11, 5)])
+def test_ensemble_rejects_a_path_count_its_indices_disagree_with(n_paths,
+                                                                 given):
+    # the path count was ignored whenever indices were given
+    basis = basis_of(1)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
+    prm = params()
+    sch = SchemeConfig(dt=1e-3, T=0.03)
+    with pytest.raises(ValueError, match=f"n_paths = {n_paths} but {given} "
+                                         "path indices were given"):
+        ensemble(default_initial_pair(basis, prm), prm, sch, basis, spec,
+                 n_paths, FCFG, path_indices=range(given))
 
 
 def assert_bitwise(a, b):

@@ -121,3 +121,29 @@ def test_selftest_prints_its_lines_unless_quiet(tmp_path, capsys):
     assert "PASS criterion 1" in capsys.readouterr().out
     assert cli.main(argv + ["--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def _outcome(argv, capsys):
+    """Exit code (or SystemExit code), stdout and stderr of ``cli.main``."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+USAGE_LINES = ([[], ["bogus"], ["-h"], ["-x", "simulate"],
+                ["simulate", "--bogus"], ["simulate", "--paths", "3"]]
+               + [[name, "-h"] for name in cli._COMMANDS])
+
+
+@pytest.mark.parametrize("argv", USAGE_LINES, ids=" ".join)
+def test_one_command_parser_answers_as_the_full_parser(argv, capsys,
+                                                       monkeypatch):
+    mine = _outcome(argv, capsys)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    assert mine == _outcome(argv, capsys)
+    if argv == ["bogus"]:
+        assert "argument command: invalid choice: 'bogus'" in mine[2]

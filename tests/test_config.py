@@ -55,6 +55,39 @@ def test_bad_sizes_are_config_errors_before_any_output(case, tmp_path):
     assert not (out / "config.echo.txt").exists()
 
 
+def test_an_override_replaces_a_bad_file_value_before_validation(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[noise]\nmaster_seed = -1\n")
+    out = tmp_path / "out"
+    argv = ["spectrum", "--config", str(path), "--seed", "3", "--out-dir",
+            str(out), "--quiet"]
+    assert cli.main(argv) == 0
+    assert "master_seed = 3\n" in (out / "config.echo.txt").read_text()
+
+
+def test_a_bad_override_is_a_config_error_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["spectrum", "--seed", "-1", "--out-dir", str(out), "--quiet"]
+    assert cli.main(argv) == 1
+    assert ("[noise] master_seed must be a nonnegative integer"
+            in capsys.readouterr().err.splitlines())
+    assert not (out / "config.echo.txt").exists()
+
+
+def test_a_bad_file_value_and_a_bad_override_are_reported_together(tmp_path,
+                                                                   capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("[scheme]\nhorizon = 0\n")
+    out = tmp_path / "out"
+    argv = ["ensemble", "--config", str(path), "--paths", "1", "--out-dir",
+            str(out), "--quiet"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "[scheme] horizon must be positive" in err
+    assert "[run] paths must be >= 2 (an ensemble needs two)" in err
+    assert not (out / "config.echo.txt").exists()
+
+
 # values a section's dataclass rejects: the problem names the section
 BAD_VALUES = {
     "horizon = 0": ("simulate", "[scheme]\nhorizon = 0\n",

@@ -82,3 +82,34 @@ def test_snapshot_reader_rejects_damage(how, message, tmp_path):
     path.write_bytes(corrupt(path.read_bytes(), how))
     with pytest.raises(ValueError, match=message):
         io_mod.read_snapshot(path)
+
+
+def per_value_csv(header, columns):
+    """The CSV bytes of formatting one value at a time: the byte oracle."""
+    columns = [np.asarray(c) for c in columns]
+    lines = [",".join(header)]
+    for i in range(columns[0].size):
+        lines.append(",".join(format(float(c[i]), ".17g") for c in columns))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_bytes_match_the_per_value_format(tmp_path):
+    floats = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e16, 1.0 / 3.0]
+    ints = np.array([2**53 + 1, -(2**53 + 1), 0, -1, 7, 2**62, 10**16, 3],
+                    dtype=np.int64)
+    bools = np.array([True, False] * 4)
+    header = ["float", "int", "bool", "list"]
+    columns = [np.array(floats), ints, bools, floats[::-1]]
+    path = tmp_path / "out.csv"
+    io_mod.write_csv(path, header, columns)
+    assert path.read_bytes() == per_value_csv(header, columns)
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_csv_columns_of_another_length_are_rejected_before_the_file_opens(
+        tmp_path, length):
+    # a short column raised IndexError mid-file; a long one was cut off
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=r"columns differ in length: "):
+        io_mod.write_csv(path, ["a", "b"], [np.zeros(4), np.ones(length)])
+    assert not path.exists()

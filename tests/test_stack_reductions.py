@@ -50,7 +50,7 @@ def basis():
 @pytest.fixture(scope="module")
 def report(basis):
     init = default_initial_pair(basis, PARAMS)
-    return ensemble(init, PARAMS, SCHEME, basis, SPEC, 0, FCFG,
+    return ensemble(init, PARAMS, SCHEME, basis, SPEC, len(INDICES), FCFG,
                     horizons=HORIZONS, path_indices=INDICES)
 
 

@@ -238,8 +238,9 @@ def _cases():
     loud = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
                        mu_u=1.0, mu_v=2.0, sigma_u=1.0, sigma_v=1.0)
     sch = SchemeConfig(dt=1e-3, T=0.05, reaction_cfl_limit=CFL_LIMIT)
-    report = ensemble(init, loud, sch, basis, spec, 0, fcfg, horizons=horizons,
-                      path_indices=[4, 0, 7, 4, 2, 9, 0, 5, 11, 4, 3, 8])
+    indices = [4, 0, 7, 4, 2, 9, 0, 5, 11, 4, 3, 8]
+    report = ensemble(init, loud, sch, basis, spec, len(indices), fcfg,
+                      horizons=horizons, path_indices=indices)
     out["bitwise"]["ensemble with failures failed paths"] = np.array(
         [idx for idx, _ in report.failures])
     reductions("ensemble with failures", report)
