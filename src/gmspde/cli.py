@@ -237,6 +237,8 @@ def main(argv=None) -> int:
         print(parser.format_usage(), file=sys.stderr, end="")
         print(f"gmspde: error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as exc:    # a help action, after printing its text
+        return exc.code
     if args.command is None:
         print(parser.format_usage(), file=sys.stderr, end="")
         return 1

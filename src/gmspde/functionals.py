@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import quotient_nodal
+from .fields import floor_violation
 from .spectral import nonfinite
 
 DEFAULT_P = 31.0 / 7.0
@@ -126,23 +126,23 @@ class FunctionalTrace:
         return idx
 
 
-def _quadrature(nodal, weights):
-    """Integral of each row of ``nodal`` (last axis).
+def _quadrature(nodal, weights, out=None):
+    """Integral of each row of ``nodal`` (last axis), into ``out`` if given.
 
     Summed by ``einsum`` rather than a BLAS matrix-vector product, which
     sums some rows of a stack in another order: identical rows must give
     identical integrals wherever they sit in the stack.
     """
-    return np.einsum("...n,n->...", nodal, weights)
+    return np.einsum("...n,n->...", nodal, weights, out=out)
 
 
 def grad_sq(basis, modal):
     """Nodal |grad f|^2 of f = sum_k modal_k e_k (last axis)."""
-    out = 0.0
-    for ax in range(basis.domain.dim):
-        g = basis.gradient(modal, ax)
-        out = out + g * g
-    return out
+    g = basis.gradients(modal)
+    g *= g
+    for square in g[1:]:
+        g[0] += square
+    return g[0]
 
 
 class FunctionalRecorder:
@@ -185,40 +185,69 @@ class FunctionalRecorder:
         # per column, one (rows,) array per observation
         self._rows = {name: [] for name in kept}
         self._times = []
-        self._totals = {name: np.zeros(rows) for name in INTEGRALS
-                        if name in kept}
+        # the kept running integrals, one row each in INTEGRALS order, and
+        # the integrals of one state's integrands
+        self._integrals = [name for name in INTEGRALS if name in kept]
+        self._totals = np.zeros((len(self._integrals), rows))
+        self._values = np.empty_like(self._totals)
+        # three (rows, n_nodes) work stacks in one block, allocated at the
+        # first accumulate
+        self._scratch = None
         s = 1.0 - config.rho
         self._h_weights = (1.0 + basis.eigenvalues) ** s
 
+    def _xi(self, v_nodal, out=None):
+        """xi = 1/max(v, floor) of the (rows, n_nodes) ``v_nodal``.
+
+        Formed in ``out`` if given, else in a new array.  A zero floor
+        raises the :class:`~gmspde.fields.FloorViolation` that
+        :func:`~gmspde.fields.quotient_nodal` raises: that of the first
+        row holding a nonpositive v.
+        """
+        if self.v_floor == 0.0:
+            bad = np.flatnonzero(np.any(v_nodal <= 0.0, axis=-1))
+            if bad.size:
+                raise floor_violation(v_nodal[bad[0]])
+        xi = np.maximum(v_nodal, self.v_floor, out=out)
+        return np.divide(1.0, xi, out=xi)
+
     def _integrands(self, view):
-        """Integrands of :data:`INTEGRALS` of the state ``view``."""
+        """Integrals of the :data:`INTEGRALS` integrands of the state ``view``.
+
+        Returns the (kept integrals, rows) array they are written into,
+        reused by every call.
+        """
         basis = self.basis
         w = basis.weights
         u_nodal = view.u_nodal
-        xi, _ = quotient_nodal(1.0, view.v_nodal, self.v_floor)
+        if self._scratch is None:
+            self._scratch = np.empty((3,) + u_nodal.shape)
+        xi, chi2xi, work = self._scratch
+        self._xi(view.v_nodal, out=xi)
+        # one row per kept integral, in INTEGRALS order
+        grad_chi, chi2_xi, xi2_chi2, *monitored = self._values
+        np.sum(basis.eigenvalues * view.u_modal**2, axis=-1, out=grad_chi)
         # products formed in place, each in the order of its formula
-        chi2xi = np.multiply(u_nodal, u_nodal)
+        np.multiply(u_nodal, u_nodal, out=chi2xi)
         chi2xi *= xi
-        work = np.multiply(chi2xi, xi)
-        values = {"int_grad_chi_sq": np.sum(basis.eigenvalues
-                                            * view.u_modal**2, axis=-1),
-                  "int_chi2_xi": _quadrature(chi2xi, w),
-                  "int_xi2_chi2": _quadrature(work, w)}
-        if not self.monitors:
-            return values
-        np.multiply(chi2xi, u_nodal, out=work)
-        values["int_u_chi2_xi"] = _quadrature(work, w)
-        np.power(xi, self.config.p + 2.0, out=xi)
-        xi *= grad_sq(basis, view.v_modal)
-        values["int_xi_p2_grad_v_sq"] = _quadrature(xi, w)
-        return values
+        np.multiply(chi2xi, xi, out=work)
+        _quadrature(chi2xi, w, out=chi2_xi)
+        _quadrature(work, w, out=xi2_chi2)
+        if self.monitors:
+            xi_p2_grad_v, u_chi2_xi = monitored
+            np.multiply(chi2xi, u_nodal, out=work)
+            _quadrature(work, w, out=u_chi2_xi)
+            np.power(xi, self.config.p + 2.0, out=xi)
+            xi *= grad_sq(basis, view.v_modal)
+            _quadrature(xi, w, out=xi_p2_grad_v)
+        return self._values
 
     def _observables(self, view):
         """The recorded columns that are functions of the state ``view``."""
         w = self.basis.weights
         u_modal, v_modal = view.u_modal, view.v_modal
         u_nodal, v_nodal = view.u_nodal, view.v_nodal
-        xi, _ = quotient_nodal(1.0, v_nodal, self.v_floor)
+        xi = self._xi(v_nodal)
         p = self.config.p
         ln_xi = np.log(xi)
         columns = {
@@ -244,12 +273,12 @@ class FunctionalRecorder:
 
     def accumulate(self, view, dt):
         values = self._integrands(view)
-        for name, total in self._totals.items():
-            total += dt * values[name]
+        values *= dt
+        self._totals += values
 
     def record(self, view):
         row = self._observables(view)
-        row.update((name, total.copy()) for name, total in self._totals.items())
+        row.update(zip(self._integrals, self._totals.copy()))
         if self.monitors:
             row["floor_activations"] = view.floor_activations.astype(float)
         for name, value in row.items():

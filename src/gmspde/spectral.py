@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,13 +84,15 @@ class SpectralBasis:
     the 1-D factors l < M_a = 1 + max(mode_indices[:, a]).  In 2-D
     ``project`` forms C = Q_0^T F Q_1 on the nodal grid F and gathers
     the K modes from the (M_0, M_1) array C; ``synthesize`` scatters
-    them into C and forms F = T_0^T C T_1; ``gradient`` is
-    ``synthesize`` with the derivative table on its axis.  On a stack of
-    B rows a transform costs O(B M n^d) flops, M = max M_a, against
-    O(B K n^d) for a dense (K, n_nodes) table (M = 18 for K = 256).  In
-    1-D, M_0 = K, the gather is the identity and every transform is one
-    matrix product.  All act on the last axis of (..., n_nodes) or
-    (..., K) stacks; identical rows give identical bits anywhere in one.
+    them into C and forms F = T_0^T C T_1; ``gradients`` forms
+    D_0^T C T_1 and T_0^T C D_1 as one batched pair of products.  On a
+    stack of B rows a transform costs O(B M n^d) flops, M = max M_a,
+    against O(B K n^d) for a dense (K, n_nodes) table (M = 18 for
+    K = 256).  In 1-D, M_0 = K, the gather is the identity and every
+    transform is one matrix product.  All act on the last axis of
+    (..., n_nodes) or (..., K) stacks; identical rows give identical
+    bits anywhere in one.  The index map and the gradient stacks are
+    built at their first use and kept.
     """
 
     domain: DomainSpec
@@ -110,9 +113,27 @@ class SpectralBasis:
                 f"{dom.eigenvalue_convention}, N={dom.grid_points_per_axis}, "
                 f"K={self.mode_count}, M_a={m_a})")
 
-    @property
+    @cached_property
     def grid_shape(self):
         return tuple(len(ax) for ax in self.axes)
+
+    @cached_property
+    def _flat_modes(self):
+        """(K,) place l * M_1 + m of each mode (l, m) in the flat C (2-D)."""
+        l, m = self.mode_indices.T
+        return l * len(self.cosines[1]) + m
+
+    @cached_property
+    def _gradient_tables(self):
+        """The stacks (D_0^T, T_0^T) and (T_1, D_1) of ``gradients`` (2-D).
+
+        Shaped (2, 1, N+1, M_0) and (2, 1, M_1, N+1).  The first holds
+        transposed views, as ``synthesize`` reads T_0^T, so that each
+        product is the BLAS call, and gives the bits, of a synthesis.
+        """
+        (t0, t1), (d0, d1) = self.cosines, self.derivatives
+        return (np.stack((d0, t0))[:, None].transpose(0, 1, 3, 2),
+                np.stack((t1, d1))[:, None])
 
     @property
     def n_nodes(self):
@@ -127,9 +148,9 @@ class SpectralBasis:
         if self.domain.dim == 1:
             return nodal_flat @ self.quadrature[0]
         q0, q1 = self.quadrature
-        f = nodal_flat.reshape(nodal_flat.shape[:-1] + self.grid_shape)
-        c = q0.T @ f @ q1
-        return c[..., self.mode_indices[:, 0], self.mode_indices[:, 1]]
+        lead = nodal_flat.shape[:-1]
+        c = q0.T @ nodal_flat.reshape(lead + self.grid_shape) @ q1
+        return c.reshape(lead + (-1,)).take(self._flat_modes, axis=-1)
 
     def synthesize(self, modal, out=None):
         """Nodal samples of sum_k modal_k e_k, flattened (last axis).
@@ -137,23 +158,33 @@ class SpectralBasis:
         ``out``, a C-contiguous float array of the result's shape, receives
         the samples (the same bits) instead of a new array.
         """
-        return self._synthesize(modal, self.cosines, out)
-
-    def gradient(self, modal, axis):
-        """Nodal samples of d/dx_axis of sum_k modal_k e_k (last axis)."""
-        tables = list(self.cosines)
-        tables[axis] = self.derivatives[axis]
-        return self._synthesize(modal, tables)
-
-    def _synthesize(self, modal, tables, out=None):
         if self.domain.dim == 1:
-            return np.matmul(modal, tables[0], out=out)
+            return np.matmul(modal, self.cosines[0], out=out)
+        t0, t1 = self.cosines
         lead = modal.shape[:-1]
-        c = np.zeros(lead + (len(tables[0]), len(tables[1])))
-        c[..., self.mode_indices[:, 0], self.mode_indices[:, 1]] = modal
         grid = None if out is None else out.reshape(lead + self.grid_shape)
-        f = np.matmul(tables[0].T @ c, tables[1], out=grid)
+        f = np.matmul(t0.T @ self._coefficients(modal), t1, out=grid)
         return f.reshape(lead + (self.n_nodes,)) if out is None else out
+
+    def gradients(self, modal):
+        """Nodal gradient of sum_k modal_k e_k: (dim, ..., n_nodes).
+
+        Row a of the stack holds d/dx_a on the last axis.
+        """
+        if self.domain.dim == 1:
+            return np.matmul(modal, self.derivatives[0])[None]
+        left, right = self._gradient_tables
+        lead = modal.shape[:-1]
+        c = self._coefficients(modal)
+        f = left @ c.reshape((-1,) + c.shape[-2:]) @ right
+        return f.reshape((2,) + lead + (self.n_nodes,))
+
+    def _coefficients(self, modal):
+        """The (..., M_0, M_1) array C holding the modes of ``modal`` (2-D)."""
+        lead = modal.shape[:-1]
+        c = np.zeros(lead + (len(self.cosines[0]), len(self.cosines[1])))
+        c.reshape(lead + (-1,))[..., self._flat_modes] = modal
+        return c
 
 
 def _axis_modes(domain, axis, count):

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -124,13 +125,25 @@ def test_selftest_prints_its_lines_unless_quiet(tmp_path, capsys):
 
 
 def _outcome(argv, capsys):
-    """Exit code (or SystemExit code), stdout and stderr of ``cli.main``."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = ("SystemExit", exc.code)
+    """Exit code, stdout and stderr of ``cli.main``."""
+    code = cli.main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_returns_0_and_prints_the_help_text(command, capsys):
+    parser = cli._build_parser(command)
+    if command is None:
+        argv, want = ["-h"], parser.format_help()
+    else:
+        sub, = (a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+        argv, want = [command, "-h"], sub.choices[command].format_help()
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == want and err == ""
+    assert out.startswith(" ".join(["usage: gmspde", *argv[:-1]]))
 
 
 USAGE_LINES = ([[], ["bogus"], ["-h"], ["-x", "simulate"],

@@ -125,6 +125,35 @@ def test_xi_zero_floor_rejects_nonpositive(basis):
     assert err.value.node_index == 5
 
 
+def _state(basis, rows, seed):
+    """A (2, rows, .) state of random fields about 1.5, v > 0 at every node."""
+    rng = np.random.default_rng(seed)
+    modal = 0.1 * rng.standard_normal((2, rows, basis.mode_count))
+    modal[:, :, 0] += 1.5 * np.sqrt(basis.volume)
+    nodal = basis.synthesize(modal)
+    assert nodal[1].min() > 0.0
+    return StateView(0.0, 0, modal, nodal, rng.integers(0, 5, rows),
+                     np.ones(rows, dtype=bool))
+
+
+@pytest.mark.parametrize("call", ["accumulate", "record"])
+def test_recorder_zero_floor_rejects_nonpositive_v_as_quotient_nodal(basis,
+                                                                     call):
+    view = _state(basis, 3, 4)
+    view.nodal[1, 1, 7] = -0.5
+    view.nodal[1, 2, 3] = 0.0
+    with pytest.raises(FloorViolation) as want:
+        quotient_nodal(1.0, view.v_nodal, 0.0)
+    rec = FunctionalRecorder(basis, FunctionalConfig(), 0.0, range(3))
+    with pytest.raises(FloorViolation) as got:
+        if call == "accumulate":
+            rec.accumulate(view, 1e-3)
+        else:
+            rec.record(view)
+    assert got.value.node_index == want.value.node_index == 7
+    assert str(got.value) == str(want.value)
+
+
 def test_lyapunov_l1_trivial(basis):
     traj = const_traj(basis, 0.0, 1.0)
     trace = walk_trace(traj, basis, FunctionalConfig(observation_stride=1), 1e-8)
@@ -312,6 +341,101 @@ def test_floor_activations_counted_once_live_and_replayed():
     column = live.traces().data["floor_activations"]
     assert column[0, -1] == res.floor_activations[0]
     assert np.array_equal(column[0], 17.0 * np.arange(5))
+
+
+def _quadrature_oracle(nodal, w):
+    return np.einsum("...n,n->...", nodal, w)
+
+
+def _integrands_oracle(rec, view):
+    """The integrand integrals as the recorder formed them in new arrays."""
+    basis, w = rec.basis, rec.basis.weights
+    u_nodal = view.u_nodal
+    xi, _ = quotient_nodal(1.0, view.v_nodal, rec.v_floor)
+    chi2xi = np.multiply(u_nodal, u_nodal)
+    chi2xi *= xi
+    work = np.multiply(chi2xi, xi)
+    values = {"int_grad_chi_sq": np.sum(basis.eigenvalues * view.u_modal**2,
+                                        axis=-1),
+              "int_chi2_xi": _quadrature_oracle(chi2xi, w),
+              "int_xi2_chi2": _quadrature_oracle(work, w)}
+    if rec.monitors:
+        np.multiply(chi2xi, u_nodal, out=work)
+        values["int_u_chi2_xi"] = _quadrature_oracle(work, w)
+        np.power(xi, rec.config.p + 2.0, out=xi)
+        squares = 0.0     # |grad v|^2, summed axis by axis
+        for g in basis.gradients(view.v_modal):
+            squares = squares + g * g
+        xi *= squares
+        values["int_xi_p2_grad_v_sq"] = _quadrature_oracle(xi, w)
+    return values
+
+
+def _observables_oracle(rec, view):
+    """The recorded state columns, xi formed through quotient_nodal."""
+    w = rec.basis.weights
+    u_modal, v_modal = view.u_modal, view.v_modal
+    u_nodal, v_nodal = view.u_nodal, view.v_nodal
+    xi, _ = quotient_nodal(1.0, v_nodal, rec.v_floor)
+    p = rec.config.p
+    ln_xi = np.log(xi)
+    columns = {
+        "chi_l2_sq": np.sum(u_modal**2, axis=-1),
+        "xi_lp_p": _quadrature_oracle(xi**p, w),
+        "xi_l1": _quadrature_oracle(xi, w),
+        "int_ln_xi": _quadrature_oracle(ln_xi, w),
+        "chi_min": u_nodal.min(axis=-1),
+        "chi_argmin": np.argmin(u_nodal, axis=-1).astype(float),
+        "eta_min": v_nodal.min(axis=-1),
+        "eta_argmin": np.argmin(v_nodal, axis=-1).astype(float),
+    }
+    if rec.monitors:
+        h_weights = (1.0 + rec.basis.eigenvalues) ** (1.0 - rec.config.rho)
+        columns.update({
+            "abs_ln_xi_l1": _quadrature_oracle(np.abs(ln_xi), w),
+            "lnxi_dot_u": _quadrature_oracle(ln_xi * u_nodal, w),
+            "chi_h1mrho_sq": np.sum(h_weights * u_modal**2, axis=-1),
+            "eta_l2": np.sqrt(np.sum(v_modal**2, axis=-1)),
+            "eta_l1": _quadrature_oracle(np.abs(v_nodal), w),
+            "floor_activations": view.floor_activations.astype(float),
+        })
+    return columns
+
+
+@pytest.mark.parametrize("monitors", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("v_floor", [0.0, 1.5])
+@pytest.mark.parametrize("dom,k,rows", [
+    (DomainSpec(dim=1, lengths=(1.0,), grid_points_per_axis=64), 16, 7),
+    (DomainSpec(dim=2, lengths=(1.0, 1.5), grid_points_per_axis=32), 20, 2),
+], ids=["1d", "2d"])
+def test_recorder_columns_are_bitwise_the_formulas_in_new_arrays(
+        dom, k, rows, v_floor, monitors):
+    # three states: recorded, accumulated over two steps of different dt
+    # (as Picard's start accumulates once over its horizon), recorded;
+    # v_floor = 1.5 floors part of every state, v_floor = 0 none
+    basis = build_basis(dom, k)
+    states = [_state(basis, rows, seed) for seed in range(3)]
+    for view in states:
+        assert 0.0 < (view.v_nodal < 1.5).mean() < 1.0
+    rec = FunctionalRecorder(basis, FunctionalConfig(), v_floor, range(rows),
+                             monitors)
+    kept = TRACE_COLUMNS[1:] if monitors else functionals.ADMISSIBILITY_COLUMNS
+    want = {name: [] for name in kept}
+    totals = {}
+    for view, dt in zip(states, (1e-3, 0.25, None)):
+        rec.record(view)
+        row = _observables_oracle(rec, view)
+        row.update((name, total.copy()) for name, total in totals.items())
+        for name in want:
+            want[name].append(row.get(name, np.zeros(rows)))
+        if dt is not None:
+            rec.accumulate(view, dt)
+            for name, value in _integrands_oracle(rec, view).items():
+                totals[name] = totals.get(name, np.zeros(rows)) + dt * value
+    got = rec.traces().data
+    assert sorted(got) == sorted(want)
+    for name, column in want.items():
+        assert got[name].tobytes() == np.column_stack(column).tobytes(), name
 
 
 class _Both:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gmspde.dynamics import ModelParams, SchemeConfig, Stepper
+from gmspde.functionals import grad_sq
 from gmspde.noise import NoiseSpec
 from gmspde.spectral import DomainSpec, build_basis, mode_list
 
@@ -259,8 +260,10 @@ def test_transforms_match_per_mode_oracle(dom, k):
     nodal = rng.standard_normal((3, basis.n_nodes))
     _assert_close(basis.project(nodal), (basis.weights * nodal) @ values.T)
     _assert_close(basis.synthesize(modal), modal @ values)
+    gradients = basis.gradients(modal)
+    assert gradients.shape == (dom.dim, 3, basis.n_nodes)
     for ax in range(dom.dim):
-        _assert_close(basis.gradient(modal, ax), modal @ grads[ax])
+        _assert_close(gradients[ax], modal @ grads[ax])
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7, 33])
@@ -277,13 +280,62 @@ def test_identical_rows_give_identical_outputs_in_2d_stacks(rows):
     for transform, stack, row in (
         (basis.project, nodal, one_nodal),
         (basis.synthesize, modal, one_modal),
-        (lambda m: basis.gradient(m, 0), modal, one_modal),
-        (lambda m: basis.gradient(m, 1), modal, one_modal),
+        (lambda m: basis.gradients(m)[0], modal, one_modal),
+        (lambda m: basis.gradients(m)[1], modal, one_modal),
     ):
         alone = transform(row[None])[0]
         out = transform(stack)
         for i in where:
             assert np.array_equal(out[i], alone)
+
+
+def _fancy_project(basis, nodal):
+    """2-D projection gathered with paired (l, m) indices: the byte oracle."""
+    q0, q1 = basis.quadrature
+    c = q0.T @ nodal.reshape(nodal.shape[:-1] + basis.grid_shape) @ q1
+    return c[..., basis.mode_indices[:, 0], basis.mode_indices[:, 1]]
+
+
+def _fancy_synthesize(basis, modal, tables):
+    """2-D synthesis through ``tables`` scattered with paired (l, m) indices."""
+    lead = modal.shape[:-1]
+    c = np.zeros(lead + (len(tables[0]), len(tables[1])))
+    c[..., basis.mode_indices[:, 0], basis.mode_indices[:, 1]] = modal
+    return (tables[0].T @ c @ tables[1]).reshape(lead + (basis.n_nodes,))
+
+
+@pytest.mark.parametrize("dom,k", [
+    (RECTANGLE, 20),
+    (DomainSpec(dim=2, lengths=(1.0, 1.0), grid_points_per_axis=128), 256),
+], ids=["rectangle", "sim_2d"])
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_2d_transforms_are_bitwise_their_fancy_index_forms(dom, k, rows):
+    basis = build_basis(dom, k)
+    rng = np.random.default_rng(rows)
+    modal = rng.standard_normal((rows, k))
+    nodal = rng.standard_normal((rows, basis.n_nodes))
+    (t0, t1), (d0, d1) = basis.cosines, basis.derivatives
+    per_axis = [_fancy_synthesize(basis, modal, tables)
+                for tables in ((d0, t1), (t0, d1))]
+    squares = 0.0
+    for g in per_axis:
+        squares = squares + g * g
+    out = np.empty((rows, basis.n_nodes))
+    for got, want in (
+        (basis.project(nodal), _fancy_project(basis, nodal)),
+        (basis.synthesize(modal), _fancy_synthesize(basis, modal, (t0, t1))),
+        (basis.synthesize(modal, out=out), _fancy_synthesize(basis, modal,
+                                                             (t0, t1))),
+        (basis.gradients(modal), np.stack(per_axis)),
+        (grad_sq(basis, modal), squares),
+        # one unstacked row
+        (basis.project(nodal[0]), _fancy_project(basis, nodal[0])),
+        (basis.synthesize(modal[0]), _fancy_synthesize(basis, modal[0],
+                                                       (t0, t1))),
+        (basis.gradients(modal[0]), np.stack([g[0] for g in per_axis])),
+    ):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fine_2d_basis_stores_no_dense_table():
