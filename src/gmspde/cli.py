@@ -200,7 +200,12 @@ def _cmd_fixedpoint(args):
 def _cmd_selftest(args):
     indices = None
     if args.criteria:
-        indices = {int(tok) for tok in args.criteria.replace(",", " ").split()}
+        names = [str(i) for i in range(1, len(acceptance.ALL_CRITERIA) + 1)]
+        tokens = args.criteria.replace(",", " ").split()
+        if not tokens or not set(tokens) <= set(names):
+            raise _UsageError(f"--criteria takes criterion numbers "
+                              f"1..{len(names)}, got {args.criteria!r}")
+        indices = {int(tok) for tok in tokens}
     os.makedirs(args.out_dir, exist_ok=True)
     results = acceptance.run_all(indices=indices,
                                  printer=None if args.quiet else print)

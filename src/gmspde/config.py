@@ -257,6 +257,8 @@ def _assemble(raw) -> RunConfig:
         problems.append("[run] paths must be >= 2 (an ensemble needs two)")
     if raw["run"]["path_index"] < 0:
         problems.append("[run] path_index must be >= 0")
+    elif raw["run"]["path_index"] >= 2**64:
+        problems.append("[run] path_index must be below 2**64")
     fixedpoint = built("[fixedpoint] {}", FixedPointConfig, **raw["fixedpoint"])
     un = raw["uniqueness"]
     stopping = built("[uniqueness] {}", StoppingSpec,

@@ -39,9 +39,9 @@ whole stack.  A :class:`Stepper` is built for the one stack it steps,
 its factors broadcast once to the stack's height, and
 :func:`initial_state` synthesizes the stack's state 0.  :func:`run_batch`
 drives such a stack and :func:`run` is its one-row case; there is no
-second stepping path.  What observers
-store keeps the layout: a trajectory or a functional trace is a stack
-of B >= 1 paths, a single path a stack of one.
+second stepping path.  What observers store keeps the layout: a stored
+trajectory is the (2, B, n+1, K) modal array of its states, u first, a
+functional trace a stack of B >= 1 paths, a single path a stack of one.
 Initial data is one (2, K) modal array (row 0 u, row 1 v), and a run
 returns its final :class:`StateView`.  Every run reads its noise through
 one interface, a noise source ``draw(n0, n1)`` (:mod:`gmspde.noise`),

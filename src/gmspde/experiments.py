@@ -37,8 +37,10 @@ reruns bit for bit.  The uniqueness study draws its path's table
 once and runs its two trajectories one by one on it, so its delta = 0
 check stays bitwise.
 
-Every stored trajectory (:class:`PairTrajectory`) and every functional
-trace is a stack of B >= 1 paths; a single path is a stack of one.
+Every stored trajectory is the (2, B, n+1, K) modal array of the
+trajectory store (:class:`TrajectoryRecorder`): chi (u) first, then eta
+(v), of B >= 1 paths on the steps n dt.  A functional trace is a stack
+of B >= 1 paths too; a single path is a stack of one.
 """
 
 from __future__ import annotations
@@ -111,23 +113,6 @@ class StoppingSpec:
             raise ValueError("\n".join(problems))
 
 
-@dataclass
-class PairTrajectory:
-    """Dense modal snapshots of (chi, eta) couples on a step grid.
-
-    A stack of B >= 1 paths on the same grid: (B, n+1, K) arrays.
-    """
-
-    times: np.ndarray        # (n+1,)
-    chi_modal: np.ndarray    # (B, n+1, K)
-    eta_modal: np.ndarray    # (B, n+1, K)
-
-    def copy(self):
-        return PairTrajectory(
-            self.times.copy(), self.chi_modal.copy(), self.eta_modal.copy()
-        )
-
-
 # most stored values (2 fields x members x (n+1) states x K modes) of the
 # chained iterates in one sweep of :func:`picard_iterate`, which holds
 # them all at once; a sweep holds at least one block, and the coupled
@@ -162,9 +147,9 @@ class TrajectoryRecorder:
     """Observer storing every step's modal coefficients of every row.
 
     The states of a run of ``n_steps`` steps go into one (2, B, n+1, K)
-    store, allocated at the first record; if the walk stops early, the
-    stacks handed out are views of the states recorded.
-    :meth:`trajectories` returns the stack of all rows.  A
+    store, allocated at the first record; state i is that of step i, at
+    t = i dt.  :meth:`trajectories` returns the view of the states
+    recorded, of all rows (fewer states if the walk stopped early).  A
     :class:`~gmspde.functionals.FunctionalRecorder` given as
     ``functionals`` sees the same walk on its own stride.
     """
@@ -172,7 +157,7 @@ class TrajectoryRecorder:
     stride = 1
 
     def __init__(self, n_steps: int, functionals=None):
-        self._times = np.empty(n_steps + 1)
+        self._states = n_steps + 1
         self._store = None
         self._count = 0
         self.functionals = functionals
@@ -183,54 +168,40 @@ class TrajectoryRecorder:
 
     def record(self, view):
         if self._store is None:
-            self._store = np.empty(view.modal.shape[:2] + self._times.shape
+            self._store = np.empty(view.modal.shape[:2] + (self._states,)
                                    + view.modal.shape[2:])
-        self._times[self._count] = view.t
         self._store[:, :, self._count] = view.modal
         self._count += 1
         if self.functionals is not None and (
                 view.step_index % self.functionals.stride == 0
-                or self._count == self._times.size):
+                or self._count == self._states):
             self.functionals.record(view)
 
     def trajectories(self):
-        # (2, B, n+1, K): chi and eta are its two contiguous halves
-        states = self._store[:, :, :self._count]
-        return PairTrajectory(times=self._times[:self._count],
-                              chi_modal=states[0], eta_modal=states[1])
+        return self._store[:, :, :self._count]
 
 
-def constant_trajectory(pair, scheme: SchemeConfig) -> PairTrajectory:
-    """One-row stack of the time-constant (2, K) modal ``pair``."""
-    n = scheme.n_steps()
-    times = np.linspace(0.0, scheme.T, n + 1)
-    chi = np.tile(pair[0], (1, n + 1, 1))
-    eta = np.tile(pair[1], (1, n + 1, 1))
-    return PairTrajectory(times=times, chi_modal=chi, eta_modal=eta)
-
-
-def seminorm_m(a: PairTrajectory, b: PairTrajectory, basis, rho):
+def seminorm_m(a, b, basis, rho):
     """Ensemble semi-norm of the difference of two trajectory stacks.
 
-    ``a`` and ``b`` hold the same B >= 1 paths in the same order; the
-    expectation is the mean over the paths.
+    ``a`` and ``b`` are (2, B, n+1, K) stacks of the same B >= 1 paths in
+    the same order; the expectation is the mean over the paths.
     """
     h_weights = (1.0 + basis.eigenvalues) ** (1.0 - rho)
     # squared in place: stacks of whole trajectories are large
-    dchi = a.chi_modal - b.chi_modal
+    dchi, deta = a - b
     dchi *= dchi
     dchi *= h_weights
     sup_h = np.max(np.sum(dchi, axis=-1), axis=-1)
-    deta = a.eta_modal - b.eta_modal
     deta *= deta
     sup_l2 = np.max(np.sqrt(np.sum(deta, axis=-1)), axis=-1)
     return float(np.sqrt(np.mean(sup_h)) + np.mean(sup_l2))
 
 
-def _check_input_positivity(traj, basis):
+def _check_input_positivity(traj, basis, dt):
     # one row per (path, step), paths in order
-    chi = basis.synthesize(traj.chi_modal).reshape(-1, basis.n_nodes)
-    eta = basis.synthesize(traj.eta_modal).reshape(-1, basis.n_nodes)
+    chi = basis.synthesize(traj[0]).reshape(-1, basis.n_nodes)
+    eta = basis.synthesize(traj[1]).reshape(-1, basis.n_nodes)
     bad = np.flatnonzero(np.any(chi < 0.0, axis=1) | np.any(eta <= 0.0, axis=1))
     if bad.size == 0:
         return
@@ -241,13 +212,13 @@ def _check_input_positivity(traj, basis):
         label, values = "eta nonpositive", eta[n]
     loc = int(np.argmin(values))
     raise ValueError(
-        f"input {label} at t = {traj.times[n % traj.times.size]:g}, node {loc} "
+        f"input {label} at t = {n % traj.shape[2] * dt:g}, node {loc} "
         f"(value {values[loc]:g}): outside the admissible set"
     )
 
 
-def apply_T(traj: PairTrajectory, init, params: ModelParams,
-            scheme: SchemeConfig, basis, noise_spec: NoiseSpec, draw):
+def apply_T(traj, init, params: ModelParams, scheme: SchemeConfig, basis,
+            noise_spec: NoiseSpec, draw):
     """One application of the decoupling map on frozen noise.
 
     Solves the inhibitor equation with source kappa_v chi^2(t) and the
@@ -255,12 +226,12 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
     modal initial data ``init`` by the coupled step and its checks
     (:func:`~gmspde.dynamics.run_batch` driven by ``traj``'s chi), so a
     coupled trajectory is its exact fixed point; eta enters only through
-    the admissibility check.  ``traj`` is a stack of B >= 1 paths, and
-    ``draw`` is the noise source of as many paths
+    the admissibility check.  ``traj`` is a (2, B, n+1, K) stack of
+    B >= 1 paths, and ``draw`` is the noise source of as many paths
     (:func:`~gmspde.noise.drawn`, :func:`~gmspde.noise.sliced`), whose
     blocks are checked as :func:`~gmspde.dynamics.run` checks them; the
     first row failure is raised.
-    Returns the output stack and the final
+    Returns the (2, B, n+1, K) output stack and the final
     :class:`~gmspde.dynamics.StateView` of the stack, whose per-row
     ``floor_activations`` count floored nodes.
 
@@ -268,9 +239,9 @@ def apply_T(traj: PairTrajectory, init, params: ModelParams,
     one-application form is the reference its blocks are checked against
     (the sweep tests and ``tools/compare_trees.py``).
     """
-    _check_input_positivity(traj, basis)
+    _check_input_positivity(traj, basis, scheme.dt)
     out, final = _stack_solve(init, params, scheme, basis, noise_spec, draw,
-                              traj.chi_modal.shape[0], driver=traj.chi_modal)
+                              traj.shape[1], driver=traj[0])
     if final.failures:
         raise next(iter(final.failures.values()))
     return out, final
@@ -329,13 +300,6 @@ def _stack_solve(init, params, scheme, basis, noise_spec, draw, n_paths,
     return rec.trajectories(), final
 
 
-def _block(stack: PairTrajectory, j: int, m: int) -> PairTrajectory:
-    """Block ``j`` of ``m`` rows of a sweep's trajectory stack."""
-    rows = slice(j * m, (j + 1) * m)
-    return PairTrajectory(stack.times, stack.chi_modal[rows],
-                          stack.eta_modal[rows])
-
-
 def _first_failure(final, j: int, m: int):
     """The first row failure of block ``j`` of ``m`` rows, or None."""
     rows = range(j * m, (j + 1) * m)
@@ -349,10 +313,10 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
     """Iterate the decoupling map on frozen paths until the semi-norm settles.
 
     Every member starts from the time-constant trajectory of the (2, K)
-    modal ``init`` (:func:`constant_trajectory`) and reads its own
-    frozen noise row; iterate k+1 is T applied to iterate k.  T is
-    causal in time (step n of iterate k+1 reads iterate k up to step n
-    only), so the iterates are stepped in sweeps: one stack of W blocks
+    modal ``init`` and reads its own frozen noise row; iterate k+1 is T
+    applied to iterate k.  T is causal in time (step n of iterate k+1
+    reads iterate k up to step n only), so the iterates are stepped in
+    sweeps: one stack of W blocks
     of members through :func:`~gmspde.dynamics.run_batch`, block 0
     driven by the stored previous iterate and block j by the live u of
     block j - 1.
@@ -411,9 +375,8 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
         )
 
     # every member starts from the same trajectory; all are stepped at once
-    start = constant_trajectory(init, scheme)
-    current = PairTrajectory(start.times, np.repeat(start.chi_modal, m, axis=0),
-                             np.repeat(start.eta_modal, m, axis=0))
+    current = np.broadcast_to(init[:, None, None],
+                              (2, m, n + 1, basis.mode_count))
     distances = []
     memberships = []
     converged = False
@@ -426,7 +389,7 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
                                  path_index=np.tile(np.arange(m), blocks),
                                  monitors=False)
         stack, final = _stack_solve(init, params, scheme, basis, noise_spec,
-                                    frozen, m, driver=current.chi_modal,
+                                    frozen, m, driver=current[0],
                                     chain=depth, coupled=coupled is None,
                                     functionals=rec)
         traces = rec.traces()
@@ -434,7 +397,7 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
             failure = _first_failure(final, j, m)
             if failure is not None:
                 raise failure
-            new = _block(stack, j, m)
+            new = stack[:, j * m:(j + 1) * m]
             d = seminorm_m(new, current, basis, fconfig.rho)
             distances.append(d)
             memberships.append(membership(
@@ -444,7 +407,7 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
                 converged = True
                 break
         if coupled is None:
-            coupled = _block(stack, depth, m).copy()
+            coupled = stack[:, depth * m:(depth + 1) * m].copy()
             coupled_failure = _first_failure(final, depth, m)
         # the next sweep's input, out of the store, which is freed
         current = current.copy()
@@ -499,16 +462,16 @@ class UniquenessReport:
         return lines
 
 
-def _stopping_scan(traj: PairTrajectory, basis, scheme, levels):
+def _stopping_scan(traj, basis, scheme, levels):
     """First-hitting steps of the two stopping-time families.
 
-    ``traj`` is a one-row stack.
+    ``traj`` is a (2, 1, n+1, K) one-row stack.
     """
-    v_nodal = basis.synthesize(traj.eta_modal[0])
+    v_nodal = basis.synthesize(traj[1, 0])
     xi, _ = quotient_nodal(1.0, v_nodal, scheme.v_floor)
     # the running sup of |xi|_L8 first reaches m where |xi|_L8 does
     xi8 = (xi**8 @ basis.weights) ** (1.0 / 8.0)
-    u_sq = traj.chi_modal[0]**2
+    u_sq = traj[0, 0]**2
     sup_u2 = np.maximum.accumulate(np.sum(u_sq, axis=1))
     h1 = np.sum((1.0 + basis.eigenvalues) * u_sq, axis=1)
     # left-point rule for int_0^t |u|_H1^2 ds, summed in step order
@@ -546,21 +509,21 @@ def uniqueness_study(init, delta: float, params: ModelParams,
         raise ValueError("perturbation mode outside the truncation")
     init2 = np.array(init, dtype=float)
     init2[0, perturb_mode] += delta
+    n = scheme.n_steps()
     # the table is the size of one of the two trajectories kept below
-    common = sliced(draw(0, scheme.n_steps()))
+    common = sliced(draw(0, n))
 
     def solve(pair):
-        rec = TrajectoryRecorder(scheme.n_steps())
+        rec = TrajectoryRecorder(n)
         run(pair, params, scheme, basis, noise_spec, common, observer=rec)
         return rec.trajectories()
 
     t1 = solve(init)
     t2 = solve(init2)
-    dchi = t1.chi_modal[0] - t2.chi_modal[0]
-    deta = t1.eta_modal[0] - t2.eta_modal[0]
-    du = np.sqrt(np.sum(dchi**2, axis=1))
-    dv = np.sqrt(np.sum(deta**2, axis=1))
-    bitwise = bool(np.all(dchi == 0.0) and np.all(deta == 0.0))
+    diff = t1[:, 0] - t2[:, 0]
+    du = np.sqrt(np.sum(diff[0]**2, axis=1))
+    dv = np.sqrt(np.sum(diff[1]**2, axis=1))
+    bitwise = bool(np.all(diff == 0.0))
     amplification = float(du.max() / delta) if delta > 0 else 0.0
 
     levels = stopping.m_levels
@@ -574,7 +537,7 @@ def uniqueness_study(init, delta: float, params: ModelParams,
     scope = ("within theorem scope (d=1)" if basis.domain.dim == 1
              else "outside theorem scope (d=2)")
     return UniquenessReport(
-        times=t1.times, du_l2=du, dv_l2=dv, delta=delta,
+        times=np.arange(n + 1) * scheme.dt, du_l2=du, dv_l2=dv, delta=delta,
         amplification=amplification, tau1_steps=tau1, tau2_steps=tau2,
         bitwise_identical=bitwise, theorem_scope=scope,
     )

@@ -92,6 +92,13 @@ def read_snapshot(path):
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
+    if dim not in (1.0, 2.0):
+        raise ValueError(f"{path}: dimension {dim:g} is not 1 or 2")
+    for name, word in (("grid size", n0), ("grid size", n1),
+                       ("field count", count)):
+        if not (word >= 1 and word.is_integer()):
+            raise ValueError(f"{path}: {name} {word:g} is not a positive "
+                             "integer")
     dim = int(dim)
     shape = (int(n0),) if dim == 1 else (int(n0), int(n1))
     header = SnapshotHeader(dim=dim, shape=shape, field_count=int(count),

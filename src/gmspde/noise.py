@@ -47,6 +47,8 @@ class NoiseSpec:
             problems.append("mode_count must be >= 1")
         if self.master_seed < 0:
             problems.append("master_seed must be a nonnegative integer")
+        elif self.master_seed >= 2**64:
+            problems.append("master_seed must be below 2**64")
         if problems:
             raise ValueError("\n".join(problems))
 

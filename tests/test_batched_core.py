@@ -216,8 +216,8 @@ def check_failed_row(final, setup, row, error):
     assert str(got) == str(solo_error.value)
     # ... after the same number of good steps: the row kept its last state
     last = rec.trajectories()
-    assert_close(final.u_modal[row], last.chi_modal[0, -1], "frozen u")
-    assert_close(final.v_modal[row], last.eta_modal[0, -1], "frozen v")
+    assert_close(final.u_modal[row], last[0, 0, -1], "frozen u")
+    assert_close(final.v_modal[row], last[1, 0, -1], "frozen v")
     return str(got)
 
 
@@ -261,8 +261,8 @@ def test_ensemble_failures_match_solo_runs():
         rec = TrajectoryRecorder(loose.n_steps())
         solo(init, prm, loose, basis, spec, increments[idx], observer=rec)
         traj = rec.trajectories()
-        u = basis.synthesize(traj.chi_modal[0, :-1])
-        v = basis.synthesize(traj.eta_modal[0, :-1])
+        u = basis.synthesize(traj[0, 0, :-1])
+        v = basis.synthesize(traj[1, 0, :-1])
         peaks.append(float((u * u / v).max()) * prm.kappa_u * loose.dt)
     limit = float(np.median(peaks))
     sch = SchemeConfig(dt=1e-3, T=0.05, reaction_cfl_limit=limit)

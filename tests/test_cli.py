@@ -160,3 +160,15 @@ def test_one_command_parser_answers_as_the_full_parser(argv, capsys,
     assert mine == _outcome(argv, capsys)
     if argv == ["bogus"]:
         assert "argument command: invalid choice: 'bogus'" in mine[2]
+
+
+@pytest.mark.parametrize("criteria", ["11", "0,3", "x"])
+def test_selftest_rejects_a_criterion_it_cannot_run(criteria, tmp_path,
+                                                     capsys):
+    out = tmp_path / "out"
+    argv = ["selftest", "--criteria", criteria, "--out-dir", str(out),
+            "--quiet"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"--criteria takes criterion numbers 1..10, got {criteria!r}" in err
+    assert not out.exists()

@@ -55,6 +55,39 @@ def test_bad_sizes_are_config_errors_before_any_output(case, tmp_path):
     assert not (out / "config.echo.txt").exists()
 
 
+# Philox keys are 64-bit words: a larger seed or path index would wrap
+# onto the noise of another
+PAST_64_BITS = {
+    "--seed 2**64": (["simulate", "--seed", str(2**64)], "",
+                     "[noise] master_seed must be below 2**64"),
+    "master_seed = 2**64": (["uniqueness"], f"[noise]\nmaster_seed = {2**64}\n",
+                            "[noise] master_seed must be below 2**64"),
+    "path_index = 2**64": (["simulate"], f"[run]\npath_index = {2**64}\n",
+                           "[run] path_index must be below 2**64"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_64_BITS))
+def test_keys_past_64_bits_are_config_errors_before_any_output(case, tmp_path,
+                                                               capsys):
+    argv, text, message = PAST_64_BITS[case]
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = argv + ["--config", str(path), "--out-dir", str(out), "--quiet"]
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err.splitlines()
+    assert not out.exists()
+
+
+def test_the_largest_seed_and_path_index_are_accepted():
+    cfg = loads(f"[noise]\nmaster_seed = {2**64 - 1}\n"
+                f"[run]\npath_index = {2**64 - 1}\n")
+    assert cfg.noise.master_seed == cfg.run_opts["path_index"] == 2**64 - 1
+    with pytest.raises(ValueError, match="master_seed must be below 2"):
+        NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=4, master_seed=2**64)
+
+
 def test_an_override_replaces_a_bad_file_value_before_validation(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[noise]\nmaster_seed = -1\n")

@@ -16,21 +16,18 @@ from gmspde.dynamics import (
 )
 from gmspde.experiments import (
     FixedPointConfig,
-    PairTrajectory,
     StoppingSpec,
     TrajectoryRecorder,
-    _block,
     _stack_solve,
     _stopping_scan,
     apply_T,
-    constant_trajectory,
     ensemble,
     picard_iterate,
     seminorm_m,
     uniqueness_study,
 )
 from gmspde.fields import FloorViolation
-from gmspde.functionals import FunctionalConfig
+from gmspde.functionals import FunctionalConfig, FunctionalRecorder
 from gmspde.noise import NoiseSpec, drawn, sliced
 from gmspde.spectral import DomainSpec, build_basis
 
@@ -57,6 +54,12 @@ def steady_pair(basis, params):
     return constant_pair(basis, *steady_state(params))
 
 
+def constant(pair, sch, rows=1):
+    """(2, rows, n+1, K) stack of the time-constant (2, K) modal ``pair``."""
+    return np.broadcast_to(pair[:, None, None],
+                           (2, rows, sch.n_steps() + 1, pair.shape[1]))
+
+
 def test_stopping_spec_requires_increasing_levels():
     with pytest.raises(ValueError, match="increasing"):
         StoppingSpec(m_levels=(4.0, 2.0))
@@ -66,12 +69,12 @@ def test_apply_T_fixes_noiseless_steady_state(basis, nspec):
     params = desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = steady_pair(basis, params)
-    traj = constant_trajectory(pair, sch)
+    traj = constant(pair, sch)
     path = drawn(nspec, sch, [0])
     out, final = apply_T(traj, pair, params, sch, basis, nspec, path)
     u_star, v_star = steady_state(params)
-    assert np.abs(out.chi_modal[0, -1, 0] - u_star).max() < 1e-8
-    assert np.abs(out.eta_modal[0, -1, 0] - v_star * np.sqrt(basis.volume)
+    assert np.abs(out[0, 0, -1, 0] - u_star).max() < 1e-8
+    assert np.abs(out[1, 0, -1, 0] - v_star * np.sqrt(basis.volume)
                   + v_star * np.sqrt(basis.volume) - v_star).max() < 1e-8
     assert final.floor_activations.sum() == 0
 
@@ -81,12 +84,12 @@ def test_apply_T_zero_source_decays(basis, nspec):
     sch = SchemeConfig(dt=1e-3, T=0.2)
     pair = steady_pair(basis, params)
     zero_chi = constant_pair(basis, 0.0, steady_state(params)[1])
-    traj = constant_trajectory(zero_chi, sch)
+    traj = constant(zero_chi, sch)
     path = drawn(nspec, sch, [0])
     out, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
-    v_norms = np.sqrt(np.sum(out.eta_modal[0]**2, axis=1))
+    v_norms = np.sqrt(np.sum(out[1, 0]**2, axis=1))
     assert np.all(np.diff(v_norms) < 0)
-    u_norms = np.sqrt(np.sum(out.chi_modal[0]**2, axis=1))
+    u_norms = np.sqrt(np.sum(out[0, 0]**2, axis=1))
     assert u_norms[-1] < u_norms[0] * np.exp(-params.mu_u * 0.2) * 1.001
 
 
@@ -94,12 +97,11 @@ def test_apply_T_deterministic(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = default_initial_pair(basis, params)
-    traj = constant_trajectory(pair, sch)
+    traj = constant(pair, sch)
     path = drawn(nspec, sch, [3])
     out1, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
     out2, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
-    assert np.array_equal(out1.chi_modal, out2.chi_modal)
-    assert np.array_equal(out1.eta_modal, out2.eta_modal)
+    assert np.array_equal(out1, out2)
 
 
 def test_apply_T_rejects_negative_input(basis, nspec):
@@ -107,7 +109,7 @@ def test_apply_T_rejects_negative_input(basis, nspec):
     sch = SchemeConfig(dt=1e-3, T=0.01)
     pair = steady_pair(basis, params)
     bad = constant_pair(basis, -0.5, steady_state(params)[1])
-    traj = constant_trajectory(bad, sch)
+    traj = constant(bad, sch)
     path = drawn(nspec, sch, [0])
     with pytest.raises(ValueError, match="chi negative"):
         apply_T(traj, pair, params, sch, basis, nspec, path)
@@ -118,7 +120,7 @@ def test_apply_T_checks_its_noise_path_as_run_does(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = default_initial_pair(basis, params)
-    traj = constant_trajectory(pair, sch)
+    traj = constant(pair, sch)
     short = sliced(drawn(nspec, SchemeConfig(dt=1e-3, T=0.04), [0])(0, 40))
     message = (r"noise block for steps 0..49 has shape \(1, 2, 16, 40\), "
                r"run needs \(1, 2, 16, 50\)")
@@ -146,16 +148,7 @@ def test_coupled_solution_is_exact_fixed_point_of_T(scheme, dim, rows):
                                   rows)
     assert not final.failures
     out, _ = apply_T(coupled, init, params, sch, basis_d, spec, increments)
-    np.testing.assert_allclose(out.chi_modal, coupled.chi_modal,
-                               rtol=0, atol=0)
-    np.testing.assert_allclose(out.eta_modal, coupled.eta_modal,
-                               rtol=0, atol=0)
-
-
-def members(traj, m):
-    """``m`` copies of the row of a one-row trajectory stack."""
-    return PairTrajectory(traj.times, np.repeat(traj.chi_modal, m, 0),
-                          np.repeat(traj.eta_modal, m, 0))
+    np.testing.assert_allclose(out, coupled, rtol=0, atol=0)
 
 
 def assert_rounding_close(got, expected):
@@ -164,11 +157,11 @@ def assert_rounding_close(got, expected):
     assert float(np.max(np.abs(got - expected))) <= 1e-13 * scale
 
 
-def sequential_picard(start, init, params, sch, basis, spec, config, fconfig):
+def sequential_picard(init, params, sch, basis, spec, config, fconfig):
     """Distances of the Picard iteration as one apply_T call per iterate."""
     m = config.ensemble_size
     frozen = sliced(drawn(spec, sch, range(m))(0, sch.n_steps()))
-    current = members(start, m)
+    current = constant(init, sch, m)
     distances = []
     for _ in range(config.max_iterations):
         new, _ = apply_T(current, init, params, sch, basis, spec, frozen)
@@ -193,30 +186,29 @@ def test_sweep_iterates_equal_chained_apply_T(monkeypatch, scheme, dim, rows):
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
     init = default_initial_pair(basis_d, params)
     increments = sliced(drawn(spec, sch, range(rows))(0, 50))
-    current = members(constant_trajectory(init, sch), rows)
+    current = constant(init, sch, rows)
     stack, final = _stack_solve(init, params, sch, basis_d, spec, increments,
-                                rows, driver=current.chi_modal, chain=3,
+                                rows, driver=current[0], chain=3,
                                 coupled=True)
-    assert not final.failures and stack.chi_modal.shape == (4 * rows, 51, K)
+    assert not final.failures and stack.shape == (2, 4 * rows, 51, K)
     for j in range(3):
         current, _ = apply_T(current, init, params, sch, basis_d, spec,
                              increments)
-        block = _block(stack, j, rows)
-        assert_rounding_close(block.chi_modal, current.chi_modal)
-        assert_rounding_close(block.eta_modal, current.eta_modal)
+        block = stack[:, j * rows:(j + 1) * rows]
+        assert_rounding_close(block[0], current[0])
+        assert_rounding_close(block[1], current[1])
     coupled, final = _stack_solve(init, params, sch, basis_d, spec, increments,
                                   rows)
     assert not final.failures
-    assert_rounding_close(_block(stack, 3, rows).chi_modal, coupled.chi_modal)
-    assert_rounding_close(_block(stack, 3, rows).eta_modal, coupled.eta_modal)
+    assert_rounding_close(stack[0, 3 * rows:], coupled[0])
+    assert_rounding_close(stack[1, 3 * rows:], coupled[1])
 
     # the iteration takes as many steps as one apply_T per iterate, in
     # sweeps of the default budget and of one block each
     config = FixedPointConfig(ensemble_size=rows, tolerance=1e-9)
     fcfg = FunctionalConfig()
-    start = constant_trajectory(init, sch)
-    expected = sequential_picard(start, init, params, sch, basis_d, spec,
-                                 config, fcfg)
+    expected = sequential_picard(init, params, sch, basis_d, spec, config,
+                                 fcfg)
     block_values = 2 * rows * 51 * K
     for budget in (experiments.SWEEP_STORE_VALUES, block_values):
         monkeypatch.setattr(experiments, "SWEEP_STORE_VALUES", budget)
@@ -237,7 +229,7 @@ def test_sweep_chain_needs_a_driver_and_a_block(basis, nspec):
                      1, chain=2)
     with pytest.raises(ValueError, match="chain must be >= 1, got 0"):
         _stack_solve(init, params, sch, basis, nspec, drawn(nspec, sch, [0]),
-                     1, driver=constant_trajectory(init, sch).chi_modal,
+                     1, driver=constant(init, sch)[0],
                      chain=0)
 
 
@@ -280,7 +272,7 @@ def cfl_picard_setup(basis):
     sch = SchemeConfig(dt=1e-3, T=0.3, reaction_cfl_limit=2.1844e-3)
     init = constant_pair(basis, 0.9 * steady_state(params)[0],
                          steady_state(params)[1])
-    return params, sch, init, constant_trajectory(init, sch)
+    return params, sch, init
 
 
 @pytest.mark.parametrize("blocks", [1, 2, None])
@@ -288,12 +280,12 @@ def test_picard_raises_the_first_failing_iterate(monkeypatch, basis, nspec,
                                                   blocks):
     # in sweeps of one block, of two, and of the default budget's ten (at
     # this shape), iterate 3 fails with the error its apply_T call raises
-    params, sch, init, start = cfl_picard_setup(basis)
+    params, sch, init = cfl_picard_setup(basis)
     if blocks is not None:
         monkeypatch.setattr(experiments, "SWEEP_STORE_VALUES",
                             blocks * 2 * 2 * 301 * K)
     frozen = sliced(drawn(nspec, sch, range(2))(0, sch.n_steps()))
-    current = members(start, 2)
+    current = constant(init, sch, 2)
     for _ in range(2):
         current, _ = apply_T(current, init, params, sch, basis, nspec, frozen)
     with pytest.raises(SimulationError) as expected:
@@ -308,7 +300,7 @@ def test_picard_raises_the_first_failing_iterate(monkeypatch, basis, nspec,
 def test_picard_discards_a_failing_block_past_convergence(basis, nspec):
     # converged at iterate 2, the first sweep's failing iterate 3 is
     # discarded and raises nothing
-    params, sch, init, _ = cfl_picard_setup(basis)
+    params, sch, init = cfl_picard_setup(basis)
     loose = dataclasses.replace(sch, reaction_cfl_limit=1.0)
     two = picard_iterate(init, params, loose, basis, nspec,
                          FixedPointConfig(max_iterations=2, ensemble_size=2))
@@ -378,7 +370,7 @@ def test_apply_T_reports_reaction_cfl_of_the_shared_step(basis, nspec):
     sch = SchemeConfig(dt=1e-3, T=0.01)
     pair = steady_pair(basis, params)
     # kappa_u chi^2/v* dt = 100^2/2 * 1e-3 = 5 >= 1 from the first step
-    loud = constant_trajectory(
+    loud = constant(
         constant_pair(basis, 100.0, steady_state(params)[1]), sch)
     path = drawn(nspec, sch, [0])
     with pytest.raises(SimulationError,
@@ -391,8 +383,7 @@ def test_apply_T_raises_the_floor_violation_of_its_row(basis, nspec):
     params = desk_params(sigma=1.0)
     sch = SchemeConfig(dt=1e-3, T=0.01, v_floor=0.0)
     pair = steady_pair(basis, params)
-    traj = constant_trajectory(constant_pair(basis, 0.0, 1.0), sch)
-    stack = members(traj, 3)
+    stack = constant(constant_pair(basis, 0.0, 1.0), sch, 3)
     increments = np.zeros((3, 2, K, 10))
     # row 2's inhibitor sees dW = -5 at every node in step 3: its noise
     # term -5 v outweighs v, and v turns negative everywhere
@@ -404,13 +395,13 @@ def test_apply_T_raises_the_floor_violation_of_its_row(basis, nspec):
     increments[2, 1, 0, 3] = 0.0
     out, final = apply_T(stack, pair, params, sch, basis, nspec,
                          sliced(increments))
-    assert final.alive.all() and out.eta_modal.shape == (3, 11, K)
+    assert final.alive.all() and out.shape == (2, 3, 11, K)
 
 
 def test_seminorm_of_identical_families_is_zero(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.02)
-    traj = constant_trajectory(default_initial_pair(basis, params), sch)
+    traj = constant(default_initial_pair(basis, params), sch)
     assert seminorm_m(traj, traj, basis, 1.1) == 0.0
 
 
@@ -440,7 +431,7 @@ def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
-    start = constant_trajectory(init, SchemeConfig(dt=1e-3, T=0.02))
+    start = constant(init, SchemeConfig(dt=1e-3, T=0.02))
     with pytest.raises(ValueError) as expected:
         apply_T(start, init, params, sch, basis, nspec,
                 drawn(nspec, sch, [0]))
@@ -615,17 +606,53 @@ def test_ensemble_reports_failed_paths(basis, nspec):
                  FunctionalConfig(observation_stride=1))
 
 
+class _States:
+    """Observer keeping a copy of every state's u and v modes."""
+
+    stride = 1
+
+    def __init__(self):
+        self.u, self.v = [], []
+
+    def accumulate(self, view, dt):
+        pass
+
+    def record(self, view):
+        self.u.append(view.u_modal.copy())
+        self.v.append(view.v_modal.copy())
+
+
 def test_trajectory_recorder_matches_run_output(basis, nspec):
+    # the store is (2, B, n+1, K): its halves are the run's u and v states
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
     path = drawn(nspec, sch, [0])
-    rec = TrajectoryRecorder(sch.n_steps())
+    states = _States()
+    rec = TrajectoryRecorder(sch.n_steps(), functionals=states)
     res = run(init, params, sch, basis, nspec, path, observer=rec)
     traj = rec.trajectories()
-    assert traj.times.size - 1 == 10
-    assert np.array_equal(traj.chi_modal[0, 0], init[0])
-    assert np.array_equal(traj.chi_modal[0, -1], res.u_modal[0])
+    assert traj.shape == (2, 1, 11, K)
+    assert np.array_equal(traj[0], np.stack(states.u, axis=1))
+    assert np.array_equal(traj[1], np.stack(states.v, axis=1))
+    assert np.array_equal(traj[:, 0, 0], init)
+    assert np.array_equal(traj[0, 0, -1], res.u_modal[0])
+    assert np.array_equal(traj[1, 0, -1], res.v_modal[0])
+
+
+def test_uniqueness_times_are_the_recorded_step_times(basis, nspec):
+    # the report's time column is n dt, bitwise the t a walk records; on
+    # this grid every time but 0 differs from linspace(0, T, n + 1)
+    params = desk_params()
+    sch = SchemeConfig(dt=3e-3, T=0.036)
+    init = default_initial_pair(basis, params)
+    rec = FunctionalRecorder(basis, FunctionalConfig(observation_stride=1),
+                             sch.v_floor)
+    run(init, params, sch, basis, nspec, drawn(nspec, sch, [0]), observer=rec)
+    report = uniqueness_study(init, 0.0, params, sch, basis, nspec,
+                              StoppingSpec(), drawn(nspec, sch, [0]))
+    assert np.array_equal(report.times, rec.traces().times)
+    assert not np.array_equal(report.times, np.linspace(0.0, sch.T, 13))
 
 
 def _stopping_scan_per_step(traj, basis, scheme, levels):
@@ -635,11 +662,11 @@ def _stopping_scan_per_step(traj, basis, scheme, levels):
     h1_running = 0.0
     tau1 = dict.fromkeys(levels)
     tau2 = dict.fromkeys(levels)
-    for i in range(traj.times.size):
-        v = basis.synthesize(traj.eta_modal[0, i])
+    for i in range(traj.shape[2]):
+        v = basis.synthesize(traj[1, 0, i])
         xi = 1.0 / np.maximum(v, scheme.v_floor)
         sup_xi8 = max(sup_xi8, float((w @ xi**8) ** (1.0 / 8.0)))
-        u = traj.chi_modal[0, i]
+        u = traj[0, 0, i]
         sup_u2 = max(sup_u2, float(np.sum(u**2)))
         for m in levels:
             if tau1[m] is None and sup_xi8 >= m:
@@ -665,6 +692,6 @@ def test_stopping_scan_hits_levels_mid_run(basis, nspec):
     got = _stopping_scan(traj, basis, sch, levels)
     assert got == _stopping_scan_per_step(traj, basis, sch, levels)
     steps = [s for tau in got for s in tau.values() if s is not None]
-    half = (traj.times.size - 1) // 2
+    half = (traj.shape[2] - 1) // 2
     assert sum(0 < s < half for s in steps) >= 10
     assert sum(s >= half for s in steps) >= 10

@@ -13,9 +13,6 @@ from gmspde.dynamics import (
 )
 from gmspde.experiments import (
     FixedPointConfig,
-    PairTrajectory,
-    _block,
-    constant_trajectory,
     ensemble,
     picard_iterate,
 )
@@ -51,44 +48,47 @@ def desk_params(sigma=0.1):
                        mu_u=1.0, mu_v=2.0, sigma_u=sigma, sigma_v=sigma)
 
 
-def const_traj(basis, chi_value, eta_value, n_steps=8, horizon=1.0):
-    """One-row stack of a time-constant (chi, eta), power-of-two steps."""
-    sqrt_vol = np.sqrt(basis.volume)
-    chi = np.zeros(K)
-    chi[0] = chi_value * sqrt_vol
-    eta = np.zeros(K)
-    eta[0] = eta_value * sqrt_vol
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    return PairTrajectory(
-        times=times,
-        chi_modal=np.tile(chi, (1, n_steps + 1, 1)),
-        eta_modal=np.tile(eta, (1, n_steps + 1, 1)),
-    )
+# the step of the constant stacks: 8 steps to T = 1
+DT = 0.125
 
 
-def walk_trace(traj, basis, fcfg, v_floor, path_index=-1, monitors=True):
-    """Trace of a stored stack, walked state by state through the recorder.
+def constant(pair, n_steps=8):
+    """One-row (2, 1, n+1, K) stack of the time-constant (2, K) ``pair``."""
+    return np.broadcast_to(pair[:, None, None],
+                           (2, 1, n_steps + 1, pair.shape[1]))
 
-    The schedule of ``run_batch``'s loop: each state is recorded (state 0,
-    every ``stride``-th and the last) before it is accumulated over
-    dt = times[1] - times[0] (every state but the last).  Its
+
+def const_traj(basis, chi_value, eta_value):
+    """One-row stack of a time-constant (chi, eta), 8 steps of :data:`DT`."""
+    pair = np.zeros((2, K))
+    pair[:, 0] = np.array([chi_value, eta_value]) * np.sqrt(basis.volume)
+    return constant(pair)
+
+
+def walk_trace(traj, basis, fcfg, v_floor, path_index=-1, monitors=True,
+               dt=DT):
+    """Trace of a (2, B, n+1, K) stack, walked state by state.
+
+    The schedule of ``run_batch``'s loop: state i, at t = i dt, is
+    recorded (state 0, every ``stride``-th and the last) before it is
+    accumulated over dt (every state but the last).  Its
     ``floor_activations`` count the floored nodes of the pre-step states,
     as the stepper does.
     """
-    rows, n = traj.chi_modal.shape[0], traj.times.size - 1
+    rows, n = traj.shape[1], traj.shape[2] - 1
     rec = FunctionalRecorder(basis, fcfg, v_floor,
                              np.broadcast_to(path_index, (rows,)), monitors)
     floors = np.zeros(rows, dtype=int)
     for i in range(n + 1):
-        modal = np.stack((traj.chi_modal[:, i], traj.eta_modal[:, i]))
-        view = StateView(t=traj.times[i], step_index=i, modal=modal,
+        modal = np.ascontiguousarray(traj[:, :, i])
+        view = StateView(t=i * dt, step_index=i, modal=modal,
                          nodal=basis.synthesize(modal),
                          floor_activations=floors.copy(),
                          alive=np.ones(rows, dtype=bool))
         if i % rec.stride == 0 or i == n:
             rec.record(view)
         if i < n:
-            rec.accumulate(view, traj.times[1] - traj.times[0])
+            rec.accumulate(view, dt)
             floors += floor_counts(view.v_nodal, v_floor)
     return rec.traces()
 
@@ -163,17 +163,13 @@ def test_lyapunov_l1_trivial(basis):
 
 def test_lyapunov_l1_single_eigenmode(basis):
     # one step with chi = e_1, v = 1: |chi|^2 = 1, grad term = lambda_1 dt
-    dt = 0.125
-    chi = np.zeros((1, 2, K))
-    chi[..., 1] = 1.0
-    eta = np.zeros((1, 2, K))
-    eta[..., 0] = 1.0
-    traj = PairTrajectory(times=np.array([0.0, dt]), chi_modal=chi,
-                          eta_modal=eta)
-    trace = walk_trace(traj, basis, FunctionalConfig(observation_stride=1),
-                       1e-8)
+    pair = np.zeros((2, K))
+    pair[0, 1] = 1.0
+    pair[1, 0] = 1.0
+    trace = walk_trace(constant(pair, n_steps=1), basis,
+                       FunctionalConfig(observation_stride=1), 1e-8)
     lam1 = basis.eigenvalues[1]
-    expected = 1.0 + lam1 * dt + 1.0
+    expected = 1.0 + lam1 * DT + 1.0
     assert lyapunov_L1(trace)[0] == pytest.approx(expected, rel=1e-10)
 
 
@@ -233,14 +229,11 @@ def test_membership_trivial_pass_and_negative_node(basis):
     rep = membership(good, big)
     assert rep.ok
 
-    chi = np.zeros((1, 2, K))
-    chi[..., 0] = 0.5
-    chi[..., 1] = -1.0  # pushes some nodes negative
-    eta = np.zeros((1, 2, K))
-    eta[..., 0] = 1.0
-    traj = PairTrajectory(times=np.array([0.0, 0.5]), chi_modal=chi,
-                          eta_modal=eta)
-    bad = walk_trace(traj, basis, cfg, 1e-8)
+    pair = np.zeros((2, K))
+    pair[0, 0] = 0.5
+    pair[0, 1] = -1.0  # pushes some nodes negative
+    pair[1, 0] = 1.0
+    bad = walk_trace(constant(pair, n_steps=1), basis, cfg, 1e-8, dt=0.5)
     rep = membership(bad, big)
     assert not rep.positivity_ok
     assert "node" in rep.failure
@@ -292,7 +285,7 @@ def test_monitors_constant_for_steady_trajectory(basis):
     cfg = FunctionalConfig(observation_stride=1)
     from gmspde.dynamics import steady_state
     u_star, v_star = steady_state(params)
-    traj = const_traj(basis, u_star, v_star, n_steps=8, horizon=1.0)
+    traj = const_traj(basis, u_star, v_star)
     trace = walk_trace(traj, basis, cfg, 1e-8)
     fits = energy_monitors(trace, params, cfg,
                            horizons=[0.25, 0.5, 1.0])
@@ -499,7 +492,7 @@ def test_picard_memberships_match_a_walk_over_each_iterate(monkeypatch):
 
     def spy(*args, chain=1, **kwargs):
         stack, final = stack_solve(*args, chain=chain, **kwargs)
-        iterates.extend(_block(stack, j, 16) for j in range(chain))
+        iterates.extend(stack[:, j * 16:(j + 1) * 16] for j in range(chain))
         return stack, final
 
     monkeypatch.setattr(experiments, "_stack_solve", spy)
@@ -508,7 +501,7 @@ def test_picard_memberships_match_a_walk_over_each_iterate(monkeypatch):
     assert report.converged and report.iterations == 6
     for got, iterate in zip(report.memberships, iterates):
         want = membership(walk_trace(iterate, basis, fcfg, sch.v_floor,
-                                     range(16), monitors=False),
+                                     range(16), monitors=False, dt=sch.dt),
                           report.bounds)
         for part in ("mean_L1", "mean_L2", "sup_mean_L3"):
             assert getattr(got, part) == pytest.approx(
@@ -527,8 +520,9 @@ def test_picard_start_bounds_match_a_walk_over_its_steps(basis):
     fcfg = FunctionalConfig(observation_stride=25)
     config = FixedPointConfig(max_iterations=1, ensemble_size=1)
     report = picard_iterate(init, params, sch, basis, spec, config, fcfg)
-    want = auto_bounds(walk_trace(constant_trajectory(init, sch), basis, fcfg,
-                                  sch.v_floor, monitors=False),
+    want = auto_bounds(walk_trace(constant(init, n_steps=sch.n_steps()),
+                                  basis, fcfg, sch.v_floor, monitors=False,
+                                  dt=sch.dt),
                        margin=config.bound_margin)
     for name in ("K1", "K2", "K3"):
         assert getattr(report.bounds, name) == pytest.approx(

@@ -84,6 +84,34 @@ def test_snapshot_reader_rejects_damage(how, message, tmp_path):
         io_mod.read_snapshot(path)
 
 
+# header words (dim, n0, n1, field count) a writer never produces
+BAD_HEADERS = {
+    "dim 3": ((3.0, 5.0, 3.0, 2.0), 30, "dimension 3 is not 1 or 2"),
+    "dim 0": ((0.0, 5.0, 3.0, 2.0), 30, "dimension 0 is not 1 or 2"),
+    "size 2.5": ((2.0, 2.5, 3.0, 2.0), 12,
+                 "grid size 2.5 is not a positive integer"),
+    "size -0.0": ((1.0, -0.0, 1.0, 2.0), 0,
+                  "grid size -0 is not a positive integer"),
+    "field count 1.5": ((1.0, 5.0, 1.0, 1.5), 5,
+                        "field count 1.5 is not a positive integer"),
+    "field count 0": ((1.0, 5.0, 1.0, 0.0), 0,
+                      "field count 0 is not a positive integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+def test_snapshot_reader_rejects_a_header_it_cannot_mean(case, tmp_path):
+    # each payload has the length the truncated header words would imply
+    words, values, message = BAD_HEADERS[case]
+    path = tmp_path / "final.gmsp"
+    path.write_bytes(io_mod._HEADER.pack(io_mod.SNAPSHOT_MAGIC,
+                                         io_mod.SNAPSHOT_VERSION, *words, 0.5)
+                     + np.zeros(values).tobytes())
+    with pytest.raises(ValueError) as err:
+        io_mod.read_snapshot(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def per_value_csv(header, columns):
     """The CSV bytes of formatting one value at a time: the byte oracle."""
     columns = [np.asarray(c) for c in columns]
