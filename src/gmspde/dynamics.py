@@ -24,12 +24,12 @@ steps both fields with sources formed from a driver chi:
 kappa_u chi^2/max(v, floor) for u and kappa_v chi^2 for v.  Each
 field's noise coefficient depends on that field alone, so with chi = u
 this is the coupled step, and with chi a given trajectory (the
-``driver`` of :func:`run_batch`) it is a step of the Picard map T
-(``experiments.apply_T``).  One core with one set of checks steps
-both, and a coupled trajectory is an exact fixed point of the discrete
-T.  Because T is causal in time, one driven stack can also chain
-successive applications of T, each block of rows driven by the live u
-of the block before it (``experiments.picard_iterate``'s sweeps).
+``driver`` of :func:`run_batch`) it is a step of the Picard map T,
+which is :func:`run_batch` given a driver.  One core with one set of
+checks steps both, and a coupled trajectory is an exact fixed point of
+the discrete T.  Because T is causal in time, one driven stack can also
+chain successive applications of T, each block of rows driven by the
+live u of the block before it (``experiments.picard_iterate``'s sweeps).
 
 Paths are stepped as stacks: one state object, :class:`StateView`,
 holds B trajectories of both fields as one stack (modal (2, B, K),
@@ -159,6 +159,8 @@ class SchemeConfig:
             problems.append(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.v_floor < 0:
             problems.append("v_floor must be >= 0")
+        if self.reaction_cfl_limit <= 0:
+            problems.append("reaction_cfl_limit must be positive")
         if problems:
             raise ValueError("\n".join(problems))
 

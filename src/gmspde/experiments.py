@@ -16,8 +16,8 @@ Picard members are keyed by path index and stepped as one stack
 through the one stepping core, ``dynamics.run_batch``, which reads
 their noise from a noise source ``draw(n0, n1)``; results are
 reduced in index order.  Ensembles and the coupled solve step the
-coupled system; ``apply_T`` steps the map T on the same core, its input
-trajectory the driver chi of the sources, so both share one scheme and
+coupled system; the map T is the same core given a ``driver``, the
+input trajectory's chi in the sources, so both share one scheme and
 one set of checks, and a coupled trajectory is an exact fixed point of
 the discrete T.  An ensemble draws its noise in blocks of steps inside
 the core and is reproducible bit for bit for a given path list,
@@ -30,12 +30,12 @@ in time, so successive iterates are stepped in lockstep (pipelined
 waveform relaxation): a sweep is one stack of chained blocks of
 members, block j driven by the live u of block j - 1, its depth worked
 out from the budgets :data:`SWEEP_STORE_VALUES` and
-:data:`SWEEP_MAX_ROWS` (see :func:`picard_iterate`).  Its iterates equal
-chained ``apply_T`` calls to rounding, their functionals are recorded
-live as the sweep steps them, and its report, read block by block,
-reruns bit for bit.  The uniqueness study draws its path's table
-once and runs its two trajectories one by one on it, so its delta = 0
-check stays bitwise.
+:data:`SWEEP_MAX_ROWS` (see :func:`picard_iterate`).  Its iterates
+equal chained driven ``run_batch`` calls to rounding, their functionals
+are recorded live as the sweep steps them, and its report, read block
+by block, reruns bit for bit.  The uniqueness study draws its path's
+table once and runs its two trajectories one by one on it, so its
+delta = 0 check stays bitwise.
 
 Every stored trajectory is the (2, B, n+1, K) modal array of the
 trajectory store (:class:`TrajectoryRecorder`): chi (u) first, then eta
@@ -119,12 +119,13 @@ class StoppingSpec:
 # block of the first sweep comes on top.  At the ``picard_1d``
 # benchmark's shape (16 members, 100 steps, K = 16: 51,712 values a
 # block; 6 iterations) the iteration took, in-process, median of 5
-# rounds of 15 calls on 2 cores, with its tracemalloc peak: one apply_T
-# per iterate 106 ms, 2.24 MiB; sweeps of at most 1 block 102 ms,
-# 2.64 MiB; 2 blocks 78 ms, 3.05 MiB; 3 blocks 75 ms, 3.46 MiB; 4 blocks
-# 68 ms, 3.88 MiB; 6 (one sweep) 64 ms, 4.71 MiB; 30 (max_iterations,
-# no budget) 130 ms, 15.6 MiB.  3 x 2**16 (a 1.5 MB store, 3 blocks
-# there) keeps most of the gain for 1.2 MiB over one iterate at a time.
+# rounds of 15 calls on 2 cores, with its tracemalloc peak: one driven
+# run_batch per iterate 106 ms, 2.24 MiB; sweeps of at most 1 block
+# 102 ms, 2.64 MiB; 2 blocks 78 ms, 3.05 MiB; 3 blocks 75 ms, 3.46 MiB;
+# 4 blocks 68 ms, 3.88 MiB; 6 (one sweep) 64 ms, 4.71 MiB; 30
+# (max_iterations, no budget) 130 ms, 15.6 MiB.  3 x 2**16 (a 1.5 MB
+# store, 3 blocks there) keeps most of the gain for 1.2 MiB over one
+# iterate at a time.
 SWEEP_STORE_VALUES = 3 * 2**16
 
 # most chained rows (members x blocks) in one sweep of
@@ -138,8 +139,8 @@ SWEEP_STORE_VALUES = 3 * 2**16
 # convergence.  At 16 members and 10 steps (4 iterations; the store
 # budget alone gives 30 blocks) the iteration took, median of 21 calls
 # in two rounds: 12.4/12.8 ms at 16 rows, 9.1/8.3 ms at 64, 12.6/11.2 ms
-# at 192 and 20.7/18.4 ms at 480, against 10.9/15.5 ms for one apply_T
-# per iterate.
+# at 192 and 20.7/18.4 ms at 480, against 10.9/15.5 ms for one driven
+# run_batch per iterate.
 SWEEP_MAX_ROWS = 64
 
 
@@ -198,55 +199,6 @@ def seminorm_m(a, b, basis, rho):
     return float(np.sqrt(np.mean(sup_h)) + np.mean(sup_l2))
 
 
-def _check_input_positivity(traj, basis, dt):
-    # one row per (path, step), paths in order
-    chi = basis.synthesize(traj[0]).reshape(-1, basis.n_nodes)
-    eta = basis.synthesize(traj[1]).reshape(-1, basis.n_nodes)
-    bad = np.flatnonzero(np.any(chi < 0.0, axis=1) | np.any(eta <= 0.0, axis=1))
-    if bad.size == 0:
-        return
-    n = int(bad[0])
-    if np.any(chi[n] < 0.0):
-        label, values = "chi negative", chi[n]
-    else:
-        label, values = "eta nonpositive", eta[n]
-    loc = int(np.argmin(values))
-    raise ValueError(
-        f"input {label} at t = {n % traj.shape[2] * dt:g}, node {loc} "
-        f"(value {values[loc]:g}): outside the admissible set"
-    )
-
-
-def apply_T(traj, init, params: ModelParams, scheme: SchemeConfig, basis,
-            noise_spec: NoiseSpec, draw):
-    """One application of the decoupling map on frozen noise.
-
-    Solves the inhibitor equation with source kappa_v chi^2(t) and the
-    activator equation with source kappa_u chi^2(t)/v(t) from the (2, K)
-    modal initial data ``init`` by the coupled step and its checks
-    (:func:`~gmspde.dynamics.run_batch` driven by ``traj``'s chi), so a
-    coupled trajectory is its exact fixed point; eta enters only through
-    the admissibility check.  ``traj`` is a (2, B, n+1, K) stack of
-    B >= 1 paths, and ``draw`` is the noise source of as many paths
-    (:func:`~gmspde.noise.drawn`, :func:`~gmspde.noise.sliced`), whose
-    blocks are checked as :func:`~gmspde.dynamics.run` checks them; the
-    first row failure is raised.
-    Returns the (2, B, n+1, K) output stack and the final
-    :class:`~gmspde.dynamics.StateView` of the stack, whose per-row
-    ``floor_activations`` count floored nodes.
-
-    :func:`picard_iterate` steps T in chained sweeps instead; this
-    one-application form is the reference its blocks are checked against
-    (the sweep tests and ``tools/compare_trees.py``).
-    """
-    _check_input_positivity(traj, basis, scheme.dt)
-    out, final = _stack_solve(init, params, scheme, basis, noise_spec, draw,
-                              traj.shape[1], driver=traj[0])
-    if final.failures:
-        raise next(iter(final.failures.values()))
-    return out, final
-
-
 @dataclass
 class PicardReport:
     distances: list
@@ -282,22 +234,6 @@ class PicardReport:
             f"{self.residual_vs_coupled:.6g}"
         )
         return lines
-
-
-def _stack_solve(init, params, scheme, basis, noise_spec, draw, n_paths,
-                 driver=None, chain=1, coupled=False, functionals=None):
-    """Stored trajectories and final state of one :func:`run_batch` stack.
-
-    ``driver``, ``chain`` and ``coupled`` are ``run_batch``'s; failed
-    rows are left in the final state's ``failures``.  A
-    :class:`~gmspde.functionals.FunctionalRecorder` given as
-    ``functionals`` records the stack's functionals on the same walk.
-    """
-    rec = TrajectoryRecorder(scheme.n_steps(), functionals)
-    final = run_batch(init, params, scheme, basis, noise_spec, draw,
-                      n_paths, observer=rec, driver=driver, chain=chain,
-                      coupled=coupled)
-    return rec.trajectories(), final
 
 
 def _first_failure(final, j: int, m: int):
@@ -337,13 +273,12 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
     are those of a walk over its steps, to rounding.  The report is read
     block by block, as one application of T at a time: distance to the
     previous iterate, membership, convergence test.  An iterate that
-    failed raises its first row failure, the error :func:`apply_T`
-    raises on it; the first failing iterate in order is raised, then a
-    failure of the coupled solve.  Blocks past convergence are discarded
-    unread, so they neither count nor raise.  Non-convergence within the
-    budget is reported, not raised.
+    failed raises its first row failure; the first failing iterate in
+    order is raised, then a failure of the coupled solve.  Blocks past
+    convergence are discarded unread, so they neither count nor raise.
+    Non-convergence within the budget is reported, not raised.
 
-    Each block is the iterate :func:`apply_T` gives to rounding
+    Each block is the iterate a driven ``run_batch`` gives to rounding
     (1e-13 x max|value|, pinned by the tests), and the distances follow
     it: a stacked product may sum a row in another order than a product
     of another height, so the budgets and the depths may move last bits.
@@ -388,10 +323,11 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
         rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
                                  path_index=np.tile(np.arange(m), blocks),
                                  monitors=False)
-        stack, final = _stack_solve(init, params, scheme, basis, noise_spec,
-                                    frozen, m, driver=current[0],
-                                    chain=depth, coupled=coupled is None,
-                                    functionals=rec)
+        store = TrajectoryRecorder(n, rec)
+        final = run_batch(init, params, scheme, basis, noise_spec, frozen, m,
+                          observer=store, driver=current[0], chain=depth,
+                          coupled=coupled is None)
+        stack = store.trajectories()
         traces = rec.traces()
         for j in range(depth):
             failure = _first_failure(final, j, m)
@@ -411,7 +347,7 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
             coupled_failure = _first_failure(final, depth, m)
         # the next sweep's input, out of the store, which is freed
         current = current.copy()
-        del stack, final, new
+        del store, stack, final, new
 
     # residual against the directly coupled solve on the same noise
     if coupled_failure is not None:

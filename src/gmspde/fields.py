@@ -75,6 +75,14 @@ def floor_violation(v_nodal):
     )
 
 
+def reject_nonpositive(v_nodal):
+    """Raise the :func:`floor_violation` of the first row with v <= 0."""
+    rows = np.reshape(v_nodal, (-1, np.shape(v_nodal)[-1]))
+    bad = np.flatnonzero(np.any(rows <= 0.0, axis=-1))
+    if bad.size:
+        raise floor_violation(rows[bad[0]])
+
+
 def floor_counts(v_nodal, v_floor):
     """Per-row number of nodes below ``v_floor`` (last axis)."""
     return np.count_nonzero(v_nodal < v_floor, axis=-1)
@@ -93,10 +101,7 @@ def quotient_nodal(u_nodal, v_nodal, v_floor, out=None):
     if v_floor < 0:
         raise ValueError("v_floor must be >= 0")
     if v_floor == 0.0:
-        rows = np.reshape(v_nodal, (-1, np.shape(v_nodal)[-1]))
-        bad = np.flatnonzero(np.any(rows <= 0.0, axis=-1))
-        if bad.size:
-            raise floor_violation(rows[bad[0]])
+        reject_nonpositive(v_nodal)
         return np.divide(u_nodal * u_nodal, v_nodal, out=out), 0
     activations = int(np.count_nonzero(v_nodal < v_floor))
     denom = np.maximum(v_nodal, v_floor)

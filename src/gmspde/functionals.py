@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import floor_violation
+from .fields import reject_nonpositive
 from .spectral import nonfinite
 
 DEFAULT_P = 31.0 / 7.0
@@ -200,14 +200,11 @@ class FunctionalRecorder:
         """xi = 1/max(v, floor) of the (rows, n_nodes) ``v_nodal``.
 
         Formed in ``out`` if given, else in a new array.  A zero floor
-        raises the :class:`~gmspde.fields.FloorViolation` that
-        :func:`~gmspde.fields.quotient_nodal` raises: that of the first
-        row holding a nonpositive v.
+        raises the :class:`~gmspde.fields.FloorViolation` of the first
+        row with v <= 0 (:func:`~gmspde.fields.reject_nonpositive`).
         """
         if self.v_floor == 0.0:
-            bad = np.flatnonzero(np.any(v_nodal <= 0.0, axis=-1))
-            if bad.size:
-                raise floor_violation(v_nodal[bad[0]])
+            reject_nonpositive(v_nodal)
         xi = np.maximum(v_nodal, self.v_floor, out=out)
         return np.divide(1.0, xi, out=xi)
 

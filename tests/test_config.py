@@ -80,6 +80,25 @@ def test_keys_past_64_bits_are_config_errors_before_any_output(case, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, limit", [("simulate", "0"),
+                                            ("ensemble", "-1")])
+def test_a_nonpositive_reaction_cfl_limit_is_a_config_error(command, limit,
+                                                             tmp_path,
+                                                             capsys):
+    # the peak kappa_u max(u^2/v) dt is >= 0, so no step passes a limit <= 0
+    with pytest.raises(ValueError,
+                       match="reaction_cfl_limit must be positive"):
+        SchemeConfig(dt=1e-3, T=0.01, reaction_cfl_limit=float(limit))
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[scheme]\nreaction_cfl_limit = {limit}\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out-dir", str(out), "--quiet"]
+    assert cli.main(argv) == 1
+    assert ("[scheme] reaction_cfl_limit must be positive"
+            in capsys.readouterr().err.splitlines())
+    assert not out.exists()
+
+
 def test_the_largest_seed_and_path_index_are_accepted():
     cfg = loads(f"[noise]\nmaster_seed = {2**64 - 1}\n"
                 f"[run]\npath_index = {2**64 - 1}\n")

@@ -15,9 +15,6 @@ ALLOWED = {
     "io.read_snapshot", "io.read_trace_csv",
     # an override: argparse calls it on a usage error
     "cli._Parser.error",
-    # the paper's map T with its user-facing checks; the Picard sweeps step
-    # it through run_batch, and the sweep tests take it as their oracle
-    "experiments.apply_T",
     # the measured ensemble expectations behind the l1_ok, l2_ok and
     # l3_ok verdicts, kept on the report for callers that want the numbers
     "functionals.MembershipReport.mean_L1",

@@ -24,6 +24,13 @@ def make_basis(n=64, k=16):
                                   grid_points_per_axis=n), k)
 
 
+def exactness_bases():
+    """The 1-D unit interval and a 2-D 1 x 1.5 rectangle (N = 24, K = 36)."""
+    return (make_basis(),
+            build_basis(DomainSpec(dim=2, lengths=(1.0, 1.5),
+                                   grid_points_per_axis=24), 36))
+
+
 def desk_params(sigma=0.1):
     return ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
                        mu_u=1.0, mu_v=2.0, sigma_u=sigma, sigma_v=sigma)
@@ -104,21 +111,21 @@ def test_only_the_ito_step_carries_the_drift_correction(scheme):
 
 
 def test_constant_decay_is_exact_per_step():
-    basis = make_basis()
-    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16)
+    # mode 0 of a constant is the constant times sqrt(volume)
     mu = 0.7
     params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
                          mu_u=mu, mu_v=1.0, sigma_u=0.0, sigma_v=0.0)
     sch = SchemeConfig(dt=0.01, T=0.01)  # one step
-    out = run(constant_pair(basis, 3.0, 1.0), params, sch, basis, spec, None)
-    assert out.u_modal[0, 0] == pytest.approx(
-        3.0 * np.exp(-mu * 0.01), rel=1e-15)
-    assert out.t == pytest.approx(0.01)
+    for basis in exactness_bases():
+        spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=basis.mode_count)
+        pair = constant_pair(basis, 3.0, 1.0)
+        out = run(pair, params, sch, basis, spec, None)
+        assert out.u_modal[0, 0] == pytest.approx(
+            pair[0, 0] * np.exp(-mu * 0.01), rel=1e-15), basis.domain.dim
+        assert out.t == pytest.approx(0.01)
 
 
 def test_homogeneous_steady_state_is_discrete_fixed_point():
-    basis = make_basis()
-    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16)
     params = desk_params(sigma=0.0)
     u_star, v_star = steady_state(params)
     # residual of the continuous right-hand side vanishes by construction
@@ -127,23 +134,25 @@ def test_homogeneous_steady_state_is_discrete_fixed_point():
     assert params.kappa_v * u_star**2 - params.mu_v * v_star == \
         pytest.approx(0.0, abs=1e-14)
     sch = SchemeConfig(dt=1e-2, T=1e-2)  # one step
-    pair = constant_pair(basis, u_star, v_star)
-    out = run(pair, params, sch, basis, spec, None)
-    assert abs(out.u_modal[0, 0] - pair[0, 0]) < 1e-13
-    assert abs(out.v_modal[0, 0] - pair[1, 0]) < 1e-13
+    for basis in exactness_bases():
+        spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=basis.mode_count)
+        pair = constant_pair(basis, u_star, v_star)
+        out = run(pair, params, sch, basis, spec, None)
+        assert abs(out.u_modal[0, 0] - pair[0, 0]) < 1e-13, basis.domain.dim
+        assert abs(out.v_modal[0, 0] - pair[1, 0]) < 1e-13, basis.domain.dim
 
 
 def test_sigma_zero_schemes_coincide_exactly():
-    basis = make_basis()
-    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16)
     params = desk_params(sigma=0.0)
-    init = default_initial_pair(basis, params)
     sch_i = SchemeConfig(dt=1e-3, T=0.05, scheme="ito_imex")
     sch_s = SchemeConfig(dt=1e-3, T=0.05, scheme="stratonovich_heun")
-    res_i = run(init, params, sch_i, basis, spec, drawn(spec, sch_i, [0]))
-    res_s = run(init, params, sch_s, basis, spec, drawn(spec, sch_s, [0]))
-    assert np.array_equal(res_i.u_modal, res_s.u_modal)
-    assert np.array_equal(res_i.v_modal, res_s.v_modal)
+    for basis in exactness_bases():
+        spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=basis.mode_count)
+        init = default_initial_pair(basis, params)
+        res_i = run(init, params, sch_i, basis, spec, drawn(spec, sch_i, [0]))
+        res_s = run(init, params, sch_s, basis, spec, drawn(spec, sch_s, [0]))
+        assert np.array_equal(res_i.u_modal, res_s.u_modal), basis.domain.dim
+        assert np.array_equal(res_i.v_modal, res_s.v_modal), basis.domain.dim
 
 
 def test_single_step_ops_match_run():
@@ -277,18 +286,19 @@ def test_run_holds_one_noise_block_whatever_the_horizon():
 
 
 def test_mass_conservation_pure_diffusion():
-    basis = make_basis()
-    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16)
     params = ModelParams(r_u=0.05, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
                          mu_u=0.0, mu_v=0.0, sigma_u=0.0, sigma_v=0.0)
-    modal = np.zeros(16)
-    modal[0], modal[4], modal[9] = 1.5, 0.3, -0.2
-    pair = constant_pair(basis, 0.0, 1.0)
-    pair[0] = modal
-    res = run(pair, params, SchemeConfig(dt=1e-3, T=1.0), basis, spec, None)
-    assert abs(res.u_modal[0, 0] - 1.5) < 1e-10
-    # nonzero modes decay under the heat flow
-    assert abs(res.u_modal[0, 4]) < abs(modal[4])
+    for basis in exactness_bases():
+        spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=basis.mode_count)
+        modal = np.zeros(basis.mode_count)
+        modal[0], modal[4], modal[9] = 1.5, 0.3, -0.2
+        pair = constant_pair(basis, 0.0, 1.0)
+        pair[0] = modal
+        res = run(pair, params, SchemeConfig(dt=1e-3, T=1.0), basis, spec,
+                  None)
+        assert abs(res.u_modal[0, 0] - 1.5) < 1e-10, basis.domain.dim
+        # nonzero modes decay under the heat flow
+        assert abs(res.u_modal[0, 4]) < abs(modal[4]), basis.domain.dim
 
 
 def test_reaction_cfl_guard_fires():

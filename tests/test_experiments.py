@@ -12,15 +12,14 @@ from gmspde.dynamics import (
     constant_pair,
     default_initial_pair,
     run,
+    run_batch,
     steady_state,
 )
 from gmspde.experiments import (
     FixedPointConfig,
     StoppingSpec,
     TrajectoryRecorder,
-    _stack_solve,
     _stopping_scan,
-    apply_T,
     ensemble,
     picard_iterate,
     seminorm_m,
@@ -58,6 +57,23 @@ def constant(pair, sch, rows=1):
     """(2, rows, n+1, K) stack of the time-constant (2, K) modal ``pair``."""
     return np.broadcast_to(pair[:, None, None],
                            (2, rows, sch.n_steps() + 1, pair.shape[1]))
+
+
+def stack_solve(init, params, sch, basis, spec, draw, rows, **kwargs):
+    """Stored (2, rows, n+1, K) stack and final state of one run_batch."""
+    store = TrajectoryRecorder(sch.n_steps())
+    final = run_batch(init, params, sch, basis, spec, draw, rows,
+                      observer=store, **kwargs)
+    return store.trajectories(), final
+
+
+def apply_T(traj, init, params, sch, basis, spec, draw):
+    """The map T: run_batch driven by ``traj``'s chi; raises a row failure."""
+    out, final = stack_solve(init, params, sch, basis, spec, draw,
+                             traj.shape[1], driver=traj[0])
+    if final.failures:
+        raise next(iter(final.failures.values()))
+    return out, final
 
 
 def test_stopping_spec_requires_increasing_levels():
@@ -104,17 +120,6 @@ def test_apply_T_deterministic(basis, nspec):
     assert np.array_equal(out1, out2)
 
 
-def test_apply_T_rejects_negative_input(basis, nspec):
-    params = desk_params()
-    sch = SchemeConfig(dt=1e-3, T=0.01)
-    pair = steady_pair(basis, params)
-    bad = constant_pair(basis, -0.5, steady_state(params)[1])
-    traj = constant(bad, sch)
-    path = drawn(nspec, sch, [0])
-    with pytest.raises(ValueError, match="chi negative"):
-        apply_T(traj, pair, params, sch, basis, nspec, path)
-
-
 def test_apply_T_checks_its_noise_path_as_run_does(basis, nspec):
     # a source 10 steps short fails the block-shape check in both
     params = desk_params()
@@ -144,8 +149,8 @@ def test_coupled_solution_is_exact_fixed_point_of_T(scheme, dim, rows):
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
     init = default_initial_pair(basis_d, params)
     increments = sliced(drawn(spec, sch, range(rows))(0, 50))
-    coupled, final = _stack_solve(init, params, sch, basis_d, spec, increments,
-                                  rows)
+    coupled, final = stack_solve(init, params, sch, basis_d, spec, increments,
+                                 rows)
     assert not final.failures
     out, _ = apply_T(coupled, init, params, sch, basis_d, spec, increments)
     np.testing.assert_allclose(out, coupled, rtol=0, atol=0)
@@ -187,9 +192,9 @@ def test_sweep_iterates_equal_chained_apply_T(monkeypatch, scheme, dim, rows):
     init = default_initial_pair(basis_d, params)
     increments = sliced(drawn(spec, sch, range(rows))(0, 50))
     current = constant(init, sch, rows)
-    stack, final = _stack_solve(init, params, sch, basis_d, spec, increments,
-                                rows, driver=current[0], chain=3,
-                                coupled=True)
+    stack, final = stack_solve(init, params, sch, basis_d, spec, increments,
+                               rows, driver=current[0], chain=3,
+                               coupled=True)
     assert not final.failures and stack.shape == (2, 4 * rows, 51, K)
     for j in range(3):
         current, _ = apply_T(current, init, params, sch, basis_d, spec,
@@ -197,8 +202,8 @@ def test_sweep_iterates_equal_chained_apply_T(monkeypatch, scheme, dim, rows):
         block = stack[:, j * rows:(j + 1) * rows]
         assert_rounding_close(block[0], current[0])
         assert_rounding_close(block[1], current[1])
-    coupled, final = _stack_solve(init, params, sch, basis_d, spec, increments,
-                                  rows)
+    coupled, final = stack_solve(init, params, sch, basis_d, spec, increments,
+                                 rows)
     assert not final.failures
     assert_rounding_close(stack[0, 3 * rows:], coupled[0])
     assert_rounding_close(stack[1, 3 * rows:], coupled[1])
@@ -225,12 +230,11 @@ def test_sweep_chain_needs_a_driver_and_a_block(basis, nspec):
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
     with pytest.raises(ValueError, match="only a driven stack chains"):
-        _stack_solve(init, params, sch, basis, nspec, drawn(nspec, sch, [0]),
-                     1, chain=2)
+        stack_solve(init, params, sch, basis, nspec, drawn(nspec, sch, [0]),
+                    1, chain=2)
     with pytest.raises(ValueError, match="chain must be >= 1, got 0"):
-        _stack_solve(init, params, sch, basis, nspec, drawn(nspec, sch, [0]),
-                     1, driver=constant(init, sch)[0],
-                     chain=0)
+        stack_solve(init, params, sch, basis, nspec, drawn(nspec, sch, [0]),
+                    1, driver=constant(init, sch)[0], chain=0)
 
 
 def test_picard_stops_at_max_iterations(basis, nspec):
@@ -322,7 +326,7 @@ def test_picard_raises_a_failure_of_the_coupled_solve_last(basis, nspec):
     u_star, v_star = steady_state(params)
     init = constant_pair(basis, u_star, 0.5 * v_star)
     frozen = sliced(drawn(nspec, sch, range(2))(0, sch.n_steps()))
-    _, final = _stack_solve(init, params, sch, basis, nspec, frozen, 2)
+    _, final = stack_solve(init, params, sch, basis, nspec, frozen, 2)
     expected = next(iter(final.failures.values()))
     assert isinstance(expected, SimulationError)
     with pytest.raises(SimulationError) as got:
@@ -450,13 +454,12 @@ def test_sweep_depth_is_the_tighter_budget(monkeypatch, basis, nspec,
     sch = SchemeConfig(dt=1e-3, T=horizon)
     init = default_initial_pair(basis, params)
     chains = []
-    stack_solve = experiments._stack_solve
 
     def spy(*args, chain=1, **kwargs):
         chains.append(chain)
-        return stack_solve(*args, chain=chain, **kwargs)
+        return run_batch(*args, chain=chain, **kwargs)
 
-    monkeypatch.setattr(experiments, "_stack_solve", spy)
+    monkeypatch.setattr(experiments, "run_batch", spy)
     report = picard_iterate(init, params, sch, basis, nspec,
                             FixedPointConfig(ensemble_size=members))
     assert report.converged and chains == depths

@@ -488,14 +488,14 @@ def test_picard_memberships_match_a_walk_over_each_iterate(monkeypatch):
     init = default_initial_pair(basis, params)
     fcfg = FunctionalConfig(observation_stride=25)
     iterates = []
-    stack_solve = experiments._stack_solve
 
-    def spy(*args, chain=1, **kwargs):
-        stack, final = stack_solve(*args, chain=chain, **kwargs)
+    def spy(*args, chain=1, observer=None, **kwargs):
+        final = run_batch(*args, chain=chain, observer=observer, **kwargs)
+        stack = observer.trajectories()
         iterates.extend(stack[:, j * 16:(j + 1) * 16] for j in range(chain))
-        return stack, final
+        return final
 
-    monkeypatch.setattr(experiments, "_stack_solve", spy)
+    monkeypatch.setattr(experiments, "run_batch", spy)
     report = picard_iterate(init, params, sch, basis, spec,
                             FixedPointConfig(ensemble_size=16), fcfg)
     assert report.converged and report.iterations == 6

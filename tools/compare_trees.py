@@ -23,13 +23,13 @@ cases in its own interpreter, and the outputs are compared:
   (the ``sim_2d`` benchmark's path), and for the Ito scheme in 1-D over
   1,500 steps (past the first 1,024-step noise block of a one-path K=16
   run); criterion 6's single-mode
-  ``_gbm_batch`` outputs for both schemes; ``apply_T`` on a
-  coupled-solve input, and on a 16-row stack driven by a constant
-  trajectory (1-D N=64, K=16, 100 steps: one Picard step of the
-  ``picard_1d`` benchmark's shape), both as (2, B, n+1, K) arrays (a
-  tree that stores trajectories as ``PairTrajectory`` halves is fed and
-  read through a shim); the live functional trace of the
-  coupled path ``apply_T`` is fed, and of a 16-row ``run_batch`` stack
+  ``_gbm_batch`` outputs for both schemes; the map T (``run_batch``
+  driven by an input trajectory's chi, stored by
+  ``TrajectoryRecorder``) on a coupled-solve input, and on a 16-row
+  stack driven by a constant trajectory (1-D N=64, K=16, 100 steps:
+  one Picard step of the ``picard_1d`` benchmark's shape), both as
+  (2, B, n+1, K) arrays; the live functional trace of the coupled path
+  T is fed, and of a 16-row ``run_batch`` stack
   (1-D K=16, 100 steps, stride 25, v_floor = 2), whose
   ``floor_activations`` column is compared bitwise; the
   ensemble means of 20 and of 201 paths (1-D, both schemes; 201 is a
@@ -72,7 +72,7 @@ CFL_LIMIT = 0.0028
 
 
 def _cases():
-    from gmspde import acceptance, experiments
+    from gmspde import acceptance
     from gmspde.dynamics import (
         ModelParams,
         SchemeConfig,
@@ -174,40 +174,32 @@ def _cases():
             [-1 if tau[m, 1] is None else tau[m, 1] for m in levels])
 
     sch = SchemeConfig(dt=1e-3, T=0.1)
-    # a tree whose stored trajectory is a PairTrajectory (chi_modal,
-    # eta_modal halves and times) takes and gives the (2, B, n+1, K)
-    # array through this shim; it goes once no compared tree has the type
-    wrapped = hasattr(experiments, "PairTrajectory")
 
-    def apply_T(traj, draw):
-        """The (2, B, n+1, K) T on ``sch`` of a (2, B, n+1, K) stack."""
-        if wrapped:
-            traj = experiments.PairTrajectory(
-                np.arange(traj.shape[2]) * sch.dt, traj[0], traj[1])
-        out, _ = experiments.apply_T(traj, init, params, sch, basis, spec,
-                                     draw)
-        return np.stack((out.chi_modal, out.eta_modal)) if wrapped else out
+    def map_T(traj, draw):
+        """T on ``sch`` of a (2, B, n+1, K) stack: run_batch driven by chi."""
+        rec = TrajectoryRecorder(sch.n_steps())
+        run_batch(init, params, sch, basis, spec, draw, traj.shape[1],
+                  observer=rec, driver=traj[0])
+        return rec.trajectories()
 
     rec = TrajectoryRecorder(sch.n_steps())
     run(init, params, sch, basis, spec, drawn(spec, sch, [2]), observer=rec)
     coupled = rec.trajectories()
-    if wrapped:
-        coupled = np.stack((coupled.chi_modal, coupled.eta_modal))
     rec = FunctionalRecorder(basis, fcfg, sch.v_floor)
     run(init, params, sch, basis, spec, drawn(spec, sch, [2]), observer=rec)
     for name, column in rec.traces().data.items():
         out["close"][f"coupled path trace {name}"] = column
-    t_out = apply_T(coupled, drawn(spec, sch, [2]))
-    out["close"]["apply_T chi"] = t_out[0]
-    out["close"]["apply_T eta"] = t_out[1]
+    t_out = map_T(coupled, drawn(spec, sch, [2]))
+    out["close"]["T chi"] = t_out[0]
+    out["close"]["T eta"] = t_out[1]
 
     # T away from its fixed point, in the Picard shape: 16 rows driven by
     # the constant trajectory a Picard iteration starts from
     members = np.broadcast_to(init[:, None, None],
                               (2, 16, sch.n_steps() + 1, basis.mode_count))
-    t_out = apply_T(members, drawn(spec, sch, range(16)))
-    out["close"]["apply_T 16 rows constant driver chi"] = t_out[0]
-    out["close"]["apply_T 16 rows constant driver eta"] = t_out[1]
+    t_out = map_T(members, drawn(spec, sch, range(16)))
+    out["close"]["T 16 rows constant driver chi"] = t_out[0]
+    out["close"]["T 16 rows constant driver eta"] = t_out[1]
 
     # the Picard shape: 16 paths, stride 25, v_floor = v* = 2 flooring
     # about half the nodes
