@@ -79,7 +79,7 @@ def _load(args):
         overrides.append(("noise", "master_seed", args.seed))
     if args.command in _PATHS_KEY and args.paths is not None:
         overrides.append((*_PATHS_KEY[args.command], args.paths))
-    return config_mod.load_config(args.config or None, overrides)
+    return config_mod.load_config(args.config, overrides)
 
 
 def _say(args, text):
@@ -116,11 +116,10 @@ def _initial(cfg, basis):
 def _cmd_simulate(args):
     cfg, basis = _prepare(args)
     init = _initial(cfg, basis)
-    path_index = cfg.run_opts["path_index"]
-    rec = FunctionalRecorder(basis, cfg.functionals, cfg.scheme.v_floor,
-                             path_index=path_index)
+    rec = FunctionalRecorder(basis, cfg.functionals, cfg.scheme.v_floor)
     final = run(init, cfg.params, cfg.scheme, basis, cfg.noise,
-                drawn(cfg.noise, cfg.scheme, [path_index]), observer=rec)
+                drawn(cfg.noise, cfg.scheme, [cfg.run_opts["path_index"]]),
+                observer=rec)
     io_mod.write_trace(rec.traces(), os.path.join(args.out_dir, "trace.csv"))
     header = io_mod.SnapshotHeader(dim=cfg.domain.dim, shape=basis.grid_shape,
                                    field_count=2, time=final.t)
@@ -199,7 +198,7 @@ def _cmd_fixedpoint(args):
 
 def _cmd_selftest(args):
     indices = None
-    if args.criteria:
+    if args.criteria is not None:
         names = [str(i) for i in range(1, len(acceptance.ALL_CRITERIA) + 1)]
         tokens = args.criteria.replace(",", " ").split()
         if not tokens or not set(tokens) <= set(names):

@@ -297,11 +297,14 @@ def loads(text, overrides=()) -> RunConfig:
 
 
 def load_config(path, overrides) -> RunConfig:
-    """:func:`loads` of the file at ``path``, or of no text if None."""
+    """:func:`loads` of the UTF-8 file at ``path``, or of no text if None."""
     if path is None:
         return loads("", overrides)
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), overrides)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return loads(fh.read(), overrides)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config file {path!r}: {exc}"])
 
 
 def dumps(config: RunConfig) -> str:

@@ -12,18 +12,19 @@
 * Monte Carlo ensembles feeding the functional monitors.
 
 Everything is deterministic given the master seed.  Ensemble and
-Picard members are keyed by path index and stepped as one stack
-through the one stepping core, ``dynamics.run_batch``, which reads
-their noise from a noise source ``draw(n0, n1)``; results are
-reduced in index order.  Ensembles and the coupled solve step the
-coupled system; the map T is the same core given a ``driver``, the
-input trajectory's chi in the sources, so both share one scheme and
-one set of checks, and a coupled trajectory is an exact fixed point of
-the discrete T.  An ensemble draws its noise in blocks of steps inside
-the core and is reproducible bit for bit for a given path list,
-whatever the block size; each member agrees with its solo ``run`` to
-rounding (1e-13 x max|value|, pinned by the tests), because a stacked
-product may sum a row in another order than a single-row one.  The Picard
+Picard members are paths 0..B-1, member b reading the noise of path
+b, stepped as one stack through the one stepping core,
+``dynamics.run_batch``, which reads their noise from a noise source
+``draw(n0, n1)``; results are reduced in row order.  Ensembles and
+the coupled solve step the coupled system; the map T is the same
+core given a ``driver``, the input trajectory's chi in the sources,
+so both share one scheme and one set of checks, and a coupled
+trajectory is an exact fixed point of the discrete T.  An ensemble
+draws its noise in blocks of steps inside the core and is
+reproducible bit for bit for a given path count, whatever the block
+size; each member agrees with its solo ``run`` to rounding (1e-13 x
+max|value|, pinned by the tests), because a stacked product may sum a
+row in another order than a single-row one.  The Picard
 iteration keeps its members' whole increment table, which every
 application of the map re-reads through ``noise.sliced``.  T is causal
 in time, so successive iterates are stepped in lockstep (pipelined
@@ -319,9 +320,7 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
 
     while not converged and len(distances) < config.max_iterations:
         depth = min(budget, config.max_iterations - len(distances))
-        blocks = depth + (coupled is None)
         rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
-                                 path_index=np.tile(np.arange(m), blocks),
                                  monitors=False)
         store = TrajectoryRecorder(n, rec)
         final = run_batch(init, params, scheme, basis, noise_spec, frozen, m,
@@ -483,8 +482,8 @@ def uniqueness_study(init, delta: float, params: ModelParams,
 class EnsembleReport:
     """Ensemble statistics; ``traces`` is the stack of the survivors.
 
-    Its columns are (survivors, n_obs), rows in path order (a repeated
-    index repeats its row); ``means`` and ``standard_errors`` reduce them.
+    Its columns are (survivors, n_obs), rows in path order; ``means``
+    and ``standard_errors`` reduce them.
     """
 
     times: np.ndarray
@@ -511,52 +510,36 @@ class EnsembleReport:
 
 def ensemble(init, params: ModelParams, scheme: SchemeConfig,
              basis, noise_spec: NoiseSpec, n_paths: int,
-             fconfig: FunctionalConfig, horizons=None,
-             path_indices=None) -> EnsembleReport:
+             fconfig: FunctionalConfig, horizons=None) -> EnsembleReport:
     """Monte Carlo ensemble with per-column statistics and monitor fits.
 
-    Every path starts from the (2, K) modal ``init``.  The distinct
-    path indices are stepped as one stack, in order of first
-    appearance, with their noise drawn in blocks of steps; the result
-    is reproducible bit for bit for a given path list, and each path
-    agrees with its solo run to rounding.  A path that fails is
-    reported by index with the error its solo run raises, and the other
-    paths go on; statistics and monitors reduce the stack of the
-    survivors' rows (``EnsembleReport.traces``).  An error raised
-    before the paths can differ (a bad grid or initial state)
-    propagates.  ``path_indices`` replaces the default indices
-    ``range(n_paths)`` and must hold ``n_paths`` of them.  Repeats are
-    allowed: a trajectory is a pure function of its index, so a
-    repeated index repeats its row, and identical samples give
-    standard errors of exactly 0.  Distinct indices with
-    equal inputs (sigma = 0) agree only to rounding.
+    Every path starts from the (2, K) modal ``init``.  Paths
+    0..n_paths-1 are stepped as one stack, path b in row b, with their
+    noise drawn in blocks of steps; the result is reproducible bit for
+    bit for a given path count, and each path agrees with its solo run
+    to rounding.  A path that fails is reported by its row with the
+    error its solo run raises, and the other paths go on; statistics
+    and monitors reduce the stack of the survivors' rows
+    (``EnsembleReport.traces``).  An error raised before the paths can
+    differ (a bad grid or initial state) propagates.  Paths with equal
+    inputs (sigma = 0) agree only to rounding.
     """
-    if path_indices is None:
-        path_indices = range(n_paths)
-    elif len(path_indices) != n_paths:
-        raise ValueError(f"n_paths = {n_paths} but {len(path_indices)} "
-                         "path indices were given")
-    path_indices = [int(i) for i in path_indices]
     if n_paths < 2:
         raise ValueError("an ensemble needs at least two paths")
-    distinct = list(dict.fromkeys(path_indices))
-    rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
-                             path_index=distinct)
+    rec = FunctionalRecorder(basis, fconfig, scheme.v_floor)
     final = run_batch(init, params, scheme, basis, noise_spec,
-                      drawn(noise_spec, scheme, distinct), len(distinct),
+                      drawn(noise_spec, scheme, range(n_paths)), n_paths,
                       observer=rec)
-    failed = {distinct[row]: f"{type(exc).__name__}: {exc}"
-              for row, exc in final.failures.items()}
-    failures = [(idx, failed[idx]) for idx in path_indices if idx in failed]
-    row_of = {idx: row for row, idx in enumerate(distinct) if idx not in failed}
-    rows = [row_of[idx] for idx in path_indices if idx in row_of]
+    failures = [(row, f"{type(exc).__name__}: {exc}")
+                for row, exc in sorted(final.failures.items())]
+    rows = [row for row in range(n_paths) if row not in final.failures]
     if not rows:
         raise SimulationError("every ensemble path failed; first failure: "
                               f"{failures[0][1]}")
     traces = rec.traces().rows(rows)
     m = len(rows)
     means = {name: col.mean(axis=0) for name, col in traces.data.items()}
-    # shifted by the first survivor: identical samples give exactly 0
+    # a sum of squares shifted by the first survivor, kept bit for bit
     ses = {name: ((col - col[0]).std(axis=0, ddof=1) / np.sqrt(m) if m > 1
                   else np.zeros(col.shape[1]))
            for name, col in traces.data.items()}

@@ -105,18 +105,16 @@ class FunctionalTrace:
     """Per-observation-time functional values of a stack of paths.
 
     B >= 1 paths on the same (n_obs,) observation ``times``: (B, n_obs)
-    columns and a (B,) ``path_index`` array.
+    columns.  A path is known by its row number alone.
     """
 
     times: np.ndarray
     data: dict[str, np.ndarray]
-    path_index: np.ndarray
 
     def rows(self, index):
         """The stack of the rows ``index`` (a list of row numbers)."""
         return FunctionalTrace(self.times,
-                               {k: col[index] for k, col in self.data.items()},
-                               self.path_index[index])
+                               {k: col[index] for k, col in self.data.items()})
 
     def window(self, horizon):
         """Index of the last observation time <= horizon (+ tolerance)."""
@@ -154,9 +152,8 @@ class FunctionalRecorder:
     over the last (node or mode) axis.  The stepping loop of
     :func:`~gmspde.dynamics.run_batch` calls them through
     :meth:`accumulate` before every step and :meth:`record` every
-    ``stride`` steps.  ``path_index`` is one index (one row) or
-    one per row.  :meth:`traces` returns the stack of all rows, (rows,
-    n_obs) columns.
+    ``stride`` steps.  Its rows are those of the states it is handed,
+    and :meth:`traces` returns their stack, (rows, n_obs) columns.
 
     The running integrals are left-point sums: each pre-step state adds
     dt times its integrand, in step order.  The ``floor_activations``
@@ -173,26 +170,22 @@ class FunctionalRecorder:
     """
 
     def __init__(self, basis, config: FunctionalConfig, v_floor: float,
-                 path_index=-1, monitors: bool = True):
+                 monitors: bool = True):
         self.basis = basis
         self.config = config
         self.v_floor = v_floor
         self.monitors = monitors
         self.stride = config.observation_stride
-        self.path_indices = [int(i) for i in np.atleast_1d(path_index)]
-        rows = len(self.path_indices)
         kept = TRACE_COLUMNS[1:] if monitors else ADMISSIBILITY_COLUMNS
         # per column, one (rows,) array per observation
         self._rows = {name: [] for name in kept}
         self._times = []
-        # the kept running integrals, one row each in INTEGRALS order, and
-        # the integrals of one state's integrands
         self._integrals = [name for name in INTEGRALS if name in kept]
-        self._totals = np.zeros((len(self._integrals), rows))
-        self._values = np.empty_like(self._totals)
-        # three (rows, n_nodes) work stacks in one block, allocated at the
-        # first accumulate
-        self._scratch = None
+        # the kept running integrals in INTEGRALS order, 0.0 (the bits of
+        # zeros) until the first accumulate, which allocates the integrals
+        # of one state's integrands and three (rows, n_nodes) work stacks
+        self._totals = 0.0
+        self._values = self._scratch = None
         s = 1.0 - config.rho
         self._h_weights = (1.0 + basis.eigenvalues) ** s
 
@@ -219,6 +212,7 @@ class FunctionalRecorder:
         u_nodal = view.u_nodal
         if self._scratch is None:
             self._scratch = np.empty((3,) + u_nodal.shape)
+            self._values = np.empty((len(self._integrals), len(u_nodal)))
         xi, chi2xi, work = self._scratch
         self._xi(view.v_nodal, out=xi)
         # one row per kept integral, in INTEGRALS order
@@ -275,7 +269,9 @@ class FunctionalRecorder:
 
     def record(self, view):
         row = self._observables(view)
-        row.update(zip(self._integrals, self._totals.copy()))
+        totals = np.broadcast_to(self._totals, (len(self._integrals),
+                                                len(view.u_nodal)))
+        row.update(zip(self._integrals, totals.copy()))
         if self.monitors:
             row["floor_activations"] = view.floor_activations.astype(float)
         for name, value in row.items():
@@ -287,7 +283,6 @@ class FunctionalRecorder:
         return FunctionalTrace(
             times=np.asarray(self._times, dtype=float),
             data={k: np.column_stack(v) for k, v in self._rows.items()},
-            path_index=np.array(self.path_indices),
         )
 
 
@@ -349,8 +344,7 @@ def membership(trace: FunctionalTrace,
 
     Expectations are means over the paths of the stack ``trace``;
     positivity requires chi >= 0 and eta > 0 at every observation of
-    every path, and the failure names the first path (in row order) that
-    breaks it.
+    every path, and the failure names the first row that breaks it.
     """
     chi_bad = trace.data["chi_min"] < 0.0
     eta_bad = trace.data["eta_min"] <= 0.0
@@ -362,10 +356,8 @@ def membership(trace: FunctionalTrace,
                              else ("eta", "eta <= 0", eta_bad[r]))
         i = int(np.flatnonzero(hits)[0])
         d = {k: trace.data[f"{name}_{k}"][r, i] for k in ("argmin", "min")}
-        failure = (
-            f"{label} on path {trace.path_index[r]} at t = "
-            f"{trace.times[i]:g}, node {int(d['argmin'])} (value {d['min']:g})"
-        )
+        failure = (f"{label} on row {r} at t = {trace.times[i]:g}, node "
+                   f"{int(d['argmin'])} (value {d['min']:g})")
     # (mean_L1, mean_L2, sup_mean_L3) and their checks against (K1, K2, K3)
     means = _admissible_means(trace)
     oks = [mean <= k for mean, k in zip(means, (spec.K1, spec.K2, spec.K3))]

@@ -49,9 +49,9 @@ def write_trace(trace: FunctionalTrace, path) -> None:
     The columns are :data:`~gmspde.functionals.TRACE_COLUMNS`.  A trace
     of several paths is rejected before the file is opened.
     """
-    if trace.path_index.size != 1:
-        raise ValueError(f"a trace file holds one path; the trace has "
-                         f"{trace.path_index.size}")
+    rows = len(trace.data[TRACE_COLUMNS[1]])
+    if rows != 1:
+        raise ValueError(f"a trace file holds one path; the trace has {rows}")
     write_csv(path, TRACE_COLUMNS, [trace.times] + [
         trace.data[name][0] for name in TRACE_COLUMNS[1:]])
 

@@ -53,21 +53,20 @@ class NoiseSpec:
             raise ValueError("\n".join(problems))
 
 
-def _block(spec, roots, path_indices, start, stop):
+def _block(spec, roots, paths, start, stop):
     """Increments of several paths over steps start..stop-1: (B, 2, K, S).
 
     Entry (b, j, k, n) is sqrt(dt) of step m = start + n, ``roots[m]``,
     times a standard normal that depends only on (master_seed,
-    path_indices[b], j, k, m): a row does not depend on the other rows,
-    and a block of steps is those columns of the full table.  Indices may repeat and need not be
-    consecutive.  Streams 1 and 2 (W_1 and W_2) come from one
-    ``rng.normal_table`` call, which shares its cipher plan between
-    them, and the table is scaled by sqrt(dt) once.
+    paths[b], j, k, m): a row does not depend on the other rows, and a
+    block of steps is those columns of the full table.  Path indices
+    may repeat and need not be consecutive.  Streams 1 and 2 (W_1 and
+    W_2) come from one ``rng.normal_table`` call, which shares its
+    cipher plan between them, and the table is scaled by sqrt(dt) once.
     """
     if not 0 <= start <= stop <= roots.size:
         raise ValueError(
             f"steps {start}..{stop - 1} outside the grid's {roots.size} steps")
-    paths = np.asarray(path_indices, dtype=np.uint64).reshape(-1)
     table = rng.normal_table(spec.master_seed, paths, [1, 2],
                              np.arange(spec.mode_count),
                              np.arange(start, stop))
@@ -75,17 +74,18 @@ def _block(spec, roots, path_indices, start, stop):
     return table
 
 
-def drawn(spec: NoiseSpec, scheme, path_indices):
+def drawn(spec: NoiseSpec, scheme, paths):
     """Noise source ``draw(n0, n1)`` sampling steps n0..n1-1 on demand.
 
     The steps are those of ``scheme``: ``scheme.n_steps()`` steps of
-    ``scheme.dt`` on the uniform grid from 0 to ``scheme.T``.  Blocks are
-    the columns of the full table of the given paths on that grid bit for
+    ``scheme.dt`` on the uniform grid from 0 to ``scheme.T``; row b reads
+    the noise keyed by the path index ``paths[b]``.  Blocks are the
+    columns of the full table of the given paths on that grid bit for
     bit, whatever the block sizes.  The grid's sqrt(dt) is taken once; a
     block reads its slice.
     """
     roots = np.sqrt(np.diff(np.linspace(0.0, scheme.T, scheme.n_steps() + 1)))
-    paths = np.asarray(path_indices, dtype=np.uint64).reshape(-1)
+    paths = np.asarray(paths, dtype=np.uint64).reshape(-1)
 
     def draw(n0, n1):
         return _block(spec, roots, paths, n0, n1)

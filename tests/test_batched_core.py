@@ -63,17 +63,16 @@ def test_stacked_rows_match_solo_runs(dim, scheme):
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
     indices = [0, 5, 2, 9, 1]          # five rows: a BLAS remainder block
     increments = drawn(spec, sch, indices)(0, sch.n_steps())
-    rec = FunctionalRecorder(basis, FCFG, sch.v_floor, path_index=indices)
+    rec = FunctionalRecorder(basis, FCFG, sch.v_floor)
     final = run_batch(init, prm, sch, basis, spec, sliced(increments),
                       len(indices), observer=rec)
     assert final.failures == {} and final.alive.all()
     stack = rec.traces()
-    for row, idx in enumerate(indices):
+    for row in range(len(indices)):
         trace = stack.rows([row])
-        want = FunctionalRecorder(basis, FCFG, sch.v_floor, path_index=idx)
+        want = FunctionalRecorder(basis, FCFG, sch.v_floor)
         res = solo(init, prm, sch, basis, spec, increments[row],
                    observer=want)
-        assert list(trace.path_index) == [idx]
         assert np.array_equal(trace.times, want.traces().times)
         for name, column in want.traces().data.items():
             assert_close(trace.data[name], column, f"row {row} {name}")
@@ -82,29 +81,13 @@ def test_stacked_rows_match_solo_runs(dim, scheme):
         assert final.floor_activations[row] == res.floor_activations[0]
 
 
-def run_ensemble(n_paths=11, path_indices=None, scheme="ito_imex"):
+def run_ensemble(n_paths=11, scheme="ito_imex"):
     basis = basis_of(1)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
     prm = params()
     sch = SchemeConfig(dt=1e-3, T=0.03, scheme=scheme)
-    if path_indices is not None:
-        n_paths = len(path_indices)
     return ensemble(default_initial_pair(basis, prm), prm, sch, basis, spec,
-                    n_paths, FCFG, path_indices=path_indices)
-
-
-@pytest.mark.parametrize("n_paths, given", [(0, 12), (11, 5)])
-def test_ensemble_rejects_a_path_count_its_indices_disagree_with(n_paths,
-                                                                 given):
-    # the path count was ignored whenever indices were given
-    basis = basis_of(1)
-    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
-    prm = params()
-    sch = SchemeConfig(dt=1e-3, T=0.03)
-    with pytest.raises(ValueError, match=f"n_paths = {n_paths} but {given} "
-                                         "path indices were given"):
-        ensemble(default_initial_pair(basis, prm), prm, sch, basis, spec,
-                 n_paths, FCFG, path_indices=range(given))
+                    n_paths, FCFG)
 
 
 def assert_bitwise(a, b):
@@ -112,7 +95,6 @@ def assert_bitwise(a, b):
         assert np.array_equal(a.means[name], b.means[name]), name
         assert np.array_equal(a.standard_errors[name],
                               b.standard_errors[name]), name
-    assert np.array_equal(a.traces.path_index, b.traces.path_index)
     for name, column in a.traces.data.items():
         assert np.array_equal(column, b.traces.data[name]), name
 
@@ -122,11 +104,10 @@ def test_reruns_are_bitwise_at_two_stack_sizes():
     assert_bitwise(eleven, run_ensemble())
     # the first five paths alone are another stack: bitwise on rerun,
     # equal to rounding row by row against the eleven-path stack
-    five = run_ensemble(path_indices=range(5))
-    assert_bitwise(five, run_ensemble(path_indices=range(5)))
+    five = run_ensemble(n_paths=5)
+    assert_bitwise(five, run_ensemble(n_paths=5))
     for row in range(5):
         small, large = five.traces.rows([row]), eleven.traces.rows([row])
-        assert np.array_equal(small.path_index, large.path_index)
         for name, column in large.data.items():
             if not name.endswith("_argmin"):
                 assert_close(small.data[name], column, name)
@@ -274,7 +255,6 @@ def test_ensemble_failures_match_solo_runs():
         except Exception as exc:
             expected[idx] = f"{type(exc).__name__}: {exc}"
     assert 0 < len(expected) < n_paths
-    assert dict(report.failures) == expected
+    assert report.failures == sorted(expected.items())
     assert any(" at step 0:" not in msg for msg in expected.values())
-    assert list(report.traces.path_index) == [
-        i for i in range(n_paths) if i not in expected]
+    assert report.survivors == n_paths - len(expected)

@@ -162,7 +162,9 @@ def test_one_command_parser_answers_as_the_full_parser(argv, capsys,
         assert "argument command: invalid choice: 'bogus'" in mine[2]
 
 
-@pytest.mark.parametrize("criteria", ["11", "0,3", "x"])
+# an empty list ran every criterion
+@pytest.mark.parametrize("criteria", ["11", "0,3", "x",
+                                      pytest.param("", id="empty")])
 def test_selftest_rejects_a_criterion_it_cannot_run(criteria, tmp_path,
                                                      capsys):
     out = tmp_path / "out"
@@ -172,3 +174,32 @@ def test_selftest_rejects_a_criterion_it_cannot_run(criteria, tmp_path,
     err = capsys.readouterr().err
     assert f"--criteria takes criterion numbers 1..10, got {criteria!r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["empty", "missing", "directory", "latin1"])
+def test_a_config_file_that_cannot_be_read_is_a_config_error(case, tmp_path,
+                                                             capsys):
+    # an empty path ran the defaults; the others exited 2
+    (tmp_path / "latin1.cfg").write_bytes(b"[run]\n# \xe9\n")
+    given = {"empty": "", "missing": str(tmp_path / "none.cfg"),
+             "directory": str(tmp_path),
+             "latin1": str(tmp_path / "latin1.cfg")}[case]
+    out = tmp_path / "out"
+    code, _, err = _outcome(["spectrum", "--config", given, "--out-dir",
+                             str(out), "--quiet"], capsys)
+    assert code == 1
+    assert err.startswith("gmspde: configuration error:\n"
+                          f"cannot read config file {given!r}: ")
+    assert not out.exists()
+
+
+def test_fixedpoint_names_the_row_of_a_nonpositive_start(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("[run]\ninitial_amplitude = 5.0\n"
+                    "[scheme]\nhorizon = 0.01\n")
+    code, _, err = _outcome(["fixedpoint", "--config", str(path), "--out-dir",
+                             str(tmp_path / "out"), "--quiet"], capsys)
+    assert code == 2
+    assert err == ("gmspde: runtime failure: start trajectory violates "
+                   "positivity: chi < 0 on row 0 at t = 0, node 20 "
+                   "(value -19.4254)\n")

@@ -25,9 +25,6 @@ ALLOWED = {
     # the entry point: the console script calls it with no argument, and
     # argparse then reads sys.argv
     "cli.main(argv)",
-    # the reproducibility contract is stated per path list, and the tests
-    # step repeated and reordered lists
-    "experiments.ensemble(path_indices)",
 }
 
 

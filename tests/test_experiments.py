@@ -550,38 +550,10 @@ def test_uniqueness_2d_labeled_outside_scope(nspec):
     assert rep.bitwise_identical
 
 
-def test_ensemble_forced_identical_paths_have_zero_variance(basis, nspec):
-    params = desk_params()
-    sch = SchemeConfig(dt=1e-3, T=0.05)
-    init = default_initial_pair(basis, params)
-    rep = ensemble(init, params, sch, basis, nspec, 2,
-                   FunctionalConfig(observation_stride=10),
-                   path_indices=[7, 7])
-    for name, se in rep.standard_errors.items():
-        assert np.all(se == 0.0), name
-
-
-@pytest.mark.parametrize("n_paths", [5, 7, 17, 201])
-def test_ensemble_repeated_index_has_zero_variance_at_any_size(basis, nspec,
-                                                                n_paths):
-    # stacks of 5-7, 9-11, ... identical rows may differ in the last bit
-    # under a BLAS product, so a repeat must not be stepped as its own row
-    params = desk_params()
-    sch = SchemeConfig(dt=1e-3, T=0.05)
-    init = default_initial_pair(basis, params)
-    rep = ensemble(init, params, sch, basis, nspec, n_paths,
-                   FunctionalConfig(observation_stride=10),
-                   path_indices=[7] * n_paths)
-    assert rep.survivors == n_paths
-    for name, se in rep.standard_errors.items():
-        assert np.all(se == 0.0), name
-
-
 def test_ensemble_noiseless_matches_deterministic_run(basis, nspec):
-    # distinct paths at sigma = 0 are equal up to rounding: a stacked
-    # product may sum identical rows in another order, so the standard
-    # errors are pinned to the rounding contract, not to exactly 0 (a
-    # repeated index is exact: see the repeated-index test above)
+    # paths at sigma = 0 are equal up to rounding: a stacked product may
+    # sum identical rows in another order, so the standard errors are
+    # pinned to the rounding contract, not to exactly 0
     params = desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.05)
     init = default_initial_pair(basis, params)

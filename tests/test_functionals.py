@@ -65,8 +65,7 @@ def const_traj(basis, chi_value, eta_value):
     return constant(pair)
 
 
-def walk_trace(traj, basis, fcfg, v_floor, path_index=-1, monitors=True,
-               dt=DT):
+def walk_trace(traj, basis, fcfg, v_floor, monitors=True, dt=DT):
     """Trace of a (2, B, n+1, K) stack, walked state by state.
 
     The schedule of ``run_batch``'s loop: state i, at t = i dt, is
@@ -76,8 +75,7 @@ def walk_trace(traj, basis, fcfg, v_floor, path_index=-1, monitors=True,
     as the stepper does.
     """
     rows, n = traj.shape[1], traj.shape[2] - 1
-    rec = FunctionalRecorder(basis, fcfg, v_floor,
-                             np.broadcast_to(path_index, (rows,)), monitors)
+    rec = FunctionalRecorder(basis, fcfg, v_floor, monitors)
     floors = np.zeros(rows, dtype=int)
     for i in range(n + 1):
         modal = np.ascontiguousarray(traj[:, :, i])
@@ -144,7 +142,7 @@ def test_recorder_zero_floor_rejects_nonpositive_v_as_quotient_nodal(basis,
     view.nodal[1, 2, 3] = 0.0
     with pytest.raises(FloorViolation) as want:
         quotient_nodal(1.0, view.v_nodal, 0.0)
-    rec = FunctionalRecorder(basis, FunctionalConfig(), 0.0, range(3))
+    rec = FunctionalRecorder(basis, FunctionalConfig(), 0.0)
     with pytest.raises(FloorViolation) as got:
         if call == "accumulate":
             rec.accumulate(view, 1e-3)
@@ -410,8 +408,7 @@ def test_recorder_columns_are_bitwise_the_formulas_in_new_arrays(
     states = [_state(basis, rows, seed) for seed in range(3)]
     for view in states:
         assert 0.0 < (view.v_nodal < 1.5).mean() < 1.0
-    rec = FunctionalRecorder(basis, FunctionalConfig(), v_floor, range(rows),
-                             monitors)
+    rec = FunctionalRecorder(basis, FunctionalConfig(), v_floor, monitors)
     kept = TRACE_COLUMNS[1:] if monitors else functionals.ADMISSIBILITY_COLUMNS
     want = {name: [] for name in kept}
     totals = {}
@@ -458,7 +455,7 @@ def test_lean_replay_columns_are_bitwise_the_full_ones():
     sch = SchemeConfig(dt=1e-3, T=0.1, v_floor=2.0)
     init = default_initial_pair(basis, params)
     fcfg = FunctionalConfig(observation_stride=25)
-    full, lean = (FunctionalRecorder(basis, fcfg, sch.v_floor, range(16),
+    full, lean = (FunctionalRecorder(basis, fcfg, sch.v_floor,
                                      monitors=monitors)
                   for monitors in (True, False))
     final = run_batch(init, params, sch, basis, spec,
@@ -501,7 +498,7 @@ def test_picard_memberships_match_a_walk_over_each_iterate(monkeypatch):
     assert report.converged and report.iterations == 6
     for got, iterate in zip(report.memberships, iterates):
         want = membership(walk_trace(iterate, basis, fcfg, sch.v_floor,
-                                     range(16), monitors=False, dt=sch.dt),
+                                     monitors=False, dt=sch.dt),
                           report.bounds)
         for part in ("mean_L1", "mean_L2", "sup_mean_L3"):
             assert getattr(got, part) == pytest.approx(

@@ -12,8 +12,7 @@ def make_trace(rows=5, paths=1):
             for name in TRACE_COLUMNS[1:]}
     data["chi_min"][0, 0] = -0.0
     data["xi_lp_p"][0, 1] = np.inf
-    return FunctionalTrace(times=np.linspace(0.0, 1.0, rows) / 3.0, data=data,
-                           path_index=np.arange(paths))
+    return FunctionalTrace(times=np.linspace(0.0, 1.0, rows) / 3.0, data=data)
 
 
 def test_trace_csv_round_trip_is_bitwise(tmp_path):

@@ -4,8 +4,8 @@
 columns of one :class:`~gmspde.functionals.FunctionalTrace`.  The
 reference here loops over one-path traces, one row each, and reduces
 Python lists of per-path values in path order; every statistic, monitor
-and membership value must match it exactly, with repeated path indices
-(repeated rows) and a path that fails (left out).
+and membership value must match it exactly, with paths that fail left
+out.
 """
 
 import numpy as np
@@ -30,14 +30,14 @@ from gmspde.functionals import (
 from gmspde.noise import NoiseSpec, drawn
 from gmspde.spectral import DomainSpec, build_basis
 
-# sigma = 1 and this CFL limit: of paths 2, 3, 4, 5, 7 and 11 only path 2
-# breaks the limit, mid-run
+# sigma = 1 and this CFL limit: of paths 0..8, paths 0, 2 and 8 break the
+# limit mid-run, at steps 18, 9 and 49
 PARAMS = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
                      mu_u=1.0, mu_v=2.0, sigma_u=1.0, sigma_v=1.0)
 SCHEME = SchemeConfig(dt=1e-3, T=0.05, reaction_cfl_limit=0.0028)
 SPEC = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=808)
 FCFG = FunctionalConfig(observation_stride=7)
-INDICES = [4, 7, 4, 2, 5, 4, 3, 11, 7]
+N_PATHS = 9
 HORIZONS = [0.014, 0.035, 0.05]
 
 
@@ -50,23 +50,21 @@ def basis():
 @pytest.fixture(scope="module")
 def report(basis):
     init = default_initial_pair(basis, PARAMS)
-    return ensemble(init, PARAMS, SCHEME, basis, SPEC, len(INDICES), FCFG,
-                    horizons=HORIZONS, path_indices=INDICES)
+    return ensemble(init, PARAMS, SCHEME, basis, SPEC, N_PATHS, FCFG,
+                    horizons=HORIZONS)
 
 
 @pytest.fixture(scope="module")
 def per_path(basis):
-    """One-row trace stacks of the surviving indices, in path order."""
+    """One-row trace stacks of the surviving paths, in path order."""
     init = default_initial_pair(basis, PARAMS)
-    distinct = list(dict.fromkeys(INDICES))
-    rec = FunctionalRecorder(basis, FCFG, SCHEME.v_floor, path_index=distinct)
+    rec = FunctionalRecorder(basis, FCFG, SCHEME.v_floor)
     final = run_batch(init, PARAMS, SCHEME, basis, SPEC,
-                      drawn(SPEC, SCHEME, distinct), len(distinct),
+                      drawn(SPEC, SCHEME, range(N_PATHS)), N_PATHS,
                       observer=rec)
-    failed = {distinct[row] for row in final.failures}
     stack = rec.traces()
-    return [stack.rows([distinct.index(idx)]) for idx in INDICES
-            if idx not in failed]
+    return [stack.rows([row]) for row in range(N_PATHS)
+            if row not in final.failures]
 
 
 def reference_monitors(traces, params, p, horizons):
@@ -125,11 +123,10 @@ def reference_membership(traces):
             float(np.mean(l3, axis=0).max()))
 
 
-def test_the_ensemble_has_repeats_and_one_failure(report, per_path):
-    assert [idx for idx, _ in report.failures] == [2]
-    assert list(report.traces.path_index) == [4, 7, 4, 5, 4, 3, 11, 7]
-    assert [t.path_index[0] for t in per_path] == [4, 7, 4, 5, 4, 3, 11, 7]
-    assert report.survivors == len(per_path)
+def test_the_ensemble_has_three_failures_mid_run(report, per_path):
+    assert [idx for idx, _ in report.failures] == [0, 2, 8]
+    assert all(" at step 0:" not in msg for _, msg in report.failures)
+    assert report.survivors == len(per_path) == 6
 
 
 def test_ensemble_statistics_equal_the_per_row_loop(report, per_path):
@@ -165,13 +162,13 @@ def test_membership_equals_the_per_row_loop(report, per_path):
 
 
 def test_membership_names_the_first_bad_row(report):
-    # eta_min of row 3 (path 5) made nonpositive at its second record
+    # eta_min of row 3 made nonpositive at its second record
     stack = report.traces.rows(list(range(report.survivors)))
     stack.data["eta_min"][3, 1] = 0.0
     rep = membership(stack, AdmissibleSetSpec(K1=1e6, K2=1e6, K3=1e6))
     node = int(stack.data["eta_argmin"][3, 1])
     assert not rep.positivity_ok
-    assert rep.failure == (f"eta <= 0 on path 5 at t = {stack.times[1]:g}, "
+    assert rep.failure == (f"eta <= 0 on row 3 at t = {stack.times[1]:g}, "
                            f"node {node} (value 0)")
 
 

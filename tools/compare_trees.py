@@ -29,7 +29,7 @@ cases in its own interpreter, and the outputs are compared:
   stack driven by a constant trajectory (1-D N=64, K=16, 100 steps:
   one Picard step of the ``picard_1d`` benchmark's shape), both as
   (2, B, n+1, K) arrays; the live functional trace of the coupled path
-  T is fed, and of a 16-row ``run_batch`` stack
+  T is fed, and of a 16-path ensemble
   (1-D K=16, 100 steps, stride 25, v_floor = 2), whose
   ``floor_activations`` column is compared bitwise; the
   ensemble means of 20 and of 201 paths (1-D, both schemes; 201 is a
@@ -46,10 +46,10 @@ cases in its own interpreter, and the outputs are compared:
 The reductions of a trace stack are compared bitwise, since they must
 not move when the stack is formed another way: the ensemble standard
 errors and every monitor's ``lhs``, ``init``, ``C`` and ``delta`` (at
-three horizons) of each ensemble above, and of a 1-D ensemble with
-repeated path indices at a reaction CFL limit that some of its paths
-fail; and the ``mean_L1``, ``mean_L2`` and ``sup_mean_L3`` of every
-membership check of both Picard iterations.
+three horizons) of each ensemble above, and of a 1-D ensemble of 12
+paths at a reaction CFL limit that five of them fail mid-run; and the
+``mean_L1``, ``mean_L2`` and ``sup_mean_L3`` of every membership check
+of both Picard iterations.
 
 Exits 1 if any comparison fails.
 """
@@ -202,13 +202,13 @@ def _cases():
     out["close"]["T 16 rows constant driver eta"] = t_out[1]
 
     # the Picard shape: 16 paths, stride 25, v_floor = v* = 2 flooring
-    # about half the nodes
+    # about half the nodes; with no failure the ensemble's traces are the
+    # recorder's rows
     floored = SchemeConfig(dt=1e-3, T=0.1, v_floor=2.0)
-    rec = FunctionalRecorder(basis, FunctionalConfig(observation_stride=25),
-                             floored.v_floor, path_index=range(16))
-    run_batch(init, params, floored, basis, spec,
-              drawn(spec, floored, range(16)), 16, observer=rec)
-    for name, rows in rec.traces().data.items():
+    report = ensemble(init, params, floored, basis, spec, 16,
+                      FunctionalConfig(observation_stride=25))
+    assert report.survivors == 16
+    for name, rows in report.traces.data.items():
         kind = "bitwise" if name == "floor_activations" else "close"
         out[kind][f"trace 16 rows {name}"] = rows
 
@@ -235,15 +235,14 @@ def _cases():
                     out["close"][f"{key} mean {name}"] = column
             reductions(key, report)
 
-    # repeated indices, and a CFL limit that about half the paths break
+    # a CFL limit that paths 0, 2, 8, 9 and 10 of paths 0..11 break mid-run
     basis = basis_of(1, 64, 16)
     init = default_initial_pair(basis, params)
     loud = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
                        mu_u=1.0, mu_v=2.0, sigma_u=1.0, sigma_v=1.0)
     sch = SchemeConfig(dt=1e-3, T=0.05, reaction_cfl_limit=CFL_LIMIT)
-    indices = [4, 0, 7, 4, 2, 9, 0, 5, 11, 4, 3, 8]
-    report = ensemble(init, loud, sch, basis, spec, len(indices), fcfg,
-                      horizons=horizons, path_indices=indices)
+    report = ensemble(init, loud, sch, basis, spec, 12, fcfg,
+                      horizons=horizons)
     out["bitwise"]["ensemble with failures failed paths"] = np.array(
         [idx for idx, _ in report.failures])
     reductions("ensemble with failures", report)
