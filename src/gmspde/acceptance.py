@@ -61,8 +61,9 @@ class CriterionResult:
 
 
 def _result(index, name, passed, detail, t0, limit=None):
+    # t0 is on the monotonic perf_counter: a wall-clock step moves no verdict
     return CriterionResult(index=index, name=name, passed=bool(passed),
-                           detail=detail, elapsed=time.time() - t0,
+                           detail=detail, elapsed=time.perf_counter() - t0,
                            runtime_limit=limit)
 
 
@@ -79,7 +80,7 @@ def _basis_1d(n=64, k=16, convention="neumann_cosine"):
 
 def criterion_1_orthonormality():
     """max |<e_j, e_k> - delta_jk| < 1e-10 at N=256, K=64, all domains."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     cases = [
         DomainSpec(dim=1, lengths=(1.0,), eigenvalue_convention="neumann_cosine",
@@ -98,7 +99,7 @@ def criterion_1_orthonormality():
 
 def criterion_2_noise_covariance():
     """Sampled Var<W(1), e_k> within 5% of (1+lambda_k)^-gamma, K=64, 20k paths."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n_paths = 20_000
     n_steps = 4
     gamma = 2.0
@@ -144,7 +145,7 @@ def criterion_2_noise_covariance():
 
 def criterion_3_exact_limits():
     """Pure decay to 1e-12 relative; mass conservation to 1e-10."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=0)
     mu = 1.3
@@ -176,7 +177,7 @@ def criterion_3_exact_limits():
 
 def criterion_4_steady_state():
     """Noiseless homogeneous fixed point drifts < 1e-8 in L2 over T=10."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=0)
     params = _desk_params(sigma=0.0)
@@ -193,7 +194,7 @@ def criterion_4_steady_state():
 
 def criterion_5_strong_convergence():
     """Bridge-coupled dt in {2e-3, 1e-3, 5e-4}: observed strong order >= 0.4."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=505)
     params = _desk_params(sigma=0.5)
@@ -249,7 +250,7 @@ def criterion_6_scheme_consistency():
     (the linear-in-sigma correction need not match the quadratic
     midpoint correction away from sigma = 2).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     basis = _basis_1d(n=4, k=1)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=1, master_seed=606)
     mu, sigma = 3.0, 2.0
@@ -295,7 +296,7 @@ def criterion_6_scheme_consistency():
 
 def criterion_7_positivity():
     """200 paths at v_floor = 0: no activations, min v > 0 at every record."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=707)
     params = _desk_params(sigma=0.1)
@@ -313,7 +314,7 @@ def criterion_7_positivity():
 
 def criterion_8_pathwise_uniqueness():
     """delta=0 bitwise identity; delta=1e-8 amplification stable under halving."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=808)
     params = _desk_params(sigma=0.1)
@@ -339,7 +340,7 @@ def criterion_8_pathwise_uniqueness():
 
 def criterion_9_lyapunov_fit():
     """One (C, delta) covers E sup |xi|_p^p <= C e^(dT) E|xi_0|_p^p at T=0.5,1,2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=909)
     params = _desk_params(sigma=0.1)
@@ -364,7 +365,7 @@ def criterion_9_lyapunov_fit():
 
 def criterion_10_fixed_point():
     """Picard contraction, membership, and residual vs the coupled solve."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=1010)
     params = _desk_params(sigma=0.1)

@@ -51,9 +51,8 @@ Each row is checked on its own (reaction CFL, finiteness, the zero-floor
 positivity of v): a failed row stops with the error its solo run raises
 and the other rows go on.  Observers see the stack from the stepping
 loop of :func:`run_batch`, the one walk over a trajectory's states: the
-functional recorder rides it, and so does the trajectory store, which
-feeds the Picard sweeps' lean recorder (no energy monitors) on the same
-walk.
+functional recorder rides it, and so does the Picard sweep's observer,
+which feeds its lean recorder (no energy monitors) on the same walk.
 
 Numbers.  A transform of a B-row stack is one (2B, K) or (2B, n) matrix
 product, so even a one-row run is a two-row product, and the BLAS

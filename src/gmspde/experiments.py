@@ -30,11 +30,11 @@ application of the map re-reads through ``noise.sliced``.  T is causal
 in time, so successive iterates are stepped in lockstep (pipelined
 waveform relaxation): a sweep is one stack of chained blocks of
 members, block j driven by the live u of block j - 1, its depth worked
-out from the budgets :data:`SWEEP_STORE_VALUES` and
-:data:`SWEEP_MAX_ROWS` (see :func:`picard_iterate`).  Its iterates
-equal chained driven ``run_batch`` calls to rounding, their functionals
-are recorded live as the sweep steps them, and its report, read block
-by block, reruns bit for bit.  The uniqueness study draws its path's
+out from :data:`SWEEP_MAX_ROWS` and the measured contraction (see
+:func:`picard_iterate`).  Its iterates equal chained driven
+``run_batch`` calls to rounding, their distances and functionals are
+measured live as the sweep steps them, and its report, read block by
+block, reruns bit for bit.  The uniqueness study draws its path's
 table once and runs its two trajectories one by one on it, so its
 delta = 0 check stays bitwise.
 
@@ -46,6 +46,7 @@ of B >= 1 paths too; a single path is a stack of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,34 +115,13 @@ class StoppingSpec:
             raise ValueError("\n".join(problems))
 
 
-# most stored values (2 fields x members x (n+1) states x K modes) of the
-# chained iterates in one sweep of :func:`picard_iterate`, which holds
-# them all at once; a sweep holds at least one block, and the coupled
-# block of the first sweep comes on top.  At the ``picard_1d``
-# benchmark's shape (16 members, 100 steps, K = 16: 51,712 values a
-# block; 6 iterations) the iteration took, in-process, median of 5
-# rounds of 15 calls on 2 cores, with its tracemalloc peak: one driven
-# run_batch per iterate 106 ms, 2.24 MiB; sweeps of at most 1 block
-# 102 ms, 2.64 MiB; 2 blocks 78 ms, 3.05 MiB; 3 blocks 75 ms, 3.46 MiB;
-# 4 blocks 68 ms, 3.88 MiB; 6 (one sweep) 64 ms, 4.71 MiB; 30
-# (max_iterations, no budget) 130 ms, 15.6 MiB.  3 x 2**16 (a 1.5 MB
-# store, 3 blocks there) keeps most of the gain for 1.2 MiB over one
-# iterate at a time.
-SWEEP_STORE_VALUES = 3 * 2**16
-
 # most chained rows (members x blocks) in one sweep of
 # :func:`picard_iterate`, the coupled block on top.  A step of a
-# picard_1d-shaped chained stack (K = 16, N = 64, with its store) took,
-# median of 15 runs of 100 steps on 2 cores: 118 us at 16 rows, 142 at
-# 32, 165 at 48, 187 at 64, 230 at 96, 244 at 128, 355 at 192 and 900 at
-# 480.  A row costs about 1.4 us against a fixed 95 us a step, so up to
-# 64 rows a sweep's row work costs no more than the fixed cost of one
-# more sweep; deeper first sweeps lose to the blocks they discard past
-# convergence.  At 16 members and 10 steps (4 iterations; the store
-# budget alone gives 30 blocks) the iteration took, median of 21 calls
-# in two rounds: 12.4/12.8 ms at 16 rows, 9.1/8.3 ms at 64, 12.6/11.2 ms
-# at 192 and 20.7/18.4 ms at 480, against 10.9/15.5 ms for one driven
-# run_batch per iterate.
+# picard_1d-shaped chained stack (K = 16, N = 64, with the functional
+# recorder and a store) took, median of 7 runs on 2 cores, 128 us at 16
+# rows, 155 at 32, 182 at 48, 184 at 64, 252 at 96, 307 at 128 and 412
+# at 192: about 1.6 us a row against a fixed 103 us a step, so up to 64
+# rows a sweep's row work costs no more than one more sweep's fixed cost.
 SWEEP_MAX_ROWS = 64
 
 
@@ -151,22 +131,18 @@ class TrajectoryRecorder:
     The states of a run of ``n_steps`` steps go into one (2, B, n+1, K)
     store, allocated at the first record; state i is that of step i, at
     t = i dt.  :meth:`trajectories` returns the view of the states
-    recorded, of all rows (fewer states if the walk stopped early).  A
-    :class:`~gmspde.functionals.FunctionalRecorder` given as
-    ``functionals`` sees the same walk on its own stride.
+    recorded, of all rows (fewer states if the walk stopped early).
     """
 
     stride = 1
 
-    def __init__(self, n_steps: int, functionals=None):
+    def __init__(self, n_steps: int):
         self._states = n_steps + 1
         self._store = None
         self._count = 0
-        self.functionals = functionals
 
     def accumulate(self, view, dt):
-        if self.functionals is not None:
-            self.functionals.accumulate(view, dt)
+        pass
 
     def record(self, view):
         if self._store is None:
@@ -174,30 +150,91 @@ class TrajectoryRecorder:
                                    + view.modal.shape[2:])
         self._store[:, :, self._count] = view.modal
         self._count += 1
-        if self.functionals is not None and (
-                view.step_index % self.functionals.stride == 0
-                or self._count == self._states):
-            self.functionals.record(view)
 
     def trajectories(self):
         return self._store[:, :, :self._count]
 
 
-def seminorm_m(a, b, basis, rho):
-    """Ensemble semi-norm of the difference of two trajectory stacks.
+def row_sups(diff, h_weights):
+    """Per-row sups over the steps of a (2, ..., w, K) difference stack.
 
-    ``a`` and ``b`` are (2, B, n+1, K) stacks of the same B >= 1 paths in
-    the same order; the expectation is the mean over the paths.
+    Squares ``diff`` (chi then eta) in place and returns the (2, ...)
+    maxima over its w steps of the per-(row, step) sums over the modes of
+    |dchi|^2 (1 + lambda_k)^(1-rho) (``h_weights``) and of |deta|^2:
+    the same bits whether a trajectory's steps come at once or in windows.
     """
-    h_weights = (1.0 + basis.eigenvalues) ** (1.0 - rho)
-    # squared in place: stacks of whole trajectories are large
-    dchi, deta = a - b
-    dchi *= dchi
-    dchi *= h_weights
-    sup_h = np.max(np.sum(dchi, axis=-1), axis=-1)
-    deta *= deta
-    sup_l2 = np.max(np.sqrt(np.sum(deta, axis=-1)), axis=-1)
-    return float(np.sqrt(np.mean(sup_h)) + np.mean(sup_l2))
+    diff *= diff
+    diff[0] *= h_weights
+    return np.max(np.sum(diff, axis=-1), axis=-1)
+
+
+def seminorm_m(sups):
+    """Ensemble semi-norm of the (2, B) per-row sups of :func:`row_sups`.
+
+    (E sup_t |dchi|^2_{H^(1-rho)})^(1/2) + E sup_t |deta|_{L2}, the
+    expectation being the mean over the B paths.
+    """
+    return float(np.sqrt(np.mean(sups[0])) + np.mean(np.sqrt(sups[1])))
+
+
+class _Sweep:
+    """Observer of one Picard sweep, keeping two blocks whatever its depth.
+
+    The stack is ``depth`` driven blocks of m rows, block 0 driven by
+    the stored iterate ``previous``, then the coupled block unless the
+    stored ``coupled`` is given.  The lean recorder ``functionals`` rides
+    the walk.  The states pass through windows of at most the recorder's
+    stride and no more states than one block; at the end of each,
+    ``to_previous`` and ``to_coupled`` take each driven block's running
+    per-row sups against the block before and against the coupled block,
+    (2, depth, m).  Only the last driven block and the coupled one are
+    kept whole, in ``last`` and ``coupled``.
+    """
+
+    def __init__(self, functionals, previous, coupled, depth):
+        self.functionals = functionals
+        self.stride = functionals.stride
+        self._previous = previous
+        self._live = coupled is None
+        self.coupled = np.empty_like(previous) if self._live else coupled
+        self.last = np.empty_like(previous)
+        _, m, states, k = previous.shape
+        self.to_previous = np.zeros((2, depth, m))
+        self.to_coupled = np.zeros((2, depth, m))
+        width = max(1, min(self.stride, states // (depth + 1)))
+        self._window = np.empty((2, depth + self._live, m, width, k))
+        self._diff = np.empty((2, depth, m, width, k))
+
+    def _reduce(self, first, count):
+        steps = slice(first, first + count)
+        window = self._window[..., :count, :]
+        diff = self._diff[..., :count, :]
+        depth, h = len(diff[0]), self.functionals.h_weights
+        if self._live:
+            self.coupled[:, :, steps] = window[:, depth]
+        np.subtract(window[:, 0], self._previous[:, :, steps], out=diff[:, 0])
+        np.subtract(window[:, 1:depth], window[:, :depth - 1], out=diff[:, 1:])
+        np.maximum(self.to_previous, row_sups(diff, h), out=self.to_previous)
+        np.subtract(window[:, :depth], self.coupled[:, None, :, steps], out=diff)
+        np.maximum(self.to_coupled, row_sups(diff, h), out=self.to_coupled)
+        self.last[:, :, steps] = window[:, depth - 1]
+
+    def _take(self, view):
+        """Window slot step % width; a full window or the last state ends it."""
+        step, width = view.step_index, self._window.shape[3]
+        self._window[..., step % width, :] = view.modal.reshape(
+            self._window.shape[:3] + (-1,))
+        if step % width == width - 1 or step + 1 == self.last.shape[2]:
+            self._reduce(step - step % width, step % width + 1)
+
+    def accumulate(self, view, dt):
+        self.functionals.accumulate(view, dt)
+        self._take(view)
+
+    def record(self, view):
+        self.functionals.record(view)
+        if view.step_index + 1 == self.last.shape[2]:    # the last state
+            self._take(view)
 
 
 @dataclass
@@ -237,13 +274,6 @@ class PicardReport:
         return lines
 
 
-def _first_failure(final, j: int, m: int):
-    """The first row failure of block ``j`` of ``m`` rows, or None."""
-    rows = range(j * m, (j + 1) * m)
-    return next((exc for row, exc in final.failures.items() if row in rows),
-                None)
-
-
 def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
                    noise_spec: NoiseSpec, config: FixedPointConfig,
                    fconfig: FunctionalConfig | None = None):
@@ -258,12 +288,14 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
     driven by the stored previous iterate and block j by the live u of
     block j - 1.
     The first sweep also steps the coupled system on the same noise, the
-    reference of ``residual_vs_coupled``.  W is worked out, not set: as
-    many blocks as both :data:`SWEEP_STORE_VALUES` stored values and
-    :data:`SWEEP_MAX_ROWS` rows allow, at least 1 and at most the
-    iterations left.
+    reference of ``residual_vs_coupled``.  W is worked out, not set: the
+    first sweep takes as many blocks as :data:`SWEEP_MAX_ROWS` rows allow,
+    at least 1, and a later one at most as many, the iterations its
+    measured contraction asks for: ceil(log(tolerance/d_k) /
+    log(d_k/d_(k-1))); none takes more than the iterations left.
 
-    The sweep's observer stores the stack and records its functionals
+    The sweep's observer measures the distances as the sweep steps,
+    keeping two blocks, and records its functionals
     live, without the energy monitors, which no part of the report reads
     (``FunctionalRecorder(..., monitors=False)``).  The start's are
     recorded from its one state, the one-row
@@ -282,7 +314,7 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
     Each block is the iterate a driven ``run_batch`` gives to rounding
     (1e-13 x max|value|, pinned by the tests), and the distances follow
     it: a stacked product may sum a row in another order than a product
-    of another height, so the budgets and the depths may move last bits.
+    of another height, so the budget and the depths may move last bits.
     Bit for bit hold the frozen noise table and reruns of one
     configuration (the same depths, so the same stacks).
     """
@@ -292,9 +324,6 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
     # one stored table: every application of T re-reads the same frozen
     # increments, and drawing them anew each time costs more than the table
     frozen = sliced(drawn(noise_spec, scheme, range(m))(0, n))
-    budget = max(1, min(SWEEP_STORE_VALUES // (2 * m * (n + 1)
-                                               * basis.mode_count),
-                        SWEEP_MAX_ROWS // m))
 
     view = initial_state(basis, init, 1)
     rec = FunctionalRecorder(basis, fconfig, scheme.v_floor, monitors=False)
@@ -311,52 +340,56 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
         )
 
     # every member starts from the same trajectory; all are stepped at once
-    current = np.broadcast_to(init[:, None, None],
-                              (2, m, n + 1, basis.mode_count))
+    previous = np.broadcast_to(init[:, None, None],
+                               (2, m, n + 1, basis.mode_count))
     distances = []
+    ratios = []
     memberships = []
     converged = False
     coupled = coupled_failure = None
 
     while not converged and len(distances) < config.max_iterations:
-        depth = min(budget, config.max_iterations - len(distances))
+        depth = min(max(1, SWEEP_MAX_ROWS // m),
+                    config.max_iterations - len(distances))
+        if ratios and ratios[-1] < 1.0:
+            # the iterations the measured contraction asks for
+            depth = min(depth, max(1, math.ceil(
+                math.log(config.tolerance / distances[-1])
+                / math.log(ratios[-1]))))
         rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
                                  monitors=False)
-        store = TrajectoryRecorder(n, rec)
+        sweep = _Sweep(rec, previous, coupled, depth)
         final = run_batch(init, params, scheme, basis, noise_spec, frozen, m,
-                          observer=store, driver=current[0], chain=depth,
+                          observer=sweep, driver=previous[0], chain=depth,
                           coupled=coupled is None)
-        stack = store.trajectories()
         traces = rec.traces()
+        # each block's first row failure, the coupled block's at depth
+        failures = {}
+        for row, exc in final.failures.items():
+            failures.setdefault(row // m, exc)
         for j in range(depth):
-            failure = _first_failure(final, j, m)
-            if failure is not None:
-                raise failure
-            new = stack[:, j * m:(j + 1) * m]
-            d = seminorm_m(new, current, basis, fconfig.rho)
+            if j in failures:
+                raise failures[j]
+            d = seminorm_m(sweep.to_previous[:, j])
+            if distances:
+                ratios.append(d / distances[-1] if distances[-1] > 0 else 0.0)
             distances.append(d)
             memberships.append(membership(
                 traces.rows(range(j * m, (j + 1) * m)), bounds))
-            current = new
+            residual_sups = sweep.to_coupled[:, j]
             if d < config.tolerance:
                 converged = True
                 break
         if coupled is None:
-            coupled = stack[:, depth * m:(depth + 1) * m].copy()
-            coupled_failure = _first_failure(final, depth, m)
-        # the next sweep's input, out of the store, which is freed
-        current = current.copy()
-        del store, stack, final, new
+            coupled_failure = failures.get(depth)
+        previous, coupled = sweep.last, sweep.coupled
+        # the window is freed before the next sweep allocates its own
+        del sweep, final
 
     # residual against the directly coupled solve on the same noise
     if coupled_failure is not None:
         raise coupled_failure
-    residual = seminorm_m(current, coupled, basis, fconfig.rho)
-
-    ratios = [
-        distances[i + 1] / distances[i] if distances[i] > 0 else 0.0
-        for i in range(len(distances) - 1)
-    ]
+    residual = seminorm_m(residual_sups)
     return PicardReport(
         distances=distances,
         ratios=ratios,

@@ -187,7 +187,7 @@ class FunctionalRecorder:
         self._totals = 0.0
         self._values = self._scratch = None
         s = 1.0 - config.rho
-        self._h_weights = (1.0 + basis.eigenvalues) ** s
+        self.h_weights = (1.0 + basis.eigenvalues) ** s
 
     def _xi(self, v_nodal, out=None):
         """xi = 1/max(v, floor) of the (rows, n_nodes) ``v_nodal``.
@@ -255,7 +255,7 @@ class FunctionalRecorder:
             columns.update({
                 "abs_ln_xi_l1": _quadrature(np.abs(ln_xi), w),
                 "lnxi_dot_u": _quadrature(ln_xi * u_nodal, w),
-                "chi_h1mrho_sq": np.sum(self._h_weights * u_modal**2,
+                "chi_h1mrho_sq": np.sum(self.h_weights * u_modal**2,
                                         axis=-1),
                 "eta_l2": np.sqrt(np.sum(v_modal**2, axis=-1)),
                 "eta_l1": _quadrature(np.abs(v_nodal), w),

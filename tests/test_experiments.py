@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from gmspde.experiments import (
     _stopping_scan,
     ensemble,
     picard_iterate,
+    row_sups,
     seminorm_m,
     uniqueness_study,
 )
@@ -74,6 +76,11 @@ def apply_T(traj, init, params, sch, basis, spec, draw):
     if final.failures:
         raise next(iter(final.failures.values()))
     return out, final
+
+
+def distance(a, b, basis, rho):
+    """The semi-norm of two (2, B, n+1, K) stacks' difference, at once."""
+    return seminorm_m(row_sups(a - b, (1.0 + basis.eigenvalues) ** (1.0 - rho)))
 
 
 def test_stopping_spec_requires_increasing_levels():
@@ -163,18 +170,19 @@ def assert_rounding_close(got, expected):
 
 
 def sequential_picard(init, params, sch, basis, spec, config, fconfig):
-    """Distances of the Picard iteration as one apply_T call per iterate."""
+    """Distances and residual of the Picard iteration, one apply_T an iterate."""
     m = config.ensemble_size
     frozen = sliced(drawn(spec, sch, range(m))(0, sch.n_steps()))
     current = constant(init, sch, m)
     distances = []
     for _ in range(config.max_iterations):
         new, _ = apply_T(current, init, params, sch, basis, spec, frozen)
-        distances.append(seminorm_m(new, current, basis, fconfig.rho))
+        distances.append(distance(new, current, basis, fconfig.rho))
         current = new
         if distances[-1] < config.tolerance:
             break
-    return distances
+    coupled, _ = stack_solve(init, params, sch, basis, spec, frozen, m)
+    return distances, distance(current, coupled, basis, fconfig.rho)
 
 
 @pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
@@ -208,21 +216,57 @@ def test_sweep_iterates_equal_chained_apply_T(monkeypatch, scheme, dim, rows):
     assert_rounding_close(stack[0, 3 * rows:], coupled[0])
     assert_rounding_close(stack[1, 3 * rows:], coupled[1])
 
-    # the iteration takes as many steps as one apply_T per iterate, in
-    # sweeps of the default budget and of one block each
+    # the iteration takes as many steps as one apply_T per iterate, and
+    # ends as far from the coupled solve, in sweeps of the default row
+    # budget and of one block each
     config = FixedPointConfig(ensemble_size=rows, tolerance=1e-9)
     fcfg = FunctionalConfig()
-    expected = sequential_picard(init, params, sch, basis_d, spec, config,
-                                 fcfg)
-    block_values = 2 * rows * 51 * K
-    for budget in (experiments.SWEEP_STORE_VALUES, block_values):
-        monkeypatch.setattr(experiments, "SWEEP_STORE_VALUES", budget)
+    expected, residual = sequential_picard(init, params, sch, basis_d, spec,
+                                           config, fcfg)
+    for budget in (experiments.SWEEP_MAX_ROWS, rows):
+        monkeypatch.setattr(experiments, "SWEEP_MAX_ROWS", budget)
         report = picard_iterate(init, params, sch, basis_d, spec, config,
                                 fcfg)
         assert report.converged
         assert report.iterations == len(expected) >= 3
         np.testing.assert_allclose(report.distances, expected, rtol=0,
                                    atol=1e-12)
+        # 1.5e-12 to 1.7e-12: an iterate more or less moves it 100-fold
+        np.testing.assert_allclose(report.residual_vs_coupled, residual,
+                                   rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 100])
+def test_sweep_distances_are_bitwise_those_of_its_stored_stack(
+        monkeypatch, basis, nspec, stride):
+    # the sweeps' distances and residual, measured window by window as
+    # they step (windows of 1, of 7 with a short last one, and of 12),
+    # are bitwise those of the same stacks stored whole: two sweeps of
+    # 3 + 2 blocks of 2 members, the second driven by the stored last
+    # block of the first, against its stored coupled block
+    params = desk_params(sigma=0.3)
+    sch = SchemeConfig(dt=1e-3, T=0.05)
+    init = default_initial_pair(basis, params)
+    fcfg = FunctionalConfig(observation_stride=stride)
+    config = FixedPointConfig(max_iterations=5, tolerance=1e-12,
+                              ensemble_size=2)
+    monkeypatch.setattr(experiments, "SWEEP_MAX_ROWS", 6)
+    report = picard_iterate(init, params, sch, basis, nspec, config, fcfg)
+
+    frozen = sliced(drawn(nspec, sch, range(2))(0, 50))
+    previous = constant(init, sch, 2)
+    stack, _ = stack_solve(init, params, sch, basis, nspec, frozen, 2,
+                           driver=previous[0], chain=3, coupled=True)
+    coupled = stack[:, 6:]
+    blocks = [previous] + [stack[:, 2 * j:2 * j + 2] for j in range(3)]
+    stack, _ = stack_solve(init, params, sch, basis, nspec, frozen, 2,
+                           driver=blocks[-1][0], chain=2)
+    blocks += [stack[:, :2], stack[:, 2:]]
+    expected = [distance(b, a, basis, fcfg.rho)
+                for a, b in zip(blocks, blocks[1:])]
+    assert report.iterations == 5 and report.distances == expected
+    assert report.residual_vs_coupled == distance(blocks[-1], coupled,
+                                                  basis, fcfg.rho)
 
 
 def test_sweep_chain_needs_a_driver_and_a_block(basis, nspec):
@@ -282,12 +326,11 @@ def cfl_picard_setup(basis):
 @pytest.mark.parametrize("blocks", [1, 2, None])
 def test_picard_raises_the_first_failing_iterate(monkeypatch, basis, nspec,
                                                   blocks):
-    # in sweeps of one block, of two, and of the default budget's ten (at
-    # this shape), iterate 3 fails with the error its apply_T call raises
+    # in first sweeps of one block, of two, and of the default row
+    # budget's 32, iterate 3 fails with the error its apply_T call raises
     params, sch, init = cfl_picard_setup(basis)
     if blocks is not None:
-        monkeypatch.setattr(experiments, "SWEEP_STORE_VALUES",
-                            blocks * 2 * 2 * 301 * K)
+        monkeypatch.setattr(experiments, "SWEEP_MAX_ROWS", blocks * 2)
     frozen = sliced(drawn(nspec, sch, range(2))(0, sch.n_steps()))
     current = constant(init, sch, 2)
     for _ in range(2):
@@ -338,35 +381,35 @@ def test_picard_raises_a_failure_of_the_coupled_solve_last(basis, nspec):
 
 def test_picard_store_stays_within_its_budget(monkeypatch, basis):
     # the picard_1d benchmark's shape: 16 members, K = 16, N = 64, 100
-    # steps.  One block of stored iterates is 2 x 16 x 101 x 16 doubles
-    # (0.39 MiB); the default budget's sweep of three blocks and the
-    # coupled one peaked at 3.5 MiB, and a first sweep of max_iterations
-    # = 30 blocks, neither budget set, would store 12 MiB
+    # steps.  One stored block is 2 x 16 x 101 x 16 doubles (0.39 MiB).
+    # A first sweep of max_iterations = 30 blocks keeps two of them (its
+    # last and the coupled one), a window of no more states than a block
+    # and the stepper's 496-row stack: it peaked at 5.6 MiB, where
+    # storing the sweep's 31 blocks took 12 MiB more
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.1)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=0)
     init = default_initial_pair(basis, params)
     config = FixedPointConfig()
     fcfg = FunctionalConfig(observation_stride=25)
-    limit = 6 * 2**20
+    chains = []
 
-    def peak():
-        tracemalloc.start()
-        try:
-            report = picard_iterate(init, params, sch, basis, spec, config,
-                                    fcfg)
-            return report, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def spy(*args, chain=1, **kwargs):
+        chains.append(chain)
+        return run_batch(*args, chain=chain, **kwargs)
 
-    report, budgeted = peak()
-    assert report.converged and report.iterations == 6
-    assert budgeted < limit
-    monkeypatch.setattr(experiments, "SWEEP_STORE_VALUES",
-                        config.max_iterations * 2 * 16 * 101 * K)
+    monkeypatch.setattr(experiments, "run_batch", spy)
     monkeypatch.setattr(experiments, "SWEEP_MAX_ROWS",
                         config.max_iterations * 16)
-    assert peak()[1] > limit
+    tracemalloc.start()
+    try:
+        report = picard_iterate(init, params, sch, basis, spec, config, fcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chains == [config.max_iterations]
+    assert report.converged and report.iterations == 6
+    assert peak < 6 * 2**20
 
 
 def test_apply_T_reports_reaction_cfl_of_the_shared_step(basis, nspec):
@@ -406,7 +449,7 @@ def test_seminorm_of_identical_families_is_zero(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.02)
     traj = constant(default_initial_pair(basis, params), sch)
-    assert seminorm_m(traj, traj, basis, 1.1) == 0.0
+    assert distance(traj, traj, basis, 1.1) == 0.0
 
 
 def test_picard_at_steady_state_terminates_immediately(basis, nspec):
@@ -444,7 +487,7 @@ def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
 
 
 @pytest.mark.parametrize("horizon, members, depths", [
-    (0.1, 16, [3, 3]),     # the store budget binds: 3 blocks of 51,712
+    (0.1, 16, [4, 2]),     # the second sweep takes the predicted depth
     (0.01, 16, [4]),       # the row budget binds: 64 rows of 16 members
     (0.01, 80, [1] * 4),   # more members than SWEEP_MAX_ROWS: one block
 ])
@@ -460,10 +503,16 @@ def test_sweep_depth_is_the_tighter_budget(monkeypatch, basis, nspec,
         return run_batch(*args, chain=chain, **kwargs)
 
     monkeypatch.setattr(experiments, "run_batch", spy)
-    report = picard_iterate(init, params, sch, basis, nspec,
-                            FixedPointConfig(ensemble_size=members))
+    config = FixedPointConfig(ensemble_size=members)
+    report = picard_iterate(init, params, sch, basis, nspec, config)
     assert report.converged and chains == depths
     assert sum(depths[:-1]) < report.iterations <= sum(depths)
+    if len(depths) == 2:
+        # iterates 3 and 4 of the first sweep contracted by d_3/d_2: two
+        # more reach the tolerance, below the row budget's 4
+        d2, d3 = report.distances[2:4]
+        assert depths[1] == math.ceil(math.log(config.tolerance / d3)
+                                      / math.log(d3 / d2)) < 4
 
 
 def test_picard_contracts_on_desk_problem(basis, nspec):
@@ -604,7 +653,8 @@ def test_trajectory_recorder_matches_run_output(basis, nspec):
     init = default_initial_pair(basis, params)
     path = drawn(nspec, sch, [0])
     states = _States()
-    rec = TrajectoryRecorder(sch.n_steps(), functionals=states)
+    run(init, params, sch, basis, nspec, path, observer=states)
+    rec = TrajectoryRecorder(sch.n_steps())
     res = run(init, params, sch, basis, nspec, path, observer=rec)
     traj = rec.trajectories()
     assert traj.shape == (2, 1, 11, K)

@@ -13,6 +13,7 @@ from gmspde.dynamics import (
 )
 from gmspde.experiments import (
     FixedPointConfig,
+    TrajectoryRecorder,
     ensemble,
     picard_iterate,
 )
@@ -475,8 +476,9 @@ def test_lean_replay_columns_are_bitwise_the_full_ones():
 
 
 def test_picard_memberships_match_a_walk_over_each_iterate(monkeypatch):
-    # the picard_1d benchmark's iteration: sweeps of 3 blocks of 16
-    # members, the coupled block in the first
+    # the picard_1d benchmark's iteration: sweeps of 4 and 2 blocks of 16
+    # members, the coupled block in the first; each sweep's stack is
+    # stored by a rerun of its run_batch call, bit for bit its own
     basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
                                    grid_points_per_axis=64), 16)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=0)
@@ -487,10 +489,11 @@ def test_picard_memberships_match_a_walk_over_each_iterate(monkeypatch):
     iterates = []
 
     def spy(*args, chain=1, observer=None, **kwargs):
-        final = run_batch(*args, chain=chain, observer=observer, **kwargs)
-        stack = observer.trajectories()
+        store = TrajectoryRecorder(sch.n_steps())
+        run_batch(*args, chain=chain, observer=store, **kwargs)
+        stack = store.trajectories()
         iterates.extend(stack[:, j * 16:(j + 1) * 16] for j in range(chain))
-        return final
+        return run_batch(*args, chain=chain, observer=observer, **kwargs)
 
     monkeypatch.setattr(experiments, "run_batch", spy)
     report = picard_iterate(init, params, sch, basis, spec,

@@ -14,8 +14,8 @@ cases in its own interpreter, and the outputs are compared:
   trees cut into cipher blocks of 5 + 5 + 5 + 1 or 4 x 4 paths); the
   delta = 0 uniqueness study (which must also report bitwise-identical
   runs); the stopping-scan first-hit steps of another delta = 0 study,
-  whose trajectory crosses its levels mid-run; the Picard iteration
-  counts;
+  whose trajectory crosses its levels mid-run; the iteration counts of
+  the three Picard iterations below;
 * to 1e-13 x max|value| (a stacked product, or a quadrature summed in
   another order, against one per row): ``run`` final u, v and the live
   functional trace for both schemes in 1-D (N=64, K=16) and 2-D (N=16,
@@ -37,11 +37,13 @@ cases in its own interpreter, and the outputs are compared:
   (2-D), node-index columns left out (a near-tie may move an argmin by
   a whole node); the Picard distances of a 6-member iteration, and the
   distances and residual of a 16-member one (1-D N=64, K=16, 100 steps,
-  tolerance 1e-6: the ``picard_1d`` benchmark's iteration); and the
-  bounds (K1, K2, K3) of both Picard iterations, sized from the start's
-  functionals: a tree may record the constant start as one state
-  observed twice with one accumulation over the horizon, which rounds
-  n dt x once where a walk over its steps sums n terms dt x.
+  tolerance 1e-6: the ``picard_1d`` benchmark's iteration) and of the
+  same one over 300 steps (sweeps of one block where a tree budgets the
+  stored values of a sweep, of 4 and more where it does not); and the
+  bounds (K1, K2, K3) of the first two Picard iterations, sized from
+  the start's functionals: a tree may record the constant start as one
+  state observed twice with one accumulation over the horizon, which
+  rounds n dt x once where a walk over its steps sums n terms dt x.
 
 The reductions of a trace stack are compared bitwise, since they must
 not move when the stack is formed another way: the ensemble standard
@@ -275,6 +277,17 @@ def _cases():
         out["bitwise"][f"{key} membership {part}"] = np.array(
             [getattr(member, part) for member in report.memberships])
     out["close"][f"{key} bounds"] = _bounds(report)
+    out["close"][f"{key} distances"] = np.array(report.distances)
+    out["close"][f"{key} residual"] = np.array([report.residual_vs_coupled])
+
+    # a longer horizon, where a tree may have held one block a sweep
+    sch = SchemeConfig(dt=1e-3, T=0.3)
+    report = picard_iterate(init, desk, sch, basis,
+                            NoiseSpec(2.0, 2.0, 16, 0),
+                            FixedPointConfig(tolerance=1e-6, ensemble_size=16),
+                            fconfig=FunctionalConfig(observation_stride=25))
+    key = "picard 16 members 300 steps"
+    out["bitwise"][f"{key} iterations"] = np.array([report.iterations])
     out["close"][f"{key} distances"] = np.array(report.distances)
     out["close"][f"{key} residual"] = np.array([report.residual_vs_coupled])
     return out
