@@ -2,9 +2,8 @@
 
 Modules:
     spectral     Neumann eigenbasis, transforms, quadrature
-    fields       reaction quotient, positivity floor, 2/3-rule guard
     noise        Q-Wiener increment tables (counter-based, reproducible)
-    dynamics     Ito/Stratonovich exponential time stepping
+    dynamics     Ito/Stratonovich exponential time stepping, positivity floor
     functionals  xi = 1/v, Lyapunov functionals, growth monitors
     experiments  Picard fixed point, uniqueness study, ensembles
     config/io/cli  run configuration, file formats, command line

@@ -59,9 +59,10 @@ def _build_parser(command=None):
         metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
     for name in _COMMANDS if command is None else [command]:
         p = sub.add_parser(name, help=_COMMANDS[name][1])
-        p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (overrides the config file)")
+        if name != "selftest":    # the criteria fix their own configs
+            p.add_argument("--config", help="path to a key = value config file")
+            p.add_argument("--seed", type=int, default=None,
+                           help="master seed (overrides the config file)")
         p.add_argument("--out-dir", default="gmspde-out")
         if name in _PATHS_KEY:
             p.add_argument("--paths", type=int, default=None,

@@ -49,10 +49,15 @@ in blocks of steps, so it holds one block of increments at a time
 whatever its horizon.
 Each row is checked on its own (reaction CFL, finiteness, the zero-floor
 positivity of v): a failed row stops with the error its solo run raises
-and the other rows go on.  Observers see the stack from the stepping
-loop of :func:`run_batch`, the one walk over a trajectory's states: the
-functional recorder rides it, and so does the Picard sweep's observer,
-which feeds its lean recorder (no energy monitors) on the same walk.
+and the other rows go on.  Under a zero floor, the core checks v > 0
+in two places: state 0, once, in :func:`run_batch`, and each row's new
+state after each step in :meth:`Stepper.advance`, which keeps a failed
+row's last good state.  So every state the sources and the observers
+see has v > 0, and there max(v, 0) is v bit for bit.  Observers see
+the stack from the stepping loop of :func:`run_batch`, the one walk
+over a trajectory's states: the functional recorder rides it, and so
+does the Picard sweep's observer, which feeds its lean recorder (no
+energy monitors) on the same walk.
 
 Numbers.  A transform of a B-row stack is one (2B, K) or (2B, n) matrix
 product, so even a one-row run is a two-row product, and the BLAS
@@ -66,16 +71,15 @@ state's u), and the noise tables.  Noise enters in blocks of steps
 (:data:`NOISE_BLOCK_DRAWS`), whose size changes no bit.
 
 Nonlinear and noise products are formed nodally and projected back to
-the truncation with a 2/3-rule guard.
+the truncation with a 2/3-rule guard (Orszag, J. Atmos. Sci. 28, 1971).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import floor_counts, floor_violation, guarded_basis, quotient_nodal
 from .noise import NoiseSpec, sliced
 from .spectral import SpectralBasis, nonfinite
 
@@ -93,6 +97,37 @@ NOISE_BLOCK_DRAWS = 2**15
 
 class SimulationError(RuntimeError):
     """Runtime failure of a trajectory (CFL violation, non-finite state)."""
+
+
+class FloorViolation(ValueError):
+    """Denominator would be floored at zero: nonpositive value with no floor."""
+
+    def __init__(self, message, node_index=None):
+        super().__init__(message)
+        self.node_index = node_index
+
+
+def floor_violation(v_nodal):
+    """The :class:`FloorViolation` a zero floor meets on one row.
+
+    Reports the first nonpositive node of ``v_nodal`` (which must have
+    one), its index relative to the row.
+    """
+    v = np.ravel(v_nodal)
+    loc = int(np.flatnonzero(v <= 0.0)[0])
+    return FloorViolation(
+        f"inhibitor is nonpositive at flat node {loc} "
+        f"(value {v[loc]:g}) and no floor is set",
+        node_index=loc,
+    )
+
+
+def reject_nonpositive(v_nodal):
+    """Raise the :func:`floor_violation` of the first row with v <= 0."""
+    rows = np.reshape(v_nodal, (-1, np.shape(v_nodal)[-1]))
+    bad = np.flatnonzero(np.any(rows <= 0.0, axis=-1))
+    if bad.size:
+        raise floor_violation(rows[bad[0]])
 
 
 @dataclass(frozen=True)
@@ -243,6 +278,24 @@ def initial_state(basis: SpectralBasis, initial, n_rows: int) -> StateView:
     )
 
 
+def _dealiased(basis: SpectralBasis):
+    """``basis`` with projection tables that apply the 2/3-rule guard.
+
+    The guard keeps the modes whose every index is at most 2/3 of the
+    top index, rounded down, and zeros the others.  It factors over the
+    axes: zeroing each quadrature table's columns above the largest kept
+    index makes ``project`` return the guarded coefficients at no cost
+    per call, the kept ones bit for bit (a product's column does not
+    depend on the others) and zeros for the rest (for finite input).
+    """
+    indices = basis.mode_indices
+    keep = (indices <= np.floor(2.0 / 3.0 * indices.max())).all(axis=1)
+    top = indices[keep].max(axis=0)
+    tables = tuple(np.where(np.arange(q.shape[1]) <= t, q, 0.0)
+                   for q, t in zip(basis.quadrature, top))
+    return replace(basis, quadrature=tables)
+
+
 class Stepper:
     """Precomputed per-mode factors of one (basis, params, scheme) triple.
 
@@ -285,7 +338,7 @@ class Stepper:
         self._decay = stacked(np.exp(-c * dt))
         self._gain = stacked(dt * _phi1(c * dt))
         self.damp = (1.0 + lam) ** (-0.5 * gamma)
-        self._guarded = guarded_basis(basis)
+        self._guarded = _dealiased(basis)
         # the (2, rows, n_nodes) work stack, written in place: first the
         # sources, then the synthesized increments.  It is allocated at
         # the first step, after the first noise block: allocated here, it
@@ -311,15 +364,18 @@ class Stepper:
     def _sources(self, state, chi_nodal, out):
         """Nodal sources into ``out``: chi^2/max(v, floor) for u, chi^2 for v.
 
-        Returns each row's reaction number kappa_u*max(chi^2/v)*dt.
+        Adds each live row's count of nodes with v below the floor to
+        ``state.floor_activations``, and returns each row's reaction
+        number kappa_u*max(chi^2/v)*dt.
         """
-        v_floor = self.scheme.v_floor
-        q_nodal, activations = quotient_nodal(chi_nodal, state.v_nodal, v_floor,
-                                              out=out[0])
-        if activations:
-            state.floor_activations += state.alive * floor_counts(
-                state.v_nodal, v_floor)
-        np.multiply(chi_nodal, chi_nodal, out=out[1])
+        v_nodal, v_floor = state.v_nodal, self.scheme.v_floor
+        chi2 = np.multiply(chi_nodal, chi_nodal, out=out[1])
+        below = v_nodal < v_floor
+        if below.any():
+            state.floor_activations += state.alive * np.count_nonzero(
+                below, axis=-1)
+        q_nodal = np.divide(chi2, np.maximum(v_nodal, v_floor, out=out[0]),
+                            out=out[0])
         peak = self.params.kappa_u * q_nodal.max(axis=-1, initial=0.0)
         return peak * self.scheme.dt
 
@@ -446,6 +502,8 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     if driver is not None and driver.shape != (n_paths, n_steps + 1, k):
         raise ValueError(f"driver has shape {driver.shape}, "
                          f"run needs {(n_paths, n_steps + 1, k)}")
+    if scheme.v_floor == 0.0:
+        reject_nonpositive(state.v_nodal)
     span = max(1, NOISE_BLOCK_DRAWS // (n_paths * 2 * k))
     if driver is not None:
         # the driver's chi in row 0 of a (2, B, K) stack, as u in the state

@@ -59,7 +59,6 @@ from .dynamics import (
     run,
     run_batch,
 )
-from .fields import quotient_nodal
 from .functionals import (
     AdmissibleSetSpec,
     FunctionalConfig,
@@ -69,6 +68,7 @@ from .functionals import (
     auto_bounds,
     energy_monitors,
     membership,
+    xi_nodal,
 )
 from .noise import NoiseSpec, drawn, sliced
 from .spectral import nonfinite
@@ -436,7 +436,7 @@ def _stopping_scan(traj, basis, scheme, levels):
     ``traj`` is a (2, 1, n+1, K) one-row stack.
     """
     v_nodal = basis.synthesize(traj[1, 0])
-    xi, _ = quotient_nodal(1.0, v_nodal, scheme.v_floor)
+    xi = xi_nodal(v_nodal, scheme.v_floor)
     # the running sup of |xi|_L8 first reaches m where |xi|_L8 does
     xi8 = (xi**8 @ basis.weights) ** (1.0 / 8.0)
     u_sq = traj[0, 0]**2

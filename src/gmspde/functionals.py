@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import reject_nonpositive
+from .dynamics import reject_nonpositive
 from .spectral import nonfinite
 
 DEFAULT_P = 31.0 / 7.0
@@ -134,6 +134,19 @@ def _quadrature(nodal, weights, out=None):
     return np.einsum("...n,n->...", nodal, weights, out=out)
 
 
+def xi_nodal(v_nodal, v_floor, out=None):
+    """xi = 1/max(v, floor) of the nodal ``v_nodal`` (rows on the last axis).
+
+    Formed in ``out`` if given, else in a new array.  A zero floor
+    raises the :class:`~gmspde.dynamics.FloorViolation` of the first row
+    with v <= 0 (:func:`~gmspde.dynamics.reject_nonpositive`).
+    """
+    if v_floor == 0.0:
+        reject_nonpositive(v_nodal)
+    xi = np.maximum(v_nodal, v_floor, out=out)
+    return np.divide(1.0, xi, out=xi)
+
+
 def grad_sq(basis, modal):
     """Nodal |grad f|^2 of f = sum_k modal_k e_k (last axis)."""
     g = basis.gradients(modal)
@@ -189,18 +202,6 @@ class FunctionalRecorder:
         s = 1.0 - config.rho
         self.h_weights = (1.0 + basis.eigenvalues) ** s
 
-    def _xi(self, v_nodal, out=None):
-        """xi = 1/max(v, floor) of the (rows, n_nodes) ``v_nodal``.
-
-        Formed in ``out`` if given, else in a new array.  A zero floor
-        raises the :class:`~gmspde.fields.FloorViolation` of the first
-        row with v <= 0 (:func:`~gmspde.fields.reject_nonpositive`).
-        """
-        if self.v_floor == 0.0:
-            reject_nonpositive(v_nodal)
-        xi = np.maximum(v_nodal, self.v_floor, out=out)
-        return np.divide(1.0, xi, out=xi)
-
     def _integrands(self, view):
         """Integrals of the :data:`INTEGRALS` integrands of the state ``view``.
 
@@ -214,7 +215,7 @@ class FunctionalRecorder:
             self._scratch = np.empty((3,) + u_nodal.shape)
             self._values = np.empty((len(self._integrals), len(u_nodal)))
         xi, chi2xi, work = self._scratch
-        self._xi(view.v_nodal, out=xi)
+        xi_nodal(view.v_nodal, self.v_floor, out=xi)
         # one row per kept integral, in INTEGRALS order
         grad_chi, chi2_xi, xi2_chi2, *monitored = self._values
         np.sum(basis.eigenvalues * view.u_modal**2, axis=-1, out=grad_chi)
@@ -238,7 +239,7 @@ class FunctionalRecorder:
         w = self.basis.weights
         u_modal, v_modal = view.u_modal, view.v_modal
         u_nodal, v_nodal = view.u_nodal, view.v_nodal
-        xi = self._xi(v_nodal)
+        xi = xi_nodal(v_nodal, self.v_floor)
         p = self.config.p
         ln_xi = np.log(xi)
         columns = {

@@ -12,6 +12,7 @@ import pytest
 
 from gmspde import dynamics, noise
 from gmspde.dynamics import (
+    FloorViolation,
     ModelParams,
     SchemeConfig,
     SimulationError,
@@ -20,7 +21,6 @@ from gmspde.dynamics import (
     run_batch,
 )
 from gmspde.experiments import TrajectoryRecorder, ensemble
-from gmspde.fields import FloorViolation
 from gmspde.functionals import FunctionalConfig, FunctionalRecorder
 from gmspde.noise import NoiseSpec, drawn, sliced
 from gmspde.spectral import DomainSpec, build_basis

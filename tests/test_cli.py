@@ -63,11 +63,12 @@ ONE_D_RUNS = {
 
 
 def _cli(tmp_path, command, out_name, text=TINY_2D, extra=()):
+    """Run ``command`` on the config ``text``; selftest takes no config."""
     path = tmp_path / "run.cfg"
     path.write_text(text)
     out = tmp_path / out_name
-    argv = [command, "--config", str(path), "--out-dir", str(out), "--quiet",
-            *extra]
+    config = [] if command == "selftest" else ["--config", str(path)]
+    argv = [command, *config, "--out-dir", str(out), "--quiet", *extra]
     assert cli.main(argv) == 0
     return out
 

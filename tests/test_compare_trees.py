@@ -1,18 +1,74 @@
-"""``tools/compare_trees.py`` runs every case on this checkout's API."""
+"""``tools/compare_trees.py`` runs every case and command on this checkout."""
 
+import importlib.util
 import pathlib
-import subprocess
-import sys
+import shutil
+
+import pytest
+
+from gmspde.config import loads
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+
+TINY = """\
+[scheme]
+horizon = 0.01
+[functionals]
+observation_stride = 5
+[run]
+paths = 2
+[fixedpoint]
+ensemble_size = 2
+max_iterations = 3
+"""
 
 
-def test_compare_trees_passes_a_tree_against_itself():
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location(
+        "compare_trees", ROOT / "tools" / "compare_trees.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_trees_passes_a_tree_against_itself(tool, capsys):
     # the tool knows only the current API, so a change that breaks one
-    # of its cases fails here, not first when a pull request is compared
-    src = str(ROOT / "src")
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "compare_trees.py"), src, src],
-        capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "0 comparison(s) failed" in done.stdout
+    # of its cases or configs fails here, not first when a pull request
+    # is compared
+    assert tool.case_pass(SRC, SRC) == 0
+    assert "DIFFERS" not in capsys.readouterr().out
+    for text in tool.CONFIGS.values():
+        loads(text)
+
+
+def test_command_pass_reports_a_file_that_differs_by_one_byte(tool, tmp_path,
+                                                              capsys):
+    tiny = {"tiny": TINY}
+    assert tool.command_pass(SRC, SRC, tiny, seeds=(0,), selftest=False) == 0
+    out = capsys.readouterr().out
+    # the config, the five commands' 15 files, and their stdout, stderr
+    # and exit codes
+    assert out == "31 of 31 command files byte-identical\n"
+    old, new = tmp_path / "old", tmp_path / "new"
+    tool.run_commands(SRC, str(old), tiny, seeds=(0,), selftest=False)
+    shutil.copytree(old, new)
+    target = new / "runs" / "tiny" / "seed0" / "simulate" / "trace.csv"
+    data = bytearray(target.read_bytes())
+    data[-2] ^= 1
+    target.write_bytes(bytes(data))
+    everything, differ = tool.differing_files(str(old), str(new))
+    assert len(everything) == 31
+    assert differ == ["runs/tiny/seed0/simulate/trace.csv"]
+    # a file one tree lacks differs too
+    (new / "runs" / "tiny" / "seed0" / "spectrum.stderr").unlink()
+    assert len(tool.differing_files(str(old), str(new))[1]) == 2
+
+
+def test_command_pass_fails_runs_that_exit_nonzero(tool, capsys):
+    # identical config errors in both trees are no comparison: each of the
+    # five commands fails in each tree
+    bad = {"bad": "[scheme]\nreaction_cfl_limit = 0\n"}
+    assert tool.command_pass(SRC, SRC, bad, seeds=(0,), selftest=False) == 10
+    assert "EXIT 1  new runs/bad/seed0/simulate\n" in capsys.readouterr().out

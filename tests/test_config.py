@@ -267,13 +267,28 @@ def test_every_violated_invariant_is_reported(section):
     assert err.value.problems == expected
 
 
-@pytest.mark.parametrize("command", ["simulate", "uniqueness", "spectrum",
-                                     "selftest"])
-def test_paths_is_rejected_where_unused(command, tmp_path, capsys):
+# case -> (command, an option it does not take, a value): selftest's
+# criteria fix their own configs, so it takes no --config and no --seed
+UNUSED_OPTIONS = {
+    "simulate": ("simulate", "--paths", "3"),
+    "uniqueness": ("uniqueness", "--paths", "3"),
+    "spectrum": ("spectrum", "--paths", "3"),
+    "selftest": ("selftest", "--paths", "3"),
+    "selftest --config": ("selftest", "--config", "/nonexistent.cfg"),
+    "selftest --seed": ("selftest", "--seed", "5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSED_OPTIONS))
+def test_paths_is_rejected_where_unused(case, tmp_path, capsys):
+    command, option, value = UNUSED_OPTIONS[case]
     out = tmp_path / "out"
-    argv = [command, "--paths", "3", "--out-dir", str(out), "--quiet"]
+    argv = [command, option, value, "--out-dir", str(out), "--quiet"]
+    if command == "selftest":    # accepted, the option would run criterion 1
+        argv += ["--criteria", "1"]
     assert cli.main(argv) == 1
-    assert "--paths" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {option} {value}" in err
     assert not out.exists()
 
 

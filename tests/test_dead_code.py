@@ -21,7 +21,7 @@ ALLOWED = {
     "functionals.MembershipReport.mean_L2",
     "functionals.MembershipReport.sup_mean_L3",
     # the node a caller catching the error can look up on its grid
-    "fields.FloorViolation.node_index",
+    "dynamics.FloorViolation.node_index",
     # the entry point: the console script calls it with no argument, and
     # argparse then reads sys.argv
     "cli.main(argv)",

@@ -15,7 +15,7 @@ from gmspde.dynamics import (
     run,
     steady_state,
 )
-from gmspde.noise import NoiseSpec, drawn, sliced
+from gmspde.noise import NoiseSpec, coupled_path_hierarchy, drawn, sliced
 from gmspde.spectral import DomainSpec, SpectralBasis, build_basis
 
 
@@ -240,6 +240,26 @@ def test_ito_mean_matches_gbm_oracle():
     oracle = np.exp(-(mu - sigma) * 0.25)
     z = abs(vals.mean() - oracle) / (vals.std(ddof=1) / np.sqrt(n_paths))
     assert z < 3.0
+
+
+@pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
+def test_2d_bridge_coupled_strong_order(scheme):
+    # criterion 5 on the 1 x 1.5 rectangle: 20 paths on dt = 2e-3, 1e-3
+    # and 5e-4 coupled by exact pairwise sums, same bound of 0.4 (observed
+    # 0.74 for ito_imex, 0.91 for stratonovich_heun)
+    basis = exactness_bases()[1]
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=36, master_seed=505)
+    params = desk_params(sigma=0.5)
+    init = default_initial_pair(basis, params)
+    fine = SchemeConfig(dt=5e-4, T=0.2, scheme=scheme)
+    errs = np.zeros((20, 2))
+    for i in range(20):
+        finals = [run(init, params, sch, basis, spec, sliced(table)).u_modal[0]
+                  for sch, table in coupled_path_hierarchy(spec, fine, i, 3)]
+        errs[i] = [np.sqrt(np.sum((finals[j] - finals[j + 1]) ** 2))
+                   for j in (0, 1)]
+    e1, e2 = errs.mean(axis=0)
+    assert np.log2(e1 / e2) >= 0.4
 
 
 def test_run_determinism_bitwise():

@@ -7,6 +7,7 @@ import pytest
 
 from gmspde import experiments, functionals
 from gmspde.dynamics import (
+    FloorViolation,
     ModelParams,
     SchemeConfig,
     SimulationError,
@@ -27,7 +28,6 @@ from gmspde.experiments import (
     seminorm_m,
     uniqueness_study,
 )
-from gmspde.fields import FloorViolation
 from gmspde.functionals import FunctionalConfig, FunctionalRecorder
 from gmspde.noise import NoiseSpec, drawn, sliced
 from gmspde.spectral import DomainSpec, build_basis

@@ -3,10 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmspde.dynamics import StateView, constant_pair, initial_state
-from gmspde.fields import FloorViolation, dealias_modal, quotient_nodal
+from gmspde.dynamics import (
+    FloorViolation,
+    ModelParams,
+    SchemeConfig,
+    StateView,
+    Stepper,
+    constant_pair,
+    floor_violation,
+    initial_state,
+    reject_nonpositive,
+    run_batch,
+)
 from gmspde.functionals import FunctionalConfig, FunctionalRecorder, grad_sq
+from gmspde.noise import NoiseSpec
 from gmspde.spectral import DomainSpec, build_basis
+
+PARAMS = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
+                     mu_u=1.0, mu_v=2.0, sigma_u=0.1, sigma_v=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +46,29 @@ def _columns(basis, u_nodal, v_nodal, p=2.0, rho=1.1):
     rec.accumulate(view, 1.0)
     rec.record(view)
     return {name: float(col[0, 0]) for name, col in rec.traces().data.items()}
+
+
+def _stepper(basis, v_floor, rows):
+    scheme = SchemeConfig(dt=1.0, T=1.0, v_floor=v_floor)
+    return Stepper(basis, PARAMS, scheme,
+                   NoiseSpec(2.0, 2.0, basis.mode_count), rows)
+
+
+def _sources(basis, chi_nodal, v_nodal, v_floor, alive=True):
+    """The stepper's sources of the (rows, n_nodes) driver chi and inhibitor v.
+
+    Returns chi^2/max(v, floor), chi^2, the per-row floor counts added to
+    zero counts, and the reaction numbers kappa_u max(chi^2/v) dt (dt = 1).
+    """
+    chi, v = np.broadcast_arrays(*np.atleast_2d(chi_nodal, v_nodal))
+    rows = len(v)
+    nodal = np.stack((np.zeros_like(v), v)).astype(float)
+    view = StateView(0.0, 0, np.zeros((2, rows, basis.mode_count)), nodal,
+                     np.zeros(rows, dtype=int),
+                     np.broadcast_to(alive, (rows,)).copy())
+    out = np.empty_like(nodal)
+    peak = _stepper(basis, v_floor, rows)._sources(view, chi, out)
+    return out[0], out[1], view.floor_activations, peak
 
 
 def _grad_energy(basis, modal, weight=1.0):
@@ -141,37 +178,75 @@ def test_parseval(basis):
 
 
 def test_reaction_quotient_examples(basis):
-    q, n = quotient_nodal(np.full(65, 2.0), np.full(65, 4.0), 1e-8)
-    assert np.allclose(q, 1.0) and n == 0
-    q, n = quotient_nodal(np.zeros(65), np.full(65, 4.0), 0.0)
-    assert np.all(q == 0.0) and n == 0
+    q, chi2, counts, peak = _sources(basis, np.full(65, 2.0),
+                                     np.full(65, 4.0), 1e-8)
+    assert np.all(q == 1.0) and np.all(chi2 == 4.0)
+    assert counts.tolist() == [0] and peak.tolist() == [1.0]
+    q, chi2, counts, peak = _sources(basis, np.zeros(65), np.full(65, 4.0), 0.0)
+    assert np.all(q == 0.0) and np.all(chi2 == 0.0)
+    assert counts.tolist() == [0] and peak.tolist() == [0.0]
 
 
 def test_reaction_quotient_floor_activation(basis):
+    # per row: one floored node, none, three; a failed row counts none
     floor = 1e-4
-    v_nodal = np.full(65, 1.0)
-    v_nodal[10] = floor / 2
-    q, n = quotient_nodal(np.ones(65), v_nodal, floor)
-    assert n == 1
-    assert q[10] == pytest.approx(1.0 / floor)
+    v_nodal = np.ones((4, 65))
+    v_nodal[0, 10] = floor / 2
+    v_nodal[2, [1, 5, 64]] = 0.0
+    v_nodal[3, 7] = floor / 4
+    q, _, counts, _ = _sources(basis, np.ones(65), v_nodal, floor,
+                               alive=[True, True, True, False])
+    assert counts.tolist() == [1, 0, 3, 0]
+    assert q[0, 10] == pytest.approx(1.0 / floor)
+    assert np.all(q[2, [1, 5, 64]] == 1.0 / floor)
+    assert np.all(np.delete(q[0], 10) == 1.0)
 
 
 def test_reaction_quotient_zero_floor_rejects_nonpositive(basis):
-    v_nodal = np.full(65, 1.0)
-    v_nodal[7] = -0.5
+    v_nodal = np.full((3, 65), 1.0)
+    v_nodal[1, 7] = -0.5
+    v_nodal[2, 3] = 0.0
     with pytest.raises(FloorViolation) as err:
-        quotient_nodal(np.ones(65), v_nodal, 0.0)
+        reject_nonpositive(v_nodal)
     assert err.value.node_index == 7
+    assert str(err.value) == ("inhibitor is nonpositive at flat node 7 "
+                              "(value -0.5) and no floor is set")
+    # a zero-floor stack whose state 0 has v <= 0 at a mid-grid node
+    # raises row 0's error before the first step, with or without an
+    # observer, and draws no noise
+    init = np.zeros((2, basis.mode_count))
+    init[:, 0] = 1.0
+    init[1, 1] = 2.0
+    v0 = basis.synthesize(init[1])
+    want = floor_violation(v0)
+    assert 0 < want.node_index < 64
+
+    class Recorder:
+        stride = 1
+
+        def record(self, view):
+            raise AssertionError("state 0 was recorded")
+
+    def draw(n0, n1):
+        raise AssertionError("noise was drawn")
+
+    for observer in (None, Recorder()):
+        with pytest.raises(FloorViolation) as err:
+            run_batch(init, PARAMS, SchemeConfig(dt=0.1, T=1.0, v_floor=0.0),
+                      basis, NoiseSpec(2.0, 2.0, basis.mode_count), draw, 3,
+                      observer)
+        assert err.value.node_index == want.node_index
+        assert str(err.value) == str(want)
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_reaction_quotient_degree_two_homogeneity(basis, seed):
     rng = np.random.default_rng(seed)
-    u = rng.uniform(0.1, 2.0, 65)
-    v = rng.uniform(0.5, 3.0, 65)
-    q1, _ = quotient_nodal(u, v, 0.0)
-    q2, _ = quotient_nodal(2.0 * u, v, 0.0)
+    u = rng.uniform(0.1, 2.0, (2, 65))
+    v = rng.uniform(0.5, 3.0, (2, 65))
+    q1 = _sources(basis, u, v, 0.0)[0]
+    q2 = _sources(basis, 2.0 * u, v, 0.0)[0]
     assert np.array_equal(q2, 4.0 * q1)
 
 
@@ -200,12 +275,21 @@ def test_gradient_energy_trivial_cases(basis):
     assert _grad_energy(basis, np.eye(16)[2], weight=np.zeros(65)) == 0.0
 
 
-def test_dealias_zeroes_top_third(basis):
-    modal = np.ones(16)
-    out = dealias_modal(basis, modal)
-    cutoff = int(np.floor(2.0 / 3.0 * 15))
-    assert np.all(out[: cutoff + 1] == 1.0)
-    assert np.all(out[cutoff + 1:] == 0.0)
+def test_dealias_zeroes_top_third(basis, basis2d):
+    # the stepper's projection of products keeps every mode whose indices
+    # are all at most 2/3 of the top index, bit for bit, and zeros the rest
+    for b in (basis, basis2d):
+        top = b.mode_indices.max()
+        cutoff = int(np.floor(2.0 / 3.0 * top))
+        keep = np.array([max(idx) <= cutoff for idx in b.mode_indices])
+        assert keep.any() and not keep.all()
+        nodal = b.synthesize(np.ones(b.mode_count))
+        pair = np.stack([nodal, 2 * nodal])
+        got = _stepper(b, 1e-8, 1)._project(pair[:, None])[:, 0]
+        want = b.project(pair)
+        assert np.array_equal(got[..., keep], want[..., keep])
+        assert np.all(got[..., ~keep] == 0.0)
+    assert int(np.floor(2.0 / 3.0 * 15)) == 10
 
 
 def test_pair_admissibility(basis):

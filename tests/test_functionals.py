@@ -3,11 +3,13 @@ import pytest
 
 from gmspde import experiments, functionals
 from gmspde.dynamics import (
+    FloorViolation,
     ModelParams,
     SchemeConfig,
     StateView,
     constant_pair,
     default_initial_pair,
+    reject_nonpositive,
     run,
     run_batch,
 )
@@ -17,7 +19,6 @@ from gmspde.experiments import (
     ensemble,
     picard_iterate,
 )
-from gmspde.fields import FloorViolation, floor_counts, quotient_nodal
 from gmspde.functionals import (
     TRACE_COLUMNS,
     AdmissibleSetSpec,
@@ -31,6 +32,7 @@ from gmspde.functionals import (
     lyapunov_L2,
     lyapunov_L3,
     membership,
+    xi_nodal,
 )
 from gmspde.noise import NoiseSpec, drawn
 from gmspde.spectral import DomainSpec, build_basis
@@ -42,6 +44,14 @@ K = 8
 def basis():
     return build_basis(DomainSpec(dim=1, lengths=(1.0,),
                                   grid_points_per_axis=64), K)
+
+
+def quotient_nodal(u_nodal, v_nodal, v_floor):
+    """Oracle u^2/max(v, floor), dividing by v itself under a zero floor."""
+    if v_floor == 0.0:
+        reject_nonpositive(v_nodal)
+        return np.divide(u_nodal * u_nodal, v_nodal)
+    return np.divide(u_nodal * u_nodal, np.maximum(v_nodal, v_floor))
 
 
 def desk_params(sigma=0.1):
@@ -88,7 +98,7 @@ def walk_trace(traj, basis, fcfg, v_floor, monitors=True, dt=DT):
             rec.record(view)
         if i < n:
             rec.accumulate(view, dt)
-            floors += floor_counts(view.v_nodal, v_floor)
+            floors += np.count_nonzero(view.v_nodal < v_floor, axis=-1)
     return rec.traces()
 
 
@@ -103,25 +113,34 @@ def test_config_validation():
 
 
 def test_xi_examples(basis):
-    xi, n = quotient_nodal(1.0, np.full(65, 2.0), 1e-8)
-    assert np.allclose(xi, 0.5) and n == 0
+    xi = xi_nodal(np.full(65, 2.0), 1e-8)
+    assert np.all(xi == 0.5)
 
-    xi, _ = quotient_nodal(1.0, np.ones(65), 0.0)
+    xi = xi_nodal(np.ones(65), 0.0)
     ln_mass = float(basis.weights @ np.log(xi))
     assert ln_mass == 0.0
 
     v = np.random.default_rng(0).uniform(0.5, 3.0, 65)
-    xi, n = quotient_nodal(1.0, v, 1e-8)
-    assert n == 0
+    xi = xi_nodal(v, 1e-8)
     assert np.abs(v * xi - 1.0).max() < 1e-12
+    # floored nodes read 1/floor; xi is the quotient with unit numerator
+    v[[3, 9]] = [1e-9, -2.0]
+    xi = xi_nodal(v, 1e-8)
+    assert xi[3] == xi[9] == 1e8
+    assert xi.tobytes() == quotient_nodal(1.0, v, 1e-8).tobytes()
+    out = np.empty(65)
+    assert xi_nodal(v, 1e-8, out=out) is out
+    assert out.tobytes() == xi.tobytes()
 
 
 def test_xi_zero_floor_rejects_nonpositive(basis):
     bad = np.ones(65)
     bad[5] = 0.0
     with pytest.raises(FloorViolation) as err:
-        quotient_nodal(1.0, bad, 0.0)
+        xi_nodal(bad, 0.0)
     assert err.value.node_index == 5
+    assert str(err.value) == ("inhibitor is nonpositive at flat node 5 "
+                              "(value 0) and no floor is set")
 
 
 def _state(basis, rows, seed):
@@ -150,7 +169,9 @@ def test_recorder_zero_floor_rejects_nonpositive_v_as_quotient_nodal(basis,
         else:
             rec.record(view)
     assert got.value.node_index == want.value.node_index == 7
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == str(want.value) == (
+        "inhibitor is nonpositive at flat node 7 (value -0.5) and no floor "
+        "is set")
 
 
 def test_lyapunov_l1_trivial(basis):
@@ -343,7 +364,7 @@ def _integrands_oracle(rec, view):
     """The integrand integrals as the recorder formed them in new arrays."""
     basis, w = rec.basis, rec.basis.weights
     u_nodal = view.u_nodal
-    xi, _ = quotient_nodal(1.0, view.v_nodal, rec.v_floor)
+    xi = quotient_nodal(1.0, view.v_nodal, rec.v_floor)
     chi2xi = np.multiply(u_nodal, u_nodal)
     chi2xi *= xi
     work = np.multiply(chi2xi, xi)
@@ -368,7 +389,7 @@ def _observables_oracle(rec, view):
     w = rec.basis.weights
     u_modal, v_modal = view.u_modal, view.v_modal
     u_nodal, v_nodal = view.u_nodal, view.v_nodal
-    xi, _ = quotient_nodal(1.0, v_nodal, rec.v_floor)
+    xi = quotient_nodal(1.0, v_nodal, rec.v_floor)
     p = rec.config.p
     ln_xi = np.log(xi)
     columns = {

@@ -14,11 +14,12 @@ import pytest
 from gmspde.dynamics import (
     ModelParams,
     SchemeConfig,
+    StateView,
+    Stepper,
     default_initial_pair,
     run_batch,
 )
 from gmspde.experiments import ensemble
-from gmspde.fields import quotient_nodal
 from gmspde.functionals import (
     AdmissibleSetSpec,
     FunctionalConfig,
@@ -26,6 +27,7 @@ from gmspde.functionals import (
     energy_monitors,
     fit_growth_envelope,
     membership,
+    xi_nodal,
 )
 from gmspde.noise import NoiseSpec, drawn
 from gmspde.spectral import DomainSpec, build_basis
@@ -172,15 +174,22 @@ def test_membership_names_the_first_bad_row(report):
                            f"node {node} (value 0)")
 
 
-def test_xi_nodal_is_the_quotient_with_unit_numerator():
+def test_xi_nodal_is_the_quotient_with_unit_numerator(basis):
+    # xi and the stepper's reaction quotient at chi = 1 share their bits,
+    # and the stepper counts the floored nodes of each row
     rng = np.random.default_rng(17)
-    v = rng.uniform(-0.5, 3.0, (3, 5, 65))
-    for floor in (1e-8, 0.25, 2.0):
-        got, activations = quotient_nodal(1.0, v, floor)
-        want, want_activations = quotient_nodal(np.ones_like(v), v, floor)
-        assert got.tobytes() == want.tobytes()
-        assert activations == want_activations > 0
+    v = rng.uniform(-0.5, 3.0, (15, basis.n_nodes))
     positive = np.abs(v) + 0.1
-    got, activations = quotient_nodal(1.0, positive, 0.0)
-    want, _ = quotient_nodal(np.ones_like(positive), positive, 0.0)
-    assert got.tobytes() == want.tobytes() and activations == 0
+    for stack, floor in ((v, 1e-8), (v, 0.25), (v, 2.0), (positive, 0.0)):
+        view = StateView(0.0, 0, np.zeros((2, 15, 16)),
+                         np.stack((np.ones_like(stack), stack)),
+                         np.zeros(15, dtype=int), np.ones(15, dtype=bool))
+        out = np.empty_like(view.nodal)
+        stepper = Stepper(basis, PARAMS, SchemeConfig(dt=1.0, T=1.0,
+                                                      v_floor=floor),
+                          SPEC, 15)
+        stepper._sources(view, view.u_nodal, out)
+        assert xi_nodal(stack, floor).tobytes() == out[0].tobytes()
+        counts = np.count_nonzero(stack < floor, axis=-1)
+        assert np.array_equal(view.floor_activations, counts)
+        assert (counts.sum() > 0) == (floor > 0)

@@ -1,11 +1,13 @@
-"""Compare the numbers of two gmspde source trees, case by case.
+"""Compare the numbers and the files of two gmspde source trees.
 
     python tools/compare_trees.py OLD_SRC [NEW_SRC]
 
 OLD_SRC and NEW_SRC are directories holding a ``gmspde`` package
 (NEW_SRC defaults to this checkout's ``src``); make OLD_SRC with
-``git archive <commit> | tar -x -C <dir>``.  Each tree runs the same
-cases in its own interpreter, and the outputs are compared:
+``git archive <commit> | tar -x -C <dir>``.  Two passes run.
+
+The case pass runs the same cases in each tree's own interpreter, and
+the outputs are compared:
 
 * bitwise: ``noise.drawn`` tables (1-D K=16, 200 paths, steps
   0..49, drawn whole and in 5-step blocks; K=256 as in 2-D, one path,
@@ -53,11 +55,24 @@ paths at a reaction CFL limit that five of them fail mid-run; and the
 ``mean_L1``, ``mean_L2`` and ``sup_mean_L3`` of every membership check
 of both Picard iterations.
 
+The command pass (:func:`command_pass`) runs ``simulate``,
+``uniqueness``, ``ensemble``, ``fixedpoint`` and ``spectrum`` from each
+tree in fresh ``python -m gmspde.cli`` processes, at seeds 0 and 1, on
+five configs (:data:`CONFIGS`): the default; the 1-D config of the
+``picard_1d`` benchmark; a 2-D ``stratonovich_heun`` one (N = 32,
+K = 64, T = 0.1); ``v_floor = 0``; and ``v_floor = 2.5``, which floors
+the grid.  It runs ``selftest`` once per tree.  Every file a command
+writes, its stdout, its stderr and its exit code are compared byte for
+byte; of the selftest, ``selftest.txt`` and the exit code
+(``timing.json`` holds wall times).  A run that exits nonzero in either
+tree fails as well.
+
 Exits 1 if any comparison fails.
 """
 
 from __future__ import annotations
 
+import filecmp
 import os
 import pickle
 import subprocess
@@ -71,6 +86,55 @@ RTOL = 1e-13
 # reaction CFL limit of the ensemble with failures: some of its paths
 # fail mid-run, some survive
 CFL_LIMIT = 0.0028
+
+# the command pass: the commands, the seeds and the configs it runs
+COMMANDS = ("simulate", "uniqueness", "ensemble", "fixedpoint", "spectrum")
+SEEDS = (0, 1)
+CONFIGS = {
+    "default": "",
+    # perfbench/run.py's 1-D config at the picard_1d workload's size
+    "picard_1d": """\
+[domain]
+dim = 1
+convention = neumann_cosine
+grid_points = 64
+
+[scheme]
+dt = 0.001
+horizon = 0.1
+scheme = ito_imex
+
+[noise]
+modes = 16
+
+[functionals]
+observation_stride = 25
+
+[run]
+paths = 200
+
+[ensemble]
+horizons = 0.05, 0.1
+
+[fixedpoint]
+ensemble_size = 16
+tolerance = 1e-06
+""",
+    "2d_heun": """\
+[domain]
+dim = 2
+grid_points = 32
+
+[scheme]
+horizon = 0.1
+scheme = stratonovich_heun
+
+[noise]
+modes = 64
+""",
+    "v_floor_0": "[scheme]\nv_floor = 0.0\n",
+    "v_floor_2.5": "[scheme]\nv_floor = 2.5\n",
+}
 
 
 def _cases():
@@ -319,16 +383,95 @@ def _tally(stepped):
     return f"{mid} levels first hit mid-run (steps {lo}-{hi})"
 
 
-def main(argv):
-    if len(argv) >= 2 and argv[0] == "--child":
-        _child(argv[1])
-        return 0
-    if not 1 <= len(argv) <= 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    old_src = os.path.abspath(argv[0])
-    new_src = os.path.abspath(argv[1] if len(argv) == 2
-                              else os.path.join(HERE, "..", "src"))
+def run_commands(src, dest, configs=CONFIGS, seeds=SEEDS, selftest=True):
+    """Run every command on ``configs`` at ``seeds`` from the tree ``src``.
+
+    Each run is a fresh ``python -m gmspde.cli`` process started in
+    ``dest`` with relative paths, so that two trees run the same command
+    lines.  The files of command c on config x at seed s land in
+    ``runs/x/seed<s>/c``, and its stdout, stderr and exit code beside
+    them, in ``c.stdout``, ``c.stderr`` and ``c.exit``.  With
+    ``selftest``, the full selftest runs once, quietly, into
+    ``runs/selftest``, and its ``timing.json`` is removed.  Returns the
+    (run, exit code) pairs of the runs that exited nonzero.
+    """
+    env = dict(os.environ, PYTHONPATH=src)
+    os.makedirs(os.path.join(dest, "configs"))
+    jobs = []
+    for name, text in configs.items():
+        config = os.path.join("configs", f"{name}.cfg")
+        with open(os.path.join(dest, config), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for seed in seeds:
+            for command in COMMANDS:
+                out = os.path.join("runs", name, f"seed{seed}", command)
+                jobs.append((out, [command, "--config", config,
+                                   "--seed", str(seed)]))
+    if selftest:
+        jobs.append((os.path.join("runs", "selftest"), ["selftest", "--quiet"]))
+    nonzero = []
+    for out, argv in jobs:
+        done = subprocess.run(
+            [sys.executable, "-m", "gmspde.cli", *argv, "--out-dir", out],
+            cwd=dest, env=env, capture_output=True, check=False)
+        os.makedirs(os.path.join(dest, os.path.dirname(out)), exist_ok=True)
+        for suffix, data in ((".stdout", done.stdout),
+                             (".stderr", done.stderr),
+                             (".exit", f"{done.returncode}\n".encode())):
+            with open(os.path.join(dest, out + suffix), "wb") as fh:
+                fh.write(data)
+        if done.returncode:
+            nonzero.append((out, done.returncode))
+    if selftest:
+        timing = os.path.join(dest, "runs", "selftest", "timing.json")
+        if os.path.exists(timing):
+            os.remove(timing)
+    return nonzero
+
+
+def differing_files(old, new):
+    """Paths, relative to the roots, of the files under ``old`` and ``new``.
+
+    Returns (all, differing): a file differs if its bytes do, or if one
+    side lacks it.
+    """
+    def files(root):
+        return {os.path.relpath(os.path.join(folder, name), root)
+                for folder, _, names in os.walk(root) for name in names}
+
+    a, b = files(old), files(new)
+    differ = [rel for rel in sorted(a | b)
+              if rel not in a or rel not in b
+              or not filecmp.cmp(os.path.join(old, rel),
+                                 os.path.join(new, rel), shallow=False)]
+    return sorted(a | b), differ
+
+
+def command_pass(old_src, new_src, configs=CONFIGS, seeds=SEEDS,
+                 selftest=True):
+    """Run the commands from both trees and byte-compare what they wrote.
+
+    A run that exits nonzero in either tree fails too, so that a config
+    the commands reject does not pass as two identical errors.  Prints
+    each failure and a count; returns the number of failures.
+    """
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = os.path.join(tmp, "old"), os.path.join(tmp, "new")
+        for label, src, dest in zip(("old", "new"), (old_src, new_src), trees):
+            failed += [f"EXIT {code}  {label} {out}" for out, code
+                       in run_commands(src, dest, configs, seeds, selftest)]
+        everything, differ = differing_files(*trees)
+    failed += [f"DIFFERS  {rel}" for rel in differ]
+    for line in failed:
+        print(line)
+    print(f"{len(everything) - len(differ)} of {len(everything)} command "
+          f"files byte-identical")
+    return len(failed)
+
+
+def case_pass(old_src, new_src):
+    """Run the cases in both trees and compare them; returns the failures."""
     with tempfile.TemporaryDirectory() as tmp:
         old = _collect(old_src, os.path.join(tmp, "old.pkl"))
         new = _collect(new_src, os.path.join(tmp, "new.pkl"))
@@ -347,6 +490,20 @@ def main(argv):
         print(f"{'close  ' if ok else 'DIFFERS'}  {key}: max gap {gap:.2e} "
               f"x max|value| (limit {RTOL:g})")
     print(_tally(new))
+    return failed
+
+
+def main(argv):
+    if len(argv) >= 2 and argv[0] == "--child":
+        _child(argv[1])
+        return 0
+    if not 1 <= len(argv) <= 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old_src = os.path.abspath(argv[0])
+    new_src = os.path.abspath(argv[1] if len(argv) == 2
+                              else os.path.join(HERE, "..", "src"))
+    failed = case_pass(old_src, new_src) + command_pass(old_src, new_src)
     print(f"{failed} comparison(s) failed")
     return 1 if failed else 0
 
