@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import ModelParams, SchemeConfig
+from .dynamics import ModelParams, SchemeConfig, steady_state
 from .experiments import FixedPointConfig, StoppingSpec
 from .functionals import DEFAULT_P, FunctionalConfig, check_rho
 from .noise import NoiseSpec
@@ -220,6 +220,8 @@ def _assemble(raw) -> RunConfig:
 
     params = built("[model] {} (constants must be positive)", ModelParams,
                    **raw["model"])
+    if params is not None:
+        built("[model] {}", steady_state, params)
     zeros = [k for k, v in raw["model"].items() if v == 0]
     if params is not None and zeros:
         warnings_list.append(

@@ -55,9 +55,10 @@ state after each step in :meth:`Stepper.advance`, which keeps a failed
 row's last good state.  So every state the sources and the observers
 see has v > 0, and there max(v, 0) is v bit for bit.  Observers see
 the stack from the stepping loop of :func:`run_batch`, the one walk
-over a trajectory's states: the functional recorder rides it, and so
-does the Picard sweep's observer, which feeds its lean recorder (no
-energy monitors) on the same walk.
+over a trajectory's states, which hands each state once to their one
+hook, ``observe`` (see :func:`run`): the functional recorder rides it,
+and so does the Picard sweep's observer, which feeds its lean recorder
+(no energy monitors) on the same walk.
 
 Numbers.  A transform of a B-row stack is one (2B, K) or (2B, n) matrix
 product, so even a one-row run is a two-row product, and the BLAS
@@ -76,6 +77,7 @@ the truncation with a 2/3-rule guard (Orszag, J. Atmos. Sci. 28, 1971).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -152,9 +154,21 @@ class ModelParams:
 
 
 def steady_state(params: ModelParams):
-    """Homogeneous noiseless fixed point (u*, v*)."""
-    u_star = params.kappa_u * params.mu_v / (params.kappa_v * params.mu_u)
-    v_star = params.kappa_v * u_star**2 / params.mu_v
+    """Homogeneous noiseless fixed point (u*, v*).
+
+    A ValueError names the constants when u* or v* is undefined or not finite.
+    """
+    p = params
+    try:
+        u_star = p.kappa_u * p.mu_v / (p.kappa_v * p.mu_u)
+        v_star = p.kappa_v * u_star**2 / p.mu_v
+    except (ZeroDivisionError, OverflowError):
+        u_star = v_star = math.nan
+    if not (math.isfinite(u_star) and math.isfinite(v_star)):
+        raise ValueError(
+            "no finite steady state u* = kappa_u mu_v/(kappa_v mu_u), "
+            f"v* = kappa_v u*^2/mu_v at kappa_u = {p.kappa_u!r}, "
+            f"kappa_v = {p.kappa_v!r}, mu_u = {p.mu_u!r}, mu_v = {p.mu_v!r}")
     return u_star, v_star
 
 
@@ -531,8 +545,6 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
         repeated[:] = dw[:, None]
         return repeated.reshape(2, -1, k)
 
-    if observer is not None:
-        observer.record(state)
     for n0 in range(0, n_steps, span):
         n1 = min(n0 + span, n_steps)
         block = draw(n0, n1)
@@ -543,14 +555,13 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
             )
         for n in range(n0, n1):
             if observer is not None:
-                observer.accumulate(state, scheme.dt)
+                observer.observe(state, scheme.dt)
             stepper.advance(state, increments(block[..., n - n0]), chi_nodal(n))
             if not state.alive.any():
                 return state
-            if observer is not None and ((n + 1) % observer.stride == 0
-                                         or n + 1 == n_steps):
-                observer.record(state)
         del block    # released before the next block is drawn
+    if observer is not None:
+        observer.observe(state, None)
     return state
 
 
@@ -566,11 +577,11 @@ def run(initial, params: ModelParams, scheme: SchemeConfig,
     blocks of steps, and a block of the wrong shape is rejected.  It
     returns the final one-row :class:`StateView` (u at
     ``u_modal[0]``/``u_nodal[0]``, the step count in ``step_index``), and
-    a failed step raises its error.  An observer has a ``stride``,
-    ``accumulate(state, dt)`` (called with the pre-step state before
-    every step) and ``record(state)`` (called at t = 0, every ``stride``
-    steps and at the final time), the schedule of :func:`run_batch`'s
-    loop.  The trajectory is a pure function of its arguments.
+    a failed step raises its error.  :func:`run_batch`'s loop calls an
+    observer's one method, ``observe(state, dt)``, once for every state:
+    before each step with its dt, and after the last with dt None, which
+    a walk whose rows have all failed skips.  The trajectory is a pure
+    function of its arguments.
 
     ``draw`` may be None only for noiseless runs (sigma_u = sigma_v = 0).
     """

@@ -129,22 +129,17 @@ class TrajectoryRecorder:
     """Observer storing every step's modal coefficients of every row.
 
     The states of a run of ``n_steps`` steps go into one (2, B, n+1, K)
-    store, allocated at the first record; state i is that of step i, at
+    store, allocated at the first state; state i is that of step i, at
     t = i dt.  :meth:`trajectories` returns the view of the states
     recorded, of all rows (fewer states if the walk stopped early).
     """
-
-    stride = 1
 
     def __init__(self, n_steps: int):
         self._states = n_steps + 1
         self._store = None
         self._count = 0
 
-    def accumulate(self, view, dt):
-        pass
-
-    def record(self, view):
+    def observe(self, view, dt):
         if self._store is None:
             self._store = np.empty(view.modal.shape[:2] + (self._states,)
                                    + view.modal.shape[2:])
@@ -193,7 +188,6 @@ class _Sweep:
 
     def __init__(self, functionals, previous, coupled, depth):
         self.functionals = functionals
-        self.stride = functionals.stride
         self._previous = previous
         self._live = coupled is None
         self.coupled = np.empty_like(previous) if self._live else coupled
@@ -201,7 +195,7 @@ class _Sweep:
         _, m, states, k = previous.shape
         self.to_previous = np.zeros((2, depth, m))
         self.to_coupled = np.zeros((2, depth, m))
-        width = max(1, min(self.stride, states // (depth + 1)))
+        width = max(1, min(functionals.stride, states // (depth + 1)))
         self._window = np.empty((2, depth + self._live, m, width, k))
         self._diff = np.empty((2, depth, m, width, k))
 
@@ -219,22 +213,14 @@ class _Sweep:
         np.maximum(self.to_coupled, row_sups(diff, h), out=self.to_coupled)
         self.last[:, :, steps] = window[:, depth - 1]
 
-    def _take(self, view):
+    def observe(self, view, dt):
         """Window slot step % width; a full window or the last state ends it."""
+        self.functionals.observe(view, dt)
         step, width = view.step_index, self._window.shape[3]
         self._window[..., step % width, :] = view.modal.reshape(
             self._window.shape[:3] + (-1,))
-        if step % width == width - 1 or step + 1 == self.last.shape[2]:
+        if step % width == width - 1 or dt is None:
             self._reduce(step - step % width, step % width + 1)
-
-    def accumulate(self, view, dt):
-        self.functionals.accumulate(view, dt)
-        self._take(view)
-
-    def record(self, view):
-        self.functionals.record(view)
-        if view.step_index + 1 == self.last.shape[2]:    # the last state
-            self._take(view)
 
 
 @dataclass
@@ -327,10 +313,9 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
 
     view = initial_state(basis, init, 1)
     rec = FunctionalRecorder(basis, fconfig, scheme.v_floor, monitors=False)
-    rec.record(view)
-    rec.accumulate(view, n * scheme.dt)
+    rec.observe(view, n * scheme.dt)
     view.t = n * scheme.dt
-    rec.record(view)
+    rec.observe(view, None)
     start_trace = rec.traces()
     bounds = auto_bounds(start_trace, margin=config.bound_margin)
     start_member = membership(start_trace, bounds)

@@ -162,11 +162,11 @@ class FunctionalRecorder:
     :meth:`_integrands` (the five running-integral integrands) and
     :meth:`_observables` (the recorded state columns) evaluate the
     (B, ...) state of a :class:`~gmspde.dynamics.StateView`, reducing
-    over the last (node or mode) axis.  The stepping loop of
-    :func:`~gmspde.dynamics.run_batch` calls them through
-    :meth:`accumulate` before every step and :meth:`record` every
-    ``stride`` steps.  Its rows are those of the states it is handed,
-    and :meth:`traces` returns their stack, (rows, n_obs) columns.
+    over the last (node or mode) axis.  Its hook :meth:`observe` records
+    every ``stride``-th state and the last, then accumulates each state
+    but the last (:meth:`record`, :meth:`accumulate`).  Its rows are
+    those of the states it is handed, and :meth:`traces` returns their
+    stack, (rows, n_obs) columns.
 
     The running integrals are left-point sums: each pre-step state adds
     dt times its integrand, in step order.  The ``floor_activations``
@@ -262,6 +262,12 @@ class FunctionalRecorder:
                 "eta_l1": _quadrature(np.abs(v_nodal), w),
             })
         return columns
+
+    def observe(self, view, dt):
+        if view.step_index % self.stride == 0 or dt is None:
+            self.record(view)
+        if dt is not None:
+            self.accumulate(view, dt)
 
     def accumulate(self, view, dt):
         values = self._integrands(view)

@@ -140,6 +140,11 @@ def test_a_bad_file_value_and_a_bad_override_are_reported_together(tmp_path,
     assert not (out / "config.echo.txt").exists()
 
 
+# the problem line of model constants with no finite steady state
+STEADY = ("[model] no finite steady state u* = kappa_u mu_v/(kappa_v mu_u), "
+          "v* = kappa_v u*^2/mu_v at kappa_u = {}, kappa_v = {}, mu_u = {}, "
+          "mu_v = {}")
+
 # values a section's dataclass rejects: the problem names the section
 BAD_VALUES = {
     "horizon = 0": ("simulate", "[scheme]\nhorizon = 0\n",
@@ -158,6 +163,16 @@ BAD_VALUES = {
     # failed at run time, after the whole ensemble
     "horizons = -0.5": ("ensemble", "[ensemble]\nhorizons = -0.5, 0.5\n",
                         "[ensemble] horizon -0.5 is negative"),
+    # no steady state to start from: a ZeroDivisionError traceback after
+    # the echo, or (mu_u = 1e-320, u* = inf) a non-finite state at step 0
+    "mu_u = 0": ("simulate", "[model]\nmu_u = 0\n",
+                 STEADY.format("1.0", "1.0", "0.0", "2.0")),
+    "mu_v = 0": ("uniqueness", "[model]\nmu_v = 0\n",
+                 STEADY.format("1.0", "1.0", "1.0", "0.0")),
+    "kappa_v = 0": ("ensemble", "[model]\nkappa_v = 0\n",
+                    STEADY.format("1.0", "0.0", "1.0", "2.0")),
+    "mu_u = 1e-320": ("fixedpoint", "[model]\nmu_u = 1e-320\n",
+                      STEADY.format("1.0", "1.0", "1e-320", "2.0")),
 }
 
 

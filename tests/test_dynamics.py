@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gmspde import dynamics
 from gmspde.config import loads
 from gmspde.dynamics import (
     ModelParams,
@@ -13,8 +14,10 @@ from gmspde.dynamics import (
     default_initial_pair,
     initial_state,
     run,
+    run_batch,
     steady_state,
 )
+from gmspde.functionals import FunctionalConfig, FunctionalRecorder
 from gmspde.noise import NoiseSpec, coupled_path_hierarchy, drawn, sliced
 from gmspde.spectral import DomainSpec, SpectralBasis, build_basis
 
@@ -303,6 +306,52 @@ def test_run_holds_one_noise_block_whatever_the_horizon():
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] + 0.25e6
+
+
+def test_the_walk_hands_each_state_to_its_observer_once(monkeypatch):
+    # 3 rows of K = 16 draw 96 numbers a step: blocks of 4 steps end
+    # mid-walk, and the last block is short
+    monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", 4 * 96)
+    basis = make_basis()
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=6)
+    params = desk_params()
+    init = default_initial_pair(basis, params)
+
+    class Log:
+        def __init__(self):
+            self.seen = []
+
+        def observe(self, view, dt):
+            self.seen.append((view.step_index, dt))
+
+    def walk(sch, observer):
+        path, blocks = drawn(spec, sch, range(3)), []
+
+        def draw(n0, n1):
+            blocks.append((n0, n1))
+            return path(n0, n1)
+
+        return run_batch(init, params, sch, basis, spec, draw, 3,
+                         observer), blocks
+
+    sch = SchemeConfig(dt=1e-3, T=1e-2)
+    log = Log()
+    final, blocks = walk(sch, log)
+    assert not final.failures and blocks == [(0, 4), (4, 8), (8, 10)]
+    assert log.seen == [(n, sch.dt) for n in range(10)] + [(10, None)]
+    # every row fails its first step (reaction number 1e-3 here): the walk
+    # ends without the last call
+    failing = SchemeConfig(dt=1e-3, T=1e-2, reaction_cfl_limit=1e-6)
+    log = Log()
+    final, blocks = walk(failing, log)
+    assert sorted(final.failures) == [0, 1, 2] and blocks == [(0, 4)]
+    assert log.seen == [(0, failing.dt)]
+    # the functional recorder keeps its own schedule on the same walk
+    rec = FunctionalRecorder(basis, FunctionalConfig(observation_stride=3),
+                             sch.v_floor)
+    walk(sch, rec)
+    assert np.array_equal(rec.traces().times,
+                          np.array([0, 3, 6, 9, 10]) * sch.dt)
 
 
 def test_mass_conservation_pure_diffusion():

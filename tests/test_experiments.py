@@ -633,15 +633,10 @@ def test_ensemble_reports_failed_paths(basis, nspec):
 class _States:
     """Observer keeping a copy of every state's u and v modes."""
 
-    stride = 1
-
     def __init__(self):
         self.u, self.v = [], []
 
-    def accumulate(self, view, dt):
-        pass
-
-    def record(self, view):
+    def observe(self, view, dt):
         self.u.append(view.u_modal.copy())
         self.v.append(view.v_modal.copy())
 

@@ -222,10 +222,8 @@ def test_reaction_quotient_zero_floor_rejects_nonpositive(basis):
     assert 0 < want.node_index < 64
 
     class Recorder:
-        stride = 1
-
-        def record(self, view):
-            raise AssertionError("state 0 was recorded")
+        def observe(self, view, dt):
+            raise AssertionError("state 0 was observed")
 
     def draw(n0, n1):
         raise AssertionError("noise was drawn")

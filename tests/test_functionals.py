@@ -79,8 +79,9 @@ def const_traj(basis, chi_value, eta_value):
 def walk_trace(traj, basis, fcfg, v_floor, monitors=True, dt=DT):
     """Trace of a (2, B, n+1, K) stack, walked state by state.
 
-    The schedule of ``run_batch``'s loop: state i, at t = i dt, is
-    recorded (state 0, every ``stride``-th and the last) before it is
+    The recorder's schedule on ``run_batch``'s walk, written out as an
+    oracle of :meth:`FunctionalRecorder.observe`: state i, at t = i dt,
+    is recorded (state 0, every ``stride``-th and the last) before it is
     accumulated over dt (every state but the last).  Its
     ``floor_activations`` count the floored nodes of the pre-step states,
     as the stepper does.
@@ -451,19 +452,14 @@ def test_recorder_columns_are_bitwise_the_formulas_in_new_arrays(
 
 
 class _Both:
-    """Observer handing one walk to two recorders of one stride."""
+    """Observer handing one walk to two recorders."""
 
     def __init__(self, *recorders):
         self.recorders = recorders
-        self.stride = recorders[0].stride
 
-    def accumulate(self, view, dt):
+    def observe(self, view, dt):
         for rec in self.recorders:
-            rec.accumulate(view, dt)
-
-    def record(self, view):
-        for rec in self.recorders:
-            rec.record(view)
+            rec.observe(view, dt)
 
 
 def test_lean_replay_columns_are_bitwise_the_full_ones():

@@ -140,3 +140,31 @@ def test_csv_columns_of_another_length_are_rejected_before_the_file_opens(
     with pytest.raises(ValueError, match=r"columns differ in length: "):
         io_mod.write_csv(path, ["a", "b"], [np.zeros(4), np.ones(length)])
     assert not path.exists()
+
+
+def _image(field, path):
+    """Grey levels and sidecar (min, max) of a (17, 33) ``field`` as a PGM."""
+    io_mod.write_image(field, path)
+    header = b"P5\n33 17\n255\n"
+    blob = path.read_bytes()
+    assert blob[:len(header)] == header and len(blob) == len(header) + 561
+    grey = np.frombuffer(blob, dtype=np.uint8, offset=len(header))
+    text = path.with_name(path.name + ".bounds.txt").read_text()
+    bounds = dict(line.split(" = ") for line in text.splitlines())
+    assert sorted(bounds) == ["max", "min"]
+    return grey.reshape(17, 33), float(bounds["min"]), float(bounds["max"])
+
+
+def test_image_inverts_through_its_bounds_sidecar(tmp_path):
+    # a (17, 33) field is 17 rows of width 33, one byte a node; min-max
+    # scaling to 0..255 inverts to half a grey level, plus rounding
+    field = np.random.default_rng(11).standard_normal((17, 33)) * 3.0 + 0.1
+    grey, lo, hi = _image(field, tmp_path / "u.pgm")
+    assert lo == field.min() and hi == field.max()
+    assert grey.min() == 0 and grey.max() == 255
+    back = lo + grey / 255.0 * (hi - lo)
+    tol = (hi - lo) / 510.0 + 1e-12 * max(abs(lo), abs(hi))
+    assert np.abs(back - field).max() <= tol
+    # a constant field writes all-zero bytes and equal bounds
+    grey, lo, hi = _image(np.full((17, 33), -2.5), tmp_path / "c.pgm")
+    assert not grey.any() and lo == hi == -2.5
