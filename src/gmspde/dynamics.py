@@ -23,13 +23,13 @@ The update rule lives in one place, :meth:`Stepper.advance`, which
 steps both fields with sources formed from a driver chi:
 kappa_u chi^2/max(v, floor) for u and kappa_v chi^2 for v.  Each
 field's noise coefficient depends on that field alone, so with chi = u
-this is the coupled step, and with chi a given trajectory (the
-``driver`` of :func:`run_batch`) it is a step of the Picard map T,
-which is :func:`run_batch` given a driver.  One core with one set of
-checks steps both, and a coupled trajectory is an exact fixed point of
-the discrete T.  Because T is causal in time, one driven stack can also
-chain successive applications of T, each block of rows driven by the
-live u of the block before it (``experiments.picard_iterate``'s sweeps).
+this is the coupled step, and with chi from a given trajectory (the
+``driver`` of :func:`run_batch`; :func:`driven_by` of a stored one) it
+is a step of the Picard map T.  One core with one set of checks steps
+both, and a coupled trajectory is an exact fixed point of the discrete
+T.  The core steps one stack; the chained blocks of
+``experiments.picard_iterate``'s sweeps, their coupled block and the
+noise rows each block repeats live in the sweep.
 
 Paths are stepped as stacks: one state object, :class:`StateView`,
 holds B trajectories of both fields as one stack (modal (2, B, K),
@@ -156,7 +156,8 @@ class ModelParams:
 def steady_state(params: ModelParams):
     """Homogeneous noiseless fixed point (u*, v*).
 
-    A ValueError names the constants when u* or v* is undefined or not finite.
+    A ValueError names the constants when u* or v* is undefined or not
+    finite, or v* is not positive (kappa_u = 0), as the model needs v > 0.
     """
     p = params
     try:
@@ -164,11 +165,14 @@ def steady_state(params: ModelParams):
         v_star = p.kappa_v * u_star**2 / p.mu_v
     except (ZeroDivisionError, OverflowError):
         u_star = v_star = math.nan
+    at = (f"at kappa_u = {p.kappa_u!r}, kappa_v = {p.kappa_v!r}, "
+          f"mu_u = {p.mu_u!r}, mu_v = {p.mu_v!r}")
     if not (math.isfinite(u_star) and math.isfinite(v_star)):
-        raise ValueError(
-            "no finite steady state u* = kappa_u mu_v/(kappa_v mu_u), "
-            f"v* = kappa_v u*^2/mu_v at kappa_u = {p.kappa_u!r}, "
-            f"kappa_v = {p.kappa_v!r}, mu_u = {p.mu_u!r}, mu_v = {p.mu_v!r}")
+        raise ValueError("no finite steady state u* = kappa_u mu_v/(kappa_v "
+                         f"mu_u), v* = kappa_v u*^2/mu_v {at}")
+    if v_star <= 0.0:
+        raise ValueError(f"steady state v* = kappa_v u*^2/mu_v = {v_star:g} "
+                         f"is not positive {at}")
     return u_star, v_star
 
 
@@ -466,10 +470,28 @@ class Stepper:
         state.t = state.step_index * self.scheme.dt
 
 
+def driven_by(basis: SpectralBasis, scheme: SchemeConfig, chi):
+    """The :func:`run_batch` driver of the map T by a stored (B, n+1, K) chi.
+
+    Step n reads row n, synthesized as the u half of a (2B, K) product
+    (the state's u layout: a coupled trajectory is an exact fixed point
+    of T).  A chi of another step or mode count is a ValueError.
+    """
+    needs = (len(chi), scheme.n_steps() + 1, basis.mode_count)
+    if chi.shape != needs:
+        raise ValueError(f"driver has shape {chi.shape}, run needs {needs}")
+    pair = np.zeros((2,) + needs[::2])    # chi in row 0, as u in the state
+    pair_nodal = np.empty((2, len(chi), basis.n_nodes))
+
+    def driver(state, n):
+        pair[0] = chi[:, n]
+        return _synthesize(basis, pair, out=pair_nodal)[0]
+    return driver
+
+
 def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
               basis: SpectralBasis, noise_spec: NoiseSpec, draw, n_paths: int,
-              observer=None, driver=None, chain: int = 1,
-              coupled: bool = False) -> StateView:
+              observer=None, driver=None) -> StateView:
     """Drive ``n_paths`` trajectories from ``initial`` as one stack.
 
     ``initial`` is the (2, K) modal initial data (row 0 u, row 1 v) every
@@ -487,66 +509,21 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     on; the walk ends early once every row has failed.  Returns the final
     :class:`StateView` of the stack.
 
-    ``driver``, a (n_paths, n_steps + 1, K) modal stack, replaces u as
-    the chi in the sources of :meth:`Stepper.advance`: step n reads its
-    row n.  The stack then steps the Picard map T driven by it; with
-    None it steps the coupled system.  Each row of chi is synthesized as
-    the u half of a (2 n_paths, K) product, the layout of the state's
-    u, so a coupled trajectory is an exact fixed point of T.
-
-    A driven stack may chain ``chain`` applications of T, block after
-    block of ``n_paths`` rows: block 0 is driven by ``driver`` and block
-    j >= 1 by the live u of block j - 1 at the same step, which T reads
-    only up to that step.  With ``coupled``, one more block, driven by
-    its own u, steps the coupled system beside them.  Every block reads
-    the same ``n_paths`` noise rows (drawn once per noise block, damped
-    once and repeated per block), and the observer sees all
-    n_paths x (chain + coupled) rows, block by block.
+    ``driver(state, n)``, a callable like ``draw``, is called once a step,
+    after the observer; it returns the (n_paths, n_nodes) nodal chi of
+    step n (another shape is a ValueError) that replaces u in the sources
+    of :meth:`Stepper.advance`, and the stack steps the Picard map T
+    (:func:`driven_by`); with None, the coupled system.  A Picard sweep's
+    chained blocks and repeated noise rows live in its driver and source.
     """
-    n_steps = scheme.n_steps()
-    if driver is None and (chain != 1 or coupled):
-        raise ValueError("only a driven stack chains blocks")
-    if chain < 1:
-        raise ValueError(f"chain must be >= 1, got {chain}")
-    blocks = chain + bool(coupled)
-    rows = n_paths * blocks
-    stepper = Stepper(basis, params, scheme, noise_spec, rows)
-    state = initial_state(basis, initial, rows)
+    stepper = Stepper(basis, params, scheme, noise_spec, n_paths)
+    state = initial_state(basis, initial, n_paths)
     k = basis.mode_count
-    if driver is not None and driver.shape != (n_paths, n_steps + 1, k):
-        raise ValueError(f"driver has shape {driver.shape}, "
-                         f"run needs {(n_paths, n_steps + 1, k)}")
     if scheme.v_floor == 0.0:
         reject_nonpositive(state.v_nodal)
     span = max(1, NOISE_BLOCK_DRAWS // (n_paths * 2 * k))
-    if driver is not None:
-        # the driver's chi in row 0 of a (2, B, K) stack, as u in the state
-        pair = np.zeros((2, n_paths, k))
-        pair_nodal = np.empty((2, n_paths, basis.n_nodes))
-        chi = np.empty((rows, basis.n_nodes))
-        driven = n_paths * chain
-        repeated = np.empty((2, blocks, n_paths, k))
-
-    def chi_nodal(n):
-        if driver is None:
-            return None
-        pair[0] = driver[:, n]
-        chi[:n_paths] = _synthesize(basis, pair, out=pair_nodal)[0]
-        # block j reads block j - 1's u; the coupled block its own
-        chi[n_paths:driven] = state.u_nodal[:driven - n_paths]
-        chi[driven:] = state.u_nodal[driven:]
-        return chi
-
-    def increments(raw):
-        """Damped (2, rows, K) increments of one step's (n_paths, 2, K) draws."""
-        dw = stepper.damp * raw.swapaxes(0, 1)
-        if blocks == 1:
-            return dw
-        repeated[:] = dw[:, None]
-        return repeated.reshape(2, -1, k)
-
-    for n0 in range(0, n_steps, span):
-        n1 = min(n0 + span, n_steps)
+    for n0 in range(0, scheme.n_steps(), span):
+        n1 = min(n0 + span, scheme.n_steps())
         block = draw(n0, n1)
         if block.shape != (n_paths, 2, k, n1 - n0):
             raise ValueError(
@@ -556,7 +533,12 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
         for n in range(n0, n1):
             if observer is not None:
                 observer.observe(state, scheme.dt)
-            stepper.advance(state, increments(block[..., n - n0]), chi_nodal(n))
+            chi = None if driver is None else driver(state, n)
+            if chi is not None and chi.shape != state.u_nodal.shape:
+                raise ValueError(f"driver gives chi of shape {chi.shape} at "
+                                 f"step {n}, run needs {state.u_nodal.shape}")
+            dw = stepper.damp * block[..., n - n0].swapaxes(0, 1)
+            stepper.advance(state, dw, chi)
             if not state.alive.any():
                 return state
         del block    # released before the next block is drawn

@@ -31,7 +31,8 @@ in time, so successive iterates are stepped in lockstep (pipelined
 waveform relaxation): a sweep is one stack of chained blocks of
 members, block j driven by the live u of block j - 1, its depth worked
 out from :data:`SWEEP_MAX_ROWS` and the measured contraction (see
-:func:`picard_iterate`).  Its iterates equal chained driven
+:func:`picard_iterate`); the sweep's driver and noise source form that
+layout, and the core steps one stack.  Its iterates equal chained driven
 ``run_batch`` calls to rounding, their distances and functionals are
 measured live as the sweep steps them, and its report, read block by
 block, reruns bit for bit.  The uniqueness study draws its path's
@@ -55,6 +56,7 @@ from .dynamics import (
     ModelParams,
     SchemeConfig,
     SimulationError,
+    driven_by,
     initial_state,
     run,
     run_batch,
@@ -173,31 +175,47 @@ def seminorm_m(sups):
 
 
 class _Sweep:
-    """Observer of one Picard sweep, keeping two blocks whatever its depth.
+    """Driver, noise source and observer of one Picard sweep's stack.
 
-    The stack is ``depth`` driven blocks of m rows, block 0 driven by
-    the stored iterate ``previous``, then the coupled block unless the
-    stored ``coupled`` is given.  The lean recorder ``functionals`` rides
-    the walk.  The states pass through windows of at most the recorder's
-    stride and no more states than one block; at the end of each,
-    ``to_previous`` and ``to_coupled`` take each driven block's running
-    per-row sups against the block before and against the coupled block,
-    (2, depth, m).  Only the last driven block and the coupled one are
-    kept whole, in ``last`` and ``coupled``.
+    The stack, ``rows`` high, is ``depth`` blocks of the m members of the
+    stored iterate ``previous``, then the coupled block unless the stored
+    ``coupled`` is given.  :meth:`chi` drives block 0 by ``previous``, block
+    j by the live u of block j - 1 and the coupled block by its own u;
+    :meth:`draw` repeats ``frozen`` once per block.  The lean recorder
+    ``functionals`` rides the walk.  The states pass through windows of at
+    most the recorder's stride and no more states than one block; at the end
+    of each, ``to_previous`` and ``to_coupled`` take each driven block's
+    running per-row sups against the block before and against the coupled
+    block, (2, depth, m).  Only the last driven block and the coupled one
+    are kept whole, in ``last`` and ``coupled``.
     """
 
-    def __init__(self, functionals, previous, coupled, depth):
+    def __init__(self, functionals, scheme, frozen, previous, coupled, depth):
         self.functionals = functionals
-        self._previous = previous
+        self._frozen, self._previous = frozen, previous
         self._live = coupled is None
         self.coupled = np.empty_like(previous) if self._live else coupled
         self.last = np.empty_like(previous)
         _, m, states, k = previous.shape
+        self.rows = m * (depth + self._live)
+        self._drive = driven_by(functionals.basis, scheme, previous[0])
+        self._chi = np.empty((self.rows, functionals.basis.n_nodes))
         self.to_previous = np.zeros((2, depth, m))
         self.to_coupled = np.zeros((2, depth, m))
         width = max(1, min(functionals.stride, states // (depth + 1)))
         self._window = np.empty((2, depth + self._live, m, width, k))
         self._diff = np.empty((2, depth, m, width, k))
+
+    def draw(self, n0, n1):
+        members = self._frozen(n0, n1)
+        return np.tile(members, (self.rows // len(members), 1, 1, 1))
+
+    def chi(self, state, n):
+        m, driven = self.to_previous.shape[2], self.to_previous[0].size
+        self._chi[:m] = self._drive(state, n)
+        self._chi[m:driven] = state.u_nodal[:driven - m]
+        self._chi[driven:] = state.u_nodal[driven:]
+        return self._chi
 
     def _reduce(self, first, count):
         steps = slice(first, first + count)
@@ -269,33 +287,33 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
     modal ``init`` and reads its own frozen noise row; iterate k+1 is T
     applied to iterate k.  T is causal in time (step n of iterate k+1
     reads iterate k up to step n only), so the iterates are stepped in
-    sweeps: one stack of W blocks
-    of members through :func:`~gmspde.dynamics.run_batch`, block 0
-    driven by the stored previous iterate and block j by the live u of
-    block j - 1.
-    The first sweep also steps the coupled system on the same noise, the
-    reference of ``residual_vs_coupled``.  W is worked out, not set: the
-    first sweep takes as many blocks as :data:`SWEEP_MAX_ROWS` rows allow,
-    at least 1, and a later one at most as many, the iterations its
-    measured contraction asks for: ceil(log(tolerance/d_k) /
-    log(d_k/d_(k-1))); none takes more than the iterations left.
+    sweeps: one stack of W blocks of members through
+    :func:`~gmspde.dynamics.run_batch`, block 0 driven by the stored
+    previous iterate and block j by the live u of block j - 1, and in the
+    first sweep one more block stepping the coupled system on the same
+    noise, the reference of ``residual_vs_coupled``; the sweep
+    (``_Sweep``) drives these blocks and repeats their noise rows.  W is
+    worked out, not set: the first sweep takes as many blocks as
+    :data:`SWEEP_MAX_ROWS` rows allow, at least 1, and a later one at
+    most as many, the iterations its measured contraction asks for:
+    ceil(log(tolerance/d_k) / log(d_k/d_(k-1))); none takes more than the
+    iterations left.
 
     The sweep's observer measures the distances as the sweep steps,
-    keeping two blocks, and records its functionals
-    live, without the energy monitors, which no part of the report reads
+    keeping two blocks, and records its functionals live, without the
+    energy monitors, which no part of the report reads
     (``FunctionalRecorder(..., monitors=False)``).  The start's are
     recorded from its one state, the one-row
     :func:`~gmspde.dynamics.initial_state` of ``init``, observed at t = 0
     and at the horizon with one accumulation over the whole horizon
-    between: every state
-    of the start is ``init``, so the bounds and the positivity check
-    are those of a walk over its steps, to rounding.  The report is read
-    block by block, as one application of T at a time: distance to the
-    previous iterate, membership, convergence test.  An iterate that
-    failed raises its first row failure; the first failing iterate in
-    order is raised, then a failure of the coupled solve.  Blocks past
-    convergence are discarded unread, so they neither count nor raise.
-    Non-convergence within the budget is reported, not raised.
+    between: every state of the start is ``init``, so the bounds and the
+    positivity check are those of a walk over its steps, to rounding.  The
+    report is read block by block, as one application of T at a time:
+    distance to the previous iterate, membership, convergence test.  An
+    iterate that failed raises its first row failure; the first failing
+    iterate in order is raised, then a failure of the coupled solve.
+    Blocks past convergence are discarded unread, so they neither count
+    nor raise.  Non-convergence within the budget is reported, not raised.
 
     Each block is the iterate a driven ``run_batch`` gives to rounding
     (1e-13 x max|value|, pinned by the tests), and the distances follow
@@ -343,10 +361,9 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
                 / math.log(ratios[-1]))))
         rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
                                  monitors=False)
-        sweep = _Sweep(rec, previous, coupled, depth)
-        final = run_batch(init, params, scheme, basis, noise_spec, frozen, m,
-                          observer=sweep, driver=previous[0], chain=depth,
-                          coupled=coupled is None)
+        sweep = _Sweep(rec, scheme, frozen, previous, coupled, depth)
+        final = run_batch(init, params, scheme, basis, noise_spec, sweep.draw,
+                          sweep.rows, observer=sweep, driver=sweep.chi)
         traces = rec.traces()
         # each block's first row failure, the coupled block's at depth
         failures = {}

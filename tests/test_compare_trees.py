@@ -3,6 +3,8 @@
 import importlib.util
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -72,3 +74,25 @@ def test_command_pass_fails_runs_that_exit_nonzero(tool, capsys):
     bad = {"bad": "[scheme]\nreaction_cfl_limit = 0\n"}
     assert tool.command_pass(SRC, SRC, bad, seeds=(0,), selftest=False) == 10
     assert "EXIT 1  new runs/bad/seed0/simulate\n" in capsys.readouterr().out
+
+
+def test_help_prints_the_usage_without_starting_a_child(tool, monkeypatch,
+                                                       capsys):
+    def no_child(*args, **kwargs):
+        raise AssertionError("a child process was started")
+
+    monkeypatch.setattr(tool.subprocess, "run", no_child)
+    for flag in ("-h", "--help"):
+        assert tool.main([flag]) == 0
+        assert capsys.readouterr().out == tool.__doc__ + "\n"
+    # any other option is a usage error, reported with the usage
+    for argv in (["--bogus"], ["-x", SRC], [SRC, "--help-me"]):
+        assert tool.main(argv) == 2
+        assert capsys.readouterr().err == tool.__doc__ + "\n"
+    # and from the command line
+    monkeypatch.undo()
+    done = subprocess.run([sys.executable, str(ROOT / "tools" /
+                                               "compare_trees.py"), "--help"],
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("Compare the numbers and the files")

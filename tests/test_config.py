@@ -173,6 +173,12 @@ BAD_VALUES = {
                     STEADY.format("1.0", "0.0", "1.0", "2.0")),
     "mu_u = 1e-320": ("fixedpoint", "[model]\nmu_u = 1e-320\n",
                       STEADY.format("1.0", "1.0", "1e-320", "2.0")),
+    # v* = 0: every run started from v = 0, floored on the whole grid
+    # (fixedpoint failed its start's positivity check after the echo)
+    "kappa_u = 0": ("fixedpoint", "[model]\nkappa_u = 0\n",
+                    "[model] steady state v* = kappa_v u*^2/mu_v = 0 is not "
+                    "positive at kappa_u = 0.0, kappa_v = 1.0, mu_u = 1.0, "
+                    "mu_v = 2.0"),
 }
 
 

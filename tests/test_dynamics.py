@@ -354,6 +354,48 @@ def test_the_walk_hands_each_state_to_its_observer_once(monkeypatch):
                           np.array([0, 3, 6, 9, 10]) * sch.dt)
 
 
+def test_the_walk_calls_its_driver_once_a_step_after_the_observer(
+        monkeypatch):
+    # blocks of 4 steps of 3 rows, as above: the driver is called for
+    # steps 0..9, across the block ends, each time after the observer has
+    # seen the state it drives
+    monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", 4 * 96)
+    basis = make_basis()
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=6)
+    params = desk_params()
+    init = default_initial_pair(basis, params)
+    calls = []
+
+    class Log:
+        def observe(self, view, dt):
+            calls.append(("observe", view.step_index))
+
+    def own_u(state, n):
+        calls.append(("drive", n, state.step_index))
+        return state.u_nodal
+
+    def walk(sch):
+        calls.clear()
+        return run_batch(init, params, sch, basis, spec,
+                         drawn(spec, sch, range(3)), 3, Log(), own_u)
+
+    sch = SchemeConfig(dt=1e-3, T=1e-2)
+    final = walk(sch)
+    assert not final.failures
+    assert calls == [call for n in range(10)
+                     for call in (("observe", n), ("drive", n, n))] + [
+                         ("observe", 10)]
+    # driven by its own u, the stack steps the coupled system bit for bit
+    coupled = run_batch(init, params, sch, basis, spec,
+                        drawn(spec, sch, range(3)), 3)
+    assert np.array_equal(final.modal, coupled.modal)
+    # every row fails its first step: the driver is not called again
+    failing = SchemeConfig(dt=1e-3, T=1e-2, reaction_cfl_limit=1e-6)
+    final = walk(failing)
+    assert sorted(final.failures) == [0, 1, 2]
+    assert calls == [("observe", 0), ("drive", 0, 0)]
+
+
 def test_mass_conservation_pure_diffusion():
     params = ModelParams(r_u=0.05, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
                          mu_u=0.0, mu_v=0.0, sigma_u=0.0, sigma_v=0.0)

@@ -13,6 +13,7 @@ from gmspde.dynamics import (
     SimulationError,
     constant_pair,
     default_initial_pair,
+    driven_by,
     run,
     run_batch,
     steady_state,
@@ -72,10 +73,42 @@ def stack_solve(init, params, sch, basis, spec, draw, rows, **kwargs):
 def apply_T(traj, init, params, sch, basis, spec, draw):
     """The map T: run_batch driven by ``traj``'s chi; raises a row failure."""
     out, final = stack_solve(init, params, sch, basis, spec, draw,
-                             traj.shape[1], driver=traj[0])
+                             traj.shape[1],
+                             driver=driven_by(basis, sch, traj[0]))
     if final.failures:
         raise next(iter(final.failures.values()))
     return out, final
+
+
+def sweep_solve(init, params, sch, basis, spec, frozen, previous, depth,
+                coupled=None):
+    """Stored stack and final state of one Picard sweep of ``depth`` blocks.
+
+    The sweep drives its own stack: ``_Sweep.chi`` drives the blocks of
+    the members of ``previous``, the coupled block on top unless
+    ``coupled`` is given, and ``_Sweep.draw`` repeats the members' noise
+    source ``frozen`` once per block.
+    """
+    rec = FunctionalRecorder(basis, FunctionalConfig(), sch.v_floor,
+                             monitors=False)
+    sweep = experiments._Sweep(rec, sch, frozen, previous, coupled, depth)
+    return stack_solve(init, params, sch, basis, spec, sweep.draw,
+                       sweep.rows, driver=sweep.chi)
+
+
+def depth_spy(monkeypatch, members):
+    """Each Picard sweep's depth, read from its stack height.
+
+    The first sweep steps the coupled block on top of its driven blocks.
+    """
+    depths = []
+
+    def spy(*args, **kwargs):
+        depths.append(args[6] // members - (not depths))
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_batch", spy)
+    return depths
 
 
 def distance(a, b, basis, rho):
@@ -200,9 +233,8 @@ def test_sweep_iterates_equal_chained_apply_T(monkeypatch, scheme, dim, rows):
     init = default_initial_pair(basis_d, params)
     increments = sliced(drawn(spec, sch, range(rows))(0, 50))
     current = constant(init, sch, rows)
-    stack, final = stack_solve(init, params, sch, basis_d, spec, increments,
-                               rows, driver=current[0], chain=3,
-                               coupled=True)
+    stack, final = sweep_solve(init, params, sch, basis_d, spec, increments,
+                               current, 3)
     assert not final.failures and stack.shape == (2, 4 * rows, 51, K)
     for j in range(3):
         current, _ = apply_T(current, init, params, sch, basis_d, spec,
@@ -255,30 +287,18 @@ def test_sweep_distances_are_bitwise_those_of_its_stored_stack(
 
     frozen = sliced(drawn(nspec, sch, range(2))(0, 50))
     previous = constant(init, sch, 2)
-    stack, _ = stack_solve(init, params, sch, basis, nspec, frozen, 2,
-                           driver=previous[0], chain=3, coupled=True)
+    stack, _ = sweep_solve(init, params, sch, basis, nspec, frozen, previous,
+                           3)
     coupled = stack[:, 6:]
     blocks = [previous] + [stack[:, 2 * j:2 * j + 2] for j in range(3)]
-    stack, _ = stack_solve(init, params, sch, basis, nspec, frozen, 2,
-                           driver=blocks[-1][0], chain=2)
+    stack, _ = sweep_solve(init, params, sch, basis, nspec, frozen,
+                           blocks[-1], 2, coupled)
     blocks += [stack[:, :2], stack[:, 2:]]
     expected = [distance(b, a, basis, fcfg.rho)
                 for a, b in zip(blocks, blocks[1:])]
     assert report.iterations == 5 and report.distances == expected
     assert report.residual_vs_coupled == distance(blocks[-1], coupled,
                                                   basis, fcfg.rho)
-
-
-def test_sweep_chain_needs_a_driver_and_a_block(basis, nspec):
-    params = desk_params()
-    sch = SchemeConfig(dt=1e-3, T=0.01)
-    init = default_initial_pair(basis, params)
-    with pytest.raises(ValueError, match="only a driven stack chains"):
-        stack_solve(init, params, sch, basis, nspec, drawn(nspec, sch, [0]),
-                    1, chain=2)
-    with pytest.raises(ValueError, match="chain must be >= 1, got 0"):
-        stack_solve(init, params, sch, basis, nspec, drawn(nspec, sch, [0]),
-                    1, driver=constant(init, sch)[0], chain=0)
 
 
 def test_picard_stops_at_max_iterations(basis, nspec):
@@ -392,13 +412,7 @@ def test_picard_store_stays_within_its_budget(monkeypatch, basis):
     init = default_initial_pair(basis, params)
     config = FixedPointConfig()
     fcfg = FunctionalConfig(observation_stride=25)
-    chains = []
-
-    def spy(*args, chain=1, **kwargs):
-        chains.append(chain)
-        return run_batch(*args, chain=chain, **kwargs)
-
-    monkeypatch.setattr(experiments, "run_batch", spy)
+    depths = depth_spy(monkeypatch, config.ensemble_size)
     monkeypatch.setattr(experiments, "SWEEP_MAX_ROWS",
                         config.max_iterations * 16)
     tracemalloc.start()
@@ -407,7 +421,7 @@ def test_picard_store_stays_within_its_budget(monkeypatch, basis):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chains == [config.max_iterations]
+    assert depths == [config.max_iterations]
     assert report.converged and report.iterations == 6
     assert peak < 6 * 2**20
 
@@ -486,6 +500,23 @@ def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
                                    f"run needs (1, 11, {K})")
 
 
+def test_run_rejects_a_driver_of_another_height(basis, nspec):
+    # a chi of two rows driving a one-row stack, or of one row driving a
+    # two-row stack (which numpy would broadcast), is the run's error
+    params = desk_params()
+    sch = SchemeConfig(dt=1e-3, T=0.01)
+    init = default_initial_pair(basis, params)
+    for chi_rows, rows in ((2, 1), (1, 2)):
+        driver = driven_by(basis, sch, constant(init, sch, chi_rows)[0])
+        with pytest.raises(ValueError) as got:
+            run_batch(init, params, sch, basis, nspec,
+                      drawn(nspec, sch, range(rows)), rows, driver=driver)
+        nodes = basis.n_nodes
+        assert str(got.value) == (
+            f"driver gives chi of shape ({chi_rows}, {nodes}) at step 0, "
+            f"run needs ({rows}, {nodes})")
+
+
 @pytest.mark.parametrize("horizon, members, depths", [
     (0.1, 16, [4, 2]),     # the second sweep takes the predicted depth
     (0.01, 16, [4]),       # the row budget binds: 64 rows of 16 members
@@ -496,13 +527,7 @@ def test_sweep_depth_is_the_tighter_budget(monkeypatch, basis, nspec,
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=horizon)
     init = default_initial_pair(basis, params)
-    chains = []
-
-    def spy(*args, chain=1, **kwargs):
-        chains.append(chain)
-        return run_batch(*args, chain=chain, **kwargs)
-
-    monkeypatch.setattr(experiments, "run_batch", spy)
+    chains = depth_spy(monkeypatch, members)
     config = FixedPointConfig(ensemble_size=members)
     report = picard_iterate(init, params, sch, basis, nspec, config)
     assert report.converged and chains == depths

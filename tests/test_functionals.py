@@ -505,12 +505,15 @@ def test_picard_memberships_match_a_walk_over_each_iterate(monkeypatch):
     fcfg = FunctionalConfig(observation_stride=25)
     iterates = []
 
-    def spy(*args, chain=1, observer=None, **kwargs):
+    def spy(*args, observer=None, **kwargs):
         store = TrajectoryRecorder(sch.n_steps())
-        run_batch(*args, chain=chain, observer=store, **kwargs)
+        run_batch(*args, observer=store, **kwargs)
         stack = store.trajectories()
-        iterates.extend(stack[:, j * 16:(j + 1) * 16] for j in range(chain))
-        return run_batch(*args, chain=chain, observer=observer, **kwargs)
+        # the sweep's depth from its height: the first also steps the
+        # coupled block, on top
+        depth = stack.shape[1] // 16 - (not iterates)
+        iterates.extend(stack[:, j * 16:(j + 1) * 16] for j in range(depth))
+        return run_batch(*args, observer=observer, **kwargs)
 
     monkeypatch.setattr(experiments, "run_batch", spy)
     report = picard_iterate(init, params, sch, basis, spec,

@@ -354,6 +354,10 @@ def test_grid_validation(spec):
         SchemeConfig(dt=0.1, T=0.0)
     with pytest.raises(ValueError, match="odd"):
         coupled_path_hierarchy(spec, SchemeConfig(dt=0.2, T=1.0), 0, levels=2)
+    for levels in (0, -1):
+        with pytest.raises(ValueError, match=r"^levels must be >= 1$"):
+            coupled_path_hierarchy(spec, SchemeConfig(dt=0.25, T=1.0), 0,
+                                   levels=levels)
 
 
 def test_spec_validation_and_warning():

@@ -1,6 +1,7 @@
 """Compare the numbers and the files of two gmspde source trees.
 
     python tools/compare_trees.py OLD_SRC [NEW_SRC]
+    python tools/compare_trees.py -h | --help
 
 OLD_SRC and NEW_SRC are directories holding a ``gmspde`` package
 (NEW_SRC defaults to this checkout's ``src``); make OLD_SRC with
@@ -67,7 +68,13 @@ byte; of the selftest, ``selftest.txt`` and the exit code
 (``timing.json`` holds wall times).  A run that exits nonzero in either
 tree fails as well.
 
-Exits 1 if any comparison fails.
+Each case runs in the form the tree it runs in expects: the map T is
+driven by ``dynamics.driven_by`` of its input's chi where the tree has
+it, and by the (B, n+1, K) array itself in a tree from before
+``driven_by``.  That shim can go once the base tree has ``driven_by``.
+
+Exits 1 if any comparison fails, 2 on a usage error; ``-h`` or
+``--help`` prints this text and exits 0.
 """
 
 from __future__ import annotations
@@ -138,7 +145,7 @@ modes = 64
 
 
 def _cases():
-    from gmspde import acceptance
+    from gmspde import acceptance, dynamics
     from gmspde.dynamics import (
         ModelParams,
         SchemeConfig,
@@ -242,10 +249,15 @@ def _cases():
     sch = SchemeConfig(dt=1e-3, T=0.1)
 
     def map_T(traj, draw):
-        """T on ``sch`` of a (2, B, n+1, K) stack: run_batch driven by chi."""
+        """T on ``sch`` of a (2, B, n+1, K) stack: run_batch driven by chi.
+
+        A tree without ``dynamics.driven_by`` takes the array as driver.
+        """
+        driver = (dynamics.driven_by(basis, sch, traj[0])
+                  if hasattr(dynamics, "driven_by") else traj[0])
         rec = TrajectoryRecorder(sch.n_steps())
         run_batch(init, params, sch, basis, spec, draw, traj.shape[1],
-                  observer=rec, driver=traj[0])
+                  observer=rec, driver=driver)
         return rec.trajectories()
 
     rec = TrajectoryRecorder(sch.n_steps())
@@ -497,7 +509,10 @@ def main(argv):
     if len(argv) >= 2 and argv[0] == "--child":
         _child(argv[1])
         return 0
-    if not 1 <= len(argv) <= 2:
+    if "-h" in argv or "--help" in argv:
+        print(__doc__)
+        return 0
+    if not 1 <= len(argv) <= 2 or any(arg.startswith("-") for arg in argv):
         print(__doc__, file=sys.stderr)
         return 2
     old_src = os.path.abspath(argv[0])
