@@ -201,15 +201,7 @@ def criterion_5_strong_convergence():
     init = default_initial_pair(basis, params)
     # dt = 2e-3, 1e-3 and 5e-4
     fine = SchemeConfig(dt=5e-4, T=0.5)
-    n_paths = 16
-    errs = np.zeros((n_paths, 2))
-    for i in range(n_paths):
-        finals = [run(init, params, sch, basis, spec, sliced(table)).u_modal[0]
-                  for sch, table in coupled_path_hierarchy(spec, fine, i,
-                                                           levels=3)]
-        errs[i, 0] = np.sqrt(np.sum((finals[0] - finals[1]) ** 2))
-        errs[i, 1] = np.sqrt(np.sum((finals[1] - finals[2]) ** 2))
-    e1, e2 = errs.mean(axis=0)
+    e1, e2 = level_gaps(init, params, fine, basis, spec, n_paths=16)
     order = float(np.log2(e1 / e2))
     ok = order >= 0.4
     return _result(5, "strong self-convergence", ok,
@@ -217,26 +209,42 @@ def criterion_5_strong_convergence():
                    f"(need >= 0.4)", t0, limit=120.0)
 
 
-def _final_u_modal(init, params, scheme, basis, spec, first_path, n_paths):
-    """Final activator coefficients of paths first_path.. as one stack.
+def _final_u_modal(init, params, scheme, basis, spec, draw, n_paths):
+    """Final activator coefficients of n_paths stacked on the source draw.
 
     Raises the first failure: the criteria using it expect every path to
     survive.
     """
-    paths = range(first_path, first_path + n_paths)
-    final = run_batch(init, params, scheme, basis, spec,
-                      drawn(spec, scheme, paths), n_paths)
+    final = run_batch(init, params, scheme, basis, spec, draw, n_paths)
     if final.failures:
         raise next(iter(final.failures.values()))
     return final.u_modal
+
+
+def level_gaps(init, params, fine, basis, spec, n_paths):
+    """Mean gaps of the final u between three bridge-coupled step sizes.
+
+    Paths 0..n_paths-1 are drawn on ``fine``'s grid and summed pairwise
+    onto the grids of 2 and 4 times its step
+    (:func:`~gmspde.noise.coupled_path_hierarchy`), and each level steps
+    as one stack.  Returns the path means of |u_4dt - u_2dt| and
+    |u_2dt - u_dt|, the L2 norms of the final activator coefficients.
+    """
+    finals = [_final_u_modal(init, params, sch, basis, spec, sliced(table),
+                             n_paths)
+              for sch, table in coupled_path_hierarchy(
+                  spec, fine, range(n_paths), levels=3)]
+    return tuple(np.sqrt(np.sum((coarse - finer) ** 2, axis=1)).mean()
+                 for coarse, finer in zip(finals, finals[1:]))
 
 
 def _gbm_batch(scheme_name, params, spec, basis, n_paths, n_steps, horizon,
                u0, first_path):
     """Single-mode runs through the production stepper, all paths at once."""
     sch = SchemeConfig(dt=horizon / n_steps, T=horizon, scheme=scheme_name)
+    paths = range(first_path, first_path + n_paths)
     out = _final_u_modal(constant_pair(basis, u0, 1.0), params, sch, basis,
-                         spec, first_path, n_paths)
+                         spec, drawn(spec, sch, paths), n_paths)
     return out[:, 0] / np.sqrt(basis.volume)
 
 
@@ -278,7 +286,8 @@ def criterion_6_scheme_consistency():
 
     def mean_mode0(scheme_name, first):
         sch = SchemeConfig(dt=2.5e-3, T=1.0, scheme=scheme_name)
-        return _final_u_modal(init, params_f, sch, basis_f, spec_f, first,
+        draw = drawn(spec_f, sch, range(first, first + m))
+        return _final_u_modal(init, params_f, sch, basis_f, spec_f, draw,
                               m)[:, 0]
 
     full_ito = mean_mode0("ito_imex", 0)
@@ -322,7 +331,7 @@ def criterion_8_pathwise_uniqueness():
     stopping = StoppingSpec()
     # dt = 1e-3 and 5e-4
     (sch_c, coarse), (sch_f, fine) = coupled_path_hierarchy(
-        spec, SchemeConfig(dt=5e-4, T=1.0), 0, levels=2)
+        spec, SchemeConfig(dt=5e-4, T=1.0), [0], levels=2)
 
     zero = uniqueness_study(init, 0.0, params, sch_c, basis, spec, stopping,
                             sliced(coarse))

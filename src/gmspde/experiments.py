@@ -109,9 +109,9 @@ class StoppingSpec:
     def __post_init__(self):
         levels = self.m_levels
         problems = nonfinite(m_levels=levels)
-        if len(levels) == 0 or any(
-            b <= a for a, b in zip(levels, levels[1:])
-        ):
+        if not levels:
+            problems.append("stopping levels must hold at least one level")
+        elif any(b <= a for a, b in zip(levels, levels[1:])):
             problems.append("stopping levels must be strictly increasing")
         if problems:
             raise ValueError("\n".join(problems))

@@ -11,10 +11,12 @@ modes untouched, and any block of steps can be drawn on its own.
 Every run reads its increments through one interface, the noise source:
 a function ``draw(n0, n1)`` returning the (B, 2, K, n1 - n0) block of
 steps n0..n1-1 of its B paths.  :func:`drawn` samples blocks on demand
-on a scheme's uniform time grid, so a run never holds more than one
-block of its table; :func:`sliced` reads them from a stored table (a
-level of a coupled hierarchy, or the frozen increments of a Picard
-iteration).  Both give the same bits for the same steps.
+on a scheme's uniform time grid, each the one box of streams 1 and 2
+that ``rng.normal_table`` draws, scaled by sqrt(dt), so a run never
+holds more than one block of its table; :func:`sliced` reads them from
+a stored table (a level of a coupled hierarchy, or the frozen
+increments of a Picard iteration).  Both give the same bits for the
+same steps.
 
 Coupled time grids for step-halving studies are built finest-first:
 the finest grid is sampled directly and coarser levels are obtained by
@@ -53,42 +55,30 @@ class NoiseSpec:
             raise ValueError("\n".join(problems))
 
 
-def _block(spec, roots, paths, start, stop):
-    """Increments of several paths over steps start..stop-1: (B, 2, K, S).
-
-    Entry (b, j, k, n) is sqrt(dt) of step m = start + n, ``roots[m]``,
-    times a standard normal that depends only on (master_seed,
-    paths[b], j, k, m): a row does not depend on the other rows, and a
-    block of steps is those columns of the full table.  Path indices
-    may repeat and need not be consecutive.  Streams 1 and 2 (W_1 and
-    W_2) come from one ``rng.normal_table`` call, which shares its
-    cipher plan between them, and the table is scaled by sqrt(dt) once.
-    """
-    if not 0 <= start <= stop <= roots.size:
-        raise ValueError(
-            f"steps {start}..{stop - 1} outside the grid's {roots.size} steps")
-    table = rng.normal_table(spec.master_seed, paths, [1, 2],
-                             np.arange(spec.mode_count),
-                             np.arange(start, stop))
-    table *= roots[start:stop]
-    return table
-
-
 def drawn(spec: NoiseSpec, scheme, paths):
     """Noise source ``draw(n0, n1)`` sampling steps n0..n1-1 on demand.
 
     The steps are those of ``scheme``: ``scheme.n_steps()`` steps of
-    ``scheme.dt`` on the uniform grid from 0 to ``scheme.T``; row b reads
-    the noise keyed by the path index ``paths[b]``.  Blocks are the
-    columns of the full table of the given paths on that grid bit for
-    bit, whatever the block sizes.  The grid's sqrt(dt) is taken once; a
-    block reads its slice.
+    ``scheme.dt`` on the uniform grid from 0 to ``scheme.T``.  Entry
+    (b, j, k, n) of a block is sqrt(dt) of step m = n0 + n times the
+    standard normal of (master_seed, paths[b], stream j + 1, mode k,
+    step m) (:func:`gmspde.rng.normal_table`): a row does not depend on
+    the other rows, and path indices may repeat and need not be
+    consecutive.  Blocks are the columns of the full table of the given
+    paths on that grid bit for bit, whatever the block sizes.  The
+    grid's sqrt(dt) is taken once; a block is scaled by its slice.
     """
     roots = np.sqrt(np.diff(np.linspace(0.0, scheme.T, scheme.n_steps() + 1)))
     paths = np.asarray(paths, dtype=np.uint64).reshape(-1)
 
     def draw(n0, n1):
-        return _block(spec, roots, paths, n0, n1)
+        if not 0 <= n0 <= n1 <= roots.size:
+            raise ValueError(
+                f"steps {n0}..{n1 - 1} outside the grid's {roots.size} steps")
+        block = rng.normal_table(spec.master_seed, paths, spec.mode_count,
+                                 n0, n1)
+        block *= roots[n0:n1]
+        return block
     return draw
 
 
@@ -99,18 +89,20 @@ def sliced(table):
     return draw
 
 
-def coupled_path_hierarchy(spec, fine_scheme, path_index, levels):
-    """One path's noise on ``levels`` coupled grids, as (scheme, table) pairs.
+def coupled_path_hierarchy(spec, fine_scheme, paths, levels):
+    """A stack's noise on ``levels`` coupled grids, as (scheme, table) pairs.
 
-    The finest table is drawn on ``fine_scheme``'s grid; level l above it
-    steps ``fine_scheme.dt * 2**l``, and its (1, 2, K, N / 2**l) table
-    holds the exact pairwise sums of the next finer table's increments.
-    Pairs are ordered coarsest first; ``sliced(table)`` is a level's
-    noise source.
+    ``paths`` is a sequence of B path indices.  The finest table is drawn
+    on ``fine_scheme``'s grid (:func:`drawn`); level l above it steps
+    ``fine_scheme.dt * 2**l``, and its (B, 2, K, N / 2**l) table holds
+    the exact pairwise sums of the next finer table's increments.  A row
+    is the one-path hierarchy of its path index.  Pairs are ordered
+    coarsest first; ``sliced(table)`` is a level's noise source for a
+    stack of B rows.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    table = drawn(spec, fine_scheme, [path_index])(0, fine_scheme.n_steps())
+    table = drawn(spec, fine_scheme, paths)(0, fine_scheme.n_steps())
     chain = [(fine_scheme, table)]
     for level in range(1, levels):
         if table.shape[-1] % 2:

@@ -5,18 +5,18 @@ Every Gaussian draw used by the noise model is a pure function of a
 tuple is mapped through the Philox4x64-10 block cipher (Salmon et al.,
 SC'11) with counter (step, mode, stream, 0) and key (master_seed,
 path_index), and output word 0 of the block becomes one draw; the other
-three words are never formed.  Any sub-table of draws can therefore be
+three words are never formed.  Any draw can therefore be
 regenerated in isolation: stacks of paths, mode-count refinement and
 time-grid coupling all see the same numbers regardless of evaluation
 order.
 
-:func:`normal_table` cuts its index box into cipher blocks of one shape
-and builds the op plan of that shape once per call: the list of the ten
-rounds' in-place ufunc calls, ``(ufunc, in1, in2, out)``, on views of
-one uint64 work array, with 0-d constants and the seed's ten round keys
-as operands.  A block refills only the counter words and its paths' key
-rows, then runs the plan.  Several streams (the two noise processes of
-a table) share one call, so they share its plan.
+:func:`normal_table` draws the one box of the noise layer, streams 1
+and 2 of B paths, K modes and a window of steps, in cipher blocks of
+one shape.  It builds the op plan of that shape once per call: the list
+of the ten rounds' in-place ufunc calls, ``(ufunc, in1, in2, out)``, on
+views of one uint64 work array, with 0-d constants and the seed's ten
+round keys as operands.  A block refills only the counter words and its
+paths' key rows, then runs the plan.
 
 The cipher is bit-identical to ``numpy.random.Philox`` (same constants,
 same round structure); the tests use numpy's generator as the oracle,
@@ -236,62 +236,39 @@ def normals_from_bits(bits, out):
     return ndtri(out, out=out)
 
 
-def normal_table(master_seed, path_index, stream, modes, steps):
-    """Standard-normal draws for a (path, stream, mode, step) index box.
+def normal_table(master_seed, paths, n_modes, start, stop):
+    """The (B, 2, n_modes, stop - start) normals of streams 1 and 2.
 
-    Draw (s, k, n) of path b is a pure function of (master_seed,
-    path_index[b], stream[s], modes[k], steps[n]); the same indices always
-    return the same value, whichever other paths or streams share the
-    call.
+    Entry (b, j, k, n) is the draw of (master_seed, paths[b], stream
+    j + 1, mode k, step start + n), whatever else the box holds; an
+    empty window gives an empty box.  ``paths`` is a 1-d sequence of
+    indices below 2**64, and 0 <= start <= stop.
 
     The box is drawn in cipher blocks of at most ``_DRAWS_PER_BLOCK``
     draws, all of one shape: steps, then modes, then paths are each split
     into the fewest equal parts that fit, and a last part that would run
     past its axis ends on it instead (the draws it repeats are the same
     bits).  The op plan of that shape is built once and runs every block
-    of the call, in every stream.
-
-    Parameters
-    ----------
-    master_seed : nonnegative int (< 2**64)
-    path_index : nonnegative int, or 1-d array of them (the key varies
-        along the leading axis of the result)
-    stream : small nonnegative int distinguishing independent noise uses,
-        or a 1-d list of them
-    modes, steps : 1-d integer arrays of indices
-
-    Returns
-    -------
-    float64 array of shape (len(modes), len(steps)) for one path index
-    and one stream.  An array of path indices adds a leading path axis,
-    and a list of streams a stream axis after it, so that paths and
-    streams [1, 2] give the (B, 2, K, N) layout of a noise table.
+    of the call, in both streams.
     """
-    path_index = np.asarray(path_index, dtype=np.uint64)
-    paths = path_index.reshape(-1)
-    streams = [int(s) for s in np.reshape(stream, -1)]
-    # index lists are converted block by block: a long step list then
-    # costs no uint64 copy of its own
-    modes, steps = np.asarray(modes), np.asarray(steps)
-    shape = (path_index.shape + np.shape(stream)
-             + (modes.size, steps.size))
-    out = np.empty(shape)
+    paths = np.asarray(paths, dtype=np.uint64)
+    out = np.empty((paths.size, 2, n_modes, stop - start))
     if out.size == 0:
         return out
-    # a view: at most unit path and stream axes are added
-    table = out.reshape(paths.size, len(streams), modes.size, steps.size)
     # a block takes as many steps as fit, then as many modes, then paths;
-    # its ten key rows take no more words than one row of the work array
-    nb, n_starts = _split(steps.size, _DRAWS_PER_BLOCK)
-    kb, k_starts = _split(modes.size, _DRAWS_PER_BLOCK // nb)
+    # its ten key rows take no more words than one row of the work array,
+    # and its indices are formed for it alone (a long window costs no
+    # index array of its own)
+    nb, n_starts = _split(stop - start, _DRAWS_PER_BLOCK)
+    kb, k_starts = _split(n_modes, _DRAWS_PER_BLOCK // nb)
     bb, b_starts = _split(paths.size, _DRAWS_PER_BLOCK // max(nb * kb, 10))
     word0 = _plan(int(master_seed), (bb, kb, nb))
     for b in b_starts:
-        for s, stream in enumerate(streams):
+        for stream in (1, 2):
             for k in k_starts:
                 for n in n_starts:
-                    bits = word0(paths[b:b + bb], stream, modes[k:k + kb],
-                                 steps[n:n + nb])
-                    normals_from_bits(bits,
-                                      table[b:b + bb, s, k:k + kb, n:n + nb])
+                    bits = word0(paths[b:b + bb], stream, np.arange(k, k + kb),
+                                 np.arange(start + n, start + n + nb))
+                    normals_from_bits(
+                        bits, out[b:b + bb, stream - 1, k:k + kb, n:n + nb])
     return out

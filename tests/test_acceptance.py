@@ -1,9 +1,12 @@
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from gmspde import acceptance
+from gmspde.dynamics import SchemeConfig, default_initial_pair, run
+from gmspde.noise import NoiseSpec, coupled_path_hierarchy, sliced
 
 
 @pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA,
@@ -23,3 +26,21 @@ def test_criteria_are_timed_on_a_monotonic_clock(monkeypatch, jump):
     result = acceptance.criterion_1_orthonormality()
     assert result.line(timed=True).startswith("PASS")
     assert 0.0 <= result.elapsed < result.runtime_limit
+
+
+def test_level_gaps_are_the_means_of_solo_gaps():
+    # the oracle of the stacked helper: each path's three coupled levels
+    # run alone, one path at a time, and its two gaps averaged over paths
+    basis = acceptance._basis_1d()
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=505)
+    params = acceptance._desk_params(sigma=0.5)
+    init = default_initial_pair(basis, params)
+    fine = SchemeConfig(dt=5e-4, T=0.05)
+    gaps = np.zeros((3, 2))
+    for i in range(3):
+        finals = [run(init, params, sch, basis, spec, sliced(table)).u_modal[0]
+                  for sch, table in coupled_path_hierarchy(spec, fine, [i], 3)]
+        gaps[i] = [np.sqrt(np.sum((finals[j] - finals[j + 1]) ** 2))
+                   for j in (0, 1)]
+    stacked = acceptance.level_gaps(init, params, fine, basis, spec, 3)
+    np.testing.assert_allclose(stacked, gaps.mean(axis=0), rtol=1e-12, atol=0)

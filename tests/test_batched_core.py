@@ -10,7 +10,7 @@ the error its solo run raises while the other rows go on.
 import numpy as np
 import pytest
 
-from gmspde import dynamics, noise
+from gmspde import dynamics, rng
 from gmspde.dynamics import (
     FloorViolation,
     ModelParams,
@@ -130,14 +130,14 @@ def test_ensemble_noise_blocks_stay_within_the_budget(monkeypatch, n_paths,
     if budget is not None:
         monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", budget)
     sizes = []
-    draw = noise._block      # the one inner draw of every noise block
+    draw = rng.normal_table      # the one draw of every noise block
 
     def spy(*args, **kwargs):
         table = draw(*args, **kwargs)
         sizes.append(table.size)
         return table
 
-    monkeypatch.setattr(noise, "_block", spy)
+    monkeypatch.setattr(rng, "normal_table", spy)
     run_ensemble(n_paths)
     # every draw of the 30 steps is made once, in blocks within the budget
     assert sum(sizes) == n_paths * 2 * K * 30

@@ -155,6 +155,10 @@ BAD_VALUES = {
     "stopping_levels = 4, 2": (
         "uniqueness", "[uniqueness]\nstopping_levels = 4, 2\n",
         "[uniqueness] stopping levels must be strictly increasing"),
+    # named the order of the levels, not their absence
+    "stopping_levels = (empty)": (
+        "uniqueness", "[uniqueness]\nstopping_levels =\n",
+        "[uniqueness] stopping levels must hold at least one level"),
     # perturbed mode K - 1 and ran; failed at run time after the echo
     "perturb_mode = -1": ("uniqueness", "[uniqueness]\nperturb_mode = -1\n",
                           "[uniqueness] perturb_mode = -1 outside modes 0..15"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gmspde import dynamics
+from gmspde.acceptance import _gbm_batch, level_gaps
 from gmspde.config import loads
 from gmspde.dynamics import (
     ModelParams,
@@ -18,7 +19,7 @@ from gmspde.dynamics import (
     steady_state,
 )
 from gmspde.functionals import FunctionalConfig, FunctionalRecorder
-from gmspde.noise import NoiseSpec, coupled_path_hierarchy, drawn, sliced
+from gmspde.noise import NoiseSpec, drawn, sliced
 from gmspde.spectral import DomainSpec, SpectralBasis, build_basis
 
 
@@ -229,19 +230,11 @@ def test_ito_mean_matches_gbm_oracle():
     mu, sigma = 3.0, 2.0
     params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
                          mu_u=mu, mu_v=2.0, sigma_u=sigma, sigma_v=0.1)
-    sch = SchemeConfig(dt=1.0 / 64, T=0.25)
-    stepper = Stepper(basis, params, sch, spec, 1)
-    pair = constant_pair(basis, 1.0, 1.0)
-    n_paths = 2000
-    vals = np.empty(n_paths)
-    for i in range(n_paths):
-        increments = drawn(spec, sch, [i])(0, 16)[0]
-        raw = initial_state(basis, pair, 1)
-        for n in range(16):
-            stepper.advance(raw, stepper.damp * increments[:, None, :, n])
-        vals[i] = raw.u_modal[0, 0]
+    # 2,000 paths of 16 steps of 1/64, stepped as one stack
+    vals = _gbm_batch("ito_imex", params, spec, basis, 2000, 16, 0.25, 1.0,
+                      first_path=0)
     oracle = np.exp(-(mu - sigma) * 0.25)
-    z = abs(vals.mean() - oracle) / (vals.std(ddof=1) / np.sqrt(n_paths))
+    z = abs(vals.mean() - oracle) / (vals.std(ddof=1) / np.sqrt(vals.size))
     assert z < 3.0
 
 
@@ -255,13 +248,7 @@ def test_2d_bridge_coupled_strong_order(scheme):
     params = desk_params(sigma=0.5)
     init = default_initial_pair(basis, params)
     fine = SchemeConfig(dt=5e-4, T=0.2, scheme=scheme)
-    errs = np.zeros((20, 2))
-    for i in range(20):
-        finals = [run(init, params, sch, basis, spec, sliced(table)).u_modal[0]
-                  for sch, table in coupled_path_hierarchy(spec, fine, i, 3)]
-        errs[i] = [np.sqrt(np.sum((finals[j] - finals[j + 1]) ** 2))
-                   for j in (0, 1)]
-    e1, e2 = errs.mean(axis=0)
+    e1, e2 = level_gaps(init, params, fine, basis, spec, 20)
     assert np.log2(e1 / e2) >= 0.4
 
 

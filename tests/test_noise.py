@@ -43,23 +43,22 @@ def _numpy_words(seed, path, stream, mode, first_step, count=1):
     return gen.random_raw(4 * count)[::4]
 
 
-def _numpy_normal_table(seed, paths, stream, modes, steps):
-    """The oracle table; a list of streams adds an axis after the paths."""
-    if np.ndim(stream):
-        return np.stack([_numpy_normal_table(seed, paths, s, modes, steps)
-                         for s in stream], axis=1)
-    steps = [int(n) for n in steps]
-    consecutive = steps == list(range(steps[0], steps[0] + len(steps)))
-    out = np.empty((len(paths), len(modes), len(steps)), dtype=np.uint64)
+def _numpy_normal_table(seed, paths, stream, n_modes, start, stop):
+    """The oracle's (B, n_modes, stop - start) normals of one stream."""
+    out = np.empty((len(paths), n_modes, stop - start), dtype=np.uint64)
     for b, path in enumerate(paths):
-        for k, mode in enumerate(modes):
-            if consecutive:
-                out[b, k] = _numpy_words(seed, path, stream, mode, steps[0],
-                                         len(steps))
-            else:
-                out[b, k] = [_numpy_words(seed, path, stream, mode, n)[0]
-                             for n in steps]
+        for mode in range(n_modes):
+            out[b, mode] = _numpy_words(seed, path, stream, mode, start,
+                                        stop - start)
     return ndtri(((out >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+
+
+def _assert_streams_match_numpy(table, seed, paths, n_modes, start, stop):
+    """Both streams of a normal_table box, each against the oracle."""
+    assert table.shape == (len(paths), 2, n_modes, stop - start)
+    for s in (0, 1):
+        assert np.array_equal(table[:, s], _numpy_normal_table(
+            seed, paths, s + 1, n_modes, start, stop))
 
 
 def test_philox_block_matches_numpy():
@@ -86,20 +85,17 @@ def test_philox_block_matches_numpy():
         assert mine[0, 0, 0] == ref[0], (seed, path, step, mode, stream)
 
 
-@pytest.mark.parametrize("seed, paths, stream, modes, steps", [
-    (17, range(7), 1, range(11), range(3, 53)),          # odd box
-    (2**64 - 1, [2**63, 0, 5], 2, [1, 1023, 4], [2, 9, 0]),
+@pytest.mark.parametrize("seed, paths, n_modes, start, stop", [
+    (17, range(7), 11, 3, 53),                           # odd box
+    # mode 1023, and a window that starts at step 2**32
+    (2**64 - 1, [2**63, 0, 5], 1024, 2**32, 2**32 + 3),
     # one path whose K*N exceeds the block budget, split over modes and steps
-    (9, [4], 1, [0, 5], range(rng._DRAWS_PER_BLOCK + 3)),
-    # a list of streams, in any order, adds an axis after the paths
-    (23, [3, 2**63, 8], [2, 1, 7], range(5), range(4, 13)),
-])
-def test_normal_table_matches_numpy_philox(seed, paths, stream, modes, steps):
-    paths, modes, steps = list(paths), list(modes), list(steps)
-    table = rng.normal_table(seed, np.array(paths, dtype=np.uint64), stream,
-                             np.array(modes), np.array(steps))
-    assert np.array_equal(table, _numpy_normal_table(seed, paths, stream,
-                                                     modes, steps))
+    (9, [4], 2, 0, rng._DRAWS_PER_BLOCK + 3),
+], ids=["odd box", "seed 2**64-1 mode 1023 step 2**32", "one long path"])
+def test_normal_table_matches_numpy_philox(seed, paths, n_modes, start, stop):
+    paths = list(paths)
+    table = rng.normal_table(seed, paths, n_modes, start, stop)
+    _assert_streams_match_numpy(table, seed, paths, n_modes, start, stop)
 
 
 @pytest.mark.parametrize("box", [
@@ -109,15 +105,13 @@ def test_normal_table_matches_numpy_philox(seed, paths, stream, modes, steps):
     (203, 17, 5), (2, 5001, 3), (3, 2, 16387),
 ])
 def test_two_streams_in_one_call_equal_two_calls(box):
-    paths, modes, steps = (np.arange(n) for n in box)
-    paths = paths * 977 + 2**40
-    both = rng.normal_table(11, paths, [1, 2], modes, steps)
-    assert both.shape == (box[0], 2) + box[1:]
-    for s in (0, 1):
-        assert np.array_equal(
-            both[:, s], rng.normal_table(11, paths, s + 1, modes, steps))
-    one_path = rng.normal_table(11, paths[1], [1, 2], modes, steps)
-    assert np.array_equal(one_path, both[1])
+    # each stream of the one box is the oracle's table of that stream
+    paths = [p * 977 + 2**40 for p in range(box[0])]
+    both = rng.normal_table(11, paths, box[1], 0, box[2])
+    _assert_streams_match_numpy(both, 11, paths, box[1], 0, box[2])
+    # a row does not depend on the other rows of its box
+    assert np.array_equal(rng.normal_table(11, paths[1:2], box[1], 0, box[2]),
+                          both[1:2])
 
 
 def test_blocks_split_each_axis_equally():
@@ -134,14 +128,14 @@ def test_blocks_split_each_axis_equally():
                                  (1, 1, 100000)])
 def test_normal_table_working_set_is_bounded(box):
     # the cipher works in blocks of at most _DRAWS_PER_BLOCK draws, and
-    # index lists are converted block by block, so besides its result one
-    # call holds under 1 MiB whether the box is wide, deep or one long row
-    # of steps
-    paths, modes, steps = (np.arange(n) for n in box)
-    rng.normal_table(3, paths, 1, modes, steps)
+    # indices are formed block by block, so besides its result one call
+    # holds under 1 MiB whether the box is wide, deep or one long row of
+    # steps
+    paths = np.arange(box[0])
+    rng.normal_table(3, paths, box[1], 0, box[2])
     tracemalloc.start()
     try:
-        out = rng.normal_table(3, paths, 1, modes, steps)
+        out = rng.normal_table(3, paths, box[1], 0, box[2])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -149,13 +143,12 @@ def test_normal_table_working_set_is_bounded(box):
 
 
 def test_normal_table_is_pure_function_of_indices():
-    a = rng.normal_table(5, 17, 1, np.arange(8), np.arange(16))
-    b = rng.normal_table(5, 17, 1, np.arange(8), np.arange(16))
-    assert np.array_equal(a, b)
-    # sub-tables are slices of the full table
-    sub = rng.normal_table(5, 17, 1, np.array([3, 5]), np.array([2, 9]))
-    assert sub[0, 0] == a[3, 2]
-    assert sub[1, 1] == a[5, 9]
+    a = rng.normal_table(5, [17], 8, 0, 16)
+    assert np.array_equal(a, rng.normal_table(5, [17], 8, 0, 16))
+    # windows and smaller mode counts are slices of the full table
+    assert np.array_equal(rng.normal_table(5, [17], 8, 2, 10), a[..., 2:10])
+    assert np.array_equal(rng.normal_table(5, [17], 3, 9, 16), a[:, :, :3, 9:])
+    assert rng.normal_table(5, [17], 8, 7, 7).shape == (1, 2, 8, 0)
 
 
 def test_top_word_gives_a_finite_draw():
@@ -299,17 +292,14 @@ def test_batched_draws_match_sample_path(spec):
     indices = [12, 3, 12, 40, 0]
     table = drawn(spec, SchemeConfig(dt=1.0 / 8, T=1.0), indices)(0, 8)
     assert table.shape == (5, 2, spec.mode_count, 8)
-    k_ids, n_ids = np.arange(spec.mode_count), np.arange(8)
-    for row, idx in zip(table, indices):
+    stacked = rng.normal_table(spec.master_seed, indices, spec.mode_count,
+                               0, 8)
+    for b, (row, idx) in enumerate(zip(table, indices)):
         assert np.array_equal(row, _table(spec, 1.0, 8, idx))
-        for j in (1, 2):
-            z = rng.normal_table(spec.master_seed, idx, j, k_ids, n_ids)
-            assert np.array_equal(row[j - 1], z * np.sqrt(1.0 / 8))
-    stacked = rng.normal_table(spec.master_seed, np.array(indices), 2,
-                               k_ids, n_ids)
-    for b, idx in enumerate(indices):
-        assert np.array_equal(
-            stacked[b], rng.normal_table(spec.master_seed, idx, 2, k_ids, n_ids))
+        alone = rng.normal_table(spec.master_seed, [idx], spec.mode_count,
+                                 0, 8)
+        assert np.array_equal(stacked[b], alone[0])
+        assert np.array_equal(row, alone[0] * np.sqrt(1.0 / 8))
 
 
 def test_drawn_blocks_are_the_columns_of_the_schemes_table(spec):
@@ -332,7 +322,7 @@ def test_coarsen_sums_are_exact(spec):
     # level l steps 2**l times the fine dt, and its table holds the exact
     # pairwise sums of the next finer table
     fine = SchemeConfig(dt=1.0 / 64, T=1.0)
-    chain = coupled_path_hierarchy(spec, fine, 9, levels=3)
+    chain = coupled_path_hierarchy(spec, fine, [9], levels=3)
     assert np.array_equal(chain[-1][1], drawn(spec, fine, [9])(0, 64))
     for level, (sch, table) in enumerate(reversed(chain)):
         assert sch.dt == fine.dt * 2**level
@@ -342,9 +332,22 @@ def test_coarsen_sums_are_exact(spec):
         assert np.array_equal(coarse, finer[..., 0::2] + finer[..., 1::2])
 
 
+def test_hierarchy_rows_are_one_path_hierarchies(spec):
+    # a stack of paths 9, 3 and 9: each row, at each level, is the
+    # hierarchy of its path alone
+    fine = SchemeConfig(dt=1.0 / 64, T=1.0)
+    stack = coupled_path_hierarchy(spec, fine, [9, 3, 9], 3)
+    alone = {p: coupled_path_hierarchy(spec, fine, [p], 3) for p in (9, 3)}
+    for level, (sch, table) in enumerate(stack):
+        assert table.shape == (3, 2, spec.mode_count, 16 * 2**level)
+        for row, p in zip(table, (9, 3, 9)):
+            assert sch == alone[p][level][0]
+            assert np.array_equal(row, alone[p][level][1][0])
+
+
 def test_hierarchy_orders_coarsest_first(spec):
-    chain = coupled_path_hierarchy(spec, SchemeConfig(dt=1.0 / 64, T=1.0), 0,
-                                   levels=3)
+    chain = coupled_path_hierarchy(spec, SchemeConfig(dt=1.0 / 64, T=1.0),
+                                   [0], levels=3)
     assert [table.shape[-1] for _, table in chain] == [16, 32, 64]
     assert [sch.dt for sch, _ in chain] == [1.0 / 16, 1.0 / 32, 1.0 / 64]
 
@@ -353,10 +356,11 @@ def test_grid_validation(spec):
     with pytest.raises(ValueError, match="horizon must be positive"):
         SchemeConfig(dt=0.1, T=0.0)
     with pytest.raises(ValueError, match="odd"):
-        coupled_path_hierarchy(spec, SchemeConfig(dt=0.2, T=1.0), 0, levels=2)
+        coupled_path_hierarchy(spec, SchemeConfig(dt=0.2, T=1.0), [0],
+                               levels=2)
     for levels in (0, -1):
         with pytest.raises(ValueError, match=r"^levels must be >= 1$"):
-            coupled_path_hierarchy(spec, SchemeConfig(dt=0.25, T=1.0), 0,
+            coupled_path_hierarchy(spec, SchemeConfig(dt=0.25, T=1.0), [0],
                                    levels=levels)
 
 

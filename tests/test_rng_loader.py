@@ -15,7 +15,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 # loaded by scipy.special's package init (through its array-API layer)
 SPECIAL_INIT = ("scipy.special", "scipy._lib._array_api", "numpy.testing",
                 "numpy.f2py", "numpy.ma")
-TABLE = "rng.normal_table(5, np.arange(3), [1, 2], np.arange(16), np.arange(64))"
+TABLE = "rng.normal_table(5, np.arange(3), 16, 0, 64)"
 
 
 def _fresh(code):

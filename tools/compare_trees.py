@@ -68,11 +68,6 @@ byte; of the selftest, ``selftest.txt`` and the exit code
 (``timing.json`` holds wall times).  A run that exits nonzero in either
 tree fails as well.
 
-Each case runs in the form the tree it runs in expects: the map T is
-driven by ``dynamics.driven_by`` of its input's chi where the tree has
-it, and by the (B, n+1, K) array itself in a tree from before
-``driven_by``.  That shim can go once the base tree has ``driven_by``.
-
 Exits 1 if any comparison fails, 2 on a usage error; ``-h`` or
 ``--help`` prints this text and exits 0.
 """
@@ -249,13 +244,9 @@ def _cases():
     sch = SchemeConfig(dt=1e-3, T=0.1)
 
     def map_T(traj, draw):
-        """T on ``sch`` of a (2, B, n+1, K) stack: run_batch driven by chi.
-
-        A tree without ``dynamics.driven_by`` takes the array as driver.
-        """
-        driver = (dynamics.driven_by(basis, sch, traj[0])
-                  if hasattr(dynamics, "driven_by") else traj[0])
+        """T on ``sch`` of a (2, B, n+1, K) stack: run_batch driven by chi."""
         rec = TrajectoryRecorder(sch.n_steps())
+        driver = dynamics.driven_by(basis, sch, traj[0])
         run_batch(init, params, sch, basis, spec, draw, traj.shape[1],
                   observer=rec, driver=driver)
         return rec.trajectories()
