@@ -2,10 +2,12 @@
 
 Modules:
     spectral     Neumann eigenbasis, transforms, quadrature
-    noise        Q-Wiener increment tables (counter-based, reproducible)
+    rng          counter-based (Philox) standard normals, one box per call
+    noise        Q-Wiener increment sources (reproducible, coupled levels)
     dynamics     Ito/Stratonovich exponential time stepping, positivity floor
     functionals  xi = 1/v, Lyapunov functionals, growth monitors
     experiments  Picard fixed point, uniqueness study, ensembles
+    acceptance   the executable acceptance criteria behind ``selftest``
     config/io/cli  run configuration, file formats, command line
 """
 

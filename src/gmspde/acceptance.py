@@ -10,7 +10,7 @@ pinned here, next to the oracle that justifies them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .experiments import (
     uniqueness_study,
 )
 from .functionals import FunctionalConfig
-from .noise import NoiseSpec, coupled_path_hierarchy, drawn, sliced
+from .noise import NoiseSpec, drawn, paired, sliced
 from .spectral import DomainSpec, build_basis
 
 
@@ -224,16 +224,19 @@ def _final_u_modal(init, params, scheme, basis, spec, draw, n_paths):
 def level_gaps(init, params, fine, basis, spec, n_paths):
     """Mean gaps of the final u between three bridge-coupled step sizes.
 
-    Paths 0..n_paths-1 are drawn on ``fine``'s grid and summed pairwise
-    onto the grids of 2 and 4 times its step
-    (:func:`~gmspde.noise.coupled_path_hierarchy`), and each level steps
-    as one stack.  Returns the path means of |u_4dt - u_2dt| and
-    |u_2dt - u_dt|, the L2 norms of the final activator coefficients.
+    Paths 0..n_paths-1 are drawn on ``fine``'s grid; the grids of 2 and 4
+    times its step read :func:`~gmspde.noise.paired` of the next finer
+    source, and each level steps as one stack.  Returns the path means
+    of |u_4dt - u_2dt| and |u_2dt - u_dt|, the L2 norms of the final
+    activator coefficients.
     """
-    finals = [_final_u_modal(init, params, sch, basis, spec, sliced(table),
-                             n_paths)
-              for sch, table in coupled_path_hierarchy(
-                  spec, fine, range(n_paths), levels=3)]
+    draw = sliced(drawn(spec, fine, range(n_paths))(0, fine.n_steps()))
+    finals = []
+    for level in range(3):
+        sch = replace(fine, dt=fine.dt * 2**level)
+        finals.insert(0, _final_u_modal(init, params, sch, basis, spec, draw,
+                                        n_paths))
+        draw = paired(draw)
     return tuple(np.sqrt(np.sum((coarse - finer) ** 2, axis=1)).mean()
                  for coarse, finer in zip(finals, finals[1:]))
 
@@ -330,15 +333,16 @@ def criterion_8_pathwise_uniqueness():
     init = default_initial_pair(basis, params)
     stopping = StoppingSpec()
     # dt = 1e-3 and 5e-4
-    (sch_c, coarse), (sch_f, fine) = coupled_path_hierarchy(
-        spec, SchemeConfig(dt=5e-4, T=1.0), [0], levels=2)
+    sch_c, sch_f = SchemeConfig(dt=1e-3, T=1.0), SchemeConfig(dt=5e-4, T=1.0)
+    fine = sliced(drawn(spec, sch_f, [0])(0, sch_f.n_steps()))
+    coarse = paired(fine)
 
     zero = uniqueness_study(init, 0.0, params, sch_c, basis, spec, stopping,
-                            sliced(coarse))
+                            coarse)
     amp_c = uniqueness_study(init, 1e-8, params, sch_c, basis, spec, stopping,
-                             sliced(coarse)).amplification
+                             coarse).amplification
     amp_f = uniqueness_study(init, 1e-8, params, sch_f, basis, spec, stopping,
-                             sliced(fine)).amplification
+                             fine).amplification
     ratio = max(amp_c, amp_f) / min(amp_c, amp_f)
     ok = zero.bitwise_identical and ratio < 2.0
     return _result(8, "pathwise uniqueness (desk form)", ok,

@@ -19,7 +19,6 @@ import sys
 
 import numpy as np
 
-from . import acceptance
 from . import config as config_mod
 from . import io as io_mod
 from .config import ConfigError
@@ -27,7 +26,6 @@ from .dynamics import SimulationError, default_initial_pair, run
 from .experiments import ensemble, picard_iterate, uniqueness_study
 from .functionals import TRACE_COLUMNS, FunctionalRecorder
 from .noise import drawn
-from .spectral import build_basis
 
 
 class _UsageError(Exception):
@@ -96,8 +94,7 @@ def _prepare(args):
     with open(os.path.join(args.out_dir, "config.echo.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(config_mod.dumps(cfg))
-    basis = build_basis(cfg.domain, cfg.noise.mode_count)
-    return cfg, basis
+    return cfg, cfg.basis
 
 
 def _summarize(args, report):
@@ -198,6 +195,7 @@ def _cmd_fixedpoint(args):
 
 
 def _cmd_selftest(args):
+    from . import acceptance    # here: the other commands need no criteria
     indices = None
     if args.criteria is not None:
         names = [str(i) for i in range(1, len(acceptance.ALL_CRITERIA) + 1)]

@@ -9,9 +9,10 @@ The file format is section-scoped assignments, one per line:
 Unknown sections or keys are hard errors (no silent typos), as are
 non-finite float values (nan, inf), and validation reports every
 violated invariant at once rather than the first.  ``_assemble``
-builds each section's spec once and keeps it on the :class:`RunConfig`;
-the commands run those specs.  ``dumps`` emits a canonical echo such
-that loading the echo of a loaded file reproduces it byte for byte.
+builds each section's spec, and the spectral basis, once and keeps them
+on the :class:`RunConfig`; the commands run those.  ``dumps`` emits a
+canonical echo such that loading the echo of a loaded file reproduces
+it byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .dynamics import ModelParams, SchemeConfig, steady_state
 from .experiments import FixedPointConfig, StoppingSpec
 from .functionals import DEFAULT_P, FunctionalConfig, check_rho
 from .noise import NoiseSpec
-from .spectral import DomainSpec, mode_list
+from .spectral import DomainSpec, SpectralBasis, build_basis
 
 
 class ConfigError(ValueError):
@@ -125,6 +126,7 @@ class RunConfig:
     functionals: FunctionalConfig
     fixedpoint: FixedPointConfig
     stopping: StoppingSpec
+    basis: SpectralBasis
     warnings: list = field(default_factory=list)
 
     @property
@@ -252,8 +254,8 @@ def _assemble(raw) -> RunConfig:
                     f"[noise] gamma{j} = {g:g} <= d = {domain.dim}: below the "
                     "trace-class margin; run proceeds"
                 )
-        built(f"[noise] modes = {nspec.mode_count}: {{}}", mode_list, domain,
-              nspec.mode_count)
+        basis = built(f"[noise] modes = {nspec.mode_count}: {{}}",
+                      build_basis, domain, nspec.mode_count)
 
     if raw["run"]["paths"] < 2:
         problems.append("[run] paths must be >= 2 (an ensemble needs two)")
@@ -284,7 +286,7 @@ def _assemble(raw) -> RunConfig:
         raise ConfigError(problems)
     return RunConfig(raw=raw, domain=domain, params=params, scheme=scheme,
                      noise=nspec, functionals=fcfg, fixedpoint=fixedpoint,
-                     stopping=stopping, warnings=warnings_list)
+                     stopping=stopping, basis=basis, warnings=warnings_list)
 
 
 def loads(text, overrides=()) -> RunConfig:

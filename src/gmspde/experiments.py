@@ -119,11 +119,12 @@ class StoppingSpec:
 
 # most chained rows (members x blocks) in one sweep of
 # :func:`picard_iterate`, the coupled block on top.  A step of a
-# picard_1d-shaped chained stack (K = 16, N = 64, with the functional
-# recorder and a store) took, median of 7 runs on 2 cores, 128 us at 16
-# rows, 155 at 32, 182 at 48, 184 at 64, 252 at 96, 307 at 128 and 412
-# at 192: about 1.6 us a row against a fixed 103 us a step, so up to 64
-# rows a sweep's row work costs no more than one more sweep's fixed cost.
+# picard_1d-shaped sweep (16 members, K = 16, N = 64, 100 steps) took,
+# in three sets of medians of 12 alternating sweeps on 2 cores, 121-183
+# us at 16 rows, 231-332 at 64 and 609-773 at 208: 65-128 us fixed plus
+# 2.4-3.1 us a row, so a sweep's rows cost one more sweep's fixed cost
+# at 25-53 rows.  The bound stays: at picard_1d its sweeps of 4 + 2
+# blocks step as many rows in as many sweeps as 3 + 3 would.
 SWEEP_MAX_ROWS = 64
 
 

@@ -14,19 +14,21 @@ steps n0..n1-1 of its B paths.  :func:`drawn` samples blocks on demand
 on a scheme's uniform time grid, each the one box of streams 1 and 2
 that ``rng.normal_table`` draws, scaled by sqrt(dt), so a run never
 holds more than one block of its table; :func:`sliced` reads them from
-a stored table (a level of a coupled hierarchy, or the frozen
-increments of a Picard iteration).  Both give the same bits for the
-same steps.
+a stored table (the frozen increments of a Picard iteration, or the
+finest level of a step-halving study).  Both give the same bits for
+the same steps.
 
 Coupled time grids for step-halving studies are built finest-first:
-the finest grid is sampled directly and coarser levels are obtained by
-pairwise summation, which reproduces the refinement coupling of a
-Brownian bridge while keeping the sum identity exact in floating point.
+the finest grid is sampled directly, and a coarser level is the
+:func:`paired` source of the next finer one, whose steps are the
+pairwise sums of the finer increments.  This reproduces the refinement
+coupling of a Brownian bridge while keeping the sum identity exact in
+floating point, and a coarse level holds only the block it is read in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,26 +91,14 @@ def sliced(table):
     return draw
 
 
-def coupled_path_hierarchy(spec, fine_scheme, paths, levels):
-    """A stack's noise on ``levels`` coupled grids, as (scheme, table) pairs.
+def paired(draw):
+    """Noise source on the grid of twice the step of the source ``draw``.
 
-    ``paths`` is a sequence of B path indices.  The finest table is drawn
-    on ``fine_scheme``'s grid (:func:`drawn`); level l above it steps
-    ``fine_scheme.dt * 2**l``, and its (B, 2, K, N / 2**l) table holds
-    the exact pairwise sums of the next finer table's increments.  A row
-    is the one-path hierarchy of its path index.  Pairs are ordered
-    coarsest first; ``sliced(table)`` is a level's noise source for a
-    stack of B rows.
+    Step n of the coarse grid is the sum of steps 2n and 2n + 1 of
+    ``draw``: block (n0, n1) is ``b[..., 0::2] + b[..., 1::2]`` of
+    ``b = draw(2 * n0, 2 * n1)``, formed when it is read.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    table = drawn(spec, fine_scheme, paths)(0, fine_scheme.n_steps())
-    chain = [(fine_scheme, table)]
-    for level in range(1, levels):
-        if table.shape[-1] % 2:
-            raise ValueError(
-                f"cannot pair an odd number of steps ({table.shape[-1]})")
-        table = table[..., 0::2] + table[..., 1::2]
-        chain.append((replace(fine_scheme, dt=fine_scheme.dt * 2**level),
-                      table))
-    return chain[::-1]
+    def draw_paired(n0, n1):
+        block = draw(2 * n0, 2 * n1)
+        return block[..., 0::2] + block[..., 1::2]
+    return draw_paired

@@ -1,12 +1,14 @@
 import itertools
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gmspde import acceptance
 from gmspde.dynamics import SchemeConfig, default_initial_pair, run
-from gmspde.noise import NoiseSpec, coupled_path_hierarchy, sliced
+from gmspde.noise import NoiseSpec, drawn, sliced
 
 
 @pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA,
@@ -38,9 +40,27 @@ def test_level_gaps_are_the_means_of_solo_gaps():
     fine = SchemeConfig(dt=5e-4, T=0.05)
     gaps = np.zeros((3, 2))
     for i in range(3):
-        finals = [run(init, params, sch, basis, spec, sliced(table)).u_modal[0]
-                  for sch, table in coupled_path_hierarchy(spec, fine, [i], 3)]
+        tables = [drawn(spec, fine, [i])(0, fine.n_steps())]
+        for _ in range(2):
+            tables.append(tables[-1][..., 0::2] + tables[-1][..., 1::2])
+        finals = [run(init, params, replace(fine, dt=fine.dt * 2**level),
+                      basis, spec, sliced(table)).u_modal[0]
+                  for level, table in enumerate(tables)][::-1]
         gaps[i] = [np.sqrt(np.sum((finals[j] - finals[j + 1]) ** 2))
                    for j in (0, 1)]
     stacked = acceptance.level_gaps(init, params, fine, basis, spec, 3)
     np.testing.assert_allclose(stacked, gaps.mean(axis=0), rtol=1e-12, atol=0)
+
+
+def test_strong_convergence_stores_no_coarse_level():
+    # criterion 5 holds the fine table of its 16 paths, 1,000 steps of
+    # 2 x 16 modes (3.91 MiB); the paired levels are summed block by block,
+    # where stored tables of the two coarser levels would add 2.9 MiB
+    tracemalloc.start()
+    try:
+        result = acceptance.criterion_5_strong_convergence()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.line()
+    assert peak <= 5.0 * 2**20

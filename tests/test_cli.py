@@ -1,10 +1,11 @@
 import argparse
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from gmspde import cli
+from gmspde import cli, spectral
 from gmspde.config import loads
 from gmspde.io import read_snapshot, read_trace_csv
 from gmspde.spectral import build_basis
@@ -95,6 +96,24 @@ def test_spectrum_2d_lists_the_basis_eigenvalues(tmp_path):
     lam = np.array([float(line.split(",")[1]) for line in lines[1:]])
     assert np.array_equal(lam, basis.eigenvalues)
     assert (out / "config.echo.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "simulate"])
+def test_a_command_forms_its_mode_list_once(tmp_path, monkeypatch, command):
+    # the config builds the basis, and the command runs that basis; the
+    # spy replaces every name the package binds to ``mode_list``
+    calls = []
+    mode_list = spectral.mode_list
+
+    def spy(*args):
+        calls.append(args)
+        return mode_list(*args)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "gmspde"
+                and getattr(module, "mode_list", None) is mode_list):
+            monkeypatch.setattr(module, "mode_list", spy)
+    _cli(tmp_path, command, "out")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", sorted(ONE_D_RUNS))

@@ -18,11 +18,20 @@ ALIASING = {
 }
 
 
+ALIASING_LINES = {
+    "paper_1d": "[noise] modes = 32: grid frequency 62 aliases on a grid with "
+                "64 points per axis; need grid_points_per_axis >= 126",
+    "square": "[noise] modes = 64: grid frequency 8 aliases on a grid with 16 "
+              "points per axis; need grid_points_per_axis >= 18",
+}
+
+
 @pytest.mark.parametrize("name", sorted(ALIASING))
 def test_aliasing_modes_are_config_errors(name, tmp_path):
     text = ALIASING[name]
-    with pytest.raises(ConfigError, match="aliases"):
+    with pytest.raises(ConfigError, match="aliases") as err:
         loads(text)
+    assert err.value.problems == [ALIASING_LINES[name]]
     path = tmp_path / "run.cfg"
     path.write_text(text)
     argv = ["spectrum", "--config", str(path), "--out-dir",

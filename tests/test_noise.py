@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from gmspde.config import loads
 from gmspde.dynamics import ModelParams, SchemeConfig, Stepper, run
 from gmspde.noise import (
     NoiseSpec,
-    coupled_path_hierarchy,
     drawn,
+    paired,
     sliced,
 )
 from gmspde.spectral import DomainSpec, build_basis
@@ -318,50 +319,49 @@ def test_drawn_blocks_are_the_columns_of_the_schemes_table(spec):
         drawn(spec, sch, indices)(6, 5)
 
 
+def _blocks(draw, n, size):
+    """Steps 0..n-1 of the source ``draw`` read in blocks of ``size`` steps."""
+    return np.concatenate([draw(n0, min(n0 + size, n))
+                           for n0 in range(0, n, size)], axis=-1)
+
+
 def test_coarsen_sums_are_exact(spec):
-    # level l steps 2**l times the fine dt, and its table holds the exact
-    # pairwise sums of the next finer table
+    # a paired level's step n is the exact sum of steps 2n and 2n + 1 of
+    # the next finer level, whatever blocks it is read in
     fine = SchemeConfig(dt=1.0 / 64, T=1.0)
-    chain = coupled_path_hierarchy(spec, fine, [9], levels=3)
-    assert np.array_equal(chain[-1][1], drawn(spec, fine, [9])(0, 64))
-    for level, (sch, table) in enumerate(reversed(chain)):
-        assert sch.dt == fine.dt * 2**level
-        assert sch.n_steps() == table.shape[-1] == 64 // 2**level
-        assert table.shape == (1, 2, spec.mode_count, 64 // 2**level)
-    for (_, coarse), (_, finer) in zip(chain, chain[1:]):
-        assert np.array_equal(coarse, finer[..., 0::2] + finer[..., 1::2])
+    table = drawn(spec, fine, [9])(0, 64)
+    once = table[..., 0::2] + table[..., 1::2]
+    twice = once[..., 0::2] + once[..., 1::2]
+    assert twice.shape == (1, 2, spec.mode_count, 16)
+    level_1 = paired(sliced(table))
+    level_2 = paired(level_1)
+    for size in (1, 3, 7):
+        assert np.array_equal(_blocks(level_1, 32, size), once)
+        assert np.array_equal(_blocks(level_2, 16, size), twice)
 
 
 def test_hierarchy_rows_are_one_path_hierarchies(spec):
-    # a stack of paths 9, 3 and 9: each row, at each level, is the
-    # hierarchy of its path alone
+    # a stack of paths 9, 3 and 9: each row, at each paired level, is the
+    # level of its path alone
     fine = SchemeConfig(dt=1.0 / 64, T=1.0)
-    stack = coupled_path_hierarchy(spec, fine, [9, 3, 9], 3)
-    alone = {p: coupled_path_hierarchy(spec, fine, [p], 3) for p in (9, 3)}
-    for level, (sch, table) in enumerate(stack):
-        assert table.shape == (3, 2, spec.mode_count, 16 * 2**level)
+    stack = sliced(drawn(spec, fine, [9, 3, 9])(0, 64))
+    alone = {p: sliced(drawn(spec, fine, [p])(0, 64)) for p in (9, 3)}
+    for n in (64, 32, 16):
+        table = stack(0, n)
+        assert table.shape == (3, 2, spec.mode_count, n)
         for row, p in zip(table, (9, 3, 9)):
-            assert sch == alone[p][level][0]
-            assert np.array_equal(row, alone[p][level][1][0])
+            assert np.array_equal(row, alone[p](0, n)[0])
+        stack = paired(stack)
+        alone = {p: paired(draw) for p, draw in alone.items()}
 
 
-def test_hierarchy_orders_coarsest_first(spec):
-    chain = coupled_path_hierarchy(spec, SchemeConfig(dt=1.0 / 64, T=1.0),
-                                   [0], levels=3)
-    assert [table.shape[-1] for _, table in chain] == [16, 32, 64]
-    assert [sch.dt for sch, _ in chain] == [1.0 / 16, 1.0 / 32, 1.0 / 64]
-
-
-def test_grid_validation(spec):
+def test_grid_validation():
     with pytest.raises(ValueError, match="horizon must be positive"):
         SchemeConfig(dt=0.1, T=0.0)
-    with pytest.raises(ValueError, match="odd"):
-        coupled_path_hierarchy(spec, SchemeConfig(dt=0.2, T=1.0), [0],
-                               levels=2)
-    for levels in (0, -1):
-        with pytest.raises(ValueError, match=r"^levels must be >= 1$"):
-            coupled_path_hierarchy(spec, SchemeConfig(dt=0.25, T=1.0), [0],
-                                   levels=levels)
+    # 5 fine steps do not pair: the coarse grid is no whole number of steps
+    fine = SchemeConfig(dt=0.2, T=1.0)
+    with pytest.raises(ValueError, match="not an integral number of steps"):
+        replace(fine, dt=fine.dt * 2)
 
 
 def test_spec_validation_and_warning():
