@@ -3,7 +3,7 @@
 Modules:
     spectral     Neumann eigenbasis, transforms, quadrature
     rng          counter-based (Philox) standard normals, one box per call
-    noise        Q-Wiener increment sources (reproducible, coupled levels)
+    noise        Q-Wiener increment sources (reproducible, coupled, drawn ahead)
     dynamics     Ito/Stratonovich exponential time stepping, positivity floor
     functionals  xi = 1/v, Lyapunov functionals, growth monitors
     experiments  Picard fixed point, uniqueness study, ensembles

@@ -44,9 +44,11 @@ trajectory is the (2, B, n+1, K) modal array of its states, u first, a
 functional trace a stack of B >= 1 paths, a single path a stack of one.
 Initial data is one (2, K) modal array (row 0 u, row 1 v), and a run
 returns its final :class:`StateView`.  Every run reads its noise through
-one interface, a noise source ``draw(n0, n1)`` (:mod:`gmspde.noise`),
-in blocks of steps, so it holds one block of increments at a time
-whatever its horizon.
+one interface, a noise source ``draw(n0, n1)`` (:mod:`gmspde.noise`), in
+blocks of steps, two at most: on two CPUs a drawn source of two blocks or
+more is drawn ahead into two shared slots by a forked child leaving
+through ``os._exit`` (not a thread: small ufuncs do not overlap; Python
+3.12+ warns on the fork; it calls no BLAS); others in-line.
 Each row is checked on its own (reaction CFL, finiteness, the zero-floor
 positivity of v): a failed row stops with the error its solo run raises
 and the other rows go on.  Under a zero floor, the core checks v > 0
@@ -78,22 +80,23 @@ the truncation with a 2/3-rule guard (Orszag, J. Atmos. Sci. 28, 1971).
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .noise import NoiseSpec, sliced
+from .noise import NoiseSpec, blocks, sliced
 from .spectral import SpectralBasis, nonfinite
 
 SCHEMES = ("ito_imex", "stratonovich_heun")
 
 # most Gaussian draws (paths x 2 processes x modes x steps) in one block
 # of a stack's noise; a block holds at least one step, and its size
-# changes no bit.  The 200-path, 50-step, K = 16 ensemble of the
-# ``ens_1d`` benchmark took (in-process, min of 4 x 5 runs on 2 cores):
-# 2**12 .. 2**14 draws 0.160-0.166 s, 2**15 0.137 s, 2**16 0.141 s,
-# 2**17 0.137 s, 2**20 (the whole table) 0.151 s.  2**15 (a 256 KB
-# block) is the smallest budget on the plateau.
+# changes no bit.  ``ens_1d`` (200 paths, 50 steps, K = 16) drawn in-line,
+# in-process on 2 cores, min of 4 x 5 runs: 2**12..2**14 0.160-0.166 s,
+# 2**15 0.137, 2**16 0.141, 2**17 0.137, the whole table 0.151; 2**15
+# (256 KB) is the smallest on that plateau.  Drawn ahead, medians of 2 x
+# 20 runs: 2**13 0.116 s, 2**14 0.090, 2**15 0.079, 2**16 0.071, 2**17 0.071.
 NOISE_BLOCK_DRAWS = 2**15
 
 
@@ -502,12 +505,17 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     n1 - n0).  The stack takes them in blocks of at most
     :data:`NOISE_BLOCK_DRAWS` draws (at least one step), so its noise
     costs O(n_paths K) memory whatever the horizon; the block size moves
-    no bit of the result.  Each step's increments are damped as one
-    (2, n_paths, K) stack (:attr:`Stepper.damp`).  ``observer`` sees the
-    whole stack (see :func:`run`).  A row that fails a step stops there,
-    its error in the returned state's ``failures``, and the other rows go
-    on; the walk ends early once every row has failed.  Returns the final
-    :class:`StateView` of the stack.
+    no bit of the result.  On two CPUs, a drawn source of two blocks or
+    more is drawn ahead into two shared slots by a forked child (not a
+    thread: small ufuncs do not overlap; Python 3.12+ warns on the fork;
+    the child calls no BLAS), which leaves through ``os._exit`` and is
+    reaped on every exit; others are read in-line.  Each step's
+    increments are damped as one (2, n_paths, K) stack
+    (:attr:`Stepper.damp`).  ``observer`` sees the whole stack (see
+    :func:`run`).  A row that fails a step stops there, its error in the
+    returned state's ``failures``, and the other rows go on; the walk
+    ends early once every row has failed.  Returns the stack's final
+    :class:`StateView`.
 
     ``driver(state, n)``, a callable like ``draw``, is called once a step,
     after the observer; it returns the (n_paths, n_nodes) nodal chi of
@@ -522,26 +530,25 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     if scheme.v_floor == 0.0:
         reject_nonpositive(state.v_nodal)
     span = max(1, NOISE_BLOCK_DRAWS // (n_paths * 2 * k))
-    for n0 in range(0, scheme.n_steps(), span):
-        n1 = min(n0 + span, scheme.n_steps())
-        block = draw(n0, n1)
-        if block.shape != (n_paths, 2, k, n1 - n0):
-            raise ValueError(
-                f"noise block for steps {n0}..{n1 - 1} has shape "
-                f"{block.shape}, run needs {(n_paths, 2, k, n1 - n0)}"
-            )
-        for n in range(n0, n1):
-            if observer is not None:
-                observer.observe(state, scheme.dt)
-            chi = None if driver is None else driver(state, n)
-            if chi is not None and chi.shape != state.u_nodal.shape:
-                raise ValueError(f"driver gives chi of shape {chi.shape} at "
-                                 f"step {n}, run needs {state.u_nodal.shape}")
-            dw = stepper.damp * block[..., n - n0].swapaxes(0, 1)
-            stepper.advance(state, dw, chi)
-            if not state.alive.any():
-                return state
-        del block    # released before the next block is drawn
+    with closing(blocks(draw, scheme.n_steps(), span)) as stream:
+        for n0, n1, block in stream:
+            if block.shape != (n_paths, 2, k, n1 - n0):
+                raise ValueError(
+                    f"noise block for steps {n0}..{n1 - 1} has shape "
+                    f"{block.shape}, run needs {(n_paths, 2, k, n1 - n0)}")
+            for n in range(n0, n1):
+                if observer is not None:
+                    observer.observe(state, scheme.dt)
+                chi = None if driver is None else driver(state, n)
+                if chi is not None and chi.shape != state.u_nodal.shape:
+                    raise ValueError(
+                        f"driver gives chi of shape {chi.shape} at "
+                        f"step {n}, run needs {state.u_nodal.shape}")
+                dw = stepper.damp * block[..., n - n0].swapaxes(0, 1)
+                stepper.advance(state, dw, chi)
+                if not state.alive.any():
+                    return state
+            del block    # released before the next block is drawn
     if observer is not None:
         observer.observe(state, None)
     return state

@@ -2,10 +2,15 @@
 
 A row of a stack agrees with the solo ``run`` of its path to
 RTOL x max|value| (a stacked product may sum a row in another order), a
-fixed stacking reproduces bit for bit whatever the noise block size, no
-noise block exceeds its draw budget, and a failed row reports exactly
-the error its solo run raises while the other rows go on.
+fixed stacking reproduces bit for bit whatever the noise block size
+(blocks drawn ahead in a forked child too), no noise block exceeds its
+draw budget, the child is reaped on every exit of the walk, and a failed
+row reports exactly the error its solo run raises while the other rows
+go on.
 """
+
+import os
+import time
 
 import numpy as np
 import pytest
@@ -113,35 +118,137 @@ def test_reruns_are_bitwise_at_two_stack_sizes():
                 assert_close(small.data[name], column, name)
 
 
+def two_cpus(monkeypatch):
+    """Let the process draw ahead, whatever CPUs this host allows it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+class SlowRecorder(FunctionalRecorder):
+    """A recorder slow enough that a child drawing ahead could overrun it."""
+
+    def observe(self, state, dt):
+        time.sleep(5e-4)
+        super().observe(state, dt)
+
+
+def stepped(source, n_paths, scheme):
+    """Final state and traces of an ensemble stack stepped from ``source``."""
+    basis = basis_of(1)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
+    prm = params()
+    rec = SlowRecorder(basis, FCFG, scheme.v_floor)
+    final = run_batch(default_initial_pair(basis, prm), prm, scheme, basis,
+                      spec, source(spec), n_paths, observer=rec)
+    return final, rec.traces()
+
+
 @pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
 def test_ensemble_is_bitwise_under_any_noise_block(monkeypatch, scheme):
     default = run_ensemble(scheme=scheme)
-    monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", 1)    # one step
-    one_step = run_ensemble(scheme=scheme)
-    monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", 10**9)  # all steps
-    whole = run_ensemble(scheme=scheme)
-    assert_bitwise(default, one_step)
-    assert_bitwise(default, whole)
+    # 32 steps: the default budget's last block (5 steps at 200 paths) is short
+    sch = SchemeConfig(dt=1e-3, T=0.032, scheme=scheme)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    # one step, the default budget (7 blocks), all steps (one block), and
+    # the default budget on one CPU, which draws in-line
+    for budget, cpus, n_forks in [(1, {0, 1}, 1),
+                                  (dynamics.NOISE_BLOCK_DRAWS, {0, 1}, 1),
+                                  (10**9, {0, 1}, 0),
+                                  (dynamics.NOISE_BLOCK_DRAWS, {0}, 0)]:
+        monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", budget)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        assert_bitwise(default, run_ensemble(scheme=scheme))
+        # drawn ahead in a child against the stored table read in-line
+        del forks[:]
+        ahead, ahead_traces = stepped(
+            lambda spec: drawn(spec, sch, range(200)), 200, sch)
+        assert len(forks) == n_forks
+        inline, inline_traces = stepped(
+            lambda spec: sliced(drawn(spec, sch, range(200))(0, 32)), 200,
+            sch)
+        assert len(forks) == n_forks
+        assert np.array_equal(ahead.modal, inline.modal)
+        assert np.array_equal(ahead.nodal, inline.nodal)
+        for name, column in inline_traces.data.items():
+            assert np.array_equal(ahead_traces.data[name], column), name
 
 
 @pytest.mark.parametrize("n_paths, budget", [(200, None), (11, 800)])
-def test_ensemble_noise_blocks_stay_within_the_budget(monkeypatch, n_paths,
-                                                      budget):
+def test_ensemble_noise_blocks_stay_within_the_budget(monkeypatch, tmp_path,
+                                                      n_paths, budget):
+    two_cpus(monkeypatch)
     if budget is not None:
         monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", budget)
-    sizes = []
+    log = tmp_path / "sizes"
     draw = rng.normal_table      # the one draw of every noise block
 
     def spy(*args, **kwargs):
         table = draw(*args, **kwargs)
-        sizes.append(table.size)
+        # a file, not a list: blocks drawn ahead are drawn in a forked
+        # child, whose list the test would never see
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{table.size}\n")
         return table
 
     monkeypatch.setattr(rng, "normal_table", spy)
     run_ensemble(n_paths)
+    sizes = [int(line) for line in log.read_text(encoding="utf-8").split()]
     # every draw of the 30 steps is made once, in blocks within the budget
     assert sum(sizes) == n_paths * 2 * K * 30
     assert max(sizes) <= dynamics.NOISE_BLOCK_DRAWS
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class RaisingObserver:
+    def __init__(self, states):
+        self.states = states
+
+    def observe(self, state, dt):
+        if state.step_index == self.states:
+            raise KeyError("observer stops the walk")
+
+
+def test_the_noise_child_is_reaped_on_every_exit(monkeypatch):
+    two_cpus(monkeypatch)
+    run_ensemble(200)                                  # a normal end
+    assert_no_child_left()
+    basis, prm = basis_of(1), params(sigma=30.0)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
+    sch = SchemeConfig(dt=1e-3, T=0.1, reaction_cfl_limit=2.25e-3)
+    init = default_initial_pair(basis, prm)
+    final = run_batch(init, prm, sch, basis, spec,
+                      drawn(spec, sch, range(200)), 200)  # every row fails
+    assert not final.alive.any() and 5 < final.step_index < 100
+    assert_no_child_left()
+    sch = SchemeConfig(dt=1e-3, T=0.03)
+    with pytest.raises(KeyError, match="observer stops") as caught:
+        run_batch(init, prm, sch, basis, spec, drawn(spec, sch, range(200)),
+                  200, observer=RaisingObserver(12))   # mid-walk
+    assert_no_child_left()      # while the traceback holds run_batch's frame
+
+    parent, draw = os.getpid(), rng.normal_table
+
+    def planted(*args):
+        if os.getpid() != parent:          # the child's draws alone
+            raise ValueError("planted")
+        return draw(*args)
+
+    monkeypatch.setattr(rng, "normal_table", planted)
+    with pytest.raises(ValueError, match="planted"):
+        run_ensemble(200)
+    assert_no_child_left()
 
 
 def test_a_noise_block_of_the_wrong_shape_is_rejected():
