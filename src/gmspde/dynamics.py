@@ -47,8 +47,9 @@ returns its final :class:`StateView`.  Every run reads its noise through
 one interface, a noise source ``draw(n0, n1)`` (:mod:`gmspde.noise`), in
 blocks of steps, two at most: on two CPUs a drawn source of two blocks or
 more is drawn ahead into two shared slots by a forked child leaving
-through ``os._exit`` (not a thread: small ufuncs do not overlap; Python
-3.12+ warns on the fork; it calls no BLAS); others in-line.
+through ``os._exit`` (not a thread: small ufuncs do not overlap; one
+thread forks by default, so Python 3.12+ does not warn; it calls no
+BLAS); others in-line.
 Each row is checked on its own (reaction CFL, finiteness, the zero-floor
 positivity of v): a failed row stops with the error its solo run raises
 and the other rows go on.  Under a zero floor, the core checks v > 0
@@ -507,10 +508,10 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     costs O(n_paths K) memory whatever the horizon; the block size moves
     no bit of the result.  On two CPUs, a drawn source of two blocks or
     more is drawn ahead into two shared slots by a forked child (not a
-    thread: small ufuncs do not overlap; Python 3.12+ warns on the fork;
-    the child calls no BLAS), which leaves through ``os._exit`` and is
-    reaped on every exit; others are read in-line.  Each step's
-    increments are damped as one (2, n_paths, K) stack
+    thread: small ufuncs do not overlap; one thread forks by default, so
+    Python 3.12+ does not warn; the child calls no BLAS), which leaves
+    through ``os._exit`` and is reaped on every exit; others are read
+    in-line.  Each step's increments are damped as one (2, n_paths, K) stack
     (:attr:`Stepper.damp`).  ``observer`` sees the whole stack (see
     :func:`run`).  A row that fails a step stops there, its error in the
     returned state's ``failures``, and the other rows go on; the walk

@@ -120,11 +120,13 @@ class StoppingSpec:
 # most chained rows (members x blocks) in one sweep of
 # :func:`picard_iterate`, the coupled block on top.  A step of a
 # picard_1d-shaped sweep (16 members, K = 16, N = 64, 100 steps) took,
-# in three sets of medians of 12 alternating sweeps on 2 cores, 121-183
-# us at 16 rows, 231-332 at 64 and 609-773 at 208: 65-128 us fixed plus
-# 2.4-3.1 us a row, so a sweep's rows cost one more sweep's fixed cost
-# at 25-53 rows.  The bound stays: at picard_1d its sweeps of 4 + 2
-# blocks step as many rows in as many sweeps as 3 + 3 would.
+# on one BLAS thread, in three sets of medians of 12 alternating sweeps
+# on 2 cores, 83-85 us at 16 rows, 140-145 at 64 and 351-370 at 208:
+# 54-59 us fixed plus 1.41-1.51 us a row, so a sweep's rows cost one
+# more sweep's fixed cost at 36-42 rows.  The sets agree, and so did
+# sets on two BLAS threads (58-60 us fixed, 35-41 rows).  The bound
+# stays: at picard_1d its sweeps of 4 + 2 blocks step as many rows in
+# as many sweeps as 3 + 3 would.
 SWEEP_MAX_ROWS = 64
 
 

@@ -34,7 +34,8 @@ elements or fewer do not overlap across threads on 2 cores (a prefetch
 thread read 81.9 and 85.5 ms against 80.0 and 80.2 ms in-line on
 ``ens_1d``); not on one CPU, where the fork's page copies cost ``ens_1d``
 about 15%.  Other sources stay in-line.  Python 3.12+ warns on ``fork``
-with threads running (two OpenBLAS threads); the child calls no BLAS.
+with threads running; by default (one BLAS thread, :mod:`gmspde`) one
+thread forks, and the child calls no BLAS.
 """
 
 from __future__ import annotations

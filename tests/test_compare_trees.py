@@ -1,6 +1,7 @@
 """``tools/compare_trees.py`` runs every case and command on this checkout."""
 
 import importlib.util
+import os
 import pathlib
 import shutil
 import subprocess
@@ -96,3 +97,18 @@ def test_help_prints_the_usage_without_starting_a_child(tool, monkeypatch,
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout.startswith("Compare the numbers and the files")
+
+
+def test_the_case_child_imports_the_tree_before_numpy(tmp_path):
+    # the cases run under the tree's import-time settings (its BLAS
+    # thread default), which must come before numpy loads
+    package = tmp_path / "gmspde"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "import sys\nprint('numpy' in sys.modules)\nsys.exit(0)\n")
+    done = subprocess.run([sys.executable, str(ROOT / "tools" /
+                                               "compare_trees.py"),
+                           "--child", str(tmp_path / "cases.pkl")],
+                          capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": str(tmp_path)})
+    assert (done.returncode, done.stdout) == (0, "False\n")

@@ -7,8 +7,9 @@ OLD_SRC and NEW_SRC are directories holding a ``gmspde`` package
 (NEW_SRC defaults to this checkout's ``src``); make OLD_SRC with
 ``git archive <commit> | tar -x -C <dir>``.  Two passes run.
 
-The case pass runs the same cases in each tree's own interpreter, and
-the outputs are compared:
+The case pass runs the same cases in each tree's own interpreter, which
+imports the tree's ``gmspde`` before numpy (so that the tree's BLAS
+thread default holds, as in its commands), and the outputs are compared:
 
 * bitwise: ``noise.drawn`` tables (1-D K=16, 200 paths, steps
   0..49, drawn whole and in 5-step blocks; K=256 as in 2-D, one path,
@@ -80,6 +81,11 @@ import pickle
 import subprocess
 import sys
 import tempfile
+
+if __name__ == "__main__" and sys.argv[1:2] == ["--child"]:
+    # the tree's package before numpy, so that the cases run under its
+    # import-time settings (its BLAS thread default), as its commands do
+    import gmspde
 
 import numpy as np
 
