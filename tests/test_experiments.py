@@ -399,7 +399,7 @@ def test_picard_raises_a_failure_of_the_coupled_solve_last(basis, nspec):
     assert str(got.value) == str(expected)
 
 
-def test_picard_store_stays_within_its_budget(monkeypatch, basis):
+def test_a_picard_sweep_keeps_two_blocks(monkeypatch, basis):
     # the picard_1d benchmark's shape: 16 members, K = 16, N = 64, 100
     # steps.  One stored block is 2 x 16 x 101 x 16 doubles (0.39 MiB).
     # A first sweep of max_iterations = 30 blocks keeps two of them (its

@@ -172,7 +172,7 @@ def _table(spec, horizon, n_steps, index):
     return drawn(spec, sch, [index])(0, n_steps)[0]
 
 
-def test_sample_path_reproducible_and_distinct(spec):
+def test_a_path_table_is_reproducible_and_distinct_from_others(spec):
     p1 = _table(spec, 1.0, 32, 4)
     p2 = _table(spec, 1.0, 32, 4)
     p3 = _table(spec, 1.0, 32, 5)
@@ -288,7 +288,7 @@ def test_mode_coefficient_variance_against_covariance_oracle(basis):
         assert abs(var - target) / target < 0.05
 
 
-def test_batched_draws_match_sample_path(spec):
+def test_stacked_draws_match_each_path_drawn_alone(spec):
     # non-consecutive and repeated indices: each row is that path's table
     indices = [12, 3, 12, 40, 0]
     table = drawn(spec, SchemeConfig(dt=1.0 / 8, T=1.0), indices)(0, 8)
@@ -325,7 +325,7 @@ def _blocks(draw, n, size):
                            for n0 in range(0, n, size)], axis=-1)
 
 
-def test_coarsen_sums_are_exact(spec):
+def test_paired_steps_are_exact_sums_of_finer_steps(spec):
     # a paired level's step n is the exact sum of steps 2n and 2n + 1 of
     # the next finer level, whatever blocks it is read in
     fine = SchemeConfig(dt=1.0 / 64, T=1.0)
@@ -340,7 +340,7 @@ def test_coarsen_sums_are_exact(spec):
         assert np.array_equal(_blocks(level_2, 16, size), twice)
 
 
-def test_hierarchy_rows_are_one_path_hierarchies(spec):
+def test_paired_rows_are_the_levels_of_their_path_alone(spec):
     # a stack of paths 9, 3 and 9: each row, at each paired level, is the
     # level of its path alone
     fine = SchemeConfig(dt=1.0 / 64, T=1.0)
