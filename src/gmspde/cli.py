@@ -108,7 +108,7 @@ def _summarize(args, report):
 def _initial(cfg, basis):
     """The configured (2, K) modal initial data."""
     return default_initial_pair(basis, cfg.params,
-                                amplitude=cfg.run_opts["initial_amplitude"])
+                                amplitude=cfg.raw["run"]["initial_amplitude"])
 
 
 def _cmd_simulate(args):
@@ -116,7 +116,7 @@ def _cmd_simulate(args):
     init = _initial(cfg, basis)
     rec = FunctionalRecorder(basis, cfg.functionals, cfg.scheme.v_floor)
     final = run(init, cfg.params, cfg.scheme, basis, cfg.noise,
-                drawn(cfg.noise, cfg.scheme, [cfg.run_opts["path_index"]]),
+                drawn(cfg.noise, cfg.scheme, [cfg.raw["run"]["path_index"]]),
                 observer=rec)
     io_mod.write_trace(rec.traces(), os.path.join(args.out_dir, "trace.csv"))
     header = io_mod.SnapshotHeader(dim=cfg.domain.dim, shape=basis.grid_shape,
@@ -147,12 +147,12 @@ def _cmd_spectrum(args):
 
 def _cmd_uniqueness(args):
     cfg, basis = _prepare(args)
-    opts = cfg.uniqueness_opts
+    opts = cfg.raw["uniqueness"]
     init = _initial(cfg, basis)
     report = uniqueness_study(
         init, opts["delta"], cfg.params, cfg.scheme, basis, cfg.noise,
         cfg.stopping,
-        drawn(cfg.noise, cfg.scheme, [cfg.run_opts["path_index"]]),
+        drawn(cfg.noise, cfg.scheme, [cfg.raw["run"]["path_index"]]),
         perturb_mode=opts["perturb_mode"],
     )
     io_mod.write_csv(os.path.join(args.out_dir, "divergence.csv"),
@@ -164,8 +164,8 @@ def _cmd_uniqueness(args):
 
 def _cmd_ensemble(args):
     cfg, basis = _prepare(args)
-    n_paths = cfg.run_opts["paths"]
-    horizons = cfg.ensemble_opts["horizons"] or None
+    n_paths = cfg.raw["run"]["paths"]
+    horizons = cfg.raw["ensemble"]["horizons"] or None
     init = _initial(cfg, basis)
     report = ensemble(init, cfg.params, cfg.scheme, basis, cfg.noise,
                       n_paths, cfg.functionals, horizons=horizons)
@@ -201,8 +201,8 @@ def _cmd_selftest(args):
         names = [str(i) for i in range(1, len(acceptance.ALL_CRITERIA) + 1)]
         tokens = args.criteria.replace(",", " ").split()
         if not tokens or not set(tokens) <= set(names):
-            raise _UsageError(f"--criteria takes criterion numbers "
-                              f"1..{len(names)}, got {args.criteria!r}")
+            raise ConfigError([f"--criteria takes criterion numbers "
+                               f"1..{len(names)}, got {args.criteria!r}"])
         indices = {int(tok) for tok in tokens}
     os.makedirs(args.out_dir, exist_ok=True)
     results = acceptance.run_all(indices=indices,
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command][0](args)
-    except (ConfigError, _UsageError) as exc:
+    except ConfigError as exc:
         print(f"gmspde: configuration error:\n{exc}", file=sys.stderr)
         return 1
     except (SimulationError, OSError, ValueError) as exc:

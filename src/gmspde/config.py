@@ -129,18 +129,6 @@ class RunConfig:
     basis: SpectralBasis
     warnings: list = field(default_factory=list)
 
-    @property
-    def run_opts(self):
-        return self.raw["run"]
-
-    @property
-    def uniqueness_opts(self):
-        return self.raw["uniqueness"]
-
-    @property
-    def ensemble_opts(self):
-        return self.raw["ensemble"]
-
 
 def parse_table(text):
     """Raw (section, key) table from config text; parse problems collected."""

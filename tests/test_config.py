@@ -1,117 +1,29 @@
+import inspect
 import math
 
 import pytest
 
-from gmspde import cli
+from gmspde import acceptance, cli
 from gmspde.config import ConfigError, dumps, loads
-from gmspde.dynamics import ModelParams, SchemeConfig
-from gmspde.experiments import FixedPointConfig, StoppingSpec
-from gmspde.functionals import FunctionalConfig
+from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair
+from gmspde.experiments import FixedPointConfig, StoppingSpec, uniqueness_study
+from gmspde.functionals import FunctionalConfig, auto_bounds
 from gmspde.noise import NoiseSpec
 from gmspde.spectral import DomainSpec
 
-# grid frequency 2k = 62 >= N/2 on paper_1d; 2-D modes up to index 8 on N=16
-ALIASING = {
-    "paper_1d": "[domain]\nconvention = paper_1d\ngrid_points = 64\n"
-                "[noise]\nmodes = 32\n",
-    "square": "[domain]\ndim = 2\ngrid_points = 16\n[noise]\nmodes = 64\n",
-}
 
-
-ALIASING_LINES = {
-    "paper_1d": "[noise] modes = 32: grid frequency 62 aliases on a grid with "
-                "64 points per axis; need grid_points_per_axis >= 126",
-    "square": "[noise] modes = 64: grid frequency 8 aliases on a grid with 16 "
-              "points per axis; need grid_points_per_axis >= 18",
-}
-
-
-@pytest.mark.parametrize("name", sorted(ALIASING))
-def test_aliasing_modes_are_config_errors(name, tmp_path):
-    text = ALIASING[name]
-    with pytest.raises(ConfigError, match="aliases") as err:
-        loads(text)
-    assert err.value.problems == [ALIASING_LINES[name]]
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    argv = ["spectrum", "--config", str(path), "--out-dir",
-            str(tmp_path / "out"), "--quiet"]
-    assert cli.main(argv) == 1
-
-
-# each bad size must fail as a config error before any file is written
-BAD_SIZES = {
-    "ensemble --paths 1": (["ensemble", "--paths", "1"], ""),
-    "ensemble --paths 0": (["ensemble", "--paths", "0"], ""),
-    "ensemble --paths -3": (["ensemble", "--paths", "-3"], ""),
-    "[run] paths = 1": (["ensemble"], "[run]\npaths = 1\n"),
-    "fixedpoint --paths 0": (["fixedpoint", "--paths", "0"], ""),
-    "ensemble_size = 0": (["fixedpoint"], "[fixedpoint]\nensemble_size = 0\n"),
-    "max_iterations = 0": (["fixedpoint"], "[fixedpoint]\nmax_iterations = 0\n"),
-    "tolerance = -1": (["fixedpoint"], "[fixedpoint]\ntolerance = -1\n"),
-    "bound_margin = 0": (["fixedpoint"], "[fixedpoint]\nbound_margin = 0\n"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_SIZES))
-def test_bad_sizes_are_config_errors_before_any_output(case, tmp_path):
-    argv, text = BAD_SIZES[case]
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    out = tmp_path / "out"
-    argv = argv + ["--config", str(path), "--out-dir", str(out), "--quiet"]
-    assert cli.main(argv) == 1
-    assert not (out / "config.echo.txt").exists()
-
-
-# Philox keys are 64-bit words: a larger seed or path index would wrap
-# onto the noise of another
-PAST_64_BITS = {
-    "--seed 2**64": (["simulate", "--seed", str(2**64)], "",
-                     "[noise] master_seed must be below 2**64"),
-    "master_seed = 2**64": (["uniqueness"], f"[noise]\nmaster_seed = {2**64}\n",
-                            "[noise] master_seed must be below 2**64"),
-    "path_index = 2**64": (["simulate"], f"[run]\npath_index = {2**64}\n",
-                           "[run] path_index must be below 2**64"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(PAST_64_BITS))
-def test_keys_past_64_bits_are_config_errors_before_any_output(case, tmp_path,
-                                                               capsys):
-    argv, text, message = PAST_64_BITS[case]
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    out = tmp_path / "out"
-    argv = argv + ["--config", str(path), "--out-dir", str(out), "--quiet"]
-    assert cli.main(argv) == 1
-    assert message in capsys.readouterr().err.splitlines()
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, limit", [("simulate", "0"),
-                                            ("ensemble", "-1")])
-def test_a_nonpositive_reaction_cfl_limit_is_a_config_error(command, limit,
-                                                             tmp_path,
-                                                             capsys):
+@pytest.mark.parametrize("limit", [0.0, -1.0])
+def test_a_nonpositive_reaction_cfl_limit_is_rejected(limit):
     # the peak kappa_u max(u^2/v) dt is >= 0, so no step passes a limit <= 0
     with pytest.raises(ValueError,
                        match="reaction_cfl_limit must be positive"):
-        SchemeConfig(dt=1e-3, T=0.01, reaction_cfl_limit=float(limit))
-    path = tmp_path / "run.cfg"
-    path.write_text(f"[scheme]\nreaction_cfl_limit = {limit}\n")
-    out = tmp_path / "out"
-    argv = [command, "--config", str(path), "--out-dir", str(out), "--quiet"]
-    assert cli.main(argv) == 1
-    assert ("[scheme] reaction_cfl_limit must be positive"
-            in capsys.readouterr().err.splitlines())
-    assert not out.exists()
+        SchemeConfig(dt=1e-3, T=0.01, reaction_cfl_limit=limit)
 
 
 def test_the_largest_seed_and_path_index_are_accepted():
     cfg = loads(f"[noise]\nmaster_seed = {2**64 - 1}\n"
                 f"[run]\npath_index = {2**64 - 1}\n")
-    assert cfg.noise.master_seed == cfg.run_opts["path_index"] == 2**64 - 1
+    assert cfg.noise.master_seed == cfg.raw["run"]["path_index"] == 2**64 - 1
     with pytest.raises(ValueError, match="master_seed must be below 2"):
         NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=4, master_seed=2**64)
 
@@ -126,116 +38,23 @@ def test_an_override_replaces_a_bad_file_value_before_validation(tmp_path):
     assert "master_seed = 3\n" in (out / "config.echo.txt").read_text()
 
 
-def test_a_bad_override_is_a_config_error_before_any_output(tmp_path, capsys):
-    out = tmp_path / "out"
-    argv = ["spectrum", "--seed", "-1", "--out-dir", str(out), "--quiet"]
-    assert cli.main(argv) == 1
-    assert ("[noise] master_seed must be a nonnegative integer"
-            in capsys.readouterr().err.splitlines())
-    assert not (out / "config.echo.txt").exists()
-
-
-def test_a_bad_file_value_and_a_bad_override_are_reported_together(tmp_path,
-                                                                   capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text("[scheme]\nhorizon = 0\n")
-    out = tmp_path / "out"
-    argv = ["ensemble", "--config", str(path), "--paths", "1", "--out-dir",
-            str(out), "--quiet"]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert "[scheme] horizon must be positive" in err
-    assert "[run] paths must be >= 2 (an ensemble needs two)" in err
-    assert not (out / "config.echo.txt").exists()
-
-
-# the problem line of model constants with no finite steady state
-STEADY = ("[model] no finite steady state u* = kappa_u mu_v/(kappa_v mu_u), "
-          "v* = kappa_v u*^2/mu_v at kappa_u = {}, kappa_v = {}, mu_u = {}, "
-          "mu_v = {}")
-
-# values a section's dataclass rejects: the problem names the section
-BAD_VALUES = {
-    "horizon = 0": ("simulate", "[scheme]\nhorizon = 0\n",
-                    "[scheme] horizon must be positive"),
-    "horizon shorter than one step": (
-        "simulate", "[scheme]\ndt = 5e-16\nhorizon = 1e-16\n",
-        "[scheme] horizon 1e-16 is shorter than one step of 5e-16"),
-    "stopping_levels = 4, 2": (
-        "uniqueness", "[uniqueness]\nstopping_levels = 4, 2\n",
-        "[uniqueness] stopping levels must be strictly increasing"),
-    # named the order of the levels, not their absence
-    "stopping_levels = (empty)": (
-        "uniqueness", "[uniqueness]\nstopping_levels =\n",
-        "[uniqueness] stopping levels must hold at least one level"),
-    # perturbed mode K - 1 and ran; failed at run time after the echo
-    "perturb_mode = -1": ("uniqueness", "[uniqueness]\nperturb_mode = -1\n",
-                          "[uniqueness] perturb_mode = -1 outside modes 0..15"),
-    "perturb_mode = 99": ("uniqueness", "[uniqueness]\nperturb_mode = 99\n",
-                          "[uniqueness] perturb_mode = 99 outside modes 0..15"),
-    # failed at run time, after the whole ensemble
-    "horizons = -0.5": ("ensemble", "[ensemble]\nhorizons = -0.5, 0.5\n",
-                        "[ensemble] horizon -0.5 is negative"),
-    # no steady state to start from: a ZeroDivisionError traceback after
-    # the echo, or (mu_u = 1e-320, u* = inf) a non-finite state at step 0
-    "mu_u = 0": ("simulate", "[model]\nmu_u = 0\n",
-                 STEADY.format("1.0", "1.0", "0.0", "2.0")),
-    "mu_v = 0": ("uniqueness", "[model]\nmu_v = 0\n",
-                 STEADY.format("1.0", "1.0", "1.0", "0.0")),
-    "kappa_v = 0": ("ensemble", "[model]\nkappa_v = 0\n",
-                    STEADY.format("1.0", "0.0", "1.0", "2.0")),
-    "mu_u = 1e-320": ("fixedpoint", "[model]\nmu_u = 1e-320\n",
-                      STEADY.format("1.0", "1.0", "1e-320", "2.0")),
-    # v* = 0: every run started from v = 0, floored on the whole grid
-    # (fixedpoint failed its start's positivity check after the echo)
-    "kappa_u = 0": ("fixedpoint", "[model]\nkappa_u = 0\n",
-                    "[model] steady state v* = kappa_v u*^2/mu_v = 0 is not "
-                    "positive at kappa_u = 0.0, kappa_v = 1.0, mu_u = 1.0, "
-                    "mu_v = 2.0"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_VALUES))
-def test_bad_values_are_config_errors_before_any_output(case, tmp_path,
-                                                        capsys):
-    command, text, problem = BAD_VALUES[case]
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    out = tmp_path / "out"
-    argv = [command, "--config", str(path), "--out-dir", str(out), "--quiet"]
-    assert cli.main(argv) == 1
-    assert problem in capsys.readouterr().err.splitlines()
-    assert not (out / "config.echo.txt").exists()
-
-
-# non-finite floats ran on (or crashed) instead of failing as config errors
-NON_FINITE = ["[model]\nkappa_u = nan", "[domain]\nlength_x = inf",
-              "[scheme]\nhorizon = inf", "[model]\nmu_u = inf",
-              "[functionals]\np = inf", "[uniqueness]\nstopping_levels = 2, -inf"]
-
-
-@pytest.mark.parametrize("text", NON_FINITE, ids=lambda t: t.split("\n")[1])
-def test_non_finite_values_are_config_errors_before_any_output(text, tmp_path,
-                                                               capsys):
-    path, out = tmp_path / "run.cfg", tmp_path / "out"
-    path.write_text(text + "\n")
-    argv = ["simulate", "--config", str(path), "--out-dir", str(out), "--quiet"]
-    assert cli.main(argv) == 1
-    key = text.split("\n")[1].split(" =")[0]
-    assert f"line 2: bad value for {key!r}" in capsys.readouterr().err
-    assert not (out / "config.echo.txt").exists()
-
-
-@pytest.mark.parametrize("key", ["dealias", "exact_scalar_decay"])
-def test_removed_scheme_keys_are_unknown(key, tmp_path):
-    text = f"[scheme]\n{key} = true\n"
-    with pytest.raises(ConfigError, match="unknown key"):
-        loads(text)
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    argv = ["spectrum", "--config", str(path), "--out-dir",
-            str(tmp_path / "out"), "--quiet"]
-    assert cli.main(argv) == 1
+def test_the_defaults_are_the_selftests_and_the_signatures():
+    # the schema, the spec dataclasses and the selftest's setup each state
+    # the defaults: a bare command runs what the criteria check
+    cfg, desk = loads(""), acceptance._basis_1d()
+    assert cfg.params == acceptance._desk_params()
+    assert cfg.domain == desk.domain
+    assert cfg.noise.mode_count == desk.mode_count
+    assert cfg.scheme == SchemeConfig(dt=1e-3, T=1.0)
+    assert cfg.functionals == FunctionalConfig()
+    assert cfg.fixedpoint == FixedPointConfig()
+    assert cfg.stopping == StoppingSpec()
+    for function, name, (section, key) in [
+            (default_initial_pair, "amplitude", ("run", "initial_amplitude")),
+            (uniqueness_study, "perturb_mode", ("uniqueness", "perturb_mode")),
+            (auto_bounds, "margin", ("fixedpoint", "bound_margin"))]:
+        default = inspect.signature(function).parameters[name].default
+        assert default == cfg.raw[section][key], name
 
 
 NON_DEFAULT = """\
@@ -276,8 +95,8 @@ def test_non_default_values_survive_the_echo():
     assert cfg.domain.lengths == (1.5, 0.75)
     assert cfg.scheme.scheme == "stratonovich_heun"
     assert cfg.noise.master_seed == 17
-    assert cfg.uniqueness_opts["stopping_levels"] == (1.0, 3.5, 9.0)
-    assert cfg.ensemble_opts["horizons"] == (0.125, 0.25)
+    assert cfg.raw["uniqueness"]["stopping_levels"] == (1.0, 3.5, 9.0)
+    assert cfg.raw["ensemble"]["horizons"] == (0.125, 0.25)
 
 
 # every violated invariant of a section is reported, not only the first
@@ -299,31 +118,6 @@ def test_every_violated_invariant_is_reported(section):
     with pytest.raises(ConfigError) as err:
         loads(text)
     assert err.value.problems == expected
-
-
-# case -> (command, an option it does not take, a value): selftest's
-# criteria fix their own configs, so it takes no --config and no --seed
-UNUSED_OPTIONS = {
-    "simulate": ("simulate", "--paths", "3"),
-    "uniqueness": ("uniqueness", "--paths", "3"),
-    "spectrum": ("spectrum", "--paths", "3"),
-    "selftest": ("selftest", "--paths", "3"),
-    "selftest --config": ("selftest", "--config", "/nonexistent.cfg"),
-    "selftest --seed": ("selftest", "--seed", "5"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(UNUSED_OPTIONS))
-def test_paths_is_rejected_where_unused(case, tmp_path, capsys):
-    command, option, value = UNUSED_OPTIONS[case]
-    out = tmp_path / "out"
-    argv = [command, option, value, "--out-dir", str(out), "--quiet"]
-    if command == "selftest":    # accepted, the option would run criterion 1
-        argv += ["--criteria", "1"]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert f"unrecognized arguments: {option} {value}" in err
-    assert not out.exists()
 
 
 NAN, INF = math.nan, math.inf

@@ -114,6 +114,16 @@ def test_only_the_ito_step_carries_the_drift_correction(scheme):
         assert gap > 1e-3 * np.abs(exact).max()
 
 
+def test_phi1_is_its_formula_bit_for_bit():
+    # tiny, O(1) and large z, each the quotient -expm1(-z)/z to the bit
+    z = np.array([1e-300, 1e-17, 1e-9, 1e-4, 0.3, 1.0, 2.5, 40.0, 700.0,
+                  1e5])
+    assert dynamics._phi1(z).tobytes() == (-np.expm1(-z) / z).tobytes()
+    with_zero = dynamics._phi1(np.array([0.0, 1.0]))
+    assert with_zero[0] == 1.0 and with_zero[1] == -np.expm1(-1.0)
+    assert dynamics._phi1(0.0) == 1.0
+
+
 def test_constant_decay_is_exact_per_step():
     # mode 0 of a constant is the constant times sqrt(volume)
     mu = 0.7

@@ -70,7 +70,7 @@ def stack_solve(init, params, sch, basis, spec, draw, rows, **kwargs):
     return store.trajectories(), final
 
 
-def apply_T(traj, init, params, sch, basis, spec, draw):
+def solve_T(traj, init, params, sch, basis, spec, draw):
     """The map T: run_batch driven by ``traj``'s chi; raises a row failure."""
     out, final = stack_solve(init, params, sch, basis, spec, draw,
                              traj.shape[1],
@@ -116,18 +116,39 @@ def distance(a, b, basis, rho):
     return seminorm_m(row_sups(a - b, (1.0 + basis.eigenvalues) ** (1.0 - rho)))
 
 
+def test_seminorm_of_row_sups_is_its_formula_by_loops():
+    # (E sup_t sum_k |dchi_k|^2 (1 + lambda_k)^(1-rho))^(1/2)
+    #   + E sup_t (sum_k |deta_k|^2)^(1/2), one row, step and mode at a time
+    rng = np.random.default_rng(7)
+    rows, steps, modes, rho = 3, 5, 4, 1.1
+    diff = rng.standard_normal((2, rows, steps, modes))
+    diff[1] *= 3.0
+    lam = np.sort(rng.uniform(0.0, 40.0, modes))
+    chi_sups, eta_sups = [], []
+    for b in range(rows):
+        chi_sups.append(max(
+            sum(diff[0, b, t, k] ** 2 * (1.0 + lam[k]) ** (1.0 - rho)
+                for k in range(modes)) for t in range(steps)))
+        eta_sups.append(max(
+            math.sqrt(sum(diff[1, b, t, k] ** 2 for k in range(modes)))
+            for t in range(steps)))
+    want = math.sqrt(sum(chi_sups) / rows) + sum(eta_sups) / rows
+    got = seminorm_m(row_sups(diff.copy(), (1.0 + lam) ** (1.0 - rho)))
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_stopping_spec_requires_increasing_levels():
     with pytest.raises(ValueError, match="increasing"):
         StoppingSpec(m_levels=(4.0, 2.0))
 
 
-def test_apply_T_fixes_noiseless_steady_state(basis, nspec):
+def test_solve_T_fixes_noiseless_steady_state(basis, nspec):
     params = desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = steady_pair(basis, params)
     traj = constant(pair, sch)
     path = drawn(nspec, sch, [0])
-    out, final = apply_T(traj, pair, params, sch, basis, nspec, path)
+    out, final = solve_T(traj, pair, params, sch, basis, nspec, path)
     u_star, v_star = steady_state(params)
     assert np.abs(out[0, 0, -1, 0] - u_star).max() < 1e-8
     assert np.abs(out[1, 0, -1, 0] - v_star * np.sqrt(basis.volume)
@@ -135,32 +156,32 @@ def test_apply_T_fixes_noiseless_steady_state(basis, nspec):
     assert final.floor_activations.sum() == 0
 
 
-def test_apply_T_zero_source_decays(basis, nspec):
+def test_solve_T_zero_source_decays(basis, nspec):
     params = desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.2)
     pair = steady_pair(basis, params)
     zero_chi = constant_pair(basis, 0.0, steady_state(params)[1])
     traj = constant(zero_chi, sch)
     path = drawn(nspec, sch, [0])
-    out, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
+    out, _ = solve_T(traj, pair, params, sch, basis, nspec, path)
     v_norms = np.sqrt(np.sum(out[1, 0]**2, axis=1))
     assert np.all(np.diff(v_norms) < 0)
     u_norms = np.sqrt(np.sum(out[0, 0]**2, axis=1))
     assert u_norms[-1] < u_norms[0] * np.exp(-params.mu_u * 0.2) * 1.001
 
 
-def test_apply_T_deterministic(basis, nspec):
+def test_solve_T_deterministic(basis, nspec):
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = default_initial_pair(basis, params)
     traj = constant(pair, sch)
     path = drawn(nspec, sch, [3])
-    out1, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
-    out2, _ = apply_T(traj, pair, params, sch, basis, nspec, path)
+    out1, _ = solve_T(traj, pair, params, sch, basis, nspec, path)
+    out2, _ = solve_T(traj, pair, params, sch, basis, nspec, path)
     assert np.array_equal(out1, out2)
 
 
-def test_apply_T_checks_its_noise_path_as_run_does(basis, nspec):
+def test_solve_T_checks_its_noise_path_as_run_does(basis, nspec):
     # a source 10 steps short fails the block-shape check in both
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05)
@@ -172,7 +193,7 @@ def test_apply_T_checks_its_noise_path_as_run_does(basis, nspec):
     with pytest.raises(ValueError, match=message):
         run(pair, params, sch, basis, nspec, short)
     with pytest.raises(ValueError, match=message):
-        apply_T(traj, pair, params, sch, basis, nspec, short)
+        solve_T(traj, pair, params, sch, basis, nspec, short)
 
 
 @pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
@@ -192,7 +213,7 @@ def test_coupled_solution_is_exact_fixed_point_of_T(scheme, dim, rows):
     coupled, final = stack_solve(init, params, sch, basis_d, spec, increments,
                                  rows)
     assert not final.failures
-    out, _ = apply_T(coupled, init, params, sch, basis_d, spec, increments)
+    out, _ = solve_T(coupled, init, params, sch, basis_d, spec, increments)
     np.testing.assert_allclose(out, coupled, rtol=0, atol=0)
 
 
@@ -203,13 +224,13 @@ def assert_rounding_close(got, expected):
 
 
 def sequential_picard(init, params, sch, basis, spec, config, fconfig):
-    """Distances and residual of the Picard iteration, one apply_T an iterate."""
+    """Distances and residual of the Picard iteration, one solve_T an iterate."""
     m = config.ensemble_size
     frozen = sliced(drawn(spec, sch, range(m))(0, sch.n_steps()))
     current = constant(init, sch, m)
     distances = []
     for _ in range(config.max_iterations):
-        new, _ = apply_T(current, init, params, sch, basis, spec, frozen)
+        new, _ = solve_T(current, init, params, sch, basis, spec, frozen)
         distances.append(distance(new, current, basis, fconfig.rho))
         current = new
         if distances[-1] < config.tolerance:
@@ -221,9 +242,9 @@ def sequential_picard(init, params, sch, basis, spec, config, fconfig):
 @pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("rows", [1, 6])
-def test_sweep_iterates_equal_chained_apply_T(monkeypatch, scheme, dim, rows):
+def test_sweep_iterates_equal_chained_solve_T(monkeypatch, scheme, dim, rows):
     # a sweep steps three applications of T and the coupled system as one
-    # stack; each block is the chained apply_T result to rounding
+    # stack; each block is the chained solve_T result to rounding
     basis_d = build_basis(DomainSpec(dim=dim, lengths=(1.0,) * dim,
                                      grid_points_per_axis=64 if dim == 1
                                      else 16), K)
@@ -237,7 +258,7 @@ def test_sweep_iterates_equal_chained_apply_T(monkeypatch, scheme, dim, rows):
                                current, 3)
     assert not final.failures and stack.shape == (2, 4 * rows, 51, K)
     for j in range(3):
-        current, _ = apply_T(current, init, params, sch, basis_d, spec,
+        current, _ = solve_T(current, init, params, sch, basis_d, spec,
                              increments)
         block = stack[:, j * rows:(j + 1) * rows]
         assert_rounding_close(block[0], current[0])
@@ -248,7 +269,7 @@ def test_sweep_iterates_equal_chained_apply_T(monkeypatch, scheme, dim, rows):
     assert_rounding_close(stack[0, 3 * rows:], coupled[0])
     assert_rounding_close(stack[1, 3 * rows:], coupled[1])
 
-    # the iteration takes as many steps as one apply_T per iterate, and
+    # the iteration takes as many steps as one solve_T per iterate, and
     # ends as far from the coupled solve, in sweeps of the default row
     # budget and of one block each
     config = FixedPointConfig(ensemble_size=rows, tolerance=1e-9)
@@ -314,7 +335,7 @@ def test_picard_stops_at_max_iterations(basis, nspec):
     assert len(report.distances) == 2 and len(report.memberships) == 2
 
 
-def test_picard_replays_no_energy_monitor(basis, nspec, monkeypatch):
+def test_picard_forms_no_energy_monitor(basis, nspec, monkeypatch):
     # |grad v|^2 enters only the monitor integral int xi^(p+2)|grad v|^2,
     # which no part of the Picard report reads: neither the start's
     # functionals nor the sweeps' live recorder forms it
@@ -347,16 +368,16 @@ def cfl_picard_setup(basis):
 def test_picard_raises_the_first_failing_iterate(monkeypatch, basis, nspec,
                                                   blocks):
     # in first sweeps of one block, of two, and of the default row
-    # budget's 32, iterate 3 fails with the error its apply_T call raises
+    # budget's 32, iterate 3 fails with the error its solve_T call raises
     params, sch, init = cfl_picard_setup(basis)
     if blocks is not None:
         monkeypatch.setattr(experiments, "SWEEP_MAX_ROWS", blocks * 2)
     frozen = sliced(drawn(nspec, sch, range(2))(0, sch.n_steps()))
     current = constant(init, sch, 2)
     for _ in range(2):
-        current, _ = apply_T(current, init, params, sch, basis, nspec, frozen)
+        current, _ = solve_T(current, init, params, sch, basis, nspec, frozen)
     with pytest.raises(SimulationError) as expected:
-        apply_T(current, init, params, sch, basis, nspec, frozen)
+        solve_T(current, init, params, sch, basis, nspec, frozen)
     assert "reaction CFL violated at step" in str(expected.value)
     with pytest.raises(SimulationError) as got:
         picard_iterate(init, params, sch, basis, nspec,
@@ -426,7 +447,7 @@ def test_a_picard_sweep_keeps_two_blocks(monkeypatch, basis):
     assert peak < 6 * 2**20
 
 
-def test_apply_T_reports_reaction_cfl_of_the_shared_step(basis, nspec):
+def test_solve_T_reports_reaction_cfl_of_the_shared_step(basis, nspec):
     params = desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.01)
     pair = steady_pair(basis, params)
@@ -437,10 +458,10 @@ def test_apply_T_reports_reaction_cfl_of_the_shared_step(basis, nspec):
     with pytest.raises(SimulationError,
                        match=r"reaction CFL violated at step 0: "
                              r"kappa_u\*max\(u\^2/v\)\*dt = 5 >= 1"):
-        apply_T(loud, pair, params, sch, basis, nspec, path)
+        solve_T(loud, pair, params, sch, basis, nspec, path)
 
 
-def test_apply_T_raises_the_floor_violation_of_its_row(basis, nspec):
+def test_solve_T_raises_the_floor_violation_of_its_row(basis, nspec):
     params = desk_params(sigma=1.0)
     sch = SchemeConfig(dt=1e-3, T=0.01, v_floor=0.0)
     pair = steady_pair(basis, params)
@@ -451,10 +472,10 @@ def test_apply_T_raises_the_floor_violation_of_its_row(basis, nspec):
     increments[2, 1, 0, 3] = -5.0 * np.sqrt(basis.volume)
     with pytest.raises(FloorViolation,
                        match="inhibitor is nonpositive at flat node 0"):
-        apply_T(stack, pair, params, sch, basis, nspec, sliced(increments))
+        solve_T(stack, pair, params, sch, basis, nspec, sliced(increments))
     # the same rows without the kick step through
     increments[2, 1, 0, 3] = 0.0
-    out, final = apply_T(stack, pair, params, sch, basis, nspec,
+    out, final = solve_T(stack, pair, params, sch, basis, nspec,
                          sliced(increments))
     assert final.alive.all() and out.shape == (2, 3, 11, K)
 
@@ -487,14 +508,14 @@ def test_picard_rejects_nonpositive_start(basis, nspec):
 
 
 def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
-    # picard_iterate builds its start from the scheme; apply_T is handed
+    # picard_iterate builds its start from the scheme; solve_T is handed
     # its input trajectory, whose step count run_batch checks as a driver
     params = desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
     start = constant(init, SchemeConfig(dt=1e-3, T=0.02))
     with pytest.raises(ValueError) as expected:
-        apply_T(start, init, params, sch, basis, nspec,
+        solve_T(start, init, params, sch, basis, nspec,
                 drawn(nspec, sch, [0]))
     assert str(expected.value) == (f"driver has shape (1, 21, {K}), "
                                    f"run needs (1, 11, {K})")

@@ -156,8 +156,8 @@ def _state(basis, rows, seed):
 
 
 @pytest.mark.parametrize("call", ["accumulate", "record"])
-def test_recorder_zero_floor_rejects_nonpositive_v_as_quotient_nodal(basis,
-                                                                     call):
+def test_recorder_zero_floor_rejects_nonpositive_v_like_the_oracle(basis,
+                                                                    call):
     view = _state(basis, 3, 4)
     view.nodal[1, 1, 7] = -0.5
     view.nodal[1, 2, 3] = 0.0
@@ -339,7 +339,7 @@ def test_monitor_envelope_holds_on_stochastic_ensemble(basis):
         assert np.all(fit.lhs[mask] <= bound[mask] * (1 + 1e-10)), name
 
 
-def test_floor_activations_counted_once_live_and_replayed():
+def test_floor_activation_column_is_the_steppers_count():
     # v = 0.25 < v_floor on all 17 nodes: the stepper floors 17 per step,
     # and the recorder's column is the stepper's count
     basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
@@ -462,7 +462,7 @@ class _Both:
             rec.observe(view, dt)
 
 
-def test_lean_replay_columns_are_bitwise_the_full_ones():
+def test_lean_recorder_columns_are_bitwise_the_full_ones():
     # one stack of the Picard benchmark's shape (16 paths of 100 steps,
     # K = 16) observed by a full recorder and a lean one; v_floor = v* = 2
     # floors about half the nodes

@@ -174,7 +174,7 @@ def test_membership_names_the_first_bad_row(report):
                            f"node {node} (value 0)")
 
 
-def test_xi_nodal_is_the_quotient_with_unit_numerator(basis):
+def test_xi_nodal_is_the_steppers_quotient_at_unit_chi(basis):
     # xi and the stepper's reaction quotient at chi = 1 share their bits,
     # and the stepper counts the floored nodes of each row
     rng = np.random.default_rng(17)

@@ -53,7 +53,7 @@ blocks drawn whole against drawn in pieces
 the map T on a coupled input
 (``test_coupled_solution_is_exact_fixed_point_of_T``) and on a stack
 driven by a constant trajectory
-(``test_sweep_iterates_equal_chained_apply_T``, both in
+(``test_sweep_iterates_equal_chained_solve_T``, both in
 ``tests/test_experiments.py``), and ``_gbm_batch`` (criterion 6 in
 ``tests/test_acceptance.py``).
 
