@@ -203,190 +203,218 @@ V_STAR_ZERO = ("[model] steady state v* = kappa_v u*^2/mu_v = 0 is not "
 SMALL_ENSEMBLE = "[run] paths must be >= 2 (an ensemble needs two)"
 UNREADABLE = "gmspde: configuration error:\ncannot read config file "
 
-# case -> (argv, config text or None, exit code, the whole stderr).  Each
-# row runs with --out-dir {tmp}/out --quiet, and a config text is written
-# to {tmp}/run.cfg and given as its --config.  {tmp} stands for the test's
-# directory and {usage} for the usage line.
+# test -> case -> (argv, config text or None, exit code, the whole stderr),
+# or test -> one such row for a test of one case.  Each row runs with
+# --out-dir {tmp}/out --quiet, and a config text is written to
+# {tmp}/run.cfg and given as its --config.  {tmp} stands for the test's
+# directory and {usage} for the usage line.  refusal_test(test) makes the
+# test; tests/test_config.py binds the names of the config tests.
 REFUSALS = {
-    # grid frequency 2k = 62 >= N/2 on paper_1d; 2-D modes up to index 8
-    # on N = 16
-    "paper_1d": _config_error(
-        ["spectrum"],
-        "[domain]\nconvention = paper_1d\ngrid_points = 64\n"
-        "[noise]\nmodes = 32\n",
-        "[noise] modes = 32: grid frequency 62 aliases on a grid with 64 "
-        "points per axis; need grid_points_per_axis >= 126"),
-    "square": _config_error(
-        ["spectrum"],
-        "[domain]\ndim = 2\ngrid_points = 16\n[noise]\nmodes = 64\n",
-        "[noise] modes = 64: grid frequency 8 aliases on a grid with 16 "
-        "points per axis; need grid_points_per_axis >= 18"),
-    "ensemble --paths 1": _config_error(["ensemble", "--paths", "1"], "",
-                                        SMALL_ENSEMBLE),
-    "ensemble --paths 0": _config_error(["ensemble", "--paths", "0"], "",
-                                        SMALL_ENSEMBLE),
-    "ensemble --paths -3": _config_error(["ensemble", "--paths", "-3"], "",
+    "test_aliasing_modes_are_config_errors": {
+        # grid frequency 2k = 62 >= N/2 on paper_1d; 2-D modes up to index 8
+        # on N = 16
+        "paper_1d": _config_error(
+            ["spectrum"],
+            "[domain]\nconvention = paper_1d\ngrid_points = 64\n"
+            "[noise]\nmodes = 32\n",
+            "[noise] modes = 32: grid frequency 62 aliases on a grid with 64 "
+            "points per axis; need grid_points_per_axis >= 126"),
+        "square": _config_error(
+            ["spectrum"],
+            "[domain]\ndim = 2\ngrid_points = 16\n[noise]\nmodes = 64\n",
+            "[noise] modes = 64: grid frequency 8 aliases on a grid with 16 "
+            "points per axis; need grid_points_per_axis >= 18"),
+    },
+    "test_bad_sizes_are_config_errors_before_any_output": {
+        "ensemble --paths 1": _config_error(["ensemble", "--paths", "1"], "",
+                                            SMALL_ENSEMBLE),
+        "ensemble --paths 0": _config_error(["ensemble", "--paths", "0"], "",
+                                            SMALL_ENSEMBLE),
+        "ensemble --paths -3": _config_error(["ensemble", "--paths", "-3"],
+                                             "", SMALL_ENSEMBLE),
+        "[run] paths = 1": _config_error(["ensemble"], "[run]\npaths = 1\n",
                                          SMALL_ENSEMBLE),
-    "[run] paths = 1": _config_error(["ensemble"], "[run]\npaths = 1\n",
-                                     SMALL_ENSEMBLE),
-    "fixedpoint --paths 0": _config_error(
-        ["fixedpoint", "--paths", "0"], "",
-        "[fixedpoint] ensemble_size must be >= 1"),
-    "ensemble_size = 0": _config_error(
-        ["fixedpoint"], "[fixedpoint]\nensemble_size = 0\n",
-        "[fixedpoint] ensemble_size must be >= 1"),
-    "max_iterations = 0": _config_error(
-        ["fixedpoint"], "[fixedpoint]\nmax_iterations = 0\n",
-        "[fixedpoint] max_iterations must be >= 1"),
-    "tolerance = -1": _config_error(
-        ["fixedpoint"], "[fixedpoint]\ntolerance = -1\n",
-        "[fixedpoint] tolerance must be positive"),
-    "bound_margin = 0": _config_error(
-        ["fixedpoint"], "[fixedpoint]\nbound_margin = 0\n",
-        "[fixedpoint] bound_margin must be positive"),
-    # Philox keys are 64-bit words: a larger seed or path index would wrap
-    # onto the noise of another
-    "--seed 2**64": _config_error(["simulate", "--seed", str(2**64)], "",
-                                  "[noise] master_seed must be below 2**64"),
-    "master_seed = 2**64": _config_error(
-        ["uniqueness"], f"[noise]\nmaster_seed = {2**64}\n",
-        "[noise] master_seed must be below 2**64"),
-    "path_index = 2**64": _config_error(
-        ["simulate"], f"[run]\npath_index = {2**64}\n",
-        "[run] path_index must be below 2**64"),
-    # the peak kappa_u max(u^2/v) dt is >= 0, so no step passes a limit <= 0
-    "simulate-0": _config_error(
-        ["simulate"], "[scheme]\nreaction_cfl_limit = 0\n",
-        "[scheme] reaction_cfl_limit must be positive"),
-    "ensemble--1": _config_error(
-        ["ensemble"], "[scheme]\nreaction_cfl_limit = -1\n",
-        "[scheme] reaction_cfl_limit must be positive"),
+        "fixedpoint --paths 0": _config_error(
+            ["fixedpoint", "--paths", "0"], "",
+            "[fixedpoint] ensemble_size must be >= 1"),
+        "ensemble_size = 0": _config_error(
+            ["fixedpoint"], "[fixedpoint]\nensemble_size = 0\n",
+            "[fixedpoint] ensemble_size must be >= 1"),
+        "max_iterations = 0": _config_error(
+            ["fixedpoint"], "[fixedpoint]\nmax_iterations = 0\n",
+            "[fixedpoint] max_iterations must be >= 1"),
+        "tolerance = -1": _config_error(
+            ["fixedpoint"], "[fixedpoint]\ntolerance = -1\n",
+            "[fixedpoint] tolerance must be positive"),
+        "bound_margin = 0": _config_error(
+            ["fixedpoint"], "[fixedpoint]\nbound_margin = 0\n",
+            "[fixedpoint] bound_margin must be positive"),
+    },
+    "test_keys_past_64_bits_are_config_errors_before_any_output": {
+        # Philox keys are 64-bit words: a larger seed or path index would
+        # wrap onto the noise of another
+        "--seed 2**64": _config_error(
+            ["simulate", "--seed", str(2**64)], "",
+            "[noise] master_seed must be below 2**64"),
+        "master_seed = 2**64": _config_error(
+            ["uniqueness"], f"[noise]\nmaster_seed = {2**64}\n",
+            "[noise] master_seed must be below 2**64"),
+        "path_index = 2**64": _config_error(
+            ["simulate"], f"[run]\npath_index = {2**64}\n",
+            "[run] path_index must be below 2**64"),
+    },
+    "test_a_nonpositive_reaction_cfl_limit_is_a_config_error": {
+        # the peak kappa_u max(u^2/v) dt is >= 0, so no step passes a
+        # limit <= 0
+        "simulate-0": _config_error(
+            ["simulate"], "[scheme]\nreaction_cfl_limit = 0\n",
+            "[scheme] reaction_cfl_limit must be positive"),
+        "ensemble--1": _config_error(
+            ["ensemble"], "[scheme]\nreaction_cfl_limit = -1\n",
+            "[scheme] reaction_cfl_limit must be positive"),
+    },
     # an override is validated with the file, and both are reported
-    "--seed -1": _config_error(
+    "test_a_bad_override_is_a_config_error_before_any_output": _config_error(
         ["spectrum", "--seed", "-1"], None,
         "[noise] master_seed must be a nonnegative integer"),
-    "horizon = 0 with --paths 1": _config_error(
-        ["ensemble", "--paths", "1"], "[scheme]\nhorizon = 0\n",
-        "[scheme] horizon must be positive", SMALL_ENSEMBLE),
-    # values a section's dataclass rejects: the problem names the section
-    "horizon = 0": _config_error(["simulate"], "[scheme]\nhorizon = 0\n",
-                                 "[scheme] horizon must be positive"),
-    "horizon shorter than one step": _config_error(
-        ["simulate"], "[scheme]\ndt = 5e-16\nhorizon = 1e-16\n",
-        "[scheme] horizon 1e-16 is shorter than one step of 5e-16"),
-    "stopping_levels = 4, 2": _config_error(
-        ["uniqueness"], "[uniqueness]\nstopping_levels = 4, 2\n",
-        "[uniqueness] stopping levels must be strictly increasing"),
-    # named the order of the levels, not their absence
-    "stopping_levels = (empty)": _config_error(
-        ["uniqueness"], "[uniqueness]\nstopping_levels =\n",
-        "[uniqueness] stopping levels must hold at least one level"),
-    # perturbed mode K - 1 and ran; failed at run time after the echo
-    "perturb_mode = -1": _config_error(
-        ["uniqueness"], "[uniqueness]\nperturb_mode = -1\n",
-        "[uniqueness] perturb_mode = -1 outside modes 0..15"),
-    "perturb_mode = 99": _config_error(
-        ["uniqueness"], "[uniqueness]\nperturb_mode = 99\n",
-        "[uniqueness] perturb_mode = 99 outside modes 0..15"),
-    # failed at run time, after the whole ensemble
-    "horizons = -0.5": _config_error(
-        ["ensemble"], "[ensemble]\nhorizons = -0.5, 0.5\n",
-        "[ensemble] horizon -0.5 is negative"),
-    # no steady state to start from: a ZeroDivisionError traceback after
-    # the echo, or (mu_u = 1e-320, u* = inf) a non-finite state at step 0
-    "mu_u = 0": _config_error(["simulate"], "[model]\nmu_u = 0\n",
-                              STEADY.format("1.0", "1.0", "0.0", "2.0")),
-    "mu_v = 0": _config_error(["uniqueness"], "[model]\nmu_v = 0\n",
-                              STEADY.format("1.0", "1.0", "1.0", "0.0")),
-    "kappa_v = 0": _config_error(["ensemble"], "[model]\nkappa_v = 0\n",
-                                 STEADY.format("1.0", "0.0", "1.0", "2.0")),
-    "mu_u = 1e-320": _config_error(
-        ["fixedpoint"], "[model]\nmu_u = 1e-320\n",
-        STEADY.format("1.0", "1.0", "1e-320", "2.0")),
-    # v* = 0: every run started from v = 0, floored on the whole grid
-    # (fixedpoint failed its start's positivity check after the echo)
-    "kappa_u = 0": _config_error(["fixedpoint"], "[model]\nkappa_u = 0\n",
-                                 V_STAR_ZERO),
-    "kappa_u = 0 simulate": _config_error(
-        ["simulate"], "[model]\nkappa_u = 0\n", V_STAR_ZERO),
-    # non-finite floats ran on (or crashed) instead of failing
-    "kappa_u = nan": _config_error(
-        ["simulate"], "[model]\nkappa_u = nan\n",
-        "line 2: bad value for 'kappa_u': 'nan' is not a finite number"),
-    "length_x = inf": _config_error(
-        ["simulate"], "[domain]\nlength_x = inf\n",
-        "line 2: bad value for 'length_x': 'inf' is not a finite number"),
-    "horizon = inf": _config_error(
-        ["simulate"], "[scheme]\nhorizon = inf\n",
-        "line 2: bad value for 'horizon': 'inf' is not a finite number"),
-    "mu_u = inf": _config_error(
-        ["simulate"], "[model]\nmu_u = inf\n",
-        "line 2: bad value for 'mu_u': 'inf' is not a finite number"),
-    "p = inf": _config_error(
-        ["simulate"], "[functionals]\np = inf\n",
-        "line 2: bad value for 'p': 'inf' is not a finite number"),
-    "stopping_levels = 2, -inf": _config_error(
-        ["simulate"], "[uniqueness]\nstopping_levels = 2, -inf\n",
-        "line 2: bad value for 'stopping_levels': '-inf' is not a finite "
-        "number"),
-    # removed scheme options are unknown keys
-    "dealias": _config_error(["spectrum"], "[scheme]\ndealias = true\n",
-                             "line 2: unknown key 'dealias' in section "
-                             "[scheme]"),
-    "exact_scalar_decay": _config_error(
-        ["spectrum"], "[scheme]\nexact_scalar_decay = true\n",
-        "line 2: unknown key 'exact_scalar_decay' in section [scheme]"),
-    # an option the command does not take: selftest's criteria fix their
-    # own configs, so it takes no --config and no --seed (--criteria 1
-    # keeps a wrongly accepted option from running every criterion)
-    "simulate": _usage_error(["simulate", "--paths", "3"],
-                             "unrecognized arguments: --paths 3"),
-    "uniqueness": _usage_error(["uniqueness", "--paths", "3"],
-                               "unrecognized arguments: --paths 3"),
-    "spectrum": _usage_error(["spectrum", "--paths", "3"],
-                             "unrecognized arguments: --paths 3"),
-    "selftest": _usage_error(["selftest", "--paths", "3", "--criteria", "1"],
-                             "unrecognized arguments: --paths 3"),
-    "selftest --config": _usage_error(
-        ["selftest", "--config", "/nonexistent.cfg", "--criteria", "1"],
-        "unrecognized arguments: --config /nonexistent.cfg"),
-    "selftest --seed": _usage_error(
-        ["selftest", "--seed", "5", "--criteria", "1"],
-        "unrecognized arguments: --seed 5"),
-    # criteria selftest cannot run; an empty list ran every criterion
-    "11": _config_error(["selftest", "--criteria", "11"], None,
-                        "--criteria takes criterion numbers 1..10, got '11'"),
-    "0,3": _config_error(["selftest", "--criteria", "0,3"], None,
-                         "--criteria takes criterion numbers 1..10, got "
-                         "'0,3'"),
-    "x": _config_error(["selftest", "--criteria", "x"], None,
-                       "--criteria takes criterion numbers 1..10, got 'x'"),
-    "--criteria empty": _config_error(
-        ["selftest", "--criteria", ""], None,
-        "--criteria takes criterion numbers 1..10, got ''"),
-    # config files that cannot be read, compared up to the OS error text:
-    # an empty path ran the defaults; the others exited 2
-    "--config empty": (["spectrum", "--config", ""], None, 1,
-                       UNREADABLE + "'': "),
-    "missing": (["spectrum", "--config", "{tmp}/none.cfg"], None, 1,
-                UNREADABLE + "'{tmp}/none.cfg': "),
-    "directory": (["spectrum", "--config", "{tmp}"], None, 1,
-                  UNREADABLE + "'{tmp}': "),
-    "latin1": (["spectrum"], "[run]\n# \xe9\n", 1,
-               UNREADABLE + "'{tmp}/run.cfg': "),
+    "test_a_bad_file_value_and_a_bad_override_are_reported_together":
+        _config_error(["ensemble", "--paths", "1"],
+                      "[scheme]\nhorizon = 0\n",
+                      "[scheme] horizon must be positive", SMALL_ENSEMBLE),
+    "test_bad_values_are_config_errors_before_any_output": {
+        # values a section's dataclass rejects: the problem names the section
+        "horizon = 0": _config_error(["simulate"], "[scheme]\nhorizon = 0\n",
+                                     "[scheme] horizon must be positive"),
+        "horizon shorter than one step": _config_error(
+            ["simulate"], "[scheme]\ndt = 5e-16\nhorizon = 1e-16\n",
+            "[scheme] horizon 1e-16 is shorter than one step of 5e-16"),
+        "stopping_levels = 4, 2": _config_error(
+            ["uniqueness"], "[uniqueness]\nstopping_levels = 4, 2\n",
+            "[uniqueness] stopping levels must be strictly increasing"),
+        # named the order of the levels, not their absence
+        "stopping_levels = (empty)": _config_error(
+            ["uniqueness"], "[uniqueness]\nstopping_levels =\n",
+            "[uniqueness] stopping levels must hold at least one level"),
+        # perturbed mode K - 1 and ran; failed at run time after the echo
+        "perturb_mode = -1": _config_error(
+            ["uniqueness"], "[uniqueness]\nperturb_mode = -1\n",
+            "[uniqueness] perturb_mode = -1 outside modes 0..15"),
+        "perturb_mode = 99": _config_error(
+            ["uniqueness"], "[uniqueness]\nperturb_mode = 99\n",
+            "[uniqueness] perturb_mode = 99 outside modes 0..15"),
+        # failed at run time, after the whole ensemble
+        "horizons = -0.5": _config_error(
+            ["ensemble"], "[ensemble]\nhorizons = -0.5, 0.5\n",
+            "[ensemble] horizon -0.5 is negative"),
+        # no steady state to start from: a ZeroDivisionError traceback after
+        # the echo, or (mu_u = 1e-320, u* = inf) a non-finite state at step 0
+        "mu_u = 0": _config_error(["simulate"], "[model]\nmu_u = 0\n",
+                                  STEADY.format("1.0", "1.0", "0.0", "2.0")),
+        "mu_v = 0": _config_error(["uniqueness"], "[model]\nmu_v = 0\n",
+                                  STEADY.format("1.0", "1.0", "1.0", "0.0")),
+        "kappa_v = 0": _config_error(
+            ["ensemble"], "[model]\nkappa_v = 0\n",
+            STEADY.format("1.0", "0.0", "1.0", "2.0")),
+        "mu_u = 1e-320": _config_error(
+            ["fixedpoint"], "[model]\nmu_u = 1e-320\n",
+            STEADY.format("1.0", "1.0", "1e-320", "2.0")),
+        # v* = 0: every run started from v = 0, floored on the whole grid
+        # (fixedpoint failed its start's positivity check after the echo)
+        "kappa_u = 0": _config_error(["fixedpoint"], "[model]\nkappa_u = 0\n",
+                                     V_STAR_ZERO),
+        "kappa_u = 0 simulate": _config_error(
+            ["simulate"], "[model]\nkappa_u = 0\n", V_STAR_ZERO),
+    },
+    "test_non_finite_values_are_config_errors_before_any_output": {
+        # non-finite floats ran on (or crashed) instead of failing
+        "kappa_u = nan": _config_error(
+            ["simulate"], "[model]\nkappa_u = nan\n",
+            "line 2: bad value for 'kappa_u': 'nan' is not a finite number"),
+        "length_x = inf": _config_error(
+            ["simulate"], "[domain]\nlength_x = inf\n",
+            "line 2: bad value for 'length_x': 'inf' is not a finite number"),
+        "horizon = inf": _config_error(
+            ["simulate"], "[scheme]\nhorizon = inf\n",
+            "line 2: bad value for 'horizon': 'inf' is not a finite number"),
+        "mu_u = inf": _config_error(
+            ["simulate"], "[model]\nmu_u = inf\n",
+            "line 2: bad value for 'mu_u': 'inf' is not a finite number"),
+        "p = inf": _config_error(
+            ["simulate"], "[functionals]\np = inf\n",
+            "line 2: bad value for 'p': 'inf' is not a finite number"),
+        "stopping_levels = 2, -inf": _config_error(
+            ["simulate"], "[uniqueness]\nstopping_levels = 2, -inf\n",
+            "line 2: bad value for 'stopping_levels': '-inf' is not a finite "
+            "number"),
+    },
+    "test_removed_scheme_keys_are_unknown": {
+        # removed scheme options are unknown keys
+        "dealias": _config_error(["spectrum"], "[scheme]\ndealias = true\n",
+                                 "line 2: unknown key 'dealias' in section "
+                                 "[scheme]"),
+        "exact_scalar_decay": _config_error(
+            ["spectrum"], "[scheme]\nexact_scalar_decay = true\n",
+            "line 2: unknown key 'exact_scalar_decay' in section [scheme]"),
+    },
+    "test_paths_is_rejected_where_unused": {
+        # an option the command does not take: selftest's criteria fix their
+        # own configs, so it takes no --config and no --seed (--criteria 1
+        # keeps a wrongly accepted option from running every criterion)
+        "simulate": _usage_error(["simulate", "--paths", "3"],
+                                 "unrecognized arguments: --paths 3"),
+        "uniqueness": _usage_error(["uniqueness", "--paths", "3"],
+                                   "unrecognized arguments: --paths 3"),
+        "spectrum": _usage_error(["spectrum", "--paths", "3"],
+                                 "unrecognized arguments: --paths 3"),
+        "selftest": _usage_error(
+            ["selftest", "--paths", "3", "--criteria", "1"],
+            "unrecognized arguments: --paths 3"),
+        "selftest --config": _usage_error(
+            ["selftest", "--config", "/nonexistent.cfg", "--criteria", "1"],
+            "unrecognized arguments: --config /nonexistent.cfg"),
+        "selftest --seed": _usage_error(
+            ["selftest", "--seed", "5", "--criteria", "1"],
+            "unrecognized arguments: --seed 5"),
+    },
+    "test_selftest_rejects_a_criterion_it_cannot_run": {
+        # criteria selftest cannot run; an empty list ran every criterion
+        "11": _config_error(["selftest", "--criteria", "11"], None,
+                            "--criteria takes criterion numbers 1..10, got "
+                            "'11'"),
+        "0,3": _config_error(["selftest", "--criteria", "0,3"], None,
+                             "--criteria takes criterion numbers 1..10, got "
+                             "'0,3'"),
+        "x": _config_error(["selftest", "--criteria", "x"], None,
+                           "--criteria takes criterion numbers 1..10, got "
+                           "'x'"),
+        "empty": _config_error(
+            ["selftest", "--criteria", ""], None,
+            "--criteria takes criterion numbers 1..10, got ''"),
+    },
+    "test_a_config_file_that_cannot_be_read_is_a_config_error": {
+        # config files that cannot be read, compared up to the OS error
+        # text: an empty path ran the defaults; the others exited 2
+        "empty": (["spectrum", "--config", ""], None, 1, UNREADABLE + "'': "),
+        "missing": (["spectrum", "--config", "{tmp}/none.cfg"], None, 1,
+                    UNREADABLE + "'{tmp}/none.cfg': "),
+        "directory": (["spectrum", "--config", "{tmp}"], None, 1,
+                      UNREADABLE + "'{tmp}': "),
+        "latin1": (["spectrum"], "[run]\n# \xe9\n", 1,
+                   UNREADABLE + "'{tmp}/run.cfg': "),
+    },
     # a runtime failure, after the echo, names the row and the node
-    "initial_amplitude = 5.0": (
+    "test_fixedpoint_names_the_row_of_a_nonpositive_start": (
         ["fixedpoint"], "[run]\ninitial_amplitude = 5.0\n"
         "[scheme]\nhorizon = 0.01\n", 2,
         "gmspde: runtime failure: start trajectory violates positivity: "
         "chi < 0 on row 0 at t = 0, node 20 (value -19.4254)\n"),
 }
-OS_ERROR_TEXT = {"--config empty", "missing", "directory", "latin1"}
+# compared up to the OS error text
+OS_ERROR_TEXT = "test_a_config_file_that_cannot_be_read_is_a_config_error"
 
 
-@pytest.mark.parametrize("case", list(REFUSALS))
-def test_refused_command_line(case, tmp_path, capsys):
-    argv, text, code, err = REFUSALS[case]
+def _refuse(row, prefix, tmp_path, capsys):
+    argv, text, code, err = row
     usage = cli._build_parser().format_usage()
 
     def fill(arg):
@@ -399,8 +427,28 @@ def test_refused_command_line(case, tmp_path, capsys):
     got = _outcome([*map(fill, argv), "--out-dir", str(out), "--quiet"],
                    capsys)
     want = (code, "", fill(err))
-    if case in OS_ERROR_TEXT:
+    if prefix:
         got = (*got[:2], got[2][:len(want[2])])
     assert got == want
     if code == 1:
         assert not out.exists()
+
+
+def refusal_test(name):
+    """The test ``name``: each of its REFUSALS rows, under its case id."""
+    rows, prefix = REFUSALS[name], name == OS_ERROR_TEXT
+    if not isinstance(rows, dict):
+        def test(tmp_path, capsys):
+            _refuse(rows, prefix, tmp_path, capsys)
+        return test
+
+    @pytest.mark.parametrize("case", list(rows))
+    def test(case, tmp_path, capsys):
+        _refuse(rows[case], prefix, tmp_path, capsys)
+    return test
+
+
+for _name in ["test_selftest_rejects_a_criterion_it_cannot_run",
+              "test_a_config_file_that_cannot_be_read_is_a_config_error",
+              "test_fixedpoint_names_the_row_of_a_nonpositive_start"]:
+    globals()[_name] = refusal_test(_name)

@@ -10,6 +10,20 @@ from gmspde.experiments import FixedPointConfig, StoppingSpec, uniqueness_study
 from gmspde.functionals import FunctionalConfig, auto_bounds
 from gmspde.noise import NoiseSpec
 from gmspde.spectral import DomainSpec
+from test_cli import refusal_test
+
+# configs the command line refuses: rows of tests/test_cli.py's REFUSALS
+for _name in ["test_aliasing_modes_are_config_errors",
+              "test_bad_sizes_are_config_errors_before_any_output",
+              "test_keys_past_64_bits_are_config_errors_before_any_output",
+              "test_a_nonpositive_reaction_cfl_limit_is_a_config_error",
+              "test_a_bad_override_is_a_config_error_before_any_output",
+              "test_a_bad_file_value_and_a_bad_override_are_reported_together",
+              "test_bad_values_are_config_errors_before_any_output",
+              "test_non_finite_values_are_config_errors_before_any_output",
+              "test_removed_scheme_keys_are_unknown",
+              "test_paths_is_rejected_where_unused"]:
+    globals()[_name] = refusal_test(_name)
 
 
 @pytest.mark.parametrize("limit", [0.0, -1.0])
