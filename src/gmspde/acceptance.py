@@ -150,15 +150,15 @@ def criterion_3_exact_limits():
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=0)
     mu = 1.3
     c0 = 2.5
-    p_decay = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
-                          mu_u=mu, mu_v=2.0, sigma_u=0.0, sigma_v=0.0)
+    p_decay = replace(_desk_params(sigma=0.0), kappa_u=0.0, kappa_v=0.0,
+                      mu_u=mu)
     sch = SchemeConfig(dt=1e-3, T=1.0)
     final = run(constant_pair(basis, c0, 1.0), p_decay, sch, basis, spec, None)
     exact = c0 * np.exp(-mu)
     rel = abs(float(final.u_nodal[0, 0]) - exact) / exact
 
-    p_mass = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
-                         mu_u=0.0, mu_v=0.0, sigma_u=0.0, sigma_v=0.0)
+    p_mass = replace(_desk_params(sigma=0.0), kappa_u=0.0, kappa_v=0.0,
+                     mu_u=0.0, mu_v=0.0)
     u_modal = np.zeros(16)
     u_modal[0] = 2.0
     u_modal[3] = 0.5
@@ -265,8 +265,8 @@ def criterion_6_scheme_consistency():
     basis = _basis_1d(n=4, k=1)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=1, master_seed=606)
     mu, sigma = 3.0, 2.0
-    params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
-                         mu_u=mu, mu_v=2.0, sigma_u=sigma, sigma_v=0.1)
+    params = replace(_desk_params(sigma=0.1), kappa_u=0.0, kappa_v=0.0,
+                     mu_u=mu, sigma_u=sigma)
     horizon, n_steps, n_paths, u0 = 0.25, 32, 10_000, 1.0
     ito = _gbm_batch("ito_imex", params, spec, basis, n_paths, n_steps,
                      horizon, u0, first_path=0)

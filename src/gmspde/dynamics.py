@@ -45,11 +45,8 @@ functional trace a stack of B >= 1 paths, a single path a stack of one.
 Initial data is one (2, K) modal array (row 0 u, row 1 v), and a run
 returns its final :class:`StateView`.  Every run reads its noise through
 one interface, a noise source ``draw(n0, n1)`` (:mod:`gmspde.noise`), in
-blocks of steps, two at most: on two CPUs a drawn source of two blocks or
-more is drawn ahead into two shared slots by a forked child leaving
-through ``os._exit`` (not a thread: small ufuncs do not overlap; one
-thread forks by default, so Python 3.12+ does not warn; it calls no
-BLAS); others in-line.
+blocks of steps, two at most, which :func:`~gmspde.noise.blocks` may
+draw one ahead.
 Each row is checked on its own (reaction CFL, finiteness, the zero-floor
 positivity of v): a failed row stops with the error its solo run raises
 and the other rows go on.  Under a zero floor, the core checks v > 0
@@ -506,12 +503,9 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     n1 - n0).  The stack takes them in blocks of at most
     :data:`NOISE_BLOCK_DRAWS` draws (at least one step), so its noise
     costs O(n_paths K) memory whatever the horizon; the block size moves
-    no bit of the result.  On two CPUs, a drawn source of two blocks or
-    more is drawn ahead into two shared slots by a forked child (not a
-    thread: small ufuncs do not overlap; one thread forks by default, so
-    Python 3.12+ does not warn; the child calls no BLAS), which leaves
-    through ``os._exit`` and is reaped on every exit; others are read
-    in-line.  Each step's increments are damped as one (2, n_paths, K) stack
+    no bit of the result.  The blocks come through
+    :func:`~gmspde.noise.blocks`, which may draw one ahead.  Each step's
+    increments are damped as one (2, n_paths, K) stack
     (:attr:`Stepper.damp`).  ``observer`` sees the whole stack (see
     :func:`run`).  A row that fails a step stops there, its error in the
     returned state's ``failures``, and the other rows go on; the walk

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    NOISE_BLOCK_DRAWS,
     ModelParams,
     SchemeConfig,
     SimulationError,
@@ -438,12 +439,19 @@ class UniquenessReport:
 def _stopping_scan(traj, basis, scheme, levels):
     """First-hitting steps of the two stopping-time families.
 
-    ``traj`` is a (2, 1, n+1, K) one-row stack.
+    ``traj`` is a (2, 1, n+1, K) one-row stack.  Its nodal v is formed
+    in blocks of steps, at most :data:`~gmspde.dynamics.NOISE_BLOCK_DRAWS`
+    values a block (at least one step), so the scan holds one block of
+    nodal values whatever the horizon.
     """
-    v_nodal = basis.synthesize(traj[1, 0])
-    xi = xi_nodal(v_nodal, scheme.v_floor)
-    # the running sup of |xi|_L8 first reaches m where |xi|_L8 does
-    xi8 = (xi**8 @ basis.weights) ** (1.0 / 8.0)
+    v_modal = traj[1, 0]
+    xi8 = np.empty(len(v_modal))
+    span = max(1, NOISE_BLOCK_DRAWS // basis.n_nodes)
+    for n0 in range(0, len(v_modal), span):
+        xi = xi_nodal(basis.synthesize(v_modal[n0:n0 + span]),
+                      scheme.v_floor)
+        # the running sup of |xi|_L8 first reaches m where |xi|_L8 does
+        xi8[n0:n0 + span] = (xi**8 @ basis.weights) ** (1.0 / 8.0)
     u_sq = traj[0, 0]**2
     sup_u2 = np.maximum.accumulate(np.sum(u_sq, axis=1))
     h1 = np.sum((1.0 + basis.eigenvalues) * u_sq, axis=1)

@@ -29,13 +29,14 @@ A run reads its source through :func:`blocks`.  A :func:`drawn` source
 of two blocks or more, in a process allowed two CPUs or more, is drawn
 one block ahead by a forked child, into two slots of a shared anonymous
 ``mmap``, while the run draws block 0 and steps; the child leaves
-through ``os._exit``.  Not a thread: numpy ufunc calls of 8,192
-elements or fewer do not overlap across threads on 2 cores (a prefetch
-thread read 81.9 and 85.5 ms against 80.0 and 80.2 ms in-line on
-``ens_1d``); not on one CPU, where the fork's page copies cost ``ens_1d``
-about 15%.  Other sources stay in-line.  Python 3.12+ warns on ``fork``
-with threads running; by default (one BLAS thread, :mod:`gmspde`) one
-thread forks, and the child calls no BLAS.
+through ``os._exit`` and is reaped on every exit of the run.  Not a
+thread: numpy ufunc calls of 8,192 elements or fewer do not overlap
+across threads on 2 cores (a prefetch thread read 81.9 and 85.5 ms
+against 80.0 and 80.2 ms in-line on ``ens_1d``); not on one CPU, where
+the fork's page copies cost ``ens_1d`` about 15%.  Other sources stay
+in-line.  Python 3.12+ warns on ``fork`` with threads running; by
+default (one BLAS thread, :mod:`gmspde`) one thread forks, and the child
+calls no BLAS.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from gmspde import dynamics, rng
+from gmspde.acceptance import _basis_1d, _desk_params
 from gmspde.dynamics import (
     FloorViolation,
-    ModelParams,
     SchemeConfig,
     SimulationError,
     default_initial_pair,
@@ -33,17 +33,6 @@ from gmspde.spectral import DomainSpec, build_basis
 RTOL = 1e-13
 K = 16
 FCFG = FunctionalConfig(observation_stride=7)
-
-
-def params(sigma=0.3):
-    return ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
-                       mu_u=1.0, mu_v=2.0, sigma_u=sigma, sigma_v=sigma)
-
-
-def basis_of(dim):
-    n = 64 if dim == 1 else 16
-    return build_basis(DomainSpec(dim=dim, lengths=(1.0,) * dim,
-                                  grid_points_per_axis=n), K)
 
 
 def assert_close(got, want, label=""):
@@ -61,9 +50,10 @@ def solo(init, prm, sch, basis, spec, increments, observer=None):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("scheme", ["ito_imex", "stratonovich_heun"])
 def test_stacked_rows_match_solo_runs(dim, scheme):
-    basis = basis_of(dim)
+    basis = _basis_1d() if dim == 1 else build_basis(
+        DomainSpec(dim=2, lengths=(1.0, 1.0), grid_points_per_axis=16), K)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=41)
-    prm = params()
+    prm = _desk_params(sigma=0.3)
     init = default_initial_pair(basis, prm)
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
     indices = [0, 5, 2, 9, 1]          # five rows: a BLAS remainder block
@@ -87,9 +77,9 @@ def test_stacked_rows_match_solo_runs(dim, scheme):
 
 
 def run_ensemble(n_paths=11, scheme="ito_imex"):
-    basis = basis_of(1)
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
-    prm = params()
+    prm = _desk_params(sigma=0.3)
     sch = SchemeConfig(dt=1e-3, T=0.03, scheme=scheme)
     return ensemble(default_initial_pair(basis, prm), prm, sch, basis, spec,
                     n_paths, FCFG)
@@ -134,9 +124,9 @@ class SlowRecorder(FunctionalRecorder):
 
 def stepped(source, n_paths, scheme):
     """Final state and traces of an ensemble stack stepped from ``source``."""
-    basis = basis_of(1)
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
-    prm = params()
+    prm = _desk_params(sigma=0.3)
     rec = SlowRecorder(basis, FCFG, scheme.v_floor)
     final = run_batch(default_initial_pair(basis, prm), prm, scheme, basis,
                       spec, source(spec), n_paths, observer=rec)
@@ -224,7 +214,7 @@ def test_the_noise_child_is_reaped_on_every_exit(monkeypatch):
     two_cpus(monkeypatch)
     run_ensemble(200)                                  # a normal end
     assert_no_child_left()
-    basis, prm = basis_of(1), params(sigma=30.0)
+    basis, prm = _basis_1d(), _desk_params(sigma=30.0)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
     sch = SchemeConfig(dt=1e-3, T=0.1, reaction_cfl_limit=2.25e-3)
     init = default_initial_pair(basis, prm)
@@ -252,9 +242,9 @@ def test_the_noise_child_is_reaped_on_every_exit(monkeypatch):
 
 
 def test_a_noise_block_of_the_wrong_shape_is_rejected():
-    basis = basis_of(1)
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
-    prm = params()
+    prm = _desk_params(sigma=0.3)
     sch = SchemeConfig(dt=1e-3, T=0.03)
     init = default_initial_pair(basis, prm)
     short = drawn(spec, SchemeConfig(dt=1e-3, T=0.02), range(3))(0, 20)
@@ -268,9 +258,9 @@ def test_a_noise_block_of_the_wrong_shape_is_rejected():
 
 def kicked_batch(v_floor, kick):
     """Five paths; row 2 gets ``kick`` added to one increment at step 20."""
-    basis = basis_of(1)
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=43)
-    prm = params()
+    prm = _desk_params(sigma=0.3)
     init = default_initial_pair(basis, prm)
     sch = SchemeConfig(dt=1e-3, T=0.05, v_floor=v_floor)
     increments = drawn(spec, sch, range(5))(0, sch.n_steps())
@@ -337,9 +327,9 @@ def test_floor_failure_is_reported_for_its_row_only():
 def test_ensemble_failures_match_solo_runs():
     # a CFL limit between the paths' largest reaction numbers: some paths
     # fail mid-run, the others survive in the same stacks
-    basis = basis_of(1)
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=44)
-    prm = params(sigma=1.0)
+    prm = _desk_params(sigma=1.0)
     init = default_initial_pair(basis, prm)
     loose = SchemeConfig(dt=1e-3, T=0.05)
     n_paths = 12

@@ -1,11 +1,12 @@
 import inspect
 import math
+from dataclasses import replace
 
 import pytest
 
 from gmspde import acceptance, cli
 from gmspde.config import ConfigError, dumps, loads
-from gmspde.dynamics import ModelParams, SchemeConfig, default_initial_pair
+from gmspde.dynamics import SchemeConfig, default_initial_pair
 from gmspde.experiments import FixedPointConfig, StoppingSpec, uniqueness_study
 from gmspde.functionals import FunctionalConfig, auto_bounds
 from gmspde.noise import NoiseSpec
@@ -135,12 +136,10 @@ def test_every_violated_invariant_is_reported(section):
 
 
 NAN, INF = math.nan, math.inf
-MODEL = dict(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0, mu_u=1.0,
-             mu_v=2.0, sigma_u=0.1, sigma_v=0.1)
 # Python-API constructions whose values a config file rejects at parse
 # time, with every problem line each must report
 NON_FINITE = {
-    "ModelParams r_u": (lambda: ModelParams(**{**MODEL, "r_u": NAN}),
+    "ModelParams r_u": (lambda: replace(acceptance._desk_params(), r_u=NAN),
                         ["r_u = nan is not finite"]),
     "FunctionalConfig p": (lambda: FunctionalConfig(p=NAN),
                            ["p = nan is not finite"]),

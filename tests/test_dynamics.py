@@ -1,10 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gmspde import dynamics
-from gmspde.acceptance import _gbm_batch, level_gaps
+from gmspde.acceptance import _basis_1d, _desk_params, _gbm_batch, level_gaps
 from gmspde.config import loads
 from gmspde.dynamics import (
     ModelParams,
@@ -23,27 +24,16 @@ from gmspde.noise import NoiseSpec, drawn, sliced
 from gmspde.spectral import DomainSpec, SpectralBasis, build_basis
 
 
-def make_basis(n=64, k=16):
-    return build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                  grid_points_per_axis=n), k)
-
-
 def exactness_bases():
     """The 1-D unit interval and a 2-D 1 x 1.5 rectangle (N = 24, K = 36)."""
-    return (make_basis(),
+    return (_basis_1d(),
             build_basis(DomainSpec(dim=2, lengths=(1.0, 1.5),
                                    grid_points_per_axis=24), 36))
 
 
-def desk_params(sigma=0.1):
-    return ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
-                       mu_u=1.0, mu_v=2.0, sigma_u=sigma, sigma_v=sigma)
-
-
 def test_params_reject_negative():
     with pytest.raises(ValueError, match="positivity"):
-        ModelParams(r_u=0.01, r_v=0.1, kappa_u=-1.0, kappa_v=1.0,
-                    mu_u=1.0, mu_v=1.0, sigma_u=0.1, sigma_v=0.1)
+        replace(_desk_params(), kappa_u=-1.0, mu_v=1.0)
 
 
 def test_params_strict_validation():
@@ -71,7 +61,7 @@ def test_scheme_validation():
 
 def _drift(basis, mu, sigma, scheme="ito_imex"):
     """The stepper's corrected decay mu - lin on u and on v, per mode."""
-    params = ModelParams(0.01, 0.1, 1.0, 1.0, mu, mu, sigma, sigma)
+    params = replace(_desk_params(sigma), mu_u=mu, mu_v=mu)
     sch = SchemeConfig(dt=0.1, T=1.0, scheme=scheme)
     stepper = Stepper(basis, params, sch, NoiseSpec(2.0, 2.0, basis.mode_count),
                       1)
@@ -80,9 +70,7 @@ def _drift(basis, mu, sigma, scheme="ito_imex"):
 
 def test_upsilon_examples():
     # the Ito stepper's drift is mu*Id - sigma*(Id+A)^(-gamma) per mode
-    basis = build_basis(
-        DomainSpec(dim=1, lengths=(1.0,), eigenvalue_convention="paper_1d",
-                   grid_points_per_axis=64), 8)
+    basis = _basis_1d(k=8, convention="paper_1d")
     # sigma = 0 reduces to plain scalar decay
     assert np.allclose(_drift(basis, 1.5, 0.0), 1.5)
     # mode 0 sees (mu - sigma) since (1+0)^-gamma = 1
@@ -97,8 +85,8 @@ def test_only_the_ito_step_carries_the_drift_correction(scheme):
     # a noiseless step without sources at sigma > 0: the Stratonovich
     # (Heun) step is the exact decay exp(-(r lambda + mu) dt) of each mode,
     # the Ito step adds dt phi1 sigma (Id+A)^(-gamma) on top
-    basis = make_basis()
-    params = ModelParams(0.01, 0.1, 0.0, 0.0, 1.0, 2.0, 0.5, 0.5)
+    basis = _basis_1d()
+    params = replace(_desk_params(sigma=0.5), kappa_u=0.0, kappa_v=0.0)
     sch = SchemeConfig(dt=0.1, T=1.0, scheme=scheme)
     stepper = Stepper(basis, params, sch, NoiseSpec(2.0, 2.0, 16), 1)
     state = initial_state(basis, constant_pair(basis, 1.0, 2.0), 1)
@@ -127,8 +115,8 @@ def test_phi1_is_its_formula_bit_for_bit():
 def test_constant_decay_is_exact_per_step():
     # mode 0 of a constant is the constant times sqrt(volume)
     mu = 0.7
-    params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
-                         mu_u=mu, mu_v=1.0, sigma_u=0.0, sigma_v=0.0)
+    params = replace(_desk_params(sigma=0.0), kappa_u=0.0, kappa_v=0.0,
+                     mu_u=mu, mu_v=1.0)
     sch = SchemeConfig(dt=0.01, T=0.01)  # one step
     for basis in exactness_bases():
         spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=basis.mode_count)
@@ -140,7 +128,7 @@ def test_constant_decay_is_exact_per_step():
 
 
 def test_homogeneous_steady_state_is_discrete_fixed_point():
-    params = desk_params(sigma=0.0)
+    params = _desk_params(sigma=0.0)
     u_star, v_star = steady_state(params)
     # residual of the continuous right-hand side vanishes by construction
     assert params.kappa_u * u_star**2 / v_star - params.mu_u * u_star == \
@@ -157,7 +145,7 @@ def test_homogeneous_steady_state_is_discrete_fixed_point():
 
 
 def test_sigma_zero_schemes_coincide_exactly():
-    params = desk_params(sigma=0.0)
+    params = _desk_params(sigma=0.0)
     sch_i = SchemeConfig(dt=1e-3, T=0.05, scheme="ito_imex")
     sch_s = SchemeConfig(dt=1e-3, T=0.05, scheme="stratonovich_heun")
     for basis in exactness_bases():
@@ -170,9 +158,9 @@ def test_sigma_zero_schemes_coincide_exactly():
 
 
 def test_single_step_ops_match_run():
-    basis = make_basis()
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=4)
-    params = desk_params()
+    params = _desk_params()
     init = default_initial_pair(basis, params)
     increments = drawn(spec, SchemeConfig(dt=1e-3, T=2e-3), [1])(0, 2)
     stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=2e-3), spec, 1)
@@ -194,7 +182,7 @@ def test_a_step_transforms_both_fields_at_once(monkeypatch, scheme,
                                    grid_points_per_axis=64 if dim == 1
                                    else 16), 16)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=4)
-    params = desk_params()
+    params = _desk_params()
     stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=1e-3,
                                                   scheme=scheme), spec, 3)
     state = initial_state(basis, default_initial_pair(basis, params), 3)
@@ -215,12 +203,11 @@ def test_a_step_transforms_both_fields_at_once(monkeypatch, scheme,
 
 def test_stratonovich_pathwise_matches_closed_form():
     # single-mode reduction: u0 exp(-mu t + sigma B_t), O(dt) pathwise
-    basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                   grid_points_per_axis=4), 1)
+    basis = _basis_1d(n=4, k=1)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=1, master_seed=3)
     mu, sigma = 1.0, 0.5
-    params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
-                         mu_u=mu, mu_v=2.0, sigma_u=sigma, sigma_v=0.1)
+    params = replace(_desk_params(sigma=0.1), kappa_u=0.0, kappa_v=0.0,
+                     mu_u=mu, sigma_u=sigma)
     pair = constant_pair(basis, 1.0, 1.0)
     dt = 1e-3
     sch = SchemeConfig(dt=dt, T=1.0, scheme="stratonovich_heun")
@@ -234,12 +221,11 @@ def test_stratonovich_pathwise_matches_closed_form():
 
 def test_ito_mean_matches_gbm_oracle():
     # E u(t) = u0 exp(-(mu - sigma) t) under the operator-corrected drift
-    basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                   grid_points_per_axis=4), 1)
+    basis = _basis_1d(n=4, k=1)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=1, master_seed=21)
     mu, sigma = 3.0, 2.0
-    params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=0.0, kappa_v=0.0,
-                         mu_u=mu, mu_v=2.0, sigma_u=sigma, sigma_v=0.1)
+    params = replace(_desk_params(sigma=0.1), kappa_u=0.0, kappa_v=0.0,
+                     mu_u=mu, sigma_u=sigma)
     # 2,000 paths of 16 steps of 1/64, stepped as one stack
     vals = _gbm_batch("ito_imex", params, spec, basis, 2000, 16, 0.25, 1.0,
                       first_path=0)
@@ -255,7 +241,7 @@ def test_2d_bridge_coupled_strong_order(scheme):
     # 0.74 for ito_imex, 0.91 for stratonovich_heun)
     basis = exactness_bases()[1]
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=36, master_seed=505)
-    params = desk_params(sigma=0.5)
+    params = _desk_params(sigma=0.5)
     init = default_initial_pair(basis, params)
     fine = SchemeConfig(dt=5e-4, T=0.2, scheme=scheme)
     e1, e2 = level_gaps(init, params, fine, basis, spec, 20)
@@ -263,9 +249,9 @@ def test_2d_bridge_coupled_strong_order(scheme):
 
 
 def test_run_determinism_bitwise():
-    basis = make_basis()
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=8)
-    params = desk_params()
+    params = _desk_params()
     init = default_initial_pair(basis, params)
     sch = SchemeConfig(dt=1e-3, T=0.2)
     a = run(init, params, sch, basis, spec, drawn(spec, sch, [0]))
@@ -275,9 +261,9 @@ def test_run_determinism_bitwise():
 
 
 def test_run_requires_path_for_noise():
-    basis = make_basis()
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16)
-    params = desk_params(sigma=0.1)
+    params = _desk_params(sigma=0.1)
     init = default_initial_pair(basis, params)
     with pytest.raises(ValueError, match="noise path"):
         run(init, params, SchemeConfig(dt=1e-3, T=0.1), basis, spec, None)
@@ -287,9 +273,9 @@ def test_run_holds_one_noise_block_whatever_the_horizon():
     # one path, K = 16: the noise comes in blocks of 1,024 steps, so an
     # 8 s run (8,000 steps) holds no more than a 2 s one; its whole table
     # would add 16 K 6,000 bytes = 1.5 MB
-    basis = make_basis()
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=8)
-    params = desk_params()
+    params = _desk_params()
     init = default_initial_pair(basis, params)
     warm = SchemeConfig(dt=1e-3, T=0.01)
     run(init, params, warm, basis, spec, drawn(spec, warm, [0]))
@@ -309,9 +295,9 @@ def test_the_walk_hands_each_state_to_its_observer_once(monkeypatch):
     # 3 rows of K = 16 draw 96 numbers a step: blocks of 4 steps end
     # mid-walk, and the last block is short
     monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", 4 * 96)
-    basis = make_basis()
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=6)
-    params = desk_params()
+    params = _desk_params()
     init = default_initial_pair(basis, params)
 
     class Log:
@@ -357,9 +343,9 @@ def test_the_walk_calls_its_driver_once_a_step_after_the_observer(
     # steps 0..9, across the block ends, each time after the observer has
     # seen the state it drives
     monkeypatch.setattr(dynamics, "NOISE_BLOCK_DRAWS", 4 * 96)
-    basis = make_basis()
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=6)
-    params = desk_params()
+    params = _desk_params()
     init = default_initial_pair(basis, params)
     calls = []
 
@@ -410,10 +396,9 @@ def test_mass_conservation_pure_diffusion():
 
 
 def test_reaction_cfl_guard_fires():
-    basis = make_basis()
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16)
-    params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=500.0, kappa_v=1.0,
-                         mu_u=1.0, mu_v=2.0, sigma_u=0.0, sigma_v=0.0)
+    params = replace(_desk_params(sigma=0.0), kappa_u=500.0)
     pair = constant_pair(basis, 2.0, 0.5)
     with pytest.raises(SimulationError, match="reaction CFL"):
         run(pair, params, SchemeConfig(dt=1e-2, T=0.1), basis, spec, None)
@@ -421,9 +406,9 @@ def test_reaction_cfl_guard_fires():
 
 def test_comparison_monotonicity_of_inhibitor_source():
     # enlarging u0 pointwise (noiseless) yields pointwise larger v at T
-    basis = make_basis()
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16)
-    params = desk_params(sigma=0.0)
+    params = _desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.5)
     base = default_initial_pair(basis, params)
     bigger = base.copy()
@@ -434,9 +419,9 @@ def test_comparison_monotonicity_of_inhibitor_source():
 
 
 def test_short_stochastic_run_keeps_inhibitor_positive():
-    basis = make_basis()
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=77)
-    params = desk_params(sigma=0.1)
+    params = _desk_params(sigma=0.1)
     init = default_initial_pair(basis, params)
     sch = SchemeConfig(dt=1e-3, T=0.2, v_floor=0.0)
     for idx in range(20):
@@ -446,8 +431,8 @@ def test_short_stochastic_run_keeps_inhibitor_positive():
 
 
 def test_default_initial_pair_is_admissible():
-    basis = make_basis()
-    params = desk_params()
+    basis = _basis_1d()
+    params = _desk_params()
     pair = default_initial_pair(basis, params)
     assert pair.shape == (2, basis.mode_count)
     u_nodal, v_nodal = basis.synthesize(pair)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gmspde import experiments, functionals
+from gmspde.acceptance import _basis_1d, _desk_params
 from gmspde.dynamics import (
     FloorViolation,
-    ModelParams,
     SchemeConfig,
     SimulationError,
     constant_pair,
@@ -38,18 +38,12 @@ K = 16
 
 @pytest.fixture(scope="module")
 def basis():
-    return build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                  grid_points_per_axis=64), K)
+    return _basis_1d(k=K)
 
 
 @pytest.fixture(scope="module")
 def nspec():
     return NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=2024)
-
-
-def desk_params(sigma=0.1):
-    return ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
-                       mu_u=1.0, mu_v=2.0, sigma_u=sigma, sigma_v=sigma)
 
 
 def steady_pair(basis, params):
@@ -143,7 +137,7 @@ def test_stopping_spec_requires_increasing_levels():
 
 
 def test_solve_T_fixes_noiseless_steady_state(basis, nspec):
-    params = desk_params(sigma=0.0)
+    params = _desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = steady_pair(basis, params)
     traj = constant(pair, sch)
@@ -157,7 +151,7 @@ def test_solve_T_fixes_noiseless_steady_state(basis, nspec):
 
 
 def test_solve_T_zero_source_decays(basis, nspec):
-    params = desk_params(sigma=0.0)
+    params = _desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.2)
     pair = steady_pair(basis, params)
     zero_chi = constant_pair(basis, 0.0, steady_state(params)[1])
@@ -171,7 +165,7 @@ def test_solve_T_zero_source_decays(basis, nspec):
 
 
 def test_solve_T_deterministic(basis, nspec):
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = default_initial_pair(basis, params)
     traj = constant(pair, sch)
@@ -183,7 +177,7 @@ def test_solve_T_deterministic(basis, nspec):
 
 def test_solve_T_checks_its_noise_path_as_run_does(basis, nspec):
     # a source 10 steps short fails the block-shape check in both
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = default_initial_pair(basis, params)
     traj = constant(pair, sch)
@@ -206,7 +200,7 @@ def test_coupled_solution_is_exact_fixed_point_of_T(scheme, dim, rows):
                                      grid_points_per_axis=64 if dim == 1
                                      else 16), K)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=31)
-    params = desk_params(sigma=0.3)
+    params = _desk_params(sigma=0.3)
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
     init = default_initial_pair(basis_d, params)
     increments = sliced(drawn(spec, sch, range(rows))(0, 50))
@@ -249,7 +243,7 @@ def test_sweep_iterates_equal_chained_solve_T(monkeypatch, scheme, dim, rows):
                                      grid_points_per_axis=64 if dim == 1
                                      else 16), K)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=31)
-    params = desk_params(sigma=0.3)
+    params = _desk_params(sigma=0.3)
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
     init = default_initial_pair(basis_d, params)
     increments = sliced(drawn(spec, sch, range(rows))(0, 50))
@@ -297,7 +291,7 @@ def test_sweep_distances_are_bitwise_those_of_its_stored_stack(
     # are bitwise those of the same stacks stored whole: two sweeps of
     # 3 + 2 blocks of 2 members, the second driven by the stored last
     # block of the first, against its stored coupled block
-    params = desk_params(sigma=0.3)
+    params = _desk_params(sigma=0.3)
     sch = SchemeConfig(dt=1e-3, T=0.05)
     init = default_initial_pair(basis, params)
     fcfg = FunctionalConfig(observation_stride=stride)
@@ -323,7 +317,7 @@ def test_sweep_distances_are_bitwise_those_of_its_stored_stack(
 
 
 def test_picard_stops_at_max_iterations(basis, nspec):
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05)
     init = default_initial_pair(basis, params)
     report = picard_iterate(init, params, sch, basis, nspec,
@@ -342,7 +336,7 @@ def test_picard_forms_no_energy_monitor(basis, nspec, monkeypatch):
     def unread(*args):
         raise AssertionError("Picard formed a monitor integrand")
 
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.02)
     init = default_initial_pair(basis, params)
     monkeypatch.setattr(functionals, "grad_sq", unread)
@@ -357,7 +351,7 @@ def cfl_picard_setup(basis):
     # on two members read 1.8928e-3, 2.1676e-3, 2.1850e-3 and 2.1838e-3,
     # and 2.1833e-3 in the coupled solve: at a limit of 2.1844e-3,
     # iterate 3 alone fails
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.3, reaction_cfl_limit=2.1844e-3)
     init = constant_pair(basis, 0.9 * steady_state(params)[0],
                          steady_state(params)[1])
@@ -405,7 +399,7 @@ def test_picard_raises_a_failure_of_the_coupled_solve_last(basis, nspec):
     # from v = v*/2, the peaks of iterates 1-6 rise to 4.40979e-3 and the
     # coupled solve's reads 4.41046e-3: six iterates pass, then the
     # coupled solve's error is raised
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.3, reaction_cfl_limit=4.4101e-3)
     u_star, v_star = steady_state(params)
     init = constant_pair(basis, u_star, 0.5 * v_star)
@@ -427,7 +421,7 @@ def test_a_picard_sweep_keeps_two_blocks(monkeypatch, basis):
     # last and the coupled one), a window of no more states than a block
     # and the stepper's 496-row stack: it peaked at 5.6 MiB, where
     # storing the sweep's 31 blocks took 12 MiB more
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.1)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=0)
     init = default_initial_pair(basis, params)
@@ -448,7 +442,7 @@ def test_a_picard_sweep_keeps_two_blocks(monkeypatch, basis):
 
 
 def test_solve_T_reports_reaction_cfl_of_the_shared_step(basis, nspec):
-    params = desk_params(sigma=0.0)
+    params = _desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.01)
     pair = steady_pair(basis, params)
     # kappa_u chi^2/v* dt = 100^2/2 * 1e-3 = 5 >= 1 from the first step
@@ -462,7 +456,7 @@ def test_solve_T_reports_reaction_cfl_of_the_shared_step(basis, nspec):
 
 
 def test_solve_T_raises_the_floor_violation_of_its_row(basis, nspec):
-    params = desk_params(sigma=1.0)
+    params = _desk_params(sigma=1.0)
     sch = SchemeConfig(dt=1e-3, T=0.01, v_floor=0.0)
     pair = steady_pair(basis, params)
     stack = constant(constant_pair(basis, 0.0, 1.0), sch, 3)
@@ -481,14 +475,14 @@ def test_solve_T_raises_the_floor_violation_of_its_row(basis, nspec):
 
 
 def test_seminorm_of_identical_families_is_zero(basis, nspec):
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.02)
     traj = constant(default_initial_pair(basis, params), sch)
     assert distance(traj, traj, basis, 1.1) == 0.0
 
 
 def test_picard_at_steady_state_terminates_immediately(basis, nspec):
-    params = desk_params(sigma=0.0)
+    params = _desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.05)
     pair = steady_pair(basis, params)
     report = picard_iterate(pair, params, sch, basis, nspec,
@@ -499,7 +493,7 @@ def test_picard_at_steady_state_terminates_immediately(basis, nspec):
 
 
 def test_picard_rejects_nonpositive_start(basis, nspec):
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     bad = constant_pair(basis, -1.0, steady_state(params)[1])
     with pytest.raises(ValueError, match="positivity"):
@@ -510,7 +504,7 @@ def test_picard_rejects_nonpositive_start(basis, nspec):
 def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
     # picard_iterate builds its start from the scheme; solve_T is handed
     # its input trajectory, whose step count run_batch checks as a driver
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
     start = constant(init, SchemeConfig(dt=1e-3, T=0.02))
@@ -524,7 +518,7 @@ def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
 def test_run_rejects_a_driver_of_another_height(basis, nspec):
     # a chi of two rows driving a one-row stack, or of one row driving a
     # two-row stack (which numpy would broadcast), is the run's error
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
     for chi_rows, rows in ((2, 1), (1, 2)):
@@ -545,7 +539,7 @@ def test_run_rejects_a_driver_of_another_height(basis, nspec):
 ])
 def test_sweep_depth_is_the_tighter_budget(monkeypatch, basis, nspec,
                                            horizon, members, depths):
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=horizon)
     init = default_initial_pair(basis, params)
     chains = depth_spy(monkeypatch, members)
@@ -562,7 +556,7 @@ def test_sweep_depth_is_the_tighter_budget(monkeypatch, basis, nspec,
 
 
 def test_picard_contracts_on_desk_problem(basis, nspec):
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05)
     init = default_initial_pair(basis, params)
     report = picard_iterate(init, params, sch, basis, nspec,
@@ -575,7 +569,7 @@ def test_picard_contracts_on_desk_problem(basis, nspec):
 
 def test_picard_under_stratonovich_matches_coupled_solve(basis, nspec):
     # T applies the configured scheme, so its fixed point is the Heun solve
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme="stratonovich_heun")
     init = default_initial_pair(basis, params)
     report = picard_iterate(init, params, sch, basis, nspec,
@@ -585,7 +579,7 @@ def test_picard_under_stratonovich_matches_coupled_solve(basis, nspec):
 
 
 def test_uniqueness_zero_delta_bitwise(basis, nspec):
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.2)
     init = default_initial_pair(basis, params)
     path = drawn(nspec, sch, [0])
@@ -597,7 +591,7 @@ def test_uniqueness_zero_delta_bitwise(basis, nspec):
 
 
 def test_uniqueness_small_delta_amplification(basis, nspec):
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.2)
     init = default_initial_pair(basis, params)
     path = drawn(nspec, sch, [0])
@@ -609,7 +603,7 @@ def test_uniqueness_small_delta_amplification(basis, nspec):
 
 
 def test_uniqueness_low_stopping_level_hits_at_zero(basis, nspec):
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
     path = drawn(nspec, sch, [0])
@@ -623,7 +617,7 @@ def test_uniqueness_low_stopping_level_hits_at_zero(basis, nspec):
 @pytest.mark.parametrize("mode", [-1, K])
 def test_uniqueness_rejects_a_perturbation_mode_outside_the_truncation(
         basis, nspec, mode):
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
     with pytest.raises(ValueError, match="outside the truncation"):
@@ -635,7 +629,7 @@ def test_uniqueness_rejects_a_perturbation_mode_outside_the_truncation(
 def test_uniqueness_2d_labeled_outside_scope(nspec):
     basis2 = build_basis(
         DomainSpec(dim=2, lengths=(1.0, 1.0), grid_points_per_axis=16), K)
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis2, params)
     path = drawn(nspec, sch, [0])
@@ -649,7 +643,7 @@ def test_ensemble_noiseless_matches_deterministic_run(basis, nspec):
     # paths at sigma = 0 are equal up to rounding: a stacked product may
     # sum identical rows in another order, so the standard errors are
     # pinned to the rounding contract, not to exactly 0
-    params = desk_params(sigma=0.0)
+    params = _desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=0.05)
     init = default_initial_pair(basis, params)
     res = run(init, params, sch, basis, nspec, drawn(nspec, sch, [0]))
@@ -666,8 +660,7 @@ def test_ensemble_noiseless_matches_deterministic_run(basis, nspec):
 
 def test_ensemble_reports_failed_paths(basis, nspec):
     # a blow-up configuration: huge kappa_u violates the reaction CFL
-    params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=2000.0, kappa_v=1.0,
-                         mu_u=1.0, mu_v=2.0, sigma_u=0.1, sigma_v=0.1)
+    params = dataclasses.replace(_desk_params(), kappa_u=2000.0)
     sch = SchemeConfig(dt=1e-2, T=0.1)
     init = default_initial_pair(basis, params)
     from gmspde.dynamics import SimulationError
@@ -689,7 +682,7 @@ class _States:
 
 def test_trajectory_recorder_matches_run_output(basis, nspec):
     # the store is (2, B, n+1, K): its halves are the run's u and v states
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
     path = drawn(nspec, sch, [0])
@@ -709,7 +702,7 @@ def test_trajectory_recorder_matches_run_output(basis, nspec):
 def test_uniqueness_times_are_the_recorded_step_times(basis, nspec):
     # the report's time column is n dt, bitwise the t a walk records; on
     # this grid every time but 0 differs from linspace(0, T, n + 1)
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=3e-3, T=0.036)
     init = default_initial_pair(basis, params)
     rec = FunctionalRecorder(basis, FunctionalConfig(observation_stride=1),
@@ -746,7 +739,7 @@ def _stopping_scan_per_step(traj, basis, scheme, levels):
 def test_stopping_scan_hits_levels_mid_run(basis, nspec):
     # strong noise lifts |xi|_L8 from 0.5 to ~0.68 and the H1 energy from
     # 4 to ~180 over the run, so these levels are first reached mid-run
-    params = desk_params(sigma=1.5)
+    params = _desk_params(sigma=1.5)
     sch = SchemeConfig(dt=1e-3, T=0.6)
     path = drawn(nspec, sch, [5])
     rec = TrajectoryRecorder(sch.n_steps())
@@ -761,3 +754,35 @@ def test_stopping_scan_hits_levels_mid_run(basis, nspec):
     half = (traj.shape[2] - 1) // 2
     assert sum(0 < s < half for s in steps) >= 10
     assert sum(s >= half for s in steps) >= 10
+
+
+def test_stopping_scan_in_blocks_hits_as_in_one_block(monkeypatch):
+    # 2-D, N = 64 (4,225 nodes), K = 64, 400 steps: blocks of 7 steps,
+    # where each nodal array of the whole run would take 13.5 MB
+    basis2 = build_basis(
+        DomainSpec(dim=2, lengths=(1.0, 1.0), grid_points_per_axis=64), 64)
+    spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=64, master_seed=808)
+    params = _desk_params(sigma=1.5)
+    sch = SchemeConfig(dt=1e-3, T=0.4)
+    rec = TrajectoryRecorder(sch.n_steps())
+    run(default_initial_pair(basis2, params), params, sch, basis2, spec,
+        drawn(spec, sch, [5]), observer=rec)
+    traj = rec.trajectories()
+    # the running sup of |xi|_L8 climbs from 0.5 to 0.69 by step ~120 and
+    # the energy from 4 to 155 over the run: first hits in many blocks
+    levels = tuple(np.round(np.concatenate((np.linspace(0.51, 0.68, 18),
+                                            np.geomspace(4.5, 150.0, 30))), 6))
+    tracemalloc.start()
+    try:
+        got = _stopping_scan(traj, basis2, sch, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # four blocks of nodal values and four (n+1, K) modal arrays
+    assert peak < 32 * experiments.NOISE_BLOCK_DRAWS + 4 * traj[0, 0].nbytes
+    span = experiments.NOISE_BLOCK_DRAWS // basis2.n_nodes
+    steps = [s for tau in got for s in tau.values() if s is not None]
+    assert len({s // span for s in steps}) >= 10
+    monkeypatch.setattr(experiments, "NOISE_BLOCK_DRAWS",
+                        traj.shape[2] * basis2.n_nodes)
+    assert _stopping_scan(traj, basis2, sch, levels) == got

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmspde.acceptance import _basis_1d, _desk_params
 from gmspde.dynamics import (
     FloorViolation,
-    ModelParams,
     SchemeConfig,
     StateView,
     Stepper,
@@ -19,14 +19,9 @@ from gmspde.functionals import FunctionalConfig, FunctionalRecorder, grad_sq
 from gmspde.noise import NoiseSpec
 from gmspde.spectral import DomainSpec, build_basis
 
-PARAMS = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
-                     mu_u=1.0, mu_v=2.0, sigma_u=0.1, sigma_v=0.1)
-
-
 @pytest.fixture(scope="module")
 def basis():
-    return build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                  grid_points_per_axis=64), 16)
+    return _basis_1d()
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +45,7 @@ def _columns(basis, u_nodal, v_nodal, p=2.0, rho=1.1):
 
 def _stepper(basis, v_floor, rows):
     scheme = SchemeConfig(dt=1.0, T=1.0, v_floor=v_floor)
-    return Stepper(basis, PARAMS, scheme,
+    return Stepper(basis, _desk_params(), scheme,
                    NoiseSpec(2.0, 2.0, basis.mode_count), rows)
 
 
@@ -127,8 +122,7 @@ def test_norm_lp_constant_and_eigenfunction(basis):
 def test_norm_lp_sine_profile_against_analytic_oracle():
     # sin(pi x) on [0,1]: |f|_L1 = 2/pi, |f|_L2^2 = 1/2, |f|_L3^3 = 4/(3 pi)
     # trapezoid error ~ pi/6 N^-2 for the L1 case, so the grid must be fine
-    dom = DomainSpec(dim=1, lengths=(1.0,), grid_points_per_axis=16384)
-    b = build_basis(dom, 4)
+    b = _basis_1d(n=16384, k=4)
     sine = np.sin(np.pi * b.axes[0])
     assert _columns(b, 1.0, sine)["eta_l1"] == pytest.approx(
         2.0 / np.pi, abs=1e-8)
@@ -230,8 +224,9 @@ def test_reaction_quotient_zero_floor_rejects_nonpositive(basis):
 
     for observer in (None, Recorder()):
         with pytest.raises(FloorViolation) as err:
-            run_batch(init, PARAMS, SchemeConfig(dt=0.1, T=1.0, v_floor=0.0),
-                      basis, NoiseSpec(2.0, 2.0, basis.mode_count), draw, 3,
+            run_batch(init, _desk_params(),
+                      SchemeConfig(dt=0.1, T=1.0, v_floor=0.0), basis,
+                      NoiseSpec(2.0, 2.0, basis.mode_count), draw, 3,
                       observer)
         assert err.value.node_index == want.node_index
         assert str(err.value) == str(want)
@@ -250,9 +245,7 @@ def test_reaction_quotient_degree_two_homogeneity(basis, seed):
 
 @pytest.mark.parametrize("convention", ["neumann_cosine", "paper_1d"])
 def test_gradient_energy_of_eigenfunction_is_eigenvalue(convention):
-    dom = DomainSpec(dim=1, lengths=(1.0,), eigenvalue_convention=convention,
-                     grid_points_per_axis=128)
-    b = build_basis(dom, 12)
+    b = _basis_1d(n=128, k=12, convention=convention)
     for k in (1, 4, 7):
         assert _grad_energy(b, np.eye(12)[k]) == pytest.approx(
             b.eigenvalues[k], rel=1e-8)

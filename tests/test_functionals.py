@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gmspde import experiments, functionals
+from gmspde.acceptance import _basis_1d, _desk_params
 from gmspde.dynamics import (
     FloorViolation,
-    ModelParams,
     SchemeConfig,
     StateView,
     constant_pair,
@@ -42,8 +42,7 @@ K = 8
 
 @pytest.fixture(scope="module")
 def basis():
-    return build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                  grid_points_per_axis=64), K)
+    return _basis_1d(k=K)
 
 
 def quotient_nodal(u_nodal, v_nodal, v_floor):
@@ -52,11 +51,6 @@ def quotient_nodal(u_nodal, v_nodal, v_floor):
         reject_nonpositive(v_nodal)
         return np.divide(u_nodal * u_nodal, v_nodal)
     return np.divide(u_nodal * u_nodal, np.maximum(v_nodal, v_floor))
-
-
-def desk_params(sigma=0.1):
-    return ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
-                       mu_u=1.0, mu_v=2.0, sigma_u=sigma, sigma_v=sigma)
 
 
 # the step of the constant stacks: 8 steps to T = 1
@@ -231,7 +225,7 @@ def test_lyapunov_l3_trivial(basis):
 
 
 def test_running_integrals_nondecreasing(basis):
-    params = desk_params()
+    params = _desk_params()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=13)
     init = default_initial_pair(basis, params)
     sch = SchemeConfig(dt=1e-3, T=0.2)
@@ -269,7 +263,7 @@ def test_membership_bound_violation_detected(basis):
 
 
 def test_ensemble_membership_reproducible(basis):
-    params = desk_params()
+    params = _desk_params()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=303)
     init = default_initial_pair(basis, params)
     sch = SchemeConfig(dt=1e-3, T=0.1)
@@ -302,7 +296,7 @@ def test_fit_growth_envelope_flags_blow_up():
 
 def test_monitors_constant_for_steady_trajectory(basis):
     # deterministic steady state: all monitor LHS constant, delta fits to 0
-    params = desk_params(sigma=0.0)
+    params = _desk_params(sigma=0.0)
     cfg = FunctionalConfig(observation_stride=1)
     from gmspde.dynamics import steady_state
     u_star, v_star = steady_state(params)
@@ -318,14 +312,14 @@ def test_monitors_constant_for_steady_trajectory(basis):
 def test_xi_l1_monitor_for_unit_inhibitor(basis):
     cfg = FunctionalConfig(observation_stride=1)
     trace = walk_trace(const_traj(basis, 0.0, 1.0), basis, cfg, 1e-8)
-    fits = energy_monitors(trace, desk_params(), cfg,
+    fits = energy_monitors(trace, _desk_params(), cfg,
                            horizons=[0.5, 1.0])
     assert np.allclose(fits["xi_l1_pathsup"].lhs, 1.0, atol=1e-12)
     assert np.allclose(fits["xi_l1_meansup"].lhs, 1.0, atol=1e-12)
 
 
 def test_monitor_envelope_holds_on_stochastic_ensemble(basis):
-    params = desk_params()
+    params = _desk_params()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=99)
     init = default_initial_pair(basis, params)
     sch = SchemeConfig(dt=1e-3, T=0.4)
@@ -342,10 +336,9 @@ def test_monitor_envelope_holds_on_stochastic_ensemble(basis):
 def test_floor_activation_column_is_the_steppers_count():
     # v = 0.25 < v_floor on all 17 nodes: the stepper floors 17 per step,
     # and the recorder's column is the stepper's count
-    basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                   grid_points_per_axis=16), 4)
+    basis = _basis_1d(n=16, k=4)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=4)
-    params = desk_params(sigma=0.0)
+    params = _desk_params(sigma=0.0)
     sch = SchemeConfig(dt=1e-3, T=4e-3, v_floor=0.5)
     pair = constant_pair(basis, 0.1, 0.25)
     fcfg = FunctionalConfig(observation_stride=1)
@@ -466,10 +459,9 @@ def test_lean_recorder_columns_are_bitwise_the_full_ones():
     # one stack of the Picard benchmark's shape (16 paths of 100 steps,
     # K = 16) observed by a full recorder and a lean one; v_floor = v* = 2
     # floors about half the nodes
-    basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                   grid_points_per_axis=64), 16)
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=41)
-    params = desk_params(sigma=0.3)
+    params = _desk_params(sigma=0.3)
     sch = SchemeConfig(dt=1e-3, T=0.1, v_floor=2.0)
     init = default_initial_pair(basis, params)
     fcfg = FunctionalConfig(observation_stride=25)
@@ -496,10 +488,9 @@ def test_picard_memberships_match_a_walk_over_each_iterate(monkeypatch):
     # the picard_1d benchmark's iteration: sweeps of 4 and 2 blocks of 16
     # members, the coupled block in the first; each sweep's stack is
     # stored by a rerun of its run_batch call, bit for bit its own
-    basis = build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                   grid_points_per_axis=64), 16)
+    basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=0)
-    params = desk_params()
+    params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.1)
     init = default_initial_pair(basis, params)
     fcfg = FunctionalConfig(observation_stride=25)
@@ -533,7 +524,7 @@ def test_picard_start_bounds_match_a_walk_over_its_steps(basis):
     # the start's trace is two observations of its one state; every state
     # of the constant start is that state, so a walk over its 2,000 steps
     # gives the same bounds to rounding
-    params = desk_params()
+    params = _desk_params()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=5)
     sch = SchemeConfig(dt=1e-3, T=2.0)
     init = default_initial_pair(basis, params)

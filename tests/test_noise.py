@@ -6,22 +6,20 @@ import pytest
 from scipy.special import ndtri
 
 from gmspde import rng
+from gmspde.acceptance import _basis_1d, _desk_params
 from gmspde.config import loads
-from gmspde.dynamics import ModelParams, SchemeConfig, Stepper, run
+from gmspde.dynamics import SchemeConfig, Stepper, run
 from gmspde.noise import (
     NoiseSpec,
     drawn,
     paired,
     sliced,
 )
-from gmspde.spectral import DomainSpec, build_basis
 
 
 @pytest.fixture(scope="module")
 def basis():
-    dom = DomainSpec(dim=1, lengths=(1.0,), eigenvalue_convention="paper_1d",
-                     grid_points_per_axis=256)
-    return build_basis(dom, 64)
+    return _basis_1d(n=256, k=64, convention="paper_1d")
 
 
 @pytest.fixture(scope="module")
@@ -224,19 +222,15 @@ def test_mode_count_extension_preserves_prefix():
     assert np.array_equal(pl[:, :8, :], ps)
 
 
-PARAMS = ModelParams(0.01, 0.1, 1.0, 1.0, 1.0, 2.0, 0.1, 0.1)
-
-
 def _damped(basis, spec, table, n):
     """The stepper's damped W_1 and W_2 increments of step n."""
-    stepper = Stepper(basis, PARAMS, SchemeConfig(dt=0.25, T=1.0), spec, 1)
+    stepper = Stepper(basis, _desk_params(), SchemeConfig(dt=0.25, T=1.0),
+                      spec, 1)
     return stepper.damp[:, 0] * table[:, :, n]
 
 
 def test_truncation_monotonicity_of_increment_norm():
-    dom_small = DomainSpec(dim=1, lengths=(1.0,), grid_points_per_axis=64)
-    b_small = build_basis(dom_small, 8)
-    b_large = build_basis(dom_small, 16)
+    b_small, b_large = _basis_1d(k=8), _basis_1d()
     s_small = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=8, master_seed=5)
     s_large = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=5)
     for n in range(4):
@@ -263,11 +257,10 @@ def test_increment_field_bounds(basis, spec):
     sch = SchemeConfig(dt=0.0625, T=1.0)
     with pytest.raises(ValueError, match=r"\(1, 2, 64, 8\), run needs "
                                          r"\(1, 2, 64, 16\)"):
-        run(np.ones((2, spec.mode_count)), PARAMS, sch, basis, spec, p)
-    small_basis = build_basis(
-        DomainSpec(dim=1, lengths=(1.0,), grid_points_per_axis=64), 8)
+        run(np.ones((2, spec.mode_count)), _desk_params(), sch, basis, spec,
+            p)
     with pytest.raises(ValueError, match="mode count"):
-        Stepper(small_basis, PARAMS, sch, spec, 1)
+        Stepper(_basis_1d(k=8), _desk_params(), sch, spec, 1)
 
 
 def test_mode_coefficient_variance_against_covariance_oracle(basis):

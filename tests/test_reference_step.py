@@ -1,12 +1,14 @@
 """``Stepper.advance`` against the one-row reference step of its docstring."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmspde.acceptance import _desk_params
 from gmspde.dynamics import (
     FloorViolation,
-    ModelParams,
     SchemeConfig,
     StateView,
     Stepper,
@@ -50,9 +52,8 @@ def steps(draw):
 def test_advance_matches_the_reference_step_row_by_row(case):
     basis = build_basis(DomainSpec(dim=case["dim"], lengths=(1.0,) * case["dim"],
                                    grid_points_per_axis=case["n"]), case["k"])
-    params = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
-                         mu_u=1.0, mu_v=2.0, sigma_u=case["sigma_u"],
-                         sigma_v=case["sigma_v"])
+    params = replace(_desk_params(), sigma_u=case["sigma_u"],
+                     sigma_v=case["sigma_v"])
     scheme = SchemeConfig(dt=case["dt"], T=case["dt"], scheme=case["scheme"],
                           v_floor=case["v_floor"])
     spec = NoiseSpec(gamma1=2.0, gamma2=3.0, mode_count=case["k"])

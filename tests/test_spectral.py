@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gmspde.acceptance import _basis_1d
 from gmspde.dynamics import ModelParams, SchemeConfig, Stepper
 from gmspde.functionals import grad_sq
 from gmspde.noise import NoiseSpec
 from gmspde.spectral import DomainSpec, build_basis, mode_list
 
 
-def unit_interval(convention="neumann_cosine", n=64):
-    return DomainSpec(dim=1, lengths=(1.0,), eigenvalue_convention=convention,
-                      grid_points_per_axis=n)
-
-
 def test_paper_convention_reproduces_4pi2_k2():
-    basis = build_basis(unit_interval("paper_1d"), 12)
+    basis = _basis_1d(k=12, convention="paper_1d")
     k = np.arange(12)
     assert np.allclose(basis.eigenvalues, 4 * np.pi**2 * k**2, rtol=0, atol=0)
     assert basis.eigenvalues[1] == pytest.approx(39.4784176, abs=1e-6)
@@ -70,8 +66,9 @@ def test_mode_zero_is_constant_inverse_sqrt_volume():
 
 
 @pytest.mark.parametrize("dom", [
-    unit_interval("neumann_cosine", 256),
-    unit_interval("paper_1d", 256),
+    DomainSpec(dim=1, lengths=(1.0,), grid_points_per_axis=256),
+    DomainSpec(dim=1, lengths=(1.0,), eigenvalue_convention="paper_1d",
+               grid_points_per_axis=256),
     DomainSpec(dim=2, lengths=(1.0, 1.5), grid_points_per_axis=64),
 ])
 def test_orthonormality_under_stored_quadrature(dom):
@@ -82,7 +79,7 @@ def test_orthonormality_under_stored_quadrature(dom):
 
 
 def test_quadrature_agrees_with_independent_integrator():
-    basis = build_basis(unit_interval(n=128), 8)
+    basis = _basis_1d(n=128, k=8)
     a = 1.0
     f35 = lambda x: (np.sqrt(2 / a) * np.cos(3 * np.pi * x / a)
                      * np.sqrt(2 / a) * np.cos(5 * np.pi * x / a))
@@ -97,7 +94,7 @@ def test_quadrature_agrees_with_independent_integrator():
 
 
 @pytest.mark.parametrize("dom,k", [
-    (unit_interval(n=128), 32),
+    (DomainSpec(dim=1, lengths=(1.0,), grid_points_per_axis=128), 32),
     (DomainSpec(dim=2, lengths=(1.0, 1.0), grid_points_per_axis=64), 25),
 ])
 def test_sup_norm_growth_bound(dom, k):
@@ -123,7 +120,7 @@ def _stepper(basis, gamma, sigma=0.5):
 def test_smoothing_operator_on_two_modes():
     # S(1) = (Id+A)^(-1) is the noise damping at gamma = 2: mode 0 passes,
     # mode 1 of the paper convention is scaled by 1/(1 + 4 pi^2)
-    damp = _stepper(build_basis(unit_interval("paper_1d"), 6), 2.0).damp[0, 0]
+    damp = _stepper(_basis_1d(k=6, convention="paper_1d"), 2.0).damp[0, 0]
     assert damp[0] == 1.0
     assert damp[1] == pytest.approx(1.0 / (1.0 + 4 * np.pi**2), rel=1e-15)
 
@@ -133,7 +130,7 @@ def test_smoothing_operator_on_two_modes():
 def test_multiplier_composition(gamma, sigma):
     # the Ito correction sigma (Id+A)^(-gamma) is the noise damping
     # (Id+A)^(-gamma/2) applied twice, times sigma
-    basis = build_basis(unit_interval(), 8)
+    basis = _basis_1d(k=8)
     stepper = _stepper(basis, gamma, sigma)
     for lin, damp in zip(stepper._lin, stepper.damp):
         assert np.allclose(lin, sigma * damp * damp, rtol=1e-14, atol=1e-300)
@@ -146,7 +143,7 @@ def _weyl_ratios(basis):
 
 
 def test_asymptotics_exact_for_paper_convention():
-    ratios = _weyl_ratios(build_basis(unit_interval("paper_1d", n=64), 16))
+    ratios = _weyl_ratios(_basis_1d(convention="paper_1d"))
     assert ratios.min() == pytest.approx(4 * np.pi**2, rel=1e-12)
     assert ratios.max() == pytest.approx(4 * np.pi**2, rel=1e-12)
 
@@ -164,7 +161,7 @@ def test_asymptotics_2d_brute_force():
 
 def test_build_rejects_aliased_mode_count():
     with pytest.raises(ValueError, match="grid_points_per_axis >= 64"):
-        build_basis(unit_interval(n=16), 32)
+        _basis_1d(n=16, k=32)
 
 
 def test_domain_validation():
@@ -199,7 +196,7 @@ def test_build_is_deterministic():
 
 
 @pytest.mark.parametrize("dom,k", [
-    (unit_interval(), 16),
+    (DomainSpec(dim=1, lengths=(1.0,)), 16),
     (DomainSpec(dim=2, lengths=(1.0, 2.0), grid_points_per_axis=16), 16),
 ])
 def test_stacked_transforms_match_per_row_calls(dom, k):
@@ -246,8 +243,8 @@ RECTANGLE = DomainSpec(dim=2, lengths=(1.0, 2.5), grid_points_per_axis=32)
 
 
 @pytest.mark.parametrize("dom,k", [
-    (unit_interval("neumann_cosine", 64), 16),
-    (unit_interval("paper_1d", 64), 12),
+    (DomainSpec(dim=1, lengths=(1.0,)), 16),
+    (DomainSpec(dim=1, lengths=(1.0,), eigenvalue_convention="paper_1d"), 12),
     (RECTANGLE, 20),
 ], ids=["neumann_cosine", "paper_1d", "rectangle"])
 def test_transforms_match_per_mode_oracle(dom, k):

@@ -11,8 +11,8 @@ out.
 import numpy as np
 import pytest
 
+from gmspde.acceptance import _basis_1d, _desk_params
 from gmspde.dynamics import (
-    ModelParams,
     SchemeConfig,
     StateView,
     Stepper,
@@ -30,12 +30,9 @@ from gmspde.functionals import (
     xi_nodal,
 )
 from gmspde.noise import NoiseSpec, drawn
-from gmspde.spectral import DomainSpec, build_basis
 
-# sigma = 1 and this CFL limit: of paths 0..8, paths 0, 2 and 8 break the
-# limit mid-run, at steps 18, 9 and 49
-PARAMS = ModelParams(r_u=0.01, r_v=0.1, kappa_u=1.0, kappa_v=1.0,
-                     mu_u=1.0, mu_v=2.0, sigma_u=1.0, sigma_v=1.0)
+# the desk model at sigma = 1 and this CFL limit: of paths 0..8, paths 0, 2
+# and 8 break the limit mid-run, at steps 18, 9 and 49
 SCHEME = SchemeConfig(dt=1e-3, T=0.05, reaction_cfl_limit=0.0028)
 SPEC = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=16, master_seed=808)
 FCFG = FunctionalConfig(observation_stride=7)
@@ -45,23 +42,24 @@ HORIZONS = [0.014, 0.035, 0.05]
 
 @pytest.fixture(scope="module")
 def basis():
-    return build_basis(DomainSpec(dim=1, lengths=(1.0,),
-                                  grid_points_per_axis=64), 16)
+    return _basis_1d()
 
 
 @pytest.fixture(scope="module")
 def report(basis):
-    init = default_initial_pair(basis, PARAMS)
-    return ensemble(init, PARAMS, SCHEME, basis, SPEC, N_PATHS, FCFG,
+    params = _desk_params(sigma=1.0)
+    init = default_initial_pair(basis, params)
+    return ensemble(init, params, SCHEME, basis, SPEC, N_PATHS, FCFG,
                     horizons=HORIZONS)
 
 
 @pytest.fixture(scope="module")
 def per_path(basis):
     """One-row trace stacks of the surviving paths, in path order."""
-    init = default_initial_pair(basis, PARAMS)
+    params = _desk_params(sigma=1.0)
+    init = default_initial_pair(basis, params)
     rec = FunctionalRecorder(basis, FCFG, SCHEME.v_floor)
-    final = run_batch(init, PARAMS, SCHEME, basis, SPEC,
+    final = run_batch(init, params, SCHEME, basis, SPEC,
                       drawn(SPEC, SCHEME, range(N_PATHS)), N_PATHS,
                       observer=rec)
     stack = rec.traces()
@@ -143,8 +141,9 @@ def test_ensemble_statistics_equal_the_per_row_loop(report, per_path):
 
 
 def test_energy_monitors_equal_the_per_row_loop(report, per_path):
-    want = reference_monitors(per_path, PARAMS, FCFG.p, HORIZONS)
-    fits = energy_monitors(report.traces, PARAMS, FCFG, horizons=HORIZONS)
+    params = _desk_params(sigma=1.0)
+    want = reference_monitors(per_path, params, FCFG.p, HORIZONS)
+    fits = energy_monitors(report.traces, params, FCFG, horizons=HORIZONS)
     assert list(fits) == list(want) == list(report.monitors)
     for name, (lhs, init) in want.items():
         for fit in (fits[name], report.monitors[name]):
@@ -185,9 +184,8 @@ def test_xi_nodal_is_the_steppers_quotient_at_unit_chi(basis):
                          np.stack((np.ones_like(stack), stack)),
                          np.zeros(15, dtype=int), np.ones(15, dtype=bool))
         out = np.empty_like(view.nodal)
-        stepper = Stepper(basis, PARAMS, SchemeConfig(dt=1.0, T=1.0,
-                                                      v_floor=floor),
-                          SPEC, 15)
+        stepper = Stepper(basis, _desk_params(sigma=1.0),
+                          SchemeConfig(dt=1.0, T=1.0, v_floor=floor), SPEC, 15)
         stepper._sources(view, view.u_nodal, out)
         assert xi_nodal(stack, floor).tobytes() == out[0].tobytes()
         counts = np.count_nonzero(stack < floor, axis=-1)

@@ -33,6 +33,10 @@ and each checks one thing:
 * ``stopping``: a delta = 0 ``uniqueness`` at sigma = 1.5 over 600
   steps, whose 68 stopping levels include some first hit mid-run; its
   two runs must be bitwise identical;
+* ``stopping_2d``: a ``uniqueness`` on the unit square (N = 64, K = 64)
+  at sigma = 1.5 over 300 steps at the same levels, whose stopping scan
+  reads its 301 states in 43 blocks of 7 steps, with first hits in many
+  of them;
 * ``ensemble_20_*`` and ``ensemble_201_*`` (1-D, both schemes; 201 is
   a multiple of neither 4 nor 16) and ``ensemble_2d_10``: ensemble
   means, standard errors and monitor fits at horizons 0.014, 0.035 and
@@ -141,6 +145,13 @@ CONFIGS = {
                              "run.path_index = 5", "uniqueness.delta = 0.0",
                              f"uniqueness.stopping_levels = {LEVELS}"),
                        ("uniqueness",), ONCE),
+    "stopping_2d": Config(_text("model.sigma_u = 1.5", "model.sigma_v = 1.5",
+                                "domain.dim = 2", "domain.grid_points = 64",
+                                "scheme.horizon = 0.3", "noise.modes = 64",
+                                "noise.master_seed = 808",
+                                "run.path_index = 5",
+                                f"uniqueness.stopping_levels = {LEVELS}"),
+                          ("uniqueness",), ONCE),
     **{f"ensemble_{paths}_{scheme}": Config(
         _text(*ENSEMBLE, f"scheme.scheme = {scheme}", f"run.paths = {paths}"),
         ("ensemble",), ONCE)
