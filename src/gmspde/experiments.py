@@ -37,12 +37,14 @@ layout, and the core steps one stack.  Its iterates equal chained driven
 measured live as the sweep steps them, and its report, read block by
 block, reruns bit for bit.  The uniqueness study draws its path's
 table once and runs its two trajectories one by one on it, so its
-delta = 0 check stays bitwise.
+delta = 0 check stays bitwise; each run's observer keeps its modes and
+the |xi|_L8 of each state as it steps, and the stopping times are read
+from those series, so no state is walked twice.
 
-Every stored trajectory is the (2, B, n+1, K) modal array of the
-trajectory store (:class:`TrajectoryRecorder`): chi (u) first, then eta
-(v), of B >= 1 paths on the steps n dt.  A functional trace is a stack
-of B >= 1 paths too; a single path is a stack of one.
+A stored iterate is a (2, B, n+1, K) modal array: chi (u) first, then
+eta (v), of B >= 1 paths on the steps n dt; a uniqueness run keeps its
+one row as (2, n+1, K).  A functional trace is a stack of B >= 1 paths
+too; a single path is a stack of one.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    NOISE_BLOCK_DRAWS,
     ModelParams,
     SchemeConfig,
     SimulationError,
@@ -129,31 +130,6 @@ class StoppingSpec:
 # stays: at picard_1d its sweeps of 4 + 2 blocks step as many rows in
 # as many sweeps as 3 + 3 would.
 SWEEP_MAX_ROWS = 64
-
-
-class TrajectoryRecorder:
-    """Observer storing every step's modal coefficients of every row.
-
-    The states of a run of ``n_steps`` steps go into one (2, B, n+1, K)
-    store, allocated at the first state; state i is that of step i, at
-    t = i dt.  :meth:`trajectories` returns the view of the states
-    recorded, of all rows (fewer states if the walk stopped early).
-    """
-
-    def __init__(self, n_steps: int):
-        self._states = n_steps + 1
-        self._store = None
-        self._count = 0
-
-    def observe(self, view, dt):
-        if self._store is None:
-            self._store = np.empty(view.modal.shape[:2] + (self._states,)
-                                   + view.modal.shape[2:])
-        self._store[:, :, self._count] = view.modal
-        self._count += 1
-
-    def trajectories(self):
-        return self._store[:, :, :self._count]
 
 
 def row_sups(diff, h_weights):
@@ -436,36 +412,45 @@ class UniquenessReport:
         return lines
 
 
-def _stopping_scan(traj, basis, scheme, levels):
-    """First-hitting steps of the two stopping-time families.
+class _StudyRun:
+    """Observer of one run of :func:`uniqueness_study`.
 
-    ``traj`` is a (2, 1, n+1, K) one-row stack.  Its nodal v is formed
-    in blocks of steps, at most :data:`~gmspde.dynamics.NOISE_BLOCK_DRAWS`
-    values a block (at least one step), so the scan holds one block of
-    nodal values whatever the horizon.
+    For each state of the one-row run it keeps the (2, K) modes, in
+    ``modes`` (2, n+1, K), and the |xi|_L8 of the state's own nodal v,
+    xi = 1/max(v, floor), in ``xi8`` (n+1,).
     """
-    v_modal = traj[1, 0]
-    xi8 = np.empty(len(v_modal))
-    span = max(1, NOISE_BLOCK_DRAWS // basis.n_nodes)
-    for n0 in range(0, len(v_modal), span):
-        xi = xi_nodal(basis.synthesize(v_modal[n0:n0 + span]),
-                      scheme.v_floor)
-        # the running sup of |xi|_L8 first reaches m where |xi|_L8 does
-        xi8[n0:n0 + span] = (xi**8 @ basis.weights) ** (1.0 / 8.0)
-    u_sq = traj[0, 0]**2
-    sup_u2 = np.maximum.accumulate(np.sum(u_sq, axis=1))
-    h1 = np.sum((1.0 + basis.eigenvalues) * u_sq, axis=1)
-    # left-point rule for int_0^t |u|_H1^2 ds, summed in step order
-    h1_running = np.concatenate(([0.0], np.cumsum(h1[:-1] * scheme.dt)))
-    energy = h1_running + sup_u2
 
-    def first_hit(series, m):
-        hits = np.flatnonzero(series >= m)
-        return int(hits[0]) if hits.size else None
+    def __init__(self, basis, scheme):
+        n = scheme.n_steps()
+        self._basis, self._scheme = basis, scheme
+        self.modes = np.empty((2, n + 1, basis.mode_count))
+        self.xi8 = np.empty(n + 1)
 
-    tau1 = {m: first_hit(xi8, m) for m in levels}
-    tau2 = {m: first_hit(energy, m) for m in levels}
-    return tau1, tau2
+    def observe(self, view, dt):
+        step = view.step_index
+        self.modes[:, step] = view.modal[:, 0]
+        xi = xi_nodal(view.v_nodal[0], self._scheme.v_floor)
+        self.xi8[step] = (xi**8 @ self._basis.weights) ** (1.0 / 8.0)
+
+    def first_hits(self, levels):
+        """First-hitting steps of tau1 and tau2, each a dict by level.
+
+        The running sup of |xi|_L8 first reaches m where |xi|_L8 does;
+        the energy is formed from the stored u.
+        """
+        u_sq = self.modes[0]**2
+        sup_u2 = np.maximum.accumulate(np.sum(u_sq, axis=1))
+        h1 = np.sum((1.0 + self._basis.eigenvalues) * u_sq, axis=1)
+        # left-point rule for int_0^t |u|_H1^2 ds, summed in step order
+        dt = self._scheme.dt
+        energy = np.concatenate(([0.0], np.cumsum(h1[:-1] * dt))) + sup_u2
+
+        def first_hit(series, m):
+            hits = np.flatnonzero(series >= m)
+            return int(hits[0]) if hits.size else None
+
+        return ({m: first_hit(self.xi8, m) for m in levels},
+                {m: first_hit(energy, m) for m in levels})
 
 
 def uniqueness_study(init, delta: float, params: ModelParams,
@@ -480,9 +465,11 @@ def uniqueness_study(init, delta: float, params: ModelParams,
     :func:`~gmspde.dynamics.run`): its table is drawn once, and each run
     reads it through ``noise.sliced``, bit for bit the drawn blocks.
     delta = 0 must give bitwise-coincident trajectories; delta > 0
-    reports the measured amplification sup_t |u1-u2|_L2 / delta.  The
-    theorem behind this check is one-dimensional; rectangle runs are
-    labeled outside its scope but executed all the same.
+    reports the measured amplification sup_t |u1-u2|_L2 / delta.  Each
+    run's observer (``_StudyRun``) keeps its modes and |xi|_L8 as it
+    steps, and the run's stopping times are read from them.  The theorem
+    behind this check is one-dimensional; rectangle runs are labeled
+    outside its scope but executed all the same.
     """
     if delta < 0:
         raise ValueError("perturbation size must be >= 0")
@@ -495,25 +482,22 @@ def uniqueness_study(init, delta: float, params: ModelParams,
     common = sliced(draw(0, n))
 
     def solve(pair):
-        rec = TrajectoryRecorder(n)
-        run(pair, params, scheme, basis, noise_spec, common, observer=rec)
-        return rec.trajectories()
+        walk = _StudyRun(basis, scheme)
+        run(pair, params, scheme, basis, noise_spec, common, observer=walk)
+        return walk
 
-    t1 = solve(init)
-    t2 = solve(init2)
-    diff = t1[:, 0] - t2[:, 0]
+    runs = solve(init), solve(init2)
+    diff = runs[0].modes - runs[1].modes
     du = np.sqrt(np.sum(diff[0]**2, axis=1))
     dv = np.sqrt(np.sum(diff[1]**2, axis=1))
     bitwise = bool(np.all(diff == 0.0))
     amplification = float(du.max() / delta) if delta > 0 else 0.0
 
-    levels = stopping.m_levels
-    tau1_a, tau2_a = _stopping_scan(t1, basis, scheme, levels)
-    tau1_b, tau2_b = _stopping_scan(t2, basis, scheme, levels)
-    tau1 = {(m, 1): tau1_a[m] for m in levels}
-    tau1.update({(m, 2): tau1_b[m] for m in levels})
-    tau2 = {(m, 1): tau2_a[m] for m in levels}
-    tau2.update({(m, 2): tau2_b[m] for m in levels})
+    tau1, tau2 = {}, {}
+    for run_id, walk in enumerate(runs, 1):
+        hits1, hits2 = walk.first_hits(stopping.m_levels)
+        tau1.update({(m, run_id): step for m, step in hits1.items()})
+        tau2.update({(m, run_id): step for m, step in hits2.items()})
 
     scope = ("within theorem scope (d=1)" if basis.domain.dim == 1
              else "outside theorem scope (d=2)")

@@ -25,10 +25,11 @@ from gmspde.dynamics import (
     run,
     run_batch,
 )
-from gmspde.experiments import TrajectoryRecorder, ensemble
+from gmspde.experiments import ensemble
 from gmspde.functionals import FunctionalConfig, FunctionalRecorder
 from gmspde.noise import NoiseSpec, drawn, sliced
 from gmspde.spectral import DomainSpec, build_basis
+from stores import States
 
 RTOL = 1e-13
 K = 16
@@ -284,7 +285,7 @@ def check_other_rows(final, setup, failed_row):
 def check_failed_row(final, setup, row, error):
     init, prm, sch, basis, spec, increments = setup
     # the solo run raises the same error ...
-    rec = TrajectoryRecorder(sch.n_steps())
+    rec = States()
     with pytest.raises(error) as solo_error:
         solo(init, prm, sch, basis, spec, increments[row], observer=rec)
     assert list(final.failures) == [row]
@@ -336,7 +337,7 @@ def test_ensemble_failures_match_solo_runs():
     increments = drawn(spec, loose, range(n_paths))(0, loose.n_steps())
     peaks = []
     for idx in range(n_paths):
-        rec = TrajectoryRecorder(loose.n_steps())
+        rec = States()
         solo(init, prm, loose, basis, spec, increments[idx], observer=rec)
         traj = rec.trajectories()
         u = basis.synthesize(traj[0, 0, :-1])

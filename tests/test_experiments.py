@@ -21,8 +21,6 @@ from gmspde.dynamics import (
 from gmspde.experiments import (
     FixedPointConfig,
     StoppingSpec,
-    TrajectoryRecorder,
-    _stopping_scan,
     ensemble,
     picard_iterate,
     row_sups,
@@ -31,7 +29,8 @@ from gmspde.experiments import (
 )
 from gmspde.functionals import FunctionalConfig, FunctionalRecorder
 from gmspde.noise import NoiseSpec, drawn, sliced
-from gmspde.spectral import DomainSpec, build_basis
+from gmspde.spectral import DomainSpec, SpectralBasis, build_basis
+from stores import States
 
 K = 16
 
@@ -58,7 +57,7 @@ def constant(pair, sch, rows=1):
 
 def stack_solve(init, params, sch, basis, spec, draw, rows, **kwargs):
     """Stored (2, rows, n+1, K) stack and final state of one run_batch."""
-    store = TrajectoryRecorder(sch.n_steps())
+    store = States()
     final = run_batch(init, params, sch, basis, spec, draw, rows,
                       observer=store, **kwargs)
     return store.trajectories(), final
@@ -669,34 +668,33 @@ def test_ensemble_reports_failed_paths(basis, nspec):
                  FunctionalConfig(observation_stride=1))
 
 
-class _States:
-    """Observer keeping a copy of every state's u and v modes."""
-
-    def __init__(self):
-        self.u, self.v = [], []
-
-    def observe(self, view, dt):
-        self.u.append(view.u_modal.copy())
-        self.v.append(view.v_modal.copy())
+def study_run(init, params, sch, basis, spec, draw):
+    """The uniqueness study's observer of one run of ``init``."""
+    walk = experiments._StudyRun(basis, sch)
+    run(init, params, sch, basis, spec, draw, observer=walk)
+    return walk
 
 
 def test_trajectory_recorder_matches_run_output(basis, nspec):
-    # the store is (2, B, n+1, K): its halves are the run's u and v states
+    # the study's observer keeps each state's modes, (2, n+1, K), and the
+    # |xi|_L8 of its own nodal v, xi = 1/max(v, floor); copies of every
+    # state are the oracle, also where the floor cuts v (v* = 2)
     params = _desk_params()
-    sch = SchemeConfig(dt=1e-3, T=0.01)
     init = default_initial_pair(basis, params)
-    path = drawn(nspec, sch, [0])
-    states = _States()
-    run(init, params, sch, basis, nspec, path, observer=states)
-    rec = TrajectoryRecorder(sch.n_steps())
-    res = run(init, params, sch, basis, nspec, path, observer=rec)
-    traj = rec.trajectories()
-    assert traj.shape == (2, 1, 11, K)
-    assert np.array_equal(traj[0], np.stack(states.u, axis=1))
-    assert np.array_equal(traj[1], np.stack(states.v, axis=1))
-    assert np.array_equal(traj[:, 0, 0], init)
-    assert np.array_equal(traj[0, 0, -1], res.u_modal[0])
-    assert np.array_equal(traj[1, 0, -1], res.v_modal[0])
+    for v_floor in (1e-8, 2.001):
+        sch = SchemeConfig(dt=1e-3, T=0.01, v_floor=v_floor)
+        path = drawn(nspec, sch, [0])
+        states = States()
+        res = run(init, params, sch, basis, nspec, path, observer=states)
+        walk = study_run(init, params, sch, basis, nspec, path)
+        assert walk.modes.shape == (2, 11, K)
+        assert np.array_equal(walk.modes, states.trajectories()[:, 0])
+        assert np.array_equal(walk.modes[:, 0], init)
+        assert np.array_equal(walk.modes[:, -1], res.modal[:, 0])
+        xi = [1.0 / np.maximum(v[0], v_floor) for v in states.v]
+        assert np.array_equal(
+            walk.xi8, [(basis.weights @ x**8) ** (1.0 / 8.0) for x in xi])
+        assert any(np.any(v[0] < v_floor) for v in states.v) == (v_floor > 2)
 
 
 def test_uniqueness_times_are_the_recorded_step_times(basis, nspec):
@@ -714,18 +712,18 @@ def test_uniqueness_times_are_the_recorded_step_times(basis, nspec):
     assert not np.array_equal(report.times, np.linspace(0.0, sch.T, 13))
 
 
-def _stopping_scan_per_step(traj, basis, scheme, levels):
-    """The stopping scan of a one-row stack as a loop over steps."""
+def _stopping_scan_per_step(modes, basis, scheme, levels):
+    """The stopping times of a run's (2, n+1, K) modes as a loop over steps."""
     lam, w = basis.eigenvalues, basis.weights
     sup_xi8 = sup_u2 = -np.inf
     h1_running = 0.0
     tau1 = dict.fromkeys(levels)
     tau2 = dict.fromkeys(levels)
-    for i in range(traj.shape[2]):
-        v = basis.synthesize(traj[1, 0, i])
+    for i in range(modes.shape[1]):
+        v = basis.synthesize(modes[1, i])
         xi = 1.0 / np.maximum(v, scheme.v_floor)
         sup_xi8 = max(sup_xi8, float((w @ xi**8) ** (1.0 / 8.0)))
-        u = traj[0, 0, i]
+        u = modes[0, i]
         sup_u2 = max(sup_u2, float(np.sum(u**2)))
         for m in levels:
             if tau1[m] is None and sup_xi8 >= m:
@@ -736,53 +734,111 @@ def _stopping_scan_per_step(traj, basis, scheme, levels):
     return tau1, tau2
 
 
+# 18 levels of |xi|_L8 from 0.51 to 0.68 and 50 energies from 4.5 to 180
+LEVELS = tuple(np.round(np.concatenate((np.linspace(0.51, 0.68, 18),
+                                        np.geomspace(4.5, 180.0, 50))), 6))
+
+
 def test_stopping_scan_hits_levels_mid_run(basis, nspec):
     # strong noise lifts |xi|_L8 from 0.5 to ~0.68 and the H1 energy from
     # 4 to ~180 over the run, so these levels are first reached mid-run
     params = _desk_params(sigma=1.5)
     sch = SchemeConfig(dt=1e-3, T=0.6)
-    path = drawn(nspec, sch, [5])
-    rec = TrajectoryRecorder(sch.n_steps())
-    run(default_initial_pair(basis, params), params, sch, basis, nspec, path,
-        observer=rec)
-    traj = rec.trajectories()
-    levels = tuple(np.round(np.concatenate((np.linspace(0.51, 0.68, 18),
-                                            np.geomspace(4.5, 180.0, 50))), 6))
-    got = _stopping_scan(traj, basis, sch, levels)
-    assert got == _stopping_scan_per_step(traj, basis, sch, levels)
+    walk = study_run(default_initial_pair(basis, params), params, sch, basis,
+                     nspec, drawn(nspec, sch, [5]))
+    got = walk.first_hits(LEVELS)
+    assert got == _stopping_scan_per_step(walk.modes, basis, sch, LEVELS)
     steps = [s for tau in got for s in tau.values() if s is not None]
-    half = (traj.shape[2] - 1) // 2
+    half = sch.n_steps() // 2
     assert sum(0 < s < half for s in steps) >= 10
     assert sum(s >= half for s in steps) >= 10
 
 
-def test_stopping_scan_in_blocks_hits_as_in_one_block(monkeypatch):
-    # 2-D, N = 64 (4,225 nodes), K = 64, 400 steps: blocks of 7 steps,
-    # where each nodal array of the whole run would take 13.5 MB
+def test_stopping_2d_hits_live_within_two_stores_and_the_table():
+    # 2-D, N = 64 (4,225 nodes), K = 64, 400 steps, where one
+    # (n+1, n_nodes) nodal array of the run would take 12.9 MiB
     basis2 = build_basis(
         DomainSpec(dim=2, lengths=(1.0, 1.0), grid_points_per_axis=64), 64)
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=64, master_seed=808)
     params = _desk_params(sigma=1.5)
     sch = SchemeConfig(dt=1e-3, T=0.4)
-    rec = TrajectoryRecorder(sch.n_steps())
-    run(default_initial_pair(basis2, params), params, sch, basis2, spec,
-        drawn(spec, sch, [5]), observer=rec)
-    traj = rec.trajectories()
+    init = default_initial_pair(basis2, params)
+    walk = study_run(init, params, sch, basis2, spec, drawn(spec, sch, [5]))
     # the running sup of |xi|_L8 climbs from 0.5 to 0.69 by step ~120 and
-    # the energy from 4 to 155 over the run: first hits in many blocks
+    # the energy from 4 to 155 over the run: first hits at many steps
     levels = tuple(np.round(np.concatenate((np.linspace(0.51, 0.68, 18),
                                             np.geomspace(4.5, 150.0, 30))), 6))
+    got = walk.first_hits(levels)
+    assert got == _stopping_scan_per_step(walk.modes, basis2, sch, levels)
+    assert len({s for tau in got for s in tau.values() if s is not None}) >= 10
+    # each run's modes and |xi|_L8, and the (2, K, n) noise table: 1.18 MiB
+    n = sch.n_steps()
+    stores = 2 * 8 * (2 * (n + 1) * 64 + (n + 1))
+    table = 8 * 2 * 64 * n
     tracemalloc.start()
     try:
-        got = _stopping_scan(traj, basis2, sch, levels)
+        uniqueness_study(init, 0.0, params, sch, basis2, spec,
+                         StoppingSpec(levels), drawn(spec, sch, [5]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # four blocks of nodal values and four (n+1, K) modal arrays
-    assert peak < 32 * experiments.NOISE_BLOCK_DRAWS + 4 * traj[0, 0].nbytes
-    span = experiments.NOISE_BLOCK_DRAWS // basis2.n_nodes
-    steps = [s for tau in got for s in tau.values() if s is not None]
-    assert len({s // span for s in steps}) >= 10
-    monkeypatch.setattr(experiments, "NOISE_BLOCK_DRAWS",
-                        traj.shape[2] * basis2.n_nodes)
-    assert _stopping_scan(traj, basis2, sch, levels) == got
+    assert peak < stores + table + 2**20
+
+
+def test_uniqueness_study_synthesizes_only_in_its_two_runs(basis, nspec,
+                                                           monkeypatch):
+    # no second walk: the study's states are read as its runs step them
+    calls = []
+    synthesize = SpectralBasis.synthesize
+
+    def spy(self, *args, **kwargs):
+        calls.append(None)
+        return synthesize(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralBasis, "synthesize", spy)
+    params = _desk_params(sigma=1.5)
+    sch = SchemeConfig(dt=1e-3, T=0.05)
+    init = default_initial_pair(basis, params)
+    run(init, params, sch, basis, nspec, drawn(nspec, sch, [5]))
+    one_run = len(calls)
+    uniqueness_study(init, 1e-3, params, sch, basis, nspec,
+                     StoppingSpec(LEVELS), drawn(nspec, sch, [5]))
+    assert one_run > sch.n_steps()
+    assert len(calls) == 3 * one_run
+
+
+def test_uniqueness_reports_the_stopping_times_of_both_runs(basis, nspec):
+    # a kick of 0.3 to u's mode 1 moves some first hits of run 2, and a
+    # level of 1e6 is never hit
+    params = _desk_params(sigma=1.5)
+    sch = SchemeConfig(dt=1e-3, T=0.3)
+    init = default_initial_pair(basis, params)
+    delta = 0.3
+    levels = LEVELS[::4] + (1e6,)
+    rep = uniqueness_study(init, delta, params, sch, basis, nspec,
+                           StoppingSpec(levels), drawn(nspec, sch, [5]))
+    keys = {(m, run_id) for m in levels for run_id in (1, 2)}
+    assert set(rep.tau1_steps) == set(rep.tau2_steps) == keys
+    init2 = init.copy()
+    init2[0, 1] += delta
+    oracle = {}
+    for run_id, start in ((1, init), (2, init2)):
+        states = States()
+        run(start, params, sch, basis, nspec, drawn(nspec, sch, [5]),
+            observer=states)
+        tau1, tau2 = _stopping_scan_per_step(states.trajectories()[:, 0],
+                                             basis, sch, levels)
+        assert {m: rep.tau1_steps[(m, run_id)] for m in levels} == tau1
+        assert {m: rep.tau2_steps[(m, run_id)] for m in levels} == tau2
+        oracle[run_id] = tau1, tau2
+    assert oracle[1] != oracle[2]
+    want = [f"  {label} m={m:g} run{run_id}: "
+            + ("not hit" if oracle[run_id][family][m] is None
+               else f"step {oracle[run_id][family][m]}")
+            for family, label in enumerate(("tau1(|xi|_L8)",
+                                            "tau2(H1 energy)"))
+            for m in levels for run_id in (1, 2)]
+    assert [line for line in rep.summary_lines()
+            if line.startswith("  tau")] == want
+    assert any(line.endswith("not hit") for line in want)
+    assert any(" step " in line for line in want)

@@ -15,7 +15,6 @@ from gmspde.dynamics import (
 )
 from gmspde.experiments import (
     FixedPointConfig,
-    TrajectoryRecorder,
     ensemble,
     picard_iterate,
 )
@@ -36,6 +35,7 @@ from gmspde.functionals import (
 )
 from gmspde.noise import NoiseSpec, drawn
 from gmspde.spectral import DomainSpec, build_basis
+from stores import States
 
 K = 8
 
@@ -497,7 +497,7 @@ def test_picard_memberships_match_a_walk_over_each_iterate(monkeypatch):
     iterates = []
 
     def spy(*args, observer=None, **kwargs):
-        store = TrajectoryRecorder(sch.n_steps())
+        store = States()
         run_batch(*args, observer=store, **kwargs)
         stack = store.trajectories()
         # the sweep's depth from its height: the first also steps the

@@ -34,9 +34,9 @@ and each checks one thing:
   steps, whose 68 stopping levels include some first hit mid-run; its
   two runs must be bitwise identical;
 * ``stopping_2d``: a ``uniqueness`` on the unit square (N = 64, K = 64)
-  at sigma = 1.5 over 300 steps at the same levels, whose stopping scan
-  reads its 301 states in 43 blocks of 7 steps, with first hits in many
-  of them;
+  at sigma = 1.5 over 300 steps at the same levels: the 2-D stopping
+  times, read live from each run's states, with first hits at many
+  steps;
 * ``ensemble_20_*`` and ``ensemble_201_*`` (1-D, both schemes; 201 is
   a multiple of neither 4 nor 16) and ``ensemble_2d_10``: ensemble
   means, standard errors and monitor fits at horizons 0.014, 0.035 and
