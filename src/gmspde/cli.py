@@ -114,7 +114,7 @@ def _initial(cfg, basis):
 def _cmd_simulate(args):
     cfg, basis = _prepare(args)
     init = _initial(cfg, basis)
-    rec = FunctionalRecorder(basis, cfg.functionals, cfg.scheme.v_floor)
+    rec = FunctionalRecorder(basis, cfg.functionals)
     final = run(init, cfg.params, cfg.scheme, basis, cfg.noise,
                 drawn(cfg.noise, cfg.scheme, [cfg.raw["run"]["path_index"]]),
                 observer=rec)

@@ -49,11 +49,12 @@ blocks of steps, two at most, which :func:`~gmspde.noise.blocks` may
 draw one ahead.
 Each row is checked on its own (reaction CFL, finiteness, the zero-floor
 positivity of v): a failed row stops with the error its solo run raises
-and the other rows go on.  Under a zero floor, the core checks v > 0
-in two places: state 0, once, in :func:`run_batch`, and each row's new
-state after each step in :meth:`Stepper.advance`, which keeps a failed
-row's last good state.  So every state the sources and the observers
-see has v > 0, and there max(v, 0) is v bit for bit.  Observers see
+and the other rows go on.  The floor is the core's: each state carries
+max(v, floor), ``StateView.v_floored``, formed once a state by
+:func:`initial_state` and :meth:`Stepper.advance`, which under a zero
+floor also check v > 0 (a failed row keeps its last good state).  So
+every state the sources and the observers see has v > 0, where
+max(v, 0) is v bit for bit; no observer takes a floor.  Observers see
 the stack from the stepping loop of :func:`run_batch`, the one walk
 over a trajectory's states, which hands each state once to their one
 hook, ``observe`` (see :func:`run`): the functional recorder rides it,
@@ -237,18 +238,20 @@ class StateView:
     Both fields are held as one stack, u first: ``modal`` (2, B, K) and
     flat ``nodal`` (2, B, n_nodes), so row b of ``modal[0]`` is the u of
     trajectory b.  ``u_modal``, ``v_modal``, ``u_nodal`` and ``v_nodal``
-    are views of the two halves.  ``floor_activations`` and ``alive``
-    are (B,); the rows share ``t`` and ``step_index``.
+    are views of the two halves; ``v_floored`` (B, n_nodes) is
+    max(v_nodal, floor), which the sources divide by.  ``floor_activations``
+    and ``alive`` are (B,); the rows share ``t`` and ``step_index``.
     :meth:`Stepper.advance` updates the state in place and reuses its
-    arrays, so an observer that keeps values across steps must copy
-    them.  A failed row keeps its last good state, ``alive`` is False
-    there and ``failures`` maps the row to the error that stopped it.
+    arrays, ``v_floored`` too, so an observer that keeps values across
+    steps must copy them.  A failed row keeps its last good state, ``alive``
+    is False there and ``failures`` maps the row to the error that stopped it.
     """
 
     t: float
     step_index: int
     modal: np.ndarray
     nodal: np.ndarray
+    v_floored: np.ndarray
     floor_activations: np.ndarray
     alive: np.ndarray
     failures: dict = field(default_factory=dict)
@@ -277,21 +280,25 @@ def _synthesize(basis, modal, out):
     return out
 
 
-def initial_state(basis: SpectralBasis, initial, n_rows: int) -> StateView:
+def initial_state(basis: SpectralBasis, initial, n_rows: int,
+                  v_floor: float) -> StateView:
     """State 0 of ``n_rows`` trajectories from the (2, K) modal ``initial``.
 
     Row 0 of ``initial`` is u, row 1 is v; every trajectory starts from a
-    copy, and the nodal stack is one (2 n_rows, K) synthesis.
+    copy, and the nodal stack is one (2 n_rows, K) synthesis.  It carries
+    max(v, ``v_floor``); a zero floor rejects v <= 0 (FloorViolation).
     """
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (2, basis.mode_count):
         raise ValueError(f"initial data has shape {initial.shape}, "
                          f"needs (2, {basis.mode_count})")
     modal = np.repeat(initial[:, None], n_rows, axis=1)
-    nodal = np.empty((2, n_rows, basis.n_nodes))
+    nodal = _synthesize(basis, modal, np.empty((2, n_rows, basis.n_nodes)))
+    if v_floor == 0.0:
+        reject_nonpositive(nodal[1])
     return StateView(
-        t=0.0, step_index=0,
-        modal=modal, nodal=_synthesize(basis, modal, nodal),
+        t=0.0, step_index=0, modal=modal, nodal=nodal,
+        v_floored=np.maximum(nodal[1], v_floor),
         floor_activations=np.zeros(n_rows, dtype=int),
         alive=np.ones(n_rows, dtype=bool),
     )
@@ -383,18 +390,16 @@ class Stepper:
     def _sources(self, state, chi_nodal, out):
         """Nodal sources into ``out``: chi^2/max(v, floor) for u, chi^2 for v.
 
-        Adds each live row's count of nodes with v below the floor to
-        ``state.floor_activations``, and returns each row's reaction
-        number kappa_u*max(chi^2/v)*dt.
+        Divides by the state's ``v_floored``.  Adds each live row's count
+        of nodes with v below the floor to ``state.floor_activations``,
+        and returns each row's reaction number kappa_u*max(chi^2/v)*dt.
         """
-        v_nodal, v_floor = state.v_nodal, self.scheme.v_floor
         chi2 = np.multiply(chi_nodal, chi_nodal, out=out[1])
-        below = v_nodal < v_floor
+        below = state.v_nodal < self.scheme.v_floor
         if below.any():
             state.floor_activations += state.alive * np.count_nonzero(
                 below, axis=-1)
-        q_nodal = np.divide(chi2, np.maximum(v_nodal, v_floor, out=out[0]),
-                            out=out[0])
+        q_nodal = np.divide(chi2, state.v_floored, out=out[0])
         peak = self.params.kappa_u * q_nodal.max(axis=-1, initial=0.0)
         return peak * self.scheme.dt
 
@@ -412,7 +417,7 @@ class Stepper:
         once, as one (2 rows, .) product: a step projects twice and
         synthesizes twice (three times each under Heun).  The nodal stack
         is reused as work space during the step and holds the new nodal
-        state at its end.
+        state at its end; ``state.v_floored`` is then rewritten from it.
 
         A live row fails the step on a reaction CFL violation, a
         non-finite result or, under a zero floor, a nonpositive inhibitor
@@ -441,8 +446,9 @@ class Stepper:
                                     out=nodal)
             corrector = self._noise(predicted, dw_nodal)
             new = deterministic + decay * 0.5 * (noise + corrector)
-        else:
-            new = decay * (modal + noise) + gain * forcing
+        else:    # added in place, one (2, rows, K) array fewer at once
+            new = decay * (modal + noise)
+            new += gain * forcing
         ok = state.alive & (peak < limit) & np.isfinite(new).all(axis=(0, 2))
         failed = {}
         if not ok.all():
@@ -463,6 +469,7 @@ class Stepper:
                 # restored rows synthesize to their pre-step bits
                 new[:, floored] = modal[:, floored]
                 _synthesize(self.basis, new, out=nodal)
+        np.maximum(nodal[1], self.scheme.v_floor, out=state.v_floored)
         state.modal = new
         for r, exc in failed.items():
             state.alive[r] = False
@@ -520,10 +527,8 @@ def run_batch(initial, params: ModelParams, scheme: SchemeConfig,
     chained blocks and repeated noise rows live in its driver and source.
     """
     stepper = Stepper(basis, params, scheme, noise_spec, n_paths)
-    state = initial_state(basis, initial, n_paths)
+    state = initial_state(basis, initial, n_paths, scheme.v_floor)
     k = basis.mode_count
-    if scheme.v_floor == 0.0:
-        reject_nonpositive(state.v_nodal)
     span = max(1, NOISE_BLOCK_DRAWS // (n_paths * 2 * k))
     with closing(blocks(draw, scheme.n_steps(), span)) as stream:
         for n0, n1, block in stream:

@@ -309,8 +309,8 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
     # increments, and drawing them anew each time costs more than the table
     frozen = sliced(drawn(noise_spec, scheme, range(m))(0, n))
 
-    view = initial_state(basis, init, 1)
-    rec = FunctionalRecorder(basis, fconfig, scheme.v_floor, monitors=False)
+    view = initial_state(basis, init, 1, scheme.v_floor)
+    rec = FunctionalRecorder(basis, fconfig, monitors=False)
     rec.observe(view, n * scheme.dt)
     view.t = n * scheme.dt
     rec.observe(view, None)
@@ -339,8 +339,7 @@ def picard_iterate(init, params: ModelParams, scheme: SchemeConfig, basis,
             depth = min(depth, max(1, math.ceil(
                 math.log(config.tolerance / distances[-1])
                 / math.log(ratios[-1]))))
-        rec = FunctionalRecorder(basis, fconfig, scheme.v_floor,
-                                 monitors=False)
+        rec = FunctionalRecorder(basis, fconfig, monitors=False)
         sweep = _Sweep(rec, scheme, frozen, previous, coupled, depth)
         final = run_batch(init, params, scheme, basis, noise_spec, sweep.draw,
                           sweep.rows, observer=sweep, driver=sweep.chi)
@@ -416,8 +415,8 @@ class _StudyRun:
     """Observer of one run of :func:`uniqueness_study`.
 
     For each state of the one-row run it keeps the (2, K) modes, in
-    ``modes`` (2, n+1, K), and the |xi|_L8 of the state's own nodal v,
-    xi = 1/max(v, floor), in ``xi8`` (n+1,).
+    ``modes`` (2, n+1, K), and the |xi|_L8 of the state's own floored
+    inhibitor, xi = 1/``view.v_floored``, in ``xi8`` (n+1,).
     """
 
     def __init__(self, basis, scheme):
@@ -429,7 +428,7 @@ class _StudyRun:
     def observe(self, view, dt):
         step = view.step_index
         self.modes[:, step] = view.modal[:, 0]
-        xi = xi_nodal(view.v_nodal[0], self._scheme.v_floor)
+        xi = xi_nodal(view.v_floored[0])
         self.xi8[step] = (xi**8 @ self._basis.weights) ** (1.0 / 8.0)
 
     def first_hits(self, levels):
@@ -523,7 +522,7 @@ class EnsembleReport:
     n_paths: int
     survivors: int
     failures: list
-    traces: FunctionalTrace | None = field(repr=False, default=None)
+    traces: FunctionalTrace = field(repr=False)
 
     def summary_lines(self):
         lines = [f"paths: {self.n_paths}, survivors: {self.survivors}"]
@@ -556,7 +555,7 @@ def ensemble(init, params: ModelParams, scheme: SchemeConfig,
     """
     if n_paths < 2:
         raise ValueError("an ensemble needs at least two paths")
-    rec = FunctionalRecorder(basis, fconfig, scheme.v_floor)
+    rec = FunctionalRecorder(basis, fconfig)
     final = run_batch(init, params, scheme, basis, noise_spec,
                       drawn(noise_spec, scheme, range(n_paths)), n_paths,
                       observer=rec)

@@ -8,8 +8,10 @@ left-hand side of the a-priori bounds (chi^2 xi, xi^2 chi^2,
 xi^(p+2)|grad v|^2, u chi^2 xi).
 
 The recorder walks a trajectory once, state by state as the stepper
-goes (see :class:`FunctionalRecorder`).  It keeps every column, or only
-the columns the admissibility checks read (:data:`ADMISSIBILITY_COLUMNS`).
+goes (see :class:`FunctionalRecorder`), and reads xi from the floored
+inhibitor max(eta, floor) each state carries: no formula takes a floor.
+It keeps every column, or only the columns the admissibility checks
+read (:data:`ADMISSIBILITY_COLUMNS`).
 
 A :class:`FunctionalTrace` holds a stack of B >= 1 paths, (B, n_obs)
 columns, as the recorder keeps them.  The Lyapunov functionals reduce
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import reject_nonpositive
 from .spectral import nonfinite
 
 DEFAULT_P = 31.0 / 7.0
@@ -134,17 +135,14 @@ def _quadrature(nodal, weights, out=None):
     return np.einsum("...n,n->...", nodal, weights, out=out)
 
 
-def xi_nodal(v_nodal, v_floor, out=None):
-    """xi = 1/max(v, floor) of the nodal ``v_nodal`` (rows on the last axis).
+def xi_nodal(v_floored, out=None):
+    """xi = 1/max(v, floor) of the nodal floored inhibitor ``v_floored``.
 
-    Formed in ``out`` if given, else in a new array.  A zero floor
-    raises the :class:`~gmspde.dynamics.FloorViolation` of the first row
-    with v <= 0 (:func:`~gmspde.dynamics.reject_nonpositive`).
+    ``v_floored`` is a state's ``StateView.v_floored`` (rows on the last
+    axis), already max(v, floor): xi is formed in ``out`` if given, else
+    in a new array.
     """
-    if v_floor == 0.0:
-        reject_nonpositive(v_nodal)
-    xi = np.maximum(v_nodal, v_floor, out=out)
-    return np.divide(1.0, xi, out=xi)
+    return np.divide(1.0, v_floored, out=out)
 
 
 def grad_sq(basis, modal):
@@ -169,9 +167,9 @@ class FunctionalRecorder:
     stack, (rows, n_obs) columns.
 
     The running integrals are left-point sums: each pre-step state adds
-    dt times its integrand, in step order.  The ``floor_activations``
-    column is the stepper's own count (``StateView.floor_activations``),
-    taken on the same pre-step states.
+    dt times its integrand, in step order; xi is 1/``StateView.v_floored``.
+    The ``floor_activations`` column is the stepper's own count
+    (``StateView.floor_activations``), taken on the same pre-step states.
 
     By default every column of :data:`TRACE_COLUMNS` is kept.  With
     ``monitors=False`` only :data:`ADMISSIBILITY_COLUMNS` are, what
@@ -182,11 +180,9 @@ class FunctionalRecorder:
     monitor; a dropped column is absent from the trace, not zero.
     """
 
-    def __init__(self, basis, config: FunctionalConfig, v_floor: float,
-                 monitors: bool = True):
+    def __init__(self, basis, config: FunctionalConfig, monitors: bool = True):
         self.basis = basis
         self.config = config
-        self.v_floor = v_floor
         self.monitors = monitors
         self.stride = config.observation_stride
         kept = TRACE_COLUMNS[1:] if monitors else ADMISSIBILITY_COLUMNS
@@ -215,7 +211,7 @@ class FunctionalRecorder:
             self._scratch = np.empty((3,) + u_nodal.shape)
             self._values = np.empty((len(self._integrals), len(u_nodal)))
         xi, chi2xi, work = self._scratch
-        xi_nodal(view.v_nodal, self.v_floor, out=xi)
+        xi_nodal(view.v_floored, out=xi)
         # one row per kept integral, in INTEGRALS order
         grad_chi, chi2_xi, xi2_chi2, *monitored = self._values
         np.sum(basis.eigenvalues * view.u_modal**2, axis=-1, out=grad_chi)
@@ -239,13 +235,13 @@ class FunctionalRecorder:
         w = self.basis.weights
         u_modal, v_modal = view.u_modal, view.v_modal
         u_nodal, v_nodal = view.u_nodal, view.v_nodal
-        xi = xi_nodal(v_nodal, self.v_floor)
-        p = self.config.p
-        ln_xi = np.log(xi)
+        xi = xi_nodal(view.v_floored)
+        xi_lp_p, xi_l1 = _quadrature(xi**self.config.p, w), _quadrature(xi, w)
+        ln_xi = np.log(xi, out=xi)    # in place: xi's last use is above
         columns = {
             "chi_l2_sq": np.sum(u_modal**2, axis=-1),
-            "xi_lp_p": _quadrature(xi**p, w),
-            "xi_l1": _quadrature(xi, w),
+            "xi_lp_p": xi_lp_p,
+            "xi_l1": xi_l1,
             "int_ln_xi": _quadrature(ln_xi, w),
             "chi_min": u_nodal.min(axis=-1),
             "chi_argmin": np.argmin(u_nodal, axis=-1).astype(float),

@@ -17,6 +17,9 @@ def test_acceptance_criterion(criterion):
     result = criterion()
     assert result.passed, result.line(timed=True)
     assert result.within_budget, result.line(timed=True)
+    # --criteria and run_all select by position; the label is the literal
+    # a criterion gives _result
+    assert result.index == acceptance.ALL_CRITERIA.index(criterion) + 1
 
 
 @pytest.mark.parametrize("jump", [3600.0, -3600.0])

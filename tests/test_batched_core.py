@@ -59,14 +59,14 @@ def test_stacked_rows_match_solo_runs(dim, scheme):
     sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme)
     indices = [0, 5, 2, 9, 1]          # five rows: a BLAS remainder block
     increments = drawn(spec, sch, indices)(0, sch.n_steps())
-    rec = FunctionalRecorder(basis, FCFG, sch.v_floor)
+    rec = FunctionalRecorder(basis, FCFG)
     final = run_batch(init, prm, sch, basis, spec, sliced(increments),
                       len(indices), observer=rec)
     assert final.failures == {} and final.alive.all()
     stack = rec.traces()
     for row in range(len(indices)):
         trace = stack.rows([row])
-        want = FunctionalRecorder(basis, FCFG, sch.v_floor)
+        want = FunctionalRecorder(basis, FCFG)
         res = solo(init, prm, sch, basis, spec, increments[row],
                    observer=want)
         assert np.array_equal(trace.times, want.traces().times)
@@ -128,7 +128,7 @@ def stepped(source, n_paths, scheme):
     basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=42)
     prm = _desk_params(sigma=0.3)
-    rec = SlowRecorder(basis, FCFG, scheme.v_floor)
+    rec = SlowRecorder(basis, FCFG)
     final = run_batch(default_initial_pair(basis, prm), prm, scheme, basis,
                       spec, source(spec), n_paths, observer=rec)
     return final, rec.traces()
@@ -257,17 +257,18 @@ def test_a_noise_block_of_the_wrong_shape_is_rejected():
         run_batch(init, prm, sch, basis, spec, sliced(table), 4)
 
 
-def kicked_batch(v_floor, kick):
+def kicked_batch(v_floor, kick, scheme="ito_imex", observer=None):
     """Five paths; row 2 gets ``kick`` added to one increment at step 20."""
     basis = _basis_1d()
     spec = NoiseSpec(gamma1=2.0, gamma2=2.0, mode_count=K, master_seed=43)
     prm = _desk_params(sigma=0.3)
     init = default_initial_pair(basis, prm)
-    sch = SchemeConfig(dt=1e-3, T=0.05, v_floor=v_floor)
+    sch = SchemeConfig(dt=1e-3, T=0.05, scheme=scheme, v_floor=v_floor)
     increments = drawn(spec, sch, range(5))(0, sch.n_steps())
     process, mode = kick[0], kick[1]
     increments[2, process, mode, 20] += kick[2]
-    final = run_batch(init, prm, sch, basis, spec, sliced(increments), 5)
+    final = run_batch(init, prm, sch, basis, spec, sliced(increments), 5,
+                      observer)
     return final, (init, prm, sch, basis, spec, increments)
 
 
@@ -323,6 +324,37 @@ def test_floor_failure_is_reported_for_its_row_only():
     message = check_failed_row(final, setup, 2, FloorViolation)
     assert message.startswith("inhibitor is nonpositive at flat node 0")
     check_other_rows(final, setup, 2)
+
+
+CFL_KICK = (0, 0, 200.0)
+
+
+@pytest.mark.parametrize("scheme, v_floor, kick, error", [
+    *((scheme, v_floor, CFL_KICK, SimulationError)
+      for scheme in ("ito_imex", "stratonovich_heun")
+      for v_floor in (0.0, 1e-8, 2.5)),
+    ("ito_imex", 0.0, (1, 0, -50.0), FloorViolation),
+])
+def test_every_observed_state_carries_its_floored_inhibitor(scheme, v_floor,
+                                                             kick, error):
+    # every state an observer sees, the failed row's restored ones and the
+    # last included, carries max(v, floor) of its own v bit for bit; the
+    # floor 2.5 lies above v* = 2, and the smaller ones floor no node.  A
+    # row restored after v <= 0 is an Ito one: a Heun step scales the flat
+    # mode of v by about 1 + x + x^2/2 > 0, x = sigma dW
+    floored = []
+
+    class Check:
+        def observe(self, view, dt):
+            want = np.maximum(view.v_nodal, v_floor)
+            assert view.v_floored.tobytes() == want.tobytes(), view.step_index
+            floored.append(bool((view.v_nodal < v_floor).any()))
+
+    final, setup = kicked_batch(v_floor, kick, scheme, Check())
+    assert list(final.failures) == [2]
+    assert type(final.failures[2]) is error
+    assert len(floored) == setup[2].n_steps() + 1
+    assert any(floored) == all(floored) == (v_floor > 2)
 
 
 def test_ensemble_failures_match_solo_runs():

@@ -90,16 +90,21 @@ def test_command_pass_catches_a_planted_heun_defect(tool, tmp_path, capsys):
 def test_the_configs_reach_what_they_check(tool, tmp_path):
     # a config carries its check only while its runs reach it: some of
     # the CFL ensemble's paths fail and some survive, some stopping
-    # levels are first hit mid-run, and the floored ensemble counts
-    names = ("ensemble_cfl", "stopping", "ensemble_floor")
+    # levels are first hit mid-run, the floored ensemble counts, and some
+    # paths of the zero-floor ensemble fail on v <= 0 while others survive
+    names = ("ensemble_cfl", "stopping", "ensemble_floor", "ensemble_v_floor_0")
     configs = {name: tool.CONFIGS[name] for name in names}
     assert tool.run_commands(SRC, str(tmp_path), configs, selftest=False) == []
     runs = tmp_path / "runs"
-    for seed in tool.CONFIGS["ensemble_cfl"].seeds:
-        head = (runs / "ensemble_cfl" / f"seed{seed}" / "ensemble" /
-                "summary.txt").read_text().splitlines()[0]
+    for name, seed in [("ensemble_cfl", seed)
+                       for seed in tool.CONFIGS["ensemble_cfl"].seeds
+                       ] + [("ensemble_v_floor_0", 0)]:
+        summary = (runs / name / f"seed{seed}" / "ensemble" /
+                   "summary.txt").read_text()
+        head = summary.splitlines()[0]
         assert head.startswith("paths: 12, survivors: ")
         assert 0 < int(head.rsplit(" ", 1)[1]) < 12
+    assert "failed: FloorViolation: " in summary
     summary = (runs / "stopping" / "uniqueness" / "summary.txt").read_text()
     assert "bitwise identical: True\n" in summary
     steps = [int(step) for step in re.findall(r"step (\d+)$", summary, re.M)]

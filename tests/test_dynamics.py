@@ -89,7 +89,8 @@ def test_only_the_ito_step_carries_the_drift_correction(scheme):
     params = replace(_desk_params(sigma=0.5), kappa_u=0.0, kappa_v=0.0)
     sch = SchemeConfig(dt=0.1, T=1.0, scheme=scheme)
     stepper = Stepper(basis, params, sch, NoiseSpec(2.0, 2.0, 16), 1)
-    state = initial_state(basis, constant_pair(basis, 1.0, 2.0), 1)
+    state = initial_state(basis, constant_pair(basis, 1.0, 2.0), 1,
+                          sch.v_floor)
     before = state.modal.copy()
     stepper.advance(state, np.zeros((2, 1, 16)))
     exact = np.exp(-np.stack([(params.r_u * basis.eigenvalues + params.mu_u),
@@ -164,7 +165,7 @@ def test_single_step_ops_match_run():
     init = default_initial_pair(basis, params)
     increments = drawn(spec, SchemeConfig(dt=1e-3, T=2e-3), [1])(0, 2)
     stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=2e-3), spec, 1)
-    raw = initial_state(basis, init, 1)
+    raw = initial_state(basis, init, 1, 1e-8)
     for n in range(2):
         stepper.advance(raw, stepper.damp * increments[0, :, None, :, n])
         sch = SchemeConfig(dt=1e-3, T=(n + 1) * 1e-3)
@@ -185,7 +186,7 @@ def test_a_step_transforms_both_fields_at_once(monkeypatch, scheme,
     params = _desk_params()
     stepper = Stepper(basis, params, SchemeConfig(dt=1e-3, T=1e-3,
                                                   scheme=scheme), spec, 3)
-    state = initial_state(basis, default_initial_pair(basis, params), 3)
+    state = initial_state(basis, default_initial_pair(basis, params), 3, 1e-8)
     increments = np.random.default_rng(5).standard_normal((2, 3, 16)) * 0.03
     calls = {"project": 0, "synthesize": 0}
     for name in calls:
@@ -330,8 +331,7 @@ def test_the_walk_hands_each_state_to_its_observer_once(monkeypatch):
     assert sorted(final.failures) == [0, 1, 2] and blocks == [(0, 4)]
     assert log.seen == [(0, failing.dt)]
     # the functional recorder keeps its own schedule on the same walk
-    rec = FunctionalRecorder(basis, FunctionalConfig(observation_stride=3),
-                             sch.v_floor)
+    rec = FunctionalRecorder(basis, FunctionalConfig(observation_stride=3))
     walk(sch, rec)
     assert np.array_equal(rec.traces().times,
                           np.array([0, 3, 6, 9, 10]) * sch.dt)

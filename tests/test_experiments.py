@@ -82,8 +82,7 @@ def sweep_solve(init, params, sch, basis, spec, frozen, previous, depth,
     ``coupled`` is given, and ``_Sweep.draw`` repeats the members' noise
     source ``frozen`` once per block.
     """
-    rec = FunctionalRecorder(basis, FunctionalConfig(), sch.v_floor,
-                             monitors=False)
+    rec = FunctionalRecorder(basis, FunctionalConfig(), monitors=False)
     sweep = experiments._Sweep(rec, sch, frozen, previous, coupled, depth)
     return stack_solve(init, params, sch, basis, spec, sweep.draw,
                        sweep.rows, driver=sweep.chi)
@@ -418,7 +417,7 @@ def test_a_picard_sweep_keeps_two_blocks(monkeypatch, basis):
     # steps.  One stored block is 2 x 16 x 101 x 16 doubles (0.39 MiB).
     # A first sweep of max_iterations = 30 blocks keeps two of them (its
     # last and the coupled one), a window of no more states than a block
-    # and the stepper's 496-row stack: it peaked at 5.6 MiB, where
+    # and the stepper's 496-row stack: it peaked at 5.85 MiB, where
     # storing the sweep's 31 blocks took 12 MiB more
     params = _desk_params()
     sch = SchemeConfig(dt=1e-3, T=0.1)
@@ -498,6 +497,31 @@ def test_picard_rejects_nonpositive_start(basis, nspec):
     with pytest.raises(ValueError, match="positivity"):
         picard_iterate(bad, params, sch, basis, nspec,
                        FixedPointConfig(ensemble_size=2))
+
+
+def test_picard_zero_floor_rejects_a_nonpositive_start_before_a_sweep(
+        monkeypatch, basis, nspec):
+    # v = 1 + 1.0005 cos(pi x) is nonpositive at the last node alone: its
+    # start state raises the error of a run from it, and no sweep runs
+    init = np.zeros((2, K))
+    init[:, 0] = 1.0
+    init[1, 1] = 1.0005 / np.sqrt(2.0)
+    sch = SchemeConfig(dt=1e-3, T=0.01, v_floor=0.0)
+    assert np.flatnonzero(basis.synthesize(init[1]) <= 0.0).tolist() == [64]
+    with pytest.raises(FloorViolation) as want:
+        run(init, _desk_params(sigma=0.0), sch, basis, nspec, None)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(experiments, "run_batch", no_sweep)
+    with pytest.raises(FloorViolation) as got:
+        picard_iterate(init, _desk_params(), sch, basis, nspec,
+                       FixedPointConfig(ensemble_size=2))
+    assert got.value.node_index == want.value.node_index == 64
+    assert str(got.value) == str(want.value) == (
+        "inhibitor is nonpositive at flat node 64 (value -0.0005) and no "
+        "floor is set")
 
 
 def test_picard_rejects_a_start_of_another_step_count(basis, nspec):
@@ -703,8 +727,7 @@ def test_uniqueness_times_are_the_recorded_step_times(basis, nspec):
     params = _desk_params()
     sch = SchemeConfig(dt=3e-3, T=0.036)
     init = default_initial_pair(basis, params)
-    rec = FunctionalRecorder(basis, FunctionalConfig(observation_stride=1),
-                             sch.v_floor)
+    rec = FunctionalRecorder(basis, FunctionalConfig(observation_stride=1))
     run(init, params, sch, basis, nspec, drawn(nspec, sch, [0]), observer=rec)
     report = uniqueness_study(init, 0.0, params, sch, basis, nspec,
                               StoppingSpec(), drawn(nspec, sch, [0]))

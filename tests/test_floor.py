@@ -35,9 +35,9 @@ def _columns(basis, u_nodal, v_nodal, p=2.0, rho=1.1):
     u, v = (np.broadcast_to(np.asarray(f, dtype=float), (1, basis.n_nodes))
             for f in (u_nodal, v_nodal))
     view = StateView(0.0, 0, basis.project(np.stack((u, v))),
-                     np.stack((u, v)), np.zeros(1, dtype=int),
-                     np.ones(1, dtype=bool))
-    rec = FunctionalRecorder(basis, FunctionalConfig(p=p, rho=rho), 1e-8)
+                     np.stack((u, v)), np.maximum(v, 1e-8),
+                     np.zeros(1, dtype=int), np.ones(1, dtype=bool))
+    rec = FunctionalRecorder(basis, FunctionalConfig(p=p, rho=rho))
     rec.accumulate(view, 1.0)
     rec.record(view)
     return {name: float(col[0, 0]) for name, col in rec.traces().data.items()}
@@ -59,7 +59,7 @@ def _sources(basis, chi_nodal, v_nodal, v_floor, alive=True):
     rows = len(v)
     nodal = np.stack((np.zeros_like(v), v)).astype(float)
     view = StateView(0.0, 0, np.zeros((2, rows, basis.mode_count)), nodal,
-                     np.zeros(rows, dtype=int),
+                     np.maximum(nodal[1], v_floor), np.zeros(rows, dtype=int),
                      np.broadcast_to(alive, (rows,)).copy())
     out = np.empty_like(nodal)
     peak = _stepper(basis, v_floor, rows)._sources(view, chi, out)
@@ -98,13 +98,15 @@ def test_roundtrip_band_limited(basis):
 def test_to_modal_to_nodal_materialize(basis):
     # state 0 holds copies of the (2, K) initial data and their nodal rows
     init = np.random.default_rng(1).standard_normal((2, 16))
-    state = initial_state(basis, init, 3)
+    state = initial_state(basis, init, 3, 0.25)
     assert np.array_equal(state.u_modal, np.tile(init[0], (3, 1)))
     assert np.array_equal(state.v_modal, np.tile(init[1], (3, 1)))
     assert np.array_equal(state.v_nodal, basis.synthesize(state.v_modal))
+    assert np.array_equal(state.v_floored, np.maximum(state.v_nodal, 0.25))
+    assert (state.v_nodal < 0.25).any()
     assert not np.shares_memory(state.u_modal, init)
     with pytest.raises(ValueError, match=r"needs \(2, 16\)"):
-        initial_state(basis, init[:, :8], 1)
+        initial_state(basis, init[:, :8], 1, 1e-8)
 
 
 def test_norm_lp_constant_and_eigenfunction(basis):
@@ -230,6 +232,50 @@ def test_reaction_quotient_zero_floor_rejects_nonpositive(basis):
                       observer)
         assert err.value.node_index == want.node_index
         assert str(err.value) == str(want)
+
+
+def dipped(basis, mode):
+    """(2, K) data u = v = 1 but for v's ``mode``, which takes v to -0.0005.
+
+    v = 1 + 1.0005 cos(mode pi x) on the unit interval is nonpositive
+    where cos(mode pi x) = -1 alone: at node 64 / mode and its odd
+    multiples.
+    """
+    init = np.zeros((2, basis.mode_count))
+    init[:, 0] = 1.0
+    init[1, mode] = 1.0005 / np.sqrt(2.0)
+    return init
+
+
+MESSAGE = ("inhibitor is nonpositive at flat node {} (value -0.0005) and no "
+           "floor is set")
+
+
+def test_initial_state_zero_floor_rejects_nonpositive(basis):
+    # v <= 0 at nodes 8, 24, 40 and 56: state 0 reports the first; a
+    # positive floor, however small, floors them instead
+    init = dipped(basis, 8)
+    with pytest.raises(FloorViolation) as err:
+        initial_state(basis, init, 1, 0.0)
+    assert err.value.node_index == 8
+    assert str(err.value) == MESSAGE.format(8)
+    state = initial_state(basis, init, 1, 1e-8)
+    assert np.flatnonzero(state.v_nodal[0] <= 0.0).tolist() == [8, 24, 40, 56]
+    assert np.all(state.v_floored[0, [8, 24, 40, 56]] == 1e-8)
+
+
+@pytest.mark.parametrize("rows", [1, 3], ids=["one_row", "three_rows"])
+def test_initial_state_zero_floor_rejects_nonpositive_v_like_the_oracle(
+        basis, rows):
+    # the error of the stack's state 0 is the oracle's on the solo
+    # synthesis of v: the same node, relative to the row, and message
+    init = dipped(basis, 8)
+    with pytest.raises(FloorViolation) as want:
+        reject_nonpositive(basis.synthesize(init[1]))
+    with pytest.raises(FloorViolation) as got:
+        initial_state(basis, init, rows, 0.0)
+    assert got.value.node_index == want.value.node_index == 8
+    assert str(got.value) == str(want.value) == MESSAGE.format(8)
 
 
 @settings(max_examples=20, deadline=None)

@@ -4,7 +4,6 @@ import pytest
 from gmspde import experiments, functionals
 from gmspde.acceptance import _basis_1d, _desk_params
 from gmspde.dynamics import (
-    FloorViolation,
     SchemeConfig,
     StateView,
     constant_pair,
@@ -81,12 +80,13 @@ def walk_trace(traj, basis, fcfg, v_floor, monitors=True, dt=DT):
     as the stepper does.
     """
     rows, n = traj.shape[1], traj.shape[2] - 1
-    rec = FunctionalRecorder(basis, fcfg, v_floor, monitors)
+    rec = FunctionalRecorder(basis, fcfg, monitors)
     floors = np.zeros(rows, dtype=int)
     for i in range(n + 1):
         modal = np.ascontiguousarray(traj[:, :, i])
-        view = StateView(t=i * dt, step_index=i, modal=modal,
-                         nodal=basis.synthesize(modal),
+        nodal = basis.synthesize(modal)
+        view = StateView(t=i * dt, step_index=i, modal=modal, nodal=nodal,
+                         v_floored=np.maximum(nodal[1], v_floor),
                          floor_activations=floors.copy(),
                          alive=np.ones(rows, dtype=bool))
         if i % rec.stride == 0 or i == n:
@@ -108,65 +108,35 @@ def test_config_validation():
 
 
 def test_xi_examples(basis):
-    xi = xi_nodal(np.full(65, 2.0), 1e-8)
+    xi = xi_nodal(np.full(65, 2.0))
     assert np.all(xi == 0.5)
 
-    xi = xi_nodal(np.ones(65), 0.0)
+    xi = xi_nodal(np.ones(65))
     ln_mass = float(basis.weights @ np.log(xi))
     assert ln_mass == 0.0
 
     v = np.random.default_rng(0).uniform(0.5, 3.0, 65)
-    xi = xi_nodal(v, 1e-8)
+    xi = xi_nodal(v)
     assert np.abs(v * xi - 1.0).max() < 1e-12
     # floored nodes read 1/floor; xi is the quotient with unit numerator
     v[[3, 9]] = [1e-9, -2.0]
-    xi = xi_nodal(v, 1e-8)
+    xi = xi_nodal(np.maximum(v, 1e-8))
     assert xi[3] == xi[9] == 1e8
     assert xi.tobytes() == quotient_nodal(1.0, v, 1e-8).tobytes()
     out = np.empty(65)
-    assert xi_nodal(v, 1e-8, out=out) is out
+    assert xi_nodal(np.maximum(v, 1e-8), out=out) is out
     assert out.tobytes() == xi.tobytes()
 
 
-def test_xi_zero_floor_rejects_nonpositive(basis):
-    bad = np.ones(65)
-    bad[5] = 0.0
-    with pytest.raises(FloorViolation) as err:
-        xi_nodal(bad, 0.0)
-    assert err.value.node_index == 5
-    assert str(err.value) == ("inhibitor is nonpositive at flat node 5 "
-                              "(value 0) and no floor is set")
-
-
-def _state(basis, rows, seed):
+def _state(basis, rows, seed, v_floor):
     """A (2, rows, .) state of random fields about 1.5, v > 0 at every node."""
     rng = np.random.default_rng(seed)
     modal = 0.1 * rng.standard_normal((2, rows, basis.mode_count))
     modal[:, :, 0] += 1.5 * np.sqrt(basis.volume)
     nodal = basis.synthesize(modal)
     assert nodal[1].min() > 0.0
-    return StateView(0.0, 0, modal, nodal, rng.integers(0, 5, rows),
-                     np.ones(rows, dtype=bool))
-
-
-@pytest.mark.parametrize("call", ["accumulate", "record"])
-def test_recorder_zero_floor_rejects_nonpositive_v_like_the_oracle(basis,
-                                                                    call):
-    view = _state(basis, 3, 4)
-    view.nodal[1, 1, 7] = -0.5
-    view.nodal[1, 2, 3] = 0.0
-    with pytest.raises(FloorViolation) as want:
-        quotient_nodal(1.0, view.v_nodal, 0.0)
-    rec = FunctionalRecorder(basis, FunctionalConfig(), 0.0)
-    with pytest.raises(FloorViolation) as got:
-        if call == "accumulate":
-            rec.accumulate(view, 1e-3)
-        else:
-            rec.record(view)
-    assert got.value.node_index == want.value.node_index == 7
-    assert str(got.value) == str(want.value) == (
-        "inhibitor is nonpositive at flat node 7 (value -0.5) and no floor "
-        "is set")
+    return StateView(0.0, 0, modal, nodal, np.maximum(nodal[1], v_floor),
+                     rng.integers(0, 5, rows), np.ones(rows, dtype=bool))
 
 
 def test_lyapunov_l1_trivial(basis):
@@ -342,7 +312,7 @@ def test_floor_activation_column_is_the_steppers_count():
     sch = SchemeConfig(dt=1e-3, T=4e-3, v_floor=0.5)
     pair = constant_pair(basis, 0.1, 0.25)
     fcfg = FunctionalConfig(observation_stride=1)
-    live = FunctionalRecorder(basis, fcfg, sch.v_floor)
+    live = FunctionalRecorder(basis, fcfg)
     res = run(pair, params, sch, basis, spec, None, observer=live)
     assert res.floor_activations[0] == 4 * 17
     column = live.traces().data["floor_activations"]
@@ -354,11 +324,11 @@ def _quadrature_oracle(nodal, w):
     return np.einsum("...n,n->...", nodal, w)
 
 
-def _integrands_oracle(rec, view):
+def _integrands_oracle(rec, view, v_floor):
     """The integrand integrals as the recorder formed them in new arrays."""
     basis, w = rec.basis, rec.basis.weights
     u_nodal = view.u_nodal
-    xi = quotient_nodal(1.0, view.v_nodal, rec.v_floor)
+    xi = quotient_nodal(1.0, view.v_nodal, v_floor)
     chi2xi = np.multiply(u_nodal, u_nodal)
     chi2xi *= xi
     work = np.multiply(chi2xi, xi)
@@ -378,12 +348,12 @@ def _integrands_oracle(rec, view):
     return values
 
 
-def _observables_oracle(rec, view):
+def _observables_oracle(rec, view, v_floor):
     """The recorded state columns, xi formed through quotient_nodal."""
     w = rec.basis.weights
     u_modal, v_modal = view.u_modal, view.v_modal
     u_nodal, v_nodal = view.u_nodal, view.v_nodal
-    xi = quotient_nodal(1.0, v_nodal, rec.v_floor)
+    xi = quotient_nodal(1.0, v_nodal, v_floor)
     p = rec.config.p
     ln_xi = np.log(xi)
     columns = {
@@ -421,22 +391,22 @@ def test_recorder_columns_are_bitwise_the_formulas_in_new_arrays(
     # (as Picard's start accumulates once over its horizon), recorded;
     # v_floor = 1.5 floors part of every state, v_floor = 0 none
     basis = build_basis(dom, k)
-    states = [_state(basis, rows, seed) for seed in range(3)]
+    states = [_state(basis, rows, seed, v_floor) for seed in range(3)]
     for view in states:
         assert 0.0 < (view.v_nodal < 1.5).mean() < 1.0
-    rec = FunctionalRecorder(basis, FunctionalConfig(), v_floor, monitors)
+    rec = FunctionalRecorder(basis, FunctionalConfig(), monitors)
     kept = TRACE_COLUMNS[1:] if monitors else functionals.ADMISSIBILITY_COLUMNS
     want = {name: [] for name in kept}
     totals = {}
     for view, dt in zip(states, (1e-3, 0.25, None)):
         rec.record(view)
-        row = _observables_oracle(rec, view)
+        row = _observables_oracle(rec, view, v_floor)
         row.update((name, total.copy()) for name, total in totals.items())
         for name in want:
             want[name].append(row.get(name, np.zeros(rows)))
         if dt is not None:
             rec.accumulate(view, dt)
-            for name, value in _integrands_oracle(rec, view).items():
+            for name, value in _integrands_oracle(rec, view, v_floor).items():
                 totals[name] = totals.get(name, np.zeros(rows)) + dt * value
     got = rec.traces().data
     assert sorted(got) == sorted(want)
@@ -465,8 +435,7 @@ def test_lean_recorder_columns_are_bitwise_the_full_ones():
     sch = SchemeConfig(dt=1e-3, T=0.1, v_floor=2.0)
     init = default_initial_pair(basis, params)
     fcfg = FunctionalConfig(observation_stride=25)
-    full, lean = (FunctionalRecorder(basis, fcfg, sch.v_floor,
-                                     monitors=monitors)
+    full, lean = (FunctionalRecorder(basis, fcfg, monitors=monitors)
                   for monitors in (True, False))
     final = run_batch(init, params, sch, basis, spec,
                       drawn(spec, sch, range(16)), 16,

@@ -78,9 +78,9 @@ def test_advance_matches_the_reference_step_row_by_row(case):
     if case["driven"]:
         chi = basis.synthesize(amplitude * rng.standard_normal(modal[0].shape))
 
-    nodal = basis.synthesize(modal.reshape(2 * ROWS, -1))
-    state = StateView(t=0.0, step_index=0, modal=modal.copy(),
-                      nodal=nodal.reshape(2, ROWS, -1),
+    nodal = basis.synthesize(modal.reshape(2 * ROWS, -1)).reshape(2, ROWS, -1)
+    state = StateView(t=0.0, step_index=0, modal=modal.copy(), nodal=nodal,
+                      v_floored=np.maximum(nodal[1], case["v_floor"]),
                       floor_activations=np.zeros(ROWS, dtype=int),
                       alive=np.ones(ROWS, dtype=bool))
     stepper = Stepper(basis, params, scheme, spec, ROWS)

@@ -58,7 +58,7 @@ def per_path(basis):
     """One-row trace stacks of the surviving paths, in path order."""
     params = _desk_params(sigma=1.0)
     init = default_initial_pair(basis, params)
-    rec = FunctionalRecorder(basis, FCFG, SCHEME.v_floor)
+    rec = FunctionalRecorder(basis, FCFG)
     final = run_batch(init, params, SCHEME, basis, SPEC,
                       drawn(SPEC, SCHEME, range(N_PATHS)), N_PATHS,
                       observer=rec)
@@ -182,12 +182,13 @@ def test_xi_nodal_is_the_steppers_quotient_at_unit_chi(basis):
     for stack, floor in ((v, 1e-8), (v, 0.25), (v, 2.0), (positive, 0.0)):
         view = StateView(0.0, 0, np.zeros((2, 15, 16)),
                          np.stack((np.ones_like(stack), stack)),
+                         np.maximum(stack, floor),
                          np.zeros(15, dtype=int), np.ones(15, dtype=bool))
         out = np.empty_like(view.nodal)
         stepper = Stepper(basis, _desk_params(sigma=1.0),
                           SchemeConfig(dt=1.0, T=1.0, v_floor=floor), SPEC, 15)
         stepper._sources(view, view.u_nodal, out)
-        assert xi_nodal(stack, floor).tobytes() == out[0].tobytes()
+        assert xi_nodal(view.v_floored).tobytes() == out[0].tobytes()
         counts = np.count_nonzero(stack < floor, axis=-1)
         assert np.array_equal(view.floor_activations, counts)
         assert (counts.sum() > 0) == (floor > 0)

@@ -46,6 +46,9 @@ and each checks one thing:
   monitor fits reduce the survivors only;
 * ``ensemble_floor``: 16 paths at v_floor = 2, whose means hold the
   floor counts;
+* ``ensemble_v_floor_0`` (seed 0): 12 paths at sigma = 10, v_floor = 0
+  and a reaction CFL limit of 1000, some of which turn v nonpositive
+  mid-run: the zero-floor check and the restore of a failed row;
 * ``picard_6``: a 6-member iteration to tolerance 1e-9 in at most 8
   iterations;
 * ``picard_300``: ``picard_1d``'s iteration over 300 steps.
@@ -169,6 +172,14 @@ CONFIGS = {
                                    "functionals.observation_stride = 25",
                                    "noise.master_seed = 808",
                                    "run.paths = 16"), ("ensemble",), ONCE),
+    "ensemble_v_floor_0": Config(_text("model.sigma_u = 10.0",
+                                       "model.sigma_v = 10.0",
+                                       "functionals.observation_stride = 7",
+                                       "scheme.horizon = 0.05",
+                                       "scheme.v_floor = 0.0",
+                                       "scheme.reaction_cfl_limit = 1000.0",
+                                       "run.paths = 12"),
+                                 ("ensemble",), (0,)),
     "picard_6": Config(_text(*SIGMA, "scheme.horizon = 0.05",
                              "noise.master_seed = 808",
                              "fixedpoint.ensemble_size = 6",
